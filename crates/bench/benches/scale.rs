@@ -17,8 +17,11 @@
 //!
 //! The arena-load vs parse-rebuild gap is the replica-bootstrap win
 //! (the SNAPSHOT frame ships the image); delta-apply vs full-rebuild
-//! is the paper's O(affected-group) maintenance claim, finally priced
-//! at scale. Corpus size defaults to 1M fragments (20k in
+//! is the paper's O(affected-group) maintenance claim priced at scale:
+//! the delta is spliced into the shard's arenas in place, so its cost
+//! follows the ten fragments it carries, not the million it joins
+//! (CI's `scale` job gates `delta-apply × 20 < full-rebuild` at its
+//! 100k smoke). Corpus size defaults to 1M fragments (20k in
 //! `DASH_BENCH_FAST` smoke runs) and is capped by
 //! `DASH_SCALE_FRAGMENTS` — CI's `scale` job runs ~100k.
 

@@ -18,9 +18,16 @@
 //!   `HashMap<FragmentId, u64>` maps and their clone-heavy probes.
 //!
 //! Posting lists never allocate per entry; building sorts each
-//! keyword's slice independently (parallelized across lists).
+//! keyword's slice independently (parallelized across lists). The
+//! lists sit in the arenas in handle order with no gaps — list `i`
+//! starts where list `i − 1` ends — which is what lets maintenance
+//! ([`InvertedFragmentIndex::apply_delta`]) splice a delta in place:
+//! only the lists the delta touches are edited, and the postings
+//! around the edits at most slide to their new offsets.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 use crate::fragment::Fragment;
 use crate::index::catalog::{Frag, FragmentCatalog, Kw};
@@ -107,11 +114,37 @@ impl KeywordInterner {
     }
 }
 
-/// Per-keyword slice bounds, shared by both arenas.
+/// Per-keyword slice bounds, shared by both arenas. Contiguous in
+/// handle order: `lists[i].start` is the sum of the lengths before it
+/// (empty lists included), and the last list ends at the arena's end.
 #[derive(Debug, Clone, Copy, Default)]
 struct ListRef {
     start: u32,
     len: u32,
+}
+
+impl ListRef {
+    /// The list's slice bounds in either arena.
+    #[inline]
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// What one delta does to one inverted list: the postings leaving it
+/// (with their stored TF) and the postings entering it.
+#[derive(Debug, Default)]
+struct ListEdit {
+    stale: Vec<Posting>,
+    fresh: Vec<Posting>,
+}
+
+/// One run of surviving postings and where it slides to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Move {
+    from: usize,
+    to: usize,
+    len: usize,
 }
 
 /// The inverted half of the fragment index.
@@ -188,7 +221,7 @@ impl InvertedFragmentIndex {
         }
         if !monotone {
             for list in &lists {
-                let slice = &mut probe_arena[list.start as usize..(list.start + list.len) as usize];
+                let slice = &mut probe_arena[list.range()];
                 slice.sort_unstable_by_key(|e| e.frag);
             }
         }
@@ -204,16 +237,13 @@ impl InvertedFragmentIndex {
     }
 
     /// Recomputes the TF-sorted arena from the probe arena, sorting
-    /// every keyword's slice independently (in parallel).
+    /// every keyword's slice independently (in parallel). Bulk build
+    /// only — maintenance never re-sorts a list.
     fn rebuild_tf_arena(&mut self, catalog: &FragmentCatalog) {
         self.tf_arena = self
             .probe_arena
             .iter()
-            .map(|p| Posting {
-                frag: p.frag,
-                occurrences: p.occurrences,
-                tf: tf_of(catalog, p.frag, p.occurrences),
-            })
+            .map(|p| posting_of(catalog, p.frag, p.occurrences))
             .collect();
         // Carve the arena into per-keyword slices and sort each:
         // descending TF, ties by ascending fragment identifier (a total
@@ -226,11 +256,7 @@ impl InvertedFragmentIndex {
             rest = tail;
         }
         par::for_each(slices, |slice| {
-            slice.sort_unstable_by(|a, b| {
-                b.tf.partial_cmp(&a.tf)
-                    .expect("finite TF")
-                    .then_with(|| catalog.cmp_ids(a.frag, b.frag))
-            });
+            slice.sort_unstable_by(|a, b| tf_order(catalog, a, b));
         });
     }
 
@@ -242,14 +268,14 @@ impl InvertedFragmentIndex {
         if list.len == 0 {
             return None;
         }
-        Some(&self.tf_arena[list.start as usize..(list.start + list.len) as usize])
+        Some(&self.tf_arena[list.range()])
     }
 
     /// The TF-sorted inverted list for an interned keyword.
     #[inline]
     pub fn postings_kw(&self, kw: Kw) -> &[Posting] {
         let list = self.lists[kw.index()];
-        &self.tf_arena[list.start as usize..(list.start + list.len) as usize]
+        &self.tf_arena[list.range()]
     }
 
     /// The handle of `word`, if any fragment contains it.
@@ -273,7 +299,7 @@ impl InvertedFragmentIndex {
     #[inline]
     pub fn occurrences(&self, kw: Kw, frag: Frag) -> u64 {
         let list = self.lists[kw.index()];
-        let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
+        let slice = &self.probe_arena[list.range()];
         match slice.binary_search_by(|e| e.frag.cmp(&frag)) {
             Ok(i) => slice[i].occurrences,
             Err(_) => 0,
@@ -334,113 +360,167 @@ impl InvertedFragmentIndex {
         out
     }
 
+    /// The live postings of `frags` — `(keyword, posting)` pairs in
+    /// keyword order — with each posting's TF as the TF arena stores
+    /// it. This is the *locate* half of a splice: call it **before**
+    /// the catalog refreshes the fragments' `total_keywords`, because
+    /// the stored TF (`occurrences / total_keywords` at insertion time)
+    /// is the sort key [`InvertedFragmentIndex::apply_delta`] binary
+    /// searches the TF slices with. `frags` must be sorted and
+    /// duplicate-free. Each frag-sorted probe slice is intersected with
+    /// `frags` by binary-searching the longer of the two for every
+    /// entry of the shorter: O(lists · |frags| · log L) for the usual
+    /// small delta, and never more than O(postings · log |frags|) for
+    /// a delta that replaces much of the shard.
+    pub fn stale_postings(&self, catalog: &FragmentCatalog, frags: &[Frag]) -> Vec<(Kw, Posting)> {
+        let mut stale = Vec::new();
+        if frags.is_empty() {
+            return stale;
+        }
+        for (i, &list) in self.lists.iter().enumerate() {
+            let slice = &self.probe_arena[list.range()];
+            let mut found = |entry: &ProbeEntry| {
+                stale.push((
+                    Kw(i as u32),
+                    posting_of(catalog, entry.frag, entry.occurrences),
+                ));
+            };
+            if frags.len() <= slice.len() {
+                for frag in frags {
+                    if let Ok(at) = slice.binary_search_by(|e| e.frag.cmp(frag)) {
+                        found(&slice[at]);
+                    }
+                }
+            } else {
+                for entry in slice {
+                    if frags.binary_search(&entry.frag).is_ok() {
+                        found(entry);
+                    }
+                }
+            }
+        }
+        stale
+    }
+
     /// Applies one batched mutation — every posting splice of an
-    /// [`IndexDelta`](crate::update::IndexDelta) — in a single pass:
-    /// drops the postings of `removes`, supersedes the postings of
-    /// re-added fragments, merges the additions at their fragment-sorted
-    /// positions, and re-sorts the TF arena **once** for the whole
-    /// batch (the per-fragment maintenance of earlier revisions paid one
-    /// full TF re-sort per fragment). Every added fragment must already
-    /// be interned in `catalog`. Returns the number of postings removed
-    /// on behalf of `removes`.
+    /// [`IndexDelta`](crate::update::IndexDelta) — **in place**, in
+    /// time proportional to what the delta touches rather than to the
+    /// shard:
+    ///
+    /// 1. The *touched* lists are those holding a `stale` posting
+    ///    (collected by [`InvertedFragmentIndex::stale_postings`] for
+    ///    every removed or re-added fragment before the catalog
+    ///    refresh) plus those receiving a posting of `adds`. No other
+    ///    list changes: a posting's TF depends only on its own
+    ///    fragment's `total_keywords`.
+    /// 2. In each touched list, in each arena, the stale postings are
+    ///    located by binary search (by handle in the probe slice, by
+    ///    `tf_order` with the stored TF in the TF slice) and each fresh
+    ///    posting is given the `partition_point` of the same total
+    ///    order the bulk build sorts with. Survivors keep their relative
+    ///    order and the order is total (identifiers are unique), so the
+    ///    resulting slice is exactly what a from-scratch sort of the
+    ///    same postings lays out — exact by construction.
+    /// 3. Those positions cut each arena into runs of survivors; every
+    ///    run slides to its new offset inside the existing `Vec`
+    ///    (`relocate`) and the fresh postings are written into the
+    ///    holes. A run whose offset does not change is not touched at
+    ///    all: the common upsert (same keyword set, new TFs) moves only
+    ///    the postings between a fragment's old and new rank in each of
+    ///    its TF slices, and a delta that grows or shrinks a list
+    ///    shifts the arena's tail once, with `memmove`.
+    ///
+    /// Every fragment of `adds` must be interned in `catalog`, appear
+    /// once, and have its previous postings (if any) listed in `stale`.
+    /// Returns the number of stale postings that were removed outright
+    /// (not superseded by a re-add). A delta that matches nothing (no
+    /// stale postings, no keywords added) leaves the arenas untouched.
     pub fn apply_delta(
         &mut self,
         catalog: &FragmentCatalog,
-        removes: &[Frag],
+        stale: &[(Kw, Posting)],
         adds: &[&Fragment],
     ) -> usize {
-        if removes.is_empty() && adds.is_empty() {
-            return 0;
+        let mut edits: BTreeMap<Kw, ListEdit> = BTreeMap::new();
+        for &(kw, posting) in stale {
+            edits.entry(kw).or_default().stale.push(posting);
         }
-        // Cheap pre-probe: a removes-only delta whose targets carry no
-        // live postings (e.g. already-tombstoned handles) skips the
-        // whole arena rewrite — O(lists · log L) probes instead of an
-        // O(postings) copy.
-        if adds.is_empty() && !removes.iter().any(|&frag| self.has_postings(frag)) {
-            return 0;
-        }
-        let removed_set: HashSet<Frag> = removes.iter().copied().collect();
-        // Per-keyword posting splices, interning new keywords up front so
-        // `lists` covers them; a re-added fragment's stale postings are
-        // superseded, not counted as removals.
-        let mut replacing: HashSet<Frag> = HashSet::with_capacity(adds.len());
-        let mut add_postings: HashMap<Kw, Vec<ProbeEntry>> = HashMap::new();
-        let mut added = 0usize;
+        let mut readded: HashSet<Frag> = HashSet::with_capacity(adds.len());
         for fragment in adds {
             let frag = catalog.frag(&fragment.id).expect("fragment interned");
-            replacing.insert(frag);
+            readded.insert(frag);
             for (word, &occurrences) in &fragment.keyword_occurrences {
                 let kw = self.interner.intern(word);
                 if kw.index() == self.lists.len() {
-                    self.lists.push(ListRef::default());
+                    // A brand-new keyword: an empty list at the arena's
+                    // end keeps the layout contiguous.
+                    self.lists.push(ListRef {
+                        start: self.tf_arena.len() as u32,
+                        len: 0,
+                    });
                 }
-                add_postings
+                edits
                     .entry(kw)
                     .or_default()
-                    .push(ProbeEntry { frag, occurrences });
-                added += 1;
+                    .fresh
+                    .push(posting_of(catalog, frag, occurrences));
             }
         }
-        for entries in add_postings.values_mut() {
-            entries.sort_unstable_by_key(|e| e.frag);
-        }
-        // One rewrite of the probe arena: each list keeps its surviving
-        // postings (frag-sorted) merged with its additions.
-        let mut arena = Vec::with_capacity(self.probe_arena.len() + added);
-        let mut lists = Vec::with_capacity(self.lists.len());
-        let mut touched = 0usize;
-        let mut superseded = 0usize;
-        for (i, list) in self.lists.iter().enumerate() {
-            let start = arena.len() as u32;
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
-            let mut additions = add_postings
-                .remove(&Kw(i as u32))
-                .unwrap_or_default()
-                .into_iter()
-                .peekable();
-            for &entry in slice {
-                if replacing.contains(&entry.frag) {
-                    superseded += 1;
-                    continue;
-                }
-                if removed_set.contains(&entry.frag) {
-                    touched += 1;
-                    continue;
-                }
-                while additions.peek().is_some_and(|a| a.frag < entry.frag) {
-                    arena.push(additions.next().expect("peeked"));
-                }
-                arena.push(entry);
-            }
-            arena.extend(additions);
-            lists.push(ListRef {
-                start,
-                len: (arena.len() as u32) - start,
-            });
-        }
-        if touched == 0 && superseded == 0 && added == 0 {
-            // Nothing matched (e.g. removing an already-tombstoned id):
-            // keep the existing arenas, skip the TF re-sort.
+        if edits.is_empty() {
             return 0;
         }
-        self.probe_arena = arena;
-        self.lists = lists;
-        self.rebuild_tf_arena(catalog);
-        touched
-    }
+        let removed = stale
+            .iter()
+            .filter(|(_, p)| !readded.contains(&p.frag))
+            .count();
 
-    /// Removes every posting of `frag` (incremental maintenance).
-    /// Returns the number of inverted lists touched.
-    pub fn remove_fragment(&mut self, catalog: &FragmentCatalog, frag: Frag) -> usize {
-        self.apply_delta(catalog, &[frag], &[])
-    }
+        // Locate every stale and fresh posting in both arenas (handle
+        // order = arena order, as `BTreeMap` iterates).
+        let to_probe = |p: &Posting| ProbeEntry {
+            frag: p.frag,
+            occurrences: p.occurrences,
+        };
+        let mut tf_edits = Vec::with_capacity(edits.len());
+        let mut probe_edits = Vec::with_capacity(edits.len());
+        for (&kw, edit) in &edits {
+            let list = self.lists[kw.index()];
+            tf_edits.push(ArenaEdit::locate(
+                list.start as usize,
+                &self.tf_arena[list.range()],
+                edit.stale.iter().copied(),
+                edit.fresh.iter().copied(),
+                |a, b| tf_order(catalog, a, b),
+            ));
+            probe_edits.push(ArenaEdit::locate(
+                list.start as usize,
+                &self.probe_arena[list.range()],
+                edit.stale.iter().map(to_probe),
+                edit.fresh.iter().map(to_probe),
+                |a, b| a.frag.cmp(&b.frag),
+            ));
+        }
+        let filler = Posting {
+            frag: Frag(0),
+            occurrences: 0,
+            tf: 0.0,
+        };
+        splice_arena(&mut self.tf_arena, &tf_edits, filler);
+        splice_arena(&mut self.probe_arena, &probe_edits, to_probe(&filler));
 
-    /// Adds the postings of a single fragment (incremental maintenance),
-    /// replacing any live postings it already had. The fragment must
-    /// already be interned in `catalog`.
-    pub fn add_fragment(&mut self, catalog: &FragmentCatalog, fragment: &Fragment) {
-        self.apply_delta(catalog, &[], &[fragment]);
-        self.fragment_count += 1;
+        // Re-derive the offset table: touched lists change length,
+        // everything after them shifts.
+        let mut touched = edits.iter().peekable();
+        let mut at = 0u32;
+        for (i, list) in self.lists.iter_mut().enumerate() {
+            if let Some((_, edit)) = touched.next_if(|(kw, _)| kw.index() == i) {
+                list.len = list.len - edit.stale.len() as u32 + edit.fresh.len() as u32;
+            }
+            list.start = at;
+            at = at
+                .checked_add(list.len)
+                .expect("more than u32::MAX postings");
+        }
+        removed
     }
 
     /// The keyword-occurrence maps of **every** live fragment,
@@ -456,7 +536,7 @@ impl InvertedFragmentIndex {
                 continue;
             }
             let word = self.interner.word(Kw(i as u32));
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
+            let slice = &self.probe_arena[list.range()];
             for entry in slice {
                 terms
                     .entry(entry.frag)
@@ -480,7 +560,7 @@ impl InvertedFragmentIndex {
             if list.len == 0 {
                 continue;
             }
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
+            let slice = &self.probe_arena[list.range()];
             if let Ok(at) = slice.binary_search_by(|e| e.frag.cmp(&frag)) {
                 terms.push((self.interner.word(Kw(i as u32)), slice[at].occurrences));
             }
@@ -488,17 +568,12 @@ impl InvertedFragmentIndex {
         terms
     }
 
-    /// Whether any inverted list holds a posting for `frag` (one binary
-    /// search per list — the no-op-removal pre-probe).
-    fn has_postings(&self, frag: Frag) -> bool {
-        self.lists.iter().any(|list| {
-            let slice = &self.probe_arena[list.start as usize..(list.start + list.len) as usize];
-            slice.binary_search_by(|e| e.frag.cmp(&frag)).is_ok()
-        })
-    }
-
-    /// Adjusts the stored fragment count (used by incremental
-    /// maintenance after removals).
+    /// Sets the stored fragment count. The inverted lists cannot tell
+    /// a keyword-less live fragment from an absent one, so the count is
+    /// owned by whoever owns liveness: [`InvertedFragmentIndex::build`]
+    /// sets it from its input, and after a delta the caller
+    /// ([`FragmentIndex::apply`](crate::index::FragmentIndex::apply))
+    /// sets it from the graph's node count.
     pub fn set_fragment_count(&mut self, count: u64) {
         self.fragment_count = count;
     }
@@ -534,7 +609,8 @@ impl InvertedFragmentIndex {
     /// hand back exactly what [`InvertedFragmentIndex::image_lists`] /
     /// `image_tf_arena` / `image_probe` produced (the checksummed v2
     /// persist sections), so both arenas arrive already in their final
-    /// sort orders.
+    /// sort orders, and to have checked that `lists` tiles the arenas
+    /// contiguously in handle order (`persist::read_image` does).
     pub(crate) fn from_image_parts(
         interner: KeywordInterner,
         lists: Vec<(u32, u32)>,
@@ -555,13 +631,168 @@ impl InvertedFragmentIndex {
     }
 }
 
+/// The order of every TF slice: descending TF, ties by ascending
+/// fragment identifier. Total, since identifiers are unique — so a
+/// list's layout is independent of insertion order, and bulk sort and
+/// in-place splice agree by construction.
 #[inline]
-fn tf_of(catalog: &FragmentCatalog, frag: Frag, occurrences: u64) -> f64 {
+fn tf_order(catalog: &FragmentCatalog, a: &Posting, b: &Posting) -> Ordering {
+    b.tf.partial_cmp(&a.tf)
+        .expect("finite TF")
+        .then_with(|| catalog.cmp_ids(a.frag, b.frag))
+}
+
+/// One touched list's edit of one arena, in arena coordinates: the
+/// positions of the entries leaving and, for each entry arriving, the
+/// position of the old entry it goes in front of. Both ascending.
+struct ArenaEdit<T> {
+    gone: Vec<usize>,
+    fresh: Vec<(usize, T)>,
+}
+
+impl<T: Copy> ArenaEdit<T> {
+    /// Locates `stale` (each must be present) and `fresh` in the sorted
+    /// slice `old`, which begins at arena position `start` — O(log L)
+    /// comparisons per entry.
+    fn locate(
+        start: usize,
+        old: &[T],
+        stale: impl Iterator<Item = T>,
+        fresh: impl Iterator<Item = T>,
+        cmp: impl Fn(&T, &T) -> Ordering,
+    ) -> Self {
+        let mut gone: Vec<usize> = stale
+            .map(|s| {
+                let at = old.binary_search_by(|o| cmp(o, &s));
+                start + at.expect("a stale posting is in both of its list's slices")
+            })
+            .collect();
+        gone.sort_unstable();
+        let mut fresh: Vec<T> = fresh.collect();
+        fresh.sort_unstable_by(&cmp);
+        let fresh = fresh
+            .into_iter()
+            .map(|f| (start + old.partition_point(|o| cmp(o, &f).is_lt()), f))
+            .collect();
+        ArenaEdit { gone, fresh }
+    }
+}
+
+/// Applies the touched lists' edits (ascending list order) to one
+/// arena in place: the edit positions cut the arena into runs of
+/// survivors, each run slides to its new offset (`relocate`), and the
+/// fresh entries fill the holes left between them.
+fn splice_arena<T: Copy>(arena: &mut Vec<T>, edits: &[ArenaEdit<T>], filler: T) {
+    let mut moves: Vec<Move> = Vec::new();
+    let mut writes: Vec<(usize, T)> = Vec::new();
+    // The run of survivors being extended; it ends at the next event.
+    let mut run = Move {
+        from: 0,
+        to: 0,
+        len: 0,
+    };
+    let mut end_run = |run: &mut Move, at: usize| {
+        run.len = at - run.from;
+        if run.len > 0 {
+            moves.push(*run);
+        }
+        run.to + run.len
+    };
+    for edit in edits {
+        let mut gone = edit.gone.iter().copied().peekable();
+        let mut fresh = edit.fresh.iter().copied().peekable();
+        loop {
+            // A fresh entry goes in front of the old entry at its
+            // position, so at equal positions it is handled first.
+            let arrival = match (gone.peek(), fresh.peek()) {
+                (None, None) => break,
+                (Some(&g), Some(&(f, _))) => f <= g,
+                (None, Some(_)) => true,
+                (Some(_), None) => false,
+            };
+            run = if arrival {
+                let (at, entry) = fresh.next().expect("peeked");
+                let to = end_run(&mut run, at);
+                writes.push((to, entry));
+                Move {
+                    from: at,
+                    to: to + 1,
+                    len: 0,
+                }
+            } else {
+                let at = gone.next().expect("peeked");
+                let to = end_run(&mut run, at);
+                Move {
+                    from: at + 1,
+                    to,
+                    len: 0,
+                }
+            };
+        }
+    }
+    let total = end_run(&mut run, arena.len());
+    relocate(arena, &moves, total, filler);
+    for (at, entry) in writes {
+        arena[at] = entry;
+    }
+}
+
+/// Slides blocks of an arena to new offsets **in place** and sets the
+/// arena's length to `total`. `moves` lists disjoint blocks in
+/// ascending order of both `from` and `to` (the runs of survivors
+/// between the postings a delta removes or inserts); whatever lies
+/// between their destinations afterwards is unspecified — the caller
+/// overwrites it.
+///
+/// Order of operations, and why no move clobbers a block still waiting
+/// to move: the arena grows first (if it grows); then the left-movers
+/// (`to < from`) go in ascending order, then the right-movers in
+/// descending order; then the arena is truncated.
+///
+/// * A left-mover's destination ends before its own old end, hence
+///   before the old start of every later block; and it starts at or
+///   after the new end of every earlier block, which for an earlier
+///   right-mover lies beyond that block's old end. So it overlaps
+///   nothing but its own source (`copy_within` is a `memmove`).
+/// * When the right-movers run, every left-mover's source is dead. A
+///   right-mover's destination starts after its own old start, hence
+///   after the old end of every earlier (not yet moved) block, and the
+///   destinations are pairwise disjoint, so it lands only on space
+///   already vacated.
+///
+/// Growth reserves exactly what is needed plus 1/64 slack: `Vec`'s
+/// amortized doubling would double a multi-megabyte arena's footprint
+/// for a one-posting delta.
+fn relocate<T: Copy>(arena: &mut Vec<T>, moves: &[Move], total: usize, filler: T) {
+    if total > arena.len() {
+        if total > arena.capacity() {
+            arena.reserve_exact(total - arena.len() + total / 64);
+        }
+        arena.resize(total, filler);
+    }
+    for m in moves.iter().filter(|m| m.to < m.from) {
+        arena.copy_within(m.from..m.from + m.len, m.to);
+    }
+    for m in moves.iter().rev().filter(|m| m.to > m.from) {
+        arena.copy_within(m.from..m.from + m.len, m.to);
+    }
+    arena.truncate(total);
+}
+
+/// The posting of `occurrences` in `frag`, its TF taken against the
+/// catalog's *current* `total_keywords` for the fragment.
+#[inline]
+fn posting_of(catalog: &FragmentCatalog, frag: Frag, occurrences: u64) -> Posting {
     let total = catalog.total_keywords(frag);
-    if total == 0 {
+    let tf = if total == 0 {
         0.0
     } else {
         occurrences as f64 / total as f64
+    };
+    Posting {
+        frag,
+        occurrences,
+        tf,
     }
 }
 
@@ -652,6 +883,14 @@ mod tests {
         assert_eq!(idx.kw("zzz"), None);
     }
 
+    /// The two-step splice protocol: locate the stale postings, then
+    /// apply (the catalog is already current in these tests — the
+    /// fragments come back unchanged).
+    fn remove(idx: &mut InvertedFragmentIndex, catalog: &FragmentCatalog, frag: Frag) -> usize {
+        let stale = idx.stale_postings(catalog, &[frag]);
+        idx.apply_delta(catalog, &stale, &[])
+    }
+
     #[test]
     fn incremental_remove_and_add() {
         let fragments = figure_6_fragments();
@@ -663,11 +902,12 @@ mod tests {
                 Value::Int(10),
             ]))
             .unwrap();
-        let touched = idx.remove_fragment(&catalog, target);
+        let touched = remove(&mut idx, &catalog, target);
         assert_eq!(touched, 3); // burger, queen, experts
         assert_eq!(idx.df("burger"), 2);
         assert_eq!(idx.postings("queen"), None);
-        idx.add_fragment(&catalog, &fragments[1]);
+        assert_eq!(remove(&mut idx, &catalog, target), 0); // nothing left to match
+        assert_eq!(idx.apply_delta(&catalog, &[], &[&fragments[1]]), 0);
         assert_eq!(idx.df("burger"), 3);
         let kw = idx.kw("burger").unwrap();
         assert_eq!(idx.occurrences(kw, target), 2);
@@ -685,13 +925,69 @@ mod tests {
                 Value::Int(10),
             ]))
             .unwrap();
-        incremental.remove_fragment(&catalog, target);
-        incremental.set_fragment_count(3);
-        incremental.add_fragment(&catalog, &fragments[1]);
+        remove(&mut incremental, &catalog, target);
+        incremental.apply_delta(&catalog, &[], &[&fragments[1]]);
         for word in ["burger", "coffee", "queen", "thai", "fries"] {
             assert_eq!(bulk.postings(word), incremental.postings(word), "{word}");
         }
-        assert_eq!(bulk.fragment_count(), incremental.fragment_count());
+        assert_eq!(
+            bulk.image_probe().collect::<Vec<_>>(),
+            incremental.image_probe().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn relocate_slides_left_and_right_movers_in_place() {
+        // Old layout, one letter per list (uppercase = rewritten by the
+        // delta, its old content dead):
+        //   aa BBB cc dddd E ff | new: aa B cc dddd EEEE ff + 1 grown
+        // `cc dddd` slide left by 2, `ff` slides right by 1, `aa` stays.
+        let mut arena: Vec<char> = "aaBBBccddddEff".chars().collect();
+        let moves = [
+            Move {
+                from: 0,
+                to: 0,
+                len: 2,
+            },
+            Move {
+                from: 5,
+                to: 3,
+                len: 6,
+            },
+            Move {
+                from: 12,
+                to: 13,
+                len: 2,
+            },
+        ];
+        relocate(&mut arena, &moves, 15, '#');
+        assert_eq!(arena.len(), 15);
+        let at = |r: Range<usize>| arena[r].iter().collect::<String>();
+        assert_eq!(at(0..2), "aa");
+        assert_eq!(at(3..9), "ccdddd");
+        assert_eq!(at(13..15), "ff");
+        // Growth is exact-plus-slack, not a doubling.
+        assert!(arena.capacity() < 2 * 14);
+
+        // Overlapping self-moves in both directions, then a shrink:
+        // a 6-long block 1 to the right, a 6-long block 3 to the left.
+        let mut arena: Vec<char> = "XabcdefYYYYYghijkl".chars().collect();
+        let moves = [
+            Move {
+                from: 1,
+                to: 2,
+                len: 6,
+            },
+            Move {
+                from: 12,
+                to: 9,
+                len: 6,
+            },
+        ];
+        relocate(&mut arena, &moves, 15, '#');
+        assert_eq!(arena[2..8].iter().collect::<String>(), "abcdef");
+        assert_eq!(arena[9..15].iter().collect::<String>(), "ghijkl");
+        assert_eq!(arena.len(), 15);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 pub mod catalog;
 pub mod graph;
 pub mod inverted;
+#[cfg(test)]
+mod splice_tests;
 
 pub use catalog::{Frag, FragmentCatalog, Kw};
 pub use graph::{FragmentGraph, GroupId, NodeRef};
@@ -80,8 +82,11 @@ impl FragmentIndex {
     /// Applies one [`IndexDelta`] atomically: every structure sees the
     /// whole batch — removals first, then (re)insertions — before any
     /// search can observe the index again (`&mut self` guarantees
-    /// exclusivity), and the inverted arenas are rewritten **once** for
-    /// the batch rather than once per fragment. A delta may carry
+    /// exclusivity). The work is proportional to the delta, not to the
+    /// index: the graph splices touch only the affected groups' columns
+    /// and the inverted arenas are spliced in place, editing only the
+    /// lists that lose or gain a posting
+    /// ([`InvertedFragmentIndex::apply_delta`]). A delta may carry
     /// several recomputations of the same identifier (e.g. two record
     /// deltas concatenated); the **last** add for an identifier wins,
     /// so applying a concatenation equals applying the parts in order.
@@ -103,28 +108,34 @@ impl FragmentIndex {
             }
         }
         adds.reverse();
-        // Graph first (it owns liveness): splice out removed nodes,
-        // splice in fresh ones — each touches only its own group column.
-        // Only frags with a live node go to the posting splice — a
-        // tombstoned handle has no postings, and skipping it here lets
-        // an all-tombstone delta bypass the arena rewrite entirely.
-        let mut removed_frags = Vec::with_capacity(delta.removes.len());
+        // Graph first (it owns liveness): splice out removed nodes —
+        // each touches only its own group column. Only frags with a
+        // live node can hold postings, so a removal of tombstones never
+        // reaches the inverted lists.
+        let mut stale_frags = Vec::with_capacity(delta.removes.len() + adds.len());
         for id in &delta.removes {
             if let Some(frag) = self.catalog.frag(id) {
                 if self.graph.remove(frag) {
-                    removed_frags.push(frag);
+                    stale_frags.push(frag);
                     stats.removed += 1;
                 }
             }
         }
+        // A re-added fragment's current postings are stale too. Locate
+        // every stale posting BEFORE interning: the catalog refresh
+        // overwrites the `total_keywords` their stored TFs — the TF
+        // slices' sort keys — were computed from.
+        stale_frags.extend(adds.iter().filter_map(|f| self.catalog.frag(&f.id)));
+        stale_frags.sort_unstable();
+        stale_frags.dedup();
+        let stale = self.inverted.stale_postings(&self.catalog, &stale_frags);
         for fragment in &adds {
             self.catalog.intern(fragment);
             self.graph.insert(&self.catalog, fragment);
             stats.added += 1;
         }
-        // One batched posting splice for the whole delta.
-        self.inverted
-            .apply_delta(&self.catalog, &removed_frags, &adds);
+        // One in-place posting splice for the whole delta.
+        self.inverted.apply_delta(&self.catalog, &stale, &adds);
         self.inverted
             .set_fragment_count(self.graph.node_count() as u64);
         stats

@@ -75,7 +75,7 @@
 //! |---|---|---|
 //! | `0x10` | catalog | count; identifiers (value codec); total-keyword u64 column; record-count u64 column |
 //! | `0x11` | words | count; blob length; word-length u32 column; UTF-8 blob |
-//! | `0x12` | lists | fragment count; list count; start u32 column; len u32 column |
+//! | `0x12` | lists | fragment count; list count; start u32 column; len u32 column — the refs must tile both arenas in handle order (each start = the sum of the lengths before it, the last list ending at the posting count) |
 //! | `0x13` | tf arena | posting count; frag u32 column; occurrence u64 column; TF f64-bits u64 column |
 //! | `0x14` | probe arena | posting count; frag u32 column; occurrence u64 column |
 //! | `0x15` | graph | group count; node total; per group (key values, run length); frag u32 column; weight u64 column |
@@ -527,10 +527,19 @@ fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<
     if probe_count != tf_count {
         return Err(invalid("probe arena length does not match TF arena"));
     }
+    // The lists tile the arenas in handle order — no overlap, no gap,
+    // nothing running backwards: in-place maintenance slides them by
+    // their offsets, so a torn table must fail here, not mis-splice
+    // at the first delta.
+    let mut at = 0u64;
     for (&start, &len) in starts.iter().zip(&lens) {
-        if (start as u64) + (len as u64) > tf_count as u64 {
-            return Err(invalid("list ref out of arena bounds"));
+        if start as u64 != at {
+            return Err(invalid("list refs are not contiguous in handle order"));
         }
+        at += len as u64;
+    }
+    if at != tf_count as u64 {
+        return Err(invalid("list refs do not cover the arena"));
     }
     let frag_bound = count as u32;
     if tf_arena
@@ -1037,5 +1046,61 @@ mod tests {
         // The v1 readers reject an image and vice versa.
         assert!(read_fragments(buf.as_slice()).is_err());
         assert!(read_image(b"DASHFRG1").is_err());
+    }
+
+    #[test]
+    fn non_contiguous_list_refs_rejected() {
+        // A lists section whose checksum is VALID but whose refs do not
+        // tile the arenas in handle order (a buggy or hostile writer,
+        // not a torn transfer): in-place maintenance would slide the
+        // wrong postings, so the loader must refuse it.
+        let fragments = fooddb_fragments();
+        let index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+        let mut image = Vec::new();
+        write_image(&mut image, Some(1), &[&index]).unwrap();
+        // Walk the section frames to the lists payload.
+        let mut at = 8usize;
+        let payload = loop {
+            let tag = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(image[at + 8..at + 16].try_into().unwrap()) as usize;
+            if tag == SEC_LISTS {
+                break at + 16..at + 16 + len;
+            }
+            at += 16 + len + 8;
+        };
+        let table: Vec<(u32, u32)> = index.inverted.image_lists().collect();
+        let lists = table.len();
+        assert!(lists >= 3 && table.iter().all(|&(_, len)| len > 0));
+        // Re-checksummed copies with some u32 cells of the start / len
+        // columns (which follow the two u64 counts) overwritten.
+        let start_of = |i: usize| payload.start + 16 + 4 * i;
+        let len_of = |i: usize| payload.start + 16 + 4 * (lists + i);
+        let patched = |cells: &[(usize, u32)]| {
+            let mut bad = image.clone();
+            for &(at, value) in cells {
+                bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            let sum = checksum64(&bad[payload.clone()]);
+            bad[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+            bad
+        };
+        assert!(read_image(&patched(&[])).is_ok());
+        let cases: [(&str, Vec<(usize, u32)>); 4] = [
+            ("overlap", vec![(start_of(1), table[1].0 - 1)]),
+            ("gap", vec![(start_of(1), table[1].0 + 1)]),
+            (
+                "backwards",
+                vec![(start_of(1), table[2].0), (start_of(2), table[1].0)],
+            ),
+            (
+                "short cover",
+                vec![(len_of(lists - 1), table[lists - 1].1 - 1)],
+            ),
+        ];
+        for (what, cells) in cases {
+            let err = read_image(&patched(&cells)).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("list refs"), "{what}: {err}");
+        }
     }
 }

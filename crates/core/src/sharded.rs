@@ -31,9 +31,10 @@
 //! is a static key-range table fixed at construction
 //! (`ShardedEngine::route_bounds` stores each shard's lowest group
 //! key), so a shard's key range never changes and the partition stays
-//! contiguous in key order forever. Each affected shard applies its
-//! sub-delta to its own arenas only (per-shard work, never O(total)),
-//! then the engine refreshes the *global* coordinates incrementally:
+//! contiguous in key order forever. Each affected shard splices its
+//! sub-delta into its own arenas in place — work proportional to the
+//! sub-delta, not to the shard ([`FragmentIndex::apply`]) — then the
+//! engine refreshes the *global* coordinates incrementally:
 //! group-rank offsets are re-prefix-summed over per-shard group counts
 //! (O(shards)), and global IDF is always computed per request by
 //! summing per-shard fragment frequencies. Post-update searches are
@@ -720,8 +721,9 @@ impl ShardedEngine {
     /// owning its equality group, the affected shards apply their
     /// sub-deltas (first inline, the rest in parallel on the worker
     /// pool), and the global group-rank offsets + fragment count are
-    /// refreshed incrementally — per-shard work plus an O(shards)
-    /// prefix sum, never a rebuild. Post-update searches are
+    /// refreshed incrementally — a delta-proportional in-place splice
+    /// per affected shard ([`FragmentIndex::apply`]) plus an O(shards)
+    /// prefix sum, never a rebuild or a re-sort. Post-update searches are
     /// byte-identical to a [`DashEngine`](crate::DashEngine) freshly
     /// built over the mutated fragment set.
     pub fn apply_delta(&mut self, delta: IndexDelta) -> RefreshStats {

@@ -18,9 +18,15 @@
 //! 2. **build** — [`build_delta`] recomputes the affected fragments
 //!    from the current database and packages them as an [`IndexDelta`];
 //! 3. **apply** — [`FragmentIndex::apply`] splices the delta into every
-//!    structure atomically: per-keyword posting splices are batched
-//!    into **one** arena rewrite + one TF re-sort, and per-group graph
-//!    splices touch only the affected groups' columns. No full rebuild.
+//!    structure atomically, in time proportional to the delta: the
+//!    per-group graph splices touch only the affected groups' columns,
+//!    and the posting arenas are spliced **in place** — only the
+//!    inverted lists that lose or gain a posting are edited (stale
+//!    postings found by binary search, fresh ones inserted at their
+//!    rank in the bulk sort's total order), the postings in between
+//!    slide to their new offsets with `memmove`, and no list is ever
+//!    re-sorted (see `InvertedFragmentIndex::apply_delta`). The
+//!    result is the exact layout a from-scratch build produces.
 //!
 //! [`DashEngine`] applies a delta to its one index;
 //! [`ShardedEngine`](crate::sharded::ShardedEngine) routes each delta
