@@ -13,6 +13,7 @@
 //! | `scale/arena-load` | the builder's `IngestSource::Image` — the zero-parse bulk-read path |
 //! | `scale/parse-rebuild` | v1 decode + full `build` — what bootstrap cost before arena images |
 //! | `scale/full-rebuild` | index rebuild from in-memory fragments (no decode) |
+//! | `scale/delta-signature` | the same delta's invalidation signature (`delta_signature`: the touched group's vocabulary walk), taken before it is applied |
 //! | `scale/delta-apply` | one group-local delta through `apply_delta` |
 //!
 //! The arena-load vs parse-rebuild gap is the replica-bootstrap win
@@ -21,7 +22,12 @@
 //! the delta is spliced into the shard's arenas in place, so its cost
 //! follows the ten fragments it carries, not the million it joins
 //! (CI's `scale` job gates `delta-apply × 20 < full-rebuild` at its
-//! 100k smoke). Corpus size defaults to 1M fragments (20k in
+//! 100k smoke). Every publish computes the delta's signature against
+//! the pre-delta index first — one binary search per inverted list of
+//! the owning shard plus the postings inside the touched group's
+//! handle span — so that walk must stay the same order as the apply it
+//! precedes as lists grow (gated `delta-signature < delta-apply × 4`).
+//! Corpus size defaults to 1M fragments (20k in
 //! `DASH_BENCH_FAST` smoke runs) and is capped by
 //! `DASH_SCALE_FRAGMENTS` — CI's `scale` job runs ~100k.
 
@@ -188,6 +194,17 @@ fn bench_scale(c: &mut Criterion) {
         .collect();
     let removes = upserts.iter().map(|f| f.id.clone()).collect();
     let delta = IndexDelta::new(removes, upserts);
+    // What a publish does first: the signature against the pre-delta
+    // index (the touched group's vocabulary walk).
+    let begin = Instant::now();
+    let signature = criterion::black_box(engine.delta_signature(&delta));
+    let signature_ns = begin.elapsed().as_nanos() as f64;
+    assert_eq!(signature.groups.len(), 1);
+    c.record_measurement(
+        "scale/delta-signature",
+        signature_ns,
+        signature.keywords.len() as f64 / (signature_ns / 1e9),
+    );
     let begin = Instant::now();
     let stats = engine.apply_delta(delta);
     let delta_ns = begin.elapsed().as_nanos() as f64;
@@ -198,7 +215,9 @@ fn bench_scale(c: &mut Criterion) {
         churn as f64 / (delta_ns / 1e9),
     );
     println!(
-        "maintenance: delta {:.2}ms vs full rebuild {:.1}ms ({:.0}x)",
+        "maintenance: signature {:.2}ms ({} keywords) + delta {:.2}ms vs full rebuild {:.1}ms ({:.0}x)",
+        signature_ns / 1e6,
+        signature.keywords.len(),
         delta_ns / 1e6,
         rebuild_ns / 1e6,
         rebuild_ns / delta_ns.max(1.0)

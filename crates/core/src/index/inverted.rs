@@ -547,11 +547,52 @@ impl InvertedFragmentIndex {
         terms
     }
 
+    /// The keywords held by **any** of `frags` (sorted ascending), in
+    /// handle order — the union of
+    /// [`InvertedFragmentIndex::fragment_terms`] over the set, without
+    /// the occurrence counts. This is the vocabulary walk behind
+    /// [`ShardedEngine::delta_signature`](crate::sharded::ShardedEngine::delta_signature):
+    /// every inverted list is visited once, its frag-sorted probe slice
+    /// is sought to the first handle ≥ the lowest wanted one, and the
+    /// two sorted runs are merge-intersected from there, whichever side
+    /// is behind galloping ahead by `partition_point`, until the first
+    /// match (the list's keyword is held) or either run ends. A bulk
+    /// build interns in identifier order, so an equality group's
+    /// handles are contiguous: a list with nothing in the span costs
+    /// one binary search, and the whole walk is
+    /// O(lists · log L + postings inside the spans) however many
+    /// fragments are asked for.
+    pub fn keywords_of(&self, frags: &[Frag]) -> Vec<Kw> {
+        let mut held = Vec::new();
+        let Some(&lowest) = frags.first() else {
+            return held;
+        };
+        for (i, &list) in self.lists.iter().enumerate() {
+            let slice = &self.probe_arena[list.range()];
+            let mut entries = &slice[slice.partition_point(|e| e.frag < lowest)..];
+            let mut wanted = frags;
+            while let (Some(entry), Some(&frag)) = (entries.first(), wanted.first()) {
+                match entry.frag.cmp(&frag) {
+                    Ordering::Equal => {
+                        held.push(Kw(i as u32));
+                        break;
+                    }
+                    Ordering::Less => {
+                        entries = &entries[entries.partition_point(|e| e.frag < frag)..];
+                    }
+                    Ordering::Greater => {
+                        wanted = &wanted[wanted.partition_point(|&f| f < entry.frag)..];
+                    }
+                }
+            }
+        }
+        held
+    }
+
     /// The live keywords of **one** fragment, with occurrence counts —
     /// one binary search per inverted list, O(keywords · log L). The
-    /// serving layer uses this to widen a delta's invalidation
-    /// signature with the terms a removed fragment is about to take out
-    /// of the index (for whole-index dumps use
+    /// per-fragment oracle of [`InvertedFragmentIndex::keywords_of`]
+    /// (for whole-index dumps use
     /// [`InvertedFragmentIndex::all_fragment_terms`], which amortizes
     /// the arena walk across every fragment at once).
     pub fn fragment_terms(&self, frag: Frag) -> Vec<(&str, u64)> {

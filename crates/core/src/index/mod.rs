@@ -12,6 +12,8 @@ pub mod graph;
 pub mod inverted;
 #[cfg(test)]
 mod splice_tests;
+#[cfg(test)]
+mod walk_tests;
 
 pub use catalog::{Frag, FragmentCatalog, Kw};
 pub use graph::{FragmentGraph, GroupId, NodeRef};

@@ -5,6 +5,7 @@
 //! out — the exactness the splice claims by construction, checked
 //! below the engines (whose search-level equivalence
 //! `tests/maintenance.rs` and `tests/sharded_maintenance.rs` cover).
+//! The corpus and delta generators are shared with `walk_tests`.
 
 use std::collections::BTreeMap;
 
@@ -15,7 +16,7 @@ use crate::fragment::{Fragment, FragmentId};
 use crate::index::{FragmentIndex, InvertedFragmentIndex};
 use crate::update::IndexDelta;
 
-const GROUPS: [&str; 3] = ["American", "Thai", "Udon"];
+pub(super) const GROUPS: [&str; 3] = ["American", "Thai", "Udon"];
 /// Twelve ranges × three groups = 36 identifiers over 14 words: small
 /// enough that lists empty out and come back, and that one delta grows
 /// some lists while shrinking others.
@@ -26,9 +27,9 @@ const VOCAB: [&str; 14] = [
 ];
 /// Initial corpora draw from the first words only, so later deltas
 /// bring keywords the interner has never seen.
-const INITIAL_VOCAB: usize = 8;
+pub(super) const INITIAL_VOCAB: usize = 8;
 
-fn id((group, range): (usize, i64)) -> FragmentId {
+pub(super) fn id((group, range): (usize, i64)) -> FragmentId {
     FragmentId::new(vec![Value::str(GROUPS[group]), Value::Int(range)])
 }
 
@@ -46,7 +47,7 @@ fn coord_strategy() -> impl Strategy<Value = (usize, i64)> {
 
 /// A fragment over `VOCAB[..vocab]`; zero keywords is legal (a live
 /// fragment with no postings).
-fn fragment_strategy(vocab: usize) -> impl Strategy<Value = Fragment> {
+pub(super) fn fragment_strategy(vocab: usize) -> impl Strategy<Value = Fragment> {
     (
         coord_strategy(),
         prop::collection::vec((0..vocab, 1u64..4), 0..6),
@@ -58,7 +59,7 @@ fn fragment_strategy(vocab: usize) -> impl Strategy<Value = Fragment> {
 /// never seen) and adds that may repeat an identifier (last wins) or
 /// re-add a removed one. Either side may be empty: pure removes, pure
 /// adds, upserts.
-fn delta_strategy() -> impl Strategy<Value = IndexDelta> {
+pub(super) fn delta_strategy() -> impl Strategy<Value = IndexDelta> {
     (
         prop::collection::vec(coord_strategy(), 0..4),
         prop::collection::vec(fragment_strategy(VOCAB.len()), 0..5),

@@ -1,0 +1,140 @@
+//! Property test of the vocabulary walk
+//! ([`InvertedFragmentIndex::keywords_of`]): for any set of fragment
+//! handles it must return exactly the union of
+//! [`InvertedFragmentIndex::fragment_terms`] over the set, in handle
+//! order — on a fresh bulk build (where a group's handles are
+//! contiguous) and after **every** delta of a random history (where
+//! fragments interned after the build scatter a group's handles and
+//! tombstones leave holes). `ShardedEngine::delta_signature` feeds it
+//! whole equality groups; the sets below also cover what it never
+//! sends.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use proptest::prelude::*;
+
+use super::splice_tests::{delta_strategy, fragment_strategy, id, GROUPS, INITIAL_VOCAB};
+use crate::fragment::{Fragment, FragmentId};
+use crate::index::{Frag, FragmentIndex, Kw};
+use crate::update::IndexDelta;
+
+/// The definition the walk must meet: every keyword
+/// `fragment_terms` reports for any of `frags`, as handles, ascending.
+fn union_of_terms(index: &FragmentIndex, frags: &[Frag]) -> Vec<Kw> {
+    let held: BTreeSet<Kw> = frags
+        .iter()
+        .flat_map(|&frag| index.inverted.fragment_terms(frag))
+        .map(|(word, _)| index.inverted.kw(word).expect("a held keyword is live"))
+        .collect();
+    held.into_iter().collect()
+}
+
+/// Checks the walk on the empty set, every single handle (tombstones
+/// included), every whole group, every pair of neighbouring groups,
+/// the whole catalog and the random `picks` (handle numbers, reduced
+/// modulo the catalog's size).
+fn assert_walk_matches(
+    index: &FragmentIndex,
+    truth: &BTreeMap<FragmentId, Fragment>,
+    picks: &[Vec<u32>],
+) {
+    // The oracle itself: `fragment_terms` is the fragment's own map.
+    for (id, fragment) in truth {
+        let frag = index.catalog.frag(id).expect("live fragments are interned");
+        let terms: BTreeMap<String, u64> = index
+            .inverted
+            .fragment_terms(frag)
+            .into_iter()
+            .map(|(word, n)| (word.to_string(), n))
+            .collect();
+        assert_eq!(terms, fragment.keyword_occurrences, "{id}");
+    }
+    let handles = index.catalog.len() as u32;
+    let groups: Vec<Vec<Frag>> = index
+        .graph
+        .iter_groups()
+        .map(|(_, frags)| frags.to_vec())
+        .collect();
+    let mut sets: Vec<Vec<Frag>> = vec![Vec::new(), (0..handles).map(Frag).collect()];
+    sets.extend((0..handles).map(|h| vec![Frag(h)]));
+    sets.extend(groups.windows(2).map(|pair| pair.concat()));
+    sets.extend(groups);
+    if handles > 0 {
+        sets.extend(
+            picks
+                .iter()
+                .map(|pick| pick.iter().map(|&h| Frag(h % handles)).collect()),
+        );
+    }
+    for mut frags in sets {
+        frags.sort_unstable();
+        frags.dedup();
+        assert_eq!(
+            index.inverted.keywords_of(&frags),
+            union_of_terms(index, &frags),
+            "{frags:?}"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn walk_equals_union_of_fragment_terms_after_every_delta(
+        initial in prop::collection::vec(fragment_strategy(INITIAL_VOCAB), 0..20),
+        deltas in prop::collection::vec(delta_strategy(), 1..10),
+        picks in prop::collection::vec(prop::collection::vec(0u32..64, 0..8), 0..6),
+    ) {
+        let mut truth: BTreeMap<FragmentId, Fragment> = BTreeMap::new();
+        for fragment in initial {
+            truth.entry(fragment.id.clone()).or_insert(fragment);
+        }
+        let live: Vec<Fragment> = truth.values().cloned().collect();
+        let mut index = FragmentIndex::build(&live, Some(1)).unwrap();
+        assert_walk_matches(&index, &truth, &picks);
+        for delta in &deltas {
+            for id in &delta.removes {
+                truth.remove(id);
+            }
+            for fragment in &delta.adds {
+                truth.insert(fragment.id.clone(), fragment.clone());
+            }
+            index.apply(delta);
+            assert_walk_matches(&index, &truth, &picks);
+        }
+    }
+}
+
+fn fragment(coord: (usize, i64), words: &[&str]) -> Fragment {
+    let occurrences = words.iter().map(|w| (w.to_string(), 1u64)).collect();
+    Fragment::new(id(coord), occurrences, 1)
+}
+
+#[test]
+fn a_tombstoned_fragment_contributes_nothing() {
+    let fragments = [
+        fragment((0, 1), &["burger", "queen"]),
+        fragment((0, 2), &["burger", "fries"]),
+        fragment((1, 1), &["thai"]),
+    ];
+    let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+    let american = index
+        .graph
+        .group_by_key(&[dash_relation::Value::str(GROUPS[0])])
+        .expect("group exists");
+    let before = index.graph.group_nodes(american).to_vec();
+    let words = |index: &FragmentIndex, frags: &[Frag]| -> Vec<String> {
+        let kws = index.inverted.keywords_of(frags);
+        kws.iter()
+            .map(|&kw| index.inverted.word(kw).to_string())
+            .collect()
+    };
+    assert_eq!(words(&index, &before), ["burger", "queen", "fries"]);
+    // Tombstone (American, 1): its handle stays interned, but the walk
+    // over the same handles no longer sees "queen" — and the handle
+    // alone holds nothing.
+    index.apply(&IndexDelta::removing(vec![id((0, 1))]));
+    let tombstone = index.catalog.frag(&id((0, 1))).expect("handle kept");
+    assert!(index.inverted.keywords_of(&[tombstone]).is_empty());
+    assert_eq!(words(&index, &before), ["burger", "fries"]);
+    assert!(index.inverted.keywords_of(&[]).is_empty());
+}

@@ -846,10 +846,15 @@ impl ShardedEngine {
 
     /// The equality-group keys currently holding at least one posting
     /// of any of `keywords` — the groups where a candidate page for
-    /// those keywords can arise. A result cache keys its invalidation
-    /// on exactly this set: a delta whose touched groups miss it (and
-    /// whose keywords miss the request's) provably cannot change the
-    /// result.
+    /// those keywords can arise; a delta whose touched groups miss it
+    /// (and whose keywords miss the request's) provably cannot change
+    /// the result. It walks every posting of every keyword, so **no
+    /// serving path calls it**: the caches test the inverse relation,
+    /// request keywords against the touched groups' vocabulary that
+    /// [`ShardedEngine::delta_signature`] computes once per publish.
+    /// It stays public as the definitional oracle of that rule
+    /// (`tests/serve_equivalence.rs` holds the two forms side by side)
+    /// and for the end-to-end benchmark's trace, which prices it.
     pub fn keyword_groups(&self, keywords: &[String]) -> std::collections::BTreeSet<Vec<Value>> {
         let mut groups = std::collections::BTreeSet::new();
         for shard in &self.shards {
@@ -873,23 +878,39 @@ impl ShardedEngine {
     }
 
     /// The invalidation signature of `delta` against the engine's
-    /// *current* state: the touched equality groups plus every keyword
-    /// the delta adds **or removes** — the removed fragments' live
-    /// terms are looked up in the owning shards before application
-    /// (removes carry only identifiers). Compute this *before*
+    /// *current* state: the touched equality groups, every keyword the
+    /// delta's adds carry, and the touched groups' **pre-delta
+    /// vocabulary** — every keyword any fragment of a touched group
+    /// holds right now (the removed fragments' live terms are a subset:
+    /// they live in a touched group). Each touched key is routed to its
+    /// shard and resolved to the group's fragment handles; each shard's
+    /// handles are gathered into one sorted run and its inverted lists
+    /// walked once
+    /// ([`InvertedFragmentIndex::keywords_of`](crate::index::InvertedFragmentIndex::keywords_of)),
+    /// so a bulk delta costs one pass per shard, not one per group. A
+    /// group that does not exist yet contributes nothing — its adds'
+    /// keywords are already in. Compute this *before*
     /// [`ShardedEngine::apply_delta`]; afterwards the removed terms are
     /// gone.
     pub fn delta_signature(&self, delta: &IndexDelta) -> DeltaSignature {
-        let range_position = self.app.query.range_selection_index();
-        let mut signature = delta.signature(range_position);
-        for id in &delta.removes {
-            let shard = self.route(&group_key(id, range_position));
-            let guard = self.shards[shard].read();
-            if let Some(frag) = guard.index.catalog.frag(id) {
-                for (word, _) in guard.index.inverted.fragment_terms(frag) {
-                    signature.keywords.insert(word.to_string());
-                }
+        let mut signature = delta.signature(self.app.query.range_selection_index());
+        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
+        let mut touched = vec![Vec::new(); guards.len()];
+        for key in &signature.groups {
+            let shard = self.route(key);
+            let graph = &guards[shard].index.graph;
+            if let Some(group) = graph.group_by_key(key) {
+                touched[shard].extend_from_slice(graph.group_nodes(group));
             }
+        }
+        for (guard, mut frags) in guards.iter().zip(touched) {
+            // Group columns are range-sorted; the walk wants handles.
+            frags.sort_unstable();
+            let inverted = &guard.index.inverted;
+            let held = inverted.keywords_of(&frags);
+            signature
+                .keywords
+                .extend(held.into_iter().map(|kw| inverted.word(kw).to_string()));
         }
         signature
     }
@@ -1482,6 +1503,44 @@ mod tests {
         assert_eq!(batched.shard_sizes(), listed.shard_sizes());
         let req = SearchRequest::new(&["burger"]).k(10).min_size(1);
         assert_eq!(batched.search(&req), listed.search(&req));
+    }
+
+    #[test]
+    fn delta_signature_carries_the_touched_groups_vocabulary() {
+        let (app, db) = fooddb_parts();
+        let id = |cuisine: &str, budget: i64| {
+            crate::fragment::FragmentId::new(vec![Value::str(cuisine), Value::Int(budget)])
+        };
+        for shards in [1, 3] {
+            let engine = built(&app, &db, shards).unwrap();
+            // One Thai fragment out, one fragment into a group that
+            // does not exist yet: the signature names every keyword
+            // any Thai fragment holds, plus the add's own.
+            let delta = IndexDelta::new(
+                vec![id("Thai", 10)],
+                vec![Fragment::new(
+                    id("Nordic", 7),
+                    [("herring".to_string(), 2u64)].into_iter().collect(),
+                    1,
+                )],
+            );
+            let signature = engine.delta_signature(&delta);
+            let expected: std::collections::BTreeSet<String> = engine
+                .dump_shards()
+                .into_iter()
+                .flatten()
+                .filter(|f| f.id.values()[0] == Value::str("Thai"))
+                .flat_map(|f| f.keyword_occurrences.into_keys())
+                .chain(["herring".to_string()])
+                .collect();
+            assert!(expected.len() > 2, "the Thai group holds a vocabulary");
+            assert_eq!(signature.keywords, expected, "shards={shards}");
+            assert_eq!(signature.groups, delta.touched_groups(Some(1)));
+            // A key that routes to a shard not holding it contributes
+            // nothing.
+            let unknown = IndexDelta::removing(vec![id("Nordic", 7)]);
+            assert!(engine.delta_signature(&unknown).keywords.is_empty());
+        }
     }
 
     #[test]

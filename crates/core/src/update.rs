@@ -94,9 +94,8 @@ impl IndexDelta {
 
     /// The equality-group keys this delta touches — every remove's and
     /// every add's identifier reduced by [`group_key`]. This is the
-    /// group half of a [`DeltaSignature`]; the serving layer's result
-    /// cache invalidates exactly the entries whose candidate groups
-    /// intersect it.
+    /// group half of a [`DeltaSignature`]: the groups whose vocabulary
+    /// the engine folds into the keyword half.
     pub fn touched_groups(&self, range_position: Option<usize>) -> BTreeSet<Vec<Value>> {
         self.removes
             .iter()
@@ -105,11 +104,13 @@ impl IndexDelta {
             .collect()
     }
 
-    /// The add-side half of a [`DeltaSignature`]: the group keys plus
-    /// every keyword the delta's fresh fragments introduce. Keywords a
-    /// *removal* takes out of the index are not in the delta itself
-    /// (removes carry only identifiers) — engines widen the signature
-    /// with the removed fragments' live terms before applying (see
+    /// The part of a [`DeltaSignature`] the delta knows by itself: the
+    /// touched group keys plus every keyword its fresh fragments carry.
+    /// What the touched groups hold *now* — including the terms a
+    /// removal is about to take out, which the delta cannot name
+    /// (removes carry only identifiers) — is in the index, so engines
+    /// widen the signature with the groups' pre-delta vocabulary before
+    /// applying (see
     /// [`ShardedEngine::delta_signature`](crate::sharded::ShardedEngine::delta_signature)).
     pub fn signature(&self, range_position: Option<usize>) -> DeltaSignature {
         DeltaSignature {
@@ -123,31 +124,43 @@ impl IndexDelta {
     }
 }
 
-/// What a published delta can possibly perturb: the equality groups it
-/// touches and the keywords whose document frequencies (hence IDF and
-/// every score built on it) it shifts. A cached search result is
-/// provably still byte-identical after a delta whose signature is
-/// disjoint from the entry's dependencies — candidate pages only arise
-/// in groups holding a request keyword, and scores only move when a
-/// request keyword's posting set changes — which is what lets the
-/// serving cache invalidate precisely instead of flushing wholesale.
+/// What a published delta can possibly perturb, reduced to one
+/// question a cache can ask with nothing but a request's keywords.
+/// Dash assembles every result page from the fragments of one equality
+/// group, so a cached answer for keywords K changes only under a delta
+/// that adds a posting of some k ∈ K (its document frequency, hence
+/// IDF and every score, shifts, or a new candidate arises) or that
+/// touches a group holding some k ∈ K (a candidate page's fragments
+/// change). Both are keyword tests: the first against the adds'
+/// keywords, the second against the touched groups' *pre-delta
+/// vocabulary* — every keyword any of their fragments held, which
+/// covers every posting the delta removes or replaces. An entry whose
+/// keywords miss [`DeltaSignature::keywords`] is provably still
+/// byte-identical after the delta, which is what lets the serving
+/// caches invalidate precisely instead of flushing wholesale, and
+/// without remembering anything per entry but the request itself.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaSignature {
     /// Equality-group keys with at least one removed or (re)added
-    /// fragment.
+    /// fragment — *what was touched*. Invalidation does not read it;
+    /// the engine derives the vocabulary below from it, and replicas
+    /// and logs carry it as the publication's record.
     pub groups: BTreeSet<Vec<Value>>,
-    /// Keywords entering the index (from adds) or leaving it (from the
-    /// removed fragments' live terms, filled in by the engine).
+    /// Every keyword the delta's adds carry, plus every keyword held
+    /// before the delta by any fragment of a touched group (filled in
+    /// by the engine; a bare [`IndexDelta::signature`] has the adds'
+    /// half only). A cached result depends on the delta iff one of its
+    /// request keywords is in here.
     pub keywords: BTreeSet<String>,
 }
 
 impl DeltaSignature {
-    /// Whether the signature could affect an entry depending on
-    /// `groups` (its candidate equality groups) and `keywords` (its
-    /// request keywords): any overlap on either axis.
-    pub fn hits(&self, groups: &BTreeSet<Vec<Value>>, keywords: &BTreeSet<String>) -> bool {
-        self.groups.iter().any(|g| groups.contains(g))
-            || self.keywords.iter().any(|w| keywords.contains(w))
+    /// Whether the signature could affect a cached answer for request
+    /// `keywords`: any of them is in the signature's set. The request
+    /// side is a handful of words and the signature side a few hundred,
+    /// so the request is the one iterated.
+    pub fn hits(&self, keywords: &[String]) -> bool {
+        keywords.iter().any(|k| self.keywords.contains(k))
     }
 }
 
@@ -603,12 +616,12 @@ mod tests {
         assert!(sig.groups.contains(&vec![Value::str("Thai")]));
         assert!(sig.groups.contains(&vec![Value::str("American")]));
         assert!(sig.keywords.contains("waffle"));
-        // hits(): group overlap OR keyword overlap, nothing else.
-        let groups = |g: &str| [vec![Value::str(g)]].into_iter().collect();
-        let kws = |w: &str| [w.to_string()].into_iter().collect();
-        assert!(sig.hits(&groups("Thai"), &kws("zzz")));
-        assert!(sig.hits(&groups("Nordic"), &kws("waffle")));
-        assert!(!sig.hits(&groups("Nordic"), &kws("zzz")));
+        // hits(): request keywords against the signature's, nothing
+        // else — a bare delta signature names the adds' keywords only.
+        let kws = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
+        assert!(sig.hits(&kws(&["zzz", "waffle"])));
+        assert!(!sig.hits(&kws(&["zzz"])));
+        assert!(!sig.hits(&[]));
     }
 
     #[test]

@@ -878,12 +878,12 @@ fn metrics_text(obs: &NetObs, backend: &Backend, cache: &ResponseCache) -> Strin
     }
 }
 
-/// A worker's whole job: answer one request. Cacheable searches run
-/// against an explicit snapshot so the rendered bytes can be stored
-/// with their invalidation dependencies (candidate groups + keywords)
-/// under the epoch read *before* the search — any concurrent
-/// publication makes the insert stale and it is dropped, never cached
-/// wrong.
+/// A worker's whole job: answer one request. A cacheable search's
+/// rendered bytes are stored under the epoch read *before* the search
+/// — any concurrent publication makes the insert stale and it is
+/// dropped, never cached wrong. Their invalidation dependencies are
+/// the request's own keywords, so nothing but the search and the
+/// rendering happens between the two cache calls.
 pub(crate) fn respond(
     request: &Request,
     backend: &Backend,
@@ -926,17 +926,14 @@ pub(crate) fn respond(
                         server.count_cache_hit();
                         return (Outgoing::Shared(bytes), false);
                     }
-                    // Epoch before snapshot before search: if nothing
-                    // publishes in between, the snapshot *is* that
-                    // epoch's and the groups are its dependencies; if
-                    // something does, the insert is rejected as stale.
+                    // Epoch before search: if nothing publishes in
+                    // between, the hits are that epoch's; if something
+                    // does, the insert is rejected as stale.
                     let epoch = cache.insert_epoch(&server);
-                    let snapshot = server.snapshot();
                     let hits = server.search(&search);
                     let response = Response::json(json::hits_to_json(&hits));
                     let bytes = Arc::new(http::render_response(&response, true));
-                    let groups = snapshot.engine.keyword_groups(&search.keywords);
-                    cache.insert(&server, &search, Arc::clone(&bytes), groups, epoch);
+                    cache.insert(&server, &search, Arc::clone(&bytes), epoch);
                     return (Outgoing::Shared(bytes), false);
                 }
             }

@@ -142,6 +142,10 @@
 //! | `dash_net_response_cache_*`, `dash_net_cached_responses` | gauge | response-cache counters, mirrored at scrape |
 //! | `dash_serve_searches_total`, `dash_serve_batches_total`, … | counter | serving stack (see `dash-serve`) |
 //! | `dash_serve_{search,batch_window,swap,drain}_ns`, `dash_serve_batch_size` | histogram | serving stage latencies / batch shape |
+//! | `dash_serve_publish_signature_ns` | histogram | inside `swap`: the delta signature (touched groups' vocabulary walk) |
+//! | `dash_serve_publish_apply_ns` | histogram | inside `swap`: the shadow engine's delta apply |
+//! | `dash_serve_publish_invalidate_ns` | histogram | inside `swap`: the result cache's signature sweep |
+//! | `dash_serve_signature_keywords` | gauge | keywords in the last published signature |
 //! | `dash_shard_{search,search_many,merge}_ns`, `dash_shard_candidates_total` | histogram/counter | sharded search internals |
 //! | `dash_repl_{bootstraps,catchups,deltas_applied,forwarded,forward_retries}_total` | counter | replication + write forwarding |
 //! | `dash_repl_epoch`, `dash_repl_epoch_lag` | gauge | replica epoch; gap seen at the last delta frame |

@@ -10,9 +10,12 @@
 //! a hot request is a lookup and a single `write(2)`.
 //!
 //! Correctness rides on the same machinery that keeps the serve-tier
-//! cache byte-exact (`crates/serve/src/cache.rs`): an entry remembers
-//! its candidate equality groups and request keywords, and is dropped
-//! exactly when a published [`DeltaSignature`] intersects either set.
+//! cache byte-exact (`crates/serve/src/cache.rs`, whose module docs
+//! carry the exactness argument): an entry's only dependencies are the
+//! request keywords in its key, and it is dropped exactly when one of
+//! them is in a published [`DeltaSignature`]'s keyword set — the
+//! delta's added keywords plus the pre-delta vocabulary of the groups
+//! it touches. Nothing is computed per entry on the miss path.
 //! Publications reach this cache through a replication tap
 //! ([`DashServer::replication_feed`]) drained synchronously on every
 //! lookup and insert — the same ordered, gap-free event stream
@@ -23,12 +26,11 @@
 //! replica re-bootstrap), the cache flushes wholesale and re-registers
 //! — always conservative, never stale.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 
 use dash_core::{DeltaSignature, SearchRequest};
-use dash_relation::Value;
 use dash_serve::{DashServer, PublishEvent, ReplicationFeed};
 use parking_lot::Mutex;
 
@@ -52,16 +54,13 @@ impl From<&SearchRequest> for CacheKey {
     }
 }
 
-/// One cached response with its invalidation dependencies.
+/// One cached response. Its invalidation dependencies are the request
+/// keywords in its [`CacheKey`].
 #[derive(Debug)]
 struct Entry {
     /// The exact socket bytes of the keep-alive rendering. `Arc`d so a
     /// hit hands the event loop a reference, not a copy.
     bytes: Arc<Vec<u8>>,
-    /// Candidate equality groups at computation time.
-    groups: BTreeSet<Vec<Value>>,
-    /// The request's keywords, set-shaped for signature intersection.
-    keywords: BTreeSet<String>,
     /// Recency stamp (lazy LRU, as in the serve-tier cache).
     tick: u64,
 }
@@ -182,15 +181,15 @@ impl Inner {
         }
     }
 
-    /// Applies one publication: drops every entry whose dependencies
-    /// intersect the signature, advances the epoch.
+    /// Applies one publication: drops every entry whose request
+    /// keywords meet the signature, advances the epoch.
     fn apply(&mut self, event: &PublishEvent) {
         self.epoch = event.epoch;
         let before = self.map.len();
         let mut dropped = 0usize;
         let signature: &DeltaSignature = &event.signature;
-        self.map.retain(|_, entry| {
-            let keep = !signature.hits(&entry.groups, &entry.keywords);
+        self.map.retain(|key, entry| {
+            let keep = !signature.hits(&key.keywords);
             if !keep {
                 dropped += entry.bytes.len();
             }
@@ -272,14 +271,12 @@ impl ResponseCache {
     }
 
     /// Stores a rendered response computed against tap position
-    /// `epoch`, with its candidate groups as invalidation
-    /// dependencies.
+    /// `epoch`.
     pub(crate) fn insert(
         &self,
         server: &Arc<DashServer>,
         request: &SearchRequest,
         bytes: Arc<Vec<u8>>,
-        groups: BTreeSet<Vec<Value>>,
         epoch: u64,
     ) {
         if self.capacity == 0 {
@@ -298,12 +295,7 @@ impl ResponseCache {
         inner.tick += 1;
         let tick = inner.tick;
         let key = CacheKey::from(request);
-        let entry = Entry {
-            bytes,
-            groups,
-            keywords: request.keywords.iter().cloned().collect(),
-            tick,
-        };
+        let entry = Entry { bytes, tick };
         inner.order.push_back((tick, key.clone()));
         inner.total_bytes += entry.bytes.len();
         if let Some(replaced) = inner.map.insert(key, entry) {
@@ -340,6 +332,7 @@ impl ResponseCache {
 mod tests {
     use super::*;
     use dash_core::{DashConfig, Fragment, FragmentId, IndexDelta};
+    use dash_relation::Value;
     use dash_serve::ServeConfig;
     use dash_webapp::fooddb;
 
@@ -354,10 +347,6 @@ mod tests {
 
     fn request(words: &[&str]) -> SearchRequest {
         SearchRequest::new(words).k(3).min_size(1)
-    }
-
-    fn groups(names: &[&str]) -> BTreeSet<Vec<Value>> {
-        names.iter().map(|n| vec![Value::str(*n)]).collect()
     }
 
     fn delta_touching(keyword: &str) -> IndexDelta {
@@ -375,7 +364,7 @@ mod tests {
         let r = request(&["alpha"]);
         let epoch = cache.insert_epoch(&server);
         let bytes = Arc::new(b"HTTP/1.1 200 OK\r\n\r\n".to_vec());
-        cache.insert(&server, &r, Arc::clone(&bytes), groups(&["g1"]), epoch);
+        cache.insert(&server, &r, Arc::clone(&bytes), epoch);
         let hit = cache.get(&server, &r).expect("cached");
         assert!(
             Arc::ptr_eq(&hit, &bytes),
@@ -392,8 +381,8 @@ mod tests {
         let untouched = request(&["quiet"]);
         let epoch = cache.insert_epoch(&server);
         let bytes = || Arc::new(vec![1u8, 2, 3]);
-        cache.insert(&server, &by_keyword, bytes(), groups(&["cold"]), epoch);
-        cache.insert(&server, &untouched, bytes(), groups(&["cold"]), epoch);
+        cache.insert(&server, &by_keyword, bytes(), epoch);
+        cache.insert(&server, &untouched, bytes(), epoch);
         // The published delta adds a "shared" posting: its signature
         // carries the keyword, so only the intersecting entry dies.
         server.publish(delta_touching("shared"));
@@ -413,7 +402,7 @@ mod tests {
         let epoch = cache.insert_epoch(&server);
         // A publication lands between reading the epoch and inserting.
         server.publish(delta_touching("elsewhere"));
-        cache.insert(&server, &r, Arc::new(vec![0u8]), groups(&["g"]), epoch);
+        cache.insert(&server, &r, Arc::new(vec![0u8]), epoch);
         assert!(cache.get(&server, &r).is_none());
         assert_eq!(cache.stats().rejected_stale, 1);
     }
@@ -425,7 +414,7 @@ mod tests {
         let cache = ResponseCache::new(8, 0);
         let r = request(&["alpha"]);
         let epoch = cache.insert_epoch(&first);
-        cache.insert(&first, &r, Arc::new(vec![7u8]), groups(&["g"]), epoch);
+        cache.insert(&first, &r, Arc::new(vec![7u8]), epoch);
         assert!(cache.get(&first, &r).is_some());
         // A different backing server (replica re-bootstrap, promotion)
         // must not serve the old server's bytes.
@@ -439,39 +428,15 @@ mod tests {
         let server = tiny_server();
         let cache = ResponseCache::new(64, 10);
         let epoch = cache.insert_epoch(&server);
-        cache.insert(
-            &server,
-            &request(&["a"]),
-            Arc::new(vec![0; 4]),
-            groups(&["g"]),
-            epoch,
-        );
-        cache.insert(
-            &server,
-            &request(&["b"]),
-            Arc::new(vec![0; 4]),
-            groups(&["g"]),
-            epoch,
-        );
+        cache.insert(&server, &request(&["a"]), Arc::new(vec![0; 4]), epoch);
+        cache.insert(&server, &request(&["b"]), Arc::new(vec![0; 4]), epoch);
         // Admitting 4 more bytes would hit 12 > 10: LRU (a) goes.
-        cache.insert(
-            &server,
-            &request(&["c"]),
-            Arc::new(vec![0; 4]),
-            groups(&["g"]),
-            epoch,
-        );
+        cache.insert(&server, &request(&["c"]), Arc::new(vec![0; 4]), epoch);
         assert!(cache.get(&server, &request(&["a"])).is_none());
         assert!(cache.get(&server, &request(&["b"])).is_some());
         assert_eq!(cache.stats().evicted, 1);
         // One response bigger than the whole budget is refused.
-        cache.insert(
-            &server,
-            &request(&["huge"]),
-            Arc::new(vec![0; 11]),
-            groups(&["g"]),
-            epoch,
-        );
+        cache.insert(&server, &request(&["huge"]), Arc::new(vec![0; 11]), epoch);
         assert!(cache.get(&server, &request(&["huge"])).is_none());
         assert_eq!(cache.stats().rejected_oversize, 1);
     }
@@ -481,7 +446,7 @@ mod tests {
         let server = tiny_server();
         let cache = ResponseCache::new(0, 0);
         let r = request(&["a"]);
-        cache.insert(&server, &r, Arc::new(vec![1u8]), groups(&["g"]), 0);
+        cache.insert(&server, &r, Arc::new(vec![1u8]), 0);
         assert!(cache.get(&server, &r).is_none());
         assert!(!cache.enabled());
     }

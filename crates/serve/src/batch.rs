@@ -93,10 +93,7 @@ fn serve_batch(shared: &ServerShared, batch: Vec<Job>) {
     shared.batch_size.record(batch.len() as u64);
     if shared.cache.enabled() {
         for (request, hits) in unique.iter().zip(&results) {
-            let groups = snapshot.engine.keyword_groups(&request.keywords);
-            shared
-                .cache
-                .insert(request, hits.clone(), groups, snapshot.epoch);
+            shared.cache.insert(request, hits.clone(), snapshot.epoch);
         }
     }
     for (job, slot) in batch.into_iter().zip(slots) {

@@ -1,29 +1,48 @@
 //! The keyed LRU result cache, invalidated *precisely* by published
 //! delta signatures instead of flushed wholesale.
 //!
-//! An entry remembers the two things a future delta could perturb:
+//! An entry remembers one thing a future delta could perturb:
 //!
-//! * its **candidate groups** — the equality groups that held at least
-//!   one posting of a request keyword when the result was computed
-//!   (every page Algorithm 1 can emit or even consider lives in one of
-//!   them, and absorption/expansion never leaves a group);
-//! * its **request keywords** — whose document frequencies (hence IDF,
-//!   hence every score) a delta shifts exactly when it adds or removes
-//!   postings for them.
+//! * its **request keywords** K (they are its key) — a delta changes
+//!   the answer only by adding a posting of some k ∈ K (document
+//!   frequency, hence IDF, hence every score shifts, or a new
+//!   candidate arises) or by touching an equality group that holds
+//!   some k ∈ K (every page Algorithm 1 can emit or even consider
+//!   lives in such a group, and absorption/expansion never leaves it).
 //!
-//! A published [`DeltaSignature`] carries the touched groups and the
-//! added/removed keywords; an entry survives iff both intersections
-//! are empty — in which case the cached hit list is provably still
-//! byte-identical to a fresh search (`tests/serve_equivalence.rs`
-//! proves it over random interleavings). Insertions are epoch-checked:
-//! a result computed against a snapshot that is no longer the latest
-//! published state is dropped rather than cached, closing the race
-//! between a long-running batch and a concurrent publication.
+//! A published [`DeltaSignature`] carries, as one keyword set, the
+//! keywords W its adds bring and the *pre-delta vocabulary* V(G) of
+//! the groups G it touches — every keyword any fragment of any g ∈ G
+//! held; an entry survives iff K misses that set — in which case the
+//! cached hit list is provably still byte-identical to a fresh search
+//! (`tests/serve_equivalence.rs` proves it over random interleavings).
+//!
+//! ## Why keywords alone are exact
+//!
+//! The entry could instead record, at insert time, the groups holding
+//! a posting of K and die when they meet G. That is the same rule, at
+//! the price of walking every posting of K on every miss:
+//!
+//! * *Invariance.* While an entry for K survives, no delta has added
+//!   or removed a posting of any k ∈ K: an added posting puts k in W,
+//!   and a removed or replaced one sits in a touched group that held
+//!   k, so k ∈ V(G). Hence the groups holding K at insert time are the
+//!   groups holding K now, and "insert-time groups ∩ G ≠ ∅" ⇔ "some
+//!   g ∈ G holds some k ∈ K now" ⇔ "K ∩ V(G) ≠ ∅".
+//! * *Equality of the kill sets.* The recorded-groups form kills on
+//!   (K ∩ W) ∨ (K ∩ removed fragments' terms) ∨ (groups(K) ∩ G). The
+//!   removed fragments live in touched groups, so their terms ⊆ V(G),
+//!   and both forms kill exactly on (K ∩ W) ∨ (K ∩ V(G)): the same
+//!   entries at the same epochs, not a superset.
+//!
+//! Insertions are epoch-checked: a result computed against a snapshot
+//! that is no longer the latest published state is dropped rather than
+//! cached, closing the race between a long-running batch and a
+//! concurrent publication.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use dash_core::{DeltaSignature, SearchHit, SearchRequest};
-use dash_relation::Value;
 use parking_lot::Mutex;
 
 /// Cache identity of a search: the full request, field by field — two
@@ -46,14 +65,11 @@ impl From<&SearchRequest> for CacheKey {
     }
 }
 
-/// One cached result with its invalidation dependencies.
+/// One cached result. Its invalidation dependencies are the request
+/// keywords in its [`CacheKey`] (see module docs).
 #[derive(Debug)]
 struct Entry {
     hits: Vec<SearchHit>,
-    /// Candidate groups at computation time (see module docs).
-    groups: BTreeSet<Vec<Value>>,
-    /// The request's keywords, set-shaped for signature intersection.
-    keywords: BTreeSet<String>,
     /// Recency stamp; an entry is LRU-evictable when its stamp is the
     /// oldest live one.
     tick: u64,
@@ -171,17 +187,10 @@ impl ResultCache {
         }
     }
 
-    /// Stores a result computed against snapshot `epoch`, with its
-    /// candidate groups as invalidation dependencies. Dropped when the
-    /// cache has already synchronized past that epoch (the result may
-    /// predate a delta whose signature would have invalidated it).
-    pub(crate) fn insert(
-        &self,
-        request: &SearchRequest,
-        hits: Vec<SearchHit>,
-        groups: BTreeSet<Vec<Value>>,
-        epoch: u64,
-    ) {
+    /// Stores a result computed against snapshot `epoch`. Dropped when
+    /// the cache has already synchronized past that epoch (the result
+    /// may predate a delta whose signature would have invalidated it).
+    pub(crate) fn insert(&self, request: &SearchRequest, hits: Vec<SearchHit>, epoch: u64) {
         if self.capacity == 0 {
             return;
         }
@@ -201,12 +210,7 @@ impl ResultCache {
         inner.tick += 1;
         let tick = inner.tick;
         let key = CacheKey::from(request);
-        let entry = Entry {
-            hits,
-            groups,
-            keywords: request.keywords.iter().cloned().collect(),
-            tick,
-        };
+        let entry = Entry { hits, tick };
         inner.order.push_back((tick, key.clone()));
         inner.total_hits += entry.hits.len();
         if let Some(replaced) = inner.map.insert(key, entry) {
@@ -235,7 +239,7 @@ impl ResultCache {
     }
 
     /// Applies a published delta's signature: removes every entry whose
-    /// dependencies intersect it and advances the cache to the new
+    /// request keywords meet it and advances the cache to the new
     /// epoch (stale in-flight insertions are rejected from then on).
     pub(crate) fn invalidate(&self, signature: &DeltaSignature, epoch: u64) {
         let mut inner = self.inner.lock();
@@ -245,8 +249,8 @@ impl ResultCache {
         }
         let before = inner.map.len();
         let mut dropped_hits = 0usize;
-        inner.map.retain(|_, entry| {
-            let keep = !signature.hits(&entry.groups, &entry.keywords);
+        inner.map.retain(|key, entry| {
+            let keep = !signature.hits(&key.keywords);
             if !keep {
                 dropped_hits += entry.hits.len();
             }
@@ -290,18 +294,23 @@ mod tests {
         SearchRequest::new(words).k(3).min_size(10)
     }
 
-    fn entry_groups(names: &[&str]) -> BTreeSet<Vec<Value>> {
-        names.iter().map(|n| vec![Value::str(*n)]).collect()
+    /// A signature whose keyword set (adds' keywords ∪ touched
+    /// groups' vocabulary) is `words`.
+    fn signature(words: &[&str]) -> DeltaSignature {
+        DeltaSignature {
+            keywords: words.iter().map(|w| w.to_string()).collect(),
+            ..DeltaSignature::default()
+        }
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let cache = ResultCache::new(2, 0);
         let (a, b, c) = (request(&["a"]), request(&["b"]), request(&["c"]));
-        cache.insert(&a, Vec::new(), entry_groups(&["g1"]), 0);
-        cache.insert(&b, Vec::new(), entry_groups(&["g2"]), 0);
+        cache.insert(&a, Vec::new(), 0);
+        cache.insert(&b, Vec::new(), 0);
         assert!(cache.get(&a).is_some()); // touch a: b is now LRU
-        cache.insert(&c, Vec::new(), entry_groups(&["g3"]), 0);
+        cache.insert(&c, Vec::new(), 0);
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&a).is_some());
         assert!(cache.get(&b).is_none());
@@ -312,19 +321,15 @@ mod tests {
     #[test]
     fn signature_invalidation_is_precise() {
         let cache = ResultCache::new(8, 0);
-        let by_group = request(&["x"]);
-        let by_keyword = request(&["shared"]);
+        let by_one = request(&["shared"]);
+        let by_any = request(&["y", "held"]);
         let untouched = request(&["y"]);
-        cache.insert(&by_group, Vec::new(), entry_groups(&["hot"]), 0);
-        cache.insert(&by_keyword, Vec::new(), entry_groups(&["cold"]), 0);
-        cache.insert(&untouched, Vec::new(), entry_groups(&["cold"]), 0);
-        let signature = DeltaSignature {
-            groups: entry_groups(&["hot"]),
-            keywords: ["shared".to_string()].into_iter().collect(),
-        };
-        cache.invalidate(&signature, 1);
-        assert!(cache.get(&by_group).is_none(), "group overlap must die");
-        assert!(cache.get(&by_keyword).is_none(), "keyword overlap must die");
+        cache.insert(&by_one, Vec::new(), 0);
+        cache.insert(&by_any, Vec::new(), 0);
+        cache.insert(&untouched, Vec::new(), 0);
+        cache.invalidate(&signature(&["held", "shared", "unasked"]), 1);
+        assert!(cache.get(&by_one).is_none(), "keyword overlap must die");
+        assert!(cache.get(&by_any).is_none(), "one of two is enough");
         assert!(cache.get(&untouched).is_some(), "disjoint entry survives");
         assert_eq!(cache.stats().invalidated, 2);
     }
@@ -334,10 +339,10 @@ mod tests {
         let cache = ResultCache::new(8, 0);
         cache.invalidate(&DeltaSignature::default(), 3);
         let r = request(&["late"]);
-        cache.insert(&r, Vec::new(), entry_groups(&["g"]), 2);
+        cache.insert(&r, Vec::new(), 2);
         assert!(cache.get(&r).is_none());
         assert_eq!(cache.stats().rejected_stale, 1);
-        cache.insert(&r, Vec::new(), entry_groups(&["g"]), 3);
+        cache.insert(&r, Vec::new(), 3);
         assert!(cache.get(&r).is_some());
     }
 
@@ -345,7 +350,7 @@ mod tests {
     fn hit_heavy_traffic_does_not_grow_the_order_queue_unboundedly() {
         let cache = ResultCache::new(4, 0);
         let r = request(&["hot"]);
-        cache.insert(&r, Vec::new(), entry_groups(&["g"]), 0);
+        cache.insert(&r, Vec::new(), 0);
         for _ in 0..10_000 {
             assert!(cache.get(&r).is_some());
         }
@@ -358,10 +363,10 @@ mod tests {
         );
         // LRU semantics survive compaction.
         let (b, c) = (request(&["b"]), request(&["c"]));
-        cache.insert(&b, Vec::new(), entry_groups(&["g"]), 0);
-        cache.insert(&c, Vec::new(), entry_groups(&["g"]), 0);
-        cache.insert(&request(&["d"]), Vec::new(), entry_groups(&["g"]), 0);
-        cache.insert(&request(&["e"]), Vec::new(), entry_groups(&["g"]), 0);
+        cache.insert(&b, Vec::new(), 0);
+        cache.insert(&c, Vec::new(), 0);
+        cache.insert(&request(&["d"]), Vec::new(), 0);
+        cache.insert(&request(&["e"]), Vec::new(), 0);
         assert_eq!(cache.len(), 4);
         assert!(cache.get(&r).is_none(), "oldest-by-recency evicted first");
     }
@@ -382,11 +387,11 @@ mod tests {
         // Plenty of entry capacity; the 10-hit budget is the binding
         // constraint.
         let cache = ResultCache::new(64, 10);
-        cache.insert(&request(&["a"]), hit(4), entry_groups(&["g"]), 0);
-        cache.insert(&request(&["b"]), hit(4), entry_groups(&["g"]), 0);
+        cache.insert(&request(&["a"]), hit(4), 0);
+        cache.insert(&request(&["b"]), hit(4), 0);
         assert_eq!(cache.total_hits(), 8);
         // Admitting 4 more would hit 12 > 10: the LRU entry (a) goes.
-        cache.insert(&request(&["c"]), hit(4), entry_groups(&["g"]), 0);
+        cache.insert(&request(&["c"]), hit(4), 0);
         assert_eq!(cache.total_hits(), 8);
         assert!(cache.get(&request(&["a"])).is_none(), "LRU evicted");
         assert!(cache.get(&request(&["b"])).is_some());
@@ -394,19 +399,15 @@ mod tests {
         assert_eq!(cache.stats().evicted, 1);
         // A result set bigger than the whole budget is refused, and
         // the resident entries survive it.
-        cache.insert(&request(&["huge"]), hit(11), entry_groups(&["g"]), 0);
+        cache.insert(&request(&["huge"]), hit(11), 0);
         assert!(cache.get(&request(&["huge"])).is_none());
         assert_eq!(cache.stats().rejected_oversize, 1);
         assert_eq!(cache.len(), 2);
         // Replacing an entry accounts for the hits it frees.
-        cache.insert(&request(&["b"]), hit(1), entry_groups(&["g"]), 0);
+        cache.insert(&request(&["b"]), hit(1), 0);
         assert_eq!(cache.total_hits(), 5);
         // Invalidation releases budget too.
-        let signature = DeltaSignature {
-            groups: entry_groups(&["g"]),
-            keywords: BTreeSet::new(),
-        };
-        cache.invalidate(&signature, 1);
+        cache.invalidate(&signature(&["b", "c"]), 1);
         assert_eq!((cache.len(), cache.total_hits()), (0, 0));
     }
 
@@ -414,7 +415,7 @@ mod tests {
     fn zero_capacity_disables_everything() {
         let cache = ResultCache::new(0, 0);
         let r = request(&["a"]);
-        cache.insert(&r, Vec::new(), entry_groups(&["g"]), 0);
+        cache.insert(&r, Vec::new(), 0);
         assert!(cache.get(&r).is_none());
         assert!(!cache.enabled());
         assert_eq!(cache.len(), 0);

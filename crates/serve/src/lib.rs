@@ -22,9 +22,10 @@
 //!   batch are computed once.
 //! * **Precise result caching** ([`cache`]) — a keyed LRU fronting the
 //!   engine, invalidated entry-by-entry using each published delta's
-//!   [`DeltaSignature`] (touched equality groups + added/removed
-//!   keywords) intersected with each entry's candidate groups and
-//!   request keywords — never a wholesale flush.
+//!   [`DeltaSignature`] (the keywords it adds plus the pre-delta
+//!   vocabulary of the equality groups it touches) intersected with
+//!   each entry's request keywords — never a wholesale flush, and no
+//!   per-entry bookkeeping on the read path.
 //! * **Closed-loop load generation** ([`loadgen`]) — a deterministic
 //!   mixed search/update traffic harness reporting p50/p99 latency and
 //!   qps (the `serve` bench suite and CI's load smoke drive it).
@@ -75,7 +76,7 @@ use dash_core::{
     env_shards, DashConfig, DeltaSignature, Fragment, IndexDelta, IngestSource, RecordChange,
     RefreshStats, Result, SearchHit, SearchRequest, ShardedEngine,
 };
-use dash_obs::{render_merged, Counter, Histogram, Registry, SpanGuard};
+use dash_obs::{render_merged, Counter, Gauge, Histogram, Registry, SpanGuard};
 use dash_relation::{Database, Record};
 use dash_webapp::WebApplication;
 use parking_lot::Mutex;
@@ -374,8 +375,20 @@ pub(crate) struct ServerShared {
     /// the size cap never fired.
     pub(crate) batch_window_ns: Arc<Histogram>,
     /// Publish critical path: signature + shadow apply + cache
-    /// invalidation + atomic snapshot swap.
+    /// invalidation + atomic snapshot swap. The three spans below
+    /// attribute it; the remainder is the swap itself.
     swap_ns: Arc<Histogram>,
+    /// [`ShardedEngine::delta_signature`] against the pre-delta shadow
+    /// (the touched groups' vocabulary walk).
+    publish_signature_ns: Arc<Histogram>,
+    /// The shadow's [`ShardedEngine::apply_delta`].
+    publish_apply_ns: Arc<Histogram>,
+    /// The result cache's signature sweep.
+    publish_invalidate_ns: Arc<Histogram>,
+    /// Keywords in the last published signature — the touched groups'
+    /// vocabulary every cache entry is tested against; a corpus whose
+    /// groups hold most of the vocabulary shows up here.
+    signature_keywords: Arc<Gauge>,
     /// Publish→drain grace: waiting out the retired snapshot's readers
     /// (or forking on bailout) plus the lockstep replay.
     drain_ns: Arc<Histogram>,
@@ -482,6 +495,10 @@ impl DashServer {
             batch_size: registry.histogram("dash_serve_batch_size"),
             batch_window_ns: registry.histogram("dash_serve_batch_window_ns"),
             swap_ns: registry.histogram("dash_serve_swap_ns"),
+            publish_signature_ns: registry.histogram("dash_serve_publish_signature_ns"),
+            publish_apply_ns: registry.histogram("dash_serve_publish_apply_ns"),
+            publish_invalidate_ns: registry.histogram("dash_serve_publish_invalidate_ns"),
+            signature_keywords: registry.gauge("dash_serve_signature_keywords"),
             drain_ns: registry.histogram("dash_serve_drain_ns"),
             registry,
             taps: Mutex::new(Vec::new()),
@@ -677,16 +694,28 @@ impl DashServer {
             .shadow
             .take()
             .expect("shadow present outside publish");
-        // The signature must see the *pre-delta* index: removed
-        // fragments' terms widen the keyword axis and are gone after
-        // application.
-        let signature = shadow.delta_signature(&delta);
-        let stats = shadow.apply_delta(delta.clone());
+        // The signature must see the *pre-delta* index: the touched
+        // groups' vocabulary includes the terms the delta removes,
+        // which are gone after application.
+        let signature = {
+            let _span = SpanGuard::start(&self.shared.publish_signature_ns);
+            shadow.delta_signature(&delta)
+        };
+        self.shared
+            .signature_keywords
+            .set(signature.keywords.len() as u64);
+        let stats = {
+            let _span = SpanGuard::start(&self.shared.publish_apply_ns);
+            shadow.apply_delta(delta.clone())
+        };
         writer.epoch += 1;
         // Invalidate before the swap: from this instant the cache
         // rejects insertions computed against older snapshots, so no
         // stale entry can slip in behind the sweep.
-        self.shared.cache.invalidate(&signature, writer.epoch);
+        {
+            let _span = SpanGuard::start(&self.shared.publish_invalidate_ns);
+            self.shared.cache.invalidate(&signature, writer.epoch);
+        }
         let next = Arc::new(EngineSnapshot {
             engine: shadow,
             epoch: writer.epoch,

@@ -18,9 +18,19 @@
 //! * property tests — random interleavings of search / delta-publish /
 //!   search over random fragment sets (the `sharded_maintenance`
 //!   delta-history generator), asserting a request cached before a
-//!   publication is never served stale after it.
+//!   publication is never served stale after it;
+//! * both invalidation rules side by side — the caches kill an entry
+//!   when one of its request keywords is in the published signature
+//!   (the delta's added keywords plus the touched groups' pre-delta
+//!   vocabulary). The rule that defines precision is the other way
+//!   round: record the groups holding the request's keywords when the
+//!   entry is inserted (`ShardedEngine::keyword_groups`) and kill on
+//!   touched-group or added/removed-keyword overlap. Over random
+//!   publish histories a model of the recorded-groups rule, the
+//!   signature's own verdict and what the server actually dropped must
+//!   name the same entries after every publication.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -422,6 +432,155 @@ proptest! {
                 "final sweep shards={} word={}",
                 shards, word
             );
+        }
+    }
+}
+
+/// A multi-fragment delta: removes of arbitrary coordinates (live or
+/// not) and adds that upsert live fragments with a different keyword
+/// set, grow a group, or open a brand-new one.
+fn delta_strategy() -> impl Strategy<Value = (Vec<(usize, i64)>, Vec<GenFragment>)> {
+    (
+        prop::collection::vec((0..EQ_KEYS.len(), 0i64..12), 0..3),
+        prop::collection::vec(fragment_strategy(), 0..4),
+    )
+}
+
+/// The recorded-groups rule's verdict on one entry: the delta touches
+/// a group that held a request keyword when the entry was inserted, or
+/// adds or removes a posting of a request keyword.
+fn recorded_groups_rule_kills(
+    touched: &BTreeSet<Vec<Value>>,
+    shifted: &BTreeSet<String>,
+    request: &SearchRequest,
+    groups_at_insert: &BTreeSet<Vec<Value>>,
+) -> bool {
+    touched.iter().any(|g| groups_at_insert.contains(g))
+        || request.keywords.iter().any(|k| shifted.contains(k))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn keyword_signature_kills_exactly_what_recorded_groups_would(
+        rows in prop::collection::vec(fragment_strategy(), 1..25),
+        queries in prop::collection::vec(
+            (prop::collection::vec(0usize..VOCAB.len(), 1..3), 1usize..6),
+            1..8,
+        ),
+        deltas in prop::collection::vec(delta_strategy(), 1..10),
+        shards in prop::sample::select(vec![1usize, 4]),
+    ) {
+        let app = fooddb::search_application().unwrap();
+        // The initial corpus leaves the last two equality keys out, so
+        // some deltas add into groups that do not exist yet.
+        let rows: Vec<GenFragment> = rows
+            .into_iter()
+            .map(|row| GenFragment { eq: row.eq % (EQ_KEYS.len() - 2), ..row })
+            .collect();
+        let mut truth: BTreeMap<FragmentId, Fragment> = materialize(&rows)
+            .into_iter()
+            .map(|f| (f.id.clone(), f))
+            .collect();
+        let initial: Vec<Fragment> = truth.values().cloned().collect();
+        let server = DashServer::from_fragments(
+            app,
+            &initial,
+            ServeConfig::default().shards(shards),
+        )
+        .unwrap();
+        let mut requests: Vec<SearchRequest> = Vec::new();
+        for (query, k) in &queries {
+            let keywords: Vec<&str> = query.iter().map(|&w| VOCAB[w]).collect();
+            let request = SearchRequest::new(&keywords).k(*k).min_size(3);
+            if !requests.contains(&request) {
+                requests.push(request);
+            }
+        }
+        // Cache every request; the model records, per entry, the groups
+        // holding its keywords at insert time.
+        let mut recorded: Vec<BTreeSet<Vec<Value>>> = Vec::new();
+        for request in &requests {
+            server.search(request);
+            recorded.push(server.snapshot().engine.keyword_groups(&request.keywords));
+        }
+        prop_assert_eq!(server.cached_results(), requests.len());
+
+        for (removes, adds) in &deltas {
+            let delta = IndexDelta::new(
+                removes
+                    .iter()
+                    .map(|&(eq, range)| {
+                        FragmentId::new(vec![Value::str(EQ_KEYS[eq]), Value::Int(range)])
+                    })
+                    .collect(),
+                adds.iter().map(GenFragment::materialize).collect(),
+            );
+            if delta.is_empty() {
+                continue;
+            }
+            // The recorded-groups rule's signature: touched groups,
+            // added keywords, and the removed fragments' live terms.
+            let old = delta.signature(Some(1));
+            let mut shifted = old.keywords.clone();
+            for id in &delta.removes {
+                if let Some(fragment) = truth.get(id) {
+                    shifted.extend(fragment.keyword_occurrences.keys().cloned());
+                }
+            }
+            // The keyword rule's signature, against the pre-delta
+            // engine (the snapshot is let go before publishing).
+            let signature = server.snapshot().engine.delta_signature(&delta);
+            prop_assert_eq!(&signature.groups, &old.groups);
+            let killed: Vec<bool> = requests
+                .iter()
+                .zip(&recorded)
+                .map(|(request, groups)| {
+                    recorded_groups_rule_kills(&old.groups, &shifted, request, groups)
+                })
+                .collect();
+            for (request, &dies) in requests.iter().zip(&killed) {
+                prop_assert_eq!(
+                    signature.hits(&request.keywords),
+                    dies,
+                    "shards={} {:?} under {:?}",
+                    shards, &request.keywords, &delta
+                );
+            }
+
+            let before = server.stats().cache;
+            server.publish(delta.clone());
+            for id in &delta.removes {
+                truth.remove(id);
+            }
+            for fragment in &delta.adds {
+                truth.insert(fragment.id.clone(), fragment.clone());
+            }
+            // The server dropped that many entries...
+            let dropped = killed.iter().filter(|&&dies| dies).count();
+            prop_assert_eq!(
+                server.stats().cache.invalidated - before.invalidated,
+                dropped as u64
+            );
+            prop_assert_eq!(server.cached_results(), requests.len() - dropped);
+            // ...and exactly those: a survivor answers from the cache
+            // (keeping its insert-time record), a killed one misses
+            // and is cached — and recorded — afresh.
+            for ((request, record), dies) in requests.iter().zip(&mut recorded).zip(killed) {
+                let hits = server.stats().cache.hits;
+                server.search(request);
+                prop_assert_eq!(server.stats().cache.hits > hits, !dies);
+                if dies {
+                    *record = server.snapshot().engine.keyword_groups(&request.keywords);
+                }
+            }
+        }
+        // What survived all of it is still exact.
+        let live: Vec<Fragment> = truth.values().cloned().collect();
+        let fresh = fresh_single(&live);
+        for request in &requests {
+            prop_assert_eq!(server.search(request), fresh.search(request));
         }
     }
 }
