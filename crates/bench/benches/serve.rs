@@ -5,12 +5,14 @@
 //!
 //! Unlike the other suites, the headline rows are *not* `iter()`
 //! loops: the closed-loop load generator measures every request
-//! end-to-end (cache → bounded queue → micro-batch → snapshot search)
+//! end-to-end (cache → caller-led micro-batch → snapshot search)
 //! and reports its own percentiles, recorded into `BENCH_serve.json`
 //! via `record_measurement` — `p50_ns` carries the stated latency
 //! percentile (for `*-qps` rows, the implied per-request time) and
 //! `ops_per_sec` the implied/sustained rate. CI's load smoke
-//! regenerates this file every run and fails if qps reads zero.
+//! regenerates this file every run and fails if qps reads zero, or if
+//! a lone uncached miss costs 2× a direct engine search or more (the
+//! serving path around a miss must stay a fraction of the search).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::{select_keywords, KeywordTemperature};

@@ -141,7 +141,8 @@
 //! | `dash_net_{hot,cold}_visits_total` | counter | readiness sweep visits by tier |
 //! | `dash_net_response_cache_*`, `dash_net_cached_responses` | gauge | response-cache counters, mirrored at scrape |
 //! | `dash_serve_searches_total`, `dash_serve_batches_total`, … | counter | serving stack (see `dash-serve`) |
-//! | `dash_serve_{search,batch_window,swap,drain}_ns`, `dash_serve_batch_size` | histogram | serving stage latencies / batch shape |
+//! | `dash_serve_{search,swap,drain}_ns`, `dash_serve_batch_size` | histogram | serving stage latencies / batch shape |
+//! | `dash_serve_batch_wait_ns` | histogram | per miss: enqueue → start of the batch serving it (~0 for a lone request, which leads its own batch) |
 //! | `dash_serve_publish_signature_ns` | histogram | inside `swap`: the delta signature (touched groups' vocabulary walk) |
 //! | `dash_serve_publish_apply_ns` | histogram | inside `swap`: the shadow engine's delta apply |
 //! | `dash_serve_publish_invalidate_ns` | histogram | inside `swap`: the result cache's signature sweep |

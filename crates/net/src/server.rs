@@ -4,7 +4,8 @@
 //! mirroring one):
 //!
 //! * `GET /search?kw=…&kw=…&k=…&s=…` — top-k db-page search through
-//!   the full serving path (cache → micro-batcher → snapshot); the
+//!   the full serving path (cache → caller-led micro-batch → snapshot,
+//!   a lone miss searched inline on the worker thread); the
 //!   response is the byte-stable JSON hit list of [`json::hits_to_json`].
 //! * `POST /update` — a binary [`UpdateBody`]: either a
 //!   [`RecordChange`] batch applied to the primary's database and

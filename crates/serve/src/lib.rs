@@ -15,10 +15,12 @@
 //!   shadow copy ([`ShardedEngine::fork`]) and publish with one atomic
 //!   pointer swap. Searches never block on maintenance and can never
 //!   observe a half-applied delta.
-//! * **Micro-batching** ([`batch`]) — concurrent requests are
-//!   collected from a bounded queue into one
-//!   [`ShardedEngine::search_many`] call (batch window + size cap),
-//!   amortizing the per-call shard fan-out; identical requests in a
+//! * **Micro-batching** ([`batch`]) — caller-led (flat combining): a
+//!   caller that finds no batch in flight serves the queue itself in
+//!   one [`ShardedEngine::search_many`] call (up to
+//!   [`ServeConfig::max_batch`] requests), so batches form exactly when
+//!   requests overlap and a lone request is served inline on its own
+//!   thread with no window and no hand-off; identical requests in a
 //!   batch are computed once.
 //! * **Precise result caching** ([`cache`]) — a keyed LRU fronting the
 //!   engine, invalidated entry-by-entry using each published delta's
@@ -66,9 +68,8 @@ pub mod cache;
 pub mod loadgen;
 pub mod snapshot;
 
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dash_core::update::bulk_delta;
@@ -101,14 +102,15 @@ pub struct ServeConfig {
     /// Shard count of the underlying engines. The default reads
     /// `DASH_SHARDS` (like the CI matrix) and falls back to 1.
     pub shards: usize,
-    /// How long the batcher waits for more requests after the first
-    /// one before serving the batch.
-    pub batch_window: Duration,
-    /// Maximum requests per micro-batch.
+    /// Maximum requests per micro-batch — what one leading caller
+    /// serves per turn. There is no batch window: a batch is whatever
+    /// queued while the previous one ran, so a lone request is a batch
+    /// of one. Nor is there a queue bound to set: every caller blocks
+    /// until it is answered, so the queue never holds more than the
+    /// callers' outstanding requests (on the socket path the net
+    /// tier's fixed worker pool and `queue_depth` are the admission
+    /// bound).
     pub max_batch: usize,
-    /// Bound of the request queue; senders block (closed-loop
-    /// backpressure) when serving falls this far behind.
-    pub queue_bound: usize,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
     /// Admission budget on the *total* number of cached [`SearchHit`]s
@@ -137,9 +139,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: env_shards().unwrap_or(1),
-            batch_window: Duration::from_micros(100),
             max_batch: 16,
-            queue_bound: 256,
             cache_capacity: 1024,
             cache_hit_budget: 1 << 16,
             delta_log: 64,
@@ -348,7 +348,8 @@ impl DeltaLog {
     }
 }
 
-/// State shared between callers, the batcher thread and the writer.
+/// State shared between callers (and whichever of them leads a batch)
+/// and the writer.
 #[derive(Debug)]
 pub(crate) struct ServerShared {
     pub(crate) handle: SnapshotHandle,
@@ -370,10 +371,6 @@ pub(crate) struct ServerShared {
     /// Requests per served micro-batch (the achieved batching factor's
     /// distribution, not just its mean).
     pub(crate) batch_size: Arc<Histogram>,
-    /// How long each batch actually spent collecting after its first
-    /// job arrived — window occupancy; at the configured window means
-    /// the size cap never fired.
-    pub(crate) batch_window_ns: Arc<Histogram>,
     /// Publish critical path: signature + shadow apply + cache
     /// invalidation + atomic snapshot swap. The three spans below
     /// attribute it; the remainder is the swap itself.
@@ -420,9 +417,8 @@ struct WriterSide {
 /// architecture.
 #[derive(Debug)]
 pub struct DashServer {
-    shared: Arc<ServerShared>,
-    jobs: Option<SyncSender<batch::Job>>,
-    batcher: Option<JoinHandle<()>>,
+    shared: ServerShared,
+    batcher: batch::Batcher,
 }
 
 impl DashServer {
@@ -464,7 +460,7 @@ impl DashServer {
     }
 
     /// Wraps a built engine: forks the shadow side, wires the snapshot
-    /// handle and cache, and starts the batcher thread.
+    /// handle, cache and batcher.
     pub fn from_engine(engine: ShardedEngine, serve: ServeConfig) -> Self {
         Self::from_engine_at_epoch(engine, serve, 0)
     }
@@ -479,7 +475,11 @@ impl DashServer {
     pub fn from_engine_at_epoch(engine: ShardedEngine, serve: ServeConfig, epoch: u64) -> Self {
         let shadow = engine.fork();
         let registry = Arc::new(Registry::new());
-        let shared = Arc::new(ServerShared {
+        let batcher = batch::Batcher::new(
+            serve.max_batch,
+            registry.histogram("dash_serve_batch_wait_ns"),
+        );
+        let shared = ServerShared {
             handle: SnapshotHandle::new(engine, epoch),
             cache: ResultCache::new(serve.cache_capacity, serve.cache_hit_budget),
             writer: Mutex::new(WriterSide {
@@ -493,7 +493,6 @@ impl DashServer {
             feed_evictions: registry.counter("dash_serve_feed_evictions_total"),
             search_ns: registry.histogram("dash_serve_search_ns"),
             batch_size: registry.histogram("dash_serve_batch_size"),
-            batch_window_ns: registry.histogram("dash_serve_batch_window_ns"),
             swap_ns: registry.histogram("dash_serve_swap_ns"),
             publish_signature_ns: registry.histogram("dash_serve_publish_signature_ns"),
             publish_apply_ns: registry.histogram("dash_serve_publish_apply_ns"),
@@ -505,18 +504,15 @@ impl DashServer {
             delta_log: Mutex::new(DeltaLog::new(serve.delta_log)),
             feed_depth: serve.feed_depth,
             started: Instant::now(),
-        });
-        let (jobs, queue) = mpsc::sync_channel(serve.queue_bound.max(1));
-        let batcher_shared = Arc::clone(&shared);
-        let batcher = std::thread::Builder::new()
-            .name("dash-serve-batcher".to_string())
-            .spawn(move || batch::run(queue, batcher_shared, serve.batch_window, serve.max_batch))
-            .expect("spawn batcher thread");
-        DashServer {
-            shared,
-            jobs: Some(jobs),
-            batcher: Some(batcher),
-        }
+        };
+        DashServer { shared, batcher }
+    }
+
+    /// Serves cache misses through the batcher: this thread leads the
+    /// batch itself unless one is already in flight.
+    fn serve_misses(&self, requests: Vec<SearchRequest>) -> Vec<Vec<SearchHit>> {
+        self.batcher
+            .submit(requests, |batch| batch::serve_batch(&self.shared, batch))
     }
 
     /// Top-k db-page search through the full serving path: result
@@ -533,16 +529,8 @@ impl DashServer {
         if let Some(hits) = self.shared.cache.get(request) {
             return hits;
         }
-        let (reply, answer) = mpsc::channel();
-        self.jobs
-            .as_ref()
-            .expect("queue open while server alive")
-            .send(batch::Job {
-                request: request.clone(),
-                reply,
-            })
-            .expect("batcher alive");
-        answer.recv().expect("batcher answers every job")
+        let mut answers = self.serve_misses(vec![request.clone()]);
+        answers.pop().expect("one answer per request")
     }
 
     /// Accounts one search answered by a fronting cache layer (the net
@@ -554,42 +542,31 @@ impl DashServer {
         self.shared.cache.note_hit();
     }
 
-    /// Batched client-side search: enqueues every cache-missing request
-    /// before collecting any answer, so one caller's burst can share a
-    /// micro-batch instead of serializing. Results are position-aligned
-    /// with `requests`, each byte-identical to [`DashServer::search`].
+    /// Batched client-side search: submits every cache-missing request
+    /// in one call, so one caller's burst shares micro-batches instead
+    /// of serializing. Results are position-aligned with `requests`,
+    /// each byte-identical to [`DashServer::search`].
     pub fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
-        let mut results: Vec<Option<Vec<SearchHit>>> = Vec::with_capacity(requests.len());
-        let mut pending: Vec<(usize, mpsc::Receiver<Vec<SearchHit>>)> = Vec::new();
-        for (at, request) in requests.iter().enumerate() {
-            if request.k == 0 || request.keywords.is_empty() {
-                results.push(Some(Vec::new()));
-                continue;
-            }
-            self.shared.searches.inc();
-            if let Some(hits) = self.shared.cache.get(request) {
-                results.push(Some(hits));
-                continue;
-            }
-            let (reply, answer) = mpsc::channel();
-            self.jobs
-                .as_ref()
-                .expect("queue open while server alive")
-                .send(batch::Job {
-                    request: request.clone(),
-                    reply,
+        let mut results: Vec<Vec<SearchHit>> = Vec::with_capacity(requests.len());
+        let mut slots: Vec<usize> = Vec::new();
+        let mut misses: Vec<SearchRequest> = Vec::new();
+        for request in requests {
+            let hits = if request.k == 0 || request.keywords.is_empty() {
+                Vec::new()
+            } else {
+                self.shared.searches.inc();
+                self.shared.cache.get(request).unwrap_or_else(|| {
+                    slots.push(results.len());
+                    misses.push(request.clone());
+                    Vec::new()
                 })
-                .expect("batcher alive");
-            results.push(None);
-            pending.push((at, answer));
+            };
+            results.push(hits);
         }
-        for (at, answer) in pending {
-            results[at] = Some(answer.recv().expect("batcher answers every job"));
+        for (slot, hits) in slots.into_iter().zip(self.serve_misses(misses)) {
+            results[slot] = hits;
         }
         results
-            .into_iter()
-            .map(|hits| hits.expect("every slot answered"))
-            .collect()
     }
 
     /// Publishes a prebuilt delta: applies it to the shadow engine,
@@ -927,17 +904,6 @@ impl DashServer {
     pub fn metrics_text(&self) -> String {
         self.refresh_scrape_gauges();
         render_merged(&[&self.shared.registry, Registry::global()])
-    }
-}
-
-impl Drop for DashServer {
-    fn drop(&mut self) {
-        // Closing the queue ends the batcher loop; join for a full
-        // quiesce (mirrors the shard worker pool's drop).
-        self.jobs = None;
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
     }
 }
 

@@ -4,9 +4,9 @@
 //!
 //! **Closed loop**: every client issues its next operation only after
 //! the previous one completed, so offered load adapts to serving
-//! capacity (the queue bound back-pressures instead of building an
-//! unbounded backlog) and latency percentiles describe real
-//! end-to-end request times.
+//! capacity (each client blocks until answered, so the batcher's
+//! queue never holds more than one request per client) and latency
+//! percentiles describe real end-to-end request times.
 //!
 //! **Deterministic**: the operation scripts are a pure function of the
 //! [`LoadProfile`] (seeded xoshiro streams, one per client) — two runs
@@ -74,7 +74,7 @@ impl Default for LoadProfile {
 #[derive(Debug, Clone, PartialEq)]
 pub enum LoadOp {
     /// A keyword search through the full serving path
-    /// (cache → batcher → snapshot).
+    /// (cache → caller-led micro-batch → snapshot).
     Search(SearchRequest),
     /// A delta publication (client 0 only): an upsert or removal drawn
     /// from the update pool.

@@ -6,7 +6,7 @@
 //! fresh `DashEngine::search` over the server's current fragment set,
 //! at shard counts {1, 4}.
 //!
-//! Three layers of evidence:
+//! The evidence:
 //!
 //! * golden serving — the fooddb running example behind a server:
 //!   sequential, repeated (cache-hitting), client-batched and
@@ -15,6 +15,9 @@
 //!   the server (per-record and bulk), with every request battery
 //!   re-verified after every publication (a stale cached page would
 //!   fail the comparison bit for bit);
+//! * concurrent misses — eight threads on a cache-less server, so
+//!   every request overlaps others in the caller-led batcher, with
+//!   deltas published between rounds;
 //! * property tests — random interleavings of search / delta-publish /
 //!   search over random fragment sets (the `sharded_maintenance`
 //!   delta-history generator), asserting a request cached before a
@@ -222,6 +225,75 @@ fn serving_stays_exact_across_delta_publications() {
             .unwrap();
         let fresh = fresh_single(&reference::fragments(&app, &db).unwrap());
         assert_served_equivalent(&server, &fresh, &context("after bulk delete"));
+    }
+}
+
+#[test]
+fn concurrent_misses_stay_exact_across_publications() {
+    // `assert_served_equivalent`'s concurrent pass runs on a warm
+    // cache, so it never batches a miss. With the cache off, every
+    // request is a miss: eight threads, each walking the battery from
+    // a different starting point, overlap in the caller-led batcher —
+    // whoever finds no batch in flight serves everyone queued — and a
+    // delta is published between rounds.
+    let fragments = crawled_fragments();
+    let requests = battery();
+    let nordic = |range: i64| {
+        Fragment::new(
+            FragmentId::new(vec![Value::str("Nordic"), Value::Int(range)]),
+            [("burger".to_string(), 2 + range as u64)]
+                .into_iter()
+                .collect(),
+            1,
+        )
+    };
+    let deltas = [
+        IndexDelta::adding(vec![nordic(1), nordic(2)]),
+        IndexDelta::removing(vec![FragmentId::new(vec![
+            Value::str("Thai"),
+            Value::Int(10),
+        ])]),
+    ];
+    for shards in SHARD_COUNTS {
+        let app = fooddb::search_application().unwrap();
+        let server = DashServer::from_fragments(
+            app,
+            &fragments,
+            ServeConfig::default().shards(shards).cache_capacity(0),
+        )
+        .unwrap();
+        let mut truth = fragments.clone();
+        let mut issued = 0u64;
+        for round in 0..=deltas.len() {
+            let fresh = fresh_single(&truth);
+            let expected: Vec<_> = requests.iter().map(|r| fresh.search(r)).collect();
+            std::thread::scope(|scope| {
+                for t in 0..8 {
+                    let (server, requests, expected) = (&server, &requests, &expected);
+                    scope.spawn(move || {
+                        for i in 0..requests.len() {
+                            let at = (i + t * 3) % requests.len();
+                            assert_eq!(
+                                server.search(&requests[at]),
+                                expected[at],
+                                "shards={shards} round={round} thread={t} keywords={:?}",
+                                requests[at].keywords
+                            );
+                        }
+                    });
+                }
+            });
+            issued += 8 * requests.len() as u64;
+            if let Some(delta) = deltas.get(round) {
+                truth.retain(|f| !delta.removes.contains(&f.id));
+                truth.extend(delta.adds.iter().cloned());
+                server.publish(delta.clone());
+            }
+        }
+        let stats = server.stats();
+        assert_eq!(stats.cache.hits, 0, "shards={shards}");
+        assert_eq!(stats.batched_requests, issued, "shards={shards}");
+        assert!(stats.batches <= stats.batched_requests, "shards={shards}");
     }
 }
 
