@@ -32,9 +32,13 @@
 //! are dispatched to a worker pool over a bounded queue (a full queue
 //! answers `503` immediately — load sheds at the door instead of
 //! stalling the accept path, and so does the connection cap, with its
-//! own counter). The one exception is the pre-serialized response
-//! cache (`response_cache.rs`): a hit is already rendered bytes, so
-//! the loop writes them in place — a lookup plus one `write(2)`.
+//! own counter). The one exception is a pre-serialized response held by
+//! the backing server's rendered cache
+//! ([`DashServer::cached_rendered`](dash_serve::DashServer::cached_rendered)):
+//! a hit is already rendered bytes, so the loop writes them in place —
+//! a lookup plus one `write(2)`. A worker answering a miss renders
+//! through [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
+//! which caches the bytes for the next repeat.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,7 +52,6 @@ use dash_obs::{render_merged, Counter, Gauge, Registry, SlowEntry, TraceId};
 use crate::http::{self, ParseError, Request, Response};
 use crate::json;
 use crate::obs::NetObs;
-use crate::response_cache::ResponseCache;
 use crate::server::{parse_search, route, Backend, NetConfig};
 
 /// How long after its last byte of I/O a connection stays in the
@@ -227,7 +230,6 @@ struct ReqTrace {
 struct EventLoop {
     backend: Backend,
     counters: Arc<Counters>,
-    cache: Arc<ResponseCache>,
     obs: Arc<NetObs>,
     jobs: SyncSender<Job>,
     max_connections: usize,
@@ -265,7 +267,6 @@ pub(crate) fn run(
     config: &NetConfig,
     stop: &AtomicBool,
     counters: Arc<Counters>,
-    cache: Arc<ResponseCache>,
     obs: Arc<NetObs>,
     jobs: SyncSender<Job>,
     done: Receiver<Done>,
@@ -276,7 +277,6 @@ pub(crate) fn run(
     let mut lp = EventLoop {
         backend,
         counters,
-        cache,
         obs,
         jobs,
         max_connections: config.max_connections.max(1),
@@ -638,7 +638,7 @@ impl EventLoop {
         };
         let close_after = !request.keep_alive || read_closed;
         if !close_after {
-            if let Some(bytes) = cached_search_response(&request, &self.backend, &self.cache) {
+            if let Some(bytes) = cached_search_response(&request, &self.backend) {
                 self.start_writing(slot, Outgoing::Shared(bytes), false, now);
                 return;
             }
@@ -812,64 +812,35 @@ fn cacheable(request: &Request) -> bool {
     request.keep_alive && request.method == "GET" && request.path == "/search"
 }
 
-/// A cache hit for this request, if it is cacheable and present.
-/// Counts the hit on the serving stack so `/stats` reports every
-/// served search, wherever its bytes came from.
-pub(crate) fn cached_search_response(
-    request: &Request,
-    backend: &Backend,
-    cache: &ResponseCache,
-) -> Option<Arc<Vec<u8>>> {
-    if !cacheable(request) || !cache.enabled() {
+/// A cache hit for this request, if it is cacheable and present (the
+/// server counts the hit, so `/stats` reports every served search).
+pub(crate) fn cached_search_response(request: &Request, backend: &Backend) -> Option<Arc<Vec<u8>>> {
+    if !cacheable(request) {
         return None;
     }
-    let server = backend.cache_server()?;
-    let search = parse_search(request).ok()?;
-    if search.k == 0 || search.keywords.is_empty() {
-        return None;
-    }
-    let bytes = cache.get(&server, &search)?;
-    server.count_cache_hit();
-    Some(bytes)
+    backend
+        .server()?
+        .cached_rendered(&parse_search(request).ok()?)
 }
 
 /// Renders the merged `GET /metrics` exposition: this front-end's
-/// `dash_net_*` registry (with the response cache's counters mirrored
-/// in as gauges at scrape time), the backing server's `dash_serve_*`
-/// registry when one is live, and the process-global registry
-/// (`dash_shard_*` / `dash_repl_*` / `dash_router_*` /
-/// `dash_ingest_*`) — one scrape covers every layer.
-fn metrics_text(obs: &NetObs, backend: &Backend, cache: &ResponseCache) -> String {
-    let stats = cache.stats();
+/// `dash_net_*` registry (with the backing server's rendered-cache
+/// counters mirrored in as `dash_net_response_cache_*` gauges at scrape
+/// time), the backing server's `dash_serve_*` registry when one is
+/// live, and the process-global registry (`dash_shard_*` /
+/// `dash_repl_*` / `dash_router_*` / `dash_ingest_*`) — one scrape
+/// covers every layer.
+fn metrics_text(obs: &NetObs, backend: &Backend) -> String {
     let registry = &obs.registry;
-    registry
-        .gauge("dash_net_response_cache_hits")
-        .set(stats.hits);
-    registry
-        .gauge("dash_net_response_cache_misses")
-        .set(stats.misses);
-    registry
-        .gauge("dash_net_response_cache_insertions")
-        .set(stats.insertions);
-    registry
-        .gauge("dash_net_response_cache_rejected_stale")
-        .set(stats.rejected_stale);
-    registry
-        .gauge("dash_net_response_cache_rejected_oversize")
-        .set(stats.rejected_oversize);
-    registry
-        .gauge("dash_net_response_cache_invalidated")
-        .set(stats.invalidated);
-    registry
-        .gauge("dash_net_response_cache_evicted")
-        .set(stats.evicted);
-    registry
-        .gauge("dash_net_response_cache_resyncs")
-        .set(stats.resyncs);
+    let server = backend.server();
+    let (rendered, cached) = server.as_ref().map_or((Default::default(), 0), |server| {
+        (server.stats().rendered, server.cached_responses())
+    });
+    rendered.mirror(registry, "dash_net_response_cache");
     registry
         .gauge("dash_net_cached_responses")
-        .set(cache.len() as u64);
-    match backend.cache_server() {
+        .set(cached as u64);
+    match server {
         Some(server) => {
             server.refresh_scrape_gauges();
             render_merged(&[registry, server.registry(), Registry::global()])
@@ -878,18 +849,11 @@ fn metrics_text(obs: &NetObs, backend: &Backend, cache: &ResponseCache) -> Strin
     }
 }
 
-/// A worker's whole job: answer one request. A cacheable search's
-/// rendered bytes are stored under the epoch read *before* the search
-/// — any concurrent publication makes the insert stale and it is
-/// dropped, never cached wrong. Their invalidation dependencies are
-/// the request's own keywords, so nothing but the search and the
-/// rendering happens between the two cache calls.
-pub(crate) fn respond(
-    request: &Request,
-    backend: &Backend,
-    cache: &ResponseCache,
-    obs: &NetObs,
-) -> (Outgoing, bool) {
+/// A worker's whole job: answer one request. A cacheable search goes
+/// through [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
+/// which renders the hits into keep-alive response bytes and caches
+/// them epoch-checked for the next repeat.
+pub(crate) fn respond(request: &Request, backend: &Backend, obs: &NetObs) -> (Outgoing, bool) {
     // Diagnostic stall injection (tests of the slow log / stage
     // attribution) — inert unless the front-end opted in.
     if obs.allow_debug_sleep {
@@ -904,7 +868,7 @@ pub(crate) fn respond(
         let response = Response {
             status: 200,
             content_type: "text/plain; version=0.0.4",
-            body: metrics_text(obs, backend, cache).into_bytes(),
+            body: metrics_text(obs, backend).into_bytes(),
         };
         return (
             Outgoing::Own(http::render_response(&response, request.keep_alive)),
@@ -918,25 +882,12 @@ pub(crate) fn respond(
             !request.keep_alive,
         );
     }
-    if cacheable(request) && cache.enabled() {
-        if let Some(server) = backend.cache_server() {
-            if let Ok(search) = parse_search(request) {
-                if search.k > 0 && !search.keywords.is_empty() {
-                    if let Some(bytes) = cache.get(&server, &search) {
-                        server.count_cache_hit();
-                        return (Outgoing::Shared(bytes), false);
-                    }
-                    // Epoch before search: if nothing publishes in
-                    // between, the hits are that epoch's; if something
-                    // does, the insert is rejected as stale.
-                    let epoch = cache.insert_epoch(&server);
-                    let hits = server.search(&search);
-                    let response = Response::json(json::hits_to_json(&hits));
-                    let bytes = Arc::new(http::render_response(&response, true));
-                    cache.insert(&server, &search, Arc::clone(&bytes), epoch);
-                    return (Outgoing::Shared(bytes), false);
-                }
-            }
+    if cacheable(request) {
+        if let (Some(server), Ok(search)) = (backend.server(), parse_search(request)) {
+            let bytes = server.search_rendered(&search, |hits| {
+                http::render_response(&Response::json(json::hits_to_json(hits)), true)
+            });
+            return (Outgoing::Shared(bytes), false);
         }
     }
     let response = route(request, backend);

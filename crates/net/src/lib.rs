@@ -100,10 +100,12 @@
 //! to a bounded worker queue (full queue ⇒ immediate `503`, as does
 //! the connection cap); responses above ~32KB stream back chunked.
 //! Repeat `GET /search` requests short-circuit through a
-//! **pre-serialized response cache**: the exact rendered bytes, keyed
-//! like the serve-tier result cache and invalidated by the same
-//! published [`DeltaSignature`]s (via a replication tap), making a hot
-//! hit one lookup plus one `write(2)` on the loop thread. The
+//! **pre-serialized response cache**: the exact rendered bytes, held
+//! by the backing `DashServer` as the second instance of its one cache
+//! ([`DashServer::cached_rendered`], [`DashServer::search_rendered`])
+//! and swept by each publication's [`DeltaSignature`] inside `publish`,
+//! making a hot hit one lookup plus one `write(2)` on the loop thread.
+//! The
 //! `net/concurrency` bench axis records latency against 100/1k/10k
 //! open connections; `net/path/http-cache-hit` prices the cached
 //! round-trip.
@@ -139,13 +141,13 @@
 //! | `dash_net_queue_wait_ns` | histogram | worker-queue wait (inside `handle`) |
 //! | `dash_net_queue_depth` | gauge | jobs queued or running on the pool |
 //! | `dash_net_{hot,cold}_visits_total` | counter | readiness sweep visits by tier |
-//! | `dash_net_response_cache_*`, `dash_net_cached_responses` | gauge | response-cache counters, mirrored at scrape |
+//! | `dash_net_response_cache_*`, `dash_net_cached_responses` | gauge | the backing server's rendered-cache counters (`hits`, `misses`, `insertions`, `rejected_stale`, `rejected_oversize`, `invalidated`, `evicted`), mirrored at scrape |
 //! | `dash_serve_searches_total`, `dash_serve_batches_total`, … | counter | serving stack (see `dash-serve`) |
 //! | `dash_serve_{search,swap,drain}_ns`, `dash_serve_batch_size` | histogram | serving stage latencies / batch shape |
 //! | `dash_serve_batch_wait_ns` | histogram | per miss: enqueue → start of the batch serving it (~0 for a lone request, which leads its own batch) |
 //! | `dash_serve_publish_signature_ns` | histogram | inside `swap`: the delta signature (touched groups' vocabulary walk) |
 //! | `dash_serve_publish_apply_ns` | histogram | inside `swap`: the shadow engine's delta apply |
-//! | `dash_serve_publish_invalidate_ns` | histogram | inside `swap`: the result cache's signature sweep |
+//! | `dash_serve_publish_invalidate_ns` | histogram | inside `swap`: the signature sweep of both cache instances (results and rendered responses) |
 //! | `dash_serve_signature_keywords` | gauge | keywords in the last published signature |
 //! | `dash_shard_{search,search_many,merge}_ns`, `dash_shard_candidates_total` | histogram/counter | sharded search internals |
 //! | `dash_repl_{bootstraps,catchups,deltas_applied,forwarded,forward_retries}_total` | counter | replication + write forwarding |
@@ -182,6 +184,8 @@
 //! [`RecordChange`]: dash_core::RecordChange
 //! [`IndexDelta`]: dash_core::IndexDelta
 //! [`DeltaSignature`]: dash_core::DeltaSignature
+//! [`DashServer::cached_rendered`]: dash_serve::DashServer::cached_rendered
+//! [`DashServer::search_rendered`]: dash_serve::DashServer::search_rendered
 
 pub mod backoff;
 pub mod client;
@@ -192,7 +196,6 @@ pub mod json;
 pub mod loadgen;
 mod obs;
 pub mod repl;
-mod response_cache;
 pub mod router;
 pub mod server;
 
@@ -202,6 +205,5 @@ pub use event::NetCounters;
 pub use forward::Upstream;
 pub use loadgen::NetLoadReport;
 pub use repl::{ReplFaults, Replica, ReplicaConfig, ReplicationHub};
-pub use response_cache::ResponseCacheStats;
 pub use router::{Router, RouterConfig};
 pub use server::{Backend, NetChange, NetConfig, NetServer, UpdateAck, UpdateBody};

@@ -25,11 +25,11 @@
 //! each, not a thread: the event loop multiplexes them all
 //! nonblockingly, so open-connection count is bounded by
 //! [`NetConfig::max_connections`] (overflow gets a fast `503`), not by
-//! the worker pool. Repeat `GET /search` requests are answered from a
-//! pre-serialized response cache (`response_cache.rs`) — rendered
-//! bytes keyed and invalidated by the same delta-signature machinery
-//! as the serve-tier result cache, making a hot cache hit a single
-//! `write(2)` on the loop thread.
+//! the worker pool. Repeat `GET /search` requests are answered from
+//! pre-serialized response bytes — the backing [`DashServer`]'s
+//! rendered cache instance ([`DashServer::search_rendered`]), swept by
+//! each publication like its result cache — making a hot cache hit a
+//! single `write(2)` on the loop thread.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener};
@@ -41,7 +41,7 @@ use std::time::Duration;
 
 use dash_core::{wire, IndexDelta, RecordChange, SearchRequest};
 use dash_relation::Database;
-use dash_serve::DashServer;
+use dash_serve::{CacheStats, DashServer};
 use parking_lot::Mutex;
 
 use crate::event::{self, Done, Job, NetCounters};
@@ -50,7 +50,6 @@ use crate::http::{invalid, Request, Response};
 use crate::json;
 use crate::obs::NetObs;
 use crate::repl::Replica;
-use crate::response_cache::{ResponseCache, ResponseCacheStats};
 
 /// Update-body kind tags (first byte of a `POST /update` body).
 const UPDATE_CHANGES: u8 = 0;
@@ -71,11 +70,6 @@ pub struct NetConfig {
     /// Bound of the loop→worker job queue; a request arriving with the
     /// queue full is answered `503` immediately (load shedding).
     pub queue_depth: usize,
-    /// Entry cap of the pre-serialized response cache (0 disables it).
-    pub response_cache_entries: usize,
-    /// Byte budget of the pre-serialized response cache (0 = no byte
-    /// bound).
-    pub response_cache_bytes: usize,
     /// Honor a `debug_sleep_us` query parameter by stalling the worker
     /// that long (capped at 1s) before handling — diagnostic fault
     /// injection for the slow-request log. Off by default; never
@@ -89,8 +83,6 @@ impl Default for NetConfig {
             workers: 8,
             max_connections: 10_240,
             queue_depth: 1024,
-            response_cache_entries: 512,
-            response_cache_bytes: 4 << 20,
             allow_debug_sleep: false,
         }
     }
@@ -257,11 +249,10 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// The serving stack the response cache keys its tap to, when one
-    /// is live: the primary's server, or a replica's current mirror
-    /// (whose identity changes on re-bootstrap — the cache detects the
-    /// swap by Arc pointer and flushes).
-    pub(crate) fn cache_server(&self) -> Option<Arc<DashServer>> {
+    /// The serving stack behind this front-end, when one is live: the
+    /// primary's server, or a replica's current mirror (a re-bootstrap
+    /// replaces it, and its caches go with it).
+    pub(crate) fn server(&self) -> Option<Arc<DashServer>> {
         match self {
             Backend::Primary { server, .. } => Some(Arc::clone(server)),
             Backend::Replica { replica, .. } => replica.server(),
@@ -269,13 +260,9 @@ impl Backend {
     }
 
     fn search(&self, request: &SearchRequest) -> Result<Vec<dash_core::SearchHit>, Response> {
-        match self {
-            Backend::Primary { server, .. } => Ok(server.search(request)),
-            Backend::Replica { replica, .. } => match replica.server() {
-                Some(server) => Ok(server.search(request)),
-                None => Err(Response::error(503, "replica not bootstrapped yet")),
-            },
-        }
+        self.server()
+            .map(|server| server.search(request))
+            .ok_or_else(|| Response::error(503, "replica not bootstrapped yet"))
     }
 
     fn update(&self, body: UpdateBody) -> Result<UpdateAck, Response> {
@@ -466,7 +453,7 @@ pub struct NetServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     counters: Arc<event::Counters>,
-    cache: Arc<ResponseCache>,
+    backend: Backend,
     event: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -555,10 +542,6 @@ impl NetServer {
         let stop = Arc::new(AtomicBool::new(false));
         let obs = Arc::new(NetObs::new(config.allow_debug_sleep));
         let counters = Arc::new(event::Counters::new(&obs.registry));
-        let cache = Arc::new(ResponseCache::new(
-            config.response_cache_entries,
-            config.response_cache_bytes,
-        ));
         let (jobs, queue) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
         let queue = Arc::new(Mutex::new(queue));
         let (done, completions) = mpsc::channel::<Done>();
@@ -567,7 +550,6 @@ impl NetServer {
                 let queue = Arc::clone(&queue);
                 let done = done.clone();
                 let backend = backend.clone();
-                let cache = Arc::clone(&cache);
                 let obs = Arc::clone(&obs);
                 std::thread::Builder::new()
                     .name(format!("dash-net-worker-{at}"))
@@ -589,7 +571,7 @@ impl NetServer {
                             obs.queue_wait_ns
                                 .record(enqueued.elapsed().as_nanos() as u64);
                         }
-                        let (out, close_after) = event::respond(&request, &backend, &cache, &obs);
+                        let (out, close_after) = event::respond(&request, &backend, &obs);
                         if done
                             .send(Done {
                                 slot,
@@ -610,7 +592,6 @@ impl NetServer {
             let config = config.clone();
             let stop = Arc::clone(&stop);
             let counters = Arc::clone(&counters);
-            let cache = Arc::clone(&cache);
             let obs = Arc::clone(&obs);
             std::thread::Builder::new()
                 .name("dash-net-event".to_string())
@@ -621,7 +602,6 @@ impl NetServer {
                         &config,
                         &stop,
                         counters,
-                        cache,
                         obs,
                         jobs,
                         completions,
@@ -635,7 +615,7 @@ impl NetServer {
             addr,
             stop,
             counters,
-            cache,
+            backend,
             event: Some(event),
             workers,
         })
@@ -652,14 +632,21 @@ impl NetServer {
         self.counters.snapshot()
     }
 
-    /// A snapshot of the pre-serialized response cache's counters.
-    pub fn response_cache_stats(&self) -> ResponseCacheStats {
-        self.cache.stats()
+    /// A snapshot of the pre-serialized response cache's counters: the
+    /// backing server's rendered instance (zeros while a replica has no
+    /// server yet).
+    pub fn response_cache_stats(&self) -> CacheStats {
+        self.backend
+            .server()
+            .map(|server| server.stats().rendered)
+            .unwrap_or_default()
     }
 
     /// Live entries in the pre-serialized response cache.
     pub fn cached_responses(&self) -> usize {
-        self.cache.len()
+        self.backend
+            .server()
+            .map_or(0, |server| server.cached_responses())
     }
 }
 

@@ -1,5 +1,22 @@
-//! The keyed LRU result cache, invalidated *precisely* by published
-//! delta signatures instead of flushed wholesale.
+//! The keyed LRU cache, invalidated *precisely* by published delta
+//! signatures instead of flushed wholesale. One implementation, generic
+//! over its payload; [`DashServer`](crate::DashServer) runs two
+//! instances of it:
+//!
+//! * the **result cache** — hit lists (`Vec<SearchHit>`), budgeted in
+//!   hits, fronting the engine for every in-process search;
+//! * the **rendered cache** — the wire-tax attack. A cache-hit search
+//!   once cost ~112µs over the socket against ~4µs in-process: the
+//!   result cache removes the *search*, but the front-end still
+//!   re-serialized the hit list to JSON and re-framed the HTTP response
+//!   on every request. This instance stores the **final socket bytes**
+//!   of a `GET /search` response (`Arc<Vec<u8>>`, budgeted in bytes), so
+//!   a repeat of a hot request is a lookup and a single `write(2)`.
+//!   Serve never learns HTTP: the caller renders
+//!   ([`DashServer::search_rendered`](crate::DashServer::search_rendered)).
+//!
+//! Both instances are swept by the same publication, under the writer
+//! lock, before the snapshot swap — so everything below holds for each.
 //!
 //! An entry remembers one thing a future delta could perturb:
 //!
@@ -14,7 +31,7 @@
 //! keywords W its adds bring and the *pre-delta vocabulary* V(G) of
 //! the groups G it touches — every keyword any fragment of any g ∈ G
 //! held; an entry survives iff K misses that set — in which case the
-//! cached hit list is provably still byte-identical to a fresh search
+//! cached payload is provably still byte-identical to a fresh search
 //! (`tests/serve_equivalence.rs` proves it over random interleavings).
 //!
 //! ## Why keywords alone are exact
@@ -35,14 +52,15 @@
 //!   and both forms kill exactly on (K ∩ W) ∨ (K ∩ V(G)): the same
 //!   entries at the same epochs, not a superset.
 //!
-//! Insertions are epoch-checked: a result computed against a snapshot
+//! Insertions are epoch-checked: a payload computed against a snapshot
 //! that is no longer the latest published state is dropped rather than
-//! cached, closing the race between a long-running batch and a
+//! cached, closing the race between a long-running search and a
 //! concurrent publication.
 
 use std::collections::{HashMap, VecDeque};
 
-use dash_core::{DeltaSignature, SearchHit, SearchRequest};
+use dash_core::{DeltaSignature, SearchRequest};
+use dash_obs::Registry;
 use parking_lot::Mutex;
 
 /// Cache identity of a search: the full request, field by field — two
@@ -65,17 +83,17 @@ impl From<&SearchRequest> for CacheKey {
     }
 }
 
-/// One cached result. Its invalidation dependencies are the request
+/// One cached payload. Its invalidation dependencies are the request
 /// keywords in its [`CacheKey`] (see module docs).
 #[derive(Debug)]
-struct Entry {
-    hits: Vec<SearchHit>,
+struct Entry<V> {
+    value: V,
     /// Recency stamp; an entry is LRU-evictable when its stamp is the
     /// oldest live one.
     tick: u64,
 }
 
-/// Counters the serving layer exposes (see
+/// Counters of one cache instance (see
 /// [`DashServer::stats`](crate::DashServer::stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -89,30 +107,48 @@ pub struct CacheStats {
     pub rejected_stale: u64,
     /// Entries removed by delta-signature invalidation.
     pub invalidated: u64,
-    /// Entries evicted by the LRU capacity bound or the hit budget.
+    /// Entries evicted by the LRU capacity bound or the weight budget.
     pub evicted: u64,
-    /// Insertions refused because one result set alone would exceed
-    /// the total cached-hit budget.
+    /// Insertions refused because one payload alone would exceed the
+    /// total weight budget.
     pub rejected_oversize: u64,
 }
 
-#[derive(Debug, Default)]
-struct Inner {
+impl CacheStats {
+    /// Mirrors the counters into `registry` as `{prefix}_{counter}`
+    /// gauges (scrape-time export for `/metrics`).
+    pub fn mirror(&self, registry: &Registry, prefix: &str) {
+        for (name, value) in [
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("insertions", self.insertions),
+            ("rejected_stale", self.rejected_stale),
+            ("invalidated", self.invalidated),
+            ("evicted", self.evicted),
+            ("rejected_oversize", self.rejected_oversize),
+        ] {
+            registry.gauge(&format!("{prefix}_{name}")).set(value);
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Inner<V> {
     /// The latest published epoch the cache has been synchronized to.
     epoch: u64,
     tick: u64,
-    /// Total `SearchHit`s across all live entries — the quantity the
+    /// Total weight across all live entries — the quantity the
     /// admission budget bounds (entry count alone says nothing about
     /// memory when one entry can hold a thousand-hit result set).
-    total_hits: usize,
-    map: HashMap<CacheKey, Entry>,
+    total_weight: usize,
+    map: HashMap<CacheKey, Entry<V>>,
     /// Lazy LRU order: `(tick, key)` pairs, stale ones skipped at
     /// eviction time (an entry's authoritative stamp lives in the map).
     order: VecDeque<(u64, CacheKey)>,
     stats: CacheStats,
 }
 
-impl Inner {
+impl<V> Inner<V> {
     /// Drops stale recency records once they outnumber live entries
     /// 2:1 — hits append to `order` but eviction only pops it while
     /// *over* capacity, so a hit-heavy steady state would otherwise
@@ -133,27 +169,37 @@ impl Inner {
     }
 }
 
-/// The keyed LRU result cache fronting the snapshot handle.
+/// The keyed LRU cache of one payload type.
 #[derive(Debug)]
-pub(crate) struct ResultCache {
+pub(crate) struct Cache<V> {
     capacity: usize,
-    /// Admission budget on total cached hits (0 = unlimited): an
-    /// insert whose result set alone exceeds it is refused; an
-    /// admissible insert evicts LRU entries until the total fits.
-    hit_budget: usize,
-    inner: Mutex<Inner>,
+    /// Admission budget on total entry weight (0 = unlimited): an
+    /// insert whose payload alone exceeds it is refused; an admissible
+    /// insert evicts LRU entries until the total fits.
+    budget: usize,
+    /// A payload's weight against `budget` (hits, bytes).
+    weight: fn(&V) -> usize,
+    inner: Mutex<Inner<V>>,
 }
 
-impl ResultCache {
-    /// A cache holding at most `capacity` results totalling at most
-    /// `hit_budget` hits; capacity 0 disables caching entirely (every
-    /// lookup misses, every insert is dropped), budget 0 disables the
-    /// hit bound.
-    pub(crate) fn new(capacity: usize, hit_budget: usize) -> Self {
-        ResultCache {
+impl<V: Clone> Cache<V> {
+    /// A cache holding at most `capacity` payloads totalling at most
+    /// `budget` weight, synchronized to published epoch `epoch`;
+    /// capacity 0 disables caching entirely (every lookup misses,
+    /// every insert is dropped), budget 0 disables the weight bound.
+    pub(crate) fn new(capacity: usize, budget: usize, weight: fn(&V) -> usize, epoch: u64) -> Self {
+        Cache {
             capacity,
-            hit_budget,
-            inner: Mutex::new(Inner::default()),
+            budget,
+            weight,
+            inner: Mutex::new(Inner {
+                epoch,
+                tick: 0,
+                total_weight: 0,
+                map: HashMap::new(),
+                order: VecDeque::new(),
+                stats: CacheStats::default(),
+            }),
         }
     }
 
@@ -163,7 +209,7 @@ impl ResultCache {
     }
 
     /// Looks up a request, refreshing its recency on a hit.
-    pub(crate) fn get(&self, request: &SearchRequest) -> Option<Vec<SearchHit>> {
+    pub(crate) fn get(&self, request: &SearchRequest) -> Option<V> {
         if self.capacity == 0 {
             return None;
         }
@@ -174,11 +220,11 @@ impl ResultCache {
         match inner.map.get_mut(&key) {
             Some(entry) => {
                 entry.tick = tick;
-                let hits = entry.hits.clone();
+                let value = entry.value.clone();
                 inner.order.push_back((tick, key));
                 inner.stats.hits += 1;
                 inner.compact();
-                Some(hits)
+                Some(value)
             }
             None => {
                 inner.stats.misses += 1;
@@ -187,42 +233,41 @@ impl ResultCache {
         }
     }
 
-    /// Stores a result computed against snapshot `epoch`. Dropped when
-    /// the cache has already synchronized past that epoch (the result
+    /// Stores a payload computed against snapshot `epoch`. Dropped when
+    /// the cache has already synchronized past that epoch (the payload
     /// may predate a delta whose signature would have invalidated it).
-    pub(crate) fn insert(&self, request: &SearchRequest, hits: Vec<SearchHit>, epoch: u64) {
+    pub(crate) fn insert(&self, request: &SearchRequest, value: V, epoch: u64) {
         if self.capacity == 0 {
             return;
         }
+        let weight = (self.weight)(&value);
         let mut inner = self.inner.lock();
         if epoch != inner.epoch {
             inner.stats.rejected_stale += 1;
             return;
         }
-        // Admission control: a result set that alone blows the hit
-        // budget must not be admitted — storing it would evict the
-        // whole rest of the cache for one entry that still violates
-        // the bound.
-        if self.hit_budget > 0 && hits.len() > self.hit_budget {
+        // Admission control: a payload that alone blows the budget must
+        // not be admitted — storing it would evict the whole rest of
+        // the cache for one entry that still violates the bound.
+        if self.budget > 0 && weight > self.budget {
             inner.stats.rejected_oversize += 1;
             return;
         }
         inner.tick += 1;
         let tick = inner.tick;
         let key = CacheKey::from(request);
-        let entry = Entry { hits, tick };
         inner.order.push_back((tick, key.clone()));
-        inner.total_hits += entry.hits.len();
-        if let Some(replaced) = inner.map.insert(key, entry) {
-            inner.total_hits -= replaced.hits.len();
+        inner.total_weight += weight;
+        if let Some(replaced) = inner.map.insert(key, Entry { value, tick }) {
+            inner.total_weight -= (self.weight)(&replaced.value);
         }
         inner.stats.insertions += 1;
         // Evict-on-admit: shed LRU entries while either bound — entry
-        // count or total cached hits — is violated. The fresh entry is
-        // the newest in recency order and fits the budget alone, so
-        // the loop always terminates before reaching it.
+        // count or total weight — is violated. The fresh entry is the
+        // newest in recency order and fits the budget alone, so the
+        // loop always terminates before reaching it.
         while inner.map.len() > self.capacity
-            || (self.hit_budget > 0 && inner.total_hits > self.hit_budget)
+            || (self.budget > 0 && inner.total_weight > self.budget)
         {
             let Some((tick, key)) = inner.order.pop_front() else {
                 break;
@@ -231,7 +276,7 @@ impl ResultCache {
             // queue records for a re-touched key are skipped.
             if inner.map.get(&key).is_some_and(|e| e.tick == tick) {
                 let evicted = inner.map.remove(&key).expect("entry checked present");
-                inner.total_hits -= evicted.hits.len();
+                inner.total_weight -= (self.weight)(&evicted.value);
                 inner.stats.evicted += 1;
             }
         }
@@ -248,24 +293,16 @@ impl ResultCache {
             return;
         }
         let before = inner.map.len();
-        let mut dropped_hits = 0usize;
+        let mut dropped = 0usize;
         inner.map.retain(|key, entry| {
             let keep = !signature.hits(&key.keywords);
             if !keep {
-                dropped_hits += entry.hits.len();
+                dropped += (self.weight)(&entry.value);
             }
             keep
         });
-        inner.total_hits -= dropped_hits;
+        inner.total_weight -= dropped;
         inner.stats.invalidated += (before - inner.map.len()) as u64;
-    }
-
-    /// Counts a hit that was answered *outside* this cache — a
-    /// fronting layer (the net tier's pre-serialized response cache)
-    /// short-circuited a lookup that would have hit here, and the
-    /// serving counters must not under-report it.
-    pub(crate) fn note_hit(&self) {
-        self.inner.lock().stats.hits += 1;
     }
 
     /// A copy of the counters.
@@ -278,20 +315,31 @@ impl ResultCache {
         self.inner.lock().map.len()
     }
 
-    /// Total hits across live entries (what the admission budget
-    /// bounds).
+    /// Total weight across live entries (what the budget bounds).
     #[cfg(test)]
-    pub(crate) fn total_hits(&self) -> usize {
-        self.inner.lock().total_hits
+    pub(crate) fn total_weight(&self) -> usize {
+        self.inner.lock().total_weight
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dash_core::SearchHit;
+    use std::sync::Arc;
 
     fn request(words: &[&str]) -> SearchRequest {
         SearchRequest::new(words).k(3).min_size(10)
+    }
+
+    /// A result cache (weight = hit count) at epoch 0.
+    fn results(capacity: usize, budget: usize) -> Cache<Vec<SearchHit>> {
+        Cache::new(capacity, budget, Vec::len, 0)
+    }
+
+    /// A rendered cache (weight = byte count) at epoch 0.
+    fn rendered(capacity: usize, budget: usize) -> Cache<Arc<Vec<u8>>> {
+        Cache::new(capacity, budget, |bytes| bytes.len(), 0)
     }
 
     /// A signature whose keyword set (adds' keywords ∪ touched
@@ -305,7 +353,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let cache = ResultCache::new(2, 0);
+        let cache = results(2, 0);
         let (a, b, c) = (request(&["a"]), request(&["b"]), request(&["c"]));
         cache.insert(&a, Vec::new(), 0);
         cache.insert(&b, Vec::new(), 0);
@@ -320,7 +368,7 @@ mod tests {
 
     #[test]
     fn signature_invalidation_is_precise() {
-        let cache = ResultCache::new(8, 0);
+        let cache = results(8, 0);
         let by_one = request(&["shared"]);
         let by_any = request(&["y", "held"]);
         let untouched = request(&["y"]);
@@ -336,7 +384,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_insertions_are_rejected() {
-        let cache = ResultCache::new(8, 0);
+        let cache = results(8, 0);
         cache.invalidate(&DeltaSignature::default(), 3);
         let r = request(&["late"]);
         cache.insert(&r, Vec::new(), 2);
@@ -344,31 +392,42 @@ mod tests {
         assert_eq!(cache.stats().rejected_stale, 1);
         cache.insert(&r, Vec::new(), 3);
         assert!(cache.get(&r).is_some());
+        // A cache opened at a carried epoch accepts that epoch at once.
+        let carried: Cache<Vec<SearchHit>> = Cache::new(8, 0, Vec::len, 7);
+        carried.insert(&r, Vec::new(), 7);
+        assert!(carried.get(&r).is_some());
+        assert_eq!(carried.stats().rejected_stale, 0);
     }
 
     #[test]
     fn hit_heavy_traffic_does_not_grow_the_order_queue_unboundedly() {
-        let cache = ResultCache::new(4, 0);
+        // Both payloads share the one recency queue implementation.
+        let hits = results(4, 0);
+        let bytes = rendered(4, 0);
         let r = request(&["hot"]);
-        cache.insert(&r, Vec::new(), 0);
+        hits.insert(&r, Vec::new(), 0);
+        bytes.insert(&r, Arc::new(vec![1u8]), 0);
         for _ in 0..10_000 {
-            assert!(cache.get(&r).is_some());
+            assert!(hits.get(&r).is_some());
+            assert!(bytes.get(&r).is_some());
         }
-        let order_len = cache.inner.lock().order.len();
         // One live entry: compact() keeps the queue at ≤ 2·len + 16
         // (+1 for the record pushed right after a compaction).
-        assert!(
-            order_len <= 19,
-            "recency queue must stay bounded, got {order_len}"
-        );
+        for order_len in [
+            hits.inner.lock().order.len(),
+            bytes.inner.lock().order.len(),
+        ] {
+            assert!(
+                order_len <= 19,
+                "recency queue must stay bounded, got {order_len}"
+            );
+        }
         // LRU semantics survive compaction.
-        let (b, c) = (request(&["b"]), request(&["c"]));
-        cache.insert(&b, Vec::new(), 0);
-        cache.insert(&c, Vec::new(), 0);
-        cache.insert(&request(&["d"]), Vec::new(), 0);
-        cache.insert(&request(&["e"]), Vec::new(), 0);
-        assert_eq!(cache.len(), 4);
-        assert!(cache.get(&r).is_none(), "oldest-by-recency evicted first");
+        for word in ["b", "c", "d", "e"] {
+            hits.insert(&request(&[word]), Vec::new(), 0);
+        }
+        assert_eq!(hits.len(), 4);
+        assert!(hits.get(&r).is_none(), "oldest-by-recency evicted first");
     }
 
     #[test]
@@ -386,13 +445,13 @@ mod tests {
         };
         // Plenty of entry capacity; the 10-hit budget is the binding
         // constraint.
-        let cache = ResultCache::new(64, 10);
+        let cache = results(64, 10);
         cache.insert(&request(&["a"]), hit(4), 0);
         cache.insert(&request(&["b"]), hit(4), 0);
-        assert_eq!(cache.total_hits(), 8);
+        assert_eq!(cache.total_weight(), 8);
         // Admitting 4 more would hit 12 > 10: the LRU entry (a) goes.
         cache.insert(&request(&["c"]), hit(4), 0);
-        assert_eq!(cache.total_hits(), 8);
+        assert_eq!(cache.total_weight(), 8);
         assert!(cache.get(&request(&["a"])).is_none(), "LRU evicted");
         assert!(cache.get(&request(&["b"])).is_some());
         assert!(cache.get(&request(&["c"])).is_some());
@@ -405,19 +464,60 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // Replacing an entry accounts for the hits it frees.
         cache.insert(&request(&["b"]), hit(1), 0);
-        assert_eq!(cache.total_hits(), 5);
+        assert_eq!(cache.total_weight(), 5);
         // Invalidation releases budget too.
         cache.invalidate(&signature(&["b", "c"]), 1);
-        assert_eq!((cache.len(), cache.total_hits()), (0, 0));
+        assert_eq!((cache.len(), cache.total_weight()), (0, 0));
+    }
+
+    #[test]
+    fn byte_budget_bounds_total_cached_bytes() {
+        let cache = rendered(64, 10);
+        cache.insert(&request(&["a"]), Arc::new(vec![0; 4]), 0);
+        cache.insert(&request(&["b"]), Arc::new(vec![0; 4]), 0);
+        // Admitting 4 more bytes would hit 12 > 10: LRU (a) goes.
+        cache.insert(&request(&["c"]), Arc::new(vec![0; 4]), 0);
+        assert_eq!(cache.total_weight(), 8);
+        assert!(cache.get(&request(&["a"])).is_none());
+        assert!(cache.get(&request(&["b"])).is_some());
+        assert_eq!(cache.stats().evicted, 1);
+        // One response bigger than the whole budget is refused.
+        cache.insert(&request(&["huge"]), Arc::new(vec![0; 11]), 0);
+        assert!(cache.get(&request(&["huge"])).is_none());
+        assert_eq!(cache.stats().rejected_oversize, 1);
+    }
+
+    #[test]
+    fn hit_returns_the_inserted_bytes() {
+        let cache = rendered(8, 0);
+        let r = request(&["alpha"]);
+        let bytes = Arc::new(b"HTTP/1.1 200 OK\r\n\r\n".to_vec());
+        cache.insert(&r, Arc::clone(&bytes), 0);
+        let hit = cache.get(&r).expect("cached");
+        assert!(
+            Arc::ptr_eq(&hit, &bytes),
+            "a hit is a reference, not a copy"
+        );
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn zero_capacity_disables_everything() {
-        let cache = ResultCache::new(0, 0);
+        let cache = results(0, 0);
         let r = request(&["a"]);
         cache.insert(&r, Vec::new(), 0);
         assert!(cache.get(&r).is_none());
         assert!(!cache.enabled());
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn zero_capacity_disables_the_rendered_cache() {
+        let cache = rendered(0, 0);
+        let r = request(&["a"]);
+        cache.insert(&r, Arc::new(vec![1u8]), 0);
+        assert!(cache.get(&r).is_none());
+        assert!(!cache.enabled());
+        assert_eq!((cache.len(), cache.total_weight()), (0, 0));
     }
 }

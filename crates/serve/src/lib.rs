@@ -22,12 +22,15 @@
 //!   requests overlap and a lone request is served inline on its own
 //!   thread with no window and no hand-off; identical requests in a
 //!   batch are computed once.
-//! * **Precise result caching** ([`cache`]) — a keyed LRU fronting the
-//!   engine, invalidated entry-by-entry using each published delta's
-//!   [`DeltaSignature`] (the keywords it adds plus the pre-delta
-//!   vocabulary of the equality groups it touches) intersected with
-//!   each entry's request keywords — never a wholesale flush, and no
-//!   per-entry bookkeeping on the read path.
+//! * **Precise caching** ([`cache`]) — one keyed LRU, generic over its
+//!   payload, with two instances: hit lists fronting the engine, and
+//!   the rendered response bytes a front-end hands back for a repeat
+//!   request ([`DashServer::search_rendered`]). Each publication sweeps
+//!   both under the writer lock, entry-by-entry, using the published
+//!   delta's [`DeltaSignature`] (the keywords it adds plus the
+//!   pre-delta vocabulary of the equality groups it touches)
+//!   intersected with each entry's request keywords — never a
+//!   wholesale flush, and no per-entry bookkeeping on the read path.
 //! * **Closed-loop load generation** ([`loadgen`]) — a deterministic
 //!   mixed search/update traffic harness reporting p50/p99 latency and
 //!   qps (the `serve` bench suite and CI's load smoke drive it).
@@ -68,7 +71,7 @@ pub mod cache;
 pub mod loadgen;
 pub mod snapshot;
 
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,8 +89,13 @@ pub use cache::CacheStats;
 pub use loadgen::{LoadOp, LoadProfile, LoadReport};
 pub use snapshot::EngineSnapshot;
 
-use cache::ResultCache;
+use cache::Cache;
 use snapshot::{try_drain, SnapshotHandle};
+
+/// Entry cap of the rendered-response cache instance.
+const RENDERED_ENTRIES: usize = 512;
+/// Byte budget of the rendered-response cache instance.
+const RENDERED_BYTES: usize = 4 << 20;
 
 /// How many scheduler yields a publication waits for the retired
 /// snapshot's readers before falling back to forking the new live
@@ -95,6 +103,12 @@ use snapshot::{try_drain, SnapshotHandle};
 /// real drains finish in a handful of yields; the bound only matters
 /// when a caller retains a [`DashServer::snapshot`] long-term.
 const DRAIN_ATTEMPTS: usize = 4096;
+
+/// A request with no answer to compute (`k = 0` or no keywords): it is
+/// answered empty without touching a cache or a counter.
+fn degenerate(request: &SearchRequest) -> bool {
+    request.k == 0 || request.keywords.is_empty()
+}
 
 /// Tunables of the serving layer.
 #[derive(Debug, Clone)]
@@ -130,8 +144,8 @@ pub struct ServeConfig {
     /// consumer that falls this far behind is **evicted** — its
     /// channel closes and it must re-sync through
     /// [`DashServer::replication_feed_from`] (delta tail or snapshot)
-    /// — instead of growing the primary's memory without limit. 0
-    /// makes taps unbounded (the pre-eviction behavior).
+    /// — instead of growing the primary's memory without limit. 0 is
+    /// clamped to 1: every tap is bounded.
     pub feed_depth: usize,
 }
 
@@ -175,7 +189,7 @@ impl ServeConfig {
     }
 
     /// Overrides the replication-tap channel bound (builder style;
-    /// 0 makes taps unbounded).
+    /// 0 is clamped to 1).
     pub fn feed_depth(mut self, depth: usize) -> Self {
         self.feed_depth = depth;
         self
@@ -185,8 +199,13 @@ impl ServeConfig {
 /// Serving-layer counters (monotonic since server construction).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Result-cache counters.
+    /// Result-cache counters. `hits` also counts the searches answered
+    /// from the rendered instance, so it covers every cache-answered
+    /// search.
     pub cache: CacheStats,
+    /// Rendered-response cache counters (see
+    /// [`DashServer::search_rendered`]).
+    pub rendered: CacheStats,
     /// Micro-batches served.
     pub batches: u64,
     /// Requests answered through batches (≥ batches; the ratio is the
@@ -267,41 +286,6 @@ pub enum CatchUp {
     Tail(DeltaTail),
 }
 
-/// The sending half of one replication tap.
-#[derive(Debug)]
-enum Tap {
-    /// Evicts the consumer once it lags `feed_depth` events behind.
-    Bounded(mpsc::SyncSender<PublishEvent>),
-    /// Never evicts (`feed_depth = 0`); the consumer's channel may
-    /// grow without limit.
-    Unbounded(Sender<PublishEvent>),
-}
-
-/// Outcome of feeding one event to a tap.
-enum TapFeed {
-    Delivered,
-    /// Bounded tap full: the consumer is a laggard — evict it.
-    Lagging,
-    /// Receiver dropped: the consumer unregistered.
-    Closed,
-}
-
-impl Tap {
-    fn feed(&self, event: PublishEvent) -> TapFeed {
-        match self {
-            Tap::Bounded(sender) => match sender.try_send(event) {
-                Ok(()) => TapFeed::Delivered,
-                Err(mpsc::TrySendError::Full(_)) => TapFeed::Lagging,
-                Err(mpsc::TrySendError::Disconnected(_)) => TapFeed::Closed,
-            },
-            Tap::Unbounded(sender) => match sender.send(event) {
-                Ok(()) => TapFeed::Delivered,
-                Err(_) => TapFeed::Closed,
-            },
-        }
-    }
-}
-
 /// The bounded ring of recent publications (the delta log): epochs are
 /// contiguous from front to back, older entries fall off as new ones
 /// push in.
@@ -353,7 +337,12 @@ impl DeltaLog {
 #[derive(Debug)]
 pub(crate) struct ServerShared {
     pub(crate) handle: SnapshotHandle,
-    pub(crate) cache: ResultCache,
+    /// Hit lists, budgeted in hits ([`ServeConfig::cache_capacity`],
+    /// [`ServeConfig::cache_hit_budget`]).
+    pub(crate) cache: Cache<Vec<SearchHit>>,
+    /// Rendered responses, budgeted in bytes (`RENDERED_ENTRIES`,
+    /// `RENDERED_BYTES`).
+    rendered: Cache<Arc<Vec<u8>>>,
     writer: Mutex<WriterSide>,
     /// Per-server metrics registry — the single source the `/stats`
     /// counters and the `/metrics` exposition both read, so the two
@@ -380,7 +369,7 @@ pub(crate) struct ServerShared {
     publish_signature_ns: Arc<Histogram>,
     /// The shadow's [`ShardedEngine::apply_delta`].
     publish_apply_ns: Arc<Histogram>,
-    /// The result cache's signature sweep.
+    /// The signature sweep of both cache instances.
     publish_invalidate_ns: Arc<Histogram>,
     /// Keywords in the last published signature — the touched groups'
     /// vocabulary every cache entry is tested against; a corpus whose
@@ -391,11 +380,11 @@ pub(crate) struct ServerShared {
     drain_ns: Arc<Histogram>,
     /// Replication taps fed on every publication (closed and lagging
     /// ones pruned).
-    taps: Mutex<Vec<Tap>>,
+    taps: Mutex<Vec<SyncSender<PublishEvent>>>,
     /// The bounded ring of recent publications (see
     /// [`ServeConfig::delta_log`]).
     delta_log: Mutex<DeltaLog>,
-    /// Channel bound applied to each new tap (0 = unbounded).
+    /// Channel bound applied to each new tap (≥ 1).
     feed_depth: usize,
     /// Construction time, the zero point of [`DashServer::uptime`].
     started: Instant,
@@ -481,7 +470,13 @@ impl DashServer {
         );
         let shared = ServerShared {
             handle: SnapshotHandle::new(engine, epoch),
-            cache: ResultCache::new(serve.cache_capacity, serve.cache_hit_budget),
+            cache: Cache::new(
+                serve.cache_capacity,
+                serve.cache_hit_budget,
+                Vec::len,
+                epoch,
+            ),
+            rendered: Cache::new(RENDERED_ENTRIES, RENDERED_BYTES, |bytes| bytes.len(), epoch),
             writer: Mutex::new(WriterSide {
                 shadow: Some(shadow),
                 epoch,
@@ -502,7 +497,7 @@ impl DashServer {
             registry,
             taps: Mutex::new(Vec::new()),
             delta_log: Mutex::new(DeltaLog::new(serve.delta_log)),
-            feed_depth: serve.feed_depth,
+            feed_depth: serve.feed_depth.max(1),
             started: Instant::now(),
         };
         DashServer { shared, batcher }
@@ -521,7 +516,7 @@ impl DashServer {
     /// over the engine's current fragments — cached or not, whatever
     /// batch it lands in, before or after any published delta.
     pub fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
-        if request.k == 0 || request.keywords.is_empty() {
+        if degenerate(request) {
             return Vec::new();
         }
         let _span = SpanGuard::start(&self.shared.search_ns);
@@ -533,13 +528,46 @@ impl DashServer {
         answers.pop().expect("one answer per request")
     }
 
-    /// Accounts one search answered by a fronting cache layer (the net
-    /// tier's pre-serialized response cache) without re-running it
-    /// here: bumps the search and cache-hit counters so `/stats` keeps
-    /// reporting every served search, wherever the bytes came from.
-    pub fn count_cache_hit(&self) {
+    /// The rendered response cached for `request`, if any — a front
+    /// end's fast path (no search, no rendering). A hit counts as a
+    /// served search and as a cache hit, so `/stats` reports every
+    /// search wherever its bytes came from.
+    pub fn cached_rendered(&self, request: &SearchRequest) -> Option<Arc<Vec<u8>>> {
+        if degenerate(request) {
+            return None;
+        }
+        let bytes = self.shared.rendered.get(request)?;
         self.shared.searches.inc();
-        self.shared.cache.note_hit();
+        Some(bytes)
+    }
+
+    /// [`DashServer::search`] with the answer rendered by `render` and
+    /// cached as bytes: a repeat of `request` is answered by
+    /// [`DashServer::cached_rendered`] until a publication's signature
+    /// meets its keywords. The epoch is read *before* searching: if a
+    /// publication lands before the insert, the insert is rejected as
+    /// stale — the race resolves to "don't cache", never to "cache
+    /// stale bytes". It is the live snapshot's epoch, not the cache's:
+    /// a publication advances the cache before it swaps the snapshot,
+    /// so the cache's epoch can run ahead of the state a search reads,
+    /// and the snapshot's cannot.
+    pub fn search_rendered(
+        &self,
+        request: &SearchRequest,
+        render: impl FnOnce(&[SearchHit]) -> Vec<u8>,
+    ) -> Arc<Vec<u8>> {
+        if degenerate(request) {
+            return Arc::new(render(&[]));
+        }
+        if let Some(bytes) = self.cached_rendered(request) {
+            return bytes;
+        }
+        let epoch = self.epoch();
+        let bytes = Arc::new(render(&self.search(request)));
+        self.shared
+            .rendered
+            .insert(request, Arc::clone(&bytes), epoch);
+        bytes
     }
 
     /// Batched client-side search: submits every cache-missing request
@@ -551,7 +579,7 @@ impl DashServer {
         let mut slots: Vec<usize> = Vec::new();
         let mut misses: Vec<SearchRequest> = Vec::new();
         for request in requests {
-            let hits = if request.k == 0 || request.keywords.is_empty() {
+            let hits = if degenerate(request) {
                 Vec::new()
             } else {
                 self.shared.searches.inc();
@@ -686,12 +714,13 @@ impl DashServer {
             shadow.apply_delta(delta.clone())
         };
         writer.epoch += 1;
-        // Invalidate before the swap: from this instant the cache
-        // rejects insertions computed against older snapshots, so no
-        // stale entry can slip in behind the sweep.
+        // Invalidate both instances before the swap: from this instant
+        // each rejects insertions computed against older snapshots, so
+        // no stale entry can slip in behind the sweep.
         {
             let _span = SpanGuard::start(&self.shared.publish_invalidate_ns);
             self.shared.cache.invalidate(&signature, writer.epoch);
+            self.shared.rendered.invalidate(&signature, writer.epoch);
         }
         let next = Arc::new(EngineSnapshot {
             engine: shadow,
@@ -731,7 +760,7 @@ impl DashServer {
         // Record the publication in the delta log and feed the
         // replication taps (still under the writer lock, so every tap
         // sees publications in epoch order with no gaps). Sends never
-        // block: a bounded tap whose consumer has fallen `feed_depth`
+        // block: a tap whose consumer has fallen `feed_depth`
         // publications behind is evicted on the spot — its channel
         // closes and the consumer re-syncs through
         // [`DashServer::replication_feed_from`] — so a stuck replica
@@ -746,13 +775,14 @@ impl DashServer {
             self.shared.delta_log.lock().push(event.clone());
             let mut taps = self.shared.taps.lock();
             let mut evicted = 0u64;
-            taps.retain(|tap| match tap.feed(event.clone()) {
-                TapFeed::Delivered => true,
-                TapFeed::Lagging => {
+            taps.retain(|tap| match tap.try_send(event.clone()) {
+                Ok(()) => true,
+                Err(TrySendError::Full(_)) => {
                     evicted += 1;
                     false
                 }
-                TapFeed::Closed => false,
+                // Receiver dropped: the consumer unregistered.
+                Err(TrySendError::Disconnected(_)) => false,
             });
             if evicted > 0 {
                 self.shared.feed_evictions.add(evicted);
@@ -789,13 +819,7 @@ impl DashServer {
         // between consulting the log, grabbing the snapshot and
         // registering the tap.
         let writer = self.shared.writer.lock();
-        let (tap, events) = if self.shared.feed_depth > 0 {
-            let (sender, events) = mpsc::sync_channel(self.shared.feed_depth);
-            (Tap::Bounded(sender), events)
-        } else {
-            let (sender, events) = mpsc::channel();
-            (Tap::Unbounded(sender), events)
-        };
+        let (tap, events) = mpsc::sync_channel(self.shared.feed_depth);
         self.shared.taps.lock().push(tap);
         if let Some(base) = from {
             let backlog = if base == writer.epoch {
@@ -845,8 +869,12 @@ impl DashServer {
     /// A copy of the serving counters, read from the same registry
     /// handles `/metrics` renders — the two views cannot drift.
     pub fn stats(&self) -> ServeStats {
+        let rendered = self.shared.rendered.stats();
+        let mut cache = self.shared.cache.stats();
+        cache.hits += rendered.hits;
         ServeStats {
-            cache: self.shared.cache.stats(),
+            cache,
+            rendered,
             batches: self.shared.batches.get(),
             batched_requests: self.shared.batched_requests.get(),
             published: self.shared.published.get(),
@@ -858,6 +886,11 @@ impl DashServer {
     /// Live result-cache entry count.
     pub fn cached_results(&self) -> usize {
         self.shared.cache.len()
+    }
+
+    /// Live rendered-response cache entry count.
+    pub fn cached_responses(&self) -> usize {
+        self.shared.rendered.len()
     }
 
     /// This server's metrics registry. Per-instance, so two servers
@@ -874,24 +907,7 @@ impl DashServer {
     /// `/metrics`, which merges this registry into its own exposition).
     pub fn refresh_scrape_gauges(&self) {
         let registry = &self.shared.registry;
-        let cache = self.shared.cache.stats();
-        registry.gauge("dash_serve_cache_hits").set(cache.hits);
-        registry.gauge("dash_serve_cache_misses").set(cache.misses);
-        registry
-            .gauge("dash_serve_cache_insertions")
-            .set(cache.insertions);
-        registry
-            .gauge("dash_serve_cache_rejected_stale")
-            .set(cache.rejected_stale);
-        registry
-            .gauge("dash_serve_cache_invalidated")
-            .set(cache.invalidated);
-        registry
-            .gauge("dash_serve_cache_evicted")
-            .set(cache.evicted);
-        registry
-            .gauge("dash_serve_cache_rejected_oversize")
-            .set(cache.rejected_oversize);
+        self.stats().cache.mirror(registry, "dash_serve_cache");
         registry
             .gauge("dash_serve_cached_results")
             .set(self.shared.cache.len() as u64);
@@ -1249,10 +1265,78 @@ mod tests {
             .unwrap();
         let server = DashServer::from_engine_at_epoch(engine, ServeConfig::default(), 7);
         assert_eq!(server.epoch(), 7);
+        // Both cache instances open at the carried epoch: a result
+        // computed against the epoch-7 snapshot is cached, not
+        // rejected as stale.
+        let request = SearchRequest::new(&["burger"]).k(2).min_size(20);
+        server.search(&request);
+        server.search(&request);
+        let stats = server.stats().cache;
+        assert_eq!((stats.hits, stats.rejected_stale), (1, 0));
+        let first = server.search_rendered(&request, render);
+        let again = server.search_rendered(&request, render);
+        assert!(Arc::ptr_eq(&first, &again), "the repeat is a rendered hit");
+        let stats = server.stats().rendered;
+        assert_eq!((stats.hits, stats.rejected_stale), (1, 0));
         let (_, epoch) =
             server.publish_with_epoch(IndexDelta::adding(vec![cuisine_fragment("C0", "herring")]));
         assert_eq!(epoch, 8);
         assert_eq!(server.snapshot().epoch, 8);
+    }
+
+    /// A stand-in front-end rendering: one `url score` line per hit.
+    fn render(hits: &[SearchHit]) -> Vec<u8> {
+        hits.iter()
+            .map(|hit| format!("{} {}\n", hit.url, hit.score))
+            .collect::<String>()
+            .into_bytes()
+    }
+
+    #[test]
+    fn a_publish_kills_only_the_rendered_entries_it_touches() {
+        let server = server(2);
+        let touched = SearchRequest::new(&["burger"]).k(5).min_size(1);
+        let untouched = SearchRequest::new(&["thai"]).k(5).min_size(1);
+        server.search_rendered(&touched, render);
+        server.search_rendered(&untouched, render);
+        assert_eq!(server.cached_responses(), 2);
+        // The delta adds a "burger" posting: its signature carries the
+        // keyword, so only the overlapping entry dies — inside
+        // `publish`, before any further lookup.
+        server.publish(IndexDelta::adding(vec![cuisine_fragment("Zulu", "burger")]));
+        assert_eq!(server.stats().rendered.invalidated, 1);
+        assert!(
+            server.cached_rendered(&touched).is_none(),
+            "keyword overlap"
+        );
+        assert!(
+            server.cached_rendered(&untouched).is_some(),
+            "disjoint survives"
+        );
+        // The re-rendered answer is the new state's, byte for byte.
+        let fresh = server.search_rendered(&touched, render);
+        assert_eq!(*fresh, render(&server.snapshot().engine.search(&touched)));
+    }
+
+    #[test]
+    fn a_publish_between_epoch_read_and_insert_makes_the_rendered_insert_stale() {
+        let server = server(1);
+        let request = SearchRequest::new(&["late"]).k(3).min_size(1);
+        // The publication lands after the search, while rendering —
+        // between reading the epoch and inserting the bytes.
+        server.search_rendered(&request, |hits| {
+            server.publish(IndexDelta::adding(vec![cuisine_fragment(
+                "C0",
+                "elsewhere",
+            )]));
+            render(hits)
+        });
+        let stats = server.stats().rendered;
+        assert_eq!((stats.rejected_stale, stats.insertions), (1, 0));
+        assert!(server.cached_rendered(&request).is_none());
+        // The next render, wholly after the publication, is cached.
+        server.search_rendered(&request, render);
+        assert!(server.cached_rendered(&request).is_some());
     }
 
     #[test]

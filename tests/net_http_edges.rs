@@ -202,6 +202,13 @@ fn idle_keepalive_connections_survive_a_publish() {
     // Publish a delta that touches only the shared keyword while the
     // connections sit idle.
     server.publish(IndexDelta::adding(vec![fragment("Churn", "burger", 2)]));
+    // The sweep is part of the publication: the touched entry is gone
+    // before any further request arrives.
+    let swept = net.response_cache_stats();
+    assert!(
+        swept.invalidated >= 1,
+        "publish itself invalidated the touched entry: {swept:?}"
+    );
 
     // Every idle connection is still usable, and the answers track
     // the new state exactly.
