@@ -10,7 +10,7 @@
 //! | `ingest/direct-build` | in-process partition + per-shard build (`IngestSource::Fragments`) |
 //! | `ingest/mapreduce-build` | the two-job workflow end to end, fault-free |
 //! | `ingest/mapreduce-faulty` | same workflow with map+reduce retries injected — the fault-retry overhead |
-//! | `ingest/resume-restart` | warm restart from spilled dumps — the kill-and-resume path |
+//! | `ingest/resume-restart` | warm restart from the spilled per-shard input indices — the kill-and-resume path |
 //!
 //! All four paths produce byte-identical engines (asserted here via
 //! shard sizes and fragment counts; `tests/ingest_equivalence.rs`
@@ -130,9 +130,10 @@ fn bench_ingest(c: &mut Criterion) {
         retries
     );
 
-    // Restart from spill: one priming run persists the dumps, then the
-    // timed run resumes from them — the kill-and-restart recovery path
-    // (decode dumps + assemble, no mapreduce jobs at all).
+    // Restart from spill: one priming run persists each shard's input
+    // indices, then the timed run resumes from them — the
+    // kill-and-restart recovery path (fingerprint the corpus, read the
+    // indices, assemble; no mapreduce jobs at all).
     let spill = scratch_dir();
     let spill_config = IngestConfig {
         shards: SHARDS,
@@ -144,7 +145,10 @@ fn bench_ingest(c: &mut Criterion) {
     for _ in 0..2 {
         let begin = Instant::now();
         let output = distributed_build(&app, &fragments, &spill_config).expect("resumes");
-        assert!(output.report.resumed_dumps, "resume must hit the dumps");
+        assert!(
+            output.report.resumed_dumps,
+            "resume must hit the index spill"
+        );
         let engine = ShardedEngine::builder(app.clone())
             .source(IngestSource::Distributed(output))
             .build()

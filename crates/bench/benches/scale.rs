@@ -11,13 +11,13 @@
 //! | `scale/build` | streamed generate + 4-shard index build, end to end |
 //! | `scale/search-p50`, `scale/search-p99` | top-k latency over Zipf-skewed keyword traffic |
 //! | `scale/arena-load` | the builder's `IngestSource::Image` — the zero-parse bulk-read path |
-//! | `scale/parse-rebuild` | v1 decode + full `build` — what bootstrap cost before arena images |
-//! | `scale/full-rebuild` | index rebuild from in-memory fragments (no decode) |
+//! | `scale/full-rebuild` | partition + 4-shard index build from in-memory fragments (`IngestSource::Fragments`) — what a bootstrap costs without the image |
 //! | `scale/delta-signature` | the same delta's invalidation signature (`delta_signature`: the touched group's vocabulary walk), taken before it is applied |
 //! | `scale/delta-apply` | one group-local delta through `apply_delta` |
 //!
-//! The arena-load vs parse-rebuild gap is the replica-bootstrap win
-//! (the SNAPSHOT frame ships the image); delta-apply vs full-rebuild
+//! The arena-load vs full-rebuild gap is the replica-bootstrap win
+//! (the SNAPSHOT frame ships the image; CI gates `arena-load <
+//! full-rebuild` at its 100k smoke); delta-apply vs full-rebuild
 //! is the paper's O(affected-group) maintenance claim priced at scale:
 //! the delta is spliced into the shard's arenas in place, so its cost
 //! follows the ten fragments it carries, not the million it joins
@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::scale::{env_fragments, ScaleCorpus};
-use dash_core::{persist, IndexDelta, IngestSource, SearchRequest, ShardedEngine};
+use dash_core::{IndexDelta, IngestSource, SearchRequest, ShardedEngine};
 use dash_serve::loadgen::percentile;
 use dash_tpch::{generate, Scale, TpchConfig};
 use rand::distr::Zipf;
@@ -102,8 +102,8 @@ fn bench_scale(c: &mut Criterion) {
     c.record_measurement("scale/search-p50", p50, 1e9 / p50.max(1.0));
     c.record_measurement("scale/search-p99", p99, 1e9 / p99.max(1.0));
 
-    // Arena-image load vs v1 parse-and-rebuild: the replica-bootstrap
-    // comparison. Same engine, same bytes-in-memory setting — the only
+    // Arena-image load vs rebuild from fragments: the replica-bootstrap
+    // comparison. Same engine, everything already in memory — the only
     // variable is the load path. Each path runs twice and the SECOND
     // run is the row: the first warms the allocator pool, so the
     // number prices the load algorithm rather than the kernel's
@@ -131,51 +131,30 @@ fn bench_scale(c: &mut Criterion) {
         corpus.fragments as f64 / (arena_ns / 1e9),
     );
 
-    let shards = engine.dump_shards();
+    let fragments: Vec<_> = engine.dump_shards().into_iter().flatten().collect();
     let mut rebuild_ns = 0.0;
     for _ in 0..2 {
         let begin = Instant::now();
         let rebuilt = ShardedEngine::builder(app.clone())
-            .source(IngestSource::ShardDumps(&shards))
+            .shards(SHARDS)
+            .source(IngestSource::Fragments(&fragments))
             .build()
             .expect("rebuilds");
         rebuild_ns = begin.elapsed().as_nanos() as f64;
         assert_eq!(rebuilt.fragment_count(), engine.fragment_count());
         drop(rebuilt);
     }
+    drop(fragments);
     c.record_measurement(
         "scale/full-rebuild",
         rebuild_ns,
         corpus.fragments as f64 / (rebuild_ns / 1e9),
     );
-
-    let mut v1 = Vec::new();
-    persist::write_sharded_fragments(&mut v1, &shards).expect("v1 dumps");
-    drop(shards);
-    let mut parse_ns = 0.0;
-    for _ in 0..2 {
-        let begin = Instant::now();
-        let decoded = persist::read_sharded_fragments(v1.as_slice()).expect("v1 parses");
-        let reparsed = ShardedEngine::builder(app.clone())
-            .source(IngestSource::ShardDumps(&decoded))
-            .build()
-            .expect("parse-rebuild");
-        parse_ns = begin.elapsed().as_nanos() as f64;
-        assert_eq!(reparsed.fragment_count(), engine.fragment_count());
-        drop(reparsed);
-        drop(decoded);
-    }
-    drop(v1);
-    c.record_measurement(
-        "scale/parse-rebuild",
-        parse_ns,
-        corpus.fragments as f64 / (parse_ns / 1e9),
-    );
     println!(
-        "load paths: arena {:.1}ms vs parse-rebuild {:.1}ms ({:.1}x)",
+        "load paths: arena {:.1}ms vs full-rebuild {:.1}ms ({:.1}x)",
         arena_ns / 1e6,
-        parse_ns / 1e6,
-        parse_ns / arena_ns.max(1.0)
+        rebuild_ns / 1e6,
+        rebuild_ns / arena_ns.max(1.0)
     );
 
     // Delta apply: churn ten fragments of one equality group — the

@@ -482,7 +482,7 @@ impl FragmentGraph {
     }
 
     /// The full group columns — `(key, frags, weights)` — in key-rank
-    /// order: the arena-image dump view (`persist` v2). Rank order is
+    /// order: the arena-image dump view (`persist`). Rank order is
     /// canonical, so two graphs holding the same live nodes dump the
     /// same image regardless of their maintenance history (slot
     /// permutation and free list are derived state and never dumped).

@@ -525,7 +525,8 @@ impl InvertedFragmentIndex {
 
     /// The keyword-occurrence maps of **every** live fragment,
     /// reconstructed in one pass over the probe arena — O(total
-    /// postings). This is the dump path of per-shard persistence: the
+    /// postings). This is the path behind
+    /// [`ShardedEngine::dump_shards`](crate::ShardedEngine::dump_shards): the
     /// index stores no fragment-major copy of the occurrence maps, so
     /// a shard's fragments are re-derived keyword-major (probing
     /// per-fragment instead would cost O(fragments × keywords log L)).

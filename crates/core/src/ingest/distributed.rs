@@ -12,7 +12,7 @@
 //!                          PartitionPlan { key → (rank, shard) }
 //!                      ┌─────────────── job 2: ING-Build ───────────────┐
 //!  (idx, &frag) ─map─▶ (shard, FragRef{idx, rank}) ──reduce──▶ shard    │
-//!                      │            sort refs by rank          dump     │
+//!                      │            sort refs by rank          indices  │
 //!                      └────────────────────┬────────────────────────────┘
 //!                         driver: resolve refs → per-shard runs
 //!                                  ▼
@@ -40,18 +40,21 @@
 //! size — the cost model meters realistic shuffle volume while the
 //! wall clock moves ~24 bytes per record, and the driver resolves
 //! indices back to borrowed fragments so nothing is cloned until
-//! interning (or spilling).
+//! interning.
 //!
 //! **Restartability.** With [`IngestConfig::spill_dir`] set, the
 //! driver persists each stage's output (the partition plan after job
-//! 1, the per-shard dumps after job 2) keyed by a corpus fingerprint.
-//! A re-run after a crash resumes from the newest valid artifact
-//! instead of recrawling: valid dumps skip both jobs, a valid plan
-//! skips job 1. A fingerprint mismatch (different corpus, shard count
-//! or range position) ignores stale artifacts and re-runs from
-//! scratch. Both files are checksummed end to end and written
-//! atomically (tmp + rename), so a torn spill is indistinguishable
-//! from a missing one.
+//! 1, each shard's input indices after job 2) keyed by a corpus
+//! fingerprint. A re-run after a crash resumes from the newest valid
+//! artifact instead of recrawling: valid indices skip both jobs, a
+//! valid plan skips job 1. The corpus itself is never spilled — the
+//! caller passes it in again, and the fingerprint proves it is the
+//! same one in the same order — so a resumed build resolves the
+//! indices to the same borrowed runs a fresh one does. A fingerprint
+//! mismatch (different corpus, shard count or range position) ignores
+//! stale artifacts and re-runs from scratch. Both files are
+//! checksummed end to end and written atomically (tmp + rename), so a
+//! torn spill is indistinguishable from a missing one.
 //!
 //! **Fault tolerance.** Both jobs run under the configured
 //! [`FaultPlan`]: scheduled task attempts fail and are retried (every
@@ -81,11 +84,11 @@ use crate::Result;
 
 /// Spill-file magic for a persisted partition plan.
 const PLAN_MAGIC: &[u8; 8] = b"DASHPLN1";
-/// Spill-file magic for persisted per-shard fragment dumps.
-const DUMPS_MAGIC: &[u8; 8] = b"DASHIDM1";
+/// Spill-file magic for persisted per-shard input indices.
+const DUMPS_MAGIC: &[u8; 8] = b"DASHIDM2";
 /// Plan spill file name under [`IngestConfig::spill_dir`].
 const PLAN_FILE: &str = "ingest-plan.dash";
-/// Dumps spill file name under [`IngestConfig::spill_dir`].
+/// Index spill file name under [`IngestConfig::spill_dir`].
 const DUMPS_FILE: &str = "ingest-dumps.dash";
 
 /// Configuration of one distributed build.
@@ -121,7 +124,8 @@ impl Default for IngestConfig {
 pub struct IngestReport {
     /// Job 1 was skipped because a valid persisted plan was found.
     pub resumed_plan: bool,
-    /// Both jobs were skipped because valid persisted dumps were found.
+    /// Both jobs were skipped because valid persisted shard indices
+    /// were found.
     pub resumed_dumps: bool,
     /// MapReduce jobs actually executed (0, 1 or 2).
     pub jobs_run: usize,
@@ -132,26 +136,17 @@ pub struct IngestReport {
     pub reduce_attempts: u64,
 }
 
-/// The per-shard fragment runs a workflow produced: borrowed from the
-/// caller's corpus on a live run, owned when resumed from spill.
-#[derive(Debug)]
-pub enum ShardData<'a> {
-    /// Reference runs into the input corpus — the zero-clone path.
-    Refs(Vec<Vec<&'a Fragment>>),
-    /// Decoded spill dumps (the corpus bytes live in the file).
-    Owned(Vec<Vec<Fragment>>),
-}
-
 /// Everything a finished workflow hands the engine builder: the
 /// partitioned fragments, the accumulated job statistics, and the
 /// execution report. Feed it to
 /// [`IngestSource::Distributed`](crate::ingest::IngestSource).
 #[derive(Debug)]
 pub struct IngestOutput<'a> {
-    /// Per-shard fragment runs, position-aligned with shard indices
-    /// (empty shards preserved — the image header records the count).
-    pub data: ShardData<'a>,
-    /// Stats of every executed job (empty when resumed from dumps).
+    /// Per-shard reference runs into the input corpus, position-aligned
+    /// with shard indices (empty shards preserved — the image header
+    /// records the count).
+    pub data: Vec<Vec<&'a Fragment>>,
+    /// Stats of every executed job (empty when resumed from spill).
     pub stats: WorkflowStats,
     /// What ran, what resumed, what the faults cost.
     pub report: IngestReport,
@@ -159,7 +154,7 @@ pub struct IngestOutput<'a> {
 
 /// The map value of job 2: a fragment's input index and global group
 /// rank, metered at the fragment's real encoded size so the shuffle
-/// cost model sees the true dump volume while only ~24 bytes move.
+/// cost model sees the true data volume while only ~24 bytes move.
 #[derive(Debug, Clone, Copy)]
 struct FragRef {
     idx: u64,
@@ -232,12 +227,12 @@ pub fn distributed_build<'a>(
         .as_deref()
         .map(|dir| (dir.join(PLAN_FILE), dir.join(DUMPS_FILE)));
 
-    // Newest valid artifact wins: dumps skip both jobs outright.
+    // Newest valid artifact wins: shard indices skip both jobs outright.
     if let Some((_, dumps_path)) = &paths {
-        if let Some(shard_fragments) = load_dumps(dumps_path, fingerprint) {
+        if let Some(shard_indices) = load_dumps(dumps_path, fingerprint, shards, fragments.len()) {
             global_counter("dash_ingest_resumed_dumps_total").inc();
             return Ok(IngestOutput {
-                data: ShardData::Owned(shard_fragments),
+                data: resolve(fragments, &shard_indices),
                 stats: WorkflowStats::new(),
                 report: IngestReport {
                     resumed_dumps: true,
@@ -322,17 +317,13 @@ pub fn distributed_build<'a>(
         .map_err(|e| aborted("shard-build", &e))?;
     jobs_run += 1;
 
-    let mut shard_refs: Vec<Vec<&'a Fragment>> = (0..shards).map(|_| Vec::new()).collect();
-    for dump in built {
-        shard_refs[dump.shard as usize] = dump
-            .refs
-            .iter()
-            .map(|r| &fragments[r.idx as usize])
-            .collect();
+    let mut shard_indices: Vec<Vec<u64>> = vec![Vec::new(); shards];
+    for shard in built {
+        shard_indices[shard.shard as usize] = shard.refs.iter().map(|r| r.idx).collect();
     }
     if let Some((_, dumps_path)) = &paths {
-        persist_dumps(dumps_path, fingerprint, &shard_refs)
-            .map_err(|e| spill_failed("dumps", &e))?;
+        persist_dumps(dumps_path, fingerprint, &shard_indices)
+            .map_err(|e| spill_failed("shard indices", &e))?;
     }
 
     let stats = wf.into_stats();
@@ -350,7 +341,7 @@ pub fn distributed_build<'a>(
     global_counter("dash_ingest_map_attempts_total").add(report.map_attempts);
     global_counter("dash_ingest_reduce_attempts_total").add(report.reduce_attempts);
     Ok(IngestOutput {
-        data: ShardData::Refs(shard_refs),
+        data: resolve(fragments, &shard_indices),
         stats,
         report,
     })
@@ -395,6 +386,16 @@ fn assign_shards(mut counts: Vec<(FragmentId, u64)>, shards: usize) -> Partition
         assigned += n as usize;
     }
     PartitionPlan { shards, groups }
+}
+
+/// Resolves per-shard input indices to reference runs into the corpus.
+/// Fresh and resumed builds both come through here, so both take the
+/// same zero-clone path.
+fn resolve<'a>(fragments: &'a [Fragment], shard_indices: &[Vec<u64>]) -> Vec<Vec<&'a Fragment>> {
+    shard_indices
+        .iter()
+        .map(|indices| indices.iter().map(|&i| &fragments[i as usize]).collect())
+        .collect()
 }
 
 fn aborted(job: &str, e: &dash_mapreduce::JobAborted) -> CoreError {
@@ -517,29 +518,53 @@ fn load_plan(path: &Path, fingerprint: u64) -> Option<PartitionPlan> {
     Some(PartitionPlan { shards, groups })
 }
 
-fn persist_dumps(path: &Path, fingerprint: u64, shards: &[Vec<&Fragment>]) -> std::io::Result<()> {
+fn persist_dumps(path: &Path, fingerprint: u64, shards: &[Vec<u64>]) -> std::io::Result<()> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&fingerprint.to_le_bytes());
     payload.extend_from_slice(&(shards.len() as u64).to_le_bytes());
-    for refs in shards {
-        persist::write_fragment_ref_list(&mut payload, refs)?;
+    for indices in shards {
+        payload.extend_from_slice(&(indices.len() as u64).to_le_bytes());
+        for i in indices {
+            payload.extend_from_slice(&i.to_le_bytes());
+        }
     }
     write_spill(path, DUMPS_MAGIC, &payload)
 }
 
-fn load_dumps(path: &Path, fingerprint: u64) -> Option<Vec<Vec<Fragment>>> {
+/// Loads spilled shard indices for a `corpus_len`-fragment corpus split
+/// `shards` ways. A checksum and fingerprint prove who wrote the file,
+/// not that it is well formed, so the indices must also partition the
+/// corpus — every index in range and listed exactly once — or the file
+/// is a cache miss like any other bad artifact.
+fn load_dumps(
+    path: &Path,
+    fingerprint: u64,
+    shards: usize,
+    corpus_len: usize,
+) -> Option<Vec<Vec<u64>>> {
     let payload = read_spill(path, DUMPS_MAGIC)?;
     let mut reader = payload.as_slice();
-    if persist::read_u64(&mut reader).ok()? != fingerprint {
+    if persist::read_u64(&mut reader).ok()? != fingerprint
+        || persist::read_u64(&mut reader).ok()? != shards as u64
+    {
         return None;
     }
-    let shards = persist::read_u64(&mut reader).ok()?;
-    if shards > (1 << 16) {
-        return None;
+    let mut seen = vec![false; corpus_len];
+    let mut shard_indices = Vec::with_capacity(shards);
+    for _ in 0..shards {
+        let count = persist::read_u64(&mut reader).ok()?;
+        let mut indices = Vec::with_capacity(count.min(corpus_len as u64) as usize);
+        for _ in 0..count {
+            let i = persist::read_u64(&mut reader).ok()?;
+            let slot = seen.get_mut(usize::try_from(i).ok()?)?;
+            if std::mem::replace(slot, true) {
+                return None;
+            }
+            indices.push(i);
+        }
+        shard_indices.push(indices);
     }
-    (0..shards)
-        .map(|_| persist::read_fragment_list(&mut reader).ok())
-        .collect()
+    (reader.is_empty() && seen.iter().all(|&s| s)).then_some(shard_indices)
 }
 
 #[cfg(test)]
@@ -690,6 +715,69 @@ mod tests {
         assert_eq!(a, b);
         // The mapreduce jobs' stats rode along with the crawl's.
         assert!(distributed.crawl_stats().jobs.len() > direct.crawl_stats().jobs.len());
+    }
+
+    #[test]
+    fn hostile_index_spill_is_a_cache_miss() {
+        // A spill whose checksum and fingerprint are valid but whose
+        // indices do not partition the corpus (a buggy or hostile
+        // writer, not a torn file): both jobs re-run, and the result is
+        // the direct build's — never a panic, never a wrong engine.
+        let (app, fragments) = fooddb_fragments();
+        let shards = 2;
+        let image_of = |engine: ShardedEngine| {
+            let mut bytes = Vec::new();
+            engine.write_image(&mut bytes).unwrap();
+            bytes
+        };
+        let want = image_of(
+            ShardedEngine::builder(app.clone())
+                .shards(shards)
+                .source(IngestSource::Fragments(&fragments))
+                .build()
+                .unwrap(),
+        );
+        let built = |output| {
+            image_of(
+                ShardedEngine::builder(app.clone())
+                    .source(IngestSource::Distributed(output))
+                    .build()
+                    .unwrap(),
+            )
+        };
+        let dir = std::env::temp_dir().join(format!("dash-ingest-hostile-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let config = IngestConfig {
+            shards,
+            spill_dir: Some(dir.clone()),
+            ..IngestConfig::default()
+        };
+        let fingerprint = corpus_fingerprint(&fragments, shards, app.query.range_selection_index());
+        let n = fragments.len() as u64;
+        // Each case breaks one rule; otherwise every index is listed once.
+        let all: Vec<u64> = (0..n).collect();
+        let cases = [
+            ("index at the corpus length", vec![all.clone(), vec![n]]),
+            (
+                "index far beyond the corpus",
+                vec![all.clone(), vec![u64::MAX]],
+            ),
+            ("index listed twice", vec![all.clone(), vec![0]]),
+            ("index missing", vec![all[1..].to_vec(), Vec::new()]),
+        ];
+        for (what, indices) in cases {
+            let _ = fs::remove_file(dir.join(PLAN_FILE));
+            persist_dumps(&dir.join(DUMPS_FILE), fingerprint, &indices).unwrap();
+            let output = distributed_build(&app, &fragments, &config).expect(what);
+            assert!(!output.report.resumed_dumps, "{what}");
+            assert_eq!(output.report.jobs_run, 2, "{what}");
+            assert_eq!(built(output), want, "{what}");
+        }
+        // The spill the last re-run wrote is well formed and resumes.
+        let output = distributed_build(&app, &fragments, &config).unwrap();
+        assert!(output.report.resumed_dumps);
+        assert_eq!(built(output), want);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! [`ShardedEngine`] comes to exist, plus the distributed
 //! (mapreduce-backed) bulk build.
 //!
-//! The engine's construction surface had accreted five uncoordinated
-//! entry points (crawl-and-build, in-memory fragments, per-shard
-//! dumps, arena images, streamed batches) before the distributed build
-//! would have added a sixth. [`EngineBuilder`] collapses them into one
-//! API: pick an [`IngestSource`], optionally set the shard count and a
-//! stats accumulator, and `build()`:
+//! Every construction path — crawl-and-build, in-memory fragments,
+//! arena images, streamed batches, the distributed build's output —
+//! goes through one API, [`EngineBuilder`]: pick an [`IngestSource`],
+//! optionally set the shard count and a stats accumulator, and
+//! `build()`:
 //!
 //! ```text
 //! ShardedEngine::builder(app)
@@ -16,8 +15,8 @@
 //!     .build()?
 //! ```
 //!
-//! Sources that carry their own partition (dumps, images, batches,
-//! mapreduce output) ignore `shards` — the partition is taken exactly
+//! Sources that carry their own partition (images, batches, mapreduce
+//! output) ignore `shards` — the partition is taken exactly
 //! as given, never re-derived, so maintained engines round-trip with
 //! their drifted balance intact.
 //!
@@ -40,7 +39,7 @@ use crate::sharded::ShardedEngine;
 use crate::Result;
 
 pub use distributed::{
-    distributed_build, distributed_crawl_build, IngestConfig, IngestOutput, IngestReport, ShardData,
+    distributed_build, distributed_crawl_build, IngestConfig, IngestOutput, IngestReport,
 };
 
 /// Where an [`EngineBuilder`] gets its fragments from.
@@ -54,12 +53,7 @@ pub enum IngestSource<'a> {
     /// Already-derived fragments; the builder partitions them into the
     /// configured number of shards.
     Fragments(&'a [Fragment]),
-    /// Per-shard fragment lists (the output of
-    /// [`ShardedEngine::dump_shards`] or
-    /// [`crate::persist::read_sharded_fragments`]); the partition is
-    /// taken exactly as given.
-    ShardDumps(&'a [Vec<Fragment>]),
-    /// A v2 `DASHIMG2` arena image ([`ShardedEngine::write_image`] is
+    /// A `DASHIMG2` arena image ([`ShardedEngine::write_image`] is
     /// the dump half) — the zero-parse bulk-read load path.
     Image(&'a [u8]),
     /// Per-shard fragment batches consumed one at a time — the
@@ -86,9 +80,6 @@ impl std::fmt::Debug for IngestSource<'_> {
         match self {
             IngestSource::Fragments(frags) => {
                 f.debug_tuple("Fragments").field(&frags.len()).finish()
-            }
-            IngestSource::ShardDumps(shards) => {
-                f.debug_tuple("ShardDumps").field(&shards.len()).finish()
             }
             IngestSource::Image(bytes) => f.debug_tuple("Image").field(&bytes.len()).finish(),
             IngestSource::Batches(_) => f.write_str("Batches(..)"),
@@ -125,7 +116,7 @@ impl<'a> EngineBuilder<'a> {
 
     /// Sets the shard count for unpartitioned sources
     /// ([`IngestSource::Fragments`], [`IngestSource::Crawl`]); clamped
-    /// to at least 1. Pre-partitioned sources (dumps, images, batches,
+    /// to at least 1. Pre-partitioned sources (images, batches,
     /// distributed output) carry their own partition and ignore this.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -168,9 +159,6 @@ impl<'a> EngineBuilder<'a> {
             IngestSource::Fragments(fragments) => {
                 ShardedEngine::from_fragments_impl(app, fragments, shards, stats)
             }
-            IngestSource::ShardDumps(shard_fragments) => {
-                ShardedEngine::from_shard_fragments_impl(app, shard_fragments, stats)
-            }
             IngestSource::Image(bytes) => ShardedEngine::from_image_impl(app, bytes, stats),
             IngestSource::Batches(batches) => ShardedEngine::from_batches_impl(app, batches, stats),
             IngestSource::Crawl { db, config } => {
@@ -180,14 +168,7 @@ impl<'a> EngineBuilder<'a> {
                 for job in output.stats.jobs {
                     stats.push(job);
                 }
-                match output.data {
-                    ShardData::Refs(shard_refs) => {
-                        ShardedEngine::from_shard_refs_impl(app, &shard_refs, stats)
-                    }
-                    ShardData::Owned(shard_fragments) => {
-                        ShardedEngine::from_shard_fragments_impl(app, &shard_fragments, stats)
-                    }
-                }
+                ShardedEngine::from_shard_refs_impl(app, &output.data, stats)
             }
         }
     }
@@ -205,7 +186,6 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist;
     use crate::search::SearchRequest;
     use dash_webapp::fooddb;
 
@@ -241,17 +221,11 @@ mod tests {
             .unwrap();
         assert_eq!(from_fragments.search(&req), want);
 
-        let from_dumps = ShardedEngine::builder(app.clone())
-            .source(IngestSource::ShardDumps(&shards))
-            .build()
-            .unwrap();
-        assert_eq!(from_dumps.shard_sizes(), crawled.shard_sizes());
-        assert_eq!(from_dumps.search(&req), want);
-
         let from_batches = ShardedEngine::builder(app.clone())
-            .source(IngestSource::Batches(Box::new(shards.clone().into_iter())))
+            .source(IngestSource::Batches(Box::new(shards.into_iter())))
             .build()
             .unwrap();
+        assert_eq!(from_batches.shard_sizes(), crawled.shard_sizes());
         assert_eq!(from_batches.search(&req), want);
 
         let mut image = Vec::new();
@@ -270,28 +244,5 @@ mod tests {
         let engine = ShardedEngine::builder(app).build().unwrap();
         assert_eq!(engine.fragment_count(), 0);
         assert_eq!(engine.shard_count(), 1);
-    }
-
-    #[test]
-    fn dumps_roundtrip_through_persist() {
-        let (app, db) = fooddb_parts();
-        let config = DashConfig::default();
-        let engine = ShardedEngine::builder(app.clone())
-            .shards(3)
-            .source(IngestSource::Crawl {
-                db: &db,
-                config: &config,
-            })
-            .build()
-            .unwrap();
-        let shards = engine.dump_shards();
-        let mut bytes = Vec::new();
-        persist::write_sharded_fragments(&mut bytes, &shards).unwrap();
-        let decoded = persist::read_sharded_fragments(bytes.as_slice()).unwrap();
-        let loaded = ShardedEngine::builder(app)
-            .source(IngestSource::ShardDumps(&decoded))
-            .build()
-            .unwrap();
-        assert_eq!(loaded.shard_sizes(), engine.shard_sizes());
     }
 }

@@ -68,8 +68,8 @@
 //! Every way a `ShardedEngine` comes to exist goes through
 //! [`ingest::EngineBuilder`] — `ShardedEngine::builder(app)` plus an
 //! [`ingest::IngestSource`] (crawl-and-build, in-memory fragments,
-//! per-shard dumps, `DASHIMG2` arena images, streamed batches, or the
-//! output of the distributed build). [`ingest::distributed`] expresses
+//! `DASHIMG2` arena images, streamed batches, or the output of the
+//! distributed build). [`ingest::distributed`] expresses
 //! crawl → partition → per-shard index build as a restartable two-job
 //! `dash-mapreduce` workflow whose resulting engine is byte-identical
 //! to a direct build — including under injected worker faults and
@@ -89,7 +89,7 @@
 //! and applies sub-deltas on the worker pool, refreshing global group
 //! ranks and IDF incrementally — per-shard work only, no rebuild, with
 //! post-update searches byte-identical to a freshly built single
-//! engine (the `sharded_maintenance` test tier). Per-shard persistence
+//! engine (the `sharded_maintenance` test tier). The arena image
 //! ([`persist`]) round-trips a maintained partition without
 //! re-partitioning.
 //!
@@ -146,7 +146,7 @@ pub use index::{
 };
 pub use ingest::{
     distributed_build, distributed_crawl_build, EngineBuilder, IngestConfig, IngestOutput,
-    IngestReport, IngestSource, ShardData,
+    IngestReport, IngestSource,
 };
 pub use multi::MultiDash;
 pub use scope::CrawlScope;

@@ -1,48 +1,26 @@
-//! Fragment persistence: save a crawl's fragments (v1) or a built
-//! engine's arenas (v2) to a compact binary file and rebuild the engine
-//! from it without re-crawling — or, for v2, without re-*building*.
+//! Engine persistence: save a built engine's arenas to a compact
+//! binary image and load it back without re-crawling or re-building.
 //!
 //! A search engine builds its index rarely and serves it constantly; the
-//! paper's crawls take hours (Figure 10), so shipping the derived
-//! fragments to the serving tier matters. Both formats are small
-//! self-describing binary codecs with no external dependencies;
-//! everything an engine needs round-trips exactly, so a loaded engine
-//! is byte-for-byte the engine that was saved (tested).
+//! paper's crawls take hours (Figure 10), so shipping the built engine
+//! to the serving tier matters. The format is a small self-describing
+//! binary codec with no external dependencies; everything an engine
+//! needs round-trips exactly, so a loaded engine is byte-for-byte the
+//! engine that was saved (tested).
 //!
-//! # v1 — fragment dumps (`DASHFRG1` / `DASHSHR1`)
+//! # Record codec
 //!
-//! Length-prefixed fragment records; loading re-runs the index build.
-//! Two container layouts share the record codec:
-//!
-//! * **flat** ([`write_fragments`] / [`read_fragments`]) — one fragment
-//!   list, the single-engine path;
-//! * **sharded** ([`write_sharded_fragments`] /
-//!   [`read_sharded_fragments`]) — one fragment list *per shard*,
-//!   preserving a [`ShardedEngine`](crate::ShardedEngine)'s exact
-//!   partition (which drifts under incremental maintenance), so a
-//!   maintained sharded engine round-trips through
-//!   [`ShardedEngine::dump_shards`](crate::ShardedEngine::dump_shards) /
-//!   [`IngestSource::ShardDumps`](crate::IngestSource::ShardDumps)
-//!   without re-partitioning.
-//!
-//! v1 layout (all integers little-endian):
-//!
-//! | field | bytes | meaning |
-//! |---|---|---|
-//! | magic | 8 | `DASHFRG1` (flat) / `DASHSHR1` (sharded) |
-//! | shard count | 8 | sharded only; ≤ 2^16 |
-//! | per list: count | 8 | fragments in the list |
-//! | per fragment: arity | 8 | identifier values |
-//! | values | var | tagged value codec (below) |
-//! | record count | 8 | joined records |
-//! | keyword count | 8 | occurrence-map entries |
-//! | per keyword: string + count | var + 8 | length-prefixed UTF-8, occurrences |
-//!
-//! Value codec: tag byte `0`=Null, `1`=Int (i64), `2`=Decimal (cents
+//! Fragments and values share one length-prefixed little-endian record
+//! codec. A fragment is its identifier arity and values, its record
+//! count, and its keyword/occurrence entries in `BTreeMap` order. A
+//! value is a tag byte — `0`=Null, `1`=Int (i64), `2`=Decimal (cents
 //! i64), `3`=Str (u64 length + UTF-8, ≤ 2^24 bytes), `4`=Date (u16 year,
-//! u8 month, u8 day).
+//! u8 month, u8 day) — then its payload. The image's identifier and
+//! group-key columns use the value codec; [`wire`](crate::wire) ships a
+//! delta's added fragments as records, and the ingest layer fingerprints
+//! corpora by them (the encoding is canonical).
 //!
-//! # v2 — arena images (`DASHIMG2`)
+//! # Arena images (`DASHIMG2`)
 //!
 //! The dump format *is* the arenas' in-memory layout: every column of
 //! [`FragmentCatalog`], [`InvertedFragmentIndex`] (both posting arenas
@@ -98,85 +76,7 @@ use crate::index::{
     Posting, ProbeEntry,
 };
 
-const MAGIC: &[u8; 8] = b"DASHFRG1";
-const SHARDED_MAGIC: &[u8; 8] = b"DASHSHR1";
 const IMAGE_MAGIC: &[u8; 8] = b"DASHIMG2";
-
-/// Serializes fragments into `writer`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_fragments<W: Write>(mut writer: W, fragments: &[Fragment]) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    write_fragment_list(&mut writer, fragments)
-}
-
-/// Deserializes fragments from `reader`.
-///
-/// # Errors
-///
-/// Returns `InvalidData` on a bad magic number (distinguishing a
-/// foreign file, another Dash dump kind, and an unsupported version),
-/// unknown value tags or malformed UTF-8 (each naming the fragment
-/// record that broke), and propagates underlying I/O errors (including
-/// `UnexpectedEof` on truncation).
-pub fn read_fragments<R: Read>(mut reader: R) -> io::Result<Vec<Fragment>> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(magic_mismatch(&magic, MAGIC, "fragment file"));
-    }
-    read_fragment_list(&mut reader)
-}
-
-/// Serializes per-shard fragment lists (the output of
-/// [`ShardedEngine::dump_shards`](crate::ShardedEngine::dump_shards))
-/// into `writer`, preserving the shard partition exactly.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_sharded_fragments<W: Write>(
-    mut writer: W,
-    shards: &[Vec<Fragment>],
-) -> io::Result<()> {
-    writer.write_all(SHARDED_MAGIC)?;
-    write_u64(&mut writer, shards.len() as u64)?;
-    for fragments in shards {
-        write_fragment_list(&mut writer, fragments)?;
-    }
-    Ok(())
-}
-
-/// Deserializes per-shard fragment lists from `reader` — feed the
-/// result to
-/// [`IngestSource::ShardDumps`](crate::IngestSource::ShardDumps).
-///
-/// # Errors
-///
-/// Returns `InvalidData` on a bad magic number (distinguishing a
-/// foreign file, another Dash dump kind, and an unsupported version),
-/// an out-of-bounds shard count, unknown value tags or malformed UTF-8
-/// (each naming the shard and fragment record that broke), and
-/// propagates underlying I/O errors (including `UnexpectedEof` on
-/// truncation).
-pub fn read_sharded_fragments<R: Read>(mut reader: R) -> io::Result<Vec<Vec<Fragment>>> {
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != SHARDED_MAGIC {
-        return Err(magic_mismatch(&magic, SHARDED_MAGIC, "sharded dump"));
-    }
-    let shards = read_u64(&mut reader)?;
-    if shards > (1 << 16) {
-        return Err(invalid("shard count out of bounds"));
-    }
-    (0..shards)
-        .map(|s| {
-            read_fragment_list(&mut reader).map_err(|e| with_context(&format!("shard {s}"), e))
-        })
-        .collect()
-}
 
 /// The shared record codec: a length-prefixed fragment list.
 pub(crate) fn write_fragment_list<W: Write>(
@@ -190,21 +90,7 @@ pub(crate) fn write_fragment_list<W: Write>(
     Ok(())
 }
 
-/// [`write_fragment_list`] over borrowed fragments — the ingest spill
-/// path dumps reduce output (reference runs into the caller's corpus)
-/// without cloning a fragment first.
-pub(crate) fn write_fragment_ref_list<W: Write>(
-    writer: &mut W,
-    fragments: &[&Fragment],
-) -> io::Result<()> {
-    write_u64(writer, fragments.len() as u64)?;
-    for f in fragments {
-        write_one_fragment(writer, f)?;
-    }
-    Ok(())
-}
-
-/// One fragment through the v1 record codec. Also the unit the ingest
+/// One fragment through the record codec. Also the unit the ingest
 /// layer fingerprints corpora by — the encoding is canonical (BTreeMap
 /// keyword order, tagged values), so equal fragments always produce
 /// equal bytes.
@@ -257,7 +143,7 @@ fn read_one_fragment<R: Read>(reader: &mut R) -> io::Result<Fragment> {
 }
 
 // ---------------------------------------------------------------------
-// v2 arena images
+// Arena images
 // ---------------------------------------------------------------------
 
 const SEC_HEADER: u32 = 0x01;
@@ -271,7 +157,7 @@ const SEC_GRAPH: u32 = 0x15;
 /// `range_position` encoding for "no range attribute".
 const NO_RANGE: u64 = u64::MAX;
 
-/// Serializes a sharded engine's per-shard indexes as one v2 arena
+/// Serializes a sharded engine's per-shard indexes as one arena
 /// image (header + six checksummed sections per shard).
 pub(crate) fn write_image<W: Write>(
     mut writer: W,
@@ -289,7 +175,7 @@ pub(crate) fn write_image<W: Write>(
     Ok(())
 }
 
-/// Deserializes a v2 arena image back into per-shard indexes, verifying
+/// Deserializes an arena image back into per-shard indexes, verifying
 /// every section checksum — a torn or bit-flipped image errors before
 /// any index is assembled. Returns the dumped range position alongside
 /// the shards so the caller can cross-check it against its application.
@@ -297,7 +183,7 @@ pub(crate) fn read_image(bytes: &[u8]) -> io::Result<(Option<usize>, Vec<Fragmen
     let mut r = bytes;
     let magic = take(&mut r, 8, "magic number")?;
     if magic != IMAGE_MAGIC {
-        return Err(magic_mismatch(magic, IMAGE_MAGIC, "arena image"));
+        return Err(magic_mismatch(magic));
     }
     let mut header = read_section(&mut r, SEC_HEADER)?;
     let shard_count = take_u64(&mut header, "shard count")?;
@@ -324,7 +210,7 @@ pub(crate) fn read_image(bytes: &[u8]) -> io::Result<(Option<usize>, Vec<Fragmen
     Ok((range_position, shards))
 }
 
-/// Writes one shard's `FragmentIndex` as the six v2 sections. Each
+/// Writes one shard's `FragmentIndex` as its six sections. Each
 /// section's payload is staged in a reused buffer (peak extra memory =
 /// the largest single section, not the whole image).
 fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<()> {
@@ -721,22 +607,22 @@ fn ensure_consumed(rest: &[u8], what: &str) -> io::Result<()> {
     }
 }
 
-/// Diagnoses a magic mismatch: a different Dash dump kind and an
-/// unsupported version of the *right* kind each get their own message
-/// (a torn or foreign file used to surface as a bare "bad magic").
-fn magic_mismatch(found: &[u8], want: &[u8; 8], kind: &str) -> io::Error {
-    if found.len() == 8 && found[..7] == want[..7] {
+/// Diagnoses a magic mismatch (`found` is the file's first 8 bytes,
+/// already split off): an unsupported image version and
+/// another Dash file kind (such as a retired fragment dump) each get
+/// their own message, so a stale or foreign file does not surface as a
+/// bare "bad magic".
+fn magic_mismatch(found: &[u8]) -> io::Error {
+    if found[..7] == IMAGE_MAGIC[..7] {
         return invalid(&format!(
-            "unsupported {kind} version '{}' (this build reads '{}')",
-            found[7] as char, want[7] as char
+            "unsupported arena image version '{}' (this build reads '{}')",
+            found[7] as char, IMAGE_MAGIC[7] as char
         ));
     }
     if found.starts_with(b"DASH") {
-        return invalid(&format!(
-            "not a Dash {kind}: the magic names a different Dash dump kind"
-        ));
+        return invalid("not a Dash arena image: the magic names a different Dash dump kind");
     }
-    invalid(&format!("bad magic number; not a Dash {kind}"))
+    invalid("bad magic number; not a Dash arena image")
 }
 
 pub(crate) fn write_value<W: Write>(w: &mut W, v: &Value) -> io::Result<()> {
@@ -827,7 +713,9 @@ mod tests {
     use super::*;
     use crate::crawl::reference;
     use crate::engine::DashEngine;
+    use crate::ingest::IngestSource;
     use crate::search::SearchRequest;
+    use crate::sharded::ShardedEngine;
     use dash_webapp::fooddb;
 
     fn fooddb_fragments() -> Vec<Fragment> {
@@ -836,33 +724,45 @@ mod tests {
         reference::fragments(&app, &db).unwrap()
     }
 
+    fn record_roundtrip(fragments: &[Fragment]) -> Vec<Fragment> {
+        let mut buf = Vec::new();
+        write_fragment_list(&mut buf, fragments).unwrap();
+        let mut reader = buf.as_slice();
+        let back = read_fragment_list(&mut reader).unwrap();
+        assert!(
+            reader.is_empty(),
+            "the list reads exactly the bytes it wrote"
+        );
+        back
+    }
+
     #[test]
     fn roundtrip_preserves_fragments() {
         let fragments = fooddb_fragments();
-        let mut buf = Vec::new();
-        write_fragments(&mut buf, &fragments).unwrap();
-        let back = read_fragments(buf.as_slice()).unwrap();
-        assert_eq!(back, fragments);
+        assert_eq!(record_roundtrip(&fragments), fragments);
     }
 
     #[test]
     fn loaded_engine_equals_built_engine() {
         let app = fooddb::search_application().unwrap();
         let fragments = fooddb_fragments();
-        let mut buf = Vec::new();
-        write_fragments(&mut buf, &fragments).unwrap();
-        let loaded = read_fragments(buf.as_slice()).unwrap();
-        let a = DashEngine::from_fragments(
-            app.clone(),
-            &fragments,
-            dash_mapreduce::WorkflowStats::new(),
-        )
-        .unwrap();
-        let b =
-            DashEngine::from_fragments(app, &loaded, dash_mapreduce::WorkflowStats::new()).unwrap();
+        let built = ShardedEngine::builder(app.clone())
+            .shards(2)
+            .source(IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
+        let mut image = Vec::new();
+        built.write_image(&mut image).unwrap();
+        let loaded = ShardedEngine::builder(app.clone())
+            .source(IngestSource::Image(&image))
+            .build()
+            .unwrap();
+        let single =
+            DashEngine::from_fragments(app, &fragments, dash_mapreduce::WorkflowStats::new())
+                .unwrap();
         for kw in ["burger", "fries", "coffee"] {
             let req = SearchRequest::new(&[kw]).k(5).min_size(20);
-            assert_eq!(a.search(&req), b.search(&req));
+            assert_eq!(loaded.search(&req), single.search(&req), "{kw}");
         }
     }
 
@@ -881,49 +781,43 @@ mod tests {
             occ,
             7,
         );
-        let mut buf = Vec::new();
-        write_fragments(&mut buf, std::slice::from_ref(&fragment)).unwrap();
-        let back = read_fragments(buf.as_slice()).unwrap();
-        assert_eq!(back, vec![fragment]);
+        let fragments = vec![fragment];
+        assert_eq!(record_roundtrip(&fragments), fragments);
     }
 
     #[test]
     fn corrupt_inputs_rejected() {
-        // Wrong magic.
-        assert!(read_fragments(&b"NOTDASH0rest"[..]).is_err());
         // Truncated stream.
         let fragments = fooddb_fragments();
         let mut buf = Vec::new();
-        write_fragments(&mut buf, &fragments).unwrap();
-        let err = read_fragments(&buf[..buf.len() / 2]).unwrap_err();
+        write_fragment_list(&mut buf, &fragments).unwrap();
+        let err = read_fragment_list(&mut &buf[..buf.len() / 2]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         // Unknown tag.
         let mut bad = Vec::new();
-        bad.extend_from_slice(MAGIC);
         bad.extend_from_slice(&1u64.to_le_bytes()); // one fragment
         bad.extend_from_slice(&1u64.to_le_bytes()); // arity 1
         bad.push(99); // bogus value tag
-        assert!(read_fragments(bad.as_slice()).is_err());
+        let err = read_fragment_list(&mut bad.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn magic_errors_distinguish_kind_and_version() {
-        // An unsupported *version* of the right kind names the version.
-        let mut future = Vec::new();
-        future.extend_from_slice(b"DASHFRG9");
-        let err = read_fragments(future.as_slice()).unwrap_err();
+        // An unsupported *version* of the image names the version.
+        let err = read_image(b"DASHIMG9").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("version"), "{err}");
-        // Another Dash dump kind is named as such...
-        let fragments = fooddb_fragments();
-        let mut sharded = Vec::new();
-        write_sharded_fragments(&mut sharded, std::slice::from_ref(&fragments)).unwrap();
-        let err = read_fragments(sharded.as_slice()).unwrap_err();
+        // A retired fragment dump is named as another Dash kind...
+        let err = read_image(b"DASHFRG1").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string().contains("different Dash dump kind"),
             "{err}"
         );
         // ...and a foreign file is not mistaken for either.
-        let err = read_fragments(&b"PNGJPEGX"[..]).unwrap_err();
+        let err = read_image(b"PNGJPEGX").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
@@ -931,40 +825,40 @@ mod tests {
     fn decode_errors_name_the_breaking_record() {
         let fragments = fooddb_fragments();
         let mut buf = Vec::new();
-        write_sharded_fragments(&mut buf, &[fragments.clone(), fragments]).unwrap();
-        // Tear the stream inside the second shard: the error must locate
-        // shard and fragment instead of surfacing as a bare codec error,
+        write_fragment_list(&mut buf, &fragments).unwrap();
+        // Tear the stream inside the last fragment: the error must
+        // locate the record instead of surfacing as a bare codec error,
         // while the EOF kind stays recognizable through the context.
-        let err = read_sharded_fragments(&buf[..buf.len() - 3]).unwrap_err();
+        let err = read_fragment_list(&mut &buf[..buf.len() - 3]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(err.to_string().contains("shard 1"), "{err}");
-        assert!(err.to_string().contains("fragment"), "{err}");
+        let last = fragments.len() - 1;
+        assert!(
+            err.to_string().contains(&format!("fragment {last}")),
+            "{err}"
+        );
     }
 
     #[test]
     fn empty_set_roundtrips() {
-        let mut buf = Vec::new();
-        write_fragments(&mut buf, &[]).unwrap();
-        assert!(read_fragments(buf.as_slice()).unwrap().is_empty());
+        assert!(record_roundtrip(&[]).is_empty());
     }
 
     #[test]
     fn sharded_dump_roundtrips_with_empty_shards() {
         let fragments = fooddb_fragments();
-        let shards = vec![
-            fragments[..2].to_vec(),
-            Vec::new(), // an empty shard survives the codec
-            fragments[2..].to_vec(),
-        ];
-        let mut buf = Vec::new();
-        write_sharded_fragments(&mut buf, &shards).unwrap();
-        let back = read_sharded_fragments(buf.as_slice()).unwrap();
-        assert_eq!(back, shards);
-        // A flat reader must reject a sharded dump, and vice versa.
-        assert!(read_fragments(buf.as_slice()).is_err());
-        let mut flat = Vec::new();
-        write_fragments(&mut flat, &fragments).unwrap();
-        assert!(read_sharded_fragments(flat.as_slice()).is_err());
+        let head = FragmentIndex::build(&fragments[..2], Some(1)).unwrap();
+        let empty = FragmentIndex::build(&[], Some(1)).unwrap();
+        let tail = FragmentIndex::build(&fragments[2..], Some(1)).unwrap();
+        let mut image = Vec::new();
+        write_image(&mut image, Some(1), &[&head, &empty, &tail]).unwrap();
+        // An empty shard survives the image, in position.
+        let (range, shards) = read_image(&image).unwrap();
+        assert_eq!(range, Some(1));
+        let sizes: Vec<usize> = shards.iter().map(|s| s.catalog.len()).collect();
+        assert_eq!(sizes, vec![2, 0, fragments.len() - 2]);
+        let mut again = Vec::new();
+        write_image(&mut again, Some(1), &shards.iter().collect::<Vec<_>>()).unwrap();
+        assert_eq!(again, image);
     }
 
     #[test]
@@ -1043,9 +937,6 @@ mod tests {
         let mut padded = buf.clone();
         padded.push(0);
         assert!(read_image(&padded).is_err());
-        // The v1 readers reject an image and vice versa.
-        assert!(read_fragments(buf.as_slice()).is_err());
-        assert!(read_image(b"DASHFRG1").is_err());
     }
 
     #[test]

@@ -362,38 +362,14 @@ impl ShardedEngine {
         Self::assemble(app, indexes, range_position, crawl_stats)
     }
 
-    /// Rebuilds a sharded engine from per-shard fragment lists — the
-    /// load half of per-shard persistence
-    /// ([`ShardedEngine::dump_shards`] is the dump half) and the engine
-    /// half of [`IngestSource::ShardDumps`](crate::ingest::IngestSource):
-    /// the partition is taken exactly as given, **not** re-derived, so a
-    /// maintained engine round-trips with its (drifted) shard balance
-    /// intact. Returns [`CoreError::Internal`] when the given shards are
-    /// not contiguous, disjoint runs of group-key order (e.g. a
-    /// corrupted or hand-edited dump).
-    pub(crate) fn from_shard_fragments_impl(
-        app: WebApplication,
-        shard_fragments: &[Vec<Fragment>],
-        crawl_stats: WorkflowStats,
-    ) -> Result<Self> {
-        validate_query(&app)?;
-        let range_position = app.query.range_selection_index();
-        let built: Vec<Result<FragmentIndex>> =
-            par::map(shard_fragments.iter().collect(), |frags: &Vec<Fragment>| {
-                FragmentIndex::build(frags, range_position)
-            });
-        let mut indexes = Vec::with_capacity(built.len());
-        for index in built {
-            indexes.push(index?);
-        }
-        Self::assemble(app, indexes, range_position, crawl_stats)
-    }
-
-    /// [`ShardedEngine::from_shard_fragments_impl`] over borrowed
-    /// fragments — the zero-copy engine half of
+    /// Builds a sharded engine from per-shard reference runs — the
+    /// zero-copy engine half of
     /// [`IngestSource::Distributed`](crate::ingest::IngestSource): a
     /// mapreduce shard build hands over reference runs into the
-    /// caller's corpus, and nothing is cloned until interning.
+    /// caller's corpus, and nothing is cloned until interning. The
+    /// partition is taken exactly as given, **not** re-derived; returns
+    /// [`CoreError::Internal`] when the given shards are not
+    /// contiguous, disjoint runs of group-key order.
     pub(crate) fn from_shard_refs_impl(
         app: WebApplication,
         shard_refs: &[Vec<&Fragment>],
@@ -414,7 +390,7 @@ impl ShardedEngine {
 
     /// Wires built per-shard indexes into an engine: global group-rank
     /// offsets, the static routing table, scratch pools and the worker
-    /// pool. An empty index list (e.g. a hand-made empty dump) is
+    /// pool. An empty index list (e.g. an empty batch iterator) is
     /// clamped to one empty shard, mirroring `shards.max(1)` on the
     /// build path — a zero-shard engine could answer nothing.
     ///
@@ -944,12 +920,11 @@ impl ShardedEngine {
     }
 
     /// Dumps every shard's live fragments, per shard, in group-rank +
-    /// range order — the exact partition, ready for
-    /// [`persist::write_sharded_fragments`] and
-    /// [`IngestSource::ShardDumps`](crate::ingest::IngestSource). A maintained engine
-    /// round-trips without re-partitioning (shard balance drifts with
-    /// maintenance; re-partitioning would shuffle groups between
-    /// shards).
+    /// range order — the exact partition, materialized: what a test
+    /// oracle rebuilds from, or
+    /// [`IngestSource::Batches`](crate::ingest::IngestSource) re-indexes
+    /// shard for shard. Persisting an engine is
+    /// [`ShardedEngine::write_image`]'s job, not this one's.
     pub fn dump_shards(&self) -> Vec<Vec<Fragment>> {
         self.shards
             .iter()
@@ -974,7 +949,7 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Serializes the engine as a v2 **arena image** (see
+    /// Serializes the engine as an **arena image** (see
     /// [`crate::persist`] for the layout): every shard's catalog,
     /// posting arenas, list refs and graph columns as fixed-width
     /// little-endian arrays with per-section checksums. The image
@@ -992,7 +967,7 @@ impl ShardedEngine {
         persist::write_image(writer, self.app.query.range_selection_index(), &indexes)
     }
 
-    /// Reconstructs an engine from a v2 arena image
+    /// Reconstructs an engine from an arena image
     /// ([`ShardedEngine::write_image`] is the dump half) **without
     /// re-running an index build**: columns are bulk-read straight into
     /// the arenas and only the derived lookup maps are re-computed, one
@@ -1034,7 +1009,9 @@ impl ShardedEngine {
     /// shard's fragments plus the built indexes, never the whole
     /// corpus. The partition is taken exactly as given (batches must be
     /// contiguous, disjoint runs of group-key order, like
-    /// [`ShardedEngine::from_shard_fragments_impl`]).
+    /// [`ShardedEngine::from_shard_refs_impl`]'s runs) — the path that
+    /// rebuilds an engine from its own [`ShardedEngine::dump_shards`]
+    /// without re-partitioning.
     pub(crate) fn from_batches_impl<I>(
         app: WebApplication,
         batches: I,
@@ -1397,12 +1374,14 @@ mod tests {
 
     #[test]
     fn empty_dump_loads_as_one_empty_shard() {
-        // A hand-made empty dump must not produce a zero-shard engine
+        // An empty batch iterator must not produce a zero-shard engine
         // (which could answer nothing); it clamps to one empty shard
         // that searches cleanly and accepts deltas.
         let (app, _) = fooddb_parts();
         let mut engine = ShardedEngine::builder(app)
-            .source(crate::ingest::IngestSource::ShardDumps(&[]))
+            .source(crate::ingest::IngestSource::Batches(Box::new(
+                std::iter::empty(),
+            )))
             .build()
             .unwrap();
         assert_eq!(engine.shard_count(), 1);
@@ -1483,26 +1462,6 @@ mod tests {
             .source(crate::ingest::IngestSource::Image(&torn))
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn shard_batches_match_shard_fragments() {
-        let (app, db) = fooddb_parts();
-        let engine = built(&app, &db, 2).unwrap();
-        let shards = engine.dump_shards();
-        let batched = ShardedEngine::builder(app.clone())
-            .source(crate::ingest::IngestSource::Batches(Box::new(
-                shards.clone().into_iter(),
-            )))
-            .build()
-            .unwrap();
-        let listed = ShardedEngine::builder(app)
-            .source(crate::ingest::IngestSource::ShardDumps(&shards))
-            .build()
-            .unwrap();
-        assert_eq!(batched.shard_sizes(), listed.shard_sizes());
-        let req = SearchRequest::new(&["burger"]).k(10).min_size(1);
-        assert_eq!(batched.search(&req), listed.search(&req));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! primary streams to its replicas and what an update client POSTs to
 //! a server, so they get a first-class binary codec here, sharing the
 //! length-prefixed record/value encoding of [`persist`](crate::persist)
-//! (same `u64`/string/`Value` primitives, so a sharded dump and a
-//! delta stream interleave on one socket without codec switching).
+//! (the same `u64`/string/`Value` primitives the arena image's
+//! identifier columns use, so one codec covers every byte a node
+//! ships).
 //!
 //! The format is self-contained and versioned by construction — every
 //! list is length-prefixed, every value tagged — and **canonical**:

@@ -44,8 +44,8 @@
 //!   with a HELLO carrying its last applied epoch: if that epoch is
 //!   still on the primary's bounded delta log it catches up from a
 //!   RESUME + backlog tail (no snapshot transfer); only a fresh or
-//!   hopelessly stale replica bootstraps from `dump_shards` bytes (no
-//!   re-partitioning, no re-crawl). Epochs are cluster-wide: a replica
+//!   hopelessly stale replica bootstraps from the arena image a
+//!   SNAPSHOT frame carries (no re-partitioning, no re-build). Epochs are cluster-wide: a replica
 //!   publishes each replicated delta at the *primary's* epoch number,
 //!   so [`Replica::promote`] turns it into a primary that continues
 //!   the same sequence — retargeted peers resume via the promoted

@@ -9,7 +9,7 @@
 //!   [`FaultPlan`] (retried by the runner, charged by the cost model)
 //!   must not change a single output byte;
 //! * **driver death** — a workflow killed between jobs must resume
-//!   from its spilled intermediates (partition plan, per-shard dumps)
+//!   from its spilled intermediates (partition plan, per-shard indices)
 //!   and finish with the same bytes a never-killed run produces, while
 //!   stale spill artifacts (different corpus or shard count) are
 //!   ignored rather than trusted.
@@ -293,7 +293,7 @@ fn killed_workflow_resumes_from_spilled_plan_byte_identically() {
         .unwrap();
     assert_eq!(image_of(&built), reference);
 
-    // Run 3: the finished dumps skip both jobs outright.
+    // Run 3: the spilled shard indices skip both jobs outright.
     let output = distributed_build(&app, &fragments, &resume).expect("warm resume");
     assert!(output.report.resumed_dumps);
     assert_eq!(output.report.jobs_run, 0);
@@ -363,7 +363,7 @@ fn empty_corpus_round_trips_through_the_workflow() {
     assert!(built
         .search(&SearchRequest::new(&["anything"]).k(3).min_size(1))
         .is_empty());
-    // And the spilled (empty) dumps resume cleanly.
+    // And the spilled (empty) shard indices resume cleanly.
     let output = distributed_build(&app, &[], &config).expect("empty resume");
     assert!(output.report.resumed_dumps);
 }

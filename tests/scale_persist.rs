@@ -13,25 +13,35 @@
 //! Corpora come from the synthetic generator the scale benchmarks use
 //! (`dash_bench::scale::ScaleCorpus`, TPC-H Q2 shape), so this tier
 //! exercises the exact dump/load path `benches/scale.rs` times and the
-//! replication SNAPSHOT frame ships.
+//! replication SNAPSHOT frame ships; the golden test adds a real crawl
+//! of the micro TPC-H Q2 database, so real identifiers and keyword
+//! distributions round-trip too.
 
 use proptest::prelude::*;
 
+use dash::core::crawl::reference;
 use dash::core::{DashEngine, IngestSource, SearchRequest, ShardedEngine};
 use dash::mapreduce::WorkflowStats;
+use dash::relation::Database;
 use dash::webapp::WebApplication;
 use dash_bench::scale::ScaleCorpus;
 use dash_tpch::{generate, Scale, TpchConfig};
 
 /// The application shape `ScaleCorpus` fragments mimic: TPC-H Q2
-/// (equality group = custkey, range = quantity). Analysis wants the
-/// schema, not the rows, so the database is a throwaway micro one.
-fn q2_app() -> WebApplication {
+/// (equality group = custkey, range = quantity), with the micro
+/// database it was analyzed against — analysis wants the schema, the
+/// golden test also crawls the rows.
+fn q2_parts() -> (WebApplication, Database) {
     let mut config = TpchConfig::new(Scale::Custom(1));
     config.base_customers = 50;
     config.base_parts = 65;
     let db = generate(&config);
-    dash_tpch::q2_application(&db).expect("Q2 analyzes")
+    let app = dash_tpch::q2_application(&db).expect("Q2 analyzes");
+    (app, db)
+}
+
+fn q2_app() -> WebApplication {
+    q2_parts().0
 }
 
 fn corpus(fragments: usize, groups: usize, seed: u64) -> ScaleCorpus {
@@ -76,9 +86,52 @@ fn build_sharded(app: &WebApplication, corpus: &ScaleCorpus, shards: usize) -> S
         .expect("corpus builds")
 }
 
+/// Dumps `original` as an image and loads it back: both engines must
+/// answer every request exactly like `fresh`, and the loaded engine
+/// must re-dump to the same bytes. Returns whether any request hit.
+fn assert_lossless(
+    app: &WebApplication,
+    original: &ShardedEngine,
+    fresh: &DashEngine,
+    requests: &[SearchRequest],
+    context: &str,
+) -> bool {
+    let mut image = Vec::new();
+    original.write_image(&mut image).expect("image dumps");
+    let loaded = ShardedEngine::builder(app.clone())
+        .source(IngestSource::Image(&image))
+        .build()
+        .expect("image loads");
+    assert_eq!(loaded.fragment_count(), original.fragment_count());
+    assert_eq!(loaded.shard_sizes(), original.shard_sizes());
+    let mut any_hits = false;
+    for request in requests {
+        let expected = fresh.search(request);
+        any_hits |= !expected.is_empty();
+        assert_eq!(
+            original.search(request),
+            expected,
+            "{context} dumped engine {:?}",
+            request.keywords
+        );
+        assert_eq!(
+            loaded.search(request),
+            expected,
+            "{context} loaded engine {:?}",
+            request.keywords
+        );
+    }
+    // The image is a fixed point: re-dumping the loaded engine
+    // reproduces it byte for byte.
+    let mut redump = Vec::new();
+    loaded.write_image(&mut redump).expect("re-dump");
+    assert_eq!(redump, image, "{context} image must be byte-stable");
+    any_hits
+}
+
 #[test]
 fn golden_roundtrip_is_byte_identical_and_restable() {
-    let app = q2_app();
+    let (app, db) = q2_parts();
     let corpus = corpus(400, 8, 0xD1CE);
     let fragments: Vec<_> = corpus.shard_batches(1).flatten().collect();
     let fresh =
@@ -87,37 +140,54 @@ fn golden_roundtrip_is_byte_identical_and_restable() {
     let mut any_hits = false;
     for shards in [1usize, 4] {
         let original = build_sharded(&app, &corpus, shards);
-        let mut image = Vec::new();
-        original.write_image(&mut image).expect("image dumps");
-        let loaded = ShardedEngine::builder(app.clone())
-            .source(IngestSource::Image(&image))
-            .build()
-            .expect("image loads");
-        assert_eq!(loaded.fragment_count(), corpus.fragments);
-        assert_eq!(loaded.shard_sizes(), original.shard_sizes());
-        for request in &requests {
-            let expected = fresh.search(request);
-            any_hits |= !expected.is_empty();
-            assert_eq!(
-                original.search(request),
-                expected,
-                "shards={shards} dumped engine {:?}",
-                request.keywords
-            );
-            assert_eq!(
-                loaded.search(request),
-                expected,
-                "shards={shards} loaded engine {:?}",
-                request.keywords
-            );
-        }
-        // The image is a fixed point: re-dumping the loaded engine
-        // reproduces it byte for byte.
-        let mut redump = Vec::new();
-        loaded.write_image(&mut redump).expect("re-dump");
-        assert_eq!(redump, image, "shards={shards} image must be byte-stable");
+        assert_eq!(original.fragment_count(), corpus.fragments);
+        any_hits |= assert_lossless(
+            &app,
+            &original,
+            &fresh,
+            &requests,
+            &format!("synthetic shards={shards}"),
+        );
     }
     assert!(any_hits, "battery must exercise non-empty results");
+
+    // The real crawl, probed at its hottest, median and coldest words
+    // across size thresholds, plus its two hottest words together.
+    let crawl = reference::fragments(&app, &db).expect("crawl");
+    assert!(!crawl.is_empty());
+    let fresh =
+        DashEngine::from_fragments(app.clone(), &crawl, WorkflowStats::new()).expect("fresh");
+    let ranked = fresh.index().inverted.keywords_by_df();
+    let mut requests = Vec::new();
+    for idx in [0, ranked.len() / 2, ranked.len() - 1] {
+        for s in [1u64, 100, 1000] {
+            requests.push(SearchRequest::new(&[ranked[idx].0]).k(10).min_size(s));
+        }
+    }
+    requests.push(
+        SearchRequest::new(&[ranked[0].0, ranked[1].0])
+            .k(10)
+            .min_size(1),
+    );
+    let mut any_hits = false;
+    for shards in [1usize, 4] {
+        let original = ShardedEngine::builder(app.clone())
+            .shards(shards)
+            .source(IngestSource::Fragments(&crawl))
+            .build()
+            .expect("crawl builds");
+        any_hits |= assert_lossless(
+            &app,
+            &original,
+            &fresh,
+            &requests,
+            &format!("crawl shards={shards}"),
+        );
+    }
+    assert!(
+        any_hits,
+        "the crawl battery must exercise non-empty results"
+    );
 }
 
 #[test]

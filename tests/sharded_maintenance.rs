@@ -16,8 +16,8 @@
 //! * property tests — random initial datasets and random
 //!   insert/replace/remove delta sequences, applied identically to all
 //!   shard counts and compared against a from-scratch rebuild;
-//! * round-trip composition — maintenance after a per-shard dump/load
-//!   (see `tests/persist_roundtrip.rs` for the dump itself).
+//! * round-trip composition — maintenance after an arena-image
+//!   dump/load (see `tests/scale_persist.rs` for the image itself).
 
 use std::collections::BTreeMap;
 
@@ -300,9 +300,9 @@ fn golden_budget_move_and_churn_match_rebuild() {
 
 #[test]
 fn maintenance_composes_with_per_shard_roundtrip() {
-    // Mutate → dump per shard → reload (no re-partitioning) → mutate
-    // again: the reloaded engine keeps accepting deltas and stays
-    // byte-identical to a rebuild.
+    // Mutate → dump the arena image → reload (no re-partitioning) →
+    // mutate again: the reloaded engine keeps accepting deltas and
+    // stays byte-identical to a rebuild.
     let mut db = fooddb::database();
     let app = fooddb::search_application().unwrap();
     let mut engine = ShardedEngine::builder(app.clone())
@@ -321,9 +321,10 @@ fn maintenance_composes_with_per_shard_roundtrip() {
         .unwrap();
     engine.apply_insert(&db, "restaurant", &r).unwrap();
 
-    let dumped = engine.dump_shards();
+    let mut image = Vec::new();
+    engine.write_image(&mut image).unwrap();
     let mut reloaded = ShardedEngine::builder(app.clone())
-        .source(IngestSource::ShardDumps(&dumped))
+        .source(IngestSource::Image(&image))
         .build()
         .unwrap();
     assert_eq!(reloaded.shard_sizes(), engine.shard_sizes());
