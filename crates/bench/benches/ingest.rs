@@ -64,11 +64,7 @@ fn bench_ingest(c: &mut Criterion) {
         assert_eq!(engine.fragment_count(), corpus.fragments);
         want_sizes = engine.shard_sizes();
     }
-    c.record_measurement(
-        "ingest/direct-build",
-        direct_ns,
-        corpus.fragments as f64 / (direct_ns / 1e9),
-    );
+    c.record_measurement("ingest/direct-build", &[direct_ns], corpus.fragments as f64);
 
     // The two-job mapreduce workflow, fault-free: partition plan +
     // shard build + driver assembly, no spilling.
@@ -87,11 +83,7 @@ fn bench_ingest(c: &mut Criterion) {
         mr_ns = begin.elapsed().as_nanos() as f64;
         assert_eq!(engine.shard_sizes(), want_sizes);
     }
-    c.record_measurement(
-        "ingest/mapreduce-build",
-        mr_ns,
-        corpus.fragments as f64 / (mr_ns / 1e9),
-    );
+    c.record_measurement("ingest/mapreduce-build", &[mr_ns], corpus.fragments as f64);
 
     // The same workflow under injected faults: one map attempt and one
     // reduce attempt fail in every job and are retried — the row
@@ -119,8 +111,8 @@ fn bench_ingest(c: &mut Criterion) {
     }
     c.record_measurement(
         "ingest/mapreduce-faulty",
-        faulty_ns,
-        corpus.fragments as f64 / (faulty_ns / 1e9),
+        &[faulty_ns],
+        corpus.fragments as f64,
     );
     println!(
         "fault-retry overhead: {:.1}ms faulty vs {:.1}ms clean ({:.2}x, {} task attempts)",
@@ -159,8 +151,8 @@ fn bench_ingest(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&spill);
     c.record_measurement(
         "ingest/resume-restart",
-        resume_ns,
-        corpus.fragments as f64 / (resume_ns / 1e9),
+        &[resume_ns],
+        corpus.fragments as f64,
     );
     println!(
         "build paths: direct {:.1}ms, mapreduce {:.1}ms ({:.2}x), resume {:.1}ms",

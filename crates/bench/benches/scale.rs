@@ -1,15 +1,16 @@
 //! The `scale` suite: the million-fragment numbers ROADMAP item 3
 //! asked for, measured over the synthetic Zipf corpus
-//! (`dash_bench::scale`). Every headline row is a single-shot
-//! `record_measurement` — a million-fragment build is seconds, not
-//! something an `iter()` loop can sample — with `p50_ns` carrying the
-//! measured wall time (or latency percentile, for search rows) and
-//! `peak_rss_bytes` the process high-water mark when the row landed:
+//! (`dash_bench::scale`). Every row is a `record_measurement` — a
+//! million-fragment build is seconds, not something an `iter()` loop
+//! can sample. `scale/search` records one sample per request (1 000,
+//! or 200 in fast mode) and carries its `p99_ns`; every other row is a
+//! single-shot wall time (`samples: 1`). `peak_rss_bytes` is the
+//! process high-water mark when the row landed:
 //!
 //! | Row | Measures |
 //! |---|---|
 //! | `scale/build` | streamed generate + 4-shard index build, end to end |
-//! | `scale/search-p50`, `scale/search-p99` | top-k latency over Zipf-skewed keyword traffic |
+//! | `scale/search` | top-k latency over Zipf-skewed keyword traffic, p50 and p99 |
 //! | `scale/arena-load` | the builder's `IngestSource::Image` — the zero-parse bulk-read path |
 //! | `scale/full-rebuild` | partition + 4-shard index build from in-memory fragments (`IngestSource::Fragments`) — what a bootstrap costs without the image |
 //! | `scale/delta-signature` | the same delta's invalidation signature (`delta_signature`: the touched group's vocabulary walk), taken before it is applied |
@@ -36,7 +37,6 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::scale::{env_fragments, ScaleCorpus};
 use dash_core::{IndexDelta, IngestSource, SearchRequest, ShardedEngine};
-use dash_serve::loadgen::percentile;
 use dash_tpch::{generate, Scale, TpchConfig};
 use rand::distr::Zipf;
 use rand::rngs::StdRng;
@@ -76,31 +76,23 @@ fn bench_scale(c: &mut Criterion) {
         .expect("scale corpus builds");
     let build_ns = begin.elapsed().as_nanos() as f64;
     assert_eq!(engine.fragment_count(), corpus.fragments);
-    c.record_measurement(
-        "scale/build",
-        build_ns,
-        corpus.fragments as f64 / (build_ns / 1e9),
-    );
+    c.record_measurement("scale/build", &[build_ns], corpus.fragments as f64);
 
     // Search latency over traffic drawn from the SAME Zipf the corpus
     // was built with (hot terms dominate queries like they dominate
     // postings).
     let requests = skewed_requests(&corpus, if fast { 200 } else { 1_000 });
-    let mut latencies: Vec<u64> = requests
+    let latencies: Vec<f64> = requests
         .iter()
         .map(|request| {
             let begin = Instant::now();
             let hits = criterion::black_box(engine.search(request));
-            let spent = begin.elapsed().as_nanos() as u64;
+            let spent = begin.elapsed().as_nanos() as f64;
             assert!(hits.len() <= request.k);
             spent
         })
         .collect();
-    latencies.sort_unstable();
-    let p50 = percentile(&latencies, 50) as f64;
-    let p99 = percentile(&latencies, 99) as f64;
-    c.record_measurement("scale/search-p50", p50, 1e9 / p50.max(1.0));
-    c.record_measurement("scale/search-p99", p99, 1e9 / p99.max(1.0));
+    c.record_measurement("scale/search", &latencies, 1.0);
 
     // Arena-image load vs rebuild from fragments: the replica-bootstrap
     // comparison. Same engine, everything already in memory — the only
@@ -125,11 +117,7 @@ fn bench_scale(c: &mut Criterion) {
     }
     println!("arena image: {} bytes", image.len());
     drop(image);
-    c.record_measurement(
-        "scale/arena-load",
-        arena_ns,
-        corpus.fragments as f64 / (arena_ns / 1e9),
-    );
+    c.record_measurement("scale/arena-load", &[arena_ns], corpus.fragments as f64);
 
     let fragments: Vec<_> = engine.dump_shards().into_iter().flatten().collect();
     let mut rebuild_ns = 0.0;
@@ -145,11 +133,7 @@ fn bench_scale(c: &mut Criterion) {
         drop(rebuilt);
     }
     drop(fragments);
-    c.record_measurement(
-        "scale/full-rebuild",
-        rebuild_ns,
-        corpus.fragments as f64 / (rebuild_ns / 1e9),
-    );
+    c.record_measurement("scale/full-rebuild", &[rebuild_ns], corpus.fragments as f64);
     println!(
         "load paths: arena {:.1}ms vs full-rebuild {:.1}ms ({:.1}x)",
         arena_ns / 1e6,
@@ -181,18 +165,14 @@ fn bench_scale(c: &mut Criterion) {
     assert_eq!(signature.groups.len(), 1);
     c.record_measurement(
         "scale/delta-signature",
-        signature_ns,
-        signature.keywords.len() as f64 / (signature_ns / 1e9),
+        &[signature_ns],
+        signature.keywords.len() as f64,
     );
     let begin = Instant::now();
     let stats = engine.apply_delta(delta);
     let delta_ns = begin.elapsed().as_nanos() as f64;
     assert_eq!(stats.added, churn);
-    c.record_measurement(
-        "scale/delta-apply",
-        delta_ns,
-        churn as f64 / (delta_ns / 1e9),
-    );
+    c.record_measurement("scale/delta-apply", &[delta_ns], churn as f64);
     println!(
         "maintenance: signature {:.2}ms ({} keywords) + delta {:.2}ms vs full rebuild {:.1}ms ({:.0}x)",
         signature_ns / 1e6,

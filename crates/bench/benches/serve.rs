@@ -1,25 +1,24 @@
-//! The `serve` suite: closed-loop serving performance of
-//! `dash-serve::DashServer` — p50/p99 end-to-end search latency and
-//! sustained qps under mixed search/update traffic, at 1 and 4 shards,
-//! plus the micro-costs of the serving path (cache hit, batched miss).
+//! The `serve` suite: the micro-costs of `dash-serve::DashServer`'s
+//! search path on a 1-shard server, each an `iter()` row:
 //!
-//! Unlike the other suites, the headline rows are *not* `iter()`
-//! loops: the closed-loop load generator measures every request
-//! end-to-end (cache → caller-led micro-batch → snapshot search)
-//! and reports its own percentiles, recorded into `BENCH_serve.json`
-//! via `record_measurement` — `p50_ns` carries the stated latency
-//! percentile (for `*-qps` rows, the implied per-request time) and
-//! `ops_per_sec` the implied/sustained rate. CI's load smoke
-//! regenerates this file every run and fails if qps reads zero, or if
-//! a lone uncached miss costs 2× a direct engine search or more (the
-//! serving path around a miss must stay a fraction of the search).
+//! | Row | Measures |
+//! |---|---|
+//! | `serve/path/cache-hit` | a repeat request answered from the result cache |
+//! | `serve/path/uncached-batched-miss` | a lone request through a cacheless server: it leads its own micro-batch |
+//! | `serve/path/engine-direct` | the same search straight on the snapshot's engine |
+//!
+//! End-to-end serving under mixed search/update traffic is
+//! `dashbench`'s job (`benchmark/`). CI's `serve` job regenerates this
+//! file and gates two ratios, which survive slow runners: a cache hit
+//! must cost under a quarter of a direct engine search, and a lone
+//! uncached miss under two (the serving path around a miss must stay a
+//! fraction of the search).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::{select_keywords, KeywordTemperature};
 use dash_core::crawl::reference;
 use dash_core::{DashEngine, SearchRequest};
 use dash_mapreduce::WorkflowStats;
-use dash_serve::loadgen::{self, LoadProfile};
 use dash_serve::{DashServer, ServeConfig};
 use dash_tpch::{generate, Scale, TpchConfig};
 
@@ -35,53 +34,6 @@ fn bench_serve(c: &mut Criterion) {
     let single =
         DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).expect("builds");
 
-    // Traffic mix: hot/warm/cold keywords, fragments churned by the
-    // update stream drawn from the crawl itself.
-    let mut vocab: Vec<String> = Vec::new();
-    for temperature in KeywordTemperature::all() {
-        vocab.extend(select_keywords(&single, temperature, 8, 11));
-    }
-    let update_pool: Vec<_> = fragments.iter().take(32).cloned().collect();
-    let fast = std::env::var_os("DASH_BENCH_FAST").is_some();
-    let profile = LoadProfile {
-        clients: 4,
-        ops_per_client: if fast { 200 } else { 800 },
-        update_every: 20,
-        seed: 11,
-        ..LoadProfile::default()
-    };
-
-    for shards in [1usize, 4] {
-        let server = DashServer::from_fragments(
-            app.clone(),
-            &fragments,
-            ServeConfig::default().shards(shards),
-        )
-        .expect("server builds");
-        let report = loadgen::run(&server, &vocab, &update_pool, &profile);
-        println!(
-            "serve/s{shards} closed-loop run: {}\n{}",
-            report.summary(),
-            report.stage_table
-        );
-        c.record_measurement(
-            &format!("serve/s{shards}/mixed-p50"),
-            report.p50_ns as f64,
-            1e9 / (report.p50_ns as f64).max(1.0),
-        );
-        c.record_measurement(
-            &format!("serve/s{shards}/mixed-p99"),
-            report.p99_ns as f64,
-            1e9 / (report.p99_ns as f64).max(1.0),
-        );
-        c.record_measurement(
-            &format!("serve/s{shards}/mixed-qps"),
-            1e9 / report.qps.max(1e-9),
-            report.qps,
-        );
-    }
-
-    // Micro-costs of the serving path itself, on the 1-shard server.
     let server = DashServer::from_fragments(app.clone(), &fragments, ServeConfig::default())
         .expect("server builds");
     let hot = select_keywords(&single, KeywordTemperature::Hot, 1, 7)

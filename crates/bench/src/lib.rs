@@ -20,7 +20,8 @@
 //! `benches/`.
 //!
 //! Every `cargo bench` run also writes a machine-readable
-//! `BENCH_<suite>.json` (per-benchmark p50 ns/iter and ops/s) into
+//! `BENCH_<suite>.json` (per-benchmark p50 ns/iter, ops/s, the sample
+//! count behind the p50 and, for per-request samples, the p99) into
 //! `DASH_BENCH_DIR` (default: the working directory), so successive PRs
 //! can track the build/search perf trajectory; set `DASH_BENCH_FAST=1`
 //! for a quick smoke pass.

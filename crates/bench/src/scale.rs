@@ -9,7 +9,8 @@
 //! fragment counts into the millions, configurable equality-group
 //! count (and thereby size), Zipf-distributed keyword popularity and
 //! term frequencies (natural-language-shaped skew, the same
-//! [`rand::distr::Zipf`] sampler `loadgen` draws query keywords from).
+//! [`rand::distr::Zipf`] sampler the `scale` bench draws query
+//! keywords from).
 //!
 //! **Streaming**: fragments are produced group by group —
 //! [`ScaleCorpus::shard_batches`] yields one shard's worth at a time,
@@ -47,7 +48,7 @@ pub struct ScaleCorpus {
     pub groups: usize,
     /// Keyword vocabulary size. Words are ranked hot-first: rank 0 is
     /// the most popular term ([`ScaleCorpus::vocab`] returns them in
-    /// that order, ready for a skewed `loadgen` profile).
+    /// that order, ready for skewed query traffic).
     pub vocab: usize,
     /// Zipf exponent of keyword popularity (which terms a fragment
     /// mentions).
@@ -102,8 +103,8 @@ impl ScaleCorpus {
     }
 
     /// The vocabulary, hot-first: `word(0)` is the most popular term.
-    /// Feed this (with a matching `keyword_skew`) to a `loadgen`
-    /// profile and query traffic draws from the same skewed
+    /// Draw query keywords from it by a [`rand::distr::Zipf`] with the
+    /// matching `keyword_skew` and traffic follows the same skewed
     /// distribution the corpus was built with.
     pub fn vocab(&self) -> Vec<String> {
         (0..self.vocab).map(word).collect()

@@ -67,12 +67,9 @@
 //!   retried for every request; exchange-phase failures only for
 //!   idempotent reads (a write that may have been applied is never
 //!   silently resent).
-//! * **Socket client + load harness** ([`client`], [`loadgen`]) — a
-//!   persistent-connection [`NetClient`] decoding responses back into
-//!   the engine's own structs bit-exactly, and a closed-loop load
-//!   generator driving the serve-layer scripts over real connections
-//!   (the `net` bench suite records it to `BENCH_net.json`, including
-//!   the `net/failover` recovery axis).
+//! * **Socket client** ([`client`]) — a persistent-connection
+//!   [`NetClient`] decoding responses back into the engine's own
+//!   structs bit-exactly.
 //!
 //! ## Front-end architecture
 //!
@@ -105,10 +102,9 @@
 //! ([`DashServer::cached_rendered`], [`DashServer::search_rendered`])
 //! and swept by each publication's [`DeltaSignature`] inside `publish`,
 //! making a hot hit one lookup plus one `write(2)` on the loop thread.
-//! The
-//! `net/concurrency` bench axis records latency against 100/1k/10k
-//! open connections; `net/path/http-cache-hit` prices the cached
-//! round-trip.
+//! The `net/concurrency` bench axis records cache-hit latency against
+//! 100/1k/10k open connections; `dashbench`'s `hot-fit` workload
+//! prices the cached round-trip end to end (`net.http_hit_us_p50`).
 //!
 //! The acceptance bar is the same as every layer below:
 //! `tests/net_equivalence.rs` proves that hit lists served over HTTP —
@@ -193,7 +189,6 @@ pub mod event;
 pub mod forward;
 pub mod http;
 pub mod json;
-pub mod loadgen;
 mod obs;
 pub mod repl;
 pub mod router;
@@ -203,7 +198,6 @@ pub use backoff::{Backoff, BackoffConfig};
 pub use client::NetClient;
 pub use event::NetCounters;
 pub use forward::Upstream;
-pub use loadgen::NetLoadReport;
 pub use repl::{ReplFaults, Replica, ReplicaConfig, ReplicationHub};
 pub use router::{Router, RouterConfig};
 pub use server::{Backend, NetChange, NetConfig, NetServer, UpdateAck, UpdateBody};

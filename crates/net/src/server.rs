@@ -108,7 +108,7 @@ pub enum UpdateBody {
     /// ([`DashServer::apply_changes`]).
     Changes(Vec<NetChange>),
     /// A prebuilt delta published as-is ([`DashServer::publish`]) —
-    /// the path synthetic update traffic (loadgen) uses.
+    /// the path [`NetClient::publish`](crate::NetClient::publish) takes.
     Publish(IndexDelta),
 }
 

@@ -1,7 +1,6 @@
 //! Reading the exposition format back: a minimal parser for the text
-//! this crate renders, and the per-stage latency table the load
-//! generators print after each run — so a bench log records *where*
-//! the p99 lives, not just that it exists.
+//! this crate renders, so a test can check a live `/metrics` scrape
+//! series by series.
 
 /// One summary-typed series parsed back from exposition text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,37 +88,6 @@ pub fn parse_summaries(text: &str) -> Vec<SummarySeries> {
     series
 }
 
-/// Renders the duration summaries (`*_ns` series with samples) as an
-/// aligned per-stage latency table, slowest p99 first — what the load
-/// generators print after a closed-loop run.
-pub fn stage_table(series: &[SummarySeries]) -> String {
-    let mut rows: Vec<&SummarySeries> = series
-        .iter()
-        .filter(|s| s.name.ends_with("_ns") && s.count > 0)
-        .collect();
-    if rows.is_empty() {
-        return String::from("(no stage latency series recorded)\n");
-    }
-    rows.sort_by(|a, b| b.p99.cmp(&a.p99).then_with(|| a.name.cmp(&b.name)));
-    let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
-    let mut out = format!(
-        "{:<36} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-        "stage", "count", "p50 µs", "p90 µs", "p99 µs", "p999 µs"
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:<36} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-            row.name,
-            row.count,
-            us(row.p50),
-            us(row.p90),
-            us(row.p99),
-            us(row.p999),
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,41 +108,5 @@ mod tests {
         assert_eq!(s.count, 4);
         assert_eq!(s.sum, 4600);
         assert!(s.p50 > 0 && s.p999 >= s.p99 && s.p99 >= s.p50);
-    }
-
-    #[test]
-    fn table_sorts_by_p99_and_skips_empty_series() {
-        let rows = vec![
-            SummarySeries {
-                name: "dash_a_ns".into(),
-                p50: 10,
-                p90: 20,
-                p99: 30,
-                p999: 40,
-                count: 5,
-                sum: 100,
-            },
-            SummarySeries {
-                name: "dash_b_ns".into(),
-                p50: 100,
-                p90: 200,
-                p99: 300,
-                p999: 400,
-                count: 5,
-                sum: 1000,
-            },
-            SummarySeries {
-                name: "dash_empty_ns".into(),
-                p50: 0,
-                p90: 0,
-                p99: 0,
-                p999: 0,
-                count: 0,
-                sum: 0,
-            },
-        ];
-        let table = stage_table(&rows);
-        assert!(table.find("dash_b_ns").unwrap() < table.find("dash_a_ns").unwrap());
-        assert!(!table.contains("dash_empty_ns"));
     }
 }

@@ -21,7 +21,7 @@
 //!   `obs` bench suite; measured tens of ns).
 //! * **Exposition** ([`render_merged`], [`expo`]): byte-stable
 //!   Prometheus text rendering (histograms as summaries), plus a
-//!   parser and the per-stage latency table the load generators print.
+//!   parser that reads it back.
 //!
 //! Naming convention across the stack: `dash_<layer>_<name>` with
 //! `_total` (counters), `_ns` (duration histograms; the wire carries

@@ -7,7 +7,7 @@
 //! the dependency graph — the servlet-side serving layer the core
 //! engines were built for.
 //!
-//! [`DashServer`] composes four mechanisms, each in its own module:
+//! [`DashServer`] composes three mechanisms, each in its own module:
 //!
 //! * **Epoch snapshots** ([`snapshot`]) — the engine lives behind an
 //!   `Arc` snapshot handle; readers grab the current snapshot and
@@ -31,9 +31,6 @@
 //!   pre-delta vocabulary of the equality groups it touches)
 //!   intersected with each entry's request keywords — never a
 //!   wholesale flush, and no per-entry bookkeeping on the read path.
-//! * **Closed-loop load generation** ([`loadgen`]) — a deterministic
-//!   mixed search/update traffic harness reporting p50/p99 latency and
-//!   qps (the `serve` bench suite and CI's load smoke drive it).
 //!
 //! The whole stack is **exact**: `tests/serve_equivalence.rs` proves
 //! that served hit lists — cached, batched, and across any
@@ -68,7 +65,6 @@
 
 pub mod batch;
 pub mod cache;
-pub mod loadgen;
 pub mod snapshot;
 
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -86,7 +82,6 @@ use dash_webapp::WebApplication;
 use parking_lot::Mutex;
 
 pub use cache::CacheStats;
-pub use loadgen::{LoadOp, LoadProfile, LoadReport};
 pub use snapshot::EngineSnapshot;
 
 use cache::Cache;

@@ -8,6 +8,12 @@
 //! machine-readable `BENCH_<suite>.json` (p50 ns/iter + ops/s per
 //! benchmark) so successive PRs can track the perf trajectory — set
 //! `DASH_BENCH_DIR` to choose where, defaulting to the working directory.
+//!
+//! Every row says what it measured: `samples` is the number of samples
+//! behind its `p50_ns` — batch means for `iter()` rows, one per
+//! operation for rows recorded from per-operation latencies, 1 for a
+//! single-shot timing — and a row recorded from more than one
+//! per-operation sample also carries its `p99_ns`.
 
 use std::hint::black_box as hint_black_box;
 use std::time::{Duration, Instant};
@@ -36,9 +42,14 @@ pub struct Measurement {
     pub name: String,
     /// Median nanoseconds per iteration.
     pub p50_ns: f64,
+    /// Nearest-rank 99th percentile, on rows recorded from more than
+    /// one per-operation sample ([`Criterion::record_measurement`]).
+    /// `None` for single-shot rows and for `iter()` rows, whose samples
+    /// are batch means rather than operations.
+    pub p99_ns: Option<f64>,
     /// Iterations per second implied by the median.
     pub ops_per_sec: f64,
-    /// Samples taken.
+    /// Samples behind `p50_ns`.
     pub samples: usize,
     /// The process's peak resident set size when the measurement was
     /// recorded, in bytes (`VmHWM` from `/proc/self/status` on Linux,
@@ -176,7 +187,8 @@ impl Bencher<'_> {
         self.result = Some(Measurement {
             name: self.name.clone(),
             p50_ns,
-            ops_per_sec: if p50_ns > 0.0 { 1e9 / p50_ns } else { 0.0 },
+            p99_ns: None,
+            ops_per_sec: rate(1.0, p50_ns),
             samples,
             peak_rss_bytes: peak_rss_bytes(),
         });
@@ -201,13 +213,7 @@ impl Criterion {
         };
         f(&mut bencher);
         if let Some(m) = bencher.result {
-            println!(
-                "{:<48} time: [{}]  ({:.0} ops/s)",
-                m.name,
-                format_ns(m.p50_ns),
-                m.ops_per_sec
-            );
-            self.measurements.push(m);
+            self.push(m);
         }
         self
     }
@@ -226,28 +232,55 @@ impl Criterion {
         &self.measurements
     }
 
-    /// Records an externally measured value under the standard report
-    /// schema (printed and written to the JSON like any benchmark).
-    /// Suites whose harness produces its own statistics — e.g. a
-    /// closed-loop load generator reporting p99 latency and sustained
-    /// qps, which no `iter()` loop can express — use this to land
-    /// their rows in the same `BENCH_<suite>.json` trajectory.
-    pub fn record_measurement(&mut self, name: &str, p50_ns: f64, ops_per_sec: f64) -> &mut Self {
-        let m = Measurement {
+    /// Records externally timed samples under the standard report
+    /// schema (printed and written to the JSON like any benchmark), for
+    /// what no `iter()` loop can express: a seconds-long build timed
+    /// once, or per-request latencies taken around some other state.
+    ///
+    /// `samples_ns` holds one wall time per sample, in any order; the
+    /// row's `p50_ns` is their nearest-rank median, `samples` their
+    /// count, and with more than one sample the row also carries
+    /// `p99_ns`. `ops_per_sample` is the work one sample covers (1 for
+    /// a request, the fragment count for a build), so `ops_per_sec`
+    /// reads as the rate at the median.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples_ns` is empty.
+    pub fn record_measurement(
+        &mut self,
+        name: &str,
+        samples_ns: &[f64],
+        ops_per_sample: f64,
+    ) -> &mut Self {
+        assert!(!samples_ns.is_empty(), "{name}: no samples to record");
+        let mut sorted = samples_ns.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let p50_ns = percentile(&sorted, 50);
+        self.push(Measurement {
             name: name.to_string(),
             p50_ns,
-            ops_per_sec,
-            samples: 1,
+            p99_ns: (sorted.len() > 1).then(|| percentile(&sorted, 99)),
+            ops_per_sec: rate(ops_per_sample, p50_ns),
+            samples: sorted.len(),
             peak_rss_bytes: peak_rss_bytes(),
-        };
+        });
+        self
+    }
+
+    fn push(&mut self, m: Measurement) {
+        let p99 = m
+            .p99_ns
+            .map(|ns| format!("  p99 [{}]", format_ns(ns)))
+            .unwrap_or_default();
         println!(
-            "{:<48} time: [{}]  ({:.0} ops/s)",
+            "{:<48} time: [{}]{p99}  ({:.0} ops/s, {} samples)",
             m.name,
             format_ns(m.p50_ns),
-            m.ops_per_sec
+            m.ops_per_sec,
+            m.samples
         );
         self.measurements.push(m);
-        self
     }
 
     /// Writes `BENCH_<suite>.json` into `DASH_BENCH_DIR` (default: cwd).
@@ -262,9 +295,13 @@ impl Criterion {
             if i > 0 {
                 json.push_str(",\n");
             }
+            let p99 = m
+                .p99_ns
+                .map(|ns| format!(", \"p99_ns\": {ns:.1}"))
+                .unwrap_or_default();
             json.push_str(&format!(
-                "  {{\"name\": \"{}\", \"p50_ns\": {:.1}, \"ops_per_sec\": {:.1}, \"samples\": {}, \
-                 \"peak_rss_bytes\": {}}}",
+                "  {{\"name\": \"{}\", \"p50_ns\": {:.1}{p99}, \"ops_per_sec\": {:.1}, \
+                 \"samples\": {}, \"peak_rss_bytes\": {}}}",
                 m.name.replace('"', "'"),
                 m.p50_ns,
                 m.ops_per_sec,
@@ -312,6 +349,25 @@ impl BenchmarkGroup<'_> {
 
     /// Ends the group (bookkeeping only).
     pub fn finish(self) {}
+}
+
+/// The `q`-th percentile of an ascending-sorted sample (nearest-rank).
+fn percentile<T: Copy + Default>(sorted: &[T], q: u32) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = (sorted.len() - 1) * q as usize / 100;
+    sorted[rank]
+}
+
+/// Operations per second when one sample of `ops` operations takes
+/// `ns` nanoseconds (0 for a zero-length sample).
+fn rate(ops: f64, ns: f64) -> f64 {
+    if ns > 0.0 {
+        ops * 1e9 / ns
+    } else {
+        0.0
+    }
 }
 
 fn format_ns(ns: f64) -> String {
@@ -387,7 +443,7 @@ mod tests {
         }
         std::env::set_var("DASH_BENCH_FAST", "1");
         let mut c = Criterion::default();
-        c.record_measurement("row", 100.0, 1e7);
+        c.record_measurement("row", &[100.0], 1.0);
         // The mark is monotone; concurrent tests may grow it between
         // the two reads, so assert ordering, not equality.
         assert!(c.measurements()[0].peak_rss_bytes <= peak_rss_bytes());
@@ -402,5 +458,40 @@ mod tests {
         g.bench_function("x", |b| b.iter(|| black_box(2u64 * 2)));
         g.finish();
         assert_eq!(c.measurements()[0].name, "grp/x");
+    }
+
+    #[test]
+    fn recorded_rows_report_their_sample_count_and_p99() {
+        let dir = std::env::temp_dir().join(format!("criterion-schema-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        std::env::set_var("DASH_BENCH_DIR", &dir);
+        let mut c = Criterion::default();
+        let latencies: Vec<f64> = (1..=200).rev().map(f64::from).collect();
+        c.record_measurement("suite/sampled", &latencies, 1.0);
+        c.record_measurement("suite/single-shot", &[4e6], 1000.0);
+        c.write_report("schema_test");
+        let json = std::fs::read_to_string(dir.join("BENCH_schema_test.json")).expect("report");
+        std::fs::remove_dir_all(&dir).expect("clean up");
+        let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"name\"")).collect();
+        assert_eq!(rows.len(), 2, "{json}");
+        assert!(rows[0].contains("\"samples\": 200,"), "{}", rows[0]);
+        assert!(rows[0].contains("\"p50_ns\": 100.0,"), "{}", rows[0]);
+        assert!(rows[0].contains("\"p99_ns\": 198.0,"), "{}", rows[0]);
+        assert!(rows[1].contains("\"samples\": 1,"), "{}", rows[1]);
+        assert!(!rows[1].contains("p99_ns"), "{}", rows[1]);
+        assert!(
+            rows[1].contains("\"ops_per_sec\": 250000.0,"),
+            "{}",
+            rows[1]
+        );
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let sample: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&sample, 50), 50);
+        assert_eq!(percentile(&sample, 99), 99);
+        assert_eq!(percentile(&sample, 0), 1);
+        assert_eq!(percentile::<u64>(&[], 50), 0);
     }
 }

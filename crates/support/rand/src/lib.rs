@@ -89,9 +89,9 @@ pub mod distr {
     /// probability proportional to `1 / (i + 1)^s`. This is the
     /// workspace's one model of skewed popularity — the scale-corpus
     /// generator draws keyword and term-frequency ranks from it, and
-    /// `loadgen` draws query keywords from the *same* distribution so
-    /// benchmark traffic hits the corpus the way it was built (hot
-    /// terms dominate both).
+    /// the `scale` bench draws query keywords from the *same*
+    /// distribution so its traffic hits the corpus the way it was
+    /// built (hot terms dominate both).
     ///
     /// Sampling is inverse-CDF over a precomputed cumulative table:
     /// O(n) memory once, O(log n) per draw, exact for any `s ≥ 0`

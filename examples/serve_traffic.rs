@@ -1,33 +1,29 @@
-//! Closed-loop serving traffic: concurrent clients hammer a
-//! [`DashServer`] with mixed search/update load while the snapshot
-//! handle keeps searches lock-free across delta publications.
+//! Serving traffic: a [`DashServer`] answers searches through its
+//! result cache and micro-batcher while a delta publication swaps the
+//! engine snapshot underneath — searches never wait for maintenance.
 //!
 //! ```text
 //! cargo run --release --example serve_traffic
 //! DASH_SHARDS=4 cargo run --release --example serve_traffic
-//! DASH_BENCH_FAST=1 cargo run --release --example serve_traffic   # CI smoke sizing
-//! cargo run --release --example serve_traffic -- --net           # same traffic over sockets
+//! cargo run --release --example serve_traffic -- --net   # also over a socket
 //! ```
 //!
-//! With `--net` the identical scripted traffic additionally runs over
-//! real TCP connections — a `NetServer` on an ephemeral port, one
-//! `NetClient` per closed-loop client — demoing parity between
-//! in-process and socket serving (the reports print side by side and
-//! a probe request is asserted byte-identical on both paths).
+//! The demo opens a server over the paper's running example, runs a
+//! few searches (a repeat is answered from the cache), publishes one
+//! delta (a crawled fragment re-added with a bumped keyword count),
+//! prints the serving counters, and closes the loop the paper
+//! promises: a suggested URL, fed back through the web application,
+//! regenerates a real db-page holding the keyword.
 //!
-//! The demo opens a server over the paper's running example, replays a
-//! deterministic load profile (searches from every client, deltas from
-//! client 0), prints the latency/throughput report plus the serving
-//! counters, and closes the loop the paper promises: a suggested URL,
-//! fed back through the web application, regenerates a real db-page
-//! holding the keyword.
+//! With `--net` the server also goes behind a `NetServer` on an
+//! ephemeral port, and one `NetClient` request is asserted
+//! byte-identical to the same request served in-process.
 
 use std::net::TcpListener;
 use std::sync::Arc;
 
 use dash::core::crawl::reference;
 use dash::prelude::*;
-use dash::serve::loadgen::{self, LoadProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let over_sockets = std::env::args().any(|arg| arg == "--net");
@@ -41,39 +37,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.epoch(),
     );
 
-    // Mixed traffic: the fooddb vocabulary for searches, the crawled
-    // fragments as the update-churn pool (client 0 republishes them
-    // with bumped counts or briefly removes them).
-    let vocab: Vec<String> = ["burger", "fries", "coffee", "thai", "nice", "experts"]
-        .iter()
-        .map(|w| w.to_string())
-        .collect();
-    let update_pool = reference::fragments(&app, &db)?;
-    let fast = std::env::var_os("DASH_BENCH_FAST").is_some();
-    let profile = LoadProfile {
-        clients: 4,
-        ops_per_client: if fast { 150 } else { 600 },
-        update_every: 25,
-        ..LoadProfile::default()
-    };
-    let report = loadgen::run(&server, &vocab, &update_pool, &profile);
-    println!("\nload: {}", report.summary());
-    let stats = report.stats;
+    // A few searches; the repeated `burger` request is a cache hit.
+    for words in [&["burger"][..], &["coffee"], &["burger"], &["thai", "nice"]] {
+        let hits = server.search(&SearchRequest::new(words).k(3).min_size(20));
+        println!("search {words:?}: {} hit(s)", hits.len());
+    }
+
+    // One publication: a crawled fragment re-added with a bumped
+    // keyword count. The snapshot swap invalidates exactly the cache
+    // entries whose keywords the delta touches.
+    let mut fragment = reference::fragments(&app, &db)?.swap_remove(0);
+    if let Some(count) = fragment.keyword_occurrences.values_mut().next() {
+        *count += 1;
+    }
+    server.publish(IndexDelta::new(vec![fragment.id.clone()], vec![fragment]));
+    let stats = server.stats();
     println!(
-        "serve: {} batches for {} batched requests ({:.2}x batching), {} deltas published, \
+        "\nserve: epoch {}, {} searches, cache {}/{} hit, {} batches, {} delta(s) published, \
          {} cache entries invalidated",
+        server.epoch(),
+        stats.searches,
+        stats.cache.hits,
+        stats.cache.hits + stats.cache.misses,
         stats.batches,
-        stats.batched_requests,
-        stats.batched_requests as f64 / stats.batches.max(1) as f64,
         stats.published,
         stats.cache.invalidated,
     );
 
-    // --net: the same scripted traffic once more, over real sockets —
-    // an HTTP front-end on an ephemeral port, one persistent
-    // connection per client — and a parity probe between the
-    // in-process and socket paths.
-    if over_sockets {
+    // --net: the same server behind an HTTP front-end, and a parity
+    // probe between the socket and in-process paths.
+    let probe = SearchRequest::new(&["burger"]).k(2).min_size(20);
+    let hits = if over_sockets {
         let server = Arc::new(server);
         let net = NetServer::serve_primary(
             Arc::clone(&server),
@@ -82,41 +76,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             NetConfig::default(),
         )?;
         println!("\nnet: serving http://{}", net.addr());
-        let report = dash::net::loadgen::run(net.addr(), &vocab, &update_pool, &profile);
-        println!("net load: {}", report.summary());
-
-        let probe = SearchRequest::new(&["burger"]).k(2).min_size(20);
-        let mut client = NetClient::connect(net.addr())?;
-        let socket_hits = client.search(&probe)?;
+        let socket_hits = NetClient::connect(net.addr())?.search(&probe)?;
         let direct_hits = server.search(&probe);
         println!(
             "parity probe: socket and in-process hit lists identical: {}",
             socket_hits == direct_hits,
         );
         assert_eq!(socket_hits, direct_hits, "socket serving must be invisible");
-
-        // Close the loop through the web application with the
-        // socket-served URL.
-        let Some(top) = socket_hits.first() else {
-            println!("no burger page survived the churn — nothing to regenerate");
-            return Ok(());
-        };
-        let qs = QueryString::parse(&top.query_string)?;
-        let page = app.execute(&db, &qs)?;
-        println!(
-            "suggested {} regenerates a {}-keyword db-page (contains \"burger\": {})",
-            top.url,
-            page.keywords().len(),
-            page.keywords().iter().any(|w| w == "burger"),
-        );
-        return Ok(());
-    }
+        socket_hits
+    } else {
+        server.search(&probe)
+    };
 
     // Close the loop through the web application: a served URL must
     // regenerate a page containing the keyword.
-    let hits = server.search(&SearchRequest::new(&["burger"]).k(1).min_size(20));
     let Some(top) = hits.first() else {
-        println!("\nno burger page survived the churn — nothing to regenerate");
+        println!("\nno burger page served — nothing to regenerate");
         return Ok(());
     };
     let qs = QueryString::parse(&top.query_string)?;
