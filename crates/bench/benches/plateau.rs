@@ -1,14 +1,15 @@
 //! The tie-plateau suite: corpora whose inverted lists carry large
 //! runs of *identical* TF·IDF seed scores.
 //!
-//! PR 2 made the top-k seeding loop draw through score ties (`<=`
-//! bound) — the property that makes the pop order schedule-independent
-//! and the sharded trace merge exact. The price is that a keyword whose
-//! list is one giant equal-score plateau seeds the *whole* plateau
-//! before the first pop, where the old strict bound stopped after one
-//! entry. The paper's workloads (fooddb, TPC-H Q2) have almost no ties,
-//! so the earlier suites never priced that cost; this one does, on
-//! corpora built to be worst-case:
+//! The top-k seeding loop draws through score ties (`<=` bound) — the
+//! property that makes the pop order schedule-independent, and so lets
+//! one heap run over a sharded partition exactly. The price is that a
+//! keyword whose list is one giant equal-score plateau seeds the
+//! *whole* plateau before the first pop, where a strict bound would
+//! stop after one entry. The paper's workloads (fooddb, TPC-H Q2) have
+//! almost no ties, so the other suites never price that cost; this one
+//! does, on corpora built to be worst-case
+//! ([`dash_bench::plateau_corpus`]):
 //!
 //! * `flat/…` — every fragment has the plateau keyword at the same
 //!   occurrence count and the same total, so ALL seed scores are one
@@ -16,46 +17,16 @@
 //! * `half/…` — half the corpus ties, half varies (the realistic
 //!   "many reposts of the same boilerplate" shape).
 //!
-//! Singles and sharded engines both run: sharding splits a plateau
-//! across shards, so per-shard seeding shrinks while the merge still
-//! interleaves the tied pops deterministically.
-
-use std::collections::BTreeMap;
+//! Singles and sharded engines both run: sharding cuts every plateau at
+//! the shard boundaries, and the one heap seeds from all shards' list
+//! heads, so an `sN` row must stay within noise of `single` (CI gates
+//! `half2048/s4/k10-s1` under 2× `single`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dash_core::{DashEngine, Fragment, FragmentId, IngestSource, SearchRequest, ShardedEngine};
+use dash_bench::plateau_corpus;
+use dash_core::{DashEngine, Fragment, IngestSource, SearchRequest, ShardedEngine};
 use dash_mapreduce::WorkflowStats;
-use dash_relation::Value;
 use dash_webapp::fooddb;
-
-/// Groups × members-per-group fragments; every fragment carries the
-/// `"plateau"` keyword. `tied` fragments use identical (occurrences,
-/// total) pairs — one global score plateau — while the rest scale their
-/// occurrence counts, giving distinct TFs.
-fn corpus(groups: usize, per_group: usize, tied: usize) -> Vec<Fragment> {
-    let mut fragments = Vec::with_capacity(groups * per_group);
-    let mut n = 0usize;
-    for g in 0..groups {
-        for m in 0..per_group {
-            let mut occ: BTreeMap<String, u64> = BTreeMap::new();
-            if n < tied {
-                occ.insert("plateau".to_string(), 2);
-                occ.insert("filler".to_string(), 8);
-            } else {
-                // Varying TF: distinct occurrence/total ratios.
-                occ.insert("plateau".to_string(), 1 + (n % 7) as u64);
-                occ.insert("filler".to_string(), 5 + (n % 11) as u64);
-            }
-            fragments.push(Fragment::new(
-                FragmentId::new(vec![Value::str(format!("G{g:03}")), Value::Int(m as i64)]),
-                occ,
-                1,
-            ));
-            n += 1;
-        }
-    }
-    fragments
-}
 
 fn bench_corpus(c: &mut Criterion, label: &str, fragments: &[Fragment]) {
     let app = fooddb::search_application().expect("analyzes");
@@ -87,10 +58,10 @@ fn bench_corpus(c: &mut Criterion, label: &str, fragments: &[Fragment]) {
 
 fn bench_plateau(c: &mut Criterion) {
     // 64 groups × 32 fragments = 2048 postings, all one score.
-    let flat = corpus(64, 32, usize::MAX);
+    let flat = plateau_corpus(64, 32, usize::MAX);
     bench_corpus(c, "flat2048", &flat);
     // Same shape, half tied / half varying.
-    let half = corpus(64, 32, 1024);
+    let half = plateau_corpus(64, 32, 1024);
     bench_corpus(c, "half2048", &half);
 }
 

@@ -1,7 +1,10 @@
 //! Dataset and application construction shared by the experiment
 //! binaries and benches.
 
-use dash_relation::Database;
+use std::collections::BTreeMap;
+
+use dash_core::{Fragment, FragmentId};
+use dash_relation::{Database, Value};
 use dash_tpch::{generate, Scale, TpchConfig};
 use dash_webapp::WebApplication;
 
@@ -50,6 +53,37 @@ pub fn application_for(query: QueryId, db: &Database) -> WebApplication {
         QueryId::Q3 => dash_tpch::q3_application(db),
     };
     result.expect("bundled servlet analyzes cleanly")
+}
+
+/// A tie-plateau corpus: `groups × per_group` fragments keyed
+/// `(G<group>, member)` (the fooddb application's page shape), each
+/// carrying the `"plateau"` keyword. The first `tied` fragments use
+/// one (occurrences, total) pair — one bit-identical seed score across
+/// groups — while the rest scale their occurrence counts, giving
+/// distinct TFs. `tied = usize::MAX` ties the whole corpus.
+pub fn plateau_corpus(groups: usize, per_group: usize, tied: usize) -> Vec<Fragment> {
+    let mut fragments = Vec::with_capacity(groups * per_group);
+    let mut n = 0usize;
+    for g in 0..groups {
+        for m in 0..per_group {
+            let mut occ: BTreeMap<String, u64> = BTreeMap::new();
+            if n < tied {
+                occ.insert("plateau".to_string(), 2);
+                occ.insert("filler".to_string(), 8);
+            } else {
+                // Varying TF: distinct occurrence/total ratios.
+                occ.insert("plateau".to_string(), 1 + (n % 7) as u64);
+                occ.insert("filler".to_string(), 5 + (n % 11) as u64);
+            }
+            fragments.push(Fragment::new(
+                FragmentId::new(vec![Value::str(format!("G{g:03}")), Value::Int(m as i64)]),
+                occ,
+                1,
+            ));
+            n += 1;
+        }
+    }
+    fragments
 }
 
 /// Parses a scale name from a CLI argument.

@@ -33,5 +33,5 @@ pub mod params;
 pub mod report;
 pub mod scale;
 
-pub use datasets::{application_for, dataset, QueryId};
+pub use datasets::{application_for, dataset, plateau_corpus, QueryId};
 pub use keywords::{select_keywords, KeywordTemperature};

@@ -9,7 +9,7 @@ use crate::crawl::{self, CrawlAlgorithm};
 use crate::error::CoreError;
 use crate::fragment::Fragment;
 use crate::index::FragmentIndex;
-use crate::search::{top_k, SearchHit, SearchRequest};
+use crate::search::{request_idf, top_k, top_k_in, SearchHit, SearchRequest, SearchScratch};
 use crate::Result;
 
 /// The common serving surface of Dash engines: one application, top-k
@@ -131,21 +131,13 @@ impl DashEngine {
     /// Results are position-aligned with `requests`; each equals the
     /// corresponding [`DashEngine::search`] call.
     pub fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
-        let mut scratch = crate::search::SearchScratch::new();
+        let shards = [(&self.index, 0)];
+        let mut scratch = SearchScratch::new();
         requests
             .iter()
             .map(|request| {
-                let idf = crate::search::topk::request_idf(&self.index, request);
-                crate::search::topk::top_k_in(
-                    &self.app,
-                    &self.index,
-                    request,
-                    &idf,
-                    request.k,
-                    0,
-                    false,
-                    &mut scratch,
-                )
+                let idf = request_idf(&shards, request);
+                top_k_in(&self.app, &shards, request, &idf, &mut scratch)
             })
             .collect()
     }

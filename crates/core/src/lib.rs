@@ -46,17 +46,16 @@
 //! Index construction parallelizes across equality groups and inverted
 //! lists (scoped threads).
 //!
-//! ## Sharded, concurrent search on a persistent worker pool
+//! ## Sharded search: one heap over the partition
 //!
 //! [`sharded::ShardedEngine`] partitions the equality groups into `N`
 //! contiguous runs of key-rank order (zero-copy: shard parts borrow
 //! the crawl output), builds each shard a self-contained
-//! [`FragmentIndex`], and serves search by running the heap loop per
-//! shard and merging the recorded pop traces in exact global heap
-//! order. Every shard owns a long-lived, channel-fed worker thread
-//! with its own pooled scratch; the calling thread executes the first
-//! shard inline, so single-shard (and single-core) searches never
-//! touch a channel. Results are **byte-identical** to
+//! [`FragmentIndex`], and serves search by running the heap loop once
+//! over the whole partition: one priority queue seeded from every
+//! shard's list cursors, ties broken on global group ranks. A group
+//! never spans two shards, so this is the single engine's loop over a
+//! partitioned index, pop for pop. Results are **byte-identical** to
 //! [`DashEngine::search`] for any shard count — proven by the
 //! `sharded_equivalence` test tier — and both engines offer a batched
 //! `search_many` that reuses scratch across requests. `DASH_SHARDS`
@@ -86,7 +85,7 @@
 //! affected groups' columns. [`DashEngine`] applies deltas to its one
 //! index; [`sharded::ShardedEngine`] routes each entry
 //! to the shard owning its equality group (a static key-range table)
-//! and applies sub-deltas on the worker pool, refreshing global group
+//! and applies the sub-deltas shard by shard, refreshing global group
 //! ranks and IDF incrementally — per-shard work only, no rebuild, with
 //! post-update searches byte-identical to a freshly built single
 //! engine (the `sharded_maintenance` test tier). The arena image

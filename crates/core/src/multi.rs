@@ -15,8 +15,7 @@
 //! application: [`MultiDash::build`] federates single-index
 //! [`DashEngine`]s, [`MultiDash::build_sharded`] federates
 //! [`crate::sharded::ShardedEngine`]s — multi-application
-//! scoping composes with sharding (and with the shard worker pools
-//! underneath) without the merge layer knowing.
+//! scoping composes with sharding without the merge layer knowing.
 
 use std::collections::{BTreeMap, HashMap};
 

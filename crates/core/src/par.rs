@@ -10,11 +10,9 @@
 use std::sync::{Mutex, OnceLock};
 
 /// The machine's parallelism, probed once — `available_parallelism`
-/// costs a syscall (and cgroup reads), far too much to pay on every
-/// sub-millisecond search. The sharded worker pool consults this too:
-/// on a single-core host, fanning a search out to worker threads only
-/// buys context switches, so the caller runs every shard inline.
-pub(crate) fn parallelism() -> usize {
+/// costs a syscall (and cgroup reads), too much to pay on every call
+/// of a helper that may find its work list too small to split.
+fn parallelism() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
         std::thread::available_parallelism()
@@ -61,7 +59,7 @@ where
 /// Maps `f` over every item on worker threads, preserving input order.
 /// Uses `min(parallelism, items)` workers like [`for_each`], but with
 /// no small-list cutoff — intended for coarse work units (a shard's
-/// whole search pass) where even two items warrant two threads, not
+/// whole index build) where even two items warrant two threads, not
 /// per-posting slices.
 pub(crate) fn map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
 where

@@ -3,7 +3,7 @@
 pub mod topk;
 
 pub use topk::top_k;
-pub(crate) use topk::{PopEvent, PopTrace, SearchScratch};
+pub(crate) use topk::{request_idf, top_k_in, SearchScratch, ShardView};
 
 use crate::fragment::FragmentId;
 

@@ -18,19 +18,20 @@
 //!
 //! ## Schedule independence and sharding
 //!
-//! Seeding is lazy (threshold-algorithm style), but it seeds **through
-//! score ties** (`head.score <= bound` keeps drawing): every popped
-//! candidate therefore *strictly* dominates every not-yet-seeded
-//! fragment, which makes the pop sequence independent of the seeding
-//! schedule — lazy and eager seeding produce identical pops. Since
-//! expansion, absorption and overlap suppression are all confined to
-//! one equality group, the pop sequence restricted to any set of groups
-//! equals the pop sequence of searching those groups alone. That is the
-//! theorem the sharded engine ([`crate::sharded`]) rests on: it records
-//! each shard's pop sequence as a `PopTrace` and replays the global
-//! heap order by greedily merging trace heads under the exact
-//! `Candidate` ordering (with shard-local group ids offset back to
-//! global ranks), yielding byte-identical results for any shard count.
+//! Seeding is lazy, but it seeds through score ties, so the pop
+//! sequence does not depend on the seeding schedule (the lemma is
+//! stated on `top_k_in`). That is what lets one heap run over a
+//! *partitioned* index. The sharded engine ([`crate::sharded`]) splits
+//! the equality groups into contiguous runs of key-rank order, each
+//! with its own [`FragmentIndex`]; the heap loop takes the whole
+//! partition as a slice of `(index, group offset)` views and seeds one
+//! heap from every shard's list cursors. A group never spans two
+//! shards, and expansion, absorption and overlap suppression never
+//! leave a group, so each candidate reads only its own shard.
+//! Candidates order by their *global* group rank (`offset + local
+//! rank`), so the tie-break is the single engine's, and the pop
+//! sequence — hence every hit, byte for byte — is the single engine's
+//! for any shard count.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -43,70 +44,23 @@ use crate::index::inverted::Posting;
 use crate::index::FragmentIndex;
 use crate::search::{SearchHit, SearchRequest};
 
-/// One pop of the top-k priority queue, keyed exactly like
-/// [`Candidate`] but with the group id translated to its *global* rank.
-/// A shard's sequence of pops is everything the merge stage needs to
-/// interleave shards in single-heap order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PopEvent {
-    /// Candidate score at pop time.
-    pub score: f64,
-    /// Interval width (`hi - lo`).
-    pub width: u32,
-    /// Global group rank (shard-local rank + shard offset).
-    pub group: u32,
-    /// Interval start within the group.
-    pub lo: u32,
-    /// Whether this pop appended a hit to the output.
-    pub emitted: bool,
-}
-
-impl PopEvent {
-    /// The heap-priority ordering of two pops. `Greater` means `self`
-    /// pops first.
-    pub(crate) fn heap_cmp(&self, other: &PopEvent) -> Ordering {
-        heap_order(
-            (self.score, self.width, self.group, self.lo),
-            (other.score, other.width, other.group, other.lo),
-        )
-    }
-}
-
-/// THE candidate priority order, shared by the in-heap [`Candidate`]
-/// comparison and the cross-shard [`PopEvent`] merge (one definition —
-/// the sharded merge is exact only while both agree bit for bit):
-/// higher score first; ties broken by narrower interval, then lower
-/// group rank, then lower interval start. `Greater` means `a` pops
-/// first.
-fn heap_order(a: (f64, u32, u32, u32), b: (f64, u32, u32, u32)) -> Ordering {
-    a.0.partial_cmp(&b.0)
-        .unwrap_or(Ordering::Equal)
-        .then_with(|| b.1.cmp(&a.1))
-        .then_with(|| b.2.cmp(&a.2))
-        .then_with(|| b.3.cmp(&a.3))
-}
-
-/// The recorded pop sequence of one search run.
-pub(crate) type PopTrace = Vec<PopEvent>;
+/// One shard of a searched partition: an index over a contiguous run of
+/// equality groups, and the global rank of its first group. A
+/// single-index search is the one view `(index, 0)`.
+pub(crate) type ShardView<'a> = (&'a FragmentIndex, u32);
 
 /// Reusable per-search allocations. One search clears and refills them;
 /// pooling a scratch across requests (as the sharded engine's
-/// `search_many` does) skips the pool/bitset/trace reallocation cost on
-/// every query after the first.
+/// `search_many` does) skips the pool/bitset reallocation cost on every
+/// query after the first.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
     /// Per-candidate keyword-occurrence rows, addressed by offset.
     occ_pool: Vec<u64>,
-    /// Seen-bits over the fragment handle space (seed dedup).
+    /// Seen-bits over the partition's fragment handles (seed dedup).
     seeded_bits: Vec<u64>,
-    /// The pop trace of the last run (empty unless recording).
-    pub(crate) trace: PopTrace,
-    /// Whether the last run stopped at its `k` limit (true) or drained
-    /// its queue (false). A truncated trace ends exactly at its last
-    /// emission — the pop that tripped the limit is never processed, so
-    /// it is not recorded; the sharded merge uses this to decide when a
-    /// shard must be re-run with a higher limit.
-    pub(crate) truncated: bool,
+    /// Candidates the last run popped off the heap, emitted or not.
+    pub(crate) pops: u64,
 }
 
 impl SearchScratch {
@@ -122,7 +76,9 @@ impl SearchScratch {
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     score: f64,
-    group: GroupId,
+    /// The group's global rank: the tie-break, the key of the absorption
+    /// and overlap sets, and (with the shard offsets) its shard.
+    rank: u32,
     lo: u32,
     hi: u32,
     occ_offset: u32,
@@ -141,14 +97,16 @@ impl PartialOrd for Candidate {
     }
 }
 impl Ord for Candidate {
+    /// Max-heap on score; ties broken by narrower interval, then lower
+    /// global group rank (group ranks order equality keys, so this
+    /// orders by key), then lower interval start.
     fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on score; ties resolved arbitrarily but
-        // deterministically (by interval width, then group rank — group
-        // ids rank equality keys, so this matches ordering by key).
-        heap_order(
-            (self.score, self.hi - self.lo, self.group.0, self.lo),
-            (other.score, other.hi - other.lo, other.group.0, other.lo),
-        )
+        self.score
+            .partial_cmp(&other.score)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| (other.hi - other.lo).cmp(&(self.hi - self.lo)))
+            .then_with(|| other.rank.cmp(&self.rank))
+            .then_with(|| other.lo.cmp(&self.lo))
     }
 }
 
@@ -160,72 +118,75 @@ pub fn top_k(
     index: &FragmentIndex,
     request: &SearchRequest,
 ) -> Vec<SearchHit> {
-    let idf = request_idf(index, request);
-    top_k_in(
-        app,
-        index,
-        request,
-        &idf,
-        request.k,
-        0,
-        false,
-        &mut SearchScratch::new(),
-    )
+    let shards = [(index, 0)];
+    let idf = request_idf(&shards, request);
+    top_k_in(app, &shards, request, &idf, &mut SearchScratch::new())
 }
 
-/// Per-request-keyword `IDF_w = 1 / |L_w|`, read from one index (the
-/// single-engine IDF source; the sharded engine supplies global IDF
-/// computed across shards instead).
-pub(crate) fn request_idf(index: &FragmentIndex, request: &SearchRequest) -> Vec<f64> {
+/// Per-request-keyword `IDF_w = 1 / |L_w|` over a whole partition:
+/// every fragment lives in exactly one shard, so the global fragment
+/// frequency is the sum of the shards' local ones.
+pub(crate) fn request_idf(shards: &[ShardView<'_>], request: &SearchRequest) -> Vec<f64> {
     request
         .keywords
         .iter()
         .map(|w| {
-            index
-                .inverted
-                .kw(w)
-                .map_or(0.0, |kw| index.inverted.idf_kw(kw))
+            let df: usize = shards.iter().map(|(index, _)| index.inverted.df(w)).sum();
+            if df == 0 {
+                0.0
+            } else {
+                1.0 / df as f64
+            }
         })
         .collect()
 }
 
-/// The full heap loop, parameterized for sharded execution: `idf` is
-/// supplied by the caller (a shard must score with *global* IDF, not
-/// its local fragment frequencies), `k_limit` caps emissions
-/// independently of `request.k` (shards first run with an optimistic
-/// share of the global `k`), `group_offset` translates this index's
-/// group ranks to global ranks in the recorded trace, and `record`
-/// controls whether `scratch.trace` captures the pop sequence. With
-/// `idf` computed from `index` itself, `k_limit = request.k`, offset 0
-/// and recording off, this is exactly [`top_k`].
+/// The heap loop over a partition: `shards` is every shard's view, in
+/// group-rank order, and `idf` is [`request_idf`] over the same views.
+/// With the one view `(index, 0)` this is exactly [`top_k`]. The pop
+/// count lands in `scratch.pops`.
 ///
-/// Because `k_limit` only appears in the stop condition, a limited
-/// run's pop trace is a *prefix* of the unlimited run's — the property
-/// the sharded engine's adaptive re-run logic relies on.
-#[allow(clippy::too_many_arguments)]
+/// **Schedule independence.** Seeding is lazy (threshold-algorithm
+/// style), but it seeds *through* score ties: it keeps drawing while
+/// `head.score <= bound`, where `bound` is any valid upper bound on the
+/// score of an unseeded fragment. Every popped candidate therefore
+/// *strictly* dominates every unseeded fragment, so each pop is the
+/// maximum of the queue an eager run (everything seeded up front) would
+/// hold at that point, and the pop sequence is the eager run's — for
+/// any seeding order and any valid bound.
+///
+/// That makes the loop the single engine's for any partition. Every
+/// list cursor walks one shard's TF-descending list, and `seed_one`
+/// draws the first strict maximum over all shards' list heads. The
+/// bound is the maximum over shards of each shard's per-keyword head
+/// sum — an unseeded fragment sits in one shard, at or behind each of
+/// that shard's cursors — which is never looser than the sum of
+/// per-keyword maxima a single index would read.
 pub(crate) fn top_k_in(
     app: &WebApplication,
-    index: &FragmentIndex,
+    shards: &[ShardView<'_>],
     request: &SearchRequest,
     idf: &[f64],
-    k_limit: usize,
-    group_offset: u32,
-    record: bool,
     scratch: &mut SearchScratch,
 ) -> Vec<SearchHit> {
-    scratch.trace.clear();
-    scratch.truncated = false;
-    if k_limit == 0 || request.keywords.is_empty() {
+    scratch.pops = 0;
+    if request.k == 0 || request.keywords.is_empty() {
         return Vec::new();
     }
+    let width = request.keywords.len();
 
-    // Resolve request keywords to interned handles once.
-    let kws: Vec<Option<Kw>> = request
-        .keywords
-        .iter()
-        .map(|w| index.inverted.kw(w))
-        .collect();
-    let width = kws.len();
+    // Resolve request keywords to interned handles once per shard. The
+    // per-keyword columns below are shard-major: entry `s * width + w`
+    // is keyword `w` in shard `s`. Each shard's fragment handles own a
+    // run of the seed bitset starting at its base.
+    let mut kws: Vec<Option<Kw>> = Vec::with_capacity(shards.len() * width);
+    let mut bases: Vec<usize> = Vec::with_capacity(shards.len());
+    let mut handles = 0usize;
+    for (index, _) in shards {
+        kws.extend(request.keywords.iter().map(|w| index.inverted.kw(w)));
+        bases.push(handles);
+        handles += index.catalog.len();
+    }
 
     // Lines 1–2: the relevant fragments F, seeded into the priority
     // queue *lazily*. The inverted lists are TF-sorted exactly so that
@@ -238,10 +199,11 @@ pub(crate) fn top_k_in(
     // hot-term searches sub-millisecond.
     let postings: Vec<&[Posting]> = kws
         .iter()
-        .map(|kw| kw.map_or(&[][..], |kw| index.inverted.postings_kw(kw)))
+        .enumerate()
+        .map(|(i, kw)| kw.map_or(&[][..], |kw| shards[i / width].0.inverted.postings_kw(kw)))
         .collect();
-    let mut cursors: Vec<usize> = vec![0; width];
-    let mut seeded = SeededSet::reuse(&mut scratch.seeded_bits, index.catalog.len());
+    let mut cursors: Vec<usize> = vec![0; postings.len()];
+    let mut seeded = SeededSet::reuse(&mut scratch.seeded_bits, handles);
     let mut queue: BinaryHeap<Candidate> = BinaryHeap::new();
     // Per-candidate keyword-occurrence rows, appended as candidates are
     // created and addressed by offset — candidates stay `Copy` and
@@ -250,25 +212,30 @@ pub(crate) fn top_k_in(
     let occ_pool: &mut Vec<u64> = &mut scratch.occ_pool;
     occ_pool.clear();
 
-    // Occurrences of one queried keyword in an arbitrary fragment (an
-    // expansion neighbor): a binary-search probe of the
-    // fragment-sorted arena.
-    let probe = |w: usize, frag: Frag| -> u64 {
-        kws[w].map_or(0, |kw| index.inverted.occurrences(kw, frag))
+    // Occurrences of one queried keyword in an arbitrary fragment of
+    // shard `s` (an expansion neighbor): a binary-search probe of the
+    // shard's fragment-sorted arena.
+    let probe = |s: usize, w: usize, frag: Frag| -> u64 {
+        kws[s * width + w].map_or(0, |kw| shards[s].0.inverted.occurrences(kw, frag))
     };
 
     // Upper bound on the initial score of any not-yet-seeded fragment:
-    // per keyword, its TF is at most the TF at the list cursor.
+    // per keyword, its TF is at most the TF at its shard's list cursor.
     let frontier_bound = |cursors: &[usize]| -> f64 {
-        postings
-            .iter()
-            .zip(cursors)
-            .zip(idf)
-            .map(|((list, &cur), &idf_w)| list.get(cur).map_or(0.0, |p| p.tf * idf_w))
-            .sum()
+        let mut bound = 0.0f64;
+        for s in 0..shards.len() {
+            let mut sum = 0.0;
+            for (w, &idf_w) in idf.iter().enumerate() {
+                let i = s * width + w;
+                sum += postings[i].get(cursors[i]).map_or(0.0, |p| p.tf * idf_w);
+            }
+            bound = bound.max(sum);
+        }
+        bound
     };
     // Draws the next seed from the list whose head posting scores
-    // highest. Returns false when every list is exhausted.
+    // highest, over every shard. Returns false when every list is
+    // exhausted.
     let seed_one = |cursors: &mut Vec<usize>,
                     seeded: &mut SeededSet,
                     queue: &mut BinaryHeap<Candidate>,
@@ -276,36 +243,40 @@ pub(crate) fn top_k_in(
      -> bool {
         loop {
             // First strict maximum: deterministic under score ties.
-            let mut best: Option<(usize, f64)> = None;
-            for (w, (list, &cur)) in postings.iter().zip(cursors.iter()).enumerate() {
-                if let Some(p) = list.get(cur) {
-                    let bound = p.tf * idf[w];
-                    if best.is_none_or(|(_, b)| bound > b) {
-                        best = Some((w, bound));
+            let mut best: Option<(usize, usize, f64)> = None;
+            for s in 0..shards.len() {
+                for (w, &idf_w) in idf.iter().enumerate() {
+                    let i = s * width + w;
+                    if let Some(p) = postings[i].get(cursors[i]) {
+                        let bound = p.tf * idf_w;
+                        if best.is_none_or(|(_, _, b)| bound > b) {
+                            best = Some((s, i, bound));
+                        }
                     }
                 }
             }
-            let Some((w, _)) = best else {
+            let Some((s, i, _)) = best else {
                 return false;
             };
-            let posting = postings[w][cursors[w]];
-            cursors[w] += 1;
-            if !seeded.insert(posting.frag) {
+            let posting = postings[i][cursors[i]];
+            cursors[i] += 1;
+            if !seeded.insert(bases[s] + posting.frag.index()) {
                 continue; // already seeded via another keyword's list
             }
+            let (index, group_offset) = shards[s];
             let Some(node) = index.graph.locate(posting.frag) else {
                 continue;
             };
             let occ_offset = (occ_pool.len() / width) as u32;
             for w in 0..width {
-                occ_pool.push(probe(w, posting.frag));
+                occ_pool.push(probe(s, w, posting.frag));
             }
             let total_keywords = index.catalog.total_keywords(posting.frag);
             let row = &occ_pool[occ_offset as usize * width..];
             let score = score_of(&row[..width], total_keywords, idf);
             queue.push(Candidate {
                 score,
-                group: node.group,
+                rank: group_offset + node.group.0,
                 lo: node.position,
                 hi: node.position,
                 occ_offset,
@@ -315,50 +286,38 @@ pub(crate) fn top_k_in(
         }
     };
 
-    // Fragments absorbed into an expansion: their queued singleton entry
-    // is dead (paper: "it is removed from Q").
-    let mut absorbed: HashSet<(GroupId, u32)> = HashSet::new();
-    // Output intervals per group, for overlap suppression.
-    let mut output_intervals: HashMap<GroupId, Vec<(u32, u32)>> = HashMap::new();
+    // Fragments absorbed into an expansion, by (global group rank,
+    // position): their queued singleton entry is dead (paper: "it is
+    // removed from Q").
+    let mut absorbed: HashSet<(u32, u32)> = HashSet::new();
+    // Output intervals per global group rank, for overlap suppression.
+    let mut output_intervals: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
     let mut output: Vec<SearchHit> = Vec::new();
+    let mut pops = 0u64;
+    let mut bound = frontier_bound(&cursors);
 
     // Lines 4–9.
-    loop {
+    while output.len() < request.k {
         // Top up the queue until its head *strictly* dominates every
         // unseeded fragment. Seeding through score ties (`<=`, not `<`)
         // is what makes the pop sequence independent of the seeding
-        // schedule — the property the sharded trace merge relies on.
-        while queue
-            .peek()
-            .is_none_or(|head| head.score <= frontier_bound(&cursors))
-        {
+        // schedule. The bound moves only when a cursor does.
+        while queue.peek().is_none_or(|head| head.score <= bound) {
             if !seed_one(&mut cursors, &mut seeded, &mut queue, &mut *occ_pool) {
                 break;
             }
+            bound = frontier_bound(&cursors);
         }
         let Some(candidate) = queue.pop() else {
             break;
         };
-        if output.len() >= k_limit {
-            // This pop is never processed — not recorded either.
-            scratch.truncated = true;
-            break;
-        }
-        if record {
-            scratch.trace.push(PopEvent {
-                score: candidate.score,
-                width: candidate.hi - candidate.lo,
-                group: group_offset + candidate.group.0,
-                lo: candidate.lo,
-                emitted: false,
-            });
-        }
+        pops += 1;
         // Dead singleton (absorbed by an earlier expansion)?
-        if candidate.lo == candidate.hi && absorbed.contains(&(candidate.group, candidate.lo)) {
+        if candidate.lo == candidate.hi && absorbed.contains(&(candidate.rank, candidate.lo)) {
             continue;
         }
         // Content overlap with an already-returned page?
-        if let Some(intervals) = output_intervals.get(&candidate.group) {
+        if let Some(intervals) = output_intervals.get(&candidate.rank) {
             if intervals
                 .iter()
                 .any(|&(lo, hi)| candidate.lo <= hi && lo <= candidate.hi)
@@ -367,7 +326,12 @@ pub(crate) fn top_k_in(
             }
         }
 
-        let group_nodes = index.graph.group_nodes(candidate.group);
+        // The group's shard is the last whose offset does not exceed its
+        // rank (an empty shard shares its successor's offset).
+        let s = shards.partition_point(|&(_, offset)| offset <= candidate.rank) - 1;
+        let (index, group_offset) = shards[s];
+        let group = GroupId(candidate.rank - group_offset);
+        let group_nodes = index.graph.group_nodes(group);
         let can_grow_left = candidate.lo > 0;
         let can_grow_right = ((candidate.hi + 1) as usize) < group_nodes.len();
         let expandable =
@@ -375,15 +339,12 @@ pub(crate) fn top_k_in(
 
         if !expandable {
             // Line 6–7: emit.
-            if let Some(hit) = to_hit(app, index, &candidate, group_nodes) {
+            if let Some(hit) = to_hit(app, index, group, &candidate, group_nodes) {
                 output_intervals
-                    .entry(candidate.group)
+                    .entry(candidate.rank)
                     .or_default()
                     .push((candidate.lo, candidate.hi));
                 output.push(hit);
-                if record {
-                    scratch.trace.last_mut().expect("pop recorded").emitted = true;
-                }
             }
             continue;
         }
@@ -391,7 +352,7 @@ pub(crate) fn top_k_in(
         // Line 8: expand toward the more relevant neighbor.
         let neighbor_relevance = |pos: u32| -> u64 {
             let frag = group_nodes[pos as usize];
-            (0..width).map(|w| probe(w, frag)).sum()
+            (0..width).map(|w| probe(s, w, frag)).sum()
         };
         let go_left = match (can_grow_left, can_grow_right) {
             (true, false) => true,
@@ -419,22 +380,24 @@ pub(crate) fn top_k_in(
         let parent = candidate.occ_offset as usize * width;
         expanded.occ_offset = (occ_pool.len() / width) as u32;
         for w in 0..width {
-            let occ = occ_pool[parent + w] + probe(w, neighbor);
+            let occ = occ_pool[parent + w] + probe(s, w, neighbor);
             occ_pool.push(occ);
         }
         expanded.total_keywords += index.catalog.total_keywords(neighbor);
         let row = expanded.occ_offset as usize * width;
         expanded.score = score_of(&occ_pool[row..row + width], expanded.total_keywords, idf);
-        absorbed.insert((candidate.group, new_pos));
+        absorbed.insert((candidate.rank, new_pos));
         queue.push(expanded);
     }
 
+    scratch.pops = pops;
     output
 }
 
-/// A dense seen-set over fragment handles (one bit per interned
-/// fragment — no hashing on the seeding path). Backed by a borrowed,
-/// pooled bit vector.
+/// A dense seen-set over a partition's fragment handles (one bit per
+/// interned fragment, each shard's handles offset by its base — no
+/// hashing on the seeding path). Backed by a borrowed, pooled bit
+/// vector.
 struct SeededSet<'a> {
     bits: &'a mut Vec<u64>,
 }
@@ -447,10 +410,9 @@ impl<'a> SeededSet<'a> {
         SeededSet { bits }
     }
 
-    /// Marks `frag`; returns whether it was newly marked.
-    fn insert(&mut self, frag: Frag) -> bool {
-        let (word, bit) = (frag.index() / 64, frag.index() % 64);
-        let mask = 1u64 << bit;
+    /// Marks handle bit `bit`; returns whether it was newly marked.
+    fn insert(&mut self, bit: usize) -> bool {
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
         let fresh = self.bits[word] & mask == 0;
         self.bits[word] |= mask;
         fresh
@@ -470,12 +432,14 @@ fn score_of(occurrences: &[u64], total_keywords: u64, idf: &[f64]) -> f64 {
         .sum()
 }
 
-/// Reverse-engineers a candidate into a [`SearchHit`]: parameter values →
+/// Reverse-engineers a candidate of `group` (its id inside `index`)
+/// into a [`SearchHit`]: parameter values →
 /// query string → URL (Line 10 of Algorithm 1 / Example 7). This is the
 /// output boundary — the only place handles resolve back to identifiers.
 fn to_hit(
     app: &WebApplication,
     index: &FragmentIndex,
+    group: GroupId,
     candidate: &Candidate,
     group_nodes: &[Frag],
 ) -> Option<SearchHit> {
@@ -484,7 +448,7 @@ fn to_hit(
     // Equality selections read from the group key (which is the fragment
     // identifier minus the range position); the range selection reads its
     // bounds from the interval's end fragments.
-    let group_key = index.graph.group_key(candidate.group);
+    let group_key = index.graph.group_key(group);
     let mut group_iter = group_key.iter();
     for (i, sel) in app.query.selections.iter().enumerate() {
         match (&sel.binding, range_pos) {

@@ -1,27 +1,43 @@
-//! Sharded, concurrent top-k search over the fragment handle space,
-//! with shard-local incremental maintenance on a persistent worker
-//! pool.
+//! Sharded top-k search over the fragment handle space, with
+//! shard-local incremental maintenance.
 //!
 //! The dense `Frag`/`GroupId` handle space exists to be partitioned:
 //! [`ShardedEngine`] splits the equality groups into `N` contiguous
-//! runs of global key-rank order, builds each shard its own
-//! [`FragmentIndex`] (catalog, posting arenas, graph slice), runs the
-//! top-k heap loop per shard, and merges the per-shard results into
-//! **byte-identical** output to
+//! runs of global key-rank order and builds each shard its own
+//! [`FragmentIndex`] (catalog, posting arenas, graph slice). A search
+//! runs Algorithm 1 **once** over the whole partition: one heap, seeded
+//! from every shard's list cursors, scoring with global IDF and
+//! breaking ties on global group ranks
+//! (the heap loop in [`crate::search::topk`] takes the shards as
+//! `(index, group offset)` views). Results are **byte-identical** to
 //! [`DashEngine::search`](crate::engine::DashEngine::search) for any
 //! shard count.
 //!
-//! ## The shard worker pool
+//! ## Why one heap is exact
 //!
-//! Every shard owns one long-lived worker thread, fed over a channel
-//! (`ShardJob`) and holding its own reusable `SearchScratch` —
-//! single queries no longer pay a thread spawn (PR 2 spawned scoped
-//! threads per call, ~10µs each, dwarfing a µs-scale search). The
-//! calling thread always executes the first pending shard *inline*
-//! (with a pooled scratch), so a 1-shard engine never touches a
-//! channel at all and an N-shard engine keeps the caller's core busy
-//! instead of blocking on replies. The same pool applies maintenance
-//! deltas, so shard mutation parallelizes identically to search.
+//! A group never spans two shards, and every state transition of
+//! Algorithm 1 — expansion, absorption, overlap suppression — is
+//! confined to one group, so a candidate only ever reads its own
+//! shard's index. What remains global is exactly what the loop reads
+//! globally:
+//!
+//! * **Global IDF** — `1 / |L_w|` over *all* fragments, the sum of the
+//!   shards' local fragment frequencies, computed per request;
+//! * **Global group ranks** — shards hold contiguous runs of key-rank
+//!   order, so `local rank + shard offset = global rank`, the heap's
+//!   deterministic tie-break;
+//! * **The seeding frontier** — the loop draws from the best head over
+//!   every shard's TF-descending lists, and because it seeds through
+//!   score ties its pop sequence does not depend on the seeding
+//!   schedule (the lemma on [`crate::search::topk`]).
+//!
+//! So the pop sequence is the single engine's, pop for pop; a group's
+//! candidates evolve through the same operation sequence, so every
+//! score is the same `f64` bit pattern. `tests/sharded_equivalence.rs`
+//! enforces this (golden datasets, whole-corpus tie plateaus, property
+//! tests over random datasets, keywords and shard counts),
+//! `tests/sharded_stress.rs` exercises it concurrently, and
+//! `tests/sharded_maintenance.rs` extends it across mutation histories.
 //!
 //! ## The delta write path (shard-local maintenance)
 //!
@@ -36,52 +52,18 @@
 //! sub-delta, not to the shard ([`FragmentIndex::apply`]) — then the
 //! engine refreshes the *global* coordinates incrementally:
 //! group-rank offsets are re-prefix-summed over per-shard group counts
-//! (O(shards)), and global IDF is always computed per request by
-//! summing per-shard fragment frequencies. Post-update searches are
-//! therefore byte-identical to a [`DashEngine`] freshly rebuilt over
-//! the mutated fragment set — proven by `tests/sharded_maintenance.rs`
-//! (golden + property tests, shard counts {1, 2, 4, 8}).
-//!
-//! ## Why the merge is exact
-//!
-//! Algorithm 1's priority queue interleaves candidates from many
-//! equality groups, but every state transition — expansion, absorption,
-//! overlap suppression — is confined to one group. The pop sequence of
-//! the global heap restricted to any subset of groups therefore equals
-//! the pop sequence of searching that subset alone, *provided* the pop
-//! order is independent of the lazy seeding schedule — which
-//! [`top_k`](crate::search::top_k) guarantees by seeding through score
-//! ties (a popped candidate strictly dominates every unseeded
-//! fragment). Each shard records its pop sequence as a
-//! `PopTrace`; replaying the global heap is
-//! then a greedy merge: repeatedly take the shard whose next pop ranks
-//! highest under the exact candidate ordering. Three details make the
-//! per-shard runs bit-compatible with the single-heap run:
-//!
-//! * **Global IDF** — shards score with `1 / |L_w|` over *all*
-//!   fragments, not their local fragment frequencies;
-//! * **Global group ranks** — shards hold contiguous runs of key-rank
-//!   order, so `local rank + shard offset = global rank`, preserving
-//!   the heap's deterministic tie-break;
-//! * **Identical arithmetic** — a group's candidates evolve through the
-//!   same operation sequence in both runs, so every score is the same
-//!   `f64` bit pattern.
-//!
-//! The equivalence is enforced by `tests/sharded_equivalence.rs`
-//! (golden datasets + property tests over random datasets, keywords and
-//! shard counts), exercised concurrently by `tests/sharded_stress.rs`,
-//! and extended across mutation histories by
-//! `tests/sharded_maintenance.rs`.
+//! (O(shards)), and global IDF is always computed per request.
+//! Post-update searches are therefore byte-identical to a
+//! [`DashEngine`] freshly rebuilt over the mutated fragment set —
+//! proven by `tests/sharded_maintenance.rs` (golden + property tests,
+//! shard counts {1, 2, 4, 8}).
 //!
 //! [`DashEngine`]: crate::engine::DashEngine
-
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 
 use dash_mapreduce::WorkflowStats;
 use dash_relation::{Database, Record, Value};
 use dash_webapp::WebApplication;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::crawl;
 use crate::engine::{validate_query, DashConfig};
@@ -91,8 +73,7 @@ use crate::index::graph::group_key;
 use crate::index::{FragmentIndex, GroupId};
 use crate::par;
 use crate::persist;
-use crate::search::topk::top_k_in;
-use crate::search::{PopEvent, PopTrace, SearchHit, SearchRequest, SearchScratch};
+use crate::search::{request_idf, top_k_in, SearchHit, SearchRequest, SearchScratch, ShardView};
 use crate::update::{
     affected_fragment_ids, build_delta, bulk_delta, DeltaSignature, IndexDelta, RecordChange,
     RefreshStats,
@@ -113,201 +94,34 @@ fn parse_shards(raw: &str) -> Option<usize> {
 
 /// One shard: a self-contained fragment index over a contiguous run of
 /// equality groups, plus the rank offset translating its local group
-/// ids back to global ranks. Lives behind an `Arc<RwLock<_>>` shared
-/// with the shard's worker thread; searches take read guards,
-/// maintenance takes write guards (and `&mut ShardedEngine` already
-/// excludes search/maintenance races at the borrow level).
-#[derive(Debug)]
+/// ids back to global ranks.
+#[derive(Debug, Clone)]
 struct Shard {
     index: FragmentIndex,
     group_offset: u32,
 }
 
-/// One batch of search work, shared with worker threads by `Arc` (the
-/// workers are `'static`, so they cannot borrow the caller's slices).
-#[derive(Debug)]
-struct SearchBatch {
-    requests: Vec<SearchRequest>,
-    /// Per request, per keyword: global `IDF_w` across all shards.
-    idfs: Vec<Vec<f64>>,
-}
-
-/// One shard's search reply: its index plus the `(request, run)` pairs
-/// it produced.
-type SearchReply = (usize, Vec<(usize, ShardRun)>);
-
-/// Work items a shard worker accepts over its channel.
-enum ShardJob {
-    /// Run `(request index, emission limit)` searches against the shard
-    /// and send the recorded runs back.
-    Search {
-        batch: Arc<SearchBatch>,
-        tasks: Vec<(usize, usize)>,
-        reply: mpsc::Sender<SearchReply>,
-    },
-    /// Apply a routed sub-delta to the shard's index.
-    Delta {
-        delta: IndexDelta,
-        reply: mpsc::Sender<RefreshStats>,
-    },
-}
-
-/// The persistent worker pool: one long-lived thread per shard, each
-/// owning a reusable search scratch and draining its job channel until
-/// the engine drops.
-#[derive(Debug)]
-struct WorkerPool {
-    senders: Vec<mpsc::Sender<ShardJob>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Spawns one worker per shard. On a single-core host, or for a
-    /// 1-shard engine, the pool is empty: dispatch checks the same
-    /// cached `par::parallelism()` and runs every shard inline (and a
-    /// single shard is always the inline one), so the threads would
-    /// only ever park — spawning them per engine (benches rebuild
-    /// engines in a loop) would be pure overhead.
-    fn spawn(shards: &[Arc<RwLock<Shard>>], app: &Arc<WebApplication>) -> Self {
-        if par::parallelism() <= 1 || shards.len() <= 1 {
-            return WorkerPool {
-                senders: Vec::new(),
-                handles: Vec::new(),
-            };
-        }
-        let mut senders = Vec::with_capacity(shards.len());
-        let mut handles = Vec::with_capacity(shards.len());
-        for (s, shard) in shards.iter().enumerate() {
-            let (tx, rx) = mpsc::channel::<ShardJob>();
-            let shard = Arc::clone(shard);
-            let app = Arc::clone(app);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("dash-shard-{s}"))
-                    .spawn(move || {
-                        let mut scratch = SearchScratch::new();
-                        while let Ok(job) = rx.recv() {
-                            match job {
-                                ShardJob::Search {
-                                    batch,
-                                    tasks,
-                                    reply,
-                                } => {
-                                    let guard = shard.read();
-                                    let runs = run_shard_tasks(
-                                        &app,
-                                        &guard,
-                                        &batch.requests,
-                                        &batch.idfs,
-                                        &tasks,
-                                        &mut scratch,
-                                    );
-                                    let _ = reply.send((s, runs));
-                                }
-                                ShardJob::Delta { delta, reply } => {
-                                    let stats = shard.write().index.apply(&delta);
-                                    let _ = reply.send(stats);
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn shard worker"),
-            );
-            senders.push(tx);
-        }
-        WorkerPool { senders, handles }
-    }
-
-    /// Enqueues a job on shard `s`'s worker.
-    fn send(&self, s: usize, job: ShardJob) {
-        self.senders[s].send(job).expect("shard worker alive");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channels ends the worker loops; join to make the
-        // engine's drop a full quiesce.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Runs one shard's portion of a search batch: every `(request,
-/// limit)` task against the shard's index, with one reused scratch.
-fn run_shard_tasks(
-    app: &WebApplication,
-    shard: &Shard,
-    requests: &[SearchRequest],
-    idfs: &[Vec<f64>],
-    tasks: &[(usize, usize)],
-    scratch: &mut SearchScratch,
-) -> Vec<(usize, ShardRun)> {
-    let _span = dash_obs::span!("dash_shard_search_ns");
-    let runs: Vec<(usize, ShardRun)> = tasks
-        .iter()
-        .map(|&(r, limit)| {
-            let hits = top_k_in(
-                app,
-                &shard.index,
-                &requests[r],
-                &idfs[r],
-                limit,
-                shard.group_offset,
-                true,
-                scratch,
-            );
-            (
-                r,
-                ShardRun {
-                    hits,
-                    trace: std::mem::take(&mut scratch.trace),
-                    truncated: scratch.truncated,
-                },
-            )
-        })
-        .collect();
-    // Each recorded pop is one candidate db-page the heap loop
-    // examined on this shard.
-    let candidates: u64 = runs.iter().map(|(_, run)| run.trace.len() as u64).sum();
-    if candidates > 0 {
-        static CANDIDATES: std::sync::OnceLock<std::sync::Arc<dash_obs::Counter>> =
-            std::sync::OnceLock::new();
-        CANDIDATES
-            .get_or_init(|| dash_obs::Registry::global().counter("dash_shard_candidates_total"))
-            .add(candidates);
-    }
-    runs
-}
-
-/// A Dash engine whose handle space is partitioned into `N` shards,
-/// searched concurrently on a persistent worker pool and merged
-/// deterministically. Search results are byte-identical to a
-/// single-shard [`DashEngine`] over the same fragments, for any shard
-/// count ≥ 1 — including after any sequence of incremental updates
-/// ([`ShardedEngine::apply_insert`] / [`ShardedEngine::apply_delete`] /
-/// [`ShardedEngine::apply_delta`]).
+/// A Dash engine whose handle space is partitioned into `N` shards and
+/// searched by one heap loop over the whole partition. Search results
+/// are byte-identical to a single-shard [`DashEngine`] over the same
+/// fragments, for any shard count ≥ 1 — including after any sequence
+/// of incremental updates ([`ShardedEngine::apply_insert`] /
+/// [`ShardedEngine::apply_delete`] / [`ShardedEngine::apply_delta`]).
 ///
 /// [`DashEngine`]: crate::engine::DashEngine
 #[derive(Debug)]
 pub struct ShardedEngine {
-    app: Arc<WebApplication>,
-    shards: Vec<Arc<RwLock<Shard>>>,
+    app: WebApplication,
+    shards: Vec<Shard>,
     /// Static routing table fixed at construction: `(lowest group key,
     /// shard index)` for every shard non-empty at build, in key order.
     /// A delta entry routes to the last shard whose bound does not
     /// exceed its group key (the first shard catches smaller keys), so
     /// shards keep disjoint, contiguous, key-ordered ranges across any
-    /// mutation history — the invariant the trace merge's global group
-    /// ranks rest on.
+    /// mutation history — the invariant global group ranks rest on.
     route_bounds: Vec<(Vec<Value>, usize)>,
-    /// Per-shard pools of reusable search scratch for the *inline*
-    /// shard (the one the calling thread executes itself); worker
-    /// threads own their scratch outright.
-    pools: Vec<Mutex<Vec<SearchScratch>>>,
-    workers: WorkerPool,
+    /// Reusable search scratch, one per concurrent `search_many` call.
+    scratch: Mutex<Vec<SearchScratch>>,
     crawl_stats: WorkflowStats,
     fragment_count: usize,
 }
@@ -389,10 +203,10 @@ impl ShardedEngine {
     }
 
     /// Wires built per-shard indexes into an engine: global group-rank
-    /// offsets, the static routing table, scratch pools and the worker
-    /// pool. An empty index list (e.g. an empty batch iterator) is
-    /// clamped to one empty shard, mirroring `shards.max(1)` on the
-    /// build path — a zero-shard engine could answer nothing.
+    /// offsets and the static routing table. An empty index list (e.g.
+    /// an empty batch iterator) is clamped to one empty shard, mirroring
+    /// `shards.max(1)` on the build path — a zero-shard engine could
+    /// answer nothing.
     ///
     /// # Errors
     ///
@@ -428,21 +242,17 @@ impl ShardedEngine {
                 route_bounds.push((lowest, s));
             }
             fragment_count += index.graph.node_count();
-            shards.push(Arc::new(RwLock::new(Shard {
+            shards.push(Shard {
                 index,
                 group_offset,
-            })));
+            });
             group_offset += groups;
         }
-        let pools = shards.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let app = Arc::new(app);
-        let workers = WorkerPool::spawn(&shards, &app);
         Ok(ShardedEngine {
             app,
             shards,
             route_bounds,
-            pools,
-            workers,
+            scratch: Mutex::new(Vec::new()),
             crawl_stats,
             fragment_count,
         })
@@ -450,195 +260,54 @@ impl ShardedEngine {
 
     /// Top-k db-page search — byte-identical to
     /// [`DashEngine::search`](crate::DashEngine::search) over the same
-    /// fragments, computed as per-shard searches plus a deterministic
-    /// trace merge.
+    /// fragments.
     pub fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
         self.search_many(std::slice::from_ref(request))
             .pop()
             .unwrap_or_default()
     }
 
-    /// Batched top-k: answers every request, reusing one scratch per
-    /// shard across the whole batch (worker-owned for pool shards,
-    /// pooled for the inline shard). Results are position-aligned with
-    /// `requests` and each is byte-identical to the corresponding
-    /// [`ShardedEngine::search`] call.
-    ///
-    /// Shards first run with an *adaptive* emission limit of
-    /// `⌈k / N⌉ + 2` (the global top-k rarely takes more than its share
-    /// from one shard); if the merge drains a limit-truncated trace
-    /// before `k` global emissions, that shard — and only that shard —
-    /// re-runs at the full `k` and the (cheap) merge restarts. At full
-    /// `k` a drained truncated trace implies `k` merged emissions, so
-    /// at most one re-run per shard per request.
+    /// Batched top-k: answers every request with one heap loop over the
+    /// whole partition each, reusing one pooled scratch across the
+    /// batch. Results are position-aligned with `requests` and each is
+    /// byte-identical to the corresponding [`ShardedEngine::search`]
+    /// call.
     pub fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
         if requests.is_empty() {
             return Vec::new();
         }
         let _span = dash_obs::span!("dash_shard_search_many_ns");
-        let shard_count = self.shards.len();
-        // One read pass over all shards for the global IDFs.
-        let idfs: Vec<Vec<f64>> = {
-            let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-            requests
-                .iter()
-                .map(|r| {
-                    r.keywords
-                        .iter()
-                        .map(|w| {
-                            let df: usize = guards.iter().map(|g| g.index.inverted.df(w)).sum();
-                            if df == 0 {
-                                0.0
-                            } else {
-                                1.0 / df as f64
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        if shard_count == 1 {
-            // Single-shard fast path: the shard's own emission order IS
-            // the global order, so the trace/merge machinery would only
-            // re-derive the hits it already has — run the heap loop
-            // straight, without recording, at the full k.
-            let mut scratch = self.pools[0].lock().pop().unwrap_or_default();
-            let guard = self.shards[0].read();
-            let results = requests
-                .iter()
-                .enumerate()
-                .map(|(r, request)| {
-                    top_k_in(
-                        &self.app,
-                        &guard.index,
-                        request,
-                        &idfs[r],
-                        request.k,
-                        0,
-                        false,
-                        &mut scratch,
-                    )
-                })
-                .collect();
-            drop(guard);
-            self.pools[0].lock().push(scratch);
-            return results;
-        }
-        let mut limits: Vec<Vec<usize>> = requests
+        let shards = self.views();
+        let mut scratch = self.scratch.lock().pop().unwrap_or_default();
+        let mut pops = 0u64;
+        let results = requests
             .iter()
-            .map(|r| vec![initial_limit(r.k, shard_count); shard_count])
-            .collect();
-        let mut runs: Vec<Vec<Option<ShardRun>>> = requests
-            .iter()
-            .map(|_| (0..shard_count).map(|_| None).collect())
-            .collect();
-        // Per request: the global emission order (shard index per
-        // emitted hit), filled in by the successful shortfall walk so
-        // the final extraction never re-walks a trace.
-        let mut orders: Vec<Option<Vec<usize>>> = vec![None; requests.len()];
-        // First round runs every shard; re-run rounds only the shards a
-        // merge sent back for a deeper pass.
-        let mut pending: Vec<usize> = (0..shard_count).collect();
-        // The worker-bound copies of the batch, plus the reply channel
-        // — built lazily on the first real dispatch, so a 1-shard
-        // engine (and any engine on a single-core host, where fanning
-        // out only buys context switches) never clones a request or
-        // touches a channel.
-        let use_workers = par::parallelism() > 1;
-        let mut batch: Option<Arc<SearchBatch>> = None;
-        let mut reply: Option<(mpsc::Sender<SearchReply>, mpsc::Receiver<SearchReply>)> = None;
-        while !pending.is_empty() {
-            let round = std::mem::take(&mut pending);
-            // This round's tasks per shard: the requests still missing
-            // this shard's run, at their current limits.
-            let shard_tasks = |s: usize, runs: &[Vec<Option<ShardRun>>]| -> Vec<(usize, usize)> {
-                (0..requests.len())
-                    .filter(|&r| runs[r][s].is_none())
-                    .map(|r| (r, limits[r][s]))
-                    .collect()
-            };
-            // Dispatch every shard but the first to its worker; the
-            // calling thread runs the first inline.
-            let mut dispatched = 0usize;
-            let (inline, pool_bound) = round.split_first().expect("non-empty round");
-            if use_workers {
-                for &s in pool_bound {
-                    let batch = batch.get_or_insert_with(|| {
-                        Arc::new(SearchBatch {
-                            requests: requests.to_vec(),
-                            idfs: idfs.clone(),
-                        })
-                    });
-                    let reply_tx = &reply.get_or_insert_with(mpsc::channel).0;
-                    self.workers.send(
-                        s,
-                        ShardJob::Search {
-                            batch: Arc::clone(batch),
-                            tasks: shard_tasks(s, &runs),
-                            reply: reply_tx.clone(),
-                        },
-                    );
-                    dispatched += 1;
-                }
-            }
-            let run_inline = |s: usize, runs: &mut Vec<Vec<Option<ShardRun>>>| {
-                let tasks = shard_tasks(s, runs);
-                let mut scratch = self.pools[s].lock().pop().unwrap_or_default();
-                let guard = self.shards[s].read();
-                let produced =
-                    run_shard_tasks(&self.app, &guard, requests, &idfs, &tasks, &mut scratch);
-                drop(guard);
-                self.pools[s].lock().push(scratch);
-                for (r, run) in produced {
-                    runs[r][s] = Some(run);
-                }
-            };
-            run_inline(*inline, &mut runs);
-            if !use_workers {
-                for &s in pool_bound {
-                    run_inline(s, &mut runs);
-                }
-            }
-            if dispatched > 0 {
-                // Drop the caller-held Sender first: if a worker dies
-                // mid-job its clone drops with the job, the channel
-                // disconnects, and recv fails loudly instead of
-                // blocking this thread forever.
-                let (reply_tx, reply_rx) = reply.take().expect("reply channel built");
-                drop(reply_tx);
-                for _ in 0..dispatched {
-                    let (s, produced) = reply_rx.recv().expect("a shard worker panicked");
-                    for (r, run) in produced {
-                        runs[r][s] = Some(run);
-                    }
-                }
-            }
-            // Merge walk: fixes each request's emission order, or sends
-            // truncated shards back for a full-k pass.
-            let _merge_span = dash_obs::span!("dash_shard_merge_ns");
-            for (r, request) in requests.iter().enumerate() {
-                if orders[r].is_some() {
-                    continue;
-                }
-                match merge_order(&runs[r], request.k) {
-                    Ok(order) => orders[r] = Some(order),
-                    Err(short) => {
-                        for s in short {
-                            limits[r][s] = request.k;
-                            runs[r][s] = None;
-                            if !pending.contains(&s) {
-                                pending.push(s);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        runs.into_iter()
-            .zip(orders)
-            .map(|(shard_runs, order)| {
-                extract_hits(shard_runs, order.expect("every request merged"))
+            .map(|request| {
+                let idf = request_idf(&shards, request);
+                let _span = dash_obs::span!("dash_shard_search_ns");
+                let hits = top_k_in(&self.app, &shards, request, &idf, &mut scratch);
+                pops += scratch.pops;
+                hits
             })
+            .collect();
+        self.scratch.lock().push(scratch);
+        // Each pop is one candidate db-page the heap loop examined.
+        if pops > 0 {
+            static CANDIDATES: std::sync::OnceLock<std::sync::Arc<dash_obs::Counter>> =
+                std::sync::OnceLock::new();
+            CANDIDATES
+                .get_or_init(|| dash_obs::Registry::global().counter("dash_shard_candidates_total"))
+                .add(pops);
+        }
+        results
+    }
+
+    /// Every shard as an `(index, group offset)` view, in rank order —
+    /// the partition one heap loop searches.
+    fn views(&self) -> Vec<ShardView<'_>> {
+        self.shards
+            .iter()
+            .map(|shard| (&shard.index, shard.group_offset))
             .collect()
     }
 
@@ -694,14 +363,13 @@ impl ShardedEngine {
     }
 
     /// Applies a prebuilt delta: every entry is routed to the shard
-    /// owning its equality group, the affected shards apply their
-    /// sub-deltas (first inline, the rest in parallel on the worker
-    /// pool), and the global group-rank offsets + fragment count are
-    /// refreshed incrementally — a delta-proportional in-place splice
-    /// per affected shard ([`FragmentIndex::apply`]) plus an O(shards)
-    /// prefix sum, never a rebuild or a re-sort. Post-update searches are
-    /// byte-identical to a [`DashEngine`](crate::DashEngine) freshly
-    /// built over the mutated fragment set.
+    /// owning its equality group, each affected shard applies its
+    /// sub-delta in turn, and the global group-rank offsets + fragment
+    /// count are refreshed incrementally — a delta-proportional in-place
+    /// splice per affected shard ([`FragmentIndex::apply`]) plus an
+    /// O(shards) prefix sum, never a rebuild or a re-sort. Post-update
+    /// searches are byte-identical to a [`DashEngine`](crate::DashEngine)
+    /// freshly built over the mutated fragment set.
     pub fn apply_delta(&mut self, delta: IndexDelta) -> RefreshStats {
         let range_position = self.app.query.range_selection_index();
         let mut per_shard: Vec<IndexDelta> = (0..self.shards.len())
@@ -715,56 +383,13 @@ impl ShardedEngine {
             let shard = self.route(&group_key(&fragment.id, range_position));
             per_shard[shard].adds.push(fragment);
         }
-        let affected: Vec<usize> = per_shard
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(s, _)| s)
-            .collect();
         let mut stats = RefreshStats::default();
-        if !affected.is_empty() {
-            // First affected shard inline, the rest on their workers
-            // (inline throughout on a single-core host, like search).
-            let mut dispatched = 0usize;
-            let (inline, pool_bound) = affected.split_first().expect("non-empty");
-            let mut reply = None;
-            if par::parallelism() > 1 {
-                for &s in pool_bound {
-                    let reply_tx = &reply.get_or_insert_with(mpsc::channel).0;
-                    self.workers.send(
-                        s,
-                        ShardJob::Delta {
-                            delta: std::mem::take(&mut per_shard[s]),
-                            reply: reply_tx.clone(),
-                        },
-                    );
-                    dispatched += 1;
-                }
+        for (shard, sub) in self.shards.iter_mut().zip(&per_shard) {
+            if !sub.is_empty() {
+                stats.merge(shard.index.apply(sub));
             }
-            stats.merge(
-                self.shards[*inline]
-                    .write()
-                    .index
-                    .apply(&std::mem::take(&mut per_shard[*inline])),
-            );
-            for &s in pool_bound {
-                // Anything not dispatched (single-core) applies inline.
-                let sub = std::mem::take(&mut per_shard[s]);
-                if !sub.is_empty() {
-                    stats.merge(self.shards[s].write().index.apply(&sub));
-                }
-            }
-            if dispatched > 0 {
-                // As in search: drop the caller's Sender so a worker
-                // panic disconnects the channel instead of hanging.
-                let (reply_tx, reply_rx) = reply.take().expect("reply channel built");
-                drop(reply_tx);
-                for _ in 0..dispatched {
-                    stats.merge(reply_rx.recv().expect("a shard worker panicked"));
-                }
-            }
-            self.refresh_offsets();
         }
+        self.refresh_offsets();
         stats
     }
 
@@ -790,31 +415,17 @@ impl ShardedEngine {
     /// cloned (contiguous arenas — a memcpy, no re-derivation, no
     /// re-partitioning), the static routing table and group-rank
     /// offsets are carried over verbatim, and the copy gets its own
-    /// scratch pools and worker pool. This is the serving layer's
-    /// shadow: a snapshot-swapping front-end forks once at startup and
-    /// thereafter keeps two sides in lockstep by applying every delta
-    /// to each, so publication is an `Arc` pointer swap and searches
-    /// never wait on maintenance.
+    /// scratch pool. This is the serving layer's shadow: a
+    /// snapshot-swapping front-end forks once at startup and thereafter
+    /// keeps two sides in lockstep by applying every delta to each, so
+    /// publication is an `Arc` pointer swap and searches never wait on
+    /// maintenance.
     pub fn fork(&self) -> ShardedEngine {
-        let shards: Vec<Arc<RwLock<Shard>>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let guard = shard.read();
-                Arc::new(RwLock::new(Shard {
-                    index: guard.index.clone(),
-                    group_offset: guard.group_offset,
-                }))
-            })
-            .collect();
-        let pools = shards.iter().map(|_| Mutex::new(Vec::new())).collect();
-        let workers = WorkerPool::spawn(&shards, &self.app);
         ShardedEngine {
-            app: Arc::clone(&self.app),
-            shards,
+            app: self.app.clone(),
+            shards: self.shards.clone(),
             route_bounds: self.route_bounds.clone(),
-            pools,
-            workers,
+            scratch: Mutex::new(Vec::new()),
             crawl_stats: self.crawl_stats.clone(),
             fragment_count: self.fragment_count,
         }
@@ -834,18 +445,18 @@ impl ShardedEngine {
     pub fn keyword_groups(&self, keywords: &[String]) -> std::collections::BTreeSet<Vec<Value>> {
         let mut groups = std::collections::BTreeSet::new();
         for shard in &self.shards {
-            let guard = shard.read();
+            let index = &shard.index;
             let mut seen: std::collections::HashSet<GroupId> = std::collections::HashSet::new();
             for word in keywords {
-                let Some(kw) = guard.index.inverted.kw(word) else {
+                let Some(kw) = index.inverted.kw(word) else {
                     continue;
                 };
-                for posting in guard.index.inverted.postings_kw(kw) {
-                    let Some(node) = guard.index.graph.locate(posting.frag) else {
+                for posting in index.inverted.postings_kw(kw) {
+                    let Some(node) = index.graph.locate(posting.frag) else {
                         continue;
                     };
                     if seen.insert(node.group) {
-                        groups.insert(guard.index.graph.group_key(node.group).to_vec());
+                        groups.insert(index.graph.group_key(node.group).to_vec());
                     }
                 }
             }
@@ -870,19 +481,18 @@ impl ShardedEngine {
     /// gone.
     pub fn delta_signature(&self, delta: &IndexDelta) -> DeltaSignature {
         let mut signature = delta.signature(self.app.query.range_selection_index());
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut touched = vec![Vec::new(); guards.len()];
+        let mut touched = vec![Vec::new(); self.shards.len()];
         for key in &signature.groups {
             let shard = self.route(key);
-            let graph = &guards[shard].index.graph;
+            let graph = &self.shards[shard].index.graph;
             if let Some(group) = graph.group_by_key(key) {
                 touched[shard].extend_from_slice(graph.group_nodes(group));
             }
         }
-        for (guard, mut frags) in guards.iter().zip(touched) {
+        for (shard, mut frags) in self.shards.iter().zip(touched) {
             // Group columns are range-sorted; the walk wants handles.
             frags.sort_unstable();
-            let inverted = &guard.index.inverted;
+            let inverted = &shard.index.inverted;
             let held = inverted.keywords_of(&frags);
             signature
                 .keywords
@@ -910,11 +520,10 @@ impl ShardedEngine {
     fn refresh_offsets(&mut self) {
         let mut group_offset = 0u32;
         let mut fragment_count = 0usize;
-        for shard in &self.shards {
-            let mut guard = shard.write();
-            guard.group_offset = group_offset;
-            group_offset += guard.index.graph.group_count() as u32;
-            fragment_count += guard.index.graph.node_count();
+        for shard in &mut self.shards {
+            shard.group_offset = group_offset;
+            group_offset += shard.index.graph.group_count() as u32;
+            fragment_count += shard.index.graph.node_count();
         }
         self.fragment_count = fragment_count;
     }
@@ -929,8 +538,7 @@ impl ShardedEngine {
         self.shards
             .iter()
             .map(|shard| {
-                let guard = shard.read();
-                let index = &guard.index;
+                let index = &shard.index;
                 // One arena pass recovers every fragment's terms at
                 // once — O(postings), not O(fragments × keywords).
                 let mut terms = index.inverted.all_fragment_terms();
@@ -962,8 +570,7 @@ impl ShardedEngine {
     ///
     /// Propagates writer I/O errors.
     pub fn write_image<W: std::io::Write>(&self, writer: W) -> std::io::Result<()> {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let indexes: Vec<&FragmentIndex> = guards.iter().map(|g| &g.index).collect();
+        let indexes: Vec<&FragmentIndex> = self.shards.iter().map(|s| &s.index).collect();
         persist::write_image(writer, self.app.query.range_selection_index(), &indexes)
     }
 
@@ -1048,32 +655,13 @@ impl ShardedEngine {
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.read().index.fragment_count())
+            .map(|s| s.index.fragment_count())
             .collect()
     }
 
     /// Statistics of the crawl workflow that fed this engine.
     pub fn crawl_stats(&self) -> &WorkflowStats {
         &self.crawl_stats
-    }
-
-    /// Global `IDF_w = 1 / |L_w|` over all shards: every fragment lives
-    /// in exactly one shard, so the global fragment frequency is the
-    /// sum of the shards' local ones. (`search_many` computes the same
-    /// quantity over one set of read guards; this entry point serves
-    /// the unit tests.)
-    #[cfg(test)]
-    fn global_idf(&self, word: &str) -> f64 {
-        let df: usize = self
-            .shards
-            .iter()
-            .map(|s| s.read().index.inverted.df(word))
-            .sum();
-        if df == 0 {
-            0.0
-        } else {
-            1.0 / df as f64
-        }
     }
 }
 
@@ -1119,100 +707,6 @@ fn partition(
         assigned += members.len();
     }
     parts
-}
-
-/// One shard's answer to one request: its hits, its pop trace, and
-/// whether the run stopped at its emission limit.
-#[derive(Debug)]
-struct ShardRun {
-    hits: Vec<SearchHit>,
-    trace: PopTrace,
-    truncated: bool,
-}
-
-/// The optimistic first-pass emission limit per shard: the global top-k
-/// rarely takes much more than `k / N` hits from one shard, and a
-/// wrong guess only costs that shard a second (full-`k`) run.
-fn initial_limit(k: usize, shards: usize) -> usize {
-    if shards <= 1 || k == 0 {
-        return k;
-    }
-    (k.div_ceil(shards) + 2).min(k)
-}
-
-/// Replays the global heap order over per-shard pop traces: repeatedly
-/// advance the shard whose next pop ranks highest (the exact candidate
-/// ordering), invoking `on_emit(shard)` for every emitted pop, until
-/// `k` emissions or every trace drains. Returns the shards whose
-/// *limit-truncated* traces drained before `k` emissions — the true
-/// heap would process pops past their limits, so they must re-run
-/// deeper; an empty list means the walk is the exact global order.
-fn walk_merged_pops<F: FnMut(usize)>(
-    traces: &[&PopTrace],
-    truncated: &[bool],
-    k: usize,
-    mut on_emit: F,
-) -> Vec<usize> {
-    let mut cursors = vec![0usize; traces.len()];
-    let mut emitted = 0usize;
-    while emitted < k {
-        let mut best: Option<(usize, PopEvent)> = None;
-        for (s, trace) in traces.iter().enumerate() {
-            if let Some(&event) = trace.get(cursors[s]) {
-                if best.is_none_or(|(_, b)| event.heap_cmp(&b) == std::cmp::Ordering::Greater) {
-                    best = Some((s, event));
-                }
-            }
-        }
-        let Some((s, event)) = best else {
-            // Every trace drained short of k: any truncated shard may be
-            // hiding higher-ranked pops beyond its limit.
-            return (0..traces.len()).filter(|&s| truncated[s]).collect();
-        };
-        cursors[s] += 1;
-        if event.emitted {
-            emitted += 1;
-            on_emit(s);
-        }
-        if cursors[s] == traces[s].len() && truncated[s] && emitted < k {
-            return vec![s];
-        }
-    }
-    Vec::new()
-}
-
-/// One merge walk per request: `Ok` carries the global emission order
-/// (shard index per emitted hit, ready for [`extract_hits`]); `Err`
-/// carries the shards that must re-run deeper first.
-fn merge_order(runs: &[Option<ShardRun>], k: usize) -> std::result::Result<Vec<usize>, Vec<usize>> {
-    let traces: Vec<&PopTrace> = runs
-        .iter()
-        .map(|run| &run.as_ref().expect("shard run present").trace)
-        .collect();
-    let truncated: Vec<bool> = runs
-        .iter()
-        .map(|run| run.as_ref().expect("shard run present").truncated)
-        .collect();
-    let mut order = Vec::new();
-    let shortfall = walk_merged_pops(&traces, &truncated, k, |s| order.push(s));
-    if shortfall.is_empty() {
-        Ok(order)
-    } else {
-        Err(shortfall)
-    }
-}
-
-/// Moves hits out of the shard runs in the emission order a successful
-/// [`merge_order`] walk fixed — no hit is cloned, no trace re-walked.
-fn extract_hits(runs: Vec<Option<ShardRun>>, order: Vec<usize>) -> Vec<SearchHit> {
-    let mut hits: Vec<std::vec::IntoIter<SearchHit>> = runs
-        .into_iter()
-        .map(|run| run.expect("shard run present").hits.into_iter())
-        .collect();
-    order
-        .into_iter()
-        .map(|s| hits[s].next().expect("a hit per emitted pop"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -1506,7 +1000,8 @@ mod tests {
     fn global_idf_survives_maintenance() {
         let (app, db) = fooddb_parts();
         let mut engine = built(&app, &db, 2).unwrap();
-        let before = engine.global_idf("burger");
+        let burger = SearchRequest::new(&["burger"]);
+        let before = request_idf(&engine.views(), &burger)[0];
         assert!(before > 0.0);
         let fragment = Fragment::new(
             crate::fragment::FragmentId::new(vec![Value::str("Zulu"), Value::Int(30)]),
@@ -1514,7 +1009,99 @@ mod tests {
             1,
         );
         engine.apply_delta(IndexDelta::adding(vec![fragment]));
-        let after = engine.global_idf("burger");
+        let after = request_idf(&engine.views(), &burger)[0];
         assert!(after < before, "df grew, idf must shrink");
+    }
+
+    /// The plateau corpus shape: `groups × per_group` fragments, each
+    /// holding `"plateau"`; the first `tied` share one (occurrences,
+    /// total) pair — one bit-identical seed score — and the rest vary.
+    fn plateau_fragments(groups: usize, per_group: usize, tied: usize) -> Vec<Fragment> {
+        (0..groups * per_group)
+            .map(|n| {
+                let (plateau, filler) = if n < tied {
+                    (2, 8)
+                } else {
+                    (1 + (n % 7) as u64, 5 + (n % 11) as u64)
+                };
+                Fragment::new(
+                    crate::fragment::FragmentId::new(vec![
+                        Value::str(format!("G{:03}", n / per_group)),
+                        Value::Int((n % per_group) as i64),
+                    ]),
+                    [
+                        ("plateau".to_string(), plateau),
+                        ("filler".to_string(), filler),
+                    ]
+                    .into_iter()
+                    .collect(),
+                    1,
+                )
+            })
+            .collect()
+    }
+
+    /// Candidates one heap loop over `engine`'s whole partition pops
+    /// for `request`.
+    fn pops(engine: &ShardedEngine, request: &SearchRequest) -> u64 {
+        let shards = engine.views();
+        let idf = request_idf(&shards, request);
+        let mut scratch = SearchScratch::new();
+        top_k_in(&engine.app, &shards, request, &idf, &mut scratch);
+        scratch.pops
+    }
+
+    #[test]
+    fn sharding_pops_exactly_the_single_shard_candidates() {
+        // Sharding costs no reads: by the schedule-independence lemma
+        // the one heap pops the same candidates at every shard count,
+        // including through whole-corpus tie plateaus that every shard
+        // boundary cuts.
+        let (app, db) = fooddb_parts();
+        let fooddb = crawl::run(&app, &db, &Default::default(), Default::default())
+            .unwrap()
+            .fragments;
+        let corpora = [
+            (
+                "fooddb",
+                fooddb,
+                [&["burger"][..], &["fries"], &["burger", "fries"]],
+            ),
+            (
+                "flat",
+                plateau_fragments(16, 16, usize::MAX),
+                [&["plateau"][..], &["filler"], &["plateau", "filler"]],
+            ),
+            (
+                "half",
+                plateau_fragments(16, 16, 128),
+                [&["plateau"][..], &["filler"], &["plateau", "filler"]],
+            ),
+        ];
+        for (label, fragments, keyword_sets) in &corpora {
+            let engine = |shards: usize| {
+                ShardedEngine::builder(app.clone())
+                    .shards(shards)
+                    .source(crate::ingest::IngestSource::Fragments(fragments))
+                    .build()
+                    .unwrap()
+            };
+            let one = engine(1);
+            for shards in [2, 4, 8] {
+                let many = engine(shards);
+                for keywords in keyword_sets {
+                    for (k, s) in [(1, 1), (10, 1), (10, 50), (40, 1), (40, 50)] {
+                        let request = SearchRequest::new(keywords).k(k).min_size(s);
+                        let expected = pops(&one, &request);
+                        assert!(expected > 0, "{label} {keywords:?}: the search pops");
+                        assert_eq!(
+                            pops(&many, &request),
+                            expected,
+                            "{label} shards={shards} {keywords:?} k={k} s={s}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -30,8 +30,8 @@
 //!
 //! [`DashEngine`] applies a delta to its one index;
 //! [`ShardedEngine`](crate::sharded::ShardedEngine) routes each delta
-//! entry to the shard owning its equality group and applies the
-//! sub-deltas on the shard worker pool — per-shard work only, with
+//! entry to the shard owning its equality group and applies each
+//! sub-delta to its shard — per-shard work only, with
 //! search results staying byte-identical to a freshly built single
 //! engine (see `crate::sharded`).
 

@@ -73,7 +73,7 @@ impl Drop for SpanGuard<'_> {
 }
 
 /// Times the enclosing scope into a named histogram of the global
-/// registry: `let _span = span!("dash_shard_merge_ns");`. The
+/// registry: `let _span = span!("dash_shard_search_ns");`. The
 /// histogram handle is resolved once per call site (a `OnceLock`
 /// static), so steady-state cost is the [`SpanGuard`] itself, not a
 /// registry lookup.

@@ -3,10 +3,10 @@
 //! themselves, with no batching thread and no window (flat combining:
 //! Hendler, Incze, Shavit, Tzafrir, SPAA 2010).
 //!
-//! Every search pays one shard fan-out (per-request IDF pass, worker
-//! dispatch, trace merge); `search_many` amortizes that across a whole
-//! batch and reuses one scratch per shard. Identical requests inside a
-//! batch are deduplicated — computed once, answered everywhere.
+//! Every `search_many` call pays a fixed entry cost (an engine span, a
+//! pooled scratch taken and returned); batching amortizes it across the
+//! batch, which reuses one scratch throughout. Identical requests inside
+//! a batch are deduplicated — computed once, answered everywhere.
 //!
 //! **Protocol.** A caller locks the batcher, enqueues its requests
 //! under fresh tickets (one contiguous ticket range per call), then

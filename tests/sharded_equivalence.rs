@@ -7,8 +7,9 @@
 //!
 //! Three layers of evidence:
 //!
-//! * golden datasets — the paper's running example (fooddb) and the
-//!   TPC-H Q2 micro workload, shard counts 1–8, hot/cold keywords;
+//! * golden datasets — the paper's running example (fooddb), the
+//!   TPC-H Q2 micro workload and two whole-corpus tie plateaus, shard
+//!   counts 1–8, hot/cold keywords;
 //! * property tests — random fragment sets, random keyword mixes,
 //!   random `k`/`s`, shard counts {1, 2, 3, 8};
 //! * environment axis — when `DASH_SHARDS` is set (the CI matrix runs
@@ -124,6 +125,28 @@ fn golden_tpch_q2_all_shard_counts() {
         SearchRequest::new(&["nosuchkeyword"]).k(4).min_size(10),
     ];
     assert_equivalent(&app, &fragments, &requests, "tpch-q2");
+}
+
+#[test]
+fn golden_tie_plateaus_across_shard_boundaries() {
+    // The plateau bench's two corpus shapes at 16 groups × 16
+    // fragments: `flat` ties every seed score bit for bit, `half` ties
+    // the first half of the corpus. At every shard count 2–8 the
+    // plateau spans shard boundaries, so the cross-shard tie-break on
+    // global group ranks decides every emission.
+    let app = fooddb::search_application().unwrap();
+    let requests: Vec<SearchRequest> = [1, 10, 40]
+        .into_iter()
+        .flat_map(|k| {
+            [1, 50]
+                .into_iter()
+                .map(move |s| SearchRequest::new(&["plateau"]).k(k).min_size(s))
+        })
+        .collect();
+    for (label, tied) in [("flat", usize::MAX), ("half", 128)] {
+        let fragments = dash_bench::plateau_corpus(16, 16, tied);
+        assert_equivalent(&app, &fragments, &requests, label);
+    }
 }
 
 #[test]

@@ -4,15 +4,16 @@
 //! mutated fragment set — for every shard count. This is the contract
 //! of the unified delta write path: deltas route to their owning shard
 //! (per-shard work only, no rebuild), global group ranks and IDF
-//! refresh incrementally, and the trace merge stays exact even as the
-//! shard balance drifts away from what a fresh partition would choose.
+//! refresh incrementally, and the one heap over the partition stays
+//! exact even as the shard balance drifts away from what a fresh
+//! partition would choose.
 //!
 //! Three layers of evidence:
 //!
 //! * golden sequences — the fooddb mutation scenarios of
 //!   `tests/maintenance.rs` replayed against sharded engines at shard
 //!   counts {1, 2, 4, 8}, with searches interleaved between mutations
-//!   and run concurrently on the shard worker pool;
+//!   and run concurrently from several threads;
 //! * property tests — random initial datasets and random
 //!   insert/replace/remove delta sequences, applied identically to all
 //!   shard counts and compared against a from-scratch rebuild;
@@ -78,8 +79,8 @@ fn assert_equivalent(sharded: &ShardedEngine, rebuilt: &DashEngine, context: &st
         expected,
         "{context}: batched"
     );
-    // Concurrent traffic on the persistent worker pool: four client
-    // threads issue the whole battery at once.
+    // Concurrent traffic on one shared engine: four client threads
+    // issue the whole battery at once.
     std::thread::scope(|scope| {
         for t in 0..4 {
             let requests = &requests;

@@ -1,7 +1,7 @@
 //! Concurrency stress: many threads issuing mixed `search` /
 //! `search_many` traffic against one shared `ShardedEngine`. The engine
-//! must stay consistent under contention on its per-shard
-//! `parking_lot` scratch pools — every thread must observe exactly the
+//! must stay consistent under contention on its `parking_lot` scratch
+//! pool — every thread must observe exactly the
 //! single-engine results on every call, with no panics.
 
 use std::sync::Arc;
