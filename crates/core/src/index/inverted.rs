@@ -38,7 +38,10 @@ use crate::par;
 pub struct Posting {
     /// The fragment containing the keyword.
     pub frag: Frag,
-    /// Raw occurrence count of the keyword in the fragment.
+    /// Raw occurrence count of the keyword in the fragment — the same
+    /// count the fragment-sorted probe arena holds for it, after any
+    /// build, image load or splice, so a search seeding from this
+    /// posting reads its keyword's count here instead of probing.
     pub occurrences: u64,
     /// Term frequency (occurrences / fragment keyword total),
     /// precomputed so the hot seeding loop never divides or chases the
@@ -294,8 +297,9 @@ impl InvertedFragmentIndex {
     }
 
     /// Occurrences of keyword `kw` in fragment `frag` — the O(log L)
-    /// probe the top-k search uses for expansion neighbors (replaces
-    /// the seed's clone-per-call `occurrences_of` map API).
+    /// probe the top-k search uses for a seed's *other* request
+    /// keywords (its own comes with the posting) and for expansion
+    /// neighbors.
     #[inline]
     pub fn occurrences(&self, kw: Kw, frag: Frag) -> u64 {
         let list = self.lists[kw.index()];

@@ -16,6 +16,30 @@
 //! pool indexed by offset, and fragment identifiers are resolved back
 //! to values/URLs only when a result is emitted.
 //!
+//! ## Each piece of work once
+//!
+//! The loop does no work whose answer it already holds:
+//!
+//! * a seed takes its own keyword's count from the posting it was drawn
+//!   from, and probes the fragment-sorted arena only for the request's
+//!   *other* keywords — a single-keyword request probes nothing at
+//!   seeding;
+//! * an expansion probes each neighbour it compares once, and the
+//!   winner's counts become the expanded page's row;
+//! * the seeded and absorbed sets are bitsets over partition handles,
+//!   and emitted intervals a flat list of at most `k` entries — nothing
+//!   in the loop hashes;
+//! * every buffer lives in a `SearchScratch`, so a pooled scratch
+//!   allocates nothing after its first search, and the handle sets
+//!   reset only the words the last search set;
+//! * an emitted hit's query string is written in one pass from
+//!   `(parameter, value)` pairs borrowed from the group key and the
+//!   catalog ([`WebApplication::render_query_string`]).
+//!
+//! The scratch counts the work per search (pops, seeds, probes,
+//! expansions, compared neighbours, dead pops); the sharded engine
+//! exports the first four as `dash_shard_*_total` counters.
+//!
 //! ## Schedule independence and sharding
 //!
 //! Seeding is lazy, but it seeds through score ties, so the pop
@@ -33,10 +57,12 @@
 //! sequence — hence every hit, byte for byte — is the single engine's
 //! for any shard count.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
-use dash_webapp::{ParamValues, SelectionBinding, WebApplication};
+use dash_relation::Value;
+use dash_webapp::{SelectionBinding, WebApplication};
 
 use crate::index::catalog::{Frag, Kw};
 use crate::index::graph::GroupId;
@@ -49,18 +75,52 @@ use crate::search::{SearchHit, SearchRequest};
 /// single-index search is the one view `(index, 0)`.
 pub(crate) type ShardView<'a> = (&'a FragmentIndex, u32);
 
-/// Reusable per-search allocations. One search clears and refills them;
-/// pooling a scratch across requests (as the sharded engine's
-/// `search_many` does) skips the pool/bitset reallocation cost on every
-/// query after the first.
+/// Reusable per-search allocations. One search clears and refills them,
+/// so a scratch pooled across requests (as the sharded engine's
+/// `search_many` does) allocates nothing after its first search: the
+/// keyword columns, cursors, heap buffer, occurrence pool, neighbour
+/// buffer and emitted intervals keep their capacity, and the two handle
+/// sets reset only the words the last search set.
 #[derive(Debug, Default)]
 pub(crate) struct SearchScratch {
+    /// Request keywords as interned handles, shard-major: column
+    /// `s * width + w` is keyword `w` in shard `s`.
+    kws: Vec<Option<Kw>>,
+    /// Each shard's first bit in the handle sets.
+    bases: Vec<usize>,
+    /// Each column's TF-sorted list. Stored empty between searches and
+    /// re-bound to the searched partition's lifetime by [`recycle`].
+    postings: Vec<&'static [Posting]>,
+    /// Each column's cursor into its list.
+    cursors: Vec<usize>,
+    /// The priority queue's buffer.
+    heap: Vec<Candidate>,
     /// Per-candidate keyword-occurrence rows, addressed by offset.
     occ_pool: Vec<u64>,
-    /// Seen-bits over the partition's fragment handles (seed dedup).
-    seeded_bits: Vec<u64>,
+    /// Per-keyword counts of the neighbours one expansion compares: the
+    /// left one at `0..width`, the right one at `width..2 * width`.
+    neighbors: Vec<u64>,
+    /// Fragments seeded so far (seed dedup).
+    seeded: HandleSet,
+    /// Fragments absorbed into an expansion: their queued singleton is
+    /// dead (paper: "it is removed from Q").
+    absorbed: HandleSet,
+    /// `(global group rank, lo, hi)` of every emitted page, for overlap
+    /// suppression (at most `k` entries).
+    emitted: Vec<(u32, u32, u32)>,
     /// Candidates the last run popped off the heap, emitted or not.
     pub(crate) pops: u64,
+    /// Fragments the last run seeded into the heap.
+    pub(crate) seeds: u64,
+    /// Binary-search probes of the fragment-sorted arena the last run did.
+    pub(crate) probes: u64,
+    /// Expansions the last run did.
+    pub(crate) expansions: u64,
+    /// Neighbours the last run's expansions compared (one or two each).
+    pub(crate) compared: u64,
+    /// Pops the last run discarded: absorbed singletons and pages
+    /// overlapping an emitted one.
+    pub(crate) dead_pops: u64,
 }
 
 impl SearchScratch {
@@ -68,6 +128,14 @@ impl SearchScratch {
     pub(crate) fn new() -> Self {
         Self::default()
     }
+}
+
+/// Re-binds the lifetime of an emptied vector of borrows. An in-place
+/// collect over a source of the same layout reuses the allocation, so a
+/// pooled vector of borrows survives from one search to the next.
+fn recycle<'b, T: ?Sized>(mut borrows: Vec<&'_ T>) -> Vec<&'b T> {
+    borrows.clear();
+    borrows.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// A pending db-page: a contiguous run `[lo..=hi]` of fragments within
@@ -170,23 +238,43 @@ pub(crate) fn top_k_in(
     scratch: &mut SearchScratch,
 ) -> Vec<SearchHit> {
     scratch.pops = 0;
+    scratch.seeds = 0;
+    scratch.probes = 0;
+    scratch.expansions = 0;
+    scratch.compared = 0;
+    scratch.dead_pops = 0;
     if request.k == 0 || request.keywords.is_empty() {
         return Vec::new();
     }
     let width = request.keywords.len();
+    let SearchScratch {
+        kws,
+        bases,
+        postings: pooled_postings,
+        cursors,
+        heap,
+        occ_pool,
+        neighbors,
+        seeded,
+        absorbed,
+        emitted,
+        ..
+    } = scratch;
 
     // Resolve request keywords to interned handles once per shard. The
     // per-keyword columns below are shard-major: entry `s * width + w`
     // is keyword `w` in shard `s`. Each shard's fragment handles own a
-    // run of the seed bitset starting at its base.
-    let mut kws: Vec<Option<Kw>> = Vec::with_capacity(shards.len() * width);
-    let mut bases: Vec<usize> = Vec::with_capacity(shards.len());
+    // run of the handle sets starting at its base.
+    kws.clear();
+    bases.clear();
     let mut handles = 0usize;
     for (index, _) in shards {
         kws.extend(request.keywords.iter().map(|w| index.inverted.kw(w)));
         bases.push(handles);
         handles += index.catalog.len();
     }
+    let kws: &[Option<Kw>] = kws;
+    let bases: &[usize] = bases;
 
     // Lines 1–2: the relevant fragments F, seeded into the priority
     // queue *lazily*. The inverted lists are TF-sorted exactly so that
@@ -197,25 +285,32 @@ pub(crate) fn top_k_in(
     // head (threshold-algorithm style). Hot keywords with huge inverted
     // lists then touch only a prefix, which is what keeps Figure 11's
     // hot-term searches sub-millisecond.
-    let postings: Vec<&[Posting]> = kws
-        .iter()
-        .enumerate()
-        .map(|(i, kw)| kw.map_or(&[][..], |kw| shards[i / width].0.inverted.postings_kw(kw)))
-        .collect();
-    let mut cursors: Vec<usize> = vec![0; postings.len()];
-    let mut seeded = SeededSet::reuse(&mut scratch.seeded_bits, handles);
-    let mut queue: BinaryHeap<Candidate> = BinaryHeap::new();
+    let mut postings: Vec<&[Posting]> = recycle(std::mem::take(pooled_postings));
+    postings.extend(
+        kws.iter()
+            .enumerate()
+            .map(|(i, kw)| kw.map_or(&[][..], |kw| shards[i / width].0.inverted.postings_kw(kw))),
+    );
+    cursors.clear();
+    cursors.resize(postings.len(), 0);
+    seeded.reset(handles);
+    absorbed.reset(handles);
+    let mut queue: BinaryHeap<Candidate> = BinaryHeap::from(std::mem::take(heap));
     // Per-candidate keyword-occurrence rows, appended as candidates are
     // created and addressed by offset — candidates stay `Copy` and
-    // expansion never clones a vector. The pool's allocation lives in
-    // the (possibly pooled) scratch.
-    let occ_pool: &mut Vec<u64> = &mut scratch.occ_pool;
+    // expansion never clones a vector.
     occ_pool.clear();
+    neighbors.clear();
+    neighbors.resize(2 * width, 0);
+    emitted.clear();
 
     // Occurrences of one queried keyword in an arbitrary fragment of
-    // shard `s` (an expansion neighbor): a binary-search probe of the
-    // shard's fragment-sorted arena.
+    // shard `s`: a binary-search probe of the shard's fragment-sorted
+    // arena. Only a seed's *other* keywords and expansion neighbours
+    // need one; every call is counted.
+    let probes = Cell::new(0u64);
     let probe = |s: usize, w: usize, frag: Frag| -> u64 {
+        probes.set(probes.get() + 1);
         kws[s * width + w].map_or(0, |kw| shards[s].0.inverted.occurrences(kw, frag))
     };
 
@@ -236,8 +331,8 @@ pub(crate) fn top_k_in(
     // Draws the next seed from the list whose head posting scores
     // highest, over every shard. Returns false when every list is
     // exhausted.
-    let seed_one = |cursors: &mut Vec<usize>,
-                    seeded: &mut SeededSet,
+    let seed_one = |cursors: &mut [usize],
+                    seeded: &mut HandleSet,
                     queue: &mut BinaryHeap<Candidate>,
                     occ_pool: &mut Vec<u64>|
      -> bool {
@@ -267,9 +362,23 @@ pub(crate) fn top_k_in(
             let Some(node) = index.graph.locate(posting.frag) else {
                 continue;
             };
+            // The drawn keyword's count is the posting's own (both
+            // arenas hold the same count for every posting); only the
+            // request's other keywords are probed.
+            let drawn = i % width;
+            debug_assert_eq!(
+                posting.occurrences,
+                kws[i].map_or(0, |kw| index.inverted.occurrences(kw, posting.frag)),
+                "TF and probe arenas disagree"
+            );
             let occ_offset = (occ_pool.len() / width) as u32;
             for w in 0..width {
-                occ_pool.push(probe(s, w, posting.frag));
+                let occ = if w == drawn {
+                    posting.occurrences
+                } else {
+                    probe(s, w, posting.frag)
+                };
+                occ_pool.push(occ);
             }
             let total_keywords = index.catalog.total_keywords(posting.frag);
             let row = &occ_pool[occ_offset as usize * width..];
@@ -286,15 +395,9 @@ pub(crate) fn top_k_in(
         }
     };
 
-    // Fragments absorbed into an expansion, by (global group rank,
-    // position): their queued singleton entry is dead (paper: "it is
-    // removed from Q").
-    let mut absorbed: HashSet<(u32, u32)> = HashSet::new();
-    // Output intervals per global group rank, for overlap suppression.
-    let mut output_intervals: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
     let mut output: Vec<SearchHit> = Vec::new();
-    let mut pops = 0u64;
-    let mut bound = frontier_bound(&cursors);
+    let (mut pops, mut seeds, mut expansions, mut compared, mut dead_pops) = (0, 0, 0, 0, 0);
+    let mut bound = frontier_bound(cursors);
 
     // Lines 4–9.
     while output.len() < request.k {
@@ -303,28 +406,16 @@ pub(crate) fn top_k_in(
         // is what makes the pop sequence independent of the seeding
         // schedule. The bound moves only when a cursor does.
         while queue.peek().is_none_or(|head| head.score <= bound) {
-            if !seed_one(&mut cursors, &mut seeded, &mut queue, &mut *occ_pool) {
+            if !seed_one(cursors, seeded, &mut queue, occ_pool) {
                 break;
             }
-            bound = frontier_bound(&cursors);
+            seeds += 1;
+            bound = frontier_bound(cursors);
         }
         let Some(candidate) = queue.pop() else {
             break;
         };
         pops += 1;
-        // Dead singleton (absorbed by an earlier expansion)?
-        if candidate.lo == candidate.hi && absorbed.contains(&(candidate.rank, candidate.lo)) {
-            continue;
-        }
-        // Content overlap with an already-returned page?
-        if let Some(intervals) = output_intervals.get(&candidate.rank) {
-            if intervals
-                .iter()
-                .any(|&(lo, hi)| candidate.lo <= hi && lo <= candidate.hi)
-            {
-                continue;
-            }
-        }
 
         // The group's shard is the last whose offset does not exceed its
         // rank (an empty shard shares its successor's offset).
@@ -332,6 +423,19 @@ pub(crate) fn top_k_in(
         let (index, group_offset) = shards[s];
         let group = GroupId(candidate.rank - group_offset);
         let group_nodes = index.graph.group_nodes(group);
+        // Dead singleton (absorbed by an earlier expansion), or content
+        // overlap with an already-returned page?
+        let dead = candidate.lo == candidate.hi
+            && absorbed.contains(bases[s] + group_nodes[candidate.lo as usize].index());
+        if dead
+            || emitted.iter().any(|&(rank, lo, hi)| {
+                rank == candidate.rank && candidate.lo <= hi && lo <= candidate.hi
+            })
+        {
+            dead_pops += 1;
+            continue;
+        }
+
         let can_grow_left = candidate.lo > 0;
         let can_grow_right = ((candidate.hi + 1) as usize) < group_nodes.len();
         let expandable =
@@ -340,32 +444,42 @@ pub(crate) fn top_k_in(
         if !expandable {
             // Line 6–7: emit.
             if let Some(hit) = to_hit(app, index, group, &candidate, group_nodes) {
-                output_intervals
-                    .entry(candidate.rank)
-                    .or_default()
-                    .push((candidate.lo, candidate.hi));
+                emitted.push((candidate.rank, candidate.lo, candidate.hi));
                 output.push(hit);
             }
             continue;
         }
 
-        // Line 8: expand toward the more relevant neighbor.
-        let neighbor_relevance = |pos: u32| -> u64 {
+        // Line 8: expand toward the more relevant neighbor. Each
+        // neighbour is probed once: its per-keyword counts land in the
+        // neighbour buffer, are summed for the comparison and are reused
+        // for the expanded page's row.
+        let (left, right) = neighbors.split_at_mut(width);
+        let count = |pos: u32, row: &mut [u64]| -> u64 {
             let frag = group_nodes[pos as usize];
-            (0..width).map(|w| probe(s, w, frag)).sum()
+            for (w, occ) in row.iter_mut().enumerate() {
+                *occ = probe(s, w, frag);
+            }
+            row.iter().sum()
         };
         let go_left = match (can_grow_left, can_grow_right) {
-            (true, false) => true,
-            (false, true) => false,
-            (true, true) => {
-                neighbor_relevance(candidate.lo - 1) > neighbor_relevance(candidate.hi + 1)
+            (true, false) => {
+                count(candidate.lo - 1, left);
+                true
             }
+            (false, true) => {
+                count(candidate.hi + 1, right);
+                false
+            }
+            (true, true) => count(candidate.lo - 1, left) > count(candidate.hi + 1, right),
             (false, false) => unreachable!("expandable implies a neighbor"),
         };
-        let new_pos = if go_left {
-            candidate.lo - 1
+        expansions += 1;
+        compared += 1 + u64::from(can_grow_left && can_grow_right);
+        let (new_pos, counts) = if go_left {
+            (candidate.lo - 1, &*left)
         } else {
-            candidate.hi + 1
+            (candidate.hi + 1, &*right)
         };
         let neighbor = group_nodes[new_pos as usize];
         let mut expanded = candidate;
@@ -379,43 +493,75 @@ pub(crate) fn top_k_in(
         // still-queued copy).
         let parent = candidate.occ_offset as usize * width;
         expanded.occ_offset = (occ_pool.len() / width) as u32;
-        for w in 0..width {
-            let occ = occ_pool[parent + w] + probe(s, w, neighbor);
-            occ_pool.push(occ);
+        for (w, &occ) in counts.iter().enumerate() {
+            occ_pool.push(occ_pool[parent + w] + occ);
         }
         expanded.total_keywords += index.catalog.total_keywords(neighbor);
         let row = expanded.occ_offset as usize * width;
         expanded.score = score_of(&occ_pool[row..row + width], expanded.total_keywords, idf);
-        absorbed.insert((candidate.rank, new_pos));
+        absorbed.insert(bases[s] + neighbor.index());
         queue.push(expanded);
     }
 
+    let mut buffer = queue.into_vec();
+    buffer.clear();
+    *heap = buffer;
+    *pooled_postings = recycle(postings);
     scratch.pops = pops;
+    scratch.seeds = seeds;
+    scratch.probes = probes.get();
+    scratch.expansions = expansions;
+    scratch.compared = compared;
+    scratch.dead_pops = dead_pops;
     output
 }
 
-/// A dense seen-set over a partition's fragment handles (one bit per
-/// interned fragment, each shard's handles offset by its base — no
-/// hashing on the seeding path). Backed by a borrowed, pooled bit
-/// vector.
-struct SeededSet<'a> {
-    bits: &'a mut Vec<u64>,
+/// A set of partition fragment handles (each shard's handles offset by
+/// its base): one bit per handle, no hashing. It is all zeros between
+/// searches — [`HandleSet::reset`] clears only the words the last
+/// search set, and a word is zeroed into existence only when first
+/// touched — so neither a pooled nor a fresh set pays to zero the whole
+/// partition.
+#[derive(Debug, Default)]
+struct HandleSet {
+    words: Vec<u64>,
+    /// Indexes of the nonzero words.
+    dirty: Vec<usize>,
 }
 
-impl<'a> SeededSet<'a> {
-    /// Clears and resizes a pooled bit vector for `fragments` handles.
-    fn reuse(bits: &'a mut Vec<u64>, fragments: usize) -> Self {
-        bits.clear();
-        bits.resize(fragments.div_ceil(64), 0);
-        SeededSet { bits }
+impl HandleSet {
+    /// Empties the set and reserves room for `handles` bits.
+    fn reset(&mut self, handles: usize) {
+        for &word in &self.dirty {
+            self.words[word] = 0;
+        }
+        self.dirty.clear();
+        self.words
+            .reserve(handles.div_ceil(64).saturating_sub(self.words.len()));
     }
 
     /// Marks handle bit `bit`; returns whether it was newly marked.
     fn insert(&mut self, bit: usize) -> bool {
         let (word, mask) = (bit / 64, 1u64 << (bit % 64));
-        let fresh = self.bits[word] & mask == 0;
-        self.bits[word] |= mask;
-        fresh
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let slot = &mut self.words[word];
+        if *slot & mask != 0 {
+            return false;
+        }
+        if *slot == 0 {
+            self.dirty.push(word);
+        }
+        *slot |= mask;
+        true
+    }
+
+    /// Whether handle bit `bit` is marked.
+    fn contains(&self, bit: usize) -> bool {
+        self.words
+            .get(bit / 64)
+            .is_some_and(|word| word & (1u64 << (bit % 64)) != 0)
     }
 }
 
@@ -432,10 +578,20 @@ fn score_of(occurrences: &[u64], total_keywords: u64, idf: &[f64]) -> f64 {
         .sum()
 }
 
+/// Parameter pairs a hit collects on the stack; an application binding
+/// more parameters spills them to the heap.
+const INLINE_PARAMS: usize = 8;
+
+/// Filler for the unused slots of the stack pair buffer.
+static NO_VALUE: Value = Value::Null;
+
 /// Reverse-engineers a candidate of `group` (its id inside `index`)
 /// into a [`SearchHit`]: parameter values →
 /// query string → URL (Line 10 of Algorithm 1 / Example 7). This is the
 /// output boundary — the only place handles resolve back to identifiers.
+/// The `(parameter, value)` pairs borrow from the group key and the
+/// catalog, and the query string is written in one pass
+/// ([`WebApplication::render_query_string`]).
 fn to_hit(
     app: &WebApplication,
     index: &FragmentIndex,
@@ -444,23 +600,34 @@ fn to_hit(
     group_nodes: &[Frag],
 ) -> Option<SearchHit> {
     let range_pos = index.graph.range_position();
-    let mut params = ParamValues::new();
+    let selections = &app.query.selections;
+    // A range selection binds two parameters, every other at most one.
+    let capacity = selections.len() + 1;
+    let mut inline = [("", &NO_VALUE); INLINE_PARAMS];
+    let mut spilled = Vec::new();
+    let pairs: &mut [(&str, &Value)] = if capacity <= INLINE_PARAMS {
+        &mut inline
+    } else {
+        spilled.resize(capacity, ("", &NO_VALUE));
+        &mut spilled
+    };
+    let mut len = 0;
     // Equality selections read from the group key (which is the fragment
     // identifier minus the range position); the range selection reads its
     // bounds from the interval's end fragments.
-    let group_key = index.graph.group_key(group);
-    let mut group_iter = group_key.iter();
-    for (i, sel) in app.query.selections.iter().enumerate() {
+    let mut group_iter = index.graph.group_key(group).iter();
+    for (i, sel) in selections.iter().enumerate() {
         match (&sel.binding, range_pos) {
             (SelectionBinding::RangeParams { low, high }, Some(pos)) if pos == i => {
                 let lo_id = index.catalog.id(group_nodes[candidate.lo as usize]);
                 let hi_id = index.catalog.id(group_nodes[candidate.hi as usize]);
-                params.insert(low.clone(), lo_id.values()[pos].clone());
-                params.insert(high.clone(), hi_id.values()[pos].clone());
+                pairs[len] = (low, &lo_id.values()[pos]);
+                pairs[len + 1] = (high, &hi_id.values()[pos]);
+                len += 2;
             }
             (SelectionBinding::EqParam(p), _) => {
-                let value = group_iter.next()?.clone();
-                params.insert(p.clone(), value);
+                pairs[len] = (p, group_iter.next()?);
+                len += 1;
             }
             (SelectionBinding::EqConst(_), _) => {
                 // Baked-in constant: part of the group key but not of the
@@ -470,11 +637,11 @@ fn to_hit(
             (SelectionBinding::RangeParams { .. }, _) => return None,
         }
     }
-    let query_string = app.reverse_query_string(&params).ok()?;
-    let url = app.render_suggestion(&query_string.to_string());
+    let query_string = app.render_query_string(&pairs[..len])?;
+    let url = app.render_suggestion(&query_string);
     Some(SearchHit {
         url,
-        query_string: query_string.to_string(),
+        query_string,
         score: candidate.score,
         size: candidate.total_keywords,
         fragment_ids: group_nodes[candidate.lo as usize..=candidate.hi as usize]
@@ -601,6 +768,51 @@ mod tests {
             &SearchRequest::new(&["burger"]).k(1).min_size(20),
         );
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn each_posting_is_probed_once() {
+        // The probe budget, pinned: a seed probes only the request's
+        // *other* keywords (so a single-keyword request probes nothing
+        // at seeding), and an expansion probes each neighbour it
+        // compares once — both when both sides exist, the one side
+        // otherwise. A pooled scratch answers like a fresh one.
+        let (app, fooddb) = engine_parts();
+        let plateau = |tied| {
+            let fragments = crate::sharded::tests::plateau_fragments(16, 16, tied);
+            FragmentIndex::build(&fragments, app.query.range_selection_index()).unwrap()
+        };
+        let corpora = [
+            ("fooddb", fooddb, ["burger", "fries"]),
+            ("flat", plateau(usize::MAX), ["plateau", "filler"]),
+            ("half", plateau(128), ["plateau", "filler"]),
+        ];
+        let mut pooled = SearchScratch::new();
+        for (label, index, [a, b]) in &corpora {
+            let shards = [(index, 0)];
+            for keywords in [&[*a][..], &[*b], &[*a, *b], &[*a, *a]] {
+                for (k, s) in [(1, 1), (10, 1), (10, 50), (40, 50)] {
+                    let request = SearchRequest::new(keywords).k(k).min_size(s);
+                    let idf = request_idf(&shards, &request);
+                    let hits = top_k_in(&app, &shards, &request, &idf, &mut pooled);
+                    let case = format!("{label} {keywords:?} k={k} s={s}");
+                    assert_eq!(hits, top_k(&app, index, &request), "{case}");
+                    let width = keywords.len() as u64;
+                    let c = &pooled;
+                    assert!(c.seeds > 0 && c.pops > 0, "{case}");
+                    assert_eq!(
+                        c.probes,
+                        c.seeds * (width - 1) + c.compared * width,
+                        "{case}"
+                    );
+                    assert!(
+                        c.expansions <= c.compared && c.compared <= 2 * c.expansions,
+                        "{case}"
+                    );
+                    assert!(c.dead_pops + c.expansions < c.pops, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

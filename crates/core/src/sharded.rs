@@ -279,25 +279,44 @@ impl ShardedEngine {
         let _span = dash_obs::span!("dash_shard_search_many_ns");
         let shards = self.views();
         let mut scratch = self.scratch.lock().pop().unwrap_or_default();
-        let mut pops = 0u64;
+        // Per batch: candidates popped, fragments seeded, arena probes,
+        // expansions.
+        let mut work = [0u64; 4];
         let results = requests
             .iter()
             .map(|request| {
                 let idf = request_idf(&shards, request);
                 let _span = dash_obs::span!("dash_shard_search_ns");
                 let hits = top_k_in(&self.app, &shards, request, &idf, &mut scratch);
-                pops += scratch.pops;
+                let counts = [
+                    scratch.pops,
+                    scratch.seeds,
+                    scratch.probes,
+                    scratch.expansions,
+                ];
+                for (total, count) in work.iter_mut().zip(counts) {
+                    *total += count;
+                }
                 hits
             })
             .collect();
         self.scratch.lock().push(scratch);
         // Each pop is one candidate db-page the heap loop examined.
-        if pops > 0 {
-            static CANDIDATES: std::sync::OnceLock<std::sync::Arc<dash_obs::Counter>> =
+        if work[0] > 0 {
+            static COUNTERS: std::sync::OnceLock<[std::sync::Arc<dash_obs::Counter>; 4]> =
                 std::sync::OnceLock::new();
-            CANDIDATES
-                .get_or_init(|| dash_obs::Registry::global().counter("dash_shard_candidates_total"))
-                .add(pops);
+            let counters = COUNTERS.get_or_init(|| {
+                [
+                    "dash_shard_candidates_total",
+                    "dash_shard_seeds_total",
+                    "dash_shard_probes_total",
+                    "dash_shard_expansions_total",
+                ]
+                .map(|name| dash_obs::Registry::global().counter(name))
+            });
+            for (counter, total) in counters.iter().zip(work) {
+                counter.add(total);
+            }
         }
         results
     }
@@ -641,6 +660,11 @@ impl ShardedEngine {
         &self.app
     }
 
+    /// Every shard's index, in group-rank order.
+    pub fn shard_indexes(&self) -> impl ExactSizeIterator<Item = &FragmentIndex> {
+        self.shards.iter().map(|shard| &shard.index)
+    }
+
     /// Number of shards the handle space is partitioned into.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -710,7 +734,7 @@ fn partition(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::DashEngine;
     use dash_webapp::fooddb;
@@ -1016,7 +1040,7 @@ mod tests {
     /// The plateau corpus shape: `groups × per_group` fragments, each
     /// holding `"plateau"`; the first `tied` share one (occurrences,
     /// total) pair — one bit-identical seed score — and the rest vary.
-    fn plateau_fragments(groups: usize, per_group: usize, tied: usize) -> Vec<Fragment> {
+    pub(crate) fn plateau_fragments(groups: usize, per_group: usize, tied: usize) -> Vec<Fragment> {
         (0..groups * per_group)
             .map(|n| {
                 let (plateau, filler) = if n < tied {

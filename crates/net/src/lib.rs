@@ -146,6 +146,7 @@
 //! | `dash_serve_publish_invalidate_ns` | histogram | inside `swap`: the signature sweep of both cache instances (results and rendered responses) |
 //! | `dash_serve_signature_keywords` | gauge | keywords in the last published signature |
 //! | `dash_shard_{search,search_many}_ns`, `dash_shard_candidates_total` | histogram/counter | sharded search: one heap loop per request, one call per batch, candidates popped |
+//! | `dash_shard_{seeds,probes,expansions}_total` | counter | sharded search work: fragments seeded into the heap, binary-search probes of the fragment-sorted arena, candidate expansions |
 //! | `dash_repl_{bootstraps,catchups,deltas_applied,forwarded,forward_retries}_total` | counter | replication + write forwarding |
 //! | `dash_repl_epoch`, `dash_repl_epoch_lag` | gauge | replica epoch; gap seen at the last delta frame |
 //! | `dash_router_{reads,read_retries,writes,write_failovers}_total` | counter | routing front tier |

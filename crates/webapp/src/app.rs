@@ -7,7 +7,7 @@ use crate::analyzer::{analyze_servlet, AnalyzedApplication};
 use crate::error::WebAppError;
 use crate::page::DbPage;
 use crate::psj::{ParamValues, PsjQuery, SelectionBinding};
-use crate::query_string::{parse_typed, QueryString};
+use crate::query_string::{parse_typed, write_query_value, QueryString};
 use crate::servlet::parse_servlet;
 
 /// An analyzed web application: the parameterized PSJ query it wraps, the
@@ -141,6 +141,27 @@ impl WebApplication {
         Ok(qs)
     }
 
+    /// [`WebApplication::reverse_query_string`] rendered in one pass,
+    /// from `(parameter, value)` pairs instead of a map: writes
+    /// `field=value&…` in `field_params` order straight into one
+    /// string. A parameter's value is its *last* pair, as if every pair
+    /// had been inserted into a [`ParamValues`] in order; a field whose
+    /// parameter has no pair yields `None`. For a map `m` with pairs
+    /// `p`, `render_query_string(p) == reverse_query_string(m).to_string()`.
+    pub fn render_query_string(&self, params: &[(&str, &Value)]) -> Option<String> {
+        let mut out = String::with_capacity(64);
+        for (i, (field, param)) in self.field_params.iter().enumerate() {
+            let (_, value) = params.iter().rev().find(|(p, _)| p == param)?;
+            if i > 0 {
+                out.push('&');
+            }
+            out.push_str(field);
+            out.push('=');
+            write_query_value(&mut out, value).expect("writing to a String cannot fail");
+        }
+        Some(out)
+    }
+
     /// The URL suggestion for given parameter values. For GET this is
     /// base URI + `?` + reverse-parsed query string; for POST the query
     /// string travels in the request body, so the suggestion spells that
@@ -157,11 +178,10 @@ impl WebApplication {
     /// Formats a URL suggestion from an already-rendered query string,
     /// honoring the application's HTTP method.
     pub fn render_suggestion(&self, query_string: &str) -> String {
+        let base = self.base_uri.as_str();
         match self.method {
-            crate::servlet::HttpMethod::Get => format!("{}?{query_string}", self.base_uri),
-            crate::servlet::HttpMethod::Post => {
-                format!("{} [POST {query_string}]", self.base_uri)
-            }
+            crate::servlet::HttpMethod::Get => [base, "?", query_string].concat(),
+            crate::servlet::HttpMethod::Post => [base, " [POST ", query_string, "]"].concat(),
         }
     }
 

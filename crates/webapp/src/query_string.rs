@@ -2,7 +2,7 @@
 //! and the building blocks of *reverse query-string parsing* (parameter
 //! values → query string), which is how Dash suggests URLs (Section III).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use dash_relation::{ColumnType, Date, Decimal, Value};
 
@@ -99,13 +99,51 @@ pub(crate) fn parse_typed(raw: &str, ty: ColumnType) -> Result<Value, String> {
     }
 }
 
+/// The query-string value encoder: writes `raw` with every space as
+/// `+` (the inverse of [`QueryString::parse`]'s decoding). Both
+/// [`QueryString`]'s `Display` and
+/// [`WebApplication::render_query_string`](crate::WebApplication::render_query_string)
+/// write values through it.
+///
+/// # Errors
+///
+/// Only what `out` returns.
+pub(crate) fn write_encoded<W: fmt::Write>(out: &mut W, raw: &str) -> fmt::Result {
+    let mut parts = raw.split(' ');
+    out.write_str(parts.next().unwrap_or_default())?;
+    for part in parts {
+        out.write_char('+')?;
+        out.write_str(part)?;
+    }
+    Ok(())
+}
+
+/// Writes `value` as a query-string value: its
+/// [`Value::to_query_value`] text encoded by [`write_encoded`], without
+/// allocating that text. Only a `Str` can hold a space, so the other
+/// variants write their `Display` text directly.
+///
+/// # Errors
+///
+/// Only what `out` returns.
+pub(crate) fn write_query_value<W: fmt::Write>(out: &mut W, value: &Value) -> fmt::Result {
+    match value {
+        Value::Null => Ok(()),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Decimal(d) => write!(out, "{d}"),
+        Value::Str(s) => write_encoded(out, s),
+        Value::Date(d) => write!(out, "{d}"),
+    }
+}
+
 impl fmt::Display for QueryString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, (field, value)) in self.pairs.iter().enumerate() {
             if i > 0 {
-                write!(f, "&")?;
+                f.write_char('&')?;
             }
-            write!(f, "{field}={}", value.replace(' ', "+"))?;
+            write!(f, "{field}=")?;
+            write_encoded(f, value)?;
         }
         Ok(())
     }

@@ -10,12 +10,18 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use dash::core::crawl::reference;
-use dash::core::{DashConfig, DashEngine, Fragment, FragmentId, SearchHit, SearchRequest};
+use dash::core::{
+    DashConfig, DashEngine, Fragment, FragmentId, IngestSource, SearchHit, SearchRequest,
+    ShardedEngine,
+};
+use dash::mapreduce::WorkflowStats;
 use dash::relation::Database;
 use dash::webapp::{fooddb, WebApplication};
 use dash_tpch::{generate, Scale, TpchConfig};
+use proptest::prelude::*;
 
 /// The seed's top-k search, verbatim semantics: value-vector group keys,
 /// per-keyword occurrence hash maps, allocating candidates.
@@ -436,12 +442,16 @@ fn fooddb_example_7_exact_hits() {
     assert!(urls.contains(&"www.example.com/Search?c=Thai&l=10&u=10"));
 }
 
-#[test]
-fn tpch_q2_matches_seed_search_across_temperatures() {
+fn small_tpch() -> Database {
     let mut config = TpchConfig::new(Scale::Custom(1));
     config.base_customers = 60;
     config.base_parts = 80;
-    let db = generate(&config);
+    generate(&config)
+}
+
+#[test]
+fn tpch_q2_matches_seed_search_across_temperatures() {
+    let db = small_tpch();
     let app = dash_tpch::q2_application(&db).unwrap();
     let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
     let keywords = temperature_keywords(&engine);
@@ -461,5 +471,93 @@ fn catalog_roundtrips_every_fragment() {
         assert_eq!(catalog.id(frag), &f.id, "id → handle → id roundtrip");
         assert_eq!(catalog.total_keywords(frag), f.total_keywords);
         assert_eq!(catalog.record_count(frag), f.record_count);
+    }
+}
+
+/// One corpus of the random-request tier: the application, the seed
+/// oracle's index, the single engine and sharded engines at 1, 2 and 4
+/// shards, and the keyword pool requests draw from.
+struct Corpus {
+    app: WebApplication,
+    oracle: seed_reference::SeedIndex,
+    single: DashEngine,
+    sharded: Vec<ShardedEngine>,
+    pool: Vec<String>,
+}
+
+const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+
+fn corpus(app: WebApplication, db: &Database) -> Corpus {
+    let fragments = reference::fragments(&app, db).unwrap();
+    let single = DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).unwrap();
+    // Hot, middle and cold keywords: a cold one (df 1) lives in one
+    // shard and is absent from every other, and an unknown one from all.
+    let ranked = single.index().inverted.keywords_by_df();
+    let n = ranked.len();
+    let mut pool: Vec<String> = [0, 1, 2, n / 3, n / 2, n / 2 + 1, n - 2, n - 1]
+        .iter()
+        .map(|&at| ranked[at.min(n - 1)].0.to_string())
+        .collect();
+    assert_eq!(
+        ranked[n - 1].1,
+        1,
+        "the coldest keyword sits in one fragment"
+    );
+    pool.push("zzz-unknown-keyword".to_string());
+    Corpus {
+        oracle: seed_reference::build(&fragments, app.query.range_selection_index()),
+        sharded: SHARD_COUNTS
+            .iter()
+            .map(|&shards| {
+                ShardedEngine::builder(app.clone())
+                    .shards(shards)
+                    .source(IngestSource::Fragments(&fragments))
+                    .build()
+                    .unwrap()
+            })
+            .collect(),
+        single,
+        pool,
+        app,
+    }
+}
+
+fn corpora() -> &'static [Corpus; 2] {
+    static CORPORA: OnceLock<[Corpus; 2]> = OnceLock::new();
+    CORPORA.get_or_init(|| {
+        let tpch = small_tpch();
+        [
+            corpus(fooddb::search_application().unwrap(), &fooddb::database()),
+            corpus(dash_tpch::q2_application(&tpch).unwrap(), &tpch),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random 1–4-keyword requests — repeats, shard-local and unknown
+    /// keywords included — at every `k`, `s` and shard count: the
+    /// single and sharded engines return the seed oracle's hits byte
+    /// for byte.
+    #[test]
+    fn random_requests_match_seed_search_at_every_shard_count(
+        which in 0usize..2,
+        picks in prop::collection::vec(0usize..9, 1..5),
+        repeat in any::<bool>(),
+        k in prop::sample::select(vec![1usize, 10, 40]),
+        s in prop::sample::select(vec![1u64, 20, 100]),
+        shards in 0usize..SHARD_COUNTS.len(),
+    ) {
+        let corpus = &corpora()[which];
+        let mut keywords: Vec<&str> = picks.iter().map(|&at| corpus.pool[at].as_str()).collect();
+        if repeat && keywords.len() < 4 {
+            keywords.push(keywords[0]);
+        }
+        let request = SearchRequest::new(&keywords).k(k).min_size(s);
+        let expected = seed_reference::top_k(&corpus.app, &corpus.oracle, &request);
+        let case = format!("corpus={which} {keywords:?} k={k} s={s} shards={}", SHARD_COUNTS[shards]);
+        prop_assert_eq!(corpus.single.search(&request), expected.clone(), "{}", case);
+        prop_assert_eq!(corpus.sharded[shards].search(&request), expected, "{}", case);
     }
 }

@@ -200,6 +200,20 @@ fn the_metrics_exposition_is_valid_and_covers_every_layer() {
             .unwrap_or_else(|| panic!("no summary {name}"))
             .clone()
     };
+    // The heap loop's work counters: the expanding `burger` searches
+    // seeded, probed neighbours and expanded.
+    for name in [
+        "dash_shard_candidates_total",
+        "dash_shard_seeds_total",
+        "dash_shard_probes_total",
+        "dash_shard_expansions_total",
+    ] {
+        let value = text
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("missing {name} in:\n{text}"));
+        assert!(value.parse::<u64>().unwrap() > 0, "{name} is zero");
+    }
     assert!(series("dash_net_request_ns").count >= 4, "{text}");
     assert!(series("dash_serve_search_ns").count >= 3, "{text}");
     let served = series("dash_net_request_ns");

@@ -480,6 +480,62 @@ proptest! {
         }
     }
 
+    /// The seed path reads a posting's own keyword count from the
+    /// TF-sorted arena and probes the fragment-sorted arena for the
+    /// rest, so the two must agree: after random deltas, at every shard
+    /// count, every TF-arena posting's `occurrences` equals the probe
+    /// arena's `occurrences(kw, frag)` — and again once the spliced
+    /// engine has gone through an arena image.
+    #[test]
+    fn tf_and_probe_arenas_agree_after_random_deltas(
+        rows in prop::collection::vec(fragment_strategy(), 1..30),
+        ops in prop::collection::vec(op_strategy(), 1..12),
+    ) {
+        let app = fooddb::search_application().unwrap();
+        let initial = materialize(&rows);
+        for &shards in &SHARD_COUNTS {
+            let mut engine = ShardedEngine::builder(app.clone())
+                .shards(shards)
+                .source(IngestSource::Fragments(&initial))
+                .build()
+                .unwrap();
+            for op in &ops {
+                engine.apply_delta(match op {
+                    Op::Upsert(row) => IndexDelta::new(vec![row.id()], vec![row.materialize()]),
+                    Op::Remove(eq, range) => IndexDelta::removing(vec![FragmentId::new(vec![
+                        Value::str(EQ_KEYS[*eq]),
+                        Value::Int(*range),
+                    ])]),
+                });
+            }
+            let mut image = Vec::new();
+            engine.write_image(&mut image).unwrap();
+            let loaded = ShardedEngine::builder(app.clone())
+                .source(IngestSource::Image(&image))
+                .build()
+                .unwrap();
+            for (label, engine) in [("spliced", &engine), ("loaded", &loaded)] {
+                for (s, index) in engine.shard_indexes().enumerate() {
+                    let inverted = &index.inverted;
+                    for (word, _) in inverted.keywords_by_df() {
+                        let kw = inverted.kw(word).unwrap();
+                        for posting in inverted.postings_kw(kw) {
+                            prop_assert_eq!(
+                                posting.occurrences,
+                                inverted.occurrences(kw, posting.frag),
+                                "{} shards={} shard {} keyword {}",
+                                label,
+                                shards,
+                                s,
+                                word
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Interleaving searches *between* delta applications never
     /// perturbs later results (scratch pools, worker state and offsets
     /// carry no stale cross-request state).
