@@ -11,7 +11,7 @@
 //! The failover rows are single-shot timings. End-to-end latency and
 //! throughput over HTTP under mixed search/update traffic are
 //! `dashbench`'s job (`benchmark/`). CI's `net` job regenerates this
-//! file and gates `conns-10k < 2 × conns-100`: the event loop's sweep
+//! file and gates `conns-10k < 2 × conns-100`: what a request costs
 //! must track active connections, not open ones.
 
 use std::net::TcpListener;
@@ -97,8 +97,8 @@ fn bench_net(c: &mut Criterion) {
 
     // Concurrency axis: the cache-hit search, measured while an idle
     // herd of keep-alive connections is parked on the front-end —
-    // the event loop's sweep cost must track *active* connections, not
-    // open ones. 100 and 1k park in-process; 10k would need ~20k fds
+    // a request's cost must track *active* connections, not open
+    // ones. 100 and 1k park in-process; 10k would need ~20k fds
     // in one process (client + server side), past the container's
     // limit, so two `DASH_CONN_HOLD` child processes park 5k each and
     // only the server-side fds land here.

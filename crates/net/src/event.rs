@@ -1,81 +1,111 @@
-//! The readiness-driven event loop behind [`NetServer`](crate::NetServer).
+//! The leader/followers loop behind [`NetServer`](crate::NetServer)
+//! (Schmidt, O'Ryan, Kircher, Pyarali & Buschmann, PLoP 2000).
 //!
-//! One thread owns every socket. The listener and all accepted
-//! connections are nonblocking; each connection is a small state
-//! machine
+//! One pool of threads serves every socket, and the thread that reads a
+//! request also writes its answer. At any moment one thread **leads**:
+//! it alone waits on the `epoll` instance (the crate's `sys` module)
+//! for the listener, the connections and a wake-up socket. The others
+//! are **followers** parked on a condition variable, or are busy
+//! handling a request. The leader takes one event at a time:
 //!
-//! ```text
-//! Idle → ReadingHead → ReadingBody → Handling → Writing → Idle
-//!                  └──── parse error ────→ Writing(4xx) → close
-//! ```
+//! * the listener: accept a burst and register each connection;
+//! * a connection: read what arrived and run its state machine
 //!
-//! driven by whatever bytes happen to be readable when the loop visits
-//! it. An idle keep-alive peer therefore costs one slot and one read
-//! buffer — not a parked thread — which is what lets the front-end
-//! hold 10k open connections on a fixed worker pool.
+//!   ```text
+//!   Idle → ReadingHead → ReadingBody → request → Writing → Idle
+//!                    └──── parse error ──→ Writing(4xx) → close
+//!   ```
 //!
-//! Pure `std` has no readiness syscall (no epoll/kqueue, and the
-//! no-new-dependencies rule forbids mio), so readiness is *polled*:
-//! every loop iteration sweeps the **hot** set — connections with
-//! activity in the last `HOT_WINDOW` (~100ms) plus anything mid-write — with
-//! one nonblocking read/write each, while the **cold** remainder is
-//! visited by a budgeted round-robin cursor (`COLD_BUDGET_BUSY` slots
-//! per iteration under load, `COLD_BUDGET_IDLE` when nothing is hot).
-//! The sweep cost thus tracks the *active* connection count; 10k idle
-//! peers add cursor visits, not per-request latency. When an iteration
-//! makes no progress the loop sleeps on the workers' completion
-//! channel with a backoff-bounded tick, so a finished search wakes it
-//! immediately and shutdown is never more than one tick away (which is
-//! why `Drop` needs no self-connect wake-up).
+//!   A byte-cache hit ([`DashServer::cached_rendered`](dash_serve::DashServer::cached_rendered))
+//!   is already rendered bytes, so the leader writes it in place, as it
+//!   does a `400`/`413`, and keeps leading. Any other request
+//!   (a miss, `POST /update`, `/stats`, `/metrics`, …) first
+//!   **promotes** a parked follower to leader, then is answered start
+//!   to finish on the thread that read it; a miss goes through
+//!   [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
+//!   which caches the bytes for the next repeat. Pipelined requests
+//!   already buffered are answered before the connection goes back to
+//!   `epoll`. The thread then rejoins the followers.
 //!
-//! Route handling never runs on the loop thread: completed requests
-//! are dispatched to a worker pool over a bounded queue (a full queue
-//! answers `503` immediately — load sheds at the door instead of
-//! stalling the accept path, and so does the connection cap, with its
-//! own counter). The one exception is a pre-serialized response held by
-//! the backing server's rendered cache
-//! ([`DashServer::cached_rendered`](dash_serve::DashServer::cached_rendered)):
-//! a hit is already rendered bytes, so the loop writes them in place —
-//! a lookup plus one `write(2)`. A worker answering a miss renders
-//! through [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
-//! which caches the bytes for the next repeat.
+//! **Ownership.** Parked connections live in one table under a mutex,
+//! and an event's token is a table slot: the thread that takes a
+//! connection out of the table owns it until it puts it back or closes
+//! it, and a token that finds its slot empty is ignored. Only the
+//! leader waits on `epoll`, so while it serves a connection in place
+//! nobody else can see that connection's next event, and the
+//! registration (`EPOLLIN | EPOLLRDHUP`, or `EPOLLOUT` while a write
+//! would block) is left as it is — a byte-cache hit costs no `epoll_ctl`.
+//! Before a connection is handed to another thread, or to the queue, it
+//! is disarmed to `EPOLLONESHOT` with no interest, so the next leader
+//! cannot see it; its handler re-arms it when it parks it.
+//!
+//! **Admission.** The pool has `workers + 1` threads, so that one thread
+//! still leads while `workers` handle requests. A leader that finds no
+//! parked follower to promote keeps leading and queues the request for
+//! the next thread that finishes; with `queue_depth` requests already
+//! queued it answers `503` in place instead (`dash_net_shed_jobs_total`).
+//! The connection cap answers a connect past it with `503` too.
+//!
+//! **Waiting.** While the server saw an event within the last
+//! `HOT_WINDOW` the leader polls `epoll_wait(…, 0)` and yields the CPU
+//! between polls: waking a halted CPU costs more than a cached hit
+//! takes to serve. Past the window it blocks in `epoll_wait`, so an idle
+//! server burns no core and an idle connection costs a table slot and
+//! its buffer, not a visit. The timeout of that wait is the earliest
+//! deadline: a request begun but not finished within `REQUEST_TIMEOUT`
+//! is answered `408`, a write its peer stopped draining for as long is
+//! closed, and a listener that failed to accept (`EMFILE`, …) is
+//! re-armed after `ACCEPT_BACKOFF` instead of reporting the same
+//! backlog in a hot loop. Dropping the server writes to the wake-up
+//! socket, which stays readable, so every thread sees the stop.
 
+use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dash_core::SearchRequest;
 use dash_obs::{render_merged, Counter, Gauge, Registry, SlowEntry, TraceId};
 
 use crate::http::{self, ParseError, Request, Response};
 use crate::json;
 use crate::obs::NetObs;
 use crate::server::{parse_search, route, Backend, NetConfig};
+use crate::sys::{self, Epoll, Event};
 
-/// How long after its last byte of I/O a connection stays in the
-/// per-iteration hot sweep before demotion to the cold cursor.
+/// How long after the last event the leader keeps polling instead of
+/// blocking.
 const HOT_WINDOW: Duration = Duration::from_millis(100);
 /// Read budget for a request once its first byte has arrived — a peer
 /// stalled mid-request is answered `408` and closed instead of holding
 /// its slot forever. Doubles as the write-stall budget.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
-/// Cold-cursor visits per iteration while hot connections need the
-/// loop's attention.
-const COLD_BUDGET_BUSY: usize = 64;
-/// Cold-cursor visits per iteration when the loop is otherwise idle —
-/// nothing competes for it, so discovery latency wins over sweep cost.
-const COLD_BUDGET_IDLE: usize = 2048;
-/// Accepts drained per iteration — bounds time away from live
+/// How long the listener stays disarmed after `accept` failed for a
+/// reason other than an empty backlog (out of descriptors or memory).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+/// Accepts per listener event — bounds time away from live
 /// connections when a connect storm arrives.
 const ACCEPT_BURST: usize = 256;
-/// Read chunk per nonblocking `read(2)`.
+/// Each pool thread's read buffer.
 const READ_CHUNK: usize = 16 * 1024;
-/// Idle sleep tick bounds (exponential backoff between them). The cap
-/// is also the worst-case shutdown-notice latency.
-const IDLE_TICK_US: u64 = 500;
-const IDLE_TICK_CAP_US: u64 = 5_000;
+
+/// Tokens past any table slot.
+const LISTENER: u64 = u64::MAX;
+const WAKE: u64 = u64::MAX - 1;
+/// The timer slot of a listener resting after a failed accept.
+const RESTING_LISTENER: usize = usize::MAX;
+/// A parked connection waiting for its next request bytes.
+const READABLE: u32 = sys::IN | sys::RDHUP;
+/// A parked connection waiting to write the rest of its response (a
+/// peer that half-closes but still reads is no reason to wake).
+const WRITABLE: u32 = sys::OUT;
+/// A connection handed to a handler: no interest, and a hang-up it
+/// still reports comes once.
+const DISARMED: u32 = sys::ONESHOT;
 
 /// Front-end counters, registry-backed: the same handles serve
 /// [`NetCounters`] snapshots and the `dash_net_*` series of
@@ -125,7 +155,8 @@ pub struct NetCounters {
     /// Connections answered `503` and closed because the connection
     /// cap was reached.
     pub overflows: u64,
-    /// Requests answered `503` because the worker queue was full.
+    /// Requests answered `503` because no thread was free and
+    /// `queue_depth` requests were already waiting for one.
     pub shed_jobs: u64,
     /// Requests answered `400`/`413` for malformed or oversized input.
     pub bad_requests: u64,
@@ -133,48 +164,9 @@ pub struct NetCounters {
     pub timeouts: u64,
 }
 
-/// Bytes queued for a connection: owned (rendered for this request) or
-/// shared out of the response cache (a hit never copies the body).
-#[derive(Debug)]
-pub(crate) enum Outgoing {
-    Own(Vec<u8>),
-    Shared(Arc<Vec<u8>>),
-}
-
-impl Outgoing {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Outgoing::Own(bytes) => bytes,
-            Outgoing::Shared(bytes) => bytes,
-        }
-    }
-}
-
-/// A request dispatched to the worker pool, tagged with its
-/// connection's slot and generation (the generation guards against a
-/// slot being closed and re-used while the worker runs).
-#[derive(Debug)]
-pub(crate) struct Job {
-    pub(crate) slot: usize,
-    pub(crate) gen: u64,
-    pub(crate) request: Request,
-    /// When the loop queued the job — workers record the queue wait.
-    pub(crate) enqueued: Instant,
-}
-
-/// A worker's finished response, routed back to the loop.
-#[derive(Debug)]
-pub(crate) struct Done {
-    pub(crate) slot: usize,
-    pub(crate) gen: u64,
-    pub(crate) out: Outgoing,
-    pub(crate) close_after: bool,
-}
-
 /// Connection states (see the module diagram). `Idle` is "between
-/// requests, buffer empty"; reads are paused in `Handling` and
-/// `Writing` — built-in backpressure, a peer cannot pipeline faster
-/// than it is answered.
+/// requests"; reads pause while `Writing` — built-in backpressure, a
+/// peer cannot pipeline faster than it is answered.
 #[derive(Debug)]
 enum ConnState {
     Idle,
@@ -182,9 +174,10 @@ enum ConnState {
     ReadingBody {
         head: http::ParsedHead,
     },
-    Handling,
+    /// Response bytes: rendered for this request, or shared out of the
+    /// response cache (a hit never copies the body).
     Writing {
-        out: Outgoing,
+        out: Arc<Vec<u8>>,
         pos: usize,
         close_after: bool,
     },
@@ -196,25 +189,22 @@ struct Conn {
     /// Unconsumed request bytes (pipelined requests queue here).
     buf: Vec<u8>,
     state: ConnState,
-    /// Generation guard for `Done` routing.
-    gen: u64,
-    /// Last byte of I/O — the hot/cold demotion clock.
-    last_activity: Instant,
     /// When the in-flight request's first byte arrived (408 clock).
     request_started: Option<Instant>,
-    /// In the per-iteration hot sweep (vs the budgeted cold cursor).
-    hot: bool,
     /// Peer sent EOF; serve what is buffered, then close.
     read_closed: bool,
+    /// While parked: when it stalls out (its key in the timer set).
+    deadline: Option<Instant>,
+    /// The interest it is registered with right now.
+    armed: u32,
     /// Stage marks of the in-flight request (`None` with tracing
     /// disabled — the zero-overhead path).
     trace: Option<ReqTrace>,
 }
 
-/// Stage timestamps of one in-flight request, taken from the event
-/// loop's per-iteration `Instant` — tracing adds no clock reads. The
-/// marks turn into the `dash_net_{head,body,handle,write}_ns`
-/// histograms and a [`SlowEntry`] when the response finishes flushing.
+/// Stage timestamps of one in-flight request. The marks turn into the
+/// `dash_net_{head,body,handle,write}_ns` histograms and a
+/// [`SlowEntry`] when the response finishes flushing.
 #[derive(Debug)]
 struct ReqTrace {
     id: TraceId,
@@ -227,481 +217,169 @@ struct ReqTrace {
     handle_done: Option<Instant>,
 }
 
-struct EventLoop {
-    backend: Backend,
-    counters: Arc<Counters>,
-    obs: Arc<NetObs>,
-    jobs: SyncSender<Job>,
-    max_connections: usize,
-    conns: Vec<Option<Conn>>,
-    free: Vec<usize>,
-    open: usize,
-    cursor: usize,
-    next_gen: u64,
-    /// Rendered once: the `503` the cap answers overflow connects with.
-    overflow_bytes: Vec<u8>,
-}
-
-/// What the state machine decided during a short borrow of the
-/// connection — executed after the borrow ends.
+/// What the parser made of the buffered bytes.
 enum Step {
     /// Nothing further until more bytes arrive.
     Wait,
-    /// Keep running the state machine.
-    Again,
     /// Close the connection (clean or torn — nothing to answer).
     Close,
     /// Answer a parse failure and close.
     Reject(ParseError),
-    /// A complete request: hand it off.
+    /// A complete request.
     Request(http::ParsedHead, Vec<u8>),
 }
 
-/// Runs the loop until `stop` is set. Takes ownership of the listener
-/// and the worker channels; dropping `jobs` on return is what winds
-/// the worker pool down.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    listener: TcpListener,
-    backend: Backend,
-    config: &NetConfig,
-    stop: &AtomicBool,
-    counters: Arc<Counters>,
-    obs: Arc<NetObs>,
-    jobs: SyncSender<Job>,
-    done: Receiver<Done>,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut lp = EventLoop {
-        backend,
-        counters,
-        obs,
-        jobs,
-        max_connections: config.max_connections.max(1),
-        conns: Vec::new(),
-        free: Vec::new(),
-        open: 0,
-        cursor: 0,
-        next_gen: 0,
-        overflow_bytes: http::render_response(
-            &Response::error(503, "connection limit reached"),
-            false,
-        ),
-    };
-    let mut idle_streak: u32 = 0;
-    while !stop.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        let mut progress = false;
-        while let Ok(msg) = done.try_recv() {
-            lp.complete(msg, now);
-            progress = true;
-        }
-        progress |= lp.accept_burst(&listener, now);
-        let (hot_progress, hot_active) = lp.sweep_hot(now);
-        progress |= hot_progress;
-        progress |= lp.sweep_cold(now, hot_active > 0);
-        if progress {
-            idle_streak = 0;
-            continue;
-        }
-        idle_streak = idle_streak.saturating_add(1);
-        if hot_active > 0 {
-            // A recently-active peer's next request is expected any
-            // moment: stay on the CPU (ceding it — on a loaded box the
-            // scheduler hands the slice to a worker) instead of paying
-            // a timer wakeup on the critical path.
-            std::thread::yield_now();
-            continue;
-        }
-        let tick =
-            Duration::from_micros((IDLE_TICK_US << idle_streak.min(4)).min(IDLE_TICK_CAP_US));
-        match done.recv_timeout(tick) {
-            Ok(msg) => {
-                lp.complete(msg, Instant::now());
-                idle_streak = 0;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            // All workers gone (only possible mid-teardown): keep
-            // ticking so the stop flag is still honored.
-            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(tick),
-        }
-    }
+/// How a flush ended.
+enum Flushed {
+    Dead,
+    Blocked,
+    Complete { close_after: bool },
 }
 
-impl EventLoop {
-    /// Drains the accept queue (bounded per iteration). Connections
-    /// past the cap get a best-effort `503` and are closed — never a
-    /// silent stall.
-    fn accept_burst(&mut self, listener: &TcpListener, now: Instant) -> bool {
-        let mut progress = false;
-        for _ in 0..ACCEPT_BURST {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            };
-            progress = true;
-            self.counters.accepted.inc();
-            if self.open >= self.max_connections {
-                self.counters.overflows.inc();
-                let mut stream = stream;
-                let _ = stream.write(&self.overflow_bytes);
-                continue; // dropped: closed
-            }
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            stream.set_nodelay(true).ok();
-            self.next_gen += 1;
-            let conn = Conn {
-                stream,
-                buf: Vec::new(),
-                state: ConnState::Idle,
-                gen: self.next_gen,
-                last_activity: now,
-                request_started: None,
-                hot: true,
-                read_closed: false,
-                trace: None,
-            };
-            match self.free.pop() {
-                Some(slot) => self.conns[slot] = Some(conn),
-                None => self.conns.push(Some(conn)),
-            }
-            self.open += 1;
-            self.counters.open.add(1);
-        }
-        progress
-    }
-
-    /// Sweeps every hot connection (demoting quiet ones) and returns
-    /// `(progress, still-hot-and-pollable count)` — `Handling` slots
-    /// stay hot for a prompt write once their worker finishes, but
-    /// they need no polling, so they don't keep the loop spinning.
-    fn sweep_hot(&mut self, now: Instant) -> (bool, usize) {
-        let mut progress = false;
-        let mut active = 0usize;
-        for slot in 0..self.conns.len() {
-            let pollable = match self.conns[slot].as_mut() {
-                None => continue,
-                Some(conn) => {
-                    if !conn.hot {
-                        continue;
-                    }
-                    let pollable = !matches!(conn.state, ConnState::Handling);
-                    if pollable && now.duration_since(conn.last_activity) > HOT_WINDOW {
-                        conn.hot = false;
-                        continue;
-                    }
-                    pollable
-                }
-            };
-            if pollable {
-                active += 1;
-                progress |= self.pump(slot, now);
-            }
-        }
-        if active > 0 {
-            self.obs.hot_visits.add(active as u64);
-        }
-        (progress, active)
-    }
-
-    /// Visits a budgeted batch of cold connections round-robin. Any
-    /// that shows activity is promoted back to hot by `pump`.
-    fn sweep_cold(&mut self, now: Instant, busy: bool) -> bool {
-        let len = self.conns.len();
-        if len == 0 {
-            return false;
-        }
-        let budget = if busy {
-            COLD_BUDGET_BUSY
-        } else {
-            COLD_BUDGET_IDLE
-        };
-        let mut progress = false;
-        let mut seen = 0usize;
-        let mut visited = 0usize;
-        while seen < len && visited < budget {
-            self.cursor = (self.cursor + 1) % len;
-            seen += 1;
-            let slot = self.cursor;
-            if self.conns[slot].as_ref().is_some_and(|c| !c.hot) {
-                visited += 1;
-                progress |= self.pump(slot, now);
-            }
-        }
-        if visited > 0 {
-            self.obs.cold_visits.add(visited as u64);
-        }
-        progress
-    }
-
-    /// One readiness visit: nonblocking read + state-machine advance +
-    /// write flush + stall check. Returns whether any I/O happened.
-    fn pump(&mut self, slot: usize, now: Instant) -> bool {
-        let mut progress = false;
-        let readable = matches!(
-            self.conns[slot].as_ref().map(|c| &c.state),
-            Some(ConnState::Idle | ConnState::ReadingHead | ConnState::ReadingBody { .. })
-        );
-        if readable {
-            match self.read_some(slot, now) {
-                Ok(got) => progress |= got,
-                Err(()) => {
-                    self.close(slot);
-                    return true;
-                }
-            }
-            self.advance(slot, now);
-        }
-        if matches!(
-            self.conns[slot].as_ref().map(|c| &c.state),
-            Some(ConnState::Writing { .. })
-        ) {
-            progress |= self.flush(slot, now);
-        }
-        // Stall check: `None` = healthy, `Some(mid_write)` = stalled.
-        let stalled = self.conns[slot].as_ref().and_then(|conn| match conn.state {
-            ConnState::ReadingHead | ConnState::ReadingBody { .. } => conn
-                .request_started
-                .is_some_and(|t| now.duration_since(t) > REQUEST_TIMEOUT)
-                .then_some(false),
-            ConnState::Writing { .. } => {
-                (now.duration_since(conn.last_activity) > REQUEST_TIMEOUT).then_some(true)
-            }
-            _ => None,
-        });
-        match stalled {
-            Some(true) => {
-                // The peer stopped draining its response: nothing left
-                // to tell it.
-                self.close(slot);
-                true
-            }
-            Some(false) => {
-                self.counters.timeouts.inc();
-                let bytes =
-                    http::render_response(&Response::error(408, "request timed out"), false);
-                self.start_writing(slot, Outgoing::Own(bytes), true, now);
-                true
-            }
-            None => progress,
+impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            buf: Vec::new(),
+            state: ConnState::Idle,
+            request_started: None,
+            read_closed: false,
+            deadline: None,
+            armed: READABLE,
+            trace: None,
         }
     }
 
-    /// Drains readable bytes into the connection buffer. `Err(())`
+    /// Drains readable bytes through the thread's buffer. `Err(())`
     /// means the connection is dead (reset); EOF just marks
     /// `read_closed` so buffered requests still get served.
-    fn read_some(&mut self, slot: usize, now: Instant) -> Result<bool, ()> {
-        let conn = self.conns[slot].as_mut().expect("pumped slot is live");
-        let mut tmp = [0u8; READ_CHUNK];
-        let mut any = false;
+    fn read_some(&mut self, chunk: &mut [u8]) -> Result<(), ()> {
         loop {
-            match conn.stream.read(&mut tmp) {
+            match self.stream.read(chunk) {
                 Ok(0) => {
-                    conn.read_closed = true;
-                    break;
+                    self.read_closed = true;
+                    return Ok(());
                 }
                 Ok(n) => {
-                    conn.buf.extend_from_slice(&tmp[..n]);
-                    conn.last_activity = now;
-                    conn.hot = true;
-                    any = true;
-                    if n < tmp.len() {
-                        break;
+                    self.buf.extend_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        return Ok(());
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return Err(()),
             }
         }
-        Ok(any)
     }
 
-    /// Runs the parsing state machine as far as the buffered bytes
-    /// allow: Idle → ReadingHead → ReadingBody → dispatch.
-    fn advance(&mut self, slot: usize, now: Instant) {
+    /// Runs the parser as far as the buffered bytes allow: Idle →
+    /// ReadingHead → ReadingBody → a complete request.
+    fn advance(&mut self, now: Instant, tracing: bool) -> Step {
         loop {
-            let step = {
-                let Some(conn) = self.conns[slot].as_mut() else {
-                    return;
+            match &self.state {
+                ConnState::Idle => {
+                    if self.buf.is_empty() {
+                        // A clean close between requests.
+                        return if self.read_closed {
+                            Step::Close
+                        } else {
+                            Step::Wait
+                        };
+                    }
+                    self.state = ConnState::ReadingHead;
+                    self.request_started = Some(now);
+                    self.trace = tracing.then(|| ReqTrace {
+                        id: TraceId::next(),
+                        route: String::new(),
+                        started: now,
+                        head_done: None,
+                        body_done: None,
+                        handle_done: None,
+                    });
+                }
+                ConnState::ReadingHead => match http::parse_head(&self.buf) {
+                    Ok(Some(head)) => {
+                        self.state = ConnState::ReadingBody { head };
+                        if let Some(trace) = self.trace.as_mut() {
+                            trace.head_done = Some(now);
+                        }
+                    }
+                    // Connection closed mid-headers stays silent, per
+                    // HTTP convention — there is no request to answer.
+                    Ok(None) if self.read_closed => return Step::Close,
+                    Ok(None) => return Step::Wait,
+                    Err(e) => return Step::Reject(e),
+                },
+                ConnState::ReadingBody { head } => {
+                    let total = head.head_len + head.content_length;
+                    if self.buf.len() < total {
+                        // Torn mid-body: nothing to answer.
+                        return if self.read_closed {
+                            Step::Close
+                        } else {
+                            Step::Wait
+                        };
+                    }
+                    let ConnState::ReadingBody { head } =
+                        std::mem::replace(&mut self.state, ConnState::Idle)
+                    else {
+                        unreachable!("matched ReadingBody above");
+                    };
+                    let body = self.buf[head.head_len..total].to_vec();
+                    self.buf.drain(..total);
+                    self.request_started = None;
+                    return Step::Request(head, body);
+                }
+                ConnState::Writing { .. } => return Step::Wait,
+            }
+        }
+    }
+
+    fn start_writing(&mut self, out: Arc<Vec<u8>>, close_after: bool, now: Instant) {
+        self.state = ConnState::Writing {
+            out,
+            pos: 0,
+            close_after,
+        };
+        if let Some(trace) = self.trace.as_mut() {
+            // First response byte queued: handling is over. Cache hits
+            // and rejects reach here without a hand-off, so their
+            // handle stage is the (near-zero) gap since the last mark.
+            trace.handle_done.get_or_insert(now);
+        }
+    }
+
+    /// Pushes queued response bytes out.
+    fn flush(&mut self) -> Flushed {
+        let ConnState::Writing {
+            out,
+            pos,
+            close_after,
+        } = &mut self.state
+        else {
+            unreachable!("flush is only called while writing");
+        };
+        loop {
+            if *pos >= out.len() {
+                return Flushed::Complete {
+                    close_after: *close_after,
                 };
-                match &conn.state {
-                    ConnState::Idle => {
-                        if conn.buf.is_empty() {
-                            if conn.read_closed {
-                                Step::Close // clean close between requests
-                            } else {
-                                Step::Wait
-                            }
-                        } else {
-                            conn.state = ConnState::ReadingHead;
-                            conn.request_started = Some(now);
-                            // Stage marks reuse the sweep's `now` — a
-                            // disabled registry costs one bool load.
-                            conn.trace = self.obs.registry.is_enabled().then(|| ReqTrace {
-                                id: TraceId::next(),
-                                route: String::new(),
-                                started: now,
-                                head_done: None,
-                                body_done: None,
-                                handle_done: None,
-                            });
-                            Step::Again
-                        }
-                    }
-                    ConnState::ReadingHead => match http::parse_head(&conn.buf) {
-                        Ok(Some(head)) => {
-                            conn.state = ConnState::ReadingBody { head };
-                            if let Some(trace) = conn.trace.as_mut() {
-                                trace.head_done = Some(now);
-                            }
-                            Step::Again
-                        }
-                        // Connection closed mid-headers stays silent,
-                        // per HTTP convention — there is no request to
-                        // answer.
-                        Ok(None) if conn.read_closed => Step::Close,
-                        Ok(None) => Step::Wait,
-                        Err(e) => Step::Reject(e),
-                    },
-                    ConnState::ReadingBody { head } => {
-                        let total = head.head_len + head.content_length;
-                        if conn.buf.len() < total {
-                            if conn.read_closed {
-                                Step::Close // torn mid-body: nothing to answer
-                            } else {
-                                Step::Wait
-                            }
-                        } else {
-                            let head = head.clone();
-                            let body = conn.buf[head.head_len..total].to_vec();
-                            conn.buf.drain(..total);
-                            conn.request_started = None;
-                            Step::Request(head, body)
-                        }
-                    }
-                    // Backpressured states: nothing to advance.
-                    ConnState::Handling | ConnState::Writing { .. } => Step::Wait,
-                }
-            };
-            match step {
-                Step::Wait => return,
-                Step::Again => {}
-                Step::Close => {
-                    self.close(slot);
-                    return;
-                }
-                Step::Reject(e) => {
-                    self.reject(slot, &e, now);
-                    return;
-                }
-                Step::Request(head, body) => {
-                    self.dispatch(slot, &head, body, now);
-                    return;
-                }
+            }
+            match self.stream.write(&out[*pos..]) {
+                Ok(0) => return Flushed::Dead,
+                Ok(n) => *pos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Flushed::Blocked,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return Flushed::Dead,
             }
         }
-    }
-
-    /// Answers a malformed or oversized request with its parse error
-    /// (the connection closes after — framing is unrecoverable).
-    fn reject(&mut self, slot: usize, error: &ParseError, now: Instant) {
-        self.counters.bad_requests.inc();
-        let response = Response::error(error.status(), error.message());
-        let bytes = http::render_response(&response, false);
-        self.start_writing(slot, Outgoing::Own(bytes), true, now);
-    }
-
-    /// Hands a complete request off: the response-cache fast path in
-    /// place (a hit is one buffer, one write), everything else to the
-    /// worker pool — with an immediate `503` if the queue is full.
-    fn dispatch(&mut self, slot: usize, head: &http::ParsedHead, body: Vec<u8>, now: Instant) {
-        let request = match http::build_request(head, body) {
-            Ok(request) => request,
-            Err(e) => {
-                self.reject(slot, &e, now);
-                return;
-            }
-        };
-        let (gen, read_closed) = {
-            let conn = self.conns[slot].as_mut().expect("dispatching live slot");
-            if let Some(trace) = conn.trace.as_mut() {
-                trace.body_done = Some(now);
-                trace.route = format!("{} {}", request.method, request.path);
-            }
-            (conn.gen, conn.read_closed)
-        };
-        let close_after = !request.keep_alive || read_closed;
-        if !close_after {
-            if let Some(bytes) = cached_search_response(&request, &self.backend) {
-                self.start_writing(slot, Outgoing::Shared(bytes), false, now);
-                return;
-            }
-        }
-        match self.jobs.try_send(Job {
-            slot,
-            gen,
-            request,
-            enqueued: now,
-        }) {
-            Ok(()) => {
-                self.obs.queue_depth.add(1);
-                let conn = self.conns[slot].as_mut().expect("slot still live");
-                conn.state = ConnState::Handling;
-            }
-            Err(TrySendError::Full(_)) => {
-                self.counters.shed_jobs.inc();
-                let response = Response::error(503, "server overloaded");
-                let bytes = http::render_response(&response, !close_after);
-                self.start_writing(slot, Outgoing::Own(bytes), close_after, now);
-            }
-            Err(TrySendError::Disconnected(_)) => self.close(slot),
-        }
-    }
-
-    /// Routes a worker's finished response to its connection — dropped
-    /// if the slot was closed or re-used meanwhile (generation guard).
-    fn complete(&mut self, done: Done, now: Instant) {
-        let live = self
-            .conns
-            .get(done.slot)
-            .and_then(|c| c.as_ref())
-            .is_some_and(|c| c.gen == done.gen && matches!(c.state, ConnState::Handling));
-        if live {
-            self.start_writing(done.slot, done.out, done.close_after, now);
-        }
-    }
-
-    fn start_writing(&mut self, slot: usize, out: Outgoing, close_after: bool, now: Instant) {
-        {
-            let conn = self.conns[slot].as_mut().expect("writing to live slot");
-            conn.state = ConnState::Writing {
-                out,
-                pos: 0,
-                close_after,
-            };
-            conn.hot = true;
-            conn.last_activity = now;
-            if let Some(trace) = conn.trace.as_mut() {
-                // First response byte queued: handling is over. Cache
-                // hits and rejects reach here without a dispatch, so
-                // their handle stage is the (near-zero) gap since the
-                // last mark.
-                trace.handle_done.get_or_insert(now);
-            }
-        }
-        self.flush(slot, now);
     }
 
     /// Closes out the in-flight request's trace: records the stage
     /// histograms and offers the request to the slow log.
-    fn finish_trace(&mut self, slot: usize, now: Instant) {
-        let Some(trace) = self.conns[slot].as_mut().and_then(|c| c.trace.take()) else {
+    fn finish_trace(&mut self, obs: &NetObs, now: Instant) {
+        let Some(trace) = self.trace.take() else {
             return;
         };
         // A stage that never ran (e.g. reject before the body) borrows
@@ -716,12 +394,12 @@ impl EventLoop {
         let handle_ns = stage(body, handle);
         let write_ns = stage(handle, now);
         let total_ns = stage(trace.started, now);
-        self.obs.head_ns.record(head_ns);
-        self.obs.body_ns.record(body_ns);
-        self.obs.handle_ns.record(handle_ns);
-        self.obs.write_ns.record(write_ns);
-        self.obs.request_ns.record(total_ns);
-        self.obs.slow.record(SlowEntry {
+        obs.head_ns.record(head_ns);
+        obs.body_ns.record(body_ns);
+        obs.handle_ns.record(handle_ns);
+        obs.write_ns.record(write_ns);
+        obs.request_ns.record(total_ns);
+        obs.slow.record(SlowEntry {
             trace: trace.id,
             route: trace.route,
             total_ns,
@@ -733,75 +411,586 @@ impl EventLoop {
             ],
         });
     }
+}
 
-    /// Pushes queued response bytes out. On completion the connection
-    /// returns to `Idle` (or closes), then immediately re-enters the
-    /// parser — pipelined requests already buffered get served without
-    /// waiting for another readiness visit.
-    fn flush(&mut self, slot: usize, now: Instant) -> bool {
-        enum Flushed {
-            Dead,
-            Blocked(bool),
-            Complete(bool),
-        }
-        let outcome = {
-            let conn = self.conns[slot].as_mut().expect("flushing live slot");
-            let ConnState::Writing {
-                out,
-                pos,
-                close_after,
-            } = &mut conn.state
-            else {
-                return false;
-            };
-            let close_after = *close_after;
-            let mut wrote = false;
-            loop {
-                let bytes = out.as_slice();
-                if *pos >= bytes.len() {
-                    conn.last_activity = now;
-                    break Flushed::Complete(close_after);
-                }
-                match conn.stream.write(&bytes[*pos..]) {
-                    Ok(0) => break Flushed::Dead,
-                    Ok(n) => {
-                        *pos += n;
-                        wrote = true;
-                        conn.last_activity = now;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        break Flushed::Blocked(wrote)
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break Flushed::Dead,
-                }
-            }
+/// A complete request that needs a thread: the connection it came on
+/// (owned), and its search parsed once, if it is a cacheable search.
+#[derive(Debug)]
+struct Handoff {
+    slot: usize,
+    conn: Conn,
+    request: Request,
+    search: Option<SearchRequest>,
+    /// When the request was complete (the queue-wait clock).
+    ready: Instant,
+}
+
+/// Parked connections: everything no thread owns right now.
+#[derive(Debug, Default)]
+struct Table {
+    slots: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    open: usize,
+    /// `(deadline, slot)` of every parked connection that has one, and
+    /// of a resting listener (`RESTING_LISTENER`).
+    timers: BTreeSet<(Instant, usize)>,
+}
+
+impl Table {
+    /// The earliest moment the leader must wake for.
+    fn next_due(&self) -> Option<Instant> {
+        self.timers.first().map(|&(at, _)| at)
+    }
+}
+
+/// Who leads, who is parked, and requests waiting for a thread.
+#[derive(Debug, Default)]
+struct Turns {
+    leading: bool,
+    /// Followers parked on the condition variable.
+    parked: usize,
+    waiting: VecDeque<Handoff>,
+}
+
+/// What a thread does next after its turn ends.
+enum Turn {
+    Lead,
+    Handle(Box<Handoff>),
+    Stop,
+}
+
+/// What became of a request the leader cannot answer in place.
+enum Promotion {
+    /// A follower leads now; this thread answers the request.
+    Promoted(Handoff),
+    /// No follower was parked: queued for the next free thread.
+    Queued,
+    /// No follower was parked and the queue was full.
+    Shed(Handoff),
+}
+
+#[derive(Debug)]
+struct Shared {
+    backend: Backend,
+    counters: Arc<Counters>,
+    obs: Arc<NetObs>,
+    poll: Epoll,
+    listener: TcpListener,
+    /// Read end of the wake-up pair: registered level-triggered.
+    wake_rx: UnixStream,
+    wake_tx: UnixStream,
+    stop: AtomicBool,
+    table: Mutex<Table>,
+    turns: Mutex<Turns>,
+    followers: Condvar,
+    max_connections: usize,
+    queue_depth: usize,
+    /// Rendered once: the `503` the cap answers overflow connects with.
+    overflow_bytes: Vec<u8>,
+}
+
+/// The thread pool serving one listener; dropping it stops and joins
+/// every thread.
+#[derive(Debug)]
+pub(crate) struct Pool {
+    shared: Arc<Shared>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    /// Registers the listener and starts `workers + 1` threads.
+    pub(crate) fn start(
+        listener: TcpListener,
+        backend: Backend,
+        config: &NetConfig,
+        counters: Arc<Counters>,
+        obs: Arc<NetObs>,
+    ) -> io::Result<Pool> {
+        listener.set_nonblocking(true)?;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let poll = Epoll::new()?;
+        poll.add(&listener, sys::IN | sys::ONESHOT, LISTENER)?;
+        poll.add(&wake_rx, sys::IN, WAKE)?;
+        let shared = Arc::new(Shared {
+            backend,
+            counters,
+            obs,
+            poll,
+            listener,
+            wake_rx,
+            wake_tx,
+            stop: AtomicBool::new(false),
+            table: Mutex::default(),
+            turns: Mutex::default(),
+            followers: Condvar::new(),
+            max_connections: config.max_connections.max(1),
+            queue_depth: config.queue_depth.max(1),
+            overflow_bytes: http::render_response(
+                &Response::error(503, "connection limit reached"),
+                false,
+            ),
+        });
+        let mut pool = Pool {
+            shared,
+            threads: Vec::new(),
         };
-        match outcome {
-            Flushed::Dead => {
-                self.close(slot);
-                true
-            }
-            Flushed::Blocked(wrote) => wrote,
-            Flushed::Complete(close_after) => {
-                self.finish_trace(slot, now);
-                if close_after {
-                    self.close(slot);
-                } else {
-                    let conn = self.conns[slot].as_mut().expect("slot still live");
-                    conn.state = ConnState::Idle;
-                    self.advance(slot, now);
+        for at in 0..=config.workers.max(1) {
+            let shared = Arc::clone(&pool.shared);
+            // On failure, dropping `pool` stops what already started.
+            pool.threads.push(
+                std::thread::Builder::new()
+                    .name(format!("dash-net-{at}"))
+                    .spawn(move || shared.run())?,
+            );
+        }
+        Ok(pool)
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.wake();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+impl Shared {
+    fn table(&self) -> MutexGuard<'_, Table> {
+        self.table
+            .lock()
+            .expect("no thread panics holding the connection table")
+    }
+
+    fn turns(&self) -> MutexGuard<'_, Turns> {
+        self.turns
+            .lock()
+            .expect("no thread panics holding the turn state")
+    }
+
+    /// Makes the leader's wait return (best effort: a full socket
+    /// already has a wake-up pending).
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// One pool thread: take turns leading, answer what the turn hands
+    /// over, repeat until stopped.
+    fn run(&self) {
+        let mut chunk = vec![0u8; READ_CHUNK];
+        loop {
+            let mut job = match self.take_turn() {
+                Turn::Stop => return,
+                Turn::Lead => match self.lead(&mut chunk) {
+                    Some(job) => job,
+                    None => continue,
+                },
+                Turn::Handle(job) => *job,
+            };
+            self.obs.busy.add(1);
+            loop {
+                if self.obs.queue_wait_ns.is_enabled() {
+                    self.obs
+                        .queue_wait_ns
+                        .record(job.ready.elapsed().as_nanos() as u64);
                 }
-                true
+                match self.handle(job, &mut chunk) {
+                    Some(next) => job = next,
+                    None => break,
+                }
+            }
+            self.obs.busy.sub(1);
+        }
+    }
+
+    /// Waits for this thread's next turn: a queued request first, the
+    /// lead if nobody holds it, else parked as a follower.
+    fn take_turn(&self) -> Turn {
+        let mut turns = self.turns();
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                self.followers.notify_all();
+                return Turn::Stop;
+            }
+            if let Some(job) = turns.waiting.pop_front() {
+                return Turn::Handle(Box::new(job));
+            }
+            if !turns.leading {
+                turns.leading = true;
+                return Turn::Lead;
+            }
+            turns.parked += 1;
+            turns = self
+                .followers
+                .wait(turns)
+                .expect("no thread panics holding the turn state");
+            turns.parked -= 1;
+        }
+    }
+
+    /// Leads until a request needs this thread (returned, with a
+    /// follower promoted) or the server stops (`None`).
+    fn lead(&self, chunk: &mut [u8]) -> Option<Handoff> {
+        let mut events = [Event::EMPTY];
+        let mut hot_until = Instant::now() + HOT_WINDOW;
+        let mut next_due = self.table().next_due();
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            let now = Instant::now();
+            if next_due.is_some_and(|due| due <= now) {
+                next_due = self.expire(now, chunk);
+            }
+            let timeout = if now < hot_until {
+                Some(Duration::ZERO)
+            } else {
+                next_due.map(|due| due.saturating_duration_since(now))
+            };
+            let got = self
+                .poll
+                .wait(&mut events, timeout)
+                .expect("epoll_wait on the pool's own epoll handle");
+            if got == 0 {
+                if now < hot_until {
+                    std::thread::yield_now();
+                }
+                continue;
+            }
+            let now = Instant::now();
+            match events[0].token() {
+                WAKE => {
+                    // Drain it (a stop leaves it readable for every
+                    // thread: the flag is checked first) and pick up
+                    // whatever deadline the waker parked.
+                    while matches!((&self.wake_rx).read(chunk), Ok(n) if n > 0) {}
+                    next_due = self.table().next_due();
+                }
+                LISTENER => {
+                    if self.accept_burst(now) {
+                        hot_until = now + HOT_WINDOW;
+                    }
+                    next_due = self.table().next_due();
+                }
+                token => {
+                    hot_until = now + HOT_WINDOW;
+                    let slot = token as usize;
+                    let Some(conn) = self.take(slot) else {
+                        continue;
+                    };
+                    let mut next = self.drive(slot, conn, chunk, true, now);
+                    while let Some(mut job) = next {
+                        // The next leader must not see its events.
+                        if !self.arm(&mut job.conn, DISARMED, slot) {
+                            self.close(slot, job.conn);
+                            break;
+                        }
+                        next = match self.promote(job) {
+                            Promotion::Promoted(job) => return Some(job),
+                            Promotion::Queued => None,
+                            Promotion::Shed(job) => self.shed(job, chunk, now),
+                        };
+                    }
+                }
             }
         }
     }
 
-    fn close(&mut self, slot: usize) {
-        if self.conns[slot].take().is_some() {
-            self.free.push(slot);
-            self.open -= 1;
-            self.counters.open.sub(1);
+    /// Hands the lead to a parked follower, or queues or sheds the
+    /// request when none is parked.
+    fn promote(&self, job: Handoff) -> Promotion {
+        let mut turns = self.turns();
+        if turns.parked > 0 {
+            turns.leading = false;
+            drop(turns);
+            self.followers.notify_one();
+            Promotion::Promoted(job)
+        } else if turns.waiting.len() < self.queue_depth {
+            turns.waiting.push_back(job);
+            Promotion::Queued
+        } else {
+            Promotion::Shed(job)
+        }
+    }
+
+    /// Answers `503` in place; returns a pipelined request behind it.
+    fn shed(&self, job: Handoff, chunk: &mut [u8], now: Instant) -> Option<Handoff> {
+        self.counters.shed_jobs.inc();
+        let Handoff {
+            slot,
+            mut conn,
+            request,
+            ..
+        } = job;
+        let close_after = !request.keep_alive || conn.read_closed;
+        let bytes = http::render_response(&Response::error(503, "server overloaded"), !close_after);
+        conn.start_writing(Arc::new(bytes), close_after, now);
+        self.drive(slot, conn, chunk, false, now)
+    }
+
+    /// Answers a request on this thread; returns a pipelined request
+    /// that was buffered behind it and needs handling too.
+    fn handle(&self, job: Handoff, chunk: &mut [u8]) -> Option<Handoff> {
+        let Handoff {
+            slot,
+            mut conn,
+            request,
+            search,
+            ..
+        } = job;
+        let (out, close_after) = respond(&request, search, &self.backend, &self.obs);
+        let now = Instant::now();
+        conn.start_writing(out, close_after, now);
+        self.drive(slot, conn, chunk, false, now)
+    }
+
+    /// Runs an owned connection as far as it goes without blocking:
+    /// finish a pending write, read if `readable`, answer byte-cache
+    /// hits and parse errors in place, and stop at the first request
+    /// that needs handling (returned) or park the connection.
+    fn drive(
+        &self,
+        slot: usize,
+        mut conn: Conn,
+        chunk: &mut [u8],
+        mut readable: bool,
+        now: Instant,
+    ) -> Option<Handoff> {
+        loop {
+            if matches!(conn.state, ConnState::Writing { .. }) {
+                match conn.flush() {
+                    Flushed::Dead => return self.close(slot, conn),
+                    Flushed::Blocked => return self.park(slot, conn, WRITABLE, now),
+                    Flushed::Complete { close_after } => {
+                        conn.finish_trace(&self.obs, now);
+                        if close_after {
+                            return self.close(slot, conn);
+                        }
+                        conn.state = ConnState::Idle;
+                    }
+                }
+            }
+            if std::mem::take(&mut readable) && conn.read_some(chunk).is_err() {
+                return self.close(slot, conn);
+            }
+            let (head, body) = match conn.advance(now, self.obs.registry.is_enabled()) {
+                Step::Wait => return self.park(slot, conn, READABLE, now),
+                Step::Close => return self.close(slot, conn),
+                Step::Reject(e) => {
+                    self.reject(&mut conn, &e, now);
+                    continue;
+                }
+                Step::Request(head, body) => (head, body),
+            };
+            let request = match http::build_request(&head, body) {
+                Ok(request) => request,
+                Err(e) => {
+                    self.reject(&mut conn, &e, now);
+                    continue;
+                }
+            };
+            if let Some(trace) = conn.trace.as_mut() {
+                trace.body_done = Some(now);
+                trace.route = format!("{} {}", request.method, request.path);
+            }
+            let search = cacheable(&request)
+                .then(|| parse_search(&request).ok())
+                .flatten();
+            // The cached rendering carries keep-alive framing.
+            if !conn.read_closed {
+                let hit = search
+                    .as_ref()
+                    .and_then(|search| self.backend.server()?.cached_rendered(search));
+                if let Some(bytes) = hit {
+                    conn.start_writing(bytes, false, now);
+                    continue;
+                }
+            }
+            return Some(Handoff {
+                slot,
+                conn,
+                request,
+                search,
+                ready: now,
+            });
+        }
+    }
+
+    /// Answers a malformed or oversized request with its parse error
+    /// (the connection closes after — framing is unrecoverable).
+    fn reject(&self, conn: &mut Conn, error: &ParseError, now: Instant) {
+        self.counters.bad_requests.inc();
+        let response = Response::error(error.status(), error.message());
+        let bytes = http::render_response(&response, false);
+        conn.start_writing(Arc::new(bytes), true, now);
+    }
+
+    /// Takes a parked connection out of the table: the caller owns it.
+    fn take(&self, slot: usize) -> Option<Conn> {
+        let mut table = self.table();
+        let mut conn = table.slots.get_mut(slot)?.take()?;
+        if let Some(deadline) = conn.deadline.take() {
+            table.timers.remove(&(deadline, slot));
+        }
+        Some(conn)
+    }
+
+    /// Puts a connection back in the table, armed for `interest`. The
+    /// table stays locked until it is armed, so the deadline check
+    /// cannot close it in between.
+    fn park(&self, slot: usize, mut conn: Conn, interest: u32, now: Instant) -> Option<Handoff> {
+        conn.deadline = match conn.state {
+            ConnState::Idle => None,
+            ConnState::ReadingHead | ConnState::ReadingBody { .. } => {
+                conn.request_started.map(|t| t + REQUEST_TIMEOUT)
+            }
+            ConnState::Writing { .. } => Some(now + REQUEST_TIMEOUT),
+        };
+        let mut table = self.table();
+        if !self.arm(&mut conn, interest, slot) {
+            drop(table);
+            return self.close(slot, conn);
+        }
+        let mut earliest = false;
+        if let Some(deadline) = conn.deadline {
+            table.timers.insert((deadline, slot));
+            earliest = table.timers.first() == Some(&(deadline, slot));
+        }
+        table.slots[slot] = Some(conn);
+        drop(table);
+        if earliest {
+            // A blocked leader learns of the new deadline.
+            self.wake();
+        }
+        None
+    }
+
+    /// Registers `interest` for an owned connection unless it holds it
+    /// already; `false` if the kernel refused.
+    fn arm(&self, conn: &mut Conn, interest: u32, slot: usize) -> bool {
+        if conn.armed != interest {
+            if self
+                .poll
+                .modify(&conn.stream, interest, slot as u64)
+                .is_err()
+            {
+                return false;
+            }
+            conn.armed = interest;
+        }
+        true
+    }
+
+    /// Closes an owned connection and frees its slot.
+    fn close(&self, slot: usize, conn: Conn) -> Option<Handoff> {
+        drop(conn);
+        let mut table = self.table();
+        table.free.push(slot);
+        table.open -= 1;
+        self.counters.open.sub(1);
+        None
+    }
+
+    /// Accepts up to a burst of connections; returns whether any was
+    /// accepted. The listener is re-armed unless `accept` failed for
+    /// want of descriptors or memory: then it rests for
+    /// `ACCEPT_BACKOFF`, because the backlog it reports cannot drain.
+    fn accept_burst(&self, now: Instant) -> bool {
+        let mut accepted = false;
+        for _ in 0..ACCEPT_BURST {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    accepted = true;
+                    self.admit(stream);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                Err(_) => {
+                    let resume = now + ACCEPT_BACKOFF;
+                    self.table().timers.insert((resume, RESTING_LISTENER));
+                    return accepted;
+                }
+            }
+        }
+        self.arm_listener();
+        accepted
+    }
+
+    fn arm_listener(&self) {
+        self.poll
+            .modify(&self.listener, sys::IN | sys::ONESHOT, LISTENER)
+            .expect("the listener stays registered for the pool's life");
+    }
+
+    /// Registers an accepted connection, or answers `503` past the cap.
+    fn admit(&self, stream: TcpStream) {
+        self.counters.accepted.inc();
+        let mut table = self.table();
+        if table.open >= self.max_connections {
+            drop(table);
+            self.counters.overflows.inc();
+            let _ = (&stream).write(&self.overflow_bytes);
+            return; // dropped: closed
+        }
+        if stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        stream.set_nodelay(true).ok();
+        let slot = table.free.pop().unwrap_or_else(|| {
+            table.slots.push(None);
+            table.slots.len() - 1
+        });
+        if self.poll.add(&stream, READABLE, slot as u64).is_err() {
+            table.free.push(slot);
+            return;
+        }
+        table.slots[slot] = Some(Conn::new(stream));
+        table.open += 1;
+        self.counters.open.add(1);
+    }
+
+    /// Deals with everything due by `now`: a request stalled mid-way
+    /// is answered `408`, a write stalled on its peer is closed, and a
+    /// resting listener is re-armed. Returns the next due moment.
+    fn expire(&self, now: Instant, chunk: &mut [u8]) -> Option<Instant> {
+        loop {
+            let (slot, conn) = {
+                let mut table = self.table();
+                match table.timers.first() {
+                    Some(&(deadline, slot)) if deadline <= now => {
+                        table.timers.pop_first();
+                        let conn = table.slots.get_mut(slot).and_then(Option::take);
+                        (slot, conn)
+                    }
+                    _ => return table.next_due(),
+                }
+            };
+            let Some(mut conn) = conn else {
+                if slot == RESTING_LISTENER {
+                    self.arm_listener();
+                }
+                continue;
+            };
+            conn.deadline = None;
+            if matches!(conn.state, ConnState::Writing { .. }) {
+                // The peer stopped draining its response: nothing left
+                // to tell it.
+                self.close(slot, conn);
+                continue;
+            }
+            self.counters.timeouts.inc();
+            let bytes = http::render_response(&Response::error(408, "request timed out"), false);
+            conn.start_writing(Arc::new(bytes), true, now);
+            // Closes after the write; nothing is left to hand off.
+            let _ = self.drive(slot, conn, chunk, false, now);
         }
     }
 }
@@ -810,17 +999,6 @@ impl EventLoop {
 /// requests — the cached rendering carries keep-alive framing.
 fn cacheable(request: &Request) -> bool {
     request.keep_alive && request.method == "GET" && request.path == "/search"
-}
-
-/// A cache hit for this request, if it is cacheable and present (the
-/// server counts the hit, so `/stats` reports every served search).
-pub(crate) fn cached_search_response(request: &Request, backend: &Backend) -> Option<Arc<Vec<u8>>> {
-    if !cacheable(request) {
-        return None;
-    }
-    backend
-        .server()?
-        .cached_rendered(&parse_search(request).ok()?)
 }
 
 /// Renders the merged `GET /metrics` exposition: this front-end's
@@ -849,11 +1027,17 @@ fn metrics_text(obs: &NetObs, backend: &Backend) -> String {
     }
 }
 
-/// A worker's whole job: answer one request. A cacheable search goes
-/// through [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
+/// Answers one request on the calling thread. A cacheable search (its
+/// `search` parsed once, by the thread that read it) goes through
+/// [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
 /// which renders the hits into keep-alive response bytes and caches
 /// them epoch-checked for the next repeat.
-pub(crate) fn respond(request: &Request, backend: &Backend, obs: &NetObs) -> (Outgoing, bool) {
+fn respond(
+    request: &Request,
+    search: Option<SearchRequest>,
+    backend: &Backend,
+    obs: &NetObs,
+) -> (Arc<Vec<u8>>, bool) {
     // Diagnostic stall injection (tests of the slow log / stage
     // attribution) — inert unless the front-end opted in.
     if obs.allow_debug_sleep {
@@ -864,35 +1048,23 @@ pub(crate) fn respond(request: &Request, backend: &Backend, obs: &NetObs) -> (Ou
             std::thread::sleep(Duration::from_micros(us.min(1_000_000)));
         }
     }
-    if request.method == "GET" && request.path == "/metrics" {
-        let response = Response {
+    if let (Some(server), Some(search)) = (backend.server(), search) {
+        let bytes = server.search_rendered(&search, |hits| {
+            http::render_response(&Response::json(json::hits_to_json(hits)), true)
+        });
+        return (bytes, false);
+    }
+    let response = match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/metrics") => Response {
             status: 200,
             content_type: "text/plain; version=0.0.4",
             body: metrics_text(obs, backend).into_bytes(),
-        };
-        return (
-            Outgoing::Own(http::render_response(&response, request.keep_alive)),
-            !request.keep_alive,
-        );
-    }
-    if request.method == "GET" && request.path == "/debug/slow" {
-        let response = Response::json(obs.slow.render_json());
-        return (
-            Outgoing::Own(http::render_response(&response, request.keep_alive)),
-            !request.keep_alive,
-        );
-    }
-    if cacheable(request) {
-        if let (Some(server), Ok(search)) = (backend.server(), parse_search(request)) {
-            let bytes = server.search_rendered(&search, |hits| {
-                http::render_response(&Response::json(json::hits_to_json(hits)), true)
-            });
-            return (Outgoing::Shared(bytes), false);
-        }
-    }
-    let response = route(request, backend);
+        },
+        ("GET", "/debug/slow") => Response::json(obs.slow.render_json()),
+        _ => route(request, backend),
+    };
     (
-        Outgoing::Own(http::render_response(&response, request.keep_alive)),
+        Arc::new(http::render_response(&response, request.keep_alive)),
         !request.keep_alive,
     )
 }

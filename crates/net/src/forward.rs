@@ -35,7 +35,7 @@ use crate::client::NetClient;
 use crate::server::{UpdateAck, UpdateBody};
 
 /// A persistent, retargetable connection to the cluster's current
-/// primary, shared by every worker of a replica's HTTP front-end.
+/// primary, shared by every thread of a replica's HTTP front-end.
 #[derive(Debug)]
 pub struct Upstream {
     target: Mutex<SocketAddr>,

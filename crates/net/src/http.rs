@@ -4,7 +4,7 @@
 //! access, and the serving surface is three fixed routes).
 //!
 //! Supported: request-line + header parsing (incremental, over a
-//! growing byte buffer — the event loop feeds it whatever segments
+//! growing byte buffer — the front-end feeds it whatever segments
 //! have arrived), `Content-Length` bodies, persistent connections
 //! (`keep-alive` is the HTTP/1.1 default; `Connection: close`
 //! honored), percent-decoded query strings with repeated keys

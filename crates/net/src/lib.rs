@@ -30,8 +30,8 @@
 //!      ReplicationHub ──▶ Replica, Replica, …         delta streaming
 //! ```
 //!
-//! * **HTTP front-end** ([`server`], [`event`]) — a readiness-driven
-//!   event loop over nonblocking sockets; `GET /search` (byte-stable
+//! * **HTTP front-end** ([`server`], [`event`]) — a leader/followers
+//!   thread pool over `epoll` and nonblocking sockets; `GET /search` (byte-stable
 //!   JSON hit lists), `POST /update` (binary [`RecordChange`] batches
 //!   through the bulk delta path, or prebuilt [`IndexDelta`]s through
 //!   publish), `GET /stats` (qps, cache hit rate, snapshot epoch,
@@ -73,38 +73,36 @@
 //!
 //! ## Front-end architecture
 //!
-//! One event-loop thread owns every socket — listener and accepted
-//! connections alike are nonblocking — and drives one state machine
-//! per connection:
+//! One pool of threads serves every socket by the **leader/followers**
+//! pattern over `epoll` ([`event`]): one thread leads and waits for
+//! readiness, the others are parked or answering a request, and the
+//! thread that reads a request writes its answer:
 //!
 //! ```text
-//!                    ┌─────────────── event loop thread ───────────────┐
-//!   accept ──▶ Idle ──▶ ReadingHead ──▶ ReadingBody ─┬─▶ Handling ─┐   │
-//!              ▲ │          │ parse error  │ torn    │   (workers) │   │
-//!              │ │ EOF      ▼ 400/413      ▼ close   │ cache hit   ▼   │
-//!              │ └─close   Writing ◀───────────────── └──────▶ Writing │
-//!              │              │ close_after                      │     │
-//!              └──────────────┴──────── keep-alive ◀─────────────┘     │
-//!              └──────────────────────────────────────────────────────┘
+//!                 ┌──────────────── leader ────────────────┐
+//!   epoll_wait ──▶│ accept │ read → parse → byte-cache hit? │── yes ─▶ write in place,
+//!        ▲        └────────────────────┬───────────────────┘         keep leading
+//!        │                             │ no: promote a parked follower
+//!        │                             ▼
+//!        │          same thread: search / update / stats → render → write
+//!        └──────────── rejoin the followers ◀──────────────┘
 //! ```
 //!
-//! An idle keep-alive peer costs one slot and one buffer, not a
-//! thread, so 10k open connections ride on a handful of worker
-//! threads. Pure `std` has no readiness syscall, so readiness is
-//! polled in two tiers: connections active in the last ~100ms are
-//! swept every iteration, the cold rest via a budgeted round-robin
-//! cursor — sweep cost tracks *active* connections. Requests dispatch
-//! to a bounded worker queue (full queue ⇒ immediate `503`, as does
-//! the connection cap); responses above ~32KB stream back chunked.
-//! Repeat `GET /search` requests short-circuit through a
-//! **pre-serialized response cache**: the exact rendered bytes, held
-//! by the backing `DashServer` as the second instance of its one cache
-//! ([`DashServer::cached_rendered`], [`DashServer::search_rendered`])
-//! and swept by each publication's [`DeltaSignature`] inside `publish`,
-//! making a hot hit one lookup plus one `write(2)` on the loop thread.
-//! The `net/concurrency` bench axis records cache-hit latency against
-//! 100/1k/10k open connections; `dashbench`'s `hot-fit` workload
-//! prices the cached round-trip end to end (`net.http_hit_us_p50`).
+//! An idle keep-alive peer costs a table slot and its buffer, not a
+//! thread and not a visit, so 10k open connections ride on a handful of
+//! threads, and a server with nothing to do blocks in `epoll_wait`. A
+//! request that arrives while every thread is busy waits in a bounded
+//! queue (full queue ⇒ immediate `503`, as does the connection cap);
+//! responses above ~32KB stream back chunked. Repeat `GET /search`
+//! requests short-circuit through a **pre-serialized response cache**:
+//! the exact rendered bytes, held by the backing `DashServer` as the
+//! second instance of its one cache ([`DashServer::cached_rendered`],
+//! [`DashServer::search_rendered`]) and swept by each publication's
+//! [`DeltaSignature`] inside `publish`, making a hot hit one lookup plus
+//! one `write(2)` on the leader. The `net/concurrency` bench axis records
+//! cache-hit latency against 100/1k/10k open connections; `dashbench`'s
+//! `hot-fit` workload prices the cached round-trip end to end
+//! (`net.http_hit_us_p50`) and `miss-light` a miss (`net.http_miss_us_p50`).
 //!
 //! The acceptance bar is the same as every layer below:
 //! `tests/net_equivalence.rs` proves that hit lists served over HTTP —
@@ -130,13 +128,12 @@
 //! | `dash_net_accepted_total` | counter | connections accepted (incl. cap-shed) |
 //! | `dash_net_open_connections` | gauge | connections currently open |
 //! | `dash_net_overflows_total` | counter | connects answered `503` by the cap |
-//! | `dash_net_shed_jobs_total` | counter | requests answered `503`, queue full |
+//! | `dash_net_shed_jobs_total` | counter | requests answered `503`: no thread free, queue full |
 //! | `dash_net_bad_requests_total` | counter | `400`/`413` malformed requests |
 //! | `dash_net_timeouts_total` | counter | `408` mid-request stalls |
 //! | `dash_net_{head,body,handle,write,request}_ns` | histogram | per-stage and end-to-end request latency |
-//! | `dash_net_queue_wait_ns` | histogram | worker-queue wait (inside `handle`) |
-//! | `dash_net_queue_depth` | gauge | jobs queued or running on the pool |
-//! | `dash_net_{hot,cold}_visits_total` | counter | readiness sweep visits by tier |
+//! | `dash_net_queue_wait_ns` | histogram | request complete → a thread starts it: the promotion of a follower, or the wait while none was free (inside `handle`) |
+//! | `dash_net_busy_followers` | gauge | pool threads answering a request (neither leading nor parked) |
 //! | `dash_net_response_cache_*`, `dash_net_cached_responses` | gauge | the backing server's rendered-cache counters (`hits`, `misses`, `insertions`, `rejected_stale`, `rejected_oversize`, `invalidated`, `evicted`), mirrored at scrape |
 //! | `dash_serve_searches_total`, `dash_serve_batches_total`, … | counter | serving stack (see `dash-serve`) |
 //! | `dash_serve_{search,swap,drain}_ns`, `dash_serve_batch_size` | histogram | serving stage latencies / batch shape |
@@ -194,6 +191,7 @@ mod obs;
 pub mod repl;
 pub mod router;
 pub mod server;
+mod sys;
 
 pub use backoff::{Backoff, BackoffConfig};
 pub use client::NetClient;

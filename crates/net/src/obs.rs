@@ -1,7 +1,7 @@
 //! The front-end's observability bundle: one [`Registry`] per
 //! [`NetServer`](crate::NetServer) (tests run several fronts per
 //! process; their counters must not bleed into each other), the
-//! stage-latency histograms the event loop records into, and the
+//! stage-latency histograms the pool threads record into, and the
 //! worst-N slow-request log behind `GET /debug/slow`.
 //!
 //! ## Metric names (`GET /metrics`)
@@ -14,21 +14,19 @@
 //! docs ([`crate`]).
 //!
 //! Stage attribution: a request's life is `head → body → handle →
-//! write`, measured from the event loop's own sweep clock (the
-//! `Instant` each iteration already takes — tracing adds no clock
-//! reads on the hot path beyond the span boundaries). `handle`
-//! includes worker-queue wait; `dash_net_queue_wait_ns` isolates that
-//! component.
+//! write`, marked with the `Instant` the pool thread takes when its
+//! event arrives and when its answer is ready. `handle` includes
+//! handing the request over (promoting a follower, or waiting for a
+//! free thread); `dash_net_queue_wait_ns` isolates that component.
 
 use std::sync::Arc;
 
-use dash_obs::{Counter, Gauge, Histogram, Registry, SlowLog};
+use dash_obs::{Gauge, Histogram, Registry, SlowLog};
 
 /// Worst-request entries retained by the slow log.
 const SLOW_CAPACITY: usize = 32;
 
-/// Per-front-end observability state, shared by the event loop and
-/// every worker.
+/// Per-front-end observability state, shared by every pool thread.
 #[derive(Debug)]
 pub(crate) struct NetObs {
     /// This front-end's registry (`dash_net_*` series live here).
@@ -43,20 +41,17 @@ pub(crate) struct NetObs {
     pub(crate) head_ns: Arc<Histogram>,
     /// Body read time (zero-length bodies record ~0).
     pub(crate) body_ns: Arc<Histogram>,
-    /// Dispatch → response ready (queue wait + route handling).
+    /// Request complete → response ready (hand-over + route handling).
     pub(crate) handle_ns: Arc<Histogram>,
     /// Response flush time (first byte queued → last byte written).
     pub(crate) write_ns: Arc<Histogram>,
     /// End-to-end: first request byte → response fully written.
     pub(crate) request_ns: Arc<Histogram>,
-    /// Time a job sat in the worker queue before a worker picked it up.
+    /// Request complete → a thread starts handling it: the promotion
+    /// of a follower, or the time it waited while none was free.
     pub(crate) queue_wait_ns: Arc<Histogram>,
-    /// Jobs currently queued or running on the worker pool.
-    pub(crate) queue_depth: Arc<Gauge>,
-    /// Hot-sweep connection visits (readiness polls of active peers).
-    pub(crate) hot_visits: Arc<Counter>,
-    /// Cold-cursor connection visits (budgeted idle-peer polls).
-    pub(crate) cold_visits: Arc<Counter>,
+    /// Pool threads handling a request (neither leading nor parked).
+    pub(crate) busy: Arc<Gauge>,
 }
 
 impl NetObs {
@@ -71,9 +66,7 @@ impl NetObs {
             write_ns: registry.histogram("dash_net_write_ns"),
             request_ns: registry.histogram("dash_net_request_ns"),
             queue_wait_ns: registry.histogram("dash_net_queue_wait_ns"),
-            queue_depth: registry.gauge("dash_net_queue_depth"),
-            hot_visits: registry.counter("dash_net_hot_visits_total"),
-            cold_visits: registry.counter("dash_net_cold_visits_total"),
+            busy: registry.gauge("dash_net_busy_followers"),
             registry,
         }
     }

@@ -1,11 +1,11 @@
-//! The HTTP front-end: a readiness-driven event loop (`event.rs`)
-//! owning every socket, dispatching route handling to a fixed worker
-//! pool, serving three routes over a [`DashServer`] (or a [`Replica`]
+//! The HTTP front-end: a leader/followers thread pool over `epoll`
+//! (`event.rs`), in which the thread that reads a request answers it,
+//! serving three routes over a [`DashServer`] (or a [`Replica`]
 //! mirroring one):
 //!
 //! * `GET /search?kw=…&kw=…&k=…&s=…` — top-k db-page search through
 //!   the full serving path (cache → caller-led micro-batch → snapshot,
-//!   a lone miss searched inline on the worker thread); the
+//!   a lone miss searched inline on the thread that read it); the
 //!   response is the byte-stable JSON hit list of [`json::hits_to_json`].
 //! * `POST /update` — a binary [`UpdateBody`]: either a
 //!   [`RecordChange`] batch applied to the primary's database and
@@ -22,21 +22,18 @@
 //!   new primary after a failover).
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive) and cost a buffer
-//! each, not a thread: the event loop multiplexes them all
-//! nonblockingly, so open-connection count is bounded by
-//! [`NetConfig::max_connections`] (overflow gets a fast `503`), not by
-//! the worker pool. Repeat `GET /search` requests are answered from
-//! pre-serialized response bytes — the backing [`DashServer`]'s
-//! rendered cache instance ([`DashServer::search_rendered`]), swept by
-//! each publication like its result cache — making a hot cache hit a
-//! single `write(2)` on the loop thread.
+//! each, not a thread: they wait in `epoll` until readable, so
+//! open-connection count is bounded by [`NetConfig::max_connections`]
+//! (overflow gets a fast `503`), not by the thread pool. Repeat
+//! `GET /search` requests are answered from pre-serialized response
+//! bytes — the backing [`DashServer`]'s rendered cache instance
+//! ([`DashServer::search_rendered`]), swept by each publication like its
+//! result cache — making a hot cache hit a single `write(2)` by the
+//! leader, in place.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dash_core::{wire, IndexDelta, RecordChange, SearchRequest};
@@ -44,7 +41,7 @@ use dash_relation::Database;
 use dash_serve::{CacheStats, DashServer};
 use parking_lot::Mutex;
 
-use crate::event::{self, Done, Job, NetCounters};
+use crate::event::{self, NetCounters, Pool};
 use crate::forward::Upstream;
 use crate::http::{invalid, Request, Response};
 use crate::json;
@@ -61,19 +58,24 @@ const OP_DELETE: u8 = 1;
 /// Tunables of the socket front-end.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Route-handling worker threads. Concurrency of *handling*, not
-    /// of connections — idle keep-alive peers cost no worker.
+    /// Requests handled at once. The pool runs one thread more, so
+    /// that while `workers` threads answer requests one still leads:
+    /// it waits on `epoll`, accepts, writes byte-cache hits and sheds.
+    /// This bounds the concurrency of *handling*, not of connections —
+    /// idle keep-alive peers cost no thread.
     pub workers: usize,
     /// Open-connection cap; a connect past it is answered `503` and
     /// closed immediately (never silently stalled).
     pub max_connections: usize,
-    /// Bound of the loop→worker job queue; a request arriving with the
-    /// queue full is answered `503` immediately (load shedding).
+    /// Requests that may wait for a thread. A request the leader cannot
+    /// answer in place, arriving with no follower parked to take over
+    /// the lead and this many requests already waiting, is answered
+    /// `503` at once (load shedding).
     pub queue_depth: usize,
-    /// Honor a `debug_sleep_us` query parameter by stalling the worker
-    /// that long (capped at 1s) before handling — diagnostic fault
-    /// injection for the slow-request log. Off by default; never
-    /// enable on a production front-end.
+    /// Honor a `debug_sleep_us` query parameter by stalling the thread
+    /// that answers the request that long (capped at 1s) first —
+    /// diagnostic fault injection for the slow-request log. Off by
+    /// default; never enable on a production front-end.
     pub allow_debug_sleep: bool,
 }
 
@@ -447,15 +449,15 @@ fn apply_changes_to(
     }
 }
 
-/// The socket front-end: event loop + worker pool over a [`Backend`].
+/// The socket front-end: a leader/followers thread pool over a
+/// [`Backend`]. Dropping it stops and joins every thread.
 #[derive(Debug)]
 pub struct NetServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     counters: Arc<event::Counters>,
     backend: Backend,
-    event: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Held for its `Drop`, which stops and joins the threads.
+    _pool: Pool,
 }
 
 impl NetServer {
@@ -539,85 +541,20 @@ impl NetServer {
         config: NetConfig,
     ) -> io::Result<NetServer> {
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let obs = Arc::new(NetObs::new(config.allow_debug_sleep));
         let counters = Arc::new(event::Counters::new(&obs.registry));
-        let (jobs, queue) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-        let queue = Arc::new(Mutex::new(queue));
-        let (done, completions) = mpsc::channel::<Done>();
-        let workers = (0..config.workers.max(1))
-            .map(|at| {
-                let queue = Arc::clone(&queue);
-                let done = done.clone();
-                let backend = backend.clone();
-                let obs = Arc::clone(&obs);
-                std::thread::Builder::new()
-                    .name(format!("dash-net-worker-{at}"))
-                    .spawn(move || loop {
-                        // Drop the lock before handling: other workers
-                        // must keep draining while this one computes.
-                        let job = { queue.lock().recv() };
-                        let Ok(Job {
-                            slot,
-                            gen,
-                            request,
-                            enqueued,
-                        }) = job
-                        else {
-                            return; // loop gone: the queue sender dropped
-                        };
-                        obs.queue_depth.sub(1);
-                        if obs.queue_wait_ns.is_enabled() {
-                            obs.queue_wait_ns
-                                .record(enqueued.elapsed().as_nanos() as u64);
-                        }
-                        let (out, close_after) = event::respond(&request, &backend, &obs);
-                        if done
-                            .send(Done {
-                                slot,
-                                gen,
-                                out,
-                                close_after,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
-                    })
-                    .expect("spawn net worker")
-            })
-            .collect();
-        let event = {
-            let backend = backend.clone();
-            let config = config.clone();
-            let stop = Arc::clone(&stop);
-            let counters = Arc::clone(&counters);
-            let obs = Arc::clone(&obs);
-            std::thread::Builder::new()
-                .name("dash-net-event".to_string())
-                .spawn(move || {
-                    event::run(
-                        listener,
-                        backend,
-                        &config,
-                        &stop,
-                        counters,
-                        obs,
-                        jobs,
-                        completions,
-                    );
-                    // `jobs` drops here: the workers' queue closes and
-                    // the pool winds down.
-                })
-                .expect("spawn net event loop")
-        };
+        let pool = Pool::start(
+            listener,
+            backend.clone(),
+            &config,
+            Arc::clone(&counters),
+            obs,
+        )?;
         Ok(NetServer {
             addr,
-            stop,
             counters,
             backend,
-            event: Some(event),
-            workers,
+            _pool: pool,
         })
     }
 
@@ -647,22 +584,6 @@ impl NetServer {
         self.backend
             .server()
             .map_or(0, |server| server.cached_responses())
-    }
-}
-
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        // The event loop's sleep is tick-bounded, so the flag alone
-        // suffices — no self-connect wake-up (which used to target
-        // `self.addr` verbatim and hung on wildcard binds, where
-        // `0.0.0.0:port` is not connectable on every platform).
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(event) = self.event.take() {
-            let _ = event.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
     }
 }
 

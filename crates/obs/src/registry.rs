@@ -186,7 +186,7 @@ impl Registry {
     }
 
     /// Attaches an existing counter under a name — how a layer that
-    /// already owns its counters (the event loop's `Counters`, a
+    /// already owns its counters (the net front-end's `Counters`, a
     /// replica's protocol tallies) exposes them without double
     /// bookkeeping. Replaces any previous registration of the name.
     pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {

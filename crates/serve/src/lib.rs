@@ -117,7 +117,7 @@ pub struct ServeConfig {
     /// of one. Nor is there a queue bound to set: every caller blocks
     /// until it is answered, so the queue never holds more than the
     /// callers' outstanding requests (on the socket path the net
-    /// tier's fixed worker pool and `queue_depth` are the admission
+    /// tier's fixed thread pool and `queue_depth` are the admission
     /// bound).
     pub max_batch: usize,
     /// Result-cache capacity in entries; 0 disables caching.

@@ -18,7 +18,15 @@
 //!   `Transfer-Encoding: chunked` and reassemble bit-exactly;
 //! * pipelined requests are answered in order on one connection;
 //! * a thousand idle connections cost buffers, not threads, and the
-//!   connection cap sheds the overflow with a fast `503`.
+//!   connection cap sheds the overflow with a fast `503`;
+//! * the clock-driven edges: a head stalled mid-way is answered `408`,
+//!   a peer that stops draining its response is closed, and an
+//!   `accept` failing `EMFILE` rests the listener instead of spinning
+//!   (two of these take the 10 s request budget each);
+//! * ownership and admission: a slow request on one connection does
+//!   not delay another, requests past a busy pool and a full queue get
+//!   a fast `503`, an idle server burns no CPU, and dropping the server
+//!   wakes a blocked leader.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -250,8 +258,9 @@ fn repeated_searches_hit_the_byte_cache() {
 // Chunked streaming
 // ---------------------------------------------------------------------
 
-#[test]
-fn large_hit_lists_stream_back_chunked_and_reassemble_exactly() {
+/// A primary over 900 fragments sharing `bulkword` with long ids, so
+/// `kw=bulkword&k=900` answers past the chunk threshold.
+fn bulk_server() -> (Arc<DashServer>, NetServer) {
     let long_tail = "x".repeat(90);
     let fragments: Vec<Fragment> = (0..900)
         .map(|at| {
@@ -274,6 +283,12 @@ fn large_hit_lists_stream_back_chunked_and_reassemble_exactly() {
         NetConfig::default(),
     )
     .unwrap();
+    (server, net)
+}
+
+#[test]
+fn large_hit_lists_stream_back_chunked_and_reassemble_exactly() {
+    let (server, net) = bulk_server();
     let request = SearchRequest::new(&["bulkword"]).k(900).min_size(1);
     let expected = server.search(&request);
     let body = dash::net::json::hits_to_json(&expected);
@@ -416,6 +431,348 @@ fn the_connection_cap_sheds_overflow_with_a_fast_503() {
         assert!(Instant::now() < deadline, "service never recovered");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+// ---------------------------------------------------------------------
+// Timer-driven edges: the only paths that need a clock
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_peer_stalled_mid_head_is_answered_408() {
+    // Takes the whole request budget (10 s).
+    let (_server, net) = serve(NetConfig::default());
+    let mut stream = TcpStream::connect(net.addr()).unwrap();
+    stream.set_read_timeout(Some(SYNC_TIMEOUT)).unwrap();
+    stream.write_all(b"GET /search?kw=bur").unwrap();
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).unwrap();
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(
+        reply.starts_with("HTTP/1.1 408 "),
+        "a stalled head is told, then closed: {reply:?}"
+    );
+    assert_eq!(net.counters().timeouts, 1);
+}
+
+#[test]
+fn a_peer_that_stops_draining_a_chunked_response_is_closed() {
+    // Takes the whole write-stall budget (10 s).
+    let (server, net) = bulk_server();
+    let request = SearchRequest::new(&["bulkword"]).k(900).min_size(1);
+    let body = dash::net::json::hits_to_json(&server.search(&request));
+    // Pipeline more answer bytes than loopback can buffer, then read
+    // none of them: the server's write must block.
+    let pipelined = (64 << 20) / body.len() + 1;
+    let mut stream = TcpStream::connect(net.addr()).unwrap();
+    let one = b"GET /search?kw=bulkword&k=900&s=1 HTTP/1.1\r\n\r\n";
+    stream.write_all(&one.repeat(pipelined)).unwrap();
+    wait_open(&net, 1);
+    let deadline = Instant::now() + SYNC_TIMEOUT;
+    while net.counters().open > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "a peer that reads nothing still holds its connection"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert_eq!(net.counters().timeouts, 0, "a write stall is not a 408");
+    drop(stream);
+}
+
+/// Set in a child process this file spawns: the test named by
+/// `--exact` serves instead of testing (see [`ChildServer::spawn`]).
+const CHILD: &str = "DASH_NET_EDGES_CHILD";
+
+/// The child half of the out-of-process tests: serve the fooddb primary,
+/// print its address, and stop when stdin closes. Returns `false` in
+/// the ordinary test process.
+fn serve_if_child() -> bool {
+    if std::env::var_os(CHILD).is_none() {
+        return false;
+    }
+    let (_server, net) = serve(NetConfig::default());
+    println!("{}", net.addr());
+    std::io::stdout().flush().unwrap();
+    std::io::stdin().read_to_end(&mut Vec::new()).unwrap();
+    true
+}
+
+/// A server running in a child process (see [`ChildServer::spawn`]).
+struct ChildServer {
+    process: std::process::Child,
+    addr: std::net::SocketAddr,
+    /// Kept open: the child prints its test result when it exits.
+    stdout: std::io::BufReader<std::process::ChildStdout>,
+}
+
+impl ChildServer {
+    /// Re-runs this test binary as a child serving for test `name`,
+    /// under `ulimit -n <fds>` when given. Out of process, the
+    /// `dash-net-*` threads counted are that server's alone, and a
+    /// lowered descriptor limit binds no other test.
+    fn spawn(name: &str, fds: Option<u32>) -> ChildServer {
+        use std::io::BufRead;
+        use std::process::{Command, Stdio};
+        let limit = fds.map_or(String::new(), |fds| format!("ulimit -n {fds} && "));
+        let mut process = Command::new("sh")
+            .arg("-c")
+            .arg(format!("{limit}exec \"$0\" \"$@\""))
+            .arg(std::env::current_exe().unwrap())
+            .args(["--exact", name, "--nocapture", "--test-threads", "1"])
+            .env(CHILD, "1")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdout = std::io::BufReader::new(process.stdout.take().unwrap());
+        let mut line = String::new();
+        let addr = loop {
+            line.clear();
+            assert!(
+                stdout.read_line(&mut line).unwrap() > 0,
+                "the child exited before printing its address"
+            );
+            // libtest prints the test's name on the same line.
+            if let Some(addr) = line.split_whitespace().last().and_then(|w| w.parse().ok()) {
+                break addr;
+            }
+        };
+        ChildServer {
+            process,
+            addr,
+            stdout,
+        }
+    }
+
+    /// CPU ticks its server threads burn over one quiet second.
+    fn ticks_over_a_quiet_second(&self) -> u64 {
+        let before = net_thread_ticks(self.process.id());
+        std::thread::sleep(Duration::from_secs(1));
+        net_thread_ticks(self.process.id()) - before
+    }
+
+    /// Closes the child's stdin and checks it shut down cleanly.
+    fn finish(mut self) {
+        drop(self.process.stdin.take());
+        self.stdout.read_to_end(&mut Vec::new()).unwrap();
+        assert!(self.process.wait().unwrap().success());
+    }
+}
+
+impl Drop for ChildServer {
+    /// A failed test leaves no server behind (after `finish` the child
+    /// has exited already and this does nothing).
+    fn drop(&mut self) {
+        let _ = self.process.kill();
+        let _ = self.process.wait();
+    }
+}
+
+/// CPU time (in 10 ms ticks) the `dash-net-*` threads of process `pid`
+/// have used so far, from `/proc/<pid>/task/*/stat`.
+fn net_thread_ticks(pid: u32) -> u64 {
+    let mut ticks = 0;
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).unwrap() {
+        let task = task.unwrap().path();
+        let (Ok(name), Ok(stat)) = (
+            std::fs::read_to_string(task.join("comm")),
+            std::fs::read_to_string(task.join("stat")),
+        ) else {
+            continue; // the thread exited meanwhile
+        };
+        if !name.starts_with("dash-net-") {
+            continue;
+        }
+        // Fields after the parenthesised name: state is the first,
+        // utime the 12th and stime the 13th.
+        let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+        ticks += fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    }
+    ticks
+}
+
+/// Sends `GET /stats` on a fresh connection and returns the status.
+fn stats_status(addr: std::net::SocketAddr) -> std::io::Result<u16> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    (&stream).write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")?;
+    let (status, _) = dash::net::http::read_response(&mut std::io::BufReader::new(stream))?;
+    Ok(status)
+}
+
+#[test]
+fn a_failing_accept_backs_off_instead_of_spinning() {
+    if serve_if_child() {
+        return;
+    }
+    // 64 descriptors: the child's server can accept ~55 of the 100
+    // connections below; the rest wait in the backlog, which keeps the
+    // level-triggered listener readable while `accept` fails `EMFILE`.
+    let child = ChildServer::spawn("a_failing_accept_backs_off_instead_of_spinning", Some(64));
+    let addr = child.addr;
+    let herd: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    // A listener re-polled in a hot loop would burn ~100 ticks a
+    // second; resting between attempts burns next to nothing.
+    let ticks = child.ticks_over_a_quiet_second();
+    assert!(
+        ticks < 20,
+        "the server burned {ticks} ticks (10 ms each) in a second of failing accepts"
+    );
+    // Freeing descriptors lets the rested listener take connections
+    // again.
+    drop(herd);
+    let deadline = Instant::now() + SYNC_TIMEOUT;
+    while !matches!(stats_status(addr), Ok(200)) {
+        assert!(Instant::now() < deadline, "the listener never came back");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    child.finish();
+}
+
+// ---------------------------------------------------------------------
+// Ownership and admission
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_slow_request_does_not_delay_other_connections() {
+    let (_server, net) = serve(NetConfig {
+        workers: 2,
+        allow_debug_sleep: true,
+        ..NetConfig::default()
+    });
+    let mut b = NetClient::connect(net.addr()).unwrap();
+    let cached = SearchRequest::new(&["burger"]).k(4).min_size(1);
+    let expected = b.search(&cached).unwrap();
+
+    // The slow request stalls its thread for a second (the cap).
+    let slow = TcpStream::connect(net.addr()).unwrap();
+    (&slow)
+        .write_all(b"GET /stats?debug_sleep_us=1000000 HTTP/1.1\r\n\r\n")
+        .unwrap();
+    let started = Instant::now();
+    // Until a thread is inside the slow request, a scrape (handled on
+    // a second thread) reads one busy follower: itself.
+    while !b
+        .metrics_text()
+        .unwrap()
+        .contains("dash_net_busy_followers 2")
+    {
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "no scrape on another connection saw the slow request in progress"
+        );
+    }
+
+    let hit = Instant::now();
+    assert_eq!(b.search(&cached).unwrap(), expected);
+    let hit = hit.elapsed();
+    let stats = Instant::now();
+    assert!(b.stats_json().unwrap().contains("\"role\""));
+    let stats = stats.elapsed();
+    assert!(
+        hit < Duration::from_millis(100) && stats < Duration::from_millis(100),
+        "a hit ({hit:?}) and a /stats ({stats:?}) waited behind another connection's request"
+    );
+    // And all of it while the slow request was still being answered.
+    slow.set_nonblocking(true).unwrap();
+    let pending = slow.peek(&mut [0u8; 1]).map_err(|e| e.kind());
+    assert_eq!(pending, Err(std::io::ErrorKind::WouldBlock));
+    slow.set_nonblocking(false).unwrap();
+    let (status, _) = dash::net::http::read_response(&mut std::io::BufReader::new(slow)).unwrap();
+    assert_eq!(status, 200);
+}
+
+#[test]
+fn with_every_thread_busy_requests_are_shed_with_a_fast_503() {
+    let (_server, net) = serve(NetConfig {
+        workers: 1,
+        queue_depth: 1,
+        allow_debug_sleep: true,
+        ..NetConfig::default()
+    });
+    // Each request stalls its thread for a second (the cap). One is
+    // handled, one waits in the queue, and the rest find no thread and
+    // no room: whichever arrives first.
+    let start = Arc::new(std::sync::Barrier::new(4));
+    let answers: Vec<(u16, Duration)> = (0..4)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            let addr = net.addr();
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).unwrap();
+                stream.set_read_timeout(Some(SYNC_TIMEOUT)).unwrap();
+                start.wait();
+                let sent = Instant::now();
+                (&stream)
+                    .write_all(b"GET /stats?debug_sleep_us=1000000 HTTP/1.1\r\n\r\n")
+                    .unwrap();
+                let mut reader = std::io::BufReader::new(stream);
+                let (status, _) = dash::net::http::read_response(&mut reader).unwrap();
+                (status, sent.elapsed())
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|thread| thread.join().unwrap())
+        .collect();
+    let shed: Vec<_> = answers
+        .iter()
+        .filter(|(status, _)| *status == 503)
+        .collect();
+    assert!(!shed.is_empty(), "nothing was shed: {answers:?}");
+    assert!(
+        shed.iter()
+            .all(|(_, took)| *took < Duration::from_millis(500)),
+        "a 503 waited for the busy thread: {answers:?}"
+    );
+    assert!(
+        answers.iter().filter(|(status, _)| *status == 200).count() >= 2,
+        "the handled and the queued request are answered: {answers:?}"
+    );
+    assert!(net.counters().shed_jobs >= 1);
+}
+
+#[test]
+fn an_idle_server_burns_no_core() {
+    if serve_if_child() {
+        return;
+    }
+    let child = ChildServer::spawn("an_idle_server_burns_no_core", None);
+    let addr = child.addr;
+    let mut client = NetClient::connect(addr).unwrap();
+    for k in 1..=20 {
+        let request = SearchRequest::new(&["burger"]).k(k % 5 + 1).min_size(1);
+        client.search(&request).unwrap();
+    }
+    // Past the leader's 100 ms polling window, with the keep-alive
+    // connection still open: a blocked leader uses no CPU, a polling
+    // one ~100 ticks a second.
+    std::thread::sleep(Duration::from_millis(300));
+    let ticks = child.ticks_over_a_quiet_second();
+    assert!(
+        ticks < 5,
+        "an idle server burned {ticks} ticks (10 ms each) in one second"
+    );
+    drop(client);
+    child.finish();
+}
+
+#[test]
+fn dropping_the_server_returns_promptly_while_the_leader_blocks() {
+    let (_server, net) = serve(NetConfig::default());
+    assert_eq!(stats_status(net.addr()).unwrap(), 200);
+    // Past the polling window: the leader is blocked in `epoll_wait`.
+    std::thread::sleep(Duration::from_millis(300));
+    let started = Instant::now();
+    drop(net);
+    assert!(
+        started.elapsed() < Duration::from_millis(500),
+        "drop took {:?}",
+        started.elapsed()
+    );
 }
 
 /// Thread count of this process (Linux), used to show connections do
