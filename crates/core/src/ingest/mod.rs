@@ -1,12 +1,10 @@
 //! The engine-ingest layer: one front door for every way a
-//! [`ShardedEngine`] comes to exist, plus the distributed
-//! (mapreduce-backed) bulk build.
+//! [`ShardedEngine`] comes to exist.
 //!
 //! Every construction path — crawl-and-build, in-memory fragments,
-//! arena images, streamed batches, the distributed build's output —
-//! goes through one API, [`EngineBuilder`]: pick an [`IngestSource`],
-//! optionally set the shard count and a stats accumulator, and
-//! `build()`:
+//! arena images, streamed batches — goes through one API,
+//! [`EngineBuilder`]: pick an [`IngestSource`], optionally set the
+//! shard count and a stats accumulator, and `build()`:
 //!
 //! ```text
 //! ShardedEngine::builder(app)
@@ -15,19 +13,10 @@
 //!     .build()?
 //! ```
 //!
-//! Sources that carry their own partition (images, batches, mapreduce
-//! output) ignore `shards` — the partition is taken exactly
-//! as given, never re-derived, so maintained engines round-trip with
-//! their drifted balance intact.
-//!
-//! The distributed build lives in [`distributed`]: crawl → partition →
-//! per-shard index build expressed as a two-job `dash-mapreduce`
-//! workflow whose output feeds [`IngestSource::Distributed`] and is
-//! **byte-identical** to a direct build over the same fragments — see
-//! the module docs there for the workflow diagram and the
-//! restartability story.
-
-pub mod distributed;
+//! Sources that carry their own partition (images, batches) ignore
+//! `shards` — the partition is taken exactly as given, never
+//! re-derived, so maintained engines round-trip with their drifted
+//! balance intact.
 
 use dash_mapreduce::WorkflowStats;
 use dash_relation::Database;
@@ -37,10 +26,6 @@ use crate::engine::DashConfig;
 use crate::fragment::Fragment;
 use crate::sharded::ShardedEngine;
 use crate::Result;
-
-pub use distributed::{
-    distributed_build, distributed_crawl_build, IngestConfig, IngestOutput, IngestReport,
-};
 
 /// Where an [`EngineBuilder`] gets its fragments from.
 ///
@@ -69,10 +54,6 @@ pub enum IngestSource<'a> {
         /// Crawl algorithm/scope/cluster configuration.
         config: &'a DashConfig,
     },
-    /// The output of a distributed mapreduce build
-    /// ([`distributed_build`]); its workflow stats are pushed onto the
-    /// builder's accumulator and its per-shard runs load zero-copy.
-    Distributed(IngestOutput<'a>),
 }
 
 impl std::fmt::Debug for IngestSource<'_> {
@@ -84,9 +65,6 @@ impl std::fmt::Debug for IngestSource<'_> {
             IngestSource::Image(bytes) => f.debug_tuple("Image").field(&bytes.len()).finish(),
             IngestSource::Batches(_) => f.write_str("Batches(..)"),
             IngestSource::Crawl { .. } => f.write_str("Crawl { .. }"),
-            IngestSource::Distributed(output) => {
-                f.debug_tuple("Distributed").field(&output.report).finish()
-            }
         }
     }
 }
@@ -116,17 +94,16 @@ impl<'a> EngineBuilder<'a> {
 
     /// Sets the shard count for unpartitioned sources
     /// ([`IngestSource::Fragments`], [`IngestSource::Crawl`]); clamped
-    /// to at least 1. Pre-partitioned sources (images, batches,
-    /// distributed output) carry their own partition and ignore this.
+    /// to at least 1. Pre-partitioned sources (images, batches) carry
+    /// their own partition and ignore this.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
     }
 
     /// Seeds the stats accumulator the engine will report from
-    /// [`ShardedEngine::crawl_stats`]; sources that run workflows
-    /// ([`IngestSource::Crawl`], [`IngestSource::Distributed`]) push
-    /// their job stats on top.
+    /// [`ShardedEngine::crawl_stats`]; [`IngestSource::Crawl`] pushes
+    /// its crawl workflow's job stats on top.
     pub fn stats(mut self, stats: WorkflowStats) -> Self {
         self.stats = stats;
         self
@@ -152,7 +129,7 @@ impl<'a> EngineBuilder<'a> {
         let EngineBuilder {
             app,
             shards,
-            mut stats,
+            stats,
             source,
         } = self;
         match source {
@@ -163,12 +140,6 @@ impl<'a> EngineBuilder<'a> {
             IngestSource::Batches(batches) => ShardedEngine::from_batches_impl(app, batches, stats),
             IngestSource::Crawl { db, config } => {
                 ShardedEngine::crawl_build_impl(&app, db, config, shards, stats)
-            }
-            IngestSource::Distributed(output) => {
-                for job in output.stats.jobs {
-                    stats.push(job);
-                }
-                ShardedEngine::from_shard_refs_impl(app, &output.data, stats)
             }
         }
     }
@@ -241,8 +212,30 @@ mod tests {
     #[test]
     fn default_source_is_an_empty_engine() {
         let (app, _) = fooddb_parts();
-        let engine = ShardedEngine::builder(app).build().unwrap();
+        let engine = ShardedEngine::builder(app.clone()).build().unwrap();
         assert_eq!(engine.fragment_count(), 0);
         assert_eq!(engine.shard_count(), 1);
+
+        // An empty corpus still yields the requested shards, all empty,
+        // and its image round-trips to identical bytes.
+        let empty = ShardedEngine::builder(app.clone())
+            .shards(3)
+            .source(IngestSource::Fragments(&[]))
+            .build()
+            .unwrap();
+        assert_eq!(empty.shard_sizes(), vec![0; 3]);
+        let mut image = Vec::new();
+        empty.write_image(&mut image).unwrap();
+        let reloaded = ShardedEngine::builder(app)
+            .source(IngestSource::Image(&image))
+            .build()
+            .unwrap();
+        assert_eq!(reloaded.shard_sizes(), vec![0; 3]);
+        let mut again = Vec::new();
+        reloaded.write_image(&mut again).unwrap();
+        assert_eq!(again, image);
+        let req = SearchRequest::new(&["burger"]).k(3).min_size(1);
+        assert!(empty.search(&req).is_empty());
+        assert!(reloaded.search(&req).is_empty());
     }
 }

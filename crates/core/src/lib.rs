@@ -67,13 +67,9 @@
 //! Every way a `ShardedEngine` comes to exist goes through
 //! [`ingest::EngineBuilder`] — `ShardedEngine::builder(app)` plus an
 //! [`ingest::IngestSource`] (crawl-and-build, in-memory fragments,
-//! `DASHIMG2` arena images, streamed batches, or the output of the
-//! distributed build). [`ingest::distributed`] expresses
-//! crawl → partition → per-shard index build as a restartable two-job
-//! `dash-mapreduce` workflow whose resulting engine is byte-identical
-//! to a direct build — including under injected worker faults and
-//! across kill-and-restart resume (the `ingest_equivalence` test
-//! tier).
+//! `DASHIMG2` arena images, or streamed batches). Unpartitioned
+//! sources are split by one partitioner into contiguous key-rank runs,
+//! each indexed by [`FragmentIndex::build_refs`].
 //!
 //! ## The unified delta write path
 //!
@@ -143,10 +139,7 @@ pub use fragment::{Fragment, FragmentId};
 pub use index::{
     Frag, FragmentCatalog, FragmentGraph, FragmentIndex, GroupId, InvertedFragmentIndex, Kw,
 };
-pub use ingest::{
-    distributed_build, distributed_crawl_build, EngineBuilder, IngestConfig, IngestOutput,
-    IngestReport, IngestSource,
-};
+pub use ingest::{EngineBuilder, IngestSource};
 pub use multi::MultiDash;
 pub use scope::CrawlScope;
 pub use search::{SearchHit, SearchRequest};

@@ -17,8 +17,7 @@
 //! i64), `3`=Str (u64 length + UTF-8, ≤ 2^24 bytes), `4`=Date (u16 year,
 //! u8 month, u8 day) — then its payload. The image's identifier and
 //! group-key columns use the value codec; [`wire`](crate::wire) ships a
-//! delta's added fragments as records, and the ingest layer fingerprints
-//! corpora by them (the encoding is canonical).
+//! delta's added fragments as records.
 //!
 //! # Arena images (`DASHIMG2`)
 //!
@@ -90,11 +89,8 @@ pub(crate) fn write_fragment_list<W: Write>(
     Ok(())
 }
 
-/// One fragment through the record codec. Also the unit the ingest
-/// layer fingerprints corpora by — the encoding is canonical (BTreeMap
-/// keyword order, tagged values), so equal fragments always produce
-/// equal bytes.
-pub(crate) fn write_one_fragment<W: Write>(writer: &mut W, f: &Fragment) -> io::Result<()> {
+/// One fragment through the record codec.
+fn write_one_fragment<W: Write>(writer: &mut W, f: &Fragment) -> io::Result<()> {
     write_u64(writer, f.id.values().len() as u64)?;
     for v in f.id.values() {
         write_value(writer, v)?;
@@ -526,7 +522,7 @@ fn read_section<'a>(r: &mut &'a [u8], want: u32) -> io::Result<&'a [u8]> {
 /// step (xor, odd multiply, rotate) is a bijection of the running
 /// state, so *any* single-bit flip in the input is guaranteed to change
 /// the sum; multi-bit corruption escapes with probability ~2^-64.
-pub(crate) fn checksum64(bytes: &[u8]) -> u64 {
+fn checksum64(bytes: &[u8]) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (bytes.len() as u64).wrapping_mul(K);
     let mut chunks = bytes.chunks_exact(8);

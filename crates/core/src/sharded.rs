@@ -176,32 +176,6 @@ impl ShardedEngine {
         Self::assemble(app, indexes, range_position, crawl_stats)
     }
 
-    /// Builds a sharded engine from per-shard reference runs — the
-    /// zero-copy engine half of
-    /// [`IngestSource::Distributed`](crate::ingest::IngestSource): a
-    /// mapreduce shard build hands over reference runs into the
-    /// caller's corpus, and nothing is cloned until interning. The
-    /// partition is taken exactly as given, **not** re-derived; returns
-    /// [`CoreError::Internal`] when the given shards are not
-    /// contiguous, disjoint runs of group-key order.
-    pub(crate) fn from_shard_refs_impl(
-        app: WebApplication,
-        shard_refs: &[Vec<&Fragment>],
-        crawl_stats: WorkflowStats,
-    ) -> Result<Self> {
-        validate_query(&app)?;
-        let range_position = app.query.range_selection_index();
-        let built: Vec<Result<FragmentIndex>> =
-            par::map(shard_refs.iter().collect(), |frags: &Vec<&Fragment>| {
-                FragmentIndex::build_refs(frags, range_position)
-            });
-        let mut indexes = Vec::with_capacity(built.len());
-        for index in built {
-            indexes.push(index?);
-        }
-        Self::assemble(app, indexes, range_position, crawl_stats)
-    }
-
     /// Wires built per-shard indexes into an engine: global group-rank
     /// offsets and the static routing table. An empty index list (e.g.
     /// an empty batch iterator) is clamped to one empty shard, mirroring
@@ -634,8 +608,7 @@ impl ShardedEngine {
     /// next is pulled from the iterator, so peak memory holds one
     /// shard's fragments plus the built indexes, never the whole
     /// corpus. The partition is taken exactly as given (batches must be
-    /// contiguous, disjoint runs of group-key order, like
-    /// [`ShardedEngine::from_shard_refs_impl`]'s runs) — the path that
+    /// contiguous, disjoint runs of group-key order) — the path that
     /// rebuilds an engine from its own [`ShardedEngine::dump_shards`]
     /// without re-partitioning.
     pub(crate) fn from_batches_impl<I>(

@@ -13,21 +13,20 @@
 //! the stepwise one except on tiny operands; most jobs are map/I-O bound)
 //! fall out of shuffle volume, which this runtime measures exactly.
 //!
-//! Two ordering guarantees are load-bearing for downstream byte-exact
-//! consumers (the crawl workflows and `dash_core::ingest`'s
-//! distributed index build): the shuffle sort is **stable**, and split
-//! outputs concatenate in **split-index order** — so one key's values
-//! always arrive at its reducer in global input order, and a job's
-//! output is a pure, deterministic function of its input regardless of
-//! thread scheduling or injected faults.
+//! Two ordering guarantees are load-bearing for the byte-exact
+//! consumer downstream, the crawl workflows in `dash_core::crawl`: the
+//! shuffle sort is **stable**, and split outputs concatenate in
+//! **split-index order** — so one key's values always arrive at their
+//! reducer in global input order, and a job's output is a pure,
+//! deterministic function of its input regardless of thread scheduling
+//! or injected faults.
 //!
-//! Fault injection is first-class: [`run_job_with_faults`] (and
-//! [`Workflow::run_with_faults`]) executes under a [`FaultPlan`] that
-//! kills scheduled task attempts; the runner retries up to
-//! `max_attempts`, charges every attempt to the cost model, and aborts
-//! with [`JobAborted`] when a task exhausts its budget. The ingest
-//! workflow's equivalence tier (`tests/ingest_equivalence.rs`) holds
-//! the output byte-identical across any surviving fault schedule.
+//! Fault injection is first-class: [`run_job_with_faults`] executes
+//! under a [`FaultPlan`] that kills scheduled task attempts; the runner
+//! retries up to `max_attempts`, charges every attempt to the cost
+//! model, and aborts with [`JobAborted`] when a task exhausts its
+//! budget. `tests/faults.rs` holds the output byte-identical across
+//! surviving fault schedules and pins the abort.
 //! Edge cases are pinned by the runner's own tests: empty inputs plan
 //! zero map tasks (a fault plan targeting task 0 never fires), and
 //! [`JobSpec::reduce_tasks`]`(0)` declares a map-only job — shuffle

@@ -10,8 +10,7 @@ use std::hash::Hash;
 
 use crate::bytes::ByteSized;
 use crate::config::ClusterConfig;
-use crate::faults::{FaultPlan, JobAborted};
-use crate::runner::{run_job, run_job_with_faults, JobResult, JobSpec};
+use crate::runner::{run_job, JobResult, JobSpec};
 use crate::stats::{JobStats, WorkflowStats};
 
 /// A sequence of MapReduce jobs sharing one cluster, with accumulated
@@ -83,36 +82,6 @@ impl Workflow {
         output
     }
 
-    /// [`Workflow::run`] under a [`FaultPlan`]: scheduled task attempts
-    /// fail and are retried, every attempt is charged by the cost model,
-    /// and the recorded stats carry the inflated attempt counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JobAborted`] when some task exhausts its attempts; no
-    /// stats are recorded for an aborted job.
-    pub fn run_with_faults<I, K, V, O, M, R>(
-        &mut self,
-        spec: JobSpec<K, V>,
-        inputs: &[I],
-        mapper: M,
-        reducer: R,
-        plan: &FaultPlan,
-    ) -> Result<Vec<O>, JobAborted>
-    where
-        I: Sync + ByteSized,
-        K: Ord + Hash + Clone + Send + ByteSized,
-        V: Send + ByteSized,
-        O: Send + ByteSized,
-        M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
-        R: Fn(&K, Vec<V>, &mut dyn FnMut(O)) + Sync,
-    {
-        let JobResult { output, stats } =
-            run_job_with_faults(&self.cluster, spec, inputs, mapper, reducer, plan)?;
-        self.stats.push(stats);
-        Ok(output)
-    }
-
     /// Records stats for work done outside `run` (e.g. a job executed via
     /// [`run_job`] directly).
     pub fn record(&mut self, stats: JobStats) {
@@ -160,42 +129,5 @@ mod tests {
         assert_eq!(wf.stats().label_breakdown().len(), 2);
         let total = wf.into_stats();
         assert!(total.sim_total_secs() > 0.0);
-    }
-
-    #[test]
-    fn faulted_run_records_inflated_attempts() {
-        let mut wf = Workflow::new("chaos", ClusterConfig::default());
-        let docs = vec!["a b".to_string(), "b c".to_string()];
-        let mapper = |d: &String, emit: &mut dyn FnMut(String, u64)| {
-            for w in d.split_whitespace() {
-                emit(w.to_string(), 1u64);
-            }
-        };
-        let reducer = |w: &String, vs: Vec<u64>, emit: &mut dyn FnMut((String, u64))| {
-            emit((w.clone(), vs.iter().sum()))
-        };
-        let clean: Vec<(String, u64)> = wf.run(JobSpec::new("clean"), &docs, mapper, reducer);
-        let plan = FaultPlan::new().fail_map(0, 0).fail_reduce(0, 0);
-        let chaotic = wf
-            .run_with_faults(JobSpec::new("chaotic"), &docs, mapper, reducer, &plan)
-            .expect("retries recover");
-        assert_eq!(clean, chaotic);
-        assert_eq!(wf.stats().jobs.len(), 2);
-        let [clean_stats, chaos_stats] = &wf.stats().jobs[..] else {
-            panic!("two jobs recorded");
-        };
-        assert!(chaos_stats.map_task_attempts > clean_stats.map_task_attempts);
-        assert!(chaos_stats.sim_total_secs() > clean_stats.sim_total_secs());
-
-        // An exhausted plan aborts and records nothing.
-        let mut lethal = FaultPlan::new();
-        for a in 0..lethal.max_attempts {
-            lethal = lethal.fail_reduce(0, a);
-        }
-        let err = wf
-            .run_with_faults(JobSpec::new("lethal"), &docs, mapper, reducer, &lethal)
-            .expect_err("task exhausts attempts");
-        assert_eq!(err.phase, "reduce");
-        assert_eq!(wf.stats().jobs.len(), 2);
     }
 }

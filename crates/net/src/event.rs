@@ -1006,8 +1006,7 @@ fn cacheable(request: &Request) -> bool {
 /// counters mirrored in as `dash_net_response_cache_*` gauges at scrape
 /// time), the backing server's `dash_serve_*` registry when one is
 /// live, and the process-global registry (`dash_shard_*` /
-/// `dash_repl_*` / `dash_router_*` / `dash_ingest_*`) — one scrape
-/// covers every layer.
+/// `dash_repl_*` / `dash_router_*`) — one scrape covers every layer.
 fn metrics_text(obs: &NetObs, backend: &Backend) -> String {
     let registry = &obs.registry;
     let server = backend.server();

@@ -118,7 +118,7 @@
 //! Every front-end serves a Prometheus text exposition merging three
 //! `dash-obs` registries: its own `dash_net_*` series, the backing
 //! `DashServer`'s `dash_serve_*` series, and the process-global
-//! registry the shard/replication/routing/ingest layers record into.
+//! registry the shard/replication/routing layers record into.
 //! Histograms render as summaries (`quantile="0.5|0.9|0.99|0.999"` +
 //! `_sum`/`_count`); `GET /debug/slow` returns the worst-N requests
 //! with per-stage breakdowns as JSON. The series:
@@ -147,7 +147,6 @@
 //! | `dash_repl_{bootstraps,catchups,deltas_applied,forwarded,forward_retries}_total` | counter | replication + write forwarding |
 //! | `dash_repl_epoch`, `dash_repl_epoch_lag` | gauge | replica epoch; gap seen at the last delta frame |
 //! | `dash_router_{reads,read_retries,writes,write_failovers}_total` | counter | routing front tier |
-//! | `dash_ingest_*` | counter | distributed ingest (see `dash-core::ingest`) |
 //!
 //! ## Quickstart
 //!

@@ -9,8 +9,7 @@
 //! Everything the front-end records is `dash_net_*`; the exposition
 //! additionally merges the backing `DashServer`'s `dash_serve_*`
 //! registry and the process-global registry (`dash_shard_*`,
-//! `dash_repl_*`, `dash_router_*`, `dash_ingest_*`) — one scrape
-//! covers every layer. See the metrics reference table in the crate
+//! `dash_repl_*`, `dash_router_*`) — one scrape covers every layer. See the metrics reference table in the crate
 //! docs ([`crate`]).
 //!
 //! Stage attribution: a request's life is `head → body → handle →

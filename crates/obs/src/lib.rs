@@ -14,7 +14,7 @@
 //!   the serving layers (tests run many servers per process and
 //!   `/stats` must stay per-instance), [`Registry::global`] for
 //!   layers with no instance boundary (sharded search, replication
-//!   plumbing, ingest).
+//!   plumbing).
 //! * **Spans** ([`SpanGuard`], [`span!`], [`TraceId`]): RAII stage
 //!   timers recording elapsed ns into a histogram on drop, with a
 //!   disabled-registry fast path of one bool load (priced <1µs by the

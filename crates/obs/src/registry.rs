@@ -8,7 +8,7 @@
 //! histograms (rendered as summaries, so the wire carries
 //! `<name>_ns{quantile="…"}`, `<name>_ns_sum` and `<name>_ns_count`),
 //! and no suffix for gauges. Layers in use: `net`, `serve`, `shard`,
-//! `repl`, `router`, `ingest`.
+//! `repl`, `router`.
 //!
 //! ## Per-instance vs process-global
 //!
@@ -17,9 +17,9 @@
 //! each server its own, so `/stats` and `/metrics` stay per-instance.
 //! [`Registry::global`] is the process-wide default used by layers
 //! with no natural instance boundary (sharded search internals,
-//! replication plumbing, mapreduce ingest) and by the
-//! [`span!`](crate::span!) macro. An HTTP endpoint renders its own
-//! registry merged with the global one via [`render_merged`].
+//! replication plumbing) and by the [`span!`](crate::span!) macro. An
+//! HTTP endpoint renders its own registry merged with the global one
+//! via [`render_merged`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -910,7 +910,7 @@ impl DashServer {
 
     /// Renders the Prometheus text exposition behind `GET /metrics`:
     /// this server's registry merged with [`Registry::global`] (the
-    /// shard/replication/ingest layers record there), with the result
+    /// shard/replication layers record there), with the result
     /// cache's counters mirrored in at scrape time.
     pub fn metrics_text(&self) -> String {
         self.refresh_scrape_gauges();

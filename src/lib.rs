@@ -23,7 +23,7 @@
 //! | [`text`] | `dash-text` | tokenizer, TF/IDF, conventional inverted file |
 //! | [`tpch`] | `dash-tpch` | TPC-H-style dataset generator + the paper's Q1/Q2/Q3 |
 //! | [`obs`] | `dash-obs` | pure-std observability: lock-free latency histograms, counters/gauges, spans, the slow-query log, the Prometheus text exposition |
-//! | [`core`] | `dash-core` | fragments, crawling (stepwise & integrated), fragment index, top-k search, the engine-ingest layer (one builder front door + the distributed fault-tolerant mapreduce build) |
+//! | [`core`] | `dash-core` | fragments, crawling (stepwise & integrated), fragment index, top-k search, the engine-ingest layer (one builder front door) |
 //! | [`serve`] | `dash-serve` | snapshot-swapping serving front-end: result cache, micro-batching |
 //! | [`net`] | `dash-net` | socket serving: HTTP/1.1 front-end, primary→replica delta replication over TCP, socket client |
 //!
@@ -65,8 +65,8 @@ pub use dash_webapp as webapp;
 pub mod prelude {
     pub use dash_core::{
         DashConfig, DashEngine, DeltaSignature, EngineBuilder, Fragment, FragmentId, FragmentIndex,
-        IndexDelta, IngestConfig, IngestSource, MultiDash, RecordChange, SearchEngine, SearchHit,
-        SearchRequest, ShardedEngine,
+        IndexDelta, IngestSource, MultiDash, RecordChange, SearchEngine, SearchHit, SearchRequest,
+        ShardedEngine,
     };
     pub use dash_net::{
         BackoffConfig, NetClient, NetConfig, NetServer, Replica, ReplicaConfig, ReplicationHub,
