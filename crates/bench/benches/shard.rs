@@ -114,16 +114,15 @@ fn bench_shard(c: &mut Criterion) {
         .insert(record.clone())
         .expect("insert");
     let fragments = reference::fragments(&app, &db).expect("crawl");
+    let change = [RecordChange::new("restaurant", record)];
 
     let mut group = c.benchmark_group("shard/maintenance");
     {
         let mut engine = DashEngine::build(&app, &db, &DashConfig::default()).expect("builds");
         group.bench_function("single/insert-delete", |b| {
             b.iter(|| {
-                engine
-                    .apply_insert(&db_with, "restaurant", &record)
-                    .unwrap();
-                engine.apply_delete(&db, "restaurant", &record).unwrap();
+                engine.apply_changes(&db_with, &change).unwrap();
+                engine.apply_changes(&db, &change).unwrap();
             })
         });
     }
@@ -135,10 +134,8 @@ fn bench_shard(c: &mut Criterion) {
             .expect("sharded builds");
         group.bench_function(format!("s{shards}/insert-delete"), |b| {
             b.iter(|| {
-                engine
-                    .apply_insert(&db_with, "restaurant", &record)
-                    .unwrap();
-                engine.apply_delete(&db, "restaurant", &record).unwrap();
+                engine.apply_changes(&db_with, &change).unwrap();
+                engine.apply_changes(&db, &change).unwrap();
             })
         });
     }
@@ -156,7 +153,7 @@ fn bench_shard(c: &mut Criterion) {
 
     // The bulk write path: an 8-record batch applied as ONE bulk delta
     // (shadow joins batched per relation + one scoped re-crawl) versus
-    // the same batch fed through the per-record loop (a shadow join
+    // the same batch applied as eight one-change batches (a shadow join
     // AND a full-corpus recompute join per record). The gap is the
     // ROADMAP's "batch the shadow joins" win, and it widens linearly
     // with batch size.
@@ -200,8 +197,10 @@ fn bench_shard(c: &mut Criterion) {
         b.iter_batched(
             || base.fork(),
             |mut engine| {
-                for record in &batch_records {
-                    engine.apply_insert(&db_bulk, "restaurant", record).unwrap();
+                for change in &changes {
+                    engine
+                        .apply_changes(&db_bulk, std::slice::from_ref(change))
+                        .unwrap();
                 }
             },
             BatchSize::SmallInput,

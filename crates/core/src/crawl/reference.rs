@@ -26,7 +26,10 @@ pub fn fragments(app: &WebApplication, db: &Database) -> Result<Vec<Fragment>> {
     fragments_of_joined(app, &joined)
 }
 
-/// [`fragments`] restricted to a [`crate::scope::CrawlScope`].
+/// [`fragments`] restricted to a [`crate::scope::CrawlScope`]: the full
+/// reference crawl, filtered afterwards. No production path calls it;
+/// it is the oracle `tests/scope.rs` compares both scoped MapReduce
+/// crawls ([`crate::crawl::run_scoped`]) against, and it stays for that.
 ///
 /// # Errors
 ///

@@ -12,58 +12,6 @@ use crate::index::FragmentIndex;
 use crate::search::{request_idf, top_k, top_k_in, SearchHit, SearchRequest, SearchScratch};
 use crate::Result;
 
-/// The common serving surface of Dash engines: one application, top-k
-/// search, batched top-k. Implemented by the single-index
-/// [`DashEngine`] and the sharded
-/// [`ShardedEngine`](crate::sharded::ShardedEngine) — the two produce
-/// byte-identical results, so layers above (the multi-application
-/// federation, serving facades, tests) compose with either
-/// interchangeably.
-pub trait SearchEngine: Send + Sync {
-    /// The analyzed application this engine serves.
-    fn app(&self) -> &WebApplication;
-
-    /// Top-k db-page search (Algorithm 1).
-    fn search(&self, request: &SearchRequest) -> Vec<SearchHit>;
-
-    /// Batched top-k; results are position-aligned with `requests` and
-    /// each equals the corresponding [`SearchEngine::search`] call.
-    fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>>;
-
-    /// Number of indexed fragments.
-    fn fragment_count(&self) -> usize;
-}
-
-impl SearchEngine for DashEngine {
-    fn app(&self) -> &WebApplication {
-        DashEngine::app(self)
-    }
-    fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
-        DashEngine::search(self, request)
-    }
-    fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
-        DashEngine::search_many(self, requests)
-    }
-    fn fragment_count(&self) -> usize {
-        DashEngine::fragment_count(self)
-    }
-}
-
-impl SearchEngine for crate::sharded::ShardedEngine {
-    fn app(&self) -> &WebApplication {
-        crate::sharded::ShardedEngine::app(self)
-    }
-    fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
-        crate::sharded::ShardedEngine::search(self, request)
-    }
-    fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
-        crate::sharded::ShardedEngine::search_many(self, requests)
-    }
-    fn fragment_count(&self) -> usize {
-        crate::sharded::ShardedEngine::fragment_count(self)
-    }
-}
-
 /// Engine construction options.
 #[derive(Debug, Clone, Default)]
 pub struct DashConfig {

@@ -88,10 +88,10 @@
 //! ([`persist`]) round-trips a maintained partition without
 //! re-partitioning.
 //!
-//! [`engine::DashEngine`] packages the single-heap pipeline; both
-//! engines implement [`engine::SearchEngine`], the
-//! serving trait [`multi::MultiDash`] federates over (so
-//! multi-application scoping composes with sharding); [`baseline`]
+//! [`engine::DashEngine`] packages the single-heap pipeline;
+//! [`multi::MultiDash`] federates one [`sharded::ShardedEngine`] per
+//! application (so multi-application scoping composes with sharding);
+//! [`baseline`]
 //! provides the naive materialize-every-db-page engine the fragment
 //! design is motivated against; [`update`] and [`multi`] implement the
 //! paper's two future-work extensions (incremental index maintenance and
@@ -133,7 +133,7 @@ pub mod update;
 pub mod wire;
 
 pub use crawl::{CrawlAlgorithm, CrawlOutput};
-pub use engine::{DashConfig, DashEngine, SearchEngine};
+pub use engine::{DashConfig, DashEngine};
 pub use error::CoreError;
 pub use fragment::{Fragment, FragmentId};
 pub use index::{

@@ -10,12 +10,11 @@
 //! content signature duplicates a higher-ranked page from another
 //! application.
 //!
-//! The federation is generic over the
-//! [`crate::engine::SearchEngine`] backing each
-//! application: [`MultiDash::build`] federates single-index
-//! [`DashEngine`]s, [`MultiDash::build_sharded`] federates
-//! [`crate::sharded::ShardedEngine`]s — multi-application
-//! scoping composes with sharding without the merge layer knowing.
+//! Each application is served by a [`ShardedEngine`] partitioned into
+//! the same number of shards — multi-application scoping composes with
+//! sharding without the merge layer knowing, and at one shard each
+//! engine answers exactly as a single-index
+//! [`DashEngine`](crate::engine::DashEngine) would.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -24,8 +23,8 @@ use dash_relation::Database;
 use dash_webapp::WebApplication;
 
 use crate::crawl::{self, CrawlAlgorithm};
-use crate::engine::{DashEngine, SearchEngine};
 use crate::fragment::{Fragment, FragmentId};
+use crate::ingest::IngestSource;
 use crate::search::{SearchHit, SearchRequest};
 use crate::sharded::ShardedEngine;
 use crate::Result;
@@ -52,71 +51,33 @@ pub struct MultiHit {
     pub hit: SearchHit,
 }
 
-/// A federation of Dash engines over one database, generic over the
-/// engine kind backing each application (single-index by default).
+/// A federation of Dash engines over one database, one
+/// [`ShardedEngine`] per application.
 #[derive(Debug)]
-pub struct MultiDash<E: SearchEngine = DashEngine> {
-    engines: Vec<E>,
+pub struct MultiDash {
+    engines: Vec<ShardedEngine>,
     /// Per application: fragment id → content signature.
     signatures: Vec<HashMap<FragmentId, u64>>,
     stats: SharingStats,
 }
 
-impl MultiDash<DashEngine> {
-    /// Builds one single-index engine per application (all crawled with
-    /// the same algorithm and cluster) and computes sharing statistics.
+impl MultiDash {
+    /// Crawls every application (all with the same algorithm and
+    /// cluster), computes content-sharing statistics, and indexes each
+    /// application's fragments into a [`ShardedEngine`] of `shards`
+    /// shards. Per-application results are byte-identical to a
+    /// single-index build for any shard count, so the federated
+    /// results are too.
     ///
     /// # Errors
     ///
-    /// Propagates per-application build errors.
+    /// Propagates per-application crawl and build errors.
     pub fn build(
         apps: &[WebApplication],
         db: &Database,
         cluster: &ClusterConfig,
         algorithm: CrawlAlgorithm,
-    ) -> Result<Self> {
-        Self::build_with(apps, db, cluster, algorithm, DashEngine::from_fragments)
-    }
-}
-
-impl MultiDash<ShardedEngine> {
-    /// Builds one *sharded* engine per application — multi-application
-    /// scoping composed with sharding: every application's handle space
-    /// is partitioned into `shards` worker-pool-served shards, and the
-    /// federation's merge/dedup layer runs unchanged on top (per-app
-    /// results are byte-identical to the single-index build, so the
-    /// federated results are too).
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-application build errors.
-    pub fn build_sharded(
-        apps: &[WebApplication],
-        db: &Database,
-        cluster: &ClusterConfig,
-        algorithm: CrawlAlgorithm,
         shards: usize,
-    ) -> Result<Self> {
-        Self::build_with(apps, db, cluster, algorithm, |app, fragments, stats| {
-            ShardedEngine::builder(app)
-                .shards(shards)
-                .stats(stats)
-                .source(crate::ingest::IngestSource::Fragments(fragments))
-                .build()
-        })
-    }
-}
-
-impl<E: SearchEngine> MultiDash<E> {
-    /// The shared build pipeline: crawl each application, compute
-    /// content-sharing statistics, and hand the fragments to
-    /// `make_engine` for indexing.
-    fn build_with(
-        apps: &[WebApplication],
-        db: &Database,
-        cluster: &ClusterConfig,
-        algorithm: CrawlAlgorithm,
-        make_engine: impl Fn(WebApplication, &[Fragment], dash_mapreduce::WorkflowStats) -> Result<E>,
     ) -> Result<Self> {
         let mut engines = Vec::with_capacity(apps.len());
         let mut signatures = Vec::with_capacity(apps.len());
@@ -132,7 +93,13 @@ impl<E: SearchEngine> MultiDash<E> {
                 content_owners.entry(sig).or_default().push(i);
             }
             total_fragments += crawl.fragments.len();
-            engines.push(make_engine(app.clone(), &crawl.fragments, crawl.stats)?);
+            engines.push(
+                ShardedEngine::builder(app.clone())
+                    .shards(shards)
+                    .stats(crawl.stats)
+                    .source(IngestSource::Fragments(&crawl.fragments))
+                    .build()?,
+            );
             signatures.push(sig_map);
         }
 
@@ -155,7 +122,7 @@ impl<E: SearchEngine> MultiDash<E> {
     }
 
     /// The per-application engines.
-    pub fn engines(&self) -> &[E] {
+    pub fn engines(&self) -> &[ShardedEngine] {
         &self.engines
     }
 
@@ -174,14 +141,14 @@ impl<E: SearchEngine> MultiDash<E> {
     }
 
     /// Batched federated top-k: answers every request, using each
-    /// engine's scratch-pooled [`DashEngine::search_many`] underneath.
+    /// engine's scratch-pooled [`ShardedEngine::search_many`] underneath.
     /// Results are position-aligned with `requests`; each equals the
     /// corresponding [`MultiDash::search`] call.
     pub fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<MultiHit>> {
         // The per-application batches are independent — run them on
         // worker threads.
         let mut per_engine: Vec<Vec<Vec<SearchHit>>> =
-            crate::par::map(self.engines.iter().collect(), |engine: &E| {
+            crate::par::map(self.engines.iter().collect(), |engine: &ShardedEngine| {
                 engine.search_many(requests)
             });
         requests
@@ -257,6 +224,7 @@ fn content_signature(f: &Fragment) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{DashConfig, DashEngine};
     use dash_webapp::fooddb;
 
     /// A second application over fooddb with the same query shape but a
@@ -274,24 +242,11 @@ servlet Mirror at "www.mirror.example/Find" {
 }
 "#;
 
-    fn federation() -> MultiDash {
+    fn federation(shards: usize) -> MultiDash {
         let db = fooddb::database();
         let search = fooddb::search_application().unwrap();
         let mirror = WebApplication::from_servlet_source(MIRROR_SERVLET, &db).unwrap();
         MultiDash::build(
-            &[search, mirror],
-            &db,
-            &ClusterConfig::default(),
-            CrawlAlgorithm::Integrated,
-        )
-        .unwrap()
-    }
-
-    fn sharded_federation(shards: usize) -> MultiDash<ShardedEngine> {
-        let db = fooddb::database();
-        let search = fooddb::search_application().unwrap();
-        let mirror = WebApplication::from_servlet_source(MIRROR_SERVLET, &db).unwrap();
-        MultiDash::build_sharded(
             &[search, mirror],
             &db,
             &ClusterConfig::default(),
@@ -303,7 +258,7 @@ servlet Mirror at "www.mirror.example/Find" {
 
     #[test]
     fn sharing_stats_detect_full_overlap() {
-        let multi = federation();
+        let multi = federation(1);
         let stats = multi.stats();
         assert_eq!(stats.total_fragments, 10); // 5 per application
         assert_eq!(stats.distinct_contents, 5); // fully shared
@@ -312,7 +267,7 @@ servlet Mirror at "www.mirror.example/Find" {
 
     #[test]
     fn federated_search_deduplicates_content() {
-        let multi = federation();
+        let multi = federation(1);
         let hits = multi.search(&SearchRequest::new(&["burger"]).k(4).min_size(20));
         // Without dedup both apps would return the same two pages (four
         // hits); dedup keeps one copy of each content.
@@ -323,7 +278,7 @@ servlet Mirror at "www.mirror.example/Find" {
 
     #[test]
     fn search_many_matches_search() {
-        let multi = federation();
+        let multi = federation(1);
         let requests = vec![
             SearchRequest::new(&["burger"]).k(4).min_size(20),
             SearchRequest::new(&["thai"]).k(2).min_size(1),
@@ -338,16 +293,40 @@ servlet Mirror at "www.mirror.example/Find" {
     #[test]
     fn sharded_federation_matches_single_index_federation() {
         // Multi-application scoping composes with sharding: the
-        // federated results over ShardedEngines are byte-identical to
-        // the single-index federation, for any shard count.
-        let single = federation();
+        // federated results at 2 and 4 shards are byte-identical to the
+        // one-shard federation, whose engines each answer exactly as a
+        // freshly built single-index DashEngine (the oracle).
+        let single = federation(1);
         let requests = vec![
             SearchRequest::new(&["burger"]).k(4).min_size(20),
             SearchRequest::new(&["thai"]).k(2).min_size(1),
             SearchRequest::new(&["fries", "burger"]).k(3).min_size(5),
         ];
-        for shards in [1usize, 2, 4] {
-            let sharded = sharded_federation(shards);
+        let db = fooddb::database();
+        for engine in single.engines() {
+            let oracle = DashEngine::build(
+                engine.app(),
+                &db,
+                &DashConfig {
+                    algorithm: CrawlAlgorithm::Integrated,
+                    ..DashConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(engine.fragment_count(), oracle.fragment_count());
+            for request in &requests {
+                assert_eq!(
+                    engine.search(request),
+                    oracle.search(request),
+                    "app={} keywords={:?}",
+                    engine.app().name,
+                    request.keywords
+                );
+            }
+            assert_eq!(engine.search_many(&requests), oracle.search_many(&requests));
+        }
+        for shards in [2usize, 4] {
+            let sharded = federation(shards);
             assert_eq!(sharded.stats(), single.stats());
             assert_eq!(
                 sharded.engines().iter().map(|e| e.shard_count()).max(),
@@ -370,7 +349,7 @@ servlet Mirror at "www.mirror.example/Find" {
 
     #[test]
     fn engines_are_independently_searchable() {
-        let multi = federation();
+        let multi = federation(1);
         for engine in multi.engines() {
             let hits = engine.search(&SearchRequest::new(&["burger"]).k(2).min_size(20));
             assert_eq!(hits.len(), 2);

@@ -61,7 +61,7 @@
 //! [`DashEngine`]: crate::engine::DashEngine
 
 use dash_mapreduce::WorkflowStats;
-use dash_relation::{Database, Record, Value};
+use dash_relation::{Database, Value};
 use dash_webapp::WebApplication;
 use parking_lot::Mutex;
 
@@ -74,10 +74,7 @@ use crate::index::{FragmentIndex, GroupId};
 use crate::par;
 use crate::persist;
 use crate::search::{request_idf, top_k_in, SearchHit, SearchRequest, SearchScratch, ShardView};
-use crate::update::{
-    affected_fragment_ids, build_delta, bulk_delta, DeltaSignature, IndexDelta, RecordChange,
-    RefreshStats,
-};
+use crate::update::{bulk_delta, DeltaSignature, IndexDelta, RecordChange, RefreshStats};
 use crate::Result;
 
 /// The shard count configured in the environment (`DASH_SHARDS`), if
@@ -105,8 +102,8 @@ struct Shard {
 /// searched by one heap loop over the whole partition. Search results
 /// are byte-identical to a single-shard [`DashEngine`] over the same
 /// fragments, for any shard count ≥ 1 — including after any sequence
-/// of incremental updates ([`ShardedEngine::apply_insert`] /
-/// [`ShardedEngine::apply_delete`] / [`ShardedEngine::apply_delta`]).
+/// of incremental updates ([`ShardedEngine::apply_changes`] /
+/// [`ShardedEngine::apply_delta`]).
 ///
 /// [`DashEngine`]: crate::engine::DashEngine
 #[derive(Debug)]
@@ -304,57 +301,6 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Applies a record insertion: `db` must already contain the
-    /// record. The sharded counterpart of
-    /// [`DashEngine::apply_insert`](crate::DashEngine::apply_insert) —
-    /// same delta pipeline, applied to the owning shards only.
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn apply_insert(
-        &mut self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<RefreshStats> {
-        let delta = self.record_delta(db, relation, record)?;
-        Ok(self.apply_delta(delta))
-    }
-
-    /// Applies a record deletion: `db` must already have the record
-    /// removed, while `record` is the deleted row (captured
-    /// beforehand).
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn apply_delete(
-        &mut self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<RefreshStats> {
-        let delta = self.record_delta(db, relation, record)?;
-        Ok(self.apply_delta(delta))
-    }
-
-    /// Builds the delta for one base-table record change (find affected
-    /// identifiers, recompute them) without applying it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn record_delta(
-        &self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<IndexDelta> {
-        let ids = affected_fragment_ids(&self.app, db, relation, record)?;
-        build_delta(&self.app, db, &ids)
-    }
-
     /// Applies a prebuilt delta: every entry is routed to the shard
     /// owning its equality group, each affected shard applies its
     /// sub-delta in turn, and the global group-rank offsets + fragment
@@ -386,9 +332,10 @@ impl ShardedEngine {
         stats
     }
 
-    /// Applies a whole batch of record changes through one bulk delta
-    /// (shadow joins batched per relation, one scoped re-crawl) — the
-    /// sharded counterpart of
+    /// Applies a batch of record changes — inserts and deletes alike,
+    /// one record or many — through one [`bulk_delta`] (shadow joins
+    /// batched per relation, one scoped re-crawl), routed to the owning
+    /// shards only. The sharded counterpart of
     /// [`DashEngine::apply_changes`](crate::DashEngine::apply_changes).
     /// `db` must already reflect every change.
     ///

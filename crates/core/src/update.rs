@@ -8,17 +8,20 @@
 //! Every mutation — single-engine or sharded — flows through one
 //! abstraction, the [`IndexDelta`]: the set of fragment identifiers
 //! whose index entries are stale (`removes`) plus the freshly derived
-//! fragments to splice in (`adds`). The pipeline is
+//! fragments to splice in (`adds`). A batch of base-table record
+//! changes ([`RecordChange`]s, one record or many) becomes a delta
+//! through one function, [`bulk_delta`], and the pipeline is
 //!
-//! 1. **find** — a base-table delta (inserted or deleted record)
-//!    touches exactly the fragments whose identifiers appear in the
-//!    join rows the record participates in; [`affected_fragment_ids`]
-//!    finds them by joining a one-record shadow of the delta's relation
-//!    against the rest of the database;
-//! 2. **build** — [`build_delta`] recomputes the affected fragments
-//!    from the current database and packages them as an [`IndexDelta`];
-//! 3. **apply** — [`FragmentIndex::apply`] splices the delta into every
-//!    structure atomically, in time proportional to the delta: the
+//! 1. **find** — a changed record (inserted or deleted) touches
+//!    exactly the fragments whose identifiers appear in the join rows
+//!    it participates in; [`bulk_affected_ids`] finds them by joining a
+//!    shadow of each touched relation, holding only the batch's records
+//!    of it, against the rest of the database;
+//! 2. **build** — [`bulk_delta`] recomputes the affected fragments
+//!    from the current database in one scoped re-crawl and packages
+//!    them as an [`IndexDelta`];
+//! 3. **apply** — [`FragmentIndex::apply`] splices the delta into
+//!    every structure atomically, in time proportional to the delta: the
 //!    per-group graph splices touch only the affected groups' columns,
 //!    and the posting arenas are spliced **in place** — only the
 //!    inverted lists that lose or gain a posting are edited (stale
@@ -28,29 +31,33 @@
 //!    re-sorted (see `InvertedFragmentIndex::apply_delta`). The
 //!    result is the exact layout a from-scratch build produces.
 //!
+//! Each engine has one record-change method, `apply_changes`, plus
+//! `apply_delta` for a prebuilt delta.
 //! [`DashEngine`] applies a delta to its one index;
 //! [`ShardedEngine`](crate::sharded::ShardedEngine) routes each delta
 //! entry to the shard owning its equality group and applies each
 //! sub-delta to its shard — per-shard work only, with
 //! search results staying byte-identical to a freshly built single
 //! engine (see `crate::sharded`).
+//!
+//! [`FragmentIndex::apply`]: crate::index::FragmentIndex::apply
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dash_relation::{Database, Record, Table, Value};
+use dash_relation::{Database, Record, Schema, Table, Value};
 use dash_webapp::WebApplication;
 
 use crate::crawl::reference;
 use crate::engine::DashEngine;
 use crate::fragment::{Fragment, FragmentId};
 use crate::index::graph::group_key;
-use crate::index::FragmentIndex;
 use crate::Result;
 
 /// A batched, atomic mutation of a fragment index: which identifiers'
 /// entries are stale, and the fresh fragments replacing them. The unit
-/// of the unified write path — built once per database change
-/// ([`build_delta`]), applied per index ([`FragmentIndex::apply`]) or
+/// of the unified write path — built once per batch of database
+/// changes ([`bulk_delta`]), applied per index
+/// ([`FragmentIndex::apply`](crate::index::FragmentIndex::apply)) or
 /// routed per shard
 /// ([`ShardedEngine::apply_delta`](crate::sharded::ShardedEngine::apply_delta)).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -164,10 +171,11 @@ impl DeltaSignature {
     }
 }
 
-/// One base-table record change — the unit of the bulk maintenance
-/// path. `db` must already reflect the change (record inserted /
-/// removed), exactly as for
-/// [`DashEngine::apply_insert`] / [`DashEngine::apply_delete`].
+/// One base-table record change — the unit of the maintenance path
+/// ([`bulk_delta`], [`DashEngine::apply_changes`]). The database handed
+/// alongside must already reflect the change (record inserted /
+/// removed); a deleted record's foreign-key parents must still be in
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordChange {
     /// The relation the record was inserted into or deleted from.
@@ -205,44 +213,10 @@ impl RefreshStats {
     }
 }
 
-/// The fragment identifiers affected by one record of `relation`.
-///
-/// `db` must contain the record's foreign-key parents (for an insert,
-/// call after inserting or with the record passed here and not yet
-/// inserted — only the shadow copy is joined; for a delete, call before
-/// deleting).
-///
-/// # Errors
-///
-/// Propagates relational errors (unknown relation, schema mismatch).
-pub fn affected_fragment_ids(
-    app: &WebApplication,
-    db: &Database,
-    relation: &str,
-    record: &Record,
-) -> Result<Vec<FragmentId>> {
-    // Shadow database: `relation` holds only the delta record.
-    let mut shadow = db.clone();
-    let schema = db.table(relation)?.schema().clone();
-    let table = Table::with_records(schema, vec![record.clone()])?;
-    shadow.add_table(table);
-    let fragments = reference::fragments(app, &shadow)?;
-    // Outer-join padding in the shadow can fabricate fragments for *other*
-    // left rows (they all pad); keep only identifiers whose rows involve
-    // the delta — which is exactly those with nonzero records containing
-    // the record's own selection/join values. Since only `relation` was
-    // shrunk, every produced fragment that contains ≥1 record either
-    // involves the delta or is a padded left row; both kinds are affected
-    // conservatively re-derivable, so refresh them all. (Cheap: the shadow
-    // join is tiny.)
-    Ok(fragments.into_iter().map(|f| f.id).collect())
-}
-
-/// The fragment identifiers affected by a *batch* of record changes —
-/// the bulk counterpart of [`affected_fragment_ids`]. The shadow joins
-/// are batched per relation: all of a relation's delta records join the
-/// rest of the database **once**, instead of once per record, so a
-/// bulk re-crawl of N changes pays one shadow join per touched relation
+/// The fragment identifiers affected by a batch of record changes.
+/// The shadow joins are batched per relation: all of a relation's delta
+/// records join the rest of the database **once**, instead of once per
+/// record, so N changes pay one shadow join per touched relation
 /// rather than N.
 ///
 /// # Errors
@@ -266,11 +240,23 @@ pub fn bulk_affected_ids(
         // records; their FK parents are still in `db`. Distinct delta
         // records of ONE relation never join each other (a PSJ query
         // joins a relation against the others, not itself), so one
-        // shadow join covers the whole batch exactly.
+        // shadow join covers the whole batch exactly. The shadow
+        // declares no primary key: a delete and a re-insert of one row
+        // (a budget move) are two delta records under one key.
         let mut shadow = db.clone();
-        let schema = db.table(relation)?.schema().clone();
+        let schema = db
+            .table(relation)?
+            .schema()
+            .columns()
+            .iter()
+            .fold(Schema::builder(relation), |b, c| b.column(c.clone()))
+            .build()?;
         let table = Table::with_records(schema, records)?;
         shadow.add_table(table);
+        // With `relation` shrunk to the delta, outer-join padding can
+        // also yield fragments of left rows the delta does not touch
+        // (they all pad). Re-deriving those is conservative and exact,
+        // so every identifier the shadow join produces is refreshed.
         for fragment in reference::fragments(app, &shadow)? {
             ids.insert(fragment.id);
         }
@@ -282,8 +268,9 @@ pub fn bulk_affected_ids(
 /// up to date: batched shadow joins find the affected identifiers
 /// ([`bulk_affected_ids`]), then **one** scoped re-crawl
 /// ([`reference::fragments_for_ids`]) recomputes them — N changes cost
-/// one join per touched relation plus one recompute join, where the
-/// per-record path pays N of each.
+/// one join per touched relation plus one recompute join, where N
+/// one-change batches pay N of each. This is the only record→delta
+/// function; an empty batch yields an empty delta.
 ///
 /// # Errors
 ///
@@ -301,90 +288,7 @@ pub fn bulk_delta(
     Ok(IndexDelta::new(ids.into_iter().collect(), adds))
 }
 
-/// Builds the [`IndexDelta`] bringing the entries of `ids` up to date
-/// with the current `db`: every target identifier is marked stale, and
-/// the ones that still derive fragments are re-added fresh.
-///
-/// # Errors
-///
-/// Propagates relational errors from the recomputation join.
-pub fn build_delta(app: &WebApplication, db: &Database, ids: &[FragmentId]) -> Result<IndexDelta> {
-    if ids.is_empty() {
-        return Ok(IndexDelta::default());
-    }
-    let targets: BTreeSet<FragmentId> = ids.iter().cloned().collect();
-    // Current truth for the affected identifiers — a scoped re-crawl
-    // that never tokenizes rows outside the target groups.
-    let adds = reference::fragments_for_ids(app, db, &targets)?;
-    Ok(IndexDelta::new(targets.into_iter().collect(), adds))
-}
-
-/// Recomputes `ids` from the current `db` and splices them into `index`
-/// — [`build_delta`] followed by [`FragmentIndex::apply`].
-///
-/// # Errors
-///
-/// Propagates relational errors from the recomputation join.
-pub fn refresh(
-    index: &mut FragmentIndex,
-    app: &WebApplication,
-    db: &Database,
-    ids: &[FragmentId],
-) -> Result<RefreshStats> {
-    let delta = build_delta(app, db, ids)?;
-    Ok(index.apply(&delta))
-}
-
 impl DashEngine {
-    /// Applies a record insertion: `db` must already contain the record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn apply_insert(
-        &mut self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<RefreshStats> {
-        let delta = self.record_delta(db, relation, record)?;
-        Ok(self.apply_delta(&delta))
-    }
-
-    /// Applies a record deletion: `db` must already have the record
-    /// removed, while `record` is the deleted row (captured beforehand).
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn apply_delete(
-        &mut self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<RefreshStats> {
-        // The shadow join needs the record's FK parents, which are still
-        // in `db`; the record itself lives only in the shadow.
-        let delta = self.record_delta(db, relation, record)?;
-        Ok(self.apply_delta(&delta))
-    }
-
-    /// Builds the delta for one base-table record change (find affected
-    /// identifiers, recompute them).
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn record_delta(
-        &self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<IndexDelta> {
-        let ids = affected_fragment_ids(self.app(), db, relation, record)?;
-        build_delta(self.app(), db, &ids)
-    }
-
     /// Applies a prebuilt delta to the index.
     pub fn apply_delta(&mut self, delta: &IndexDelta) -> RefreshStats {
         let stats = self.index_mut().apply(delta);
@@ -393,12 +297,10 @@ impl DashEngine {
         stats
     }
 
-    /// Applies a whole batch of record changes through one
-    /// [`bulk_delta`]: one shadow join per touched relation plus one
-    /// scoped re-crawl, where a loop over
-    /// [`DashEngine::apply_insert`] / [`DashEngine::apply_delete`]
-    /// pays a shadow join *and* a recompute join per record. `db` must
-    /// already reflect every change.
+    /// Applies a batch of record changes — inserts and deletes alike,
+    /// one record or many — through one [`bulk_delta`]: one shadow join
+    /// per touched relation plus one scoped re-crawl. `db` must already
+    /// reflect every change.
     ///
     /// # Errors
     ///
@@ -458,7 +360,9 @@ mod tests {
             .unwrap()
             .insert(record.clone())
             .unwrap();
-        let stats = engine.apply_insert(&db, "restaurant", &record).unwrap();
+        let stats = engine
+            .apply_changes(&db, &[RecordChange::new("restaurant", record)])
+            .unwrap();
         assert!(stats.added >= 1);
         // The new page is findable.
         let hits = engine.search(&SearchRequest::new(&["sushi"]).k(1).min_size(1));
@@ -492,7 +396,9 @@ mod tests {
             .unwrap()
             .insert(record.clone())
             .unwrap();
-        engine.apply_insert(&db, "comment", &record).unwrap();
+        engine
+            .apply_changes(&db, &[RecordChange::new("comment", record)])
+            .unwrap();
         let after = total_occurrences(&engine);
         assert!(after > before);
         assert_same_index(&engine, &rebuild(&db));
@@ -525,10 +431,10 @@ mod tests {
             .delete_where(|r| r.get(0) == Some(&Value::Int(7)));
 
         engine
-            .apply_delete(&db, "comment", &deleted_comment)
+            .apply_changes(&db, &[RecordChange::new("comment", deleted_comment)])
             .unwrap();
         engine
-            .apply_delete(&db, "restaurant", &deleted_restaurant)
+            .apply_changes(&db, &[RecordChange::new("restaurant", deleted_restaurant)])
             .unwrap();
         // (American, 9) is gone; "coffee" finds nothing.
         assert!(engine
@@ -539,19 +445,10 @@ mod tests {
     }
 
     #[test]
-    fn refresh_with_no_ids_is_noop() {
-        let db = fooddb::database();
-        let mut engine = rebuild(&db);
-        let app = engine.app().clone();
-        let stats = refresh(engine.index_mut(), &app, &db, &[]).unwrap();
-        assert_eq!(stats, RefreshStats::default());
-    }
-
-    #[test]
     fn bulk_changes_match_per_record_application() {
-        // apply_changes (batched shadow joins + one scoped re-crawl)
-        // must land on the same index as the per-record loop and as a
-        // rebuild — across relations and mixed insert/delete.
+        // One 3-change batch (batched shadow joins + one scoped
+        // re-crawl) must land on the same index as three one-change
+        // batches and as a rebuild — across relations.
         let mut db = fooddb::database();
         let mut per_record = rebuild(&db);
         let mut changes = Vec::new();
@@ -590,7 +487,7 @@ mod tests {
         assert!(stats.added >= 2);
         for change in &changes {
             per_record
-                .apply_insert(&db, &change.relation, &change.record)
+                .apply_changes(&db, std::slice::from_ref(change))
                 .unwrap();
         }
         assert_same_index(&bulk, &per_record);
@@ -648,7 +545,8 @@ mod tests {
                     .unwrap()
                     .insert(record.clone())
                     .unwrap();
-                let delta = engine.record_delta(&db, "restaurant", &record).unwrap();
+                let change = RecordChange::new("restaurant", record);
+                let delta = bulk_delta(engine.app(), &db, &[change]).unwrap();
                 removes.extend(delta.removes);
                 adds.extend(delta.adds);
             }

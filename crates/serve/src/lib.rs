@@ -77,7 +77,7 @@ use dash_core::{
     RefreshStats, Result, SearchHit, SearchRequest, ShardedEngine,
 };
 use dash_obs::{render_merged, Counter, Gauge, Histogram, Registry, SpanGuard};
-use dash_relation::{Database, Record};
+use dash_relation::Database;
 use dash_webapp::WebApplication;
 use parking_lot::Mutex;
 
@@ -613,42 +613,11 @@ impl DashServer {
         self.publish_locked(&mut writer, delta)
     }
 
-    /// Builds and publishes the delta for one record insertion (`db`
-    /// must already contain the record) — the serving counterpart of
-    /// [`ShardedEngine::apply_insert`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn apply_insert(
-        &self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<RefreshStats> {
-        self.apply_changes(db, &[RecordChange::new(relation, record.clone())])
-    }
-
-    /// Builds and publishes the delta for one record deletion (`db`
-    /// must already have the record removed; `record` is the deleted
-    /// row captured beforehand).
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors.
-    pub fn apply_delete(
-        &self,
-        db: &Database,
-        relation: &str,
-        record: &Record,
-    ) -> Result<RefreshStats> {
-        self.apply_changes(db, &[RecordChange::new(relation, record.clone())])
-    }
-
-    /// Builds one bulk delta for a batch of record changes (shadow
-    /// joins batched per relation, one scoped re-crawl) and publishes
-    /// it as a single atomic snapshot swap. `db` must already reflect
-    /// every change.
+    /// Builds one delta for a batch of record changes — inserts and
+    /// deletes alike, one record or many — through [`bulk_delta`]
+    /// (shadow joins batched per relation, one scoped re-crawl) and
+    /// publishes it as a single atomic snapshot swap. `db` must already
+    /// reflect every change.
     ///
     /// # Errors
     ///

@@ -36,6 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &db,
         &ClusterConfig::default(),
         CrawlAlgorithm::Integrated,
+        1,
     )?;
 
     let stats = multi.stats();

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Value::str("4.7"),
     ]);
     db.table_mut("restaurant")?.insert(restaurant.clone())?;
-    let stats = engine.apply_insert(&db, "restaurant", &restaurant)?;
+    let stats = engine.apply_changes(&db, &[RecordChange::new("restaurant", restaurant)])?;
     println!(
         "inserted restaurant: {} fragment(s) refreshed ({} added)",
         stats.removed + stats.added,
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Value::str("05/12"),
     ]);
     db.table_mut("comment")?.insert(comment.clone())?;
-    engine.apply_insert(&db, "comment", &comment)?;
+    engine.apply_changes(&db, &[RecordChange::new("comment", comment)])?;
 
     show(
         &engine.search(&SearchRequest::new(&["bulgogi"]).k(1).min_size(1)),

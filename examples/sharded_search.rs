@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Value::str("4.8"),
     ]);
     db.table_mut("restaurant")?.insert(record.clone())?;
-    let stats = sharded.apply_insert(&db, "restaurant", &record)?;
+    let stats = sharded.apply_changes(&db, &[RecordChange::new("restaurant", record)])?;
     println!(
         "\nlive update: +{} fragment(s), -{} stale; shard sizes now {:?}",
         stats.added,

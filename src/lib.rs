@@ -65,8 +65,7 @@ pub use dash_webapp as webapp;
 pub mod prelude {
     pub use dash_core::{
         DashConfig, DashEngine, DeltaSignature, EngineBuilder, Fragment, FragmentId, FragmentIndex,
-        IndexDelta, IngestSource, MultiDash, RecordChange, SearchEngine, SearchHit, SearchRequest,
-        ShardedEngine,
+        IndexDelta, IngestSource, MultiDash, RecordChange, SearchHit, SearchRequest, ShardedEngine,
     };
     pub use dash_net::{
         BackoffConfig, NetClient, NetConfig, NetServer, Replica, ReplicaConfig, ReplicationHub,

@@ -2,7 +2,7 @@
 //! and deletes must keep the engine equal to a from-scratch rebuild (the
 //! paper's first future-work item, exercised hard).
 
-use dash::core::{DashConfig, DashEngine, SearchRequest};
+use dash::core::{DashConfig, DashEngine, RecordChange, SearchRequest};
 use dash::relation::{Database, Record, Value};
 use dash::webapp::fooddb;
 
@@ -32,6 +32,14 @@ fn assert_equivalent(incremental: &DashEngine, rebuilt: &DashEngine, context: &s
             );
         }
     }
+}
+
+/// Applies one record change (insert or delete; `db` already reflects
+/// it) as a one-change batch.
+fn apply_change(engine: &mut DashEngine, db: &Database, relation: &str, record: &Record) {
+    engine
+        .apply_changes(db, &[RecordChange::new(relation, record.clone())])
+        .unwrap();
 }
 
 fn restaurant(rid: i64, name: &str, cuisine: &str, budget: i64) -> Record {
@@ -67,7 +75,7 @@ fn interleaved_insert_delete_sequence() {
             .unwrap()
             .insert(r.clone())
             .unwrap();
-        engine.apply_insert(&db, "restaurant", &r).unwrap();
+        apply_change(&mut engine, &db, "restaurant", &r);
     }
     assert_equivalent(&engine, &rebuild(&db), "after mexican chain");
     let hits = engine.search(&SearchRequest::new(&["taco"]).k(1).min_size(100));
@@ -78,7 +86,7 @@ fn interleaved_insert_delete_sequence() {
     // 2. Insert comments on one of them (fragment content change).
     let c = comment(301, 102, 132, "Great taco pho fusion");
     db.table_mut("comment").unwrap().insert(c.clone()).unwrap();
-    engine.apply_insert(&db, "comment", &c).unwrap();
+    apply_change(&mut engine, &db, "comment", &c);
     assert_equivalent(&engine, &rebuild(&db), "after comment insert");
 
     // 3. Delete the middle of the Mexican chain — the edge must re-splice.
@@ -92,11 +100,11 @@ fn interleaved_insert_delete_sequence() {
     db.table_mut("comment")
         .unwrap()
         .delete_where(|r| r.get(1) == Some(&Value::Int(102)));
-    engine.apply_delete(&db, "comment", &c).unwrap();
+    apply_change(&mut engine, &db, "comment", &c);
     db.table_mut("restaurant")
         .unwrap()
         .delete_where(|r| r.get(0) == Some(&Value::Int(102)));
-    engine.apply_delete(&db, "restaurant", &victim).unwrap();
+    apply_change(&mut engine, &db, "restaurant", &victim);
     assert_equivalent(&engine, &rebuild(&db), "after middle delete");
 
     // 4. Delete an entire cuisine (Thai) — groups disappear.
@@ -112,7 +120,7 @@ fn interleaved_insert_delete_sequence() {
             db.table_mut("comment")
                 .unwrap()
                 .delete_where(|r| r.get(0) == c.get(0));
-            engine.apply_delete(&db, "comment", &c).unwrap();
+            apply_change(&mut engine, &db, "comment", &c);
         }
         let r = db
             .table("restaurant")
@@ -124,7 +132,7 @@ fn interleaved_insert_delete_sequence() {
         db.table_mut("restaurant")
             .unwrap()
             .delete_where(|rec| rec.get(0) == Some(&Value::Int(rid)));
-        engine.apply_delete(&db, "restaurant", &r).unwrap();
+        apply_change(&mut engine, &db, "restaurant", &r);
     }
     assert_equivalent(&engine, &rebuild(&db), "after thai removal");
     assert!(engine
@@ -148,13 +156,13 @@ fn update_via_delete_then_insert() {
     db.table_mut("restaurant")
         .unwrap()
         .delete_where(|r| r.get(0) == Some(&Value::Int(1)));
-    engine.apply_delete(&db, "restaurant", &old).unwrap();
+    apply_change(&mut engine, &db, "restaurant", &old);
     let new = restaurant(1, "Burger Queen", "American", 11);
     db.table_mut("restaurant")
         .unwrap()
         .insert(new.clone())
         .unwrap();
-    engine.apply_insert(&db, "restaurant", &new).unwrap();
+    apply_change(&mut engine, &db, "restaurant", &new);
 
     assert_equivalent(&engine, &rebuild(&db), "after budget move");
     // The burger page now reports the new budget interval.
@@ -173,7 +181,7 @@ fn repeated_reinsertion_is_stable() {
             .unwrap()
             .insert(r.clone())
             .unwrap();
-        engine.apply_insert(&db, "restaurant", &r).unwrap();
+        apply_change(&mut engine, &db, "restaurant", &r);
         assert_eq!(
             engine
                 .search(&SearchRequest::new(&["pho"]).k(5).min_size(1))
@@ -184,7 +192,7 @@ fn repeated_reinsertion_is_stable() {
         db.table_mut("restaurant")
             .unwrap()
             .delete_where(|rec| rec.get(0) == Some(&Value::Int(200)));
-        engine.apply_delete(&db, "restaurant", &r).unwrap();
+        apply_change(&mut engine, &db, "restaurant", &r);
         assert!(engine
             .search(&SearchRequest::new(&["pho"]).k(5).min_size(1))
             .is_empty());

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use dash::core::crawl::{integrated, reference, stepwise};
-use dash::core::{DashConfig, DashEngine, SearchRequest};
+use dash::core::{DashConfig, DashEngine, RecordChange, SearchRequest};
 use dash::mapreduce::ClusterConfig;
 use dash::relation::{Column, ColumnType, Database, ForeignKey, Record, Schema, Table, Value};
 use dash::webapp::{fooddb, QueryString, WebApplication};
@@ -207,7 +207,7 @@ proptest! {
             Value::str("3.5"),
         ]);
         db.table_mut("restaurant").unwrap().insert(record.clone()).unwrap();
-        engine.apply_insert(&db, "restaurant", &record).unwrap();
+        engine.apply_changes(&db, &[RecordChange::new("restaurant", record)]).unwrap();
 
         let rebuilt = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
         prop_assert_eq!(engine.fragment_count(), rebuilt.fragment_count());

@@ -77,7 +77,11 @@ fn battery() -> Vec<SearchRequest> {
     requests
 }
 
-fn build_sharded(app: &WebApplication, corpus: &ScaleCorpus, shards: usize) -> ShardedEngine {
+fn sharded_from_batches(
+    app: &WebApplication,
+    corpus: &ScaleCorpus,
+    shards: usize,
+) -> ShardedEngine {
     ShardedEngine::builder(app.clone())
         .source(IngestSource::Batches(Box::new(
             corpus.shard_batches(shards),
@@ -139,7 +143,7 @@ fn golden_roundtrip_is_byte_identical_and_restable() {
     let requests = battery();
     let mut any_hits = false;
     for shards in [1usize, 4] {
-        let original = build_sharded(&app, &corpus, shards);
+        let original = sharded_from_batches(&app, &corpus, shards);
         assert_eq!(original.fragment_count(), corpus.fragments);
         any_hits |= assert_lossless(
             &app,
@@ -193,7 +197,7 @@ fn golden_roundtrip_is_byte_identical_and_restable() {
 #[test]
 fn every_sampled_bit_flip_is_rejected() {
     let app = q2_app();
-    let original = build_sharded(&app, &corpus(120, 5, 0xFACE), 4);
+    let original = sharded_from_batches(&app, &corpus(120, 5, 0xFACE), 4);
     let mut image = Vec::new();
     original.write_image(&mut image).expect("image dumps");
 
@@ -221,7 +225,7 @@ fn every_sampled_bit_flip_is_rejected() {
 #[test]
 fn every_sampled_truncation_is_rejected() {
     let app = q2_app();
-    let original = build_sharded(&app, &corpus(120, 5, 0xFACE), 2);
+    let original = sharded_from_batches(&app, &corpus(120, 5, 0xFACE), 2);
     let mut image = Vec::new();
     original.write_image(&mut image).expect("image dumps");
     let mut lengths: Vec<usize> = (0..image.len()).step_by(89).collect();
@@ -263,7 +267,7 @@ proptest! {
             DashEngine::from_fragments(app.clone(), &flat, WorkflowStats::new()).unwrap();
         let expected = fresh.search(&request);
         for shards in [1usize, 4] {
-            let original = build_sharded(&app, &corpus, shards);
+            let original = sharded_from_batches(&app, &corpus, shards);
             let mut image = Vec::new();
             original.write_image(&mut image).unwrap();
             let loaded =

@@ -12,9 +12,9 @@
 //!   sequential, repeated (cache-hitting), client-batched and
 //!   concurrent traffic against a freshly built single engine;
 //! * golden publications — fooddb mutation sequences published through
-//!   the server (per-record and bulk), with every request battery
-//!   re-verified after every publication (a stale cached page would
-//!   fail the comparison bit for bit);
+//!   the server (one-change and multi-change batches), with every
+//!   request battery re-verified after every publication (a stale
+//!   cached page would fail the comparison bit for bit);
 //! * concurrent misses — eight threads on a cache-less server, so
 //!   every request overlaps others in the caller-led batcher, with
 //!   deltas published between rounds;
@@ -179,7 +179,9 @@ fn serving_stays_exact_across_delta_publications() {
                 .unwrap()
                 .insert(r.clone())
                 .unwrap();
-            server.apply_insert(&db, "restaurant", &r).unwrap();
+            server
+                .apply_changes(&db, &[RecordChange::new("restaurant", r)])
+                .unwrap();
             epoch += 1;
             assert_eq!(server.epoch(), epoch);
             let fresh = fresh_single(&reference::fragments(&app, &db).unwrap());
@@ -197,7 +199,9 @@ fn serving_stays_exact_across_delta_publications() {
             .unwrap()
             .insert(comment.clone())
             .unwrap();
-        server.apply_insert(&db, "comment", &comment).unwrap();
+        server
+            .apply_changes(&db, &[RecordChange::new("comment", comment.clone())])
+            .unwrap();
         let fresh = fresh_single(&reference::fragments(&app, &db).unwrap());
         assert_served_equivalent(&server, &fresh, &context("after comment insert"));
 

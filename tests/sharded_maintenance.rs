@@ -25,8 +25,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use dash::core::{
-    DashConfig, DashEngine, Fragment, FragmentId, IndexDelta, IngestSource, SearchRequest,
-    ShardedEngine,
+    DashConfig, DashEngine, Fragment, FragmentId, IndexDelta, IngestSource, RecordChange,
+    SearchRequest, ShardedEngine,
 };
 use dash::mapreduce::WorkflowStats;
 use dash::relation::{Database, Record, Value};
@@ -55,7 +55,8 @@ fn battery() -> Vec<SearchRequest> {
 
 /// Sequential + batched + concurrent search comparison: the sharded
 /// engine must agree with the rebuilt single engine request for
-/// request, including under concurrent worker-pool traffic.
+/// request, including while several client threads search one shared
+/// engine at once.
 fn assert_equivalent(sharded: &ShardedEngine, rebuilt: &DashEngine, context: &str) {
     assert_eq!(
         sharded.fragment_count(),
@@ -97,6 +98,14 @@ fn assert_equivalent(sharded: &ShardedEngine, rebuilt: &DashEngine, context: &st
             });
         }
     });
+}
+
+/// Applies one record change (insert or delete; `db` already reflects
+/// it) as a one-change batch.
+fn apply_change(engine: &mut ShardedEngine, db: &Database, relation: &str, record: &Record) {
+    engine
+        .apply_changes(db, &[RecordChange::new(relation, record.clone())])
+        .unwrap();
 }
 
 fn restaurant(rid: i64, name: &str, cuisine: &str, budget: i64) -> Record {
@@ -143,7 +152,7 @@ fn golden_interleaved_mutations_match_rebuild_for_all_shard_counts() {
                 .unwrap()
                 .insert(r.clone())
                 .unwrap();
-            engine.apply_insert(&db, "restaurant", &r).unwrap();
+            apply_change(&mut engine, &db, "restaurant", &r);
             let hits = engine.search(&SearchRequest::new(&["taco"]).k(1).min_size(100));
             assert_eq!(hits.len(), 1, "{}", context("taco findable"));
             assert_eq!(hits[0].fragment_ids.len(), i + 1);
@@ -157,7 +166,7 @@ fn golden_interleaved_mutations_match_rebuild_for_all_shard_counts() {
         // 2. Grow one fragment's content (comment insert).
         let c = comment(301, 102, 132, "Great taco pho fusion");
         db.table_mut("comment").unwrap().insert(c.clone()).unwrap();
-        engine.apply_insert(&db, "comment", &c).unwrap();
+        apply_change(&mut engine, &db, "comment", &c);
         assert_equivalent(
             &engine,
             &rebuild_single(&db),
@@ -176,11 +185,11 @@ fn golden_interleaved_mutations_match_rebuild_for_all_shard_counts() {
         db.table_mut("comment")
             .unwrap()
             .delete_where(|r| r.get(1) == Some(&Value::Int(102)));
-        engine.apply_delete(&db, "comment", &c).unwrap();
+        apply_change(&mut engine, &db, "comment", &c);
         db.table_mut("restaurant")
             .unwrap()
             .delete_where(|r| r.get(0) == Some(&Value::Int(102)));
-        engine.apply_delete(&db, "restaurant", &victim).unwrap();
+        apply_change(&mut engine, &db, "restaurant", &victim);
         assert_equivalent(
             &engine,
             &rebuild_single(&db),
@@ -201,7 +210,7 @@ fn golden_interleaved_mutations_match_rebuild_for_all_shard_counts() {
                 db.table_mut("comment")
                     .unwrap()
                     .delete_where(|r| r.get(0) == c.get(0));
-                engine.apply_delete(&db, "comment", &c).unwrap();
+                apply_change(&mut engine, &db, "comment", &c);
             }
             let r = db
                 .table("restaurant")
@@ -213,7 +222,7 @@ fn golden_interleaved_mutations_match_rebuild_for_all_shard_counts() {
             db.table_mut("restaurant")
                 .unwrap()
                 .delete_where(|rec| rec.get(0) == Some(&Value::Int(rid)));
-            engine.apply_delete(&db, "restaurant", &r).unwrap();
+            apply_change(&mut engine, &db, "restaurant", &r);
         }
         assert_equivalent(
             &engine,
@@ -252,13 +261,13 @@ fn golden_budget_move_and_churn_match_rebuild() {
         db.table_mut("restaurant")
             .unwrap()
             .delete_where(|r| r.get(0) == Some(&Value::Int(1)));
-        engine.apply_delete(&db, "restaurant", &old).unwrap();
+        apply_change(&mut engine, &db, "restaurant", &old);
         let new = restaurant(1, "Burger Queen", "American", 11);
         db.table_mut("restaurant")
             .unwrap()
             .insert(new.clone())
             .unwrap();
-        engine.apply_insert(&db, "restaurant", &new).unwrap();
+        apply_change(&mut engine, &db, "restaurant", &new);
         assert_equivalent(
             &engine,
             &rebuild_single(&db),
@@ -275,7 +284,7 @@ fn golden_budget_move_and_churn_match_rebuild() {
                 .unwrap()
                 .insert(r.clone())
                 .unwrap();
-            engine.apply_insert(&db, "restaurant", &r).unwrap();
+            apply_change(&mut engine, &db, "restaurant", &r);
             assert_eq!(
                 engine
                     .search(&SearchRequest::new(&["pho"]).k(5).min_size(1))
@@ -286,7 +295,7 @@ fn golden_budget_move_and_churn_match_rebuild() {
             db.table_mut("restaurant")
                 .unwrap()
                 .delete_where(|rec| rec.get(0) == Some(&Value::Int(200)));
-            engine.apply_delete(&db, "restaurant", &r).unwrap();
+            apply_change(&mut engine, &db, "restaurant", &r);
             assert!(engine
                 .search(&SearchRequest::new(&["pho"]).k(5).min_size(1))
                 .is_empty());
@@ -295,6 +304,90 @@ fn golden_budget_move_and_churn_match_rebuild() {
             &engine,
             &rebuild_single(&db),
             &format!("shards={shards}: after churn"),
+        );
+    }
+}
+
+#[test]
+fn golden_mixed_batch_through_apply_changes_matches_rebuild() {
+    // One mixed batch through `ShardedEngine::apply_changes` at every
+    // shard count 1–8: restaurant and comment inserts, a comment
+    // delete, and a budget move (delete + re-insert of one restaurant
+    // inside its equality group). `db` reflects the whole batch first.
+    for shards in 1..=8 {
+        let mut db = fooddb::database();
+        let app = fooddb::search_application().unwrap();
+        let mut engine = ShardedEngine::builder(app.clone())
+            .shards(shards)
+            .source(IngestSource::Crawl {
+                db: &db,
+                config: &DashConfig::default(),
+            })
+            .build()
+            .unwrap();
+        let mut changes = Vec::new();
+
+        let taco = restaurant(160, "Taco Temple", "Mexican", 8);
+        db.table_mut("restaurant")
+            .unwrap()
+            .insert(taco.clone())
+            .unwrap();
+        changes.push(RecordChange::new("restaurant", taco));
+        let praise = comment(310, 160, 120, "Crispy taco heaven");
+        db.table_mut("comment")
+            .unwrap()
+            .insert(praise.clone())
+            .unwrap();
+        changes.push(RecordChange::new("comment", praise));
+
+        // "Bad fries" (cid 203) is withdrawn.
+        let withdrawn = db
+            .table("comment")
+            .unwrap()
+            .iter()
+            .find(|r| r.get(0) == Some(&Value::Int(203)))
+            .cloned()
+            .unwrap();
+        db.table_mut("comment")
+            .unwrap()
+            .delete_where(|r| r.get(0) == Some(&Value::Int(203)));
+        changes.push(RecordChange::new("comment", withdrawn));
+
+        // Burger Queen's budget rises from 10 to 11: same rid, same
+        // (American) group, another fragment.
+        let old = db
+            .table("restaurant")
+            .unwrap()
+            .iter()
+            .find(|r| r.get(0) == Some(&Value::Int(1)))
+            .cloned()
+            .unwrap();
+        db.table_mut("restaurant")
+            .unwrap()
+            .delete_where(|r| r.get(0) == Some(&Value::Int(1)));
+        changes.push(RecordChange::new("restaurant", old));
+        let moved = restaurant(1, "Burger Queen", "American", 11);
+        db.table_mut("restaurant")
+            .unwrap()
+            .insert(moved.clone())
+            .unwrap();
+        changes.push(RecordChange::new("restaurant", moved));
+
+        let stats = engine.apply_changes(&db, &changes).unwrap();
+        assert!(stats.added >= 2, "shards={shards}: {stats:?}");
+        assert_equivalent(
+            &engine,
+            &rebuild_single(&db),
+            &format!("shards={shards}: after mixed batch"),
+        );
+        let hits = engine.search(&SearchRequest::new(&["experts"]).k(1).min_size(1));
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].url.contains("l=11&u=11"), "got {}", hits[0].url);
+        assert_eq!(
+            engine
+                .search(&SearchRequest::new(&["taco"]).k(1).min_size(1))
+                .len(),
+            1
         );
     }
 }
@@ -320,7 +413,7 @@ fn maintenance_composes_with_per_shard_roundtrip() {
         .unwrap()
         .insert(r.clone())
         .unwrap();
-    engine.apply_insert(&db, "restaurant", &r).unwrap();
+    apply_change(&mut engine, &db, "restaurant", &r);
 
     let mut image = Vec::new();
     engine.write_image(&mut image).unwrap();
@@ -335,8 +428,8 @@ fn maintenance_composes_with_per_shard_roundtrip() {
         .unwrap()
         .insert(r2.clone())
         .unwrap();
-    engine.apply_insert(&db, "restaurant", &r2).unwrap();
-    reloaded.apply_insert(&db, "restaurant", &r2).unwrap();
+    apply_change(&mut engine, &db, "restaurant", &r2);
+    apply_change(&mut reloaded, &db, "restaurant", &r2);
 
     let rebuilt = rebuild_single(&db);
     assert_equivalent(&engine, &rebuilt, "original after roundtrip-era mutations");
