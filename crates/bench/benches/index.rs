@@ -26,7 +26,7 @@ fn bench_index(c: &mut Criterion) {
     let catalog = FragmentCatalog::from_fragments(&fragments);
 
     c.bench_function("index/inverted-fragment-index", |b| {
-        b.iter(|| InvertedFragmentIndex::build(&catalog, &fragments))
+        b.iter(|| InvertedFragmentIndex::build(&catalog, &fragments).expect("builds"))
     });
 
     c.bench_function("index/full-build", |b| {
@@ -43,7 +43,7 @@ fn bench_index(c: &mut Criterion) {
     group.finish();
 
     c.bench_function("index/idf-lookup", |b| {
-        let index = InvertedFragmentIndex::build(&catalog, &fragments);
+        let index = InvertedFragmentIndex::build(&catalog, &fragments).expect("builds");
         let keywords: Vec<String> = index
             .keywords_by_df()
             .iter()
@@ -59,7 +59,7 @@ fn bench_index(c: &mut Criterion) {
     });
 
     c.bench_function("index/occurrence-probe", |b| {
-        let index = InvertedFragmentIndex::build(&catalog, &fragments);
+        let index = InvertedFragmentIndex::build(&catalog, &fragments).expect("builds");
         let hot = index.keywords_by_df()[0].0.to_string();
         let kw = index.kw(&hot).expect("hot keyword interned");
         let frags: Vec<_> = fragments

@@ -183,6 +183,31 @@ impl NaiveEngine {
     }
 }
 
+/// How many db-pages the naive baseline would materialize for
+/// `fragments`, uncapped, in closed form: an equality group of `t`
+/// fragments has `t·(t+1)/2` range intervals, or `t` single-fragment
+/// pages when the query has no range attribute. Equal to
+/// [`NaiveEngine::stats`]' `pages` whenever the build was not capped
+/// (tested), without materializing one page.
+pub fn page_count(app: &WebApplication, fragments: &[Fragment]) -> usize {
+    let range_pos = app.query.range_selection_index();
+    let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
+    for f in fragments {
+        let key = match range_pos {
+            Some(pos) => f.id.without(pos),
+            None => f.id.values().to_vec(),
+        };
+        *groups.entry(key).or_default() += 1;
+    }
+    groups
+        .values()
+        .map(|&t| match range_pos {
+            Some(_) => t * (t + 1) / 2,
+            None => t,
+        })
+        .sum()
+}
+
 fn page_params(
     app: &WebApplication,
     lo: &Fragment,
@@ -223,6 +248,29 @@ mod tests {
         // American group: 4 fragments → 10 intervals; Thai: 1 → 1.
         assert_eq!(e.stats().pages, 11);
         assert!(!e.stats().truncated);
+    }
+
+    #[test]
+    fn closed_form_page_count_matches_the_materialized_pages() {
+        // fooddb, and micro TPC-H Q1 (the ablation's query).
+        let mut corpora = vec![(
+            "fooddb",
+            fooddb::search_application().unwrap(),
+            fooddb::database(),
+        )];
+        let mut config = dash_tpch::TpchConfig::new(dash_tpch::Scale::Custom(1));
+        config.base_customers = 50;
+        config.base_parts = 50;
+        let db = dash_tpch::generate(&config);
+        corpora.push(("tpch Q1", dash_tpch::q1_application(&db).unwrap(), db));
+        for (label, app, db) in corpora {
+            let fragments = reference::fragments(&app, &db).unwrap();
+            let naive = NaiveEngine::from_fragments(app.clone(), &fragments, 200_000).unwrap();
+            let stats = naive.stats();
+            assert!(!stats.truncated, "{label}: below the cap");
+            assert_eq!(page_count(&app, &fragments), stats.pages, "{label}");
+            assert!(stats.pages > fragments.len(), "{label}: redundancy");
+        }
     }
 
     #[test]

@@ -18,6 +18,15 @@ pub enum CoreError {
         /// What is unsupported.
         detail: String,
     },
+    /// A keyword occurs in one fragment more often than a posting can
+    /// count (`u32::MAX`). Refused at build and at delta apply, never
+    /// truncated.
+    OccurrenceOverflow {
+        /// The keyword.
+        keyword: String,
+        /// Its occurrence count in the fragment.
+        occurrences: u64,
+    },
     /// An internal invariant was violated (always a bug; surfaced as an
     /// error instead of a panic so long crawls fail soft).
     Internal {
@@ -34,6 +43,15 @@ impl fmt::Display for CoreError {
             CoreError::UnsupportedQuery { detail } => {
                 write!(f, "unsupported application query: {detail}")
             }
+            CoreError::OccurrenceOverflow {
+                keyword,
+                occurrences,
+            } => write!(
+                f,
+                "keyword '{keyword}' occurs {occurrences} times in one fragment; \
+                 a posting counts at most {}",
+                u32::MAX
+            ),
             CoreError::Internal { detail } => write!(f, "internal invariant violated: {detail}"),
         }
     }

@@ -11,8 +11,9 @@
 //! (weights, node positions), which is what makes the fragment graph's
 //! `locate` O(1) and keeps the index layout shard- and mmap-friendly.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
+
+use dash_relation::Value;
 
 use crate::fragment::{Fragment, FragmentId};
 
@@ -50,14 +51,23 @@ impl Kw {
 /// leaves its handle interned (a tombstone), so handles held anywhere
 /// stay valid; re-adding the same identifier re-uses its handle and
 /// refreshes the columns.
+///
+/// Each identifier is held once, in `ids`. The identifier → handle
+/// direction is `order`, the handles sorted by identifier (4 bytes a
+/// handle), searched by bisection — no hash map holding a second clone
+/// of every identifier.
 #[derive(Debug, Clone, Default)]
 pub struct FragmentCatalog {
     ids: Vec<FragmentId>,
-    /// Identifier→handle map, derived from `ids`. Lazily materialized
-    /// (`OnceLock`) so the arena-image load path — which only ever
-    /// *searches* until the first delta arrives — never pays the O(n)
-    /// hash-map build; `intern`/`frag` force it on first use.
-    lookup: OnceLock<HashMap<FragmentId, Frag>>,
+    /// Every handle, in ascending identifier order ([`cmp_ids`] order):
+    /// `frag(id)` bisects it. A bulk build of identifier-sorted input
+    /// interns in that order, so the column comes out as the identity
+    /// permutation, appended in O(n). Lazily derived (`OnceLock`) on the
+    /// arena-image load path, which only ever *searches* until the
+    /// first delta arrives; `intern`/`frag` force it on first use.
+    ///
+    /// [`cmp_ids`]: FragmentCatalog::cmp_ids
+    order: OnceLock<Vec<Frag>>,
     total_keywords: Vec<u64>,
     record_counts: Vec<u64>,
 }
@@ -82,7 +92,7 @@ impl FragmentCatalog {
     pub fn from_refs(fragments: &[&Fragment]) -> Self {
         let mut catalog = FragmentCatalog {
             ids: Vec::with_capacity(fragments.len()),
-            lookup: OnceLock::from(HashMap::with_capacity(fragments.len())),
+            order: OnceLock::from(Vec::with_capacity(fragments.len())),
             total_keywords: Vec::with_capacity(fragments.len()),
             record_counts: Vec::with_capacity(fragments.len()),
         };
@@ -92,38 +102,62 @@ impl FragmentCatalog {
         catalog
     }
 
-    /// The identifier→handle map, built from `ids` on first use.
-    fn lookup(&self) -> &HashMap<FragmentId, Frag> {
-        self.lookup.get_or_init(|| {
-            self.ids
-                .iter()
-                .enumerate()
-                .map(|(i, id)| (id.clone(), Frag(i as u32)))
-                .collect()
+    /// The handles in identifier order, derived from `ids` on first
+    /// use: O(n) when handle order already is identifier order (every
+    /// bulk build), one sort otherwise.
+    fn order(&self) -> &[Frag] {
+        self.order.get_or_init(|| {
+            let mut order: Vec<Frag> = (0..self.ids.len() as u32).map(Frag).collect();
+            if !self.ids.is_sorted() {
+                order.sort_unstable_by(|&a, &b| self.cmp_ids(a, b));
+            }
+            order
         })
     }
 
     /// Interns one fragment, refreshing its columns if already known.
     pub fn intern(&mut self, fragment: &Fragment) -> Frag {
-        self.lookup();
-        let lookup = self.lookup.get_mut().expect("lookup initialized above");
-        if let Some(&frag) = lookup.get(&fragment.id) {
-            self.total_keywords[frag.index()] = fragment.total_keywords;
-            self.record_counts[frag.index()] = fragment.record_count;
-            return frag;
-        }
-        let frag = Frag(u32::try_from(self.ids.len()).expect("more than u32::MAX fragments"));
-        self.ids.push(fragment.id.clone());
-        lookup.insert(fragment.id.clone(), frag);
-        self.total_keywords.push(fragment.total_keywords);
-        self.record_counts.push(fragment.record_count);
+        self.order();
+        let FragmentCatalog {
+            ids,
+            order,
+            total_keywords,
+            record_counts,
+        } = self;
+        let order = order.get_mut().expect("order initialized above");
+        // An identifier above every interned one appends (the bulk
+        // build's case: one comparison); any other is bisected.
+        let at = match order.last() {
+            Some(&last) if ids[last.index()] >= fragment.id => {
+                match order.binary_search_by(|&h| ids[h.index()].cmp(&fragment.id)) {
+                    Ok(found) => {
+                        let frag = order[found];
+                        total_keywords[frag.index()] = fragment.total_keywords;
+                        record_counts[frag.index()] = fragment.record_count;
+                        return frag;
+                    }
+                    Err(at) => at,
+                }
+            }
+            _ => order.len(),
+        };
+        let frag = Frag(u32::try_from(ids.len()).expect("more than u32::MAX fragments"));
+        ids.push(fragment.id.clone());
+        order.insert(at, frag);
+        total_keywords.push(fragment.total_keywords);
+        record_counts.push(fragment.record_count);
         frag
     }
 
-    /// The handle of an identifier, if interned.
+    /// The handle of an identifier, if interned — a bisection of the
+    /// identifier-ordered handle column.
     #[inline]
     pub fn frag(&self, id: &FragmentId) -> Option<Frag> {
-        self.lookup().get(id).copied()
+        let order = self.order();
+        order
+            .binary_search_by(|&h| self.ids[h.index()].cmp(id))
+            .ok()
+            .map(|at| order[at])
     }
 
     /// The identifier behind a handle.
@@ -162,18 +196,38 @@ impl FragmentCatalog {
         self.ids[a.index()].cmp(&self.ids[b.index()])
     }
 
+    /// Heap bytes behind the identifiers (`ids`, each identifier's
+    /// value vector and string payloads), the handle-order column (0
+    /// until derived) and the two per-handle columns — capacities, not
+    /// lengths.
+    pub(crate) fn heap_bytes(&self) -> (usize, usize, usize) {
+        let ids = self.ids.capacity() * size_of::<FragmentId>()
+            + self
+                .ids
+                .iter()
+                .map(|id| values_heap_bytes(&id.0))
+                .sum::<usize>();
+        let order = self
+            .order
+            .get()
+            .map_or(0, |order| order.capacity() * size_of::<Frag>());
+        let columns =
+            (self.total_keywords.capacity() + self.record_counts.capacity()) * size_of::<u64>();
+        (ids, order, columns)
+    }
+
     /// The catalog's columns in handle order — the arena-image dump
-    /// view (`persist` v2). The `lookup` map is derived state and not
-    /// part of the image.
+    /// view (`persist`). The handle-order column is derived state and
+    /// not part of the image.
     pub(crate) fn image_parts(&self) -> (&[FragmentId], &[u64], &[u64]) {
         (&self.ids, &self.total_keywords, &self.record_counts)
     }
 
     /// Reassembles a catalog from dumped columns — the arena-image load
-    /// path. The identifier→handle map is NOT built here: searches
-    /// never consult it, so a loaded shard defers the O(n) hash build
-    /// until the first `intern`/`frag` call (the first applied delta).
-    /// Columns must be equal-length and in handle order.
+    /// path. The handle-order column is NOT derived here: searches
+    /// never consult it, so a loaded shard defers it until the first
+    /// `intern`/`frag` call (the first applied delta). Columns must be
+    /// equal-length and in handle order.
     pub(crate) fn from_image_parts(
         ids: Vec<FragmentId>,
         total_keywords: Vec<u64>,
@@ -183,11 +237,23 @@ impl FragmentCatalog {
         debug_assert_eq!(ids.len(), record_counts.len());
         FragmentCatalog {
             ids,
-            lookup: OnceLock::new(),
+            order: OnceLock::new(),
             total_keywords,
             record_counts,
         }
     }
+}
+
+/// Heap bytes a value vector owns: its buffer and its strings.
+pub(crate) fn values_heap_bytes(values: &Vec<Value>) -> usize {
+    values.capacity() * size_of::<Value>()
+        + values
+            .iter()
+            .map(|v| match v {
+                Value::Str(s) => s.capacity(),
+                _ => 0,
+            })
+            .sum::<usize>()
 }
 
 #[cfg(test)]
@@ -239,6 +305,46 @@ mod tests {
             assert_eq!(catalog.frag(&f.id), Some(Frag(i as u32)));
         }
         assert_eq!(catalog.cmp_ids(Frag(0), Frag(2)), std::cmp::Ordering::Less);
+    }
+
+    #[test]
+    fn out_of_order_interning_keeps_every_lookup_exact() {
+        // Handles are issued in arrival order; the handle-order column
+        // stays sorted by identifier, so every lookup bisects.
+        let mut catalog = FragmentCatalog::new();
+        let arrivals = [("Thai", 10), ("American", 9), ("Udon", 1), ("American", 12)];
+        let fragments: Vec<Fragment> = arrivals.iter().map(|&(c, b)| fragment(c, b, 5)).collect();
+        for (i, f) in fragments.iter().enumerate() {
+            assert_eq!(catalog.intern(f), Frag(i as u32));
+        }
+        for (i, f) in fragments.iter().enumerate() {
+            assert_eq!(catalog.frag(&f.id), Some(Frag(i as u32)));
+        }
+        assert_eq!(catalog.order(), &[Frag(1), Frag(3), Frag(0), Frag(2)]);
+        assert_eq!(catalog.frag(&fragment("Korean", 1, 1).id), None);
+        // A duplicate refreshes its columns in place.
+        assert_eq!(catalog.intern(&fragment("Udon", 1, 9)), Frag(2));
+        assert_eq!(catalog.total_keywords(Frag(2)), 9);
+        assert_eq!(catalog.len(), 4);
+    }
+
+    #[test]
+    fn image_catalog_derives_its_handle_order_on_first_lookup() {
+        let fragments = [fragment("Thai", 10, 3), fragment("American", 9, 4)];
+        let ids: Vec<FragmentId> = fragments.iter().map(|f| f.id.clone()).collect();
+        let catalog = FragmentCatalog::from_image_parts(ids, vec![3, 4], vec![1, 1]);
+        assert_eq!(catalog.heap_bytes().1, 0, "not derived at load");
+        assert_eq!(catalog.frag(&fragments[1].id), Some(Frag(1)));
+        assert_eq!(catalog.heap_bytes().1, 4 * catalog.len());
+        assert_eq!(catalog.order(), &[Frag(1), Frag(0)]);
+        // A bulk build of sorted input is the identity, 4 bytes a handle.
+        let sorted = FragmentCatalog::from_fragments(&[
+            fragment("American", 9, 4),
+            fragment("American", 10, 4),
+            fragment("Thai", 10, 3),
+        ]);
+        assert_eq!(sorted.order(), &[Frag(0), Frag(1), Frag(2)]);
+        assert_eq!(sorted.heap_bytes().1, 4 * 3);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use dash_relation::Value;
 
 use crate::error::CoreError;
 use crate::fragment::{Fragment, FragmentId};
-use crate::index::catalog::{Frag, FragmentCatalog};
+use crate::index::catalog::{values_heap_bytes, Frag, FragmentCatalog};
 use crate::par;
 use crate::Result;
 
@@ -460,6 +460,28 @@ impl FragmentGraph {
             .flat_map(|&s| &self.groups[s as usize].weights)
             .sum();
         total as f64 / self.nodes as f64
+    }
+
+    /// Heap bytes of the graph: every group's key, node and weight
+    /// runs, the rank permutation, the free list and the node-position
+    /// column — capacities, not lengths.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let groups: usize = self
+            .groups
+            .iter()
+            .map(|g| {
+                values_heap_bytes(&g.key)
+                    + g.frags.capacity() * size_of::<Frag>()
+                    + g.weights.capacity() * size_of::<u64>()
+            })
+            .sum();
+        groups
+            + self.groups.capacity() * size_of::<GroupColumn>()
+            + (self.slot_of_rank.capacity()
+                + self.rank_of_slot.capacity()
+                + self.free_slots.capacity())
+                * size_of::<u32>()
+            + self.node_pos.capacity() * size_of::<(u32, u32)>()
     }
 
     /// Seconds the bulk build took (Table IV's first column).

@@ -6,8 +6,9 @@
 //! approximated as `1 / |L_w|` — the inverse of the number of fragments
 //! containing `w` (Section VI).
 //!
-//! Storage is two contiguous arenas sharing one offset table, indexed
-//! by interned [`Kw`] handles:
+//! Storage is two contiguous arenas of 8-byte [`Posting`]s — fragment
+//! handle and occurrence count, both `u32` — sharing one offset table,
+//! indexed by interned [`Kw`] handles:
 //!
 //! * `tf_arena` — every keyword's posting list sorted by descending TF
 //!   (the order the top-k seeding cursor walks), one keyword after the
@@ -17,45 +18,86 @@
 //!   binary search away, replacing the seed's per-keyword
 //!   `HashMap<FragmentId, u64>` maps and their clone-heavy probes.
 //!
+//! TF is never stored. It is `occurrences / total_keywords`, with the
+//! fragment's total from the catalog, and every reader derives it with
+//! the one expression [`Posting::tf`], so the bits — hence the TF sort
+//! order, every score and every tie — are the same wherever it is
+//! computed. A count above `u32::MAX` is refused with
+//! [`CoreError::OccurrenceOverflow`] at build and at delta apply, never
+//! truncated.
+//!
 //! Posting lists never allocate per entry; building sorts each
 //! keyword's slice independently (parallelized across lists). The
 //! lists sit in the arenas in handle order with no gaps — list `i`
 //! starts where list `i − 1` ends — which is what lets maintenance
-//! ([`InvertedFragmentIndex::apply_delta`]) splice a delta in place:
-//! only the lists the delta touches are edited, and the postings
-//! around the edits at most slide to their new offsets.
+//! (`InvertedFragmentIndex::apply_delta`, behind
+//! [`FragmentIndex::apply`](crate::index::FragmentIndex::apply))
+//! splice a delta in place: only the lists the delta touches are
+//! edited, and the postings around the edits at most slide to their
+//! new offsets.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
+use crate::error::CoreError;
 use crate::fragment::Fragment;
 use crate::index::catalog::{Frag, FragmentCatalog, Kw};
-use crate::par;
+use crate::{par, Result};
 
-/// One entry of a TF-sorted inverted list.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One entry of an inverted list, 8 bytes, in both arenas: the
+/// TF-sorted one and the fragment-sorted probe one hold the same
+/// postings in two orders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// The fragment containing the keyword.
     pub frag: Frag,
     /// Raw occurrence count of the keyword in the fragment — the same
-    /// count the fragment-sorted probe arena holds for it, after any
-    /// build, image load or splice, so a search seeding from this
-    /// posting reads its keyword's count here instead of probing.
-    pub occurrences: u64,
-    /// Term frequency (occurrences / fragment keyword total),
-    /// precomputed so the hot seeding loop never divides or chases the
-    /// catalog.
-    pub tf: f64,
+    /// count in both arenas after any build, image load or splice, so a
+    /// search seeding from a TF-sorted posting reads its keyword's
+    /// count here instead of probing.
+    pub occurrences: u32,
 }
 
-/// One entry of a fragment-sorted probe list. Crate-visible so the
-/// arena-image loader (`persist` v2) can decode its column bytes
-/// straight into the final arena, no intermediate tuple vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ProbeEntry {
-    pub(crate) frag: Frag,
-    pub(crate) occurrences: u64,
+impl Posting {
+    /// The posting's term frequency, `occurrences / total_keywords`
+    /// (0 for a keyword-less fragment), where `total_keywords` is the
+    /// fragment's catalog total. Not stored: every reader calls this
+    /// one expression, so TF bits never differ between the build's
+    /// sort, a splice's search and the top-k seeding scan.
+    #[inline]
+    pub fn tf(self, total_keywords: u64) -> f64 {
+        if total_keywords == 0 {
+            0.0
+        } else {
+            f64::from(self.occurrences) / total_keywords as f64
+        }
+    }
+}
+
+/// An occurrence count narrowed to a posting's `u32` — an error,
+/// never a truncation, when it does not fit.
+fn narrow(keyword: &str, occurrences: u64) -> Result<u32> {
+    u32::try_from(occurrences).map_err(|_| CoreError::OccurrenceOverflow {
+        keyword: keyword.to_string(),
+        occurrences,
+    })
+}
+
+/// Checks that every occurrence count of `fragments` fits a posting —
+/// the check a delta passes before any structure changes.
+///
+/// # Errors
+///
+/// [`CoreError::OccurrenceOverflow`] for the first count above
+/// `u32::MAX`.
+pub(crate) fn check_counts<'a>(fragments: impl IntoIterator<Item = &'a Fragment>) -> Result<()> {
+    for fragment in fragments {
+        for (word, &occurrences) in &fragment.keyword_occurrences {
+            narrow(word, occurrences)?;
+        }
+    }
+    Ok(())
 }
 
 /// The keyword interner: keyword string ⇄ dense [`Kw`] handle.
@@ -100,7 +142,7 @@ impl KeywordInterner {
     }
 
     /// The interned words in handle order — the arena-image dump view.
-    /// The `lookup` map is derived state and not part of the image.
+    /// The word → handle map is derived state and not part of the image.
     pub(crate) fn image_words(&self) -> &[String] {
         &self.words
     }
@@ -135,7 +177,7 @@ impl ListRef {
 }
 
 /// What one delta does to one inverted list: the postings leaving it
-/// (with their stored TF) and the postings entering it.
+/// and the postings entering it.
 #[derive(Debug, Default)]
 struct ListEdit {
     stale: Vec<Posting>,
@@ -156,7 +198,7 @@ pub struct InvertedFragmentIndex {
     interner: KeywordInterner,
     lists: Vec<ListRef>,
     tf_arena: Vec<Posting>,
-    probe_arena: Vec<ProbeEntry>,
+    probe_arena: Vec<Posting>,
     fragment_count: u64,
 }
 
@@ -168,14 +210,23 @@ impl InvertedFragmentIndex {
 
     /// Builds the index from materialized fragments; every fragment must
     /// already be interned in `catalog`.
-    pub fn build(catalog: &FragmentCatalog, fragments: &[Fragment]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::OccurrenceOverflow`] when a keyword occurs more than
+    /// `u32::MAX` times in one fragment.
+    pub fn build(catalog: &FragmentCatalog, fragments: &[Fragment]) -> Result<Self> {
         let refs: Vec<&Fragment> = fragments.iter().collect();
         Self::build_refs(catalog, &refs)
     }
 
     /// [`InvertedFragmentIndex::build`] over borrowed fragments — the
     /// zero-copy path shard construction uses.
-    pub fn build_refs(catalog: &FragmentCatalog, fragments: &[&Fragment]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Same as [`InvertedFragmentIndex::build`].
+    pub fn build_refs(catalog: &FragmentCatalog, fragments: &[&Fragment]) -> Result<Self> {
         let mut interner = KeywordInterner::default();
         // Pass 1: intern keywords, count list lengths.
         let mut counts: Vec<u32> = Vec::new();
@@ -201,13 +252,7 @@ impl InvertedFragmentIndex {
         // fragment already; out-of-order input is detected and the
         // affected slices re-sorted, since the occurrence probe binary
         // searches them.
-        let mut probe_arena = vec![
-            ProbeEntry {
-                frag: Frag(0),
-                occurrences: 0
-            };
-            total as usize
-        ];
+        let mut probe_arena = vec![EMPTY; total as usize];
         let mut cursors: Vec<u32> = lists.iter().map(|l| l.start).collect();
         let mut monotone = true;
         let mut prev = None;
@@ -218,7 +263,10 @@ impl InvertedFragmentIndex {
             for (word, &occurrences) in &f.keyword_occurrences {
                 let kw = interner.kw(word).expect("interned in pass 1");
                 let at = cursors[kw.index()];
-                probe_arena[at as usize] = ProbeEntry { frag, occurrences };
+                probe_arena[at as usize] = Posting {
+                    frag,
+                    occurrences: narrow(word, occurrences)?,
+                };
                 cursors[kw.index()] = at + 1;
             }
         }
@@ -236,18 +284,14 @@ impl InvertedFragmentIndex {
             fragment_count: fragments.len() as u64,
         };
         index.rebuild_tf_arena(catalog);
-        index
+        Ok(index)
     }
 
     /// Recomputes the TF-sorted arena from the probe arena, sorting
     /// every keyword's slice independently (in parallel). Bulk build
     /// only — maintenance never re-sorts a list.
     fn rebuild_tf_arena(&mut self, catalog: &FragmentCatalog) {
-        self.tf_arena = self
-            .probe_arena
-            .iter()
-            .map(|p| posting_of(catalog, p.frag, p.occurrences))
-            .collect();
+        self.tf_arena = self.probe_arena.clone();
         // Carve the arena into per-keyword slices and sort each:
         // descending TF, ties by ascending fragment identifier (a total
         // order — index layout is independent of insertion order).
@@ -259,7 +303,18 @@ impl InvertedFragmentIndex {
             rest = tail;
         }
         par::for_each(slices, |slice| {
-            slice.sort_unstable_by(|a, b| tf_order(catalog, a, b));
+            if slice.len() < 2 {
+                return;
+            }
+            // Each TF derived once per posting, not once per comparison.
+            let mut keyed: Vec<(f64, Posting)> = slice
+                .iter()
+                .map(|&p| (p.tf(catalog.total_keywords(p.frag)), p))
+                .collect();
+            keyed.sort_unstable_by(|a, b| tf_order(catalog, (a.0, a.1.frag), (b.0, b.1.frag)));
+            for (slot, (_, posting)) in slice.iter_mut().zip(keyed) {
+                *slot = posting;
+            }
         });
     }
 
@@ -305,7 +360,7 @@ impl InvertedFragmentIndex {
         let list = self.lists[kw.index()];
         let slice = &self.probe_arena[list.range()];
         match slice.binary_search_by(|e| e.frag.cmp(&frag)) {
-            Ok(i) => slice[i].occurrences,
+            Ok(i) => u64::from(slice[i].occurrences),
             Err(_) => 0,
         }
     }
@@ -365,30 +420,21 @@ impl InvertedFragmentIndex {
     }
 
     /// The live postings of `frags` — `(keyword, posting)` pairs in
-    /// keyword order — with each posting's TF as the TF arena stores
-    /// it. This is the *locate* half of a splice: call it **before**
-    /// the catalog refreshes the fragments' `total_keywords`, because
-    /// the stored TF (`occurrences / total_keywords` at insertion time)
-    /// is the sort key [`InvertedFragmentIndex::apply_delta`] binary
-    /// searches the TF slices with. `frags` must be sorted and
-    /// duplicate-free. Each frag-sorted probe slice is intersected with
-    /// `frags` by binary-searching the longer of the two for every
-    /// entry of the shorter: O(lists · |frags| · log L) for the usual
-    /// small delta, and never more than O(postings · log |frags|) for
-    /// a delta that replaces much of the shard.
-    pub fn stale_postings(&self, catalog: &FragmentCatalog, frags: &[Frag]) -> Vec<(Kw, Posting)> {
+    /// keyword order — the *locate* half of a splice.
+    /// `frags` must be sorted and duplicate-free. Each frag-sorted
+    /// probe slice is intersected with `frags` by binary-searching the
+    /// longer of the two for every entry of the shorter:
+    /// O(lists · |frags| · log L) for the usual small delta, and never
+    /// more than O(postings · log |frags|) for a delta that replaces
+    /// much of the shard.
+    pub(crate) fn stale_postings(&self, frags: &[Frag]) -> Vec<(Kw, Posting)> {
         let mut stale = Vec::new();
         if frags.is_empty() {
             return stale;
         }
         for (i, &list) in self.lists.iter().enumerate() {
             let slice = &self.probe_arena[list.range()];
-            let mut found = |entry: &ProbeEntry| {
-                stale.push((
-                    Kw(i as u32),
-                    posting_of(catalog, entry.frag, entry.occurrences),
-                ));
-            };
+            let mut found = |entry: &Posting| stale.push((Kw(i as u32), *entry));
             if frags.len() <= slice.len() {
                 for frag in frags {
                     if let Ok(at) = slice.binary_search_by(|e| e.frag.cmp(frag)) {
@@ -413,18 +459,25 @@ impl InvertedFragmentIndex {
     ///
     /// 1. The *touched* lists are those holding a `stale` posting
     ///    (collected by [`InvertedFragmentIndex::stale_postings`] for
-    ///    every removed or re-added fragment before the catalog
-    ///    refresh) plus those receiving a posting of `adds`. No other
-    ///    list changes: a posting's TF depends only on its own
-    ///    fragment's `total_keywords`.
+    ///    every removed or re-added fragment) plus those receiving a
+    ///    posting of `adds`. No other list changes: a posting's TF
+    ///    depends only on its own fragment's `total_keywords`.
     /// 2. In each touched list, in each arena, the stale postings are
     ///    located by binary search (by handle in the probe slice, by
-    ///    `tf_order` with the stored TF in the TF slice) and each fresh
-    ///    posting is given the `partition_point` of the same total
-    ///    order the bulk build sorts with. Survivors keep their relative
-    ///    order and the order is total (identifiers are unique), so the
-    ///    resulting slice is exactly what a from-scratch sort of the
-    ///    same postings lays out — exact by construction.
+    ///    `tf_order` in the TF slice) and each fresh posting is given
+    ///    the `partition_point` of the same total order the bulk build
+    ///    sorts with. Survivors keep their relative order and the order
+    ///    is total (identifiers are unique), so the resulting slice is
+    ///    exactly what a from-scratch sort of the same postings lays
+    ///    out — exact by construction.
+    ///
+    ///    The TF slices are sorted by the totals from *before* the
+    ///    delta, and `catalog` is already refreshed. So every entry
+    ///    already in a slice (stale or surviving) is keyed against
+    ///    `old_totals` — the pre-refresh `total_keywords` of every
+    ///    fragment whose postings go stale, sorted by handle — falling
+    ///    back to `catalog` for the fragments the delta leaves alone;
+    ///    only fresh postings are keyed against the refreshed catalog.
     /// 3. Those positions cut each arena into runs of survivors; every
     ///    run slides to its new offset inside the existing `Vec`
     ///    (`relocate`) and the fresh postings are written into the
@@ -435,13 +488,16 @@ impl InvertedFragmentIndex {
     ///    shifts the arena's tail once, with `memmove`.
     ///
     /// Every fragment of `adds` must be interned in `catalog`, appear
-    /// once, and have its previous postings (if any) listed in `stale`.
-    /// Returns the number of stale postings that were removed outright
-    /// (not superseded by a re-add). A delta that matches nothing (no
-    /// stale postings, no keywords added) leaves the arenas untouched.
-    pub fn apply_delta(
+    /// once, have its previous postings (if any) listed in `stale` and
+    /// have passed [`check_counts`] (`FragmentIndex::apply` checks
+    /// before it changes anything). Returns the number of stale
+    /// postings that were removed outright (not superseded by a
+    /// re-add). A delta that matches nothing (no stale postings, no
+    /// keywords added) leaves the arenas untouched.
+    pub(crate) fn apply_delta(
         &mut self,
         catalog: &FragmentCatalog,
+        old_totals: &[(Frag, u64)],
         stale: &[(Kw, Posting)],
         adds: &[&Fragment],
     ) -> usize {
@@ -463,11 +519,11 @@ impl InvertedFragmentIndex {
                         len: 0,
                     });
                 }
-                edits
-                    .entry(kw)
-                    .or_default()
-                    .fresh
-                    .push(posting_of(catalog, frag, occurrences));
+                edits.entry(kw).or_default().fresh.push(Posting {
+                    frag,
+                    occurrences: narrow(word, occurrences)
+                        .expect("counts checked before the delta applies"),
+                });
             }
         }
         if edits.is_empty() {
@@ -479,11 +535,15 @@ impl InvertedFragmentIndex {
             .count();
 
         // Locate every stale and fresh posting in both arenas (handle
-        // order = arena order, as `BTreeMap` iterates).
-        let to_probe = |p: &Posting| ProbeEntry {
-            frag: p.frag,
-            occurrences: p.occurrences,
+        // order = arena order, as `BTreeMap` iterates). An entry already
+        // in a TF slice is keyed by the total it was sorted with.
+        let old_total = |frag: Frag| match old_totals.binary_search_by_key(&frag, |&(f, _)| f) {
+            Ok(at) => old_totals[at].1,
+            Err(_) => catalog.total_keywords(frag),
         };
+        let old_key = |p: &Posting| (p.tf(old_total(p.frag)), p.frag);
+        let new_key = |p: &Posting| (p.tf(catalog.total_keywords(p.frag)), p.frag);
+        let by_frag = |p: &Posting| p.frag;
         let mut tf_edits = Vec::with_capacity(edits.len());
         let mut probe_edits = Vec::with_capacity(edits.len());
         for (&kw, edit) in &edits {
@@ -491,25 +551,22 @@ impl InvertedFragmentIndex {
             tf_edits.push(ArenaEdit::locate(
                 list.start as usize,
                 &self.tf_arena[list.range()],
-                edit.stale.iter().copied(),
-                edit.fresh.iter().copied(),
-                |a, b| tf_order(catalog, a, b),
+                edit,
+                old_key,
+                new_key,
+                |&a, &b| tf_order(catalog, a, b),
             ));
             probe_edits.push(ArenaEdit::locate(
                 list.start as usize,
                 &self.probe_arena[list.range()],
-                edit.stale.iter().map(to_probe),
-                edit.fresh.iter().map(to_probe),
-                |a, b| a.frag.cmp(&b.frag),
+                edit,
+                by_frag,
+                by_frag,
+                Frag::cmp,
             ));
         }
-        let filler = Posting {
-            frag: Frag(0),
-            occurrences: 0,
-            tf: 0.0,
-        };
-        splice_arena(&mut self.tf_arena, &tf_edits, filler);
-        splice_arena(&mut self.probe_arena, &probe_edits, to_probe(&filler));
+        splice_arena(&mut self.tf_arena, &tf_edits);
+        splice_arena(&mut self.probe_arena, &probe_edits);
 
         // Re-derive the offset table: touched lists change length,
         // everything after them shifts.
@@ -546,7 +603,7 @@ impl InvertedFragmentIndex {
                 terms
                     .entry(entry.frag)
                     .or_default()
-                    .insert(word.to_string(), entry.occurrences);
+                    .insert(word.to_string(), u64::from(entry.occurrences));
             }
         }
         terms
@@ -608,7 +665,10 @@ impl InvertedFragmentIndex {
             }
             let slice = &self.probe_arena[list.range()];
             if let Ok(at) = slice.binary_search_by(|e| e.frag.cmp(&frag)) {
-                terms.push((self.interner.word(Kw(i as u32)), slice[at].occurrences));
+                terms.push((
+                    self.interner.word(Kw(i as u32)),
+                    u64::from(slice[at].occurrences),
+                ));
             }
         }
         terms
@@ -640,9 +700,26 @@ impl InvertedFragmentIndex {
         &self.tf_arena
     }
 
-    /// The fragment-sorted probe arena as `(frag, occurrences)` pairs.
-    pub(crate) fn image_probe(&self) -> impl ExactSizeIterator<Item = (u32, u64)> + '_ {
-        self.probe_arena.iter().map(|e| (e.frag.0, e.occurrences))
+    /// The fragment-sorted probe arena, exactly as laid out in memory.
+    pub(crate) fn image_probe_arena(&self) -> &[Posting] {
+        &self.probe_arena
+    }
+
+    /// Heap bytes of the interner (its word column, the words, and the
+    /// word → handle map with its key copies; the map's table is
+    /// estimated from its capacity), the list table and the two
+    /// arenas — capacities, not lengths.
+    pub(crate) fn heap_bytes(&self) -> (usize, usize, usize, usize) {
+        let words = &self.interner.words;
+        let text: usize = words.iter().map(String::capacity).sum();
+        let lookup = self.interner.lookup.capacity() * (size_of::<(String, Kw)>() + 1);
+        let interner = words.capacity() * size_of::<String>() + 2 * text + lookup;
+        (
+            interner,
+            self.lists.capacity() * size_of::<ListRef>(),
+            self.tf_arena.capacity() * size_of::<Posting>(),
+            self.probe_arena.capacity() * size_of::<Posting>(),
+        )
     }
 
     /// The interner behind the index (arena-image dump view).
@@ -653,7 +730,7 @@ impl InvertedFragmentIndex {
     /// Reassembles an index from dumped arenas without re-sorting a
     /// single list — the arena-image load path. Callers are expected to
     /// hand back exactly what [`InvertedFragmentIndex::image_lists`] /
-    /// `image_tf_arena` / `image_probe` produced (the checksummed v2
+    /// `image_tf_arena` / `image_probe_arena` produced (the checksummed
     /// persist sections), so both arenas arrive already in their final
     /// sort orders, and to have checked that `lists` tiles the arenas
     /// contiguously in handle order (`persist::read_image` does).
@@ -661,7 +738,7 @@ impl InvertedFragmentIndex {
         interner: KeywordInterner,
         lists: Vec<(u32, u32)>,
         tf_arena: Vec<Posting>,
-        probe_arena: Vec<ProbeEntry>,
+        probe_arena: Vec<Posting>,
         fragment_count: u64,
     ) -> Self {
         InvertedFragmentIndex {
@@ -677,48 +754,68 @@ impl InvertedFragmentIndex {
     }
 }
 
-/// The order of every TF slice: descending TF, ties by ascending
-/// fragment identifier. Total, since identifiers are unique — so a
-/// list's layout is independent of insertion order, and bulk sort and
-/// in-place splice agree by construction.
+/// The order of every TF slice on `(TF, fragment)` keys: descending
+/// TF, ties by ascending fragment identifier. Total, since identifiers
+/// are unique — so a list's layout is independent of insertion order,
+/// and bulk sort and in-place splice agree by construction. TFs compare
+/// as the doubles [`Posting::tf`] yields, never by cross-multiplying:
+/// two different ratios that round to one double tie.
 #[inline]
-fn tf_order(catalog: &FragmentCatalog, a: &Posting, b: &Posting) -> Ordering {
-    b.tf.partial_cmp(&a.tf)
+fn tf_order(catalog: &FragmentCatalog, (tf_a, a): (f64, Frag), (tf_b, b): (f64, Frag)) -> Ordering {
+    tf_b.partial_cmp(&tf_a)
         .expect("finite TF")
-        .then_with(|| catalog.cmp_ids(a.frag, b.frag))
+        .then_with(|| catalog.cmp_ids(a, b))
 }
+
+/// The filler a growing arena's new tail holds until the splice
+/// overwrites it.
+const EMPTY: Posting = Posting {
+    frag: Frag(0),
+    occurrences: 0,
+};
 
 /// One touched list's edit of one arena, in arena coordinates: the
-/// positions of the entries leaving and, for each entry arriving, the
-/// position of the old entry it goes in front of. Both ascending.
-struct ArenaEdit<T> {
+/// positions of the postings leaving and, for each posting arriving,
+/// the position of the old posting it goes in front of. Both ascending.
+struct ArenaEdit {
     gone: Vec<usize>,
-    fresh: Vec<(usize, T)>,
+    fresh: Vec<(usize, Posting)>,
 }
 
-impl<T: Copy> ArenaEdit<T> {
-    /// Locates `stale` (each must be present) and `fresh` in the sorted
-    /// slice `old`, which begins at arena position `start` — O(log L)
-    /// comparisons per entry.
-    fn locate(
+impl ArenaEdit {
+    /// Locates `edit.stale` (each must be present) and `edit.fresh` in
+    /// the sorted slice `old`, which begins at arena position `start` —
+    /// O(log L) comparisons per posting. `old_key` keys the postings
+    /// already in the slice (stale ones included) as the slice is
+    /// sorted, `new_key` the arriving ones, and `cmp` orders keys.
+    fn locate<K: Copy>(
         start: usize,
-        old: &[T],
-        stale: impl Iterator<Item = T>,
-        fresh: impl Iterator<Item = T>,
-        cmp: impl Fn(&T, &T) -> Ordering,
+        old: &[Posting],
+        edit: &ListEdit,
+        old_key: impl Fn(&Posting) -> K,
+        new_key: impl Fn(&Posting) -> K,
+        cmp: impl Fn(&K, &K) -> Ordering,
     ) -> Self {
-        let mut gone: Vec<usize> = stale
+        let mut gone: Vec<usize> = edit
+            .stale
+            .iter()
             .map(|s| {
-                let at = old.binary_search_by(|o| cmp(o, &s));
+                let key = old_key(s);
+                let at = old.binary_search_by(|o| cmp(&old_key(o), &key));
                 start + at.expect("a stale posting is in both of its list's slices")
             })
             .collect();
         gone.sort_unstable();
-        let mut fresh: Vec<T> = fresh.collect();
-        fresh.sort_unstable_by(&cmp);
+        let mut fresh: Vec<(K, Posting)> = edit.fresh.iter().map(|f| (new_key(f), *f)).collect();
+        fresh.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
         let fresh = fresh
             .into_iter()
-            .map(|f| (start + old.partition_point(|o| cmp(o, &f).is_lt()), f))
+            .map(|(key, f)| {
+                (
+                    start + old.partition_point(|o| cmp(&old_key(o), &key).is_lt()),
+                    f,
+                )
+            })
             .collect();
         ArenaEdit { gone, fresh }
     }
@@ -727,10 +824,10 @@ impl<T: Copy> ArenaEdit<T> {
 /// Applies the touched lists' edits (ascending list order) to one
 /// arena in place: the edit positions cut the arena into runs of
 /// survivors, each run slides to its new offset (`relocate`), and the
-/// fresh entries fill the holes left between them.
-fn splice_arena<T: Copy>(arena: &mut Vec<T>, edits: &[ArenaEdit<T>], filler: T) {
+/// fresh postings fill the holes left between them.
+fn splice_arena(arena: &mut Vec<Posting>, edits: &[ArenaEdit]) {
     let mut moves: Vec<Move> = Vec::new();
-    let mut writes: Vec<(usize, T)> = Vec::new();
+    let mut writes: Vec<(usize, Posting)> = Vec::new();
     // The run of survivors being extended; it ends at the next event.
     let mut run = Move {
         from: 0,
@@ -777,7 +874,7 @@ fn splice_arena<T: Copy>(arena: &mut Vec<T>, edits: &[ArenaEdit<T>], filler: T) 
         }
     }
     let total = end_run(&mut run, arena.len());
-    relocate(arena, &moves, total, filler);
+    relocate(arena, &moves, total, EMPTY);
     for (at, entry) in writes {
         arena[at] = entry;
     }
@@ -825,23 +922,6 @@ fn relocate<T: Copy>(arena: &mut Vec<T>, moves: &[Move], total: usize, filler: T
     arena.truncate(total);
 }
 
-/// The posting of `occurrences` in `frag`, its TF taken against the
-/// catalog's *current* `total_keywords` for the fragment.
-#[inline]
-fn posting_of(catalog: &FragmentCatalog, frag: Frag, occurrences: u64) -> Posting {
-    let total = catalog.total_keywords(frag);
-    let tf = if total == 0 {
-        0.0
-    } else {
-        occurrences as f64 / total as f64
-    };
-    Posting {
-        frag,
-        occurrences,
-        tf,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,8 +960,55 @@ mod tests {
     fn build() -> (FragmentCatalog, InvertedFragmentIndex) {
         let fragments = figure_6_fragments();
         let catalog = FragmentCatalog::from_fragments(&fragments);
-        let index = InvertedFragmentIndex::build(&catalog, &fragments);
+        let index = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         (catalog, index)
+    }
+
+    #[test]
+    fn tf_is_occurrences_over_total() {
+        let posting = Posting {
+            frag: Frag(0),
+            occurrences: 3,
+        };
+        assert_eq!(posting.tf(0), 0.0);
+        for total in [3u64, 7, 10, 1 << 40] {
+            assert_eq!(posting.tf(total).to_bits(), (3.0 / total as f64).to_bits());
+        }
+        let most = Posting {
+            frag: Frag(0),
+            occurrences: u32::MAX,
+        };
+        assert_eq!(most.tf(u64::from(u32::MAX)), 1.0);
+    }
+
+    #[test]
+    fn a_count_past_u32_is_an_error_not_a_truncation() {
+        let mut fragments = figure_6_fragments();
+        let wide = u64::from(u32::MAX) + 1;
+        fragments[2]
+            .keyword_occurrences
+            .insert("burger".to_string(), wide);
+        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let err = InvertedFragmentIndex::build(&catalog, &fragments).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::OccurrenceOverflow {
+                keyword: "burger".to_string(),
+                occurrences: wide,
+            }
+        );
+        assert!(err.to_string().contains("4294967295"), "{err}");
+        // The widest count that fits is kept exactly.
+        fragments[2]
+            .keyword_occurrences
+            .insert("burger".to_string(), u64::from(u32::MAX));
+        let idx = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
+        let frag = catalog.frag(&fragments[2].id).unwrap();
+        assert_eq!(
+            idx.occurrences(idx.kw("burger").unwrap(), frag),
+            u64::from(u32::MAX)
+        );
+        assert!(check_counts(&fragments).is_ok());
     }
 
     #[test]
@@ -904,8 +1031,9 @@ mod tests {
             catalog.id(burger[0].frag),
             &FragmentId::new(vec![Value::str("American"), Value::Int(10)])
         );
-        assert!(burger[0].tf >= burger[1].tf);
-        assert!(burger[1].tf >= burger[2].tf);
+        let tf = |p: &Posting| p.tf(catalog.total_keywords(p.frag));
+        assert!(tf(&burger[0]) >= tf(&burger[1]));
+        assert!(tf(&burger[1]) >= tf(&burger[2]));
     }
 
     #[test]
@@ -931,17 +1059,17 @@ mod tests {
 
     /// The two-step splice protocol: locate the stale postings, then
     /// apply (the catalog is already current in these tests — the
-    /// fragments come back unchanged).
+    /// fragments come back unchanged, so no total moves).
     fn remove(idx: &mut InvertedFragmentIndex, catalog: &FragmentCatalog, frag: Frag) -> usize {
-        let stale = idx.stale_postings(catalog, &[frag]);
-        idx.apply_delta(catalog, &stale, &[])
+        let stale = idx.stale_postings(&[frag]);
+        idx.apply_delta(catalog, &[], &stale, &[])
     }
 
     #[test]
     fn incremental_remove_and_add() {
         let fragments = figure_6_fragments();
         let catalog = FragmentCatalog::from_fragments(&fragments);
-        let mut idx = InvertedFragmentIndex::build(&catalog, &fragments);
+        let mut idx = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         let target = catalog
             .frag(&FragmentId::new(vec![
                 Value::str("American"),
@@ -953,7 +1081,7 @@ mod tests {
         assert_eq!(idx.df("burger"), 2);
         assert_eq!(idx.postings("queen"), None);
         assert_eq!(remove(&mut idx, &catalog, target), 0); // nothing left to match
-        assert_eq!(idx.apply_delta(&catalog, &[], &[&fragments[1]]), 0);
+        assert_eq!(idx.apply_delta(&catalog, &[], &[], &[&fragments[1]]), 0);
         assert_eq!(idx.df("burger"), 3);
         let kw = idx.kw("burger").unwrap();
         assert_eq!(idx.occurrences(kw, target), 2);
@@ -963,8 +1091,8 @@ mod tests {
     fn maintenance_converges_to_bulk_layout() {
         let fragments = figure_6_fragments();
         let catalog = FragmentCatalog::from_fragments(&fragments);
-        let bulk = InvertedFragmentIndex::build(&catalog, &fragments);
-        let mut incremental = InvertedFragmentIndex::build(&catalog, &fragments);
+        let bulk = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
+        let mut incremental = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         let target = catalog
             .frag(&FragmentId::new(vec![
                 Value::str("American"),
@@ -972,14 +1100,106 @@ mod tests {
             ]))
             .unwrap();
         remove(&mut incremental, &catalog, target);
-        incremental.apply_delta(&catalog, &[], &[&fragments[1]]);
+        incremental.apply_delta(&catalog, &[], &[], &[&fragments[1]]);
         for word in ["burger", "coffee", "queen", "thai", "fries"] {
             assert_eq!(bulk.postings(word), incremental.postings(word), "{word}");
         }
-        assert_eq!(
-            bulk.image_probe().collect::<Vec<_>>(),
-            incremental.image_probe().collect::<Vec<_>>()
-        );
+        assert_eq!(bulk.image_probe_arena(), incremental.image_probe_arena());
+    }
+
+    /// The splice when totals move: every TF slice is sorted by the
+    /// totals from before the delta while the catalog already holds the
+    /// new ones, so an entry already in a slice must be keyed by its
+    /// old total. Six "burger" fragments whose burger TFs are
+    /// 1/2 > 1/3 > … > 1/7; each step's arenas must equal a bulk
+    /// build's over the same fragments.
+    #[test]
+    fn splice_keys_old_entries_by_their_pre_delta_totals() {
+        use crate::index::FragmentIndex;
+        use crate::update::IndexDelta;
+
+        // Identifier rank `i`, burger once, `filler` other words: the
+        // total is `1 + filler`.
+        let fragment = |i: i64, filler: u64| {
+            let occ: BTreeMap<String, u64> =
+                [("burger".to_string(), 1), ("pad".to_string(), filler)]
+                    .into_iter()
+                    .filter(|&(_, n)| n > 0)
+                    .collect();
+            Fragment::new(
+                FragmentId::new(vec![Value::str("A"), Value::Int(i)]),
+                occ,
+                1,
+            )
+        };
+        let mut live: BTreeMap<FragmentId, Fragment> = (0..6)
+            .map(|i| fragment(i, i as u64 + 1))
+            .map(|f| (f.id.clone(), f))
+            .collect();
+        let initial: Vec<Fragment> = live.values().cloned().collect();
+        let mut index = FragmentIndex::build(&initial, Some(1)).unwrap();
+        // Where fragment `f` sits in the burger list, if it is there.
+        let rank = |index: &FragmentIndex, f: &Fragment| {
+            let burger = index.inverted.postings("burger").unwrap();
+            burger
+                .iter()
+                .position(|p| index.catalog.id(p.frag) == &f.id)
+        };
+        let probe = |idx: &InvertedFragmentIndex, word: &str| {
+            let list = idx.lists[idx.interner.kw(word).unwrap().index()];
+            idx.probe_arena[list.range()].to_vec()
+        };
+        // (case, removed ranks, upserted (rank, filler) pairs)
+        type Case = (&'static str, &'static [i64], &'static [(i64, u64)]);
+        let cases: [Case; 6] = [
+            // One fragment's TF falls past its neighbours...
+            ("down", &[], &[(1, 40)]),
+            // ...another's rises past every one...
+            ("up", &[], &[(4, 0)]),
+            // ...two cross each other in one delta: locating either's
+            // stale posting compares against the other's old entry.
+            ("crossing", &[], &[(1, 0), (4, 40)]),
+            // Removed outright, then re-added with a new total.
+            ("removed", &[2], &[]),
+            ("re-added", &[], &[(2, 9)]),
+            // Removed and re-added in one delta, moving to the top,
+            // beside an upsert moving the other way.
+            ("replaced", &[3], &[(3, 0), (0, 30)]),
+        ];
+        for (case, removes, adds) in cases {
+            let adds: Vec<Fragment> = adds.iter().map(|&(i, n)| fragment(i, n)).collect();
+            let removes: Vec<FragmentId> = removes
+                .iter()
+                .map(|&i| FragmentId::new(vec![Value::str("A"), Value::Int(i)]))
+                .collect();
+            for id in &removes {
+                live.remove(id);
+            }
+            for f in &adds {
+                live.insert(f.id.clone(), f.clone());
+            }
+            let before: Vec<Option<usize>> = adds.iter().map(|f| rank(&index, f)).collect();
+            index
+                .apply(&IndexDelta::new(removes, adds.clone()))
+                .unwrap();
+            let fragments: Vec<Fragment> = live.values().cloned().collect();
+            let bulk = InvertedFragmentIndex::build(&index.catalog, &fragments).unwrap();
+            for word in ["burger", "pad"] {
+                let (spliced, built) = (&index.inverted, &bulk);
+                assert_eq!(
+                    spliced.postings(word),
+                    built.postings(word),
+                    "{case}: {word}"
+                );
+                assert_eq!(probe(spliced, word), probe(built, word), "{case}: {word}");
+            }
+            // Every upsert moved its fragment in the TF order.
+            let after: Vec<Option<usize>> = adds.iter().map(|f| rank(&index, f)).collect();
+            assert!(
+                before.iter().zip(&after).all(|(b, a)| b != a),
+                "{case}: {before:?} -> {after:?}"
+            );
+        }
     }
 
     #[test]
@@ -1044,7 +1264,7 @@ mod tests {
         let catalog = FragmentCatalog::from_fragments(&fragments);
         let mut reordered = fragments.clone();
         reordered.reverse();
-        let idx = InvertedFragmentIndex::build(&catalog, &reordered);
+        let idx = InvertedFragmentIndex::build(&catalog, &reordered).unwrap();
         let kw = idx.kw("burger").unwrap();
         for f in &fragments {
             let frag = catalog.frag(&f.id).unwrap();
@@ -1055,7 +1275,7 @@ mod tests {
                 f.id
             );
         }
-        let sorted = InvertedFragmentIndex::build(&catalog, &fragments);
+        let sorted = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         for word in ["burger", "coffee", "thai"] {
             assert_eq!(idx.postings(word), sorted.postings(word), "{word}");
         }

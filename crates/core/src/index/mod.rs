@@ -17,7 +17,6 @@ mod walk_tests;
 
 pub use catalog::{Frag, FragmentCatalog, Kw};
 pub use graph::{FragmentGraph, GroupId, NodeRef};
-pub(crate) use inverted::ProbeEntry;
 pub use inverted::{InvertedFragmentIndex, KeywordInterner, Posting};
 
 use std::collections::HashSet;
@@ -50,7 +49,9 @@ impl FragmentIndex {
     /// # Errors
     ///
     /// Returns [`crate::CoreError::Internal`] on malformed fragments
-    /// (identifier arity disagreement).
+    /// (identifier arity disagreement) and
+    /// [`crate::CoreError::OccurrenceOverflow`] when a keyword occurs
+    /// more than `u32::MAX` times in one fragment.
     pub fn build(fragments: &[Fragment], range_position: Option<usize>) -> Result<Self> {
         let refs: Vec<&Fragment> = fragments.iter().collect();
         Self::build_refs(&refs, range_position)
@@ -71,9 +72,25 @@ impl FragmentIndex {
         );
         Ok(FragmentIndex {
             catalog,
-            inverted,
+            inverted: inverted?,
             graph: graph?,
         })
+    }
+
+    /// Heap bytes this index holds, per structure.
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let (catalog_ids, handle_order, columns) = self.catalog.heap_bytes();
+        let (interner, lists, tf_arena, probe_arena) = self.inverted.heap_bytes();
+        HeapBytes {
+            catalog_ids,
+            handle_order,
+            columns,
+            graph: self.graph.heap_bytes(),
+            interner,
+            lists,
+            tf_arena,
+            probe_arena,
+        }
     }
 
     /// Number of indexed fragments.
@@ -88,18 +105,25 @@ impl FragmentIndex {
     /// index: the graph splices touch only the affected groups' columns
     /// and the inverted arenas are spliced in place, editing only the
     /// lists that lose or gain a posting
-    /// ([`InvertedFragmentIndex::apply_delta`]). A delta may carry
+    /// (`InvertedFragmentIndex::apply_delta`). A delta may carry
     /// several recomputations of the same identifier (e.g. two record
     /// deltas concatenated); the **last** add for an identifier wins,
     /// so applying a concatenation equals applying the parts in order.
     /// This is the single mutation path both engines use;
     /// [`FragmentIndex::remove_fragment`] and
     /// [`FragmentIndex::add_fragment`] are one-element deltas.
-    pub fn apply(&mut self, delta: &IndexDelta) -> RefreshStats {
+    ///
+    /// # Errors
+    ///
+    /// [`crate::CoreError::OccurrenceOverflow`] when an added fragment
+    /// holds a keyword more than `u32::MAX` times. The check runs before
+    /// anything changes, so the index is left exactly as it was.
+    pub fn apply(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
         let mut stats = RefreshStats::default();
         if delta.removes.is_empty() && delta.adds.is_empty() {
-            return stats;
+            return Ok(stats);
         }
+        inverted::check_counts(&delta.adds)?;
         // Last-wins dedup: a duplicated add must splice exactly one
         // posting per keyword, or df/IDF would drift from a rebuild.
         let mut adds: Vec<&Fragment> = Vec::with_capacity(delta.adds.len());
@@ -123,24 +147,29 @@ impl FragmentIndex {
                 }
             }
         }
-        // A re-added fragment's current postings are stale too. Locate
-        // every stale posting BEFORE interning: the catalog refresh
-        // overwrites the `total_keywords` their stored TFs — the TF
-        // slices' sort keys — were computed from.
+        // A re-added fragment's current postings are stale too. Their
+        // totals are snapshotted BEFORE interning: the catalog refresh
+        // overwrites the `total_keywords` the TF slices — sorted by the
+        // TFs derived from them — were laid out with.
         stale_frags.extend(adds.iter().filter_map(|f| self.catalog.frag(&f.id)));
         stale_frags.sort_unstable();
         stale_frags.dedup();
-        let stale = self.inverted.stale_postings(&self.catalog, &stale_frags);
+        let old_totals: Vec<(Frag, u64)> = stale_frags
+            .iter()
+            .map(|&frag| (frag, self.catalog.total_keywords(frag)))
+            .collect();
+        let stale = self.inverted.stale_postings(&stale_frags);
         for fragment in &adds {
             self.catalog.intern(fragment);
             self.graph.insert(&self.catalog, fragment);
             stats.added += 1;
         }
         // One in-place posting splice for the whole delta.
-        self.inverted.apply_delta(&self.catalog, &stale, &adds);
+        self.inverted
+            .apply_delta(&self.catalog, &old_totals, &stale, &adds);
         self.inverted
             .set_fragment_count(self.graph.node_count() as u64);
-        stats
+        Ok(stats)
     }
 
     /// Removes one fragment from every structure (incremental
@@ -148,14 +177,79 @@ impl FragmentIndex {
     /// stays interned (a tombstone), so re-adding the same identifier
     /// later re-uses it.
     pub fn remove_fragment(&mut self, id: &FragmentId) -> bool {
-        let stats = self.apply(&IndexDelta::removing(vec![id.clone()]));
+        let stats = self
+            .apply(&IndexDelta::removing(vec![id.clone()]))
+            .expect("a removal adds no counts");
         stats.removed > 0
     }
 
     /// Splices one freshly derived fragment into every structure
     /// (incremental maintenance).
-    pub fn add_fragment(&mut self, fragment: &Fragment) {
-        self.apply(&IndexDelta::adding(vec![fragment.clone()]));
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FragmentIndex::apply`].
+    pub fn add_fragment(&mut self, fragment: &Fragment) -> Result<()> {
+        self.apply(&IndexDelta::adding(vec![fragment.clone()]))
+            .map(|_| ())
+    }
+}
+
+/// Heap bytes one [`FragmentIndex`] holds, per structure: vector
+/// capacities (slack included) plus what their elements own.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HeapBytes {
+    /// The catalog's identifiers: the id column, each identifier's
+    /// values and their string payloads.
+    pub catalog_ids: usize,
+    /// The catalog's handle-order column, 4 bytes a handle (0 until an
+    /// image-loaded catalog first derives it).
+    pub handle_order: usize,
+    /// The catalog's `total_keywords` and `record_counts` columns.
+    pub columns: usize,
+    /// The fragment graph: group keys, node and weight runs, the rank
+    /// permutation and the node-position column.
+    pub graph: usize,
+    /// The keyword interner: words and the word → handle map.
+    pub interner: usize,
+    /// The TF-sorted posting arena, 8 bytes a posting.
+    pub tf_arena: usize,
+    /// The fragment-sorted probe arena, 8 bytes a posting.
+    pub probe_arena: usize,
+    /// The per-keyword list table shared by both arenas.
+    pub lists: usize,
+}
+
+impl HeapBytes {
+    /// Every structure by its gauge suffix, in declaration order.
+    pub fn parts(&self) -> [(&'static str, usize); 8] {
+        [
+            ("catalog_ids", self.catalog_ids),
+            ("handle_order", self.handle_order),
+            ("columns", self.columns),
+            ("graph", self.graph),
+            ("interner", self.interner),
+            ("tf_arena", self.tf_arena),
+            ("probe_arena", self.probe_arena),
+            ("lists", self.lists),
+        ]
+    }
+
+    /// The sum over every structure.
+    pub fn total(&self) -> usize {
+        self.parts().iter().map(|(_, bytes)| bytes).sum()
+    }
+
+    /// Adds `other` part by part (summing shards).
+    pub fn merge(&mut self, other: HeapBytes) {
+        self.catalog_ids += other.catalog_ids;
+        self.handle_order += other.handle_order;
+        self.columns += other.columns;
+        self.graph += other.graph;
+        self.interner += other.interner;
+        self.tf_arena += other.tf_arena;
+        self.probe_arena += other.probe_arena;
+        self.lists += other.lists;
     }
 }
 
@@ -205,7 +299,7 @@ mod tests {
         // Re-adding a live fragment (no remove first) must replace its
         // node and postings, not splice duplicates.
         let updated = fragment("American", 10, &[("burger", 5), ("queen", 1)]);
-        index.add_fragment(&updated);
+        index.add_fragment(&updated).unwrap();
         assert_eq!(index.fragment_count(), 4);
         let frag = index.catalog.frag(&updated.id).unwrap();
         let node = index.graph.locate(frag).unwrap();
@@ -235,10 +329,12 @@ mod tests {
         let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
         let stale = fragment("American", 10, &[("burger", 3), ("queen", 1)]);
         let fresh = fragment("American", 10, &[("burger", 7), ("queen", 2)]);
-        let stats = index.apply(&IndexDelta::new(
-            vec![stale.id.clone()],
-            vec![stale.clone(), fresh.clone()],
-        ));
+        let stats = index
+            .apply(&IndexDelta::new(
+                vec![stale.id.clone()],
+                vec![stale.clone(), fresh.clone()],
+            ))
+            .unwrap();
         assert_eq!((stats.removed, stats.added), (1, 1));
         assert_eq!(index.fragment_count(), 4);
         // df sees ONE posting for the id; occurrences are the latest.
@@ -247,6 +343,46 @@ mod tests {
         let kw = index.inverted.kw("burger").unwrap();
         assert_eq!(index.inverted.occurrences(kw, frag), 7);
         assert_eq!(index.catalog.total_keywords(frag), 9);
+    }
+
+    #[test]
+    fn an_overflowing_count_fails_the_delta_and_leaves_the_index_untouched() {
+        let fragments = sample();
+        let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+        let image = |index: &FragmentIndex| {
+            let mut bytes = Vec::new();
+            crate::persist::write_image(&mut bytes, Some(1), &[index]).unwrap();
+            bytes
+        };
+        let before = image(&index);
+        let wide = u64::from(u32::MAX) + 1;
+        // A removal, an upsert and a new fragment, the last one holding
+        // a count no posting can: nothing of the batch may land.
+        let delta = IndexDelta::new(
+            vec![fragments[0].id.clone()],
+            vec![
+                fragment("American", 10, &[("burger", 5)]),
+                fragment("Thai", 11, &[("curry", wide)]),
+            ],
+        );
+        let err = index.apply(&delta).unwrap_err();
+        assert_eq!(
+            err,
+            crate::CoreError::OccurrenceOverflow {
+                keyword: "curry".to_string(),
+                occurrences: wide,
+            }
+        );
+        assert_eq!(image(&index), before);
+        assert_eq!(index.fragment_count(), 4);
+        assert_eq!(index.catalog.len(), 4);
+        // The same build fails as a typed error too.
+        let mut overflowing = fragments.clone();
+        overflowing.push(fragment("Thai", 11, &[("curry", wide)]));
+        assert!(matches!(
+            FragmentIndex::build(&overflowing, Some(1)),
+            Err(crate::CoreError::OccurrenceOverflow { .. })
+        ));
     }
 
     #[test]
@@ -271,7 +407,7 @@ mod tests {
         assert!(index.remove_fragment(&id));
         assert!(!index.remove_fragment(&id));
         assert_eq!(index.fragment_count(), 3);
-        index.add_fragment(&fragments[1]);
+        index.add_fragment(&fragments[1]).unwrap();
         assert_eq!(index.fragment_count(), 4);
         let rebuilt = FragmentIndex::build(&fragments, Some(1)).unwrap();
         for word in ["burger", "coffee", "queen", "thai"] {

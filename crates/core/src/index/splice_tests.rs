@@ -13,7 +13,7 @@ use dash_relation::Value;
 use proptest::prelude::*;
 
 use crate::fragment::{Fragment, FragmentId};
-use crate::index::{FragmentIndex, InvertedFragmentIndex};
+use crate::index::{FragmentIndex, InvertedFragmentIndex, Posting};
 use crate::update::IndexDelta;
 
 pub(super) const GROUPS: [&str; 3] = ["American", "Thai", "Udon"];
@@ -67,18 +67,13 @@ pub(super) fn delta_strategy() -> impl Strategy<Value = IndexDelta> {
         .prop_map(|(removes, adds)| IndexDelta::new(removes.into_iter().map(id).collect(), adds))
 }
 
-/// `index`'s probe slice for `word` as `(frag, occurrences)` pairs
-/// (empty when never interned).
-fn probe_slice(index: &InvertedFragmentIndex, word: &str) -> Vec<(u32, u64)> {
+/// `index`'s probe slice for `word` (empty when never interned).
+fn probe_slice<'a>(index: &'a InvertedFragmentIndex, word: &str) -> &'a [Posting] {
     let Some(kw) = index.image_interner().kw(word) else {
-        return Vec::new();
+        return &[];
     };
     let (start, len) = index.image_lists().nth(kw.index()).expect("list per kw");
-    index
-        .image_probe()
-        .skip(start as usize)
-        .take(len as usize)
-        .collect()
+    &index.image_probe_arena()[start as usize..(start + len) as usize]
 }
 
 fn assert_matches_rebuild(index: &FragmentIndex, truth: &BTreeMap<FragmentId, Fragment>) {
@@ -90,12 +85,12 @@ fn assert_matches_rebuild(index: &FragmentIndex, truth: &BTreeMap<FragmentId, Fr
         at += len;
     }
     assert_eq!(at as usize, inverted.posting_count());
-    assert_eq!(at as usize, inverted.image_probe().len());
+    assert_eq!(at as usize, inverted.image_probe_arena().len());
 
     // A from-scratch build over the maintained catalog: same handles,
-    // so slices compare directly, TF bits included.
+    // so slices compare directly.
     let live: Vec<Fragment> = truth.values().cloned().collect();
-    let rebuilt = InvertedFragmentIndex::build(&index.catalog, &live);
+    let rebuilt = InvertedFragmentIndex::build(&index.catalog, &live).unwrap();
     assert_eq!(inverted.fragment_count(), rebuilt.fragment_count());
     assert_eq!(index.fragment_count(), live.len());
     assert_eq!(inverted.keyword_count(), rebuilt.keyword_count());
@@ -134,7 +129,7 @@ proptest! {
             for fragment in &delta.adds {
                 truth.insert(fragment.id.clone(), fragment.clone());
             }
-            index.apply(delta);
+            index.apply(delta).unwrap();
             assert_matches_rebuild(&index, &truth);
         }
     }

@@ -98,7 +98,7 @@ proptest! {
             for fragment in &delta.adds {
                 truth.insert(fragment.id.clone(), fragment.clone());
             }
-            index.apply(delta);
+            index.apply(delta).unwrap();
             assert_walk_matches(&index, &truth, &picks);
         }
     }
@@ -132,7 +132,9 @@ fn a_tombstoned_fragment_contributes_nothing() {
     // Tombstone (American, 1): its handle stays interned, but the walk
     // over the same handles no longer sees "queen" — and the handle
     // alone holds nothing.
-    index.apply(&IndexDelta::removing(vec![id((0, 1))]));
+    index
+        .apply(&IndexDelta::removing(vec![id((0, 1))]))
+        .unwrap();
     let tombstone = index.catalog.frag(&id((0, 1))).expect("handle kept");
     assert!(index.inverted.keywords_of(&[tombstone]).is_empty());
     assert_eq!(words(&index, &before), ["burger", "fries"]);

@@ -67,7 +67,7 @@
 //! Every way a `ShardedEngine` comes to exist goes through
 //! [`ingest::EngineBuilder`] — `ShardedEngine::builder(app)` plus an
 //! [`ingest::IngestSource`] (crawl-and-build, in-memory fragments,
-//! `DASHIMG2` arena images, or streamed batches). Unpartitioned
+//! `DASHIMG3` arena images, or streamed batches). Unpartitioned
 //! sources are split by one partitioner into contiguous key-rank runs,
 //! each indexed by [`FragmentIndex::build_refs`].
 //!
@@ -137,7 +137,8 @@ pub use engine::{DashConfig, DashEngine};
 pub use error::CoreError;
 pub use fragment::{Fragment, FragmentId};
 pub use index::{
-    Frag, FragmentCatalog, FragmentGraph, FragmentIndex, GroupId, InvertedFragmentIndex, Kw,
+    Frag, FragmentCatalog, FragmentGraph, FragmentIndex, GroupId, HeapBytes, InvertedFragmentIndex,
+    Kw,
 };
 pub use ingest::{EngineBuilder, IngestSource};
 pub use multi::MultiDash;

@@ -12,14 +12,16 @@
 //!
 //! Fragments and values share one length-prefixed little-endian record
 //! codec. A fragment is its identifier arity and values, its record
-//! count, and its keyword/occurrence entries in `BTreeMap` order. A
+//! count, and its keyword/occurrence entries in `BTreeMap` order (a
+//! count is written as a u64; the decoder refuses one above
+//! `u32::MAX`, since no posting can hold it). A
 //! value is a tag byte — `0`=Null, `1`=Int (i64), `2`=Decimal (cents
 //! i64), `3`=Str (u64 length + UTF-8, ≤ 2^24 bytes), `4`=Date (u16 year,
 //! u8 month, u8 day) — then its payload. The image's identifier and
 //! group-key columns use the value codec; [`wire`](crate::wire) ships a
 //! delta's added fragments as records.
 //!
-//! # Arena images (`DASHIMG2`)
+//! # Arena images (`DASHIMG3`)
 //!
 //! The dump format *is* the arenas' in-memory layout: every column of
 //! [`FragmentCatalog`], [`InvertedFragmentIndex`] (both posting arenas
@@ -27,8 +29,9 @@
 //! fixed-width little-endian array, so a shard loads by bulk-reading
 //! bytes back into columns instead of re-running `build` — no BTreeMap
 //! materialization, no per-posting interning, no TF re-sorts, no graph
-//! grouping. Only the two hash lookups (identifier→handle, word→handle)
-//! and the `node_pos` column are re-derived, each a single O(n) pass.
+//! grouping. Only the word→handle hash map and the `node_pos` column
+//! are re-derived at load, each a single O(n) pass; the catalog's
+//! identifier-ordered handle column waits for the first delta.
 //! The graph is dumped normalized to key-rank order, so the loaded
 //! permutation is the identity (exactly a bulk build's state) and two
 //! engines holding the same live nodes dump the same image regardless
@@ -53,9 +56,13 @@
 //! | `0x10` | catalog | count; identifiers (value codec); total-keyword u64 column; record-count u64 column |
 //! | `0x11` | words | count; blob length; word-length u32 column; UTF-8 blob |
 //! | `0x12` | lists | fragment count; list count; start u32 column; len u32 column — the refs must tile both arenas in handle order (each start = the sum of the lengths before it, the last list ending at the posting count) |
-//! | `0x13` | tf arena | posting count; frag u32 column; occurrence u64 column; TF f64-bits u64 column |
-//! | `0x14` | probe arena | posting count; frag u32 column; occurrence u64 column |
+//! | `0x13` | tf arena | posting count; frag u32 column; occurrence u32 column |
+//! | `0x14` | probe arena | posting count; frag u32 column; occurrence u32 column |
 //! | `0x15` | graph | group count; node total; per group (key values, run length); frag u32 column; weight u64 column |
+//!
+//! TF is not in the image: like the engine, the loader derives it from
+//! the occurrence column and the catalog's totals when it needs it.
+//! `DASHIMG2`, which stored it, is refused as an unsupported version.
 //!
 //! A torn or bit-flipped file fails its section checksum (or a
 //! structural length check) before any engine state is touched — the
@@ -72,10 +79,10 @@ use dash_relation::{Date, Decimal, Value};
 use crate::fragment::{Fragment, FragmentId};
 use crate::index::{
     Frag, FragmentCatalog, FragmentGraph, FragmentIndex, InvertedFragmentIndex, KeywordInterner,
-    Posting, ProbeEntry,
+    Posting,
 };
 
-const IMAGE_MAGIC: &[u8; 8] = b"DASHIMG2";
+const IMAGE_MAGIC: &[u8; 8] = b"DASHIMG3";
 
 /// The shared record codec: a length-prefixed fragment list.
 pub(crate) fn write_fragment_list<W: Write>(
@@ -133,6 +140,11 @@ fn read_one_fragment<R: Read>(reader: &mut R) -> io::Result<Fragment> {
     for _ in 0..keywords {
         let kw = read_str(reader)?;
         let n = read_u64(reader)?;
+        if n > u64::from(u32::MAX) {
+            return Err(invalid(
+                "occurrence count exceeds what a posting holds (u32)",
+            ));
+        }
         occ.insert(kw, n);
     }
     Ok(Fragment::new(FragmentId::new(values), occ, record_count))
@@ -256,29 +268,11 @@ fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<(
     write_section(w, SEC_LISTS, &payload)?;
     payload.clear();
 
-    // TF arena, column-major: frag, occurrences, TF bit patterns.
-    let tf = index.inverted.image_tf_arena();
-    write_u64(&mut payload, tf.len() as u64)?;
-    for p in tf {
-        payload.extend_from_slice(&p.frag.0.to_le_bytes());
-    }
-    for p in tf {
-        payload.extend_from_slice(&p.occurrences.to_le_bytes());
-    }
-    for p in tf {
-        payload.extend_from_slice(&p.tf.to_bits().to_le_bytes());
-    }
+    // The two posting arenas, each column-major: frag, occurrences.
+    write_arena(&mut payload, index.inverted.image_tf_arena())?;
     write_section(w, SEC_TF, &payload)?;
     payload.clear();
-
-    // Probe arena, column-major: frag, occurrences.
-    write_u64(&mut payload, index.inverted.image_probe().len() as u64)?;
-    for (frag, _) in index.inverted.image_probe() {
-        payload.extend_from_slice(&frag.to_le_bytes());
-    }
-    for (_, occurrences) in index.inverted.image_probe() {
-        payload.extend_from_slice(&occurrences.to_le_bytes());
-    }
+    write_arena(&mut payload, index.inverted.image_probe_arena())?;
     write_section(w, SEC_PROBE, &payload)?;
     payload.clear();
 
@@ -368,45 +362,11 @@ fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<
     let lens = take_u32_col(&mut p, list_count, "list-length column")?;
     ensure_consumed(p, "lists section")?;
 
-    // TF arena: the arena IS the wire format (three fixed-width LE
-    // columns), so decode is a single fused pass straight into the
-    // final `Vec<Posting>` — no intermediate column vectors. At
-    // million-fragment scale the intermediates are tens of MB of
-    // freshly-faulted pages each; fusing them away is most of the
-    // arena-vs-parse load win.
-    let mut p = read_section(r, SEC_TF)?;
-    let tf_count = take_u64(&mut p, "TF posting count")? as usize;
-    let tf_frag_col = take_col(&mut p, tf_count, 4, "TF frag column")?;
-    let tf_occ_col = take_col(&mut p, tf_count, 8, "TF occurrence column")?;
-    let tf_bits_col = take_col(&mut p, tf_count, 8, "TF value column")?;
-    ensure_consumed(p, "TF section")?;
-    let tf_arena: Vec<Posting> = tf_frag_col
-        .chunks_exact(4)
-        .zip(tf_occ_col.chunks_exact(8))
-        .zip(tf_bits_col.chunks_exact(8))
-        .map(|((f, o), b)| Posting {
-            frag: Frag(u32::from_le_bytes(f.try_into().expect("4-byte chunk"))),
-            occurrences: u64::from_le_bytes(o.try_into().expect("8-byte chunk")),
-            tf: f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-        })
-        .collect();
-
-    // Probe arena, same fused decode.
-    let mut p = read_section(r, SEC_PROBE)?;
-    let probe_count = take_u64(&mut p, "probe posting count")? as usize;
-    let probe_frag_col = take_col(&mut p, probe_count, 4, "probe frag column")?;
-    let probe_occ_col = take_col(&mut p, probe_count, 8, "probe occurrence column")?;
-    ensure_consumed(p, "probe section")?;
-    let probe_arena: Vec<ProbeEntry> = probe_frag_col
-        .chunks_exact(4)
-        .zip(probe_occ_col.chunks_exact(8))
-        .map(|(f, o)| ProbeEntry {
-            frag: Frag(u32::from_le_bytes(f.try_into().expect("4-byte chunk"))),
-            occurrences: u64::from_le_bytes(o.try_into().expect("8-byte chunk")),
-        })
-        .collect();
-
-    if probe_count != tf_count {
+    // The two posting arenas, in their final sort orders.
+    let tf_arena = read_arena(&mut read_section(r, SEC_TF)?, "TF")?;
+    let probe_arena = read_arena(&mut read_section(r, SEC_PROBE)?, "probe")?;
+    let tf_count = tf_arena.len();
+    if probe_arena.len() != tf_count {
         return Err(invalid("probe arena length does not match TF arena"));
     }
     // The lists tile the arenas in handle order — no overlap, no gap,
@@ -481,6 +441,42 @@ fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<
         inverted,
         graph,
     })
+}
+
+/// One posting arena's section payload: the posting count, then the
+/// frag u32 column and the occurrence u32 column.
+fn write_arena(payload: &mut Vec<u8>, arena: &[Posting]) -> io::Result<()> {
+    write_u64(payload, arena.len() as u64)?;
+    for p in arena {
+        payload.extend_from_slice(&p.frag.0.to_le_bytes());
+    }
+    for p in arena {
+        payload.extend_from_slice(&p.occurrences.to_le_bytes());
+    }
+    Ok(())
+}
+
+/// Decodes a posting arena's section payload (see [`write_arena`]).
+/// The arena IS the wire format (two fixed-width LE columns), so
+/// decode is a single fused pass straight into the final
+/// `Vec<Posting>` — no intermediate column vectors. At
+/// million-fragment scale the intermediates are megabytes of
+/// freshly-faulted pages each; fusing them away is most of the
+/// arena-vs-parse load win.
+fn read_arena(p: &mut &[u8], arena: &str) -> io::Result<Vec<Posting>> {
+    let count = take_u64(p, &format!("{arena} posting count"))? as usize;
+    let frags = take_col(p, count, 4, &format!("{arena} frag column"))?;
+    let occurrences = take_col(p, count, 4, &format!("{arena} occurrence column"))?;
+    ensure_consumed(p, &format!("{arena} section"))?;
+    let word = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+    Ok(frags
+        .chunks_exact(4)
+        .zip(occurrences.chunks_exact(4))
+        .map(|(f, o)| Posting {
+            frag: Frag(word(f)),
+            occurrences: word(o),
+        })
+        .collect())
 }
 
 /// Frames one section: tag, reserved word, payload length, payload,
@@ -818,6 +814,24 @@ mod tests {
     }
 
     #[test]
+    fn a_dashimg2_image_is_an_unsupported_version() {
+        // `DASHIMG2` stored TF and 8-byte counts; its sections do not
+        // parse as this format's, so the magic refuses it up front.
+        let index = FragmentIndex::build(&fooddb_fragments(), Some(1)).unwrap();
+        let mut image = Vec::new();
+        write_image(&mut image, Some(1), &[&index]).unwrap();
+        assert_eq!(&image[..8], b"DASHIMG3");
+        image[..8].copy_from_slice(b"DASHIMG2");
+        let err = read_image(&image).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("unsupported arena image version '2' (this build reads '3')"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn decode_errors_name_the_breaking_record() {
         let fragments = fooddb_fragments();
         let mut buf = Vec::new();
@@ -889,8 +903,8 @@ mod tests {
             index.inverted.image_tf_arena()
         );
         assert_eq!(
-            loaded.inverted.image_probe().collect::<Vec<_>>(),
-            index.inverted.image_probe().collect::<Vec<_>>()
+            loaded.inverted.image_probe_arena(),
+            index.inverted.image_probe_arena()
         );
         assert_eq!(
             loaded.inverted.image_lists().collect::<Vec<_>>(),

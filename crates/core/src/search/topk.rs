@@ -78,7 +78,7 @@ pub(crate) type ShardView<'a> = (&'a FragmentIndex, u32);
 /// Reusable per-search allocations. One search clears and refills them,
 /// so a scratch pooled across requests (as the sharded engine's
 /// `search_many` does) allocates nothing after its first search: the
-/// keyword columns, cursors, heap buffer, occurrence pool, neighbour
+/// keyword columns, cursors, head TFs, heap buffer, occurrence pool, neighbour
 /// buffer and emitted intervals keep their capacity, and the two handle
 /// sets reset only the words the last search set.
 #[derive(Debug, Default)]
@@ -93,6 +93,11 @@ pub(crate) struct SearchScratch {
     postings: Vec<&'static [Posting]>,
     /// Each column's cursor into its list.
     cursors: Vec<usize>,
+    /// Each column's head TF: the TF of the posting at its cursor (0
+    /// once the list is exhausted), derived when the cursor moves, so
+    /// the seeding scan and the frontier bound read a small `f64`
+    /// array instead of dereferencing postings and the catalog.
+    heads: Vec<f64>,
     /// The priority queue's buffer.
     heap: Vec<Candidate>,
     /// Per-candidate keyword-occurrence rows, addressed by offset.
@@ -252,6 +257,7 @@ pub(crate) fn top_k_in(
         bases,
         postings: pooled_postings,
         cursors,
+        heads,
         heap,
         occ_pool,
         neighbors,
@@ -293,6 +299,15 @@ pub(crate) fn top_k_in(
     );
     cursors.clear();
     cursors.resize(postings.len(), 0);
+    // TF of column `i`'s posting at `cursor`, against its shard's
+    // catalog (0 past the end).
+    let head_tf = |i: usize, cursor: usize| -> f64 {
+        postings[i].get(cursor).map_or(0.0, |p| {
+            p.tf(shards[i / width].0.catalog.total_keywords(p.frag))
+        })
+    };
+    heads.clear();
+    heads.extend((0..postings.len()).map(|i| head_tf(i, 0)));
     seeded.reset(handles);
     absorbed.reset(handles);
     let mut queue: BinaryHeap<Candidate> = BinaryHeap::from(std::mem::take(heap));
@@ -315,14 +330,14 @@ pub(crate) fn top_k_in(
     };
 
     // Upper bound on the initial score of any not-yet-seeded fragment:
-    // per keyword, its TF is at most the TF at its shard's list cursor.
-    let frontier_bound = |cursors: &[usize]| -> f64 {
+    // per keyword, its TF is at most the head TF at its shard's list
+    // cursor (an exhausted list's head reads 0).
+    let frontier_bound = |heads: &[f64]| -> f64 {
         let mut bound = 0.0f64;
         for s in 0..shards.len() {
             let mut sum = 0.0;
             for (w, &idf_w) in idf.iter().enumerate() {
-                let i = s * width + w;
-                sum += postings[i].get(cursors[i]).map_or(0.0, |p| p.tf * idf_w);
+                sum += heads[s * width + w] * idf_w;
             }
             bound = bound.max(sum);
         }
@@ -332,6 +347,7 @@ pub(crate) fn top_k_in(
     // highest, over every shard. Returns false when every list is
     // exhausted.
     let seed_one = |cursors: &mut [usize],
+                    heads: &mut [f64],
                     seeded: &mut HandleSet,
                     queue: &mut BinaryHeap<Candidate>,
                     occ_pool: &mut Vec<u64>|
@@ -342,8 +358,8 @@ pub(crate) fn top_k_in(
             for s in 0..shards.len() {
                 for (w, &idf_w) in idf.iter().enumerate() {
                     let i = s * width + w;
-                    if let Some(p) = postings[i].get(cursors[i]) {
-                        let bound = p.tf * idf_w;
+                    if cursors[i] < postings[i].len() {
+                        let bound = heads[i] * idf_w;
                         if best.is_none_or(|(_, _, b)| bound > b) {
                             best = Some((s, i, bound));
                         }
@@ -355,6 +371,7 @@ pub(crate) fn top_k_in(
             };
             let posting = postings[i][cursors[i]];
             cursors[i] += 1;
+            heads[i] = head_tf(i, cursors[i]);
             if !seeded.insert(bases[s] + posting.frag.index()) {
                 continue; // already seeded via another keyword's list
             }
@@ -367,14 +384,14 @@ pub(crate) fn top_k_in(
             // request's other keywords are probed.
             let drawn = i % width;
             debug_assert_eq!(
-                posting.occurrences,
+                u64::from(posting.occurrences),
                 kws[i].map_or(0, |kw| index.inverted.occurrences(kw, posting.frag)),
                 "TF and probe arenas disagree"
             );
             let occ_offset = (occ_pool.len() / width) as u32;
             for w in 0..width {
                 let occ = if w == drawn {
-                    posting.occurrences
+                    u64::from(posting.occurrences)
                 } else {
                     probe(s, w, posting.frag)
                 };
@@ -397,7 +414,7 @@ pub(crate) fn top_k_in(
 
     let mut output: Vec<SearchHit> = Vec::new();
     let (mut pops, mut seeds, mut expansions, mut compared, mut dead_pops) = (0, 0, 0, 0, 0);
-    let mut bound = frontier_bound(cursors);
+    let mut bound = frontier_bound(heads);
 
     // Lines 4–9.
     while output.len() < request.k {
@@ -406,11 +423,11 @@ pub(crate) fn top_k_in(
         // is what makes the pop sequence independent of the seeding
         // schedule. The bound moves only when a cursor does.
         while queue.peek().is_none_or(|head| head.score <= bound) {
-            if !seed_one(cursors, seeded, &mut queue, occ_pool) {
+            if !seed_one(cursors, heads, seeded, &mut queue, occ_pool) {
                 break;
             }
             seeds += 1;
-            bound = frontier_bound(cursors);
+            bound = frontier_bound(heads);
         }
         let Some(candidate) = queue.pop() else {
             break;

@@ -70,7 +70,8 @@ use crate::engine::{validate_query, DashConfig};
 use crate::error::CoreError;
 use crate::fragment::Fragment;
 use crate::index::graph::group_key;
-use crate::index::{FragmentIndex, GroupId};
+use crate::index::inverted::check_counts;
+use crate::index::{FragmentIndex, GroupId, HeapBytes};
 use crate::par;
 use crate::persist;
 use crate::search::{request_idf, top_k_in, SearchHit, SearchRequest, SearchScratch, ShardView};
@@ -309,7 +310,22 @@ impl ShardedEngine {
     /// O(shards) prefix sum, never a rebuild or a re-sort. Post-update
     /// searches are byte-identical to a [`DashEngine`](crate::DashEngine)
     /// freshly built over the mutated fragment set.
+    ///
+    /// # Panics
+    ///
+    /// If an added fragment holds a keyword more than `u32::MAX` times
+    /// ([`CoreError::OccurrenceOverflow`]).
+    /// The check runs before any shard changes;
+    /// [`ShardedEngine::apply_changes`] returns the error instead, and
+    /// the wire codec refuses such a delta where it decodes it.
     pub fn apply_delta(&mut self, delta: IndexDelta) -> RefreshStats {
+        self.apply_checked(delta).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ShardedEngine::apply_delta`], with a count a posting cannot
+    /// hold returned as an error before any shard changes.
+    fn apply_checked(&mut self, delta: IndexDelta) -> Result<RefreshStats> {
+        check_counts(&delta.adds)?;
         let range_position = self.app.query.range_selection_index();
         let mut per_shard: Vec<IndexDelta> = (0..self.shards.len())
             .map(|_| IndexDelta::default())
@@ -325,11 +341,11 @@ impl ShardedEngine {
         let mut stats = RefreshStats::default();
         for (shard, sub) in self.shards.iter_mut().zip(&per_shard) {
             if !sub.is_empty() {
-                stats.merge(shard.index.apply(sub));
+                stats.merge(shard.index.apply(sub).expect("counts checked above"));
             }
         }
         self.refresh_offsets();
-        stats
+        Ok(stats)
     }
 
     /// Applies a batch of record changes — inserts and deletes alike,
@@ -341,14 +357,16 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// Propagates relational errors.
+    /// Propagates relational errors, and
+    /// [`CoreError::OccurrenceOverflow`]
+    /// (engine untouched) for a count a posting cannot hold.
     pub fn apply_changes(
         &mut self,
         db: &Database,
         changes: &[RecordChange],
     ) -> Result<RefreshStats> {
         let delta = bulk_delta(&self.app, db, changes)?;
-        Ok(self.apply_delta(delta))
+        self.apply_checked(delta)
     }
 
     /// A deep, independent copy of this engine: every shard's index is
@@ -583,6 +601,16 @@ impl ShardedEngine {
     /// Every shard's index, in group-rank order.
     pub fn shard_indexes(&self) -> impl ExactSizeIterator<Item = &FragmentIndex> {
         self.shards.iter().map(|shard| &shard.index)
+    }
+
+    /// Heap bytes the engine's indexes hold, per structure, summed
+    /// over the shards ([`FragmentIndex::heap_bytes`]).
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let mut total = HeapBytes::default();
+        for index in self.shard_indexes() {
+            total.merge(index.heap_bytes());
+        }
+        total
     }
 
     /// Number of shards the handle space is partitioned into.
@@ -1047,5 +1075,61 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// The compact layout, pinned in bytes at the environment's shard
+    /// width (`DASH_SHARDS`, else 1): 8 bytes a posting in each arena
+    /// and 4 bytes a handle for the catalog's handle-order column —
+    /// capacities, so slack would show — after a bulk build, after an
+    /// image load (where the column is derived only on first use) and
+    /// after a delta.
+    #[test]
+    fn heap_bytes_pin_the_compact_layout() {
+        use crate::index::Posting;
+        use crate::ingest::IngestSource;
+        assert_eq!(size_of::<Posting>(), 8);
+        let app = fooddb::search_application().unwrap();
+        let fragments = plateau_fragments(24, 16, 100);
+        let shards = env_shards().unwrap_or(1);
+        let engine = ShardedEngine::builder(app.clone())
+            .shards(shards)
+            .source(IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
+        assert_eq!(engine.shard_count(), shards);
+        let pinned = |engine: &ShardedEngine, order_per_handle: usize, context: &str| {
+            for (s, index) in engine.shard_indexes().enumerate() {
+                let postings = index.inverted.posting_count();
+                let heap = index.heap_bytes();
+                assert!(postings > 0, "{context}: shard {s} empty");
+                assert_eq!(heap.tf_arena, 8 * postings, "{context}: shard {s}");
+                assert_eq!(heap.probe_arena, 8 * postings, "{context}: shard {s}");
+                assert_eq!(
+                    heap.handle_order,
+                    order_per_handle * index.catalog.len(),
+                    "{context}: shard {s}"
+                );
+            }
+        };
+        pinned(&engine, 4, "built");
+        let total = engine.heap_bytes();
+        assert_eq!(
+            total.tf_arena + total.probe_arena,
+            16 * 24 * 16 * 2,
+            "two postings a fragment, 8 bytes each, in each arena"
+        );
+        assert!(total.total() > total.tf_arena + total.probe_arena);
+
+        let mut image = Vec::new();
+        engine.write_image(&mut image).unwrap();
+        let mut loaded = ShardedEngine::builder(app)
+            .source(IngestSource::Image(&image))
+            .build()
+            .unwrap();
+        pinned(&loaded, 0, "loaded");
+        // An upsert of every fragment derives every shard's column and
+        // moves postings, growing no arena.
+        loaded.apply_delta(IndexDelta::adding(fragments.clone()));
+        pinned(&loaded, 4, "upserted");
     }
 }

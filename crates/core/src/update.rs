@@ -290,11 +290,15 @@ pub fn bulk_delta(
 
 impl DashEngine {
     /// Applies a prebuilt delta to the index.
+    ///
+    /// # Panics
+    ///
+    /// If an added fragment holds a keyword more than `u32::MAX` times
+    /// ([`CoreError::OccurrenceOverflow`](crate::CoreError::OccurrenceOverflow));
+    /// the index is checked before it changes.
+    /// [`DashEngine::apply_changes`] returns the error instead.
     pub fn apply_delta(&mut self, delta: &IndexDelta) -> RefreshStats {
-        let stats = self.index_mut().apply(delta);
-        let count = self.index().graph.node_count();
-        self.set_fragment_count(count);
-        stats
+        self.apply_checked(delta).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Applies a batch of record changes — inserts and deletes alike,
@@ -304,14 +308,25 @@ impl DashEngine {
     ///
     /// # Errors
     ///
-    /// Propagates relational errors.
+    /// Propagates relational errors, and
+    /// [`CoreError::OccurrenceOverflow`](crate::CoreError::OccurrenceOverflow)
+    /// (index untouched) for a count a posting cannot hold.
     pub fn apply_changes(
         &mut self,
         db: &Database,
         changes: &[RecordChange],
     ) -> Result<RefreshStats> {
         let delta = bulk_delta(self.app(), db, changes)?;
-        Ok(self.apply_delta(&delta))
+        self.apply_checked(&delta)
+    }
+
+    /// [`FragmentIndex::apply`](crate::index::FragmentIndex::apply),
+    /// then the engine's fragment count.
+    fn apply_checked(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
+        let stats = self.index_mut().apply(delta)?;
+        let count = self.index().graph.node_count();
+        self.set_fragment_count(count);
+        Ok(stats)
     }
 }
 
@@ -381,7 +396,9 @@ mod tests {
                 .index()
                 .inverted
                 .postings("burger")
-                .map_or(0, |list| list.iter().map(|p| p.occurrences).sum::<u64>())
+                .map_or(0, |list| {
+                    list.iter().map(|p| u64::from(p.occurrences)).sum::<u64>()
+                })
         };
         let before = total_occurrences(&engine);
         // Another burger comment for Burger Queen (rid=1, American,10).

@@ -55,9 +55,10 @@ pub fn write_delta<W: Write>(mut writer: W, delta: &IndexDelta) -> io::Result<()
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on unknown value tags, malformed UTF-8 or
-/// out-of-bounds lengths, and propagates underlying I/O errors
-/// (including `UnexpectedEof` on truncation).
+/// Returns `InvalidData` on unknown value tags, malformed UTF-8,
+/// out-of-bounds lengths or an occurrence count above `u32::MAX`, and
+/// propagates underlying I/O errors (including `UnexpectedEof` on
+/// truncation).
 pub fn read_delta<R: Read>(mut reader: R) -> io::Result<IndexDelta> {
     let count = read_u64(&mut reader)?;
     if count > (1 << 32) {
@@ -285,6 +286,21 @@ mod tests {
         for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
             assert!(read_delta(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn an_occurrence_count_past_u32_is_refused_at_decode() {
+        let with_syrup = |count: u64| {
+            let mut delta = sample_delta();
+            delta.adds[0]
+                .keyword_occurrences
+                .insert("syrup".to_string(), count);
+            encode_delta(&delta)
+        };
+        assert!(read_delta(with_syrup(u64::from(u32::MAX)).as_slice()).is_ok());
+        let err = read_delta(with_syrup(u64::from(u32::MAX) + 1).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("occurrence count"), "{err}");
     }
 
     #[test]

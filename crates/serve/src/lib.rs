@@ -866,7 +866,10 @@ impl DashServer {
     }
 
     /// Mirrors the result cache's counters into this server's registry
-    /// as `dash_serve_cache_*` gauges. Called at scrape time by
+    /// as `dash_serve_cache_*` gauges, and the live engine's heap bytes
+    /// per structure ([`ShardedEngine::heap_bytes`]) as
+    /// `dash_index_heap_<part>_bytes` gauges (the shadow engine holds
+    /// as much again). Called at scrape time by
     /// [`DashServer::metrics_text`] (and by the socket front-end's
     /// `/metrics`, which merges this registry into its own exposition).
     pub fn refresh_scrape_gauges(&self) {
@@ -875,6 +878,12 @@ impl DashServer {
         registry
             .gauge("dash_serve_cached_results")
             .set(self.shared.cache.len() as u64);
+        let heap = self.shared.handle.snapshot().engine.heap_bytes();
+        for (part, bytes) in heap.parts() {
+            registry
+                .gauge(&format!("dash_index_heap_{part}_bytes"))
+                .set(bytes as u64);
+        }
     }
 
     /// Renders the Prometheus text exposition behind `GET /metrics`:
@@ -953,6 +962,12 @@ mod tests {
         assert!(text.contains("dash_serve_cache_hits 1"), "{text}");
         assert!(
             text.contains("dash_serve_search_ns{quantile=\"0.99\"}"),
+            "{text}"
+        );
+        let heap = server.snapshot().engine.heap_bytes();
+        assert!(heap.tf_arena > 0);
+        assert!(
+            text.contains(&format!("dash_index_heap_tf_arena_bytes {}", heap.tf_arena)),
             "{text}"
         );
     }

@@ -614,7 +614,7 @@ proptest! {
                         let kw = inverted.kw(word).unwrap();
                         for posting in inverted.postings_kw(kw) {
                             prop_assert_eq!(
-                                posting.occurrences,
+                                u64::from(posting.occurrences),
                                 inverted.occurrences(kw, posting.frag),
                                 "{} shards={} shard {} keyword {}",
                                 label,
