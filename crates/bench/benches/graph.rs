@@ -19,22 +19,26 @@ fn q2_fragments() -> (Vec<Fragment>, Option<usize>) {
 
 fn bench_graph(c: &mut Criterion) {
     let (fragments, range_pos) = q2_fragments();
-    let catalog = FragmentCatalog::from_fragments(&fragments);
+    let catalog = FragmentCatalog::from_fragments(&fragments, range_pos).expect("interns");
+    let frags: Vec<Frag> = fragments
+        .iter()
+        .map(|f| catalog.frag(&f.id).expect("interned"))
+        .collect();
 
     c.bench_function("graph/bulk-build", |b| {
-        b.iter(|| FragmentGraph::build(&catalog, &fragments, range_pos).expect("builds"))
+        b.iter(|| FragmentGraph::build(&catalog))
     });
 
     c.bench_function("graph/catalog-intern", |b| {
-        b.iter(|| FragmentCatalog::from_fragments(&fragments))
+        b.iter(|| FragmentCatalog::from_fragments(&fragments, range_pos).expect("interns"))
     });
 
     c.bench_function("graph/incremental-insert", |b| {
         b.iter_batched(
-            || FragmentGraph::build(&catalog, &[], range_pos).expect("empty graph"),
+            || FragmentGraph::new(range_pos),
             |mut graph| {
-                for f in &fragments {
-                    graph.insert(&catalog, f);
+                for &frag in &frags {
+                    graph.insert(&catalog, frag);
                 }
                 graph
             },
@@ -43,11 +47,7 @@ fn bench_graph(c: &mut Criterion) {
     });
 
     c.bench_function("graph/locate+neighbors", |b| {
-        let graph = FragmentGraph::build(&catalog, &fragments, range_pos).expect("builds");
-        let frags: Vec<Frag> = fragments
-            .iter()
-            .map(|f| catalog.frag(&f.id).expect("interned"))
-            .collect();
+        let graph = FragmentGraph::build(&catalog);
         let mut i = 0usize;
         b.iter(|| {
             let frag = frags[i % frags.len()];

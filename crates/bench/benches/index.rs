@@ -23,7 +23,8 @@ fn q1_parts() -> (WebApplication, Vec<Fragment>) {
 
 fn bench_index(c: &mut Criterion) {
     let (app, fragments) = q1_parts();
-    let catalog = FragmentCatalog::from_fragments(&fragments);
+    let catalog = FragmentCatalog::from_fragments(&fragments, app.query.range_selection_index())
+        .expect("interns");
 
     c.bench_function("index/inverted-fragment-index", |b| {
         b.iter(|| InvertedFragmentIndex::build(&catalog, &fragments).expect("builds"))

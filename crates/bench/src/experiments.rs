@@ -87,10 +87,12 @@ pub fn table4(scale: Scale, cluster: &ClusterConfig) -> Vec<Table4Row> {
             let app = application_for(query, &db);
             let out = dash_core::crawl::run(&app, &db, cluster, CrawlAlgorithm::Integrated)
                 .expect("crawl succeeds on generated data");
-            let catalog = dash_core::FragmentCatalog::from_fragments(&out.fragments);
-            let graph =
-                FragmentGraph::build(&catalog, &out.fragments, app.query.range_selection_index())
-                    .expect("graph builds from crawl output");
+            let catalog = dash_core::FragmentCatalog::from_fragments(
+                &out.fragments,
+                app.query.range_selection_index(),
+            )
+            .expect("crawl output interns");
+            let graph = FragmentGraph::build(&catalog);
             Table4Row {
                 query: query.name(),
                 build_secs: graph.build_secs(),

@@ -27,6 +27,19 @@ pub enum CoreError {
         /// Its occurrence count in the fragment.
         occurrences: u64,
     },
+    /// A fragment identifier does not have the application's arity:
+    /// one value per selection attribute (paper Definition 2). Refused
+    /// at build and before a delta changes anything.
+    IdentifierArity {
+        /// The identifier, as displayed.
+        id: String,
+        /// Its number of values.
+        arity: usize,
+        /// The application's arity where an engine checks it; a bare
+        /// fragment index, which knows only the range position, reports
+        /// the least arity that holds a range value.
+        expected: usize,
+    },
     /// An internal invariant was violated (always a bug; surfaced as an
     /// error instead of a panic so long crawls fail soft).
     Internal {
@@ -51,6 +64,15 @@ impl fmt::Display for CoreError {
                 "keyword '{keyword}' occurs {occurrences} times in one fragment; \
                  a posting counts at most {}",
                 u32::MAX
+            ),
+            CoreError::IdentifierArity {
+                id,
+                arity,
+                expected,
+            } => write!(
+                f,
+                "fragment identifier {id} holds {arity} values; \
+                 the application's identifiers hold {expected}"
             ),
             CoreError::Internal { detail } => write!(f, "internal invariant violated: {detail}"),
         }

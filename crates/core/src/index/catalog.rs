@@ -10,12 +10,19 @@
 //! boundary. Dense handles also index straight into columnar arrays
 //! (weights, node positions), which is what makes the fragment graph's
 //! `locate` O(1) and keeps the index layout shard- and mmap-friendly.
+//!
+//! The identifiers themselves are columns too: a group-key index per
+//! handle into keys interned once per equality group, plus one range
+//! value column (see [`FragmentCatalog`]).
 
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
 use dash_relation::Value;
 
+use crate::error::CoreError;
 use crate::fragment::{Fragment, FragmentId};
+use crate::Result;
 
 /// A dense interned fragment handle. `Frag(i)` indexes the catalog's
 /// columns directly.
@@ -52,13 +59,47 @@ impl Kw {
 /// stay valid; re-adding the same identifier re-uses its handle and
 /// refreshes the columns.
 ///
-/// Each identifier is held once, in `ids`. The identifier → handle
-/// direction is `order`, the handles sorted by identifier (4 bytes a
-/// handle), searched by bisection — no hash map holding a second clone
-/// of every identifier.
+/// Identifiers are held as **columns**, not as one `Vec<Value>` each
+/// (the column-store layout of Stonebraker et al., C-Store, VLDB
+/// 2005). An identifier `⟨v1 … vm⟩` is its equality-group key — the
+/// values at every position but the range position — plus its range
+/// value:
+///
+/// * `keys` interns each group key once (a shard holds thousands of
+///   groups, not hundreds of thousands of fragments), and `key_of`
+///   gives every handle a 4-byte index into it;
+/// * `range` is one `Value` column, absent when the application has no
+///   range attribute.
+///
+/// [`FragmentCatalog::cmp_ids`] and [`FragmentCatalog::frag`] compare
+/// an identifier as three borrowed slices — the key before the range
+/// position, the range value, the key after it — so they order exactly
+/// as [`FragmentId`]'s `Ord` does and allocate nothing. An owned
+/// [`FragmentId`] is built only at the output boundary
+/// ([`FragmentCatalog::id`]: search hits and shard dumps); the image
+/// writer and the graph read single values through
+/// [`FragmentCatalog::values`] and [`FragmentCatalog::value_at`].
+///
+/// The identifier → handle direction is `order`, the handles sorted by
+/// identifier (4 bytes a handle), searched by bisection — no hash map
+/// holding a second copy of every identifier.
 #[derive(Debug, Clone, Default)]
 pub struct FragmentCatalog {
-    ids: Vec<FragmentId>,
+    /// Position of the range value within identifiers (`None`: every
+    /// value is part of the group key).
+    range_position: Option<usize>,
+    /// Every group key ever interned, once each, in first-seen order.
+    keys: Vec<Vec<Value>>,
+    /// The indices of `keys`, sorted by key: interning a key bisects it
+    /// (an append when keys arrive in ascending order, as a bulk build
+    /// of identifier-sorted input with the range value last delivers
+    /// them; a new key out of order is an O(groups) insert, as a new
+    /// group is in the graph's rank permutation).
+    key_order: Vec<u32>,
+    /// Per handle: its group key's index in `keys`.
+    key_of: Vec<u32>,
+    /// Per handle: its range value (empty without a range position).
+    range: Vec<Value>,
     /// Every handle, in ascending identifier order ([`cmp_ids`] order):
     /// `frag(id)` bisects it. A bulk build of identifier-sorted input
     /// interns in that order, so the column comes out as the identity
@@ -73,42 +114,101 @@ pub struct FragmentCatalog {
 }
 
 impl FragmentCatalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty catalog for identifiers whose range value sits at
+    /// `range_position`.
+    pub fn new(range_position: Option<usize>) -> Self {
+        FragmentCatalog {
+            range_position,
+            ..Self::default()
+        }
+    }
+
+    /// An empty catalog with room for `count` handles, its handle-order
+    /// column derived (empty) or deferred, its per-handle `u64` columns
+    /// sized for `columns` handles.
+    fn with_capacity(
+        range_position: Option<usize>,
+        count: usize,
+        order: OnceLock<Vec<Frag>>,
+        columns: usize,
+    ) -> Self {
+        FragmentCatalog {
+            range_position,
+            keys: Vec::new(),
+            key_order: Vec::new(),
+            key_of: Vec::with_capacity(count),
+            range: Vec::with_capacity(if range_position.is_some() { count } else { 0 }),
+            order,
+            total_keywords: Vec::with_capacity(columns),
+            record_counts: Vec::with_capacity(columns),
+        }
     }
 
     /// Interns every fragment, in order — when `fragments` is sorted by
     /// identifier (crawls produce sorted output), handle order equals
     /// identifier order.
-    pub fn from_fragments(fragments: &[Fragment]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::IdentifierArity`] when an identifier holds no value
+    /// at `range_position`.
+    pub fn from_fragments(fragments: &[Fragment], range_position: Option<usize>) -> Result<Self> {
         let refs: Vec<&Fragment> = fragments.iter().collect();
-        Self::from_refs(&refs)
+        Self::from_refs(&refs, range_position)
     }
 
     /// [`FragmentCatalog::from_fragments`] over borrowed fragments — the
     /// zero-copy build path the sharded partition uses (shard parts are
     /// reference runs into one crawl output, never clones).
-    pub fn from_refs(fragments: &[&Fragment]) -> Self {
-        let mut catalog = FragmentCatalog {
-            ids: Vec::with_capacity(fragments.len()),
-            order: OnceLock::from(Vec::with_capacity(fragments.len())),
-            total_keywords: Vec::with_capacity(fragments.len()),
-            record_counts: Vec::with_capacity(fragments.len()),
-        };
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FragmentCatalog::from_fragments`].
+    pub fn from_refs(fragments: &[&Fragment], range_position: Option<usize>) -> Result<Self> {
+        let mut catalog = Self::with_capacity(
+            range_position,
+            fragments.len(),
+            OnceLock::from(Vec::with_capacity(fragments.len())),
+            fragments.len(),
+        );
+        catalog.check_arity(fragments.iter().map(|f| &f.id))?;
         for f in fragments {
             catalog.intern(f);
         }
-        catalog
+        Ok(catalog)
     }
 
-    /// The handles in identifier order, derived from `ids` on first
-    /// use: O(n) when handle order already is identifier order (every
-    /// bulk build), one sort otherwise.
+    /// Checks that every identifier holds a value at the range position
+    /// — the one shape the columns cannot represent otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::IdentifierArity`] for the first identifier too
+    /// short, naming the least arity that has a range value.
+    pub(crate) fn check_arity<'a>(
+        &self,
+        ids: impl IntoIterator<Item = &'a FragmentId>,
+    ) -> Result<()> {
+        let Some(pos) = self.range_position else {
+            return Ok(());
+        };
+        match ids.into_iter().find(|id| id.values().len() <= pos) {
+            Some(id) => Err(CoreError::IdentifierArity {
+                id: id.to_string(),
+                arity: id.values().len(),
+                expected: pos + 1,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The handles in identifier order, derived on first use: O(n)
+    /// when handle order already is identifier order (every bulk
+    /// build), one sort otherwise.
     fn order(&self) -> &[Frag] {
         self.order.get_or_init(|| {
-            let mut order: Vec<Frag> = (0..self.ids.len() as u32).map(Frag).collect();
-            if !self.ids.is_sorted() {
+            let mut order: Vec<Frag> = (0..self.len() as u32).map(Frag).collect();
+            if !order.is_sorted_by(|&a, &b| self.cmp_ids(a, b).is_le()) {
                 order.sort_unstable_by(|&a, &b| self.cmp_ids(a, b));
             }
             order
@@ -116,24 +216,24 @@ impl FragmentCatalog {
     }
 
     /// Interns one fragment, refreshing its columns if already known.
+    ///
+    /// # Panics
+    ///
+    /// When the identifier holds no value at the range position
+    /// ([`FragmentIndex::apply`](crate::index::FragmentIndex::apply)
+    /// and the bulk builds check that before anything changes).
     pub fn intern(&mut self, fragment: &Fragment) -> Frag {
-        self.order();
-        let FragmentCatalog {
-            ids,
-            order,
-            total_keywords,
-            record_counts,
-        } = self;
-        let order = order.get_mut().expect("order initialized above");
+        let id = &fragment.id;
         // An identifier above every interned one appends (the bulk
         // build's case: one comparison); any other is bisected.
+        let order = self.order();
         let at = match order.last() {
-            Some(&last) if ids[last.index()] >= fragment.id => {
-                match order.binary_search_by(|&h| ids[h.index()].cmp(&fragment.id)) {
+            Some(&last) if self.cmp_to_id(last, id).is_ge() => {
+                match order.binary_search_by(|&h| self.cmp_to_id(h, id)) {
                     Ok(found) => {
                         let frag = order[found];
-                        total_keywords[frag.index()] = fragment.total_keywords;
-                        record_counts[frag.index()] = fragment.record_count;
+                        self.total_keywords[frag.index()] = fragment.total_keywords;
+                        self.record_counts[frag.index()] = fragment.record_count;
                         return frag;
                     }
                     Err(at) => at,
@@ -141,12 +241,53 @@ impl FragmentCatalog {
             }
             _ => order.len(),
         };
-        let frag = Frag(u32::try_from(ids.len()).expect("more than u32::MAX fragments"));
-        ids.push(fragment.id.clone());
-        order.insert(at, frag);
-        total_keywords.push(fragment.total_keywords);
-        record_counts.push(fragment.record_count);
+        let frag = self.push(id.values());
+        self.total_keywords.push(fragment.total_keywords);
+        self.record_counts.push(fragment.record_count);
+        self.order
+            .get_mut()
+            .expect("order derived above")
+            .insert(at, frag);
         frag
+    }
+
+    /// Appends one identifier at the next handle: its range value, and
+    /// its group key interned (allocated only the first time the key is
+    /// seen). The caller fills the per-handle `u64` columns.
+    fn push(&mut self, values: &[Value]) -> Frag {
+        let frag = Frag(u32::try_from(self.len()).expect("more than u32::MAX fragments"));
+        let (head, tail) = match self.range_position {
+            Some(pos) => {
+                self.range.push(values[pos].clone());
+                (&values[..pos], &values[pos + 1..])
+            }
+            None => (values, &[][..]),
+        };
+        let key = self.intern_key(head, tail);
+        self.key_of.push(key);
+        frag
+    }
+
+    /// The index of the group key `head ++ tail`, interning it if new:
+    /// one comparison against the highest key when keys arrive in
+    /// order, a bisection of `key_order` otherwise.
+    fn intern_key(&mut self, head: &[Value], tail: &[Value]) -> u32 {
+        let cmp = |k: u32| self.keys[k as usize].iter().cmp(head.iter().chain(tail));
+        let at = match self.key_order.last() {
+            None => 0,
+            Some(&last) => match cmp(last) {
+                Ordering::Equal => return last,
+                Ordering::Less => self.key_order.len(),
+                Ordering::Greater => match self.key_order.binary_search_by(|&k| cmp(k)) {
+                    Ok(found) => return self.key_order[found],
+                    Err(at) => at,
+                },
+            },
+        };
+        let key = u32::try_from(self.keys.len()).expect("more than u32::MAX group keys");
+        self.keys.push(head.iter().chain(tail).cloned().collect());
+        self.key_order.insert(at, key);
+        key
     }
 
     /// The handle of an identifier, if interned — a bisection of the
@@ -155,15 +296,68 @@ impl FragmentCatalog {
     pub fn frag(&self, id: &FragmentId) -> Option<Frag> {
         let order = self.order();
         order
-            .binary_search_by(|&h| self.ids[h.index()].cmp(id))
+            .binary_search_by(|&h| self.cmp_to_id(h, id))
             .ok()
             .map(|at| order[at])
     }
 
-    /// The identifier behind a handle.
+    /// The identifier behind a handle, assembled from the columns — an
+    /// owned value for the output boundary (search hits, shard dumps).
+    pub fn id(&self, frag: Frag) -> FragmentId {
+        FragmentId::new(self.values(frag).cloned().collect())
+    }
+
+    /// The identifier behind a handle as a borrowed view of its values,
+    /// in identifier order.
     #[inline]
-    pub fn id(&self, frag: Frag) -> &FragmentId {
-        &self.ids[frag.index()]
+    pub fn values(&self, frag: Frag) -> impl Iterator<Item = &Value> {
+        let key = self.key(frag);
+        let split = self.range_position.unwrap_or(key.len());
+        let (head, tail) = key.split_at(split);
+        head.iter().chain(self.range.get(frag.index())).chain(tail)
+    }
+
+    /// The value at position `pos` of a handle's identifier.
+    ///
+    /// # Panics
+    ///
+    /// When `pos` is past the identifier's end.
+    #[inline]
+    pub fn value_at(&self, frag: Frag, pos: usize) -> &Value {
+        let key = self.key(frag);
+        match self.range_position {
+            Some(range) if pos == range => &self.range[frag.index()],
+            Some(range) if pos > range => &key[pos - 1],
+            _ => &key[pos],
+        }
+    }
+
+    /// The handle's equality-group key: its identifier without the
+    /// range value.
+    #[inline]
+    pub fn key(&self, frag: Frag) -> &[Value] {
+        &self.keys[self.key_of[frag.index()] as usize]
+    }
+
+    /// The handle's group-key index: equal indices, equal keys.
+    #[inline]
+    pub(crate) fn key_index(&self, frag: Frag) -> u32 {
+        self.key_of[frag.index()]
+    }
+
+    /// Every interned group-key index, in key order.
+    pub(crate) fn key_order(&self) -> &[u32] {
+        &self.key_order
+    }
+
+    /// The number of values in a handle's identifier.
+    pub fn arity(&self, frag: Frag) -> usize {
+        self.key(frag).len() + usize::from(self.range_position.is_some())
+    }
+
+    /// The range value's position within identifiers.
+    pub fn range_position(&self) -> Option<usize> {
+        self.range_position
     }
 
     /// The fragment's total keyword count (its graph node weight).
@@ -180,33 +374,61 @@ impl FragmentCatalog {
 
     /// Number of interned handles (tombstones included).
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.key_of.len()
     }
 
     /// Whether nothing was ever interned.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.key_of.is_empty()
     }
 
     /// Compares two handles by their *identifiers* — the order every
-    /// deterministic tie-break uses. Equals numeric handle order while
-    /// interning happened in identifier order.
+    /// deterministic tie-break uses, equal to [`FragmentId`]'s `Ord`.
+    /// Equals numeric handle order while interning happened in
+    /// identifier order.
     #[inline]
-    pub fn cmp_ids(&self, a: Frag, b: Frag) -> std::cmp::Ordering {
-        self.ids[a.index()].cmp(&self.ids[b.index()])
+    pub fn cmp_ids(&self, a: Frag, b: Frag) -> Ordering {
+        let (key_a, key_b) = (self.key(a), self.key(b));
+        match self.range_position {
+            // One key: the identifiers differ at most in the range value.
+            Some(_) if self.key_of[a.index()] == self.key_of[b.index()] => {
+                self.range[a.index()].cmp(&self.range[b.index()])
+            }
+            // Lexicographic over `head ++ [range] ++ tail` on both sides,
+            // as three slice comparisons.
+            Some(pos) => key_a[..pos]
+                .cmp(&key_b[..pos])
+                .then_with(|| self.range[a.index()].cmp(&self.range[b.index()]))
+                .then_with(|| key_a[pos..].cmp(&key_b[pos..])),
+            None => key_a.cmp(key_b),
+        }
     }
 
-    /// Heap bytes behind the identifiers (`ids`, each identifier's
-    /// value vector and string payloads), the handle-order column (0
-    /// until derived) and the two per-handle columns — capacities, not
-    /// lengths.
+    /// Compares a handle's identifier with `id`, lexicographically.
+    #[inline]
+    fn cmp_to_id(&self, frag: Frag, id: &FragmentId) -> Ordering {
+        let (key, values) = (self.key(frag), id.values());
+        match self.range_position {
+            Some(pos) if values.len() > pos => key[..pos]
+                .cmp(&values[..pos])
+                .then_with(|| self.range[frag.index()].cmp(&values[pos]))
+                .then_with(|| key[pos..].cmp(&values[pos + 1..])),
+            // `id` stops before the range position: no value to split at.
+            Some(_) => self.values(frag).cmp(values),
+            None => key.cmp(values),
+        }
+    }
+
+    /// Heap bytes behind the identifiers (the group keys with their
+    /// values and strings, the key order, the per-handle key-index and
+    /// range columns with the range strings), the handle-order column
+    /// (0 until derived) and the two per-handle columns — capacities,
+    /// not lengths.
     pub(crate) fn heap_bytes(&self) -> (usize, usize, usize) {
-        let ids = self.ids.capacity() * size_of::<FragmentId>()
-            + self
-                .ids
-                .iter()
-                .map(|id| values_heap_bytes(&id.0))
-                .sum::<usize>();
+        let keys = self.keys.capacity() * size_of::<Vec<Value>>()
+            + self.keys.iter().map(values_heap_bytes).sum::<usize>()
+            + self.key_order.capacity() * size_of::<u32>();
+        let ids = keys + self.key_of.capacity() * size_of::<u32>() + values_heap_bytes(&self.range);
         let order = self
             .order
             .get()
@@ -216,31 +438,40 @@ impl FragmentCatalog {
         (ids, order, columns)
     }
 
-    /// The catalog's columns in handle order — the arena-image dump
-    /// view (`persist`). The handle-order column is derived state and
-    /// not part of the image.
-    pub(crate) fn image_parts(&self) -> (&[FragmentId], &[u64], &[u64]) {
-        (&self.ids, &self.total_keywords, &self.record_counts)
+    /// The two per-handle `u64` columns in handle order — with
+    /// [`FragmentCatalog::values`] per handle, the arena-image dump
+    /// view (`persist`). The key order and the handle-order column are
+    /// derived state and not part of the image.
+    pub(crate) fn image_columns(&self) -> (&[u64], &[u64]) {
+        (&self.total_keywords, &self.record_counts)
     }
 
-    /// Reassembles a catalog from dumped columns — the arena-image load
-    /// path. The handle-order column is NOT derived here: searches
+    /// An empty catalog for the arena-image load path, with room for
+    /// `count` handles. The handle-order column is NOT derived: searches
     /// never consult it, so a loaded shard defers it until the first
-    /// `intern`/`frag` call (the first applied delta). Columns must be
-    /// equal-length and in handle order.
-    pub(crate) fn from_image_parts(
-        ids: Vec<FragmentId>,
-        total_keywords: Vec<u64>,
-        record_counts: Vec<u64>,
-    ) -> Self {
-        debug_assert_eq!(ids.len(), total_keywords.len());
-        debug_assert_eq!(ids.len(), record_counts.len());
-        FragmentCatalog {
-            ids,
-            order: OnceLock::new(),
-            total_keywords,
-            record_counts,
+    /// `intern`/`frag` call (the first applied delta).
+    pub(crate) fn for_image(range_position: Option<usize>, count: usize) -> Self {
+        Self::with_capacity(range_position, count, OnceLock::new(), 0)
+    }
+
+    /// Appends one dumped identifier at the next handle, decoded
+    /// straight into the columns. Returns `false`, appending nothing,
+    /// when it holds no value at the range position.
+    pub(crate) fn push_image_id(&mut self, values: &[Value]) -> bool {
+        if self.range_position.is_some_and(|pos| values.len() <= pos) {
+            return false;
         }
+        self.push(values);
+        true
+    }
+
+    /// Sets the dumped per-handle columns once every identifier is
+    /// pushed; both must hold one entry per handle.
+    pub(crate) fn set_image_columns(&mut self, total_keywords: Vec<u64>, record_counts: Vec<u64>) {
+        debug_assert_eq!(total_keywords.len(), self.len());
+        debug_assert_eq!(record_counts.len(), self.len());
+        self.total_keywords = total_keywords;
+        self.record_counts = record_counts;
     }
 }
 
@@ -279,11 +510,11 @@ mod tests {
             fragment("American", 10, 8),
             fragment("Thai", 10, 10),
         ];
-        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
         assert_eq!(catalog.len(), 3);
         for f in &fragments {
             let h = catalog.frag(&f.id).expect("interned");
-            assert_eq!(catalog.id(h), &f.id);
+            assert_eq!(catalog.id(h), f.id);
             assert_eq!(catalog.total_keywords(h), f.total_keywords);
             assert_eq!(catalog.record_count(h), f.record_count);
         }
@@ -300,7 +531,7 @@ mod tests {
             fragment("American", 10, 8),
             fragment("Thai", 10, 10),
         ];
-        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
         for (i, f) in fragments.iter().enumerate() {
             assert_eq!(catalog.frag(&f.id), Some(Frag(i as u32)));
         }
@@ -311,7 +542,7 @@ mod tests {
     fn out_of_order_interning_keeps_every_lookup_exact() {
         // Handles are issued in arrival order; the handle-order column
         // stays sorted by identifier, so every lookup bisects.
-        let mut catalog = FragmentCatalog::new();
+        let mut catalog = FragmentCatalog::new(Some(1));
         let arrivals = [("Thai", 10), ("American", 9), ("Udon", 1), ("American", 12)];
         let fragments: Vec<Fragment> = arrivals.iter().map(|&(c, b)| fragment(c, b, 5)).collect();
         for (i, f) in fragments.iter().enumerate() {
@@ -331,25 +562,71 @@ mod tests {
     #[test]
     fn image_catalog_derives_its_handle_order_on_first_lookup() {
         let fragments = [fragment("Thai", 10, 3), fragment("American", 9, 4)];
-        let ids: Vec<FragmentId> = fragments.iter().map(|f| f.id.clone()).collect();
-        let catalog = FragmentCatalog::from_image_parts(ids, vec![3, 4], vec![1, 1]);
+        let mut catalog = FragmentCatalog::for_image(Some(1), fragments.len());
+        for f in &fragments {
+            assert!(catalog.push_image_id(f.id.values()));
+        }
+        assert!(
+            !catalog.push_image_id(&[Value::str("Lao")]),
+            "no range value"
+        );
+        catalog.set_image_columns(vec![3, 4], vec![1, 1]);
         assert_eq!(catalog.heap_bytes().1, 0, "not derived at load");
         assert_eq!(catalog.frag(&fragments[1].id), Some(Frag(1)));
         assert_eq!(catalog.heap_bytes().1, 4 * catalog.len());
         assert_eq!(catalog.order(), &[Frag(1), Frag(0)]);
+        assert_eq!(catalog.total_keywords(Frag(1)), 4);
         // A bulk build of sorted input is the identity, 4 bytes a handle.
-        let sorted = FragmentCatalog::from_fragments(&[
-            fragment("American", 9, 4),
-            fragment("American", 10, 4),
-            fragment("Thai", 10, 3),
-        ]);
+        let sorted = FragmentCatalog::from_fragments(
+            &[
+                fragment("American", 9, 4),
+                fragment("American", 10, 4),
+                fragment("Thai", 10, 3),
+            ],
+            Some(1),
+        )
+        .unwrap();
         assert_eq!(sorted.order(), &[Frag(0), Frag(1), Frag(2)]);
         assert_eq!(sorted.heap_bytes().1, 4 * 3);
     }
 
     #[test]
+    fn one_key_per_group_and_one_range_column() {
+        let fragments = [
+            fragment("American", 9, 4),
+            fragment("American", 10, 4),
+            fragment("Thai", 10, 3),
+        ];
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
+        assert_eq!(
+            catalog.keys,
+            vec![vec![Value::str("American")], vec![Value::str("Thai")]]
+        );
+        assert_eq!(catalog.key_of, vec![0, 0, 1]);
+        assert_eq!(catalog.key(Frag(1)), &[Value::str("American")]);
+        assert_eq!(catalog.value_at(Frag(2), 0), &Value::str("Thai"));
+        assert_eq!(catalog.value_at(Frag(2), 1), &Value::Int(10));
+        assert_eq!(catalog.arity(Frag(0)), 2);
+        // Without a range position the whole identifier is the key.
+        let keyed = FragmentCatalog::from_fragments(&fragments, None).unwrap();
+        assert_eq!(keyed.keys.len(), 3);
+        assert!(keyed.range.is_empty());
+        assert_eq!(keyed.id(Frag(2)), fragments[2].id);
+        // An identifier without a range value is a typed error.
+        let short = Fragment::new(FragmentId::new(vec![Value::str("Lao")]), BTreeMap::new(), 1);
+        assert_eq!(
+            FragmentCatalog::from_fragments(&[short], Some(1)).unwrap_err(),
+            CoreError::IdentifierArity {
+                id: "(Lao)".to_string(),
+                arity: 1,
+                expected: 2,
+            }
+        );
+    }
+
+    #[test]
     fn reintern_refreshes_columns_and_keeps_handle() {
-        let mut catalog = FragmentCatalog::new();
+        let mut catalog = FragmentCatalog::new(Some(1));
         let first = fragment("American", 9, 8);
         let h = catalog.intern(&first);
         let updated = fragment("American", 9, 13);

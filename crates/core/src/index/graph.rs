@@ -30,16 +30,13 @@
 //! plus the shard's offset reproduces the global rank exactly (see
 //! `crate::sharded`).
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use dash_relation::Value;
 
-use crate::error::CoreError;
-use crate::fragment::{Fragment, FragmentId};
+use crate::fragment::FragmentId;
 use crate::index::catalog::{values_heap_bytes, Frag, FragmentCatalog};
 use crate::par;
-use crate::Result;
 
 /// A dense equality-group handle: the group's rank in key order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -111,80 +108,33 @@ pub struct FragmentGraph {
 }
 
 impl FragmentGraph {
-    /// Bulk-builds the graph: splits fragments into equality groups and
-    /// range-sorts each group independently (in parallel); pre-sorted
-    /// input is detected and skips the per-group sorts (the paper's
-    /// comparison-saving strategy).
-    ///
-    /// Every fragment must already be interned in `catalog`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Internal`] when `range_position` is out of
-    /// bounds for some fragment identifier.
-    pub fn build(
-        catalog: &FragmentCatalog,
-        fragments: &[Fragment],
-        range_position: Option<usize>,
-    ) -> Result<Self> {
-        let refs: Vec<&Fragment> = fragments.iter().collect();
-        Self::build_refs(catalog, &refs, range_position)
+    /// An empty graph, for identifiers whose range value sits at
+    /// `range_position` — the start of an incremental build.
+    pub fn new(range_position: Option<usize>) -> Self {
+        FragmentGraph {
+            range_position,
+            ..Self::default()
+        }
     }
 
-    /// [`FragmentGraph::build`] over borrowed fragments — the zero-copy
-    /// path shard construction uses.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FragmentGraph::build`].
-    pub fn build_refs(
-        catalog: &FragmentCatalog,
-        fragments: &[&Fragment],
-        range_position: Option<usize>,
-    ) -> Result<Self> {
+    /// Bulk-builds the graph over **every** handle of `catalog` (a bulk
+    /// build's catalog holds no tombstones): groups handles by the
+    /// catalog's group-key index, ranks groups in key order and
+    /// range-sorts each group independently (in parallel); pre-sorted
+    /// input is detected and skips the per-group sorts (the paper's
+    /// comparison-saving strategy). It reads the catalog's columns
+    /// only, never a fragment, so one build serves every source.
+    pub fn build(catalog: &FragmentCatalog) -> Self {
         let start = Instant::now();
-        if let Some(pos) = range_position {
-            for f in fragments {
-                if pos >= f.id.values().len() {
-                    return Err(CoreError::Internal {
-                        detail: format!("range position {pos} out of bounds for fragment {}", f.id),
-                    });
-                }
-            }
+        let range_position = catalog.range_position();
+        // Members per group-key index, in handle order.
+        let mut members: Vec<Vec<Frag>> = vec![Vec::new(); catalog.key_order().len()];
+        for frag in (0..catalog.len() as u32).map(Frag) {
+            members[catalog.key_index(frag) as usize].push(frag);
         }
-        // Group fragments by equality prefix without materializing keys:
-        // the map is keyed by a borrowed view of the identifier minus
-        // the range position.
-        let mut group_of: HashMap<KeyRef<'_>, u32> = HashMap::new();
-        let mut members: Vec<Vec<Frag>> = Vec::new();
-        for f in fragments {
-            let frag = catalog.frag(&f.id).expect("fragment interned in catalog");
-            let key = KeyRef {
-                id: &f.id,
-                skip: range_position,
-            };
-            let g = *group_of.entry(key).or_insert_with(|| {
-                members.push(Vec::new());
-                (members.len() - 1) as u32
-            });
-            members[g as usize].push(frag);
-        }
-        // Rank groups by key order (the seed's BTreeMap order).
-        let mut order: Vec<u32> = (0..members.len() as u32).collect();
-        let key_views: Vec<KeyRef<'_>> = {
-            let mut views: Vec<Option<KeyRef<'_>>> = vec![None; members.len()];
-            for (key, &g) in &group_of {
-                views[g as usize] = Some(*key);
-            }
-            views
-                .into_iter()
-                .map(|v| v.expect("every group keyed"))
-                .collect()
-        };
-        order.sort_unstable_by(|&a, &b| key_views[a as usize].cmp(&key_views[b as usize]));
         // Range-sort each group's members (skipped when already sorted).
         if let Some(pos) = range_position {
-            let range_value = |frag: Frag| -> &Value { &catalog.id(frag).values()[pos] };
+            let range_value = |frag: Frag| -> &Value { catalog.value_at(frag, pos) };
             par::for_each(
                 members.iter_mut().filter(|m| m.len() > 1).collect(),
                 |group: &mut Vec<Frag>| {
@@ -197,20 +147,25 @@ impl FragmentGraph {
                 },
             );
         }
-        // Assemble group columns in group-rank order (slot == rank for a
-        // bulk build; the permutation starts as the identity).
+        // Assemble group columns in key order — the group rank (slot ==
+        // rank for a bulk build; the permutation starts as the
+        // identity).
+        let groups = members.iter().filter(|m| !m.is_empty()).count();
         let mut graph = FragmentGraph {
             range_position,
-            groups: Vec::with_capacity(members.len()),
-            slot_of_rank: (0..members.len() as u32).collect(),
-            rank_of_slot: (0..members.len() as u32).collect(),
+            groups: Vec::with_capacity(groups),
+            slot_of_rank: (0..groups as u32).collect(),
+            rank_of_slot: (0..groups as u32).collect(),
             free_slots: Vec::new(),
             node_pos: vec![ABSENT; catalog.len()],
-            nodes: fragments.len(),
+            nodes: catalog.len(),
             build_secs: 0.0,
         };
-        for &g in &order {
-            let frags = std::mem::take(&mut members[g as usize]);
+        for &key in catalog.key_order() {
+            let frags = std::mem::take(&mut members[key as usize]);
+            let Some(&first) = frags.first() else {
+                continue;
+            };
             let slot = graph.groups.len() as u32;
             let mut weights = Vec::with_capacity(frags.len());
             for (pos, &frag) in frags.iter().enumerate() {
@@ -218,13 +173,13 @@ impl FragmentGraph {
                 weights.push(catalog.total_keywords(frag));
             }
             graph.groups.push(GroupColumn {
-                key: key_views[g as usize].to_owned_key(),
+                key: catalog.key(first).to_vec(),
                 frags,
                 weights,
             });
         }
         graph.build_secs = start.elapsed().as_secs_f64();
-        Ok(graph)
+        graph
     }
 
     /// The slot backing a group rank.
@@ -241,34 +196,32 @@ impl FragmentGraph {
         }
     }
 
-    /// The paper's incremental insertion: place the new fragment into
-    /// its group at the right position; the implicit chain edges
-    /// re-splice automatically (the edge between its new neighbors is
-    /// replaced by two edges through the new node). The fragment must
-    /// already be interned in `catalog`. Re-inserting a live fragment
-    /// replaces its node (weights may have changed).
+    /// The paper's incremental insertion: place the fragment behind
+    /// `frag` into its group at the right position; the implicit chain
+    /// edges re-splice automatically (the edge between its new
+    /// neighbors is replaced by two edges through the new node). The
+    /// fragment must already be interned in `catalog`, whose columns
+    /// give its group key, range value and weight. Re-inserting a live
+    /// fragment replaces its node (weights may have changed).
     ///
     /// Cost is O(|group|) — only the receiving group's columns splice;
     /// other groups are untouched (their ids shift only when a *new*
     /// group is created).
-    pub fn insert(&mut self, catalog: &FragmentCatalog, fragment: &Fragment) {
-        let frag = catalog.frag(&fragment.id).expect("fragment interned");
+    pub fn insert(&mut self, catalog: &FragmentCatalog, frag: Frag) {
         // A second insert of the same fragment must not splice a
         // duplicate node column entry.
         self.remove(frag);
-        let slot = match self.slot_of_rank.binary_search_by(|&s| {
-            cmp_key_to_id(
-                &self.groups[s as usize].key,
-                &fragment.id,
-                self.range_position,
-            )
-        }) {
+        let key = catalog.key(frag);
+        let slot = match self
+            .slot_of_rank
+            .binary_search_by(|&s| self.groups[s as usize].key.as_slice().cmp(key))
+        {
             Ok(rank) => self.slot_of_rank[rank] as usize,
             Err(rank) => {
                 // New group at its key rank: later ranks shift in the
                 // permutation only — node addresses stay untouched.
                 let column = GroupColumn {
-                    key: group_key(&fragment.id, self.range_position),
+                    key: key.to_vec(),
                     frags: Vec::new(),
                     weights: Vec::new(),
                 };
@@ -291,16 +244,16 @@ impl FragmentGraph {
         let group = &mut self.groups[slot];
         let position = match self.range_position {
             Some(pos) => {
-                let range_value = &fragment.id.values()[pos];
+                let range_value = catalog.value_at(frag, pos);
                 group
                     .frags
-                    .binary_search_by(|&n| catalog.id(n).values()[pos].cmp(range_value))
+                    .binary_search_by(|&n| catalog.value_at(n, pos).cmp(range_value))
                     .unwrap_or_else(|i| i)
             }
             None => group.frags.len(),
         };
         group.frags.insert(position, frag);
-        group.weights.insert(position, fragment.total_keywords);
+        group.weights.insert(position, catalog.total_keywords(frag));
         self.nodes += 1;
         if frag.index() >= self.node_pos.len() {
             self.node_pos.resize(catalog.len(), ABSENT);
@@ -554,63 +507,6 @@ impl FragmentGraph {
     }
 }
 
-/// Compares a stored group key against the group key of `id` (the
-/// identifier viewed with the range position skipped), without
-/// allocating the latter.
-fn cmp_key_to_id(key: &[Value], id: &FragmentId, skip: Option<usize>) -> std::cmp::Ordering {
-    let view = KeyRef { id, skip };
-    key.iter().cmp(view.values())
-}
-
-/// A borrowed group key: an identifier viewed with one position
-/// skipped. Hashing/comparison walk the values without allocating.
-#[derive(Debug, Clone, Copy)]
-struct KeyRef<'a> {
-    id: &'a FragmentId,
-    skip: Option<usize>,
-}
-
-impl KeyRef<'_> {
-    fn values(&self) -> impl Iterator<Item = &Value> {
-        self.id
-            .values()
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| Some(*i) != self.skip)
-            .map(|(_, v)| v)
-    }
-
-    fn to_owned_key(self) -> Vec<Value> {
-        self.values().cloned().collect()
-    }
-}
-
-impl PartialEq for KeyRef<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.values().eq(other.values())
-    }
-}
-impl Eq for KeyRef<'_> {}
-
-impl PartialOrd for KeyRef<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for KeyRef<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.values().cmp(other.values())
-    }
-}
-
-impl std::hash::Hash for KeyRef<'_> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for v in self.values() {
-            v.hash(state);
-        }
-    }
-}
-
 /// The equality-group key of a fragment identifier: the identifier with
 /// the range position removed. This single derivation defines group
 /// membership everywhere — the graph's grouping, the sharded engine's
@@ -627,6 +523,8 @@ pub fn group_key(id: &FragmentId, range_position: Option<usize>) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
+    use crate::fragment::Fragment;
     use std::collections::BTreeMap as Map;
 
     fn fragment(cuisine: &str, budget: i64, total: u64) -> Fragment {
@@ -651,8 +549,8 @@ mod tests {
     }
 
     fn build(fragments: &[Fragment]) -> (FragmentCatalog, FragmentGraph) {
-        let catalog = FragmentCatalog::from_fragments(fragments);
-        let graph = FragmentGraph::build(&catalog, fragments, Some(1)).unwrap();
+        let catalog = FragmentCatalog::from_fragments(fragments, Some(1)).unwrap();
+        let graph = FragmentGraph::build(&catalog);
         (catalog, graph)
     }
 
@@ -676,7 +574,7 @@ mod tests {
         let budgets: Vec<&Value> = g
             .group_nodes(american)
             .iter()
-            .map(|&n| &catalog.id(n).values()[1])
+            .map(|&n| catalog.value_at(n, 1))
             .collect();
         assert_eq!(
             budgets,
@@ -700,7 +598,7 @@ mod tests {
         assert_eq!(neighbors.len(), 2);
         let budgets: Vec<&Value> = neighbors
             .iter()
-            .map(|&r| &catalog.id(g.frag_at(r).unwrap()).values()[1])
+            .map(|&r| catalog.value_at(g.frag_at(r).unwrap(), 1))
             .collect();
         assert!(budgets.contains(&&Value::Int(9)));
         assert!(budgets.contains(&&Value::Int(12)));
@@ -712,39 +610,34 @@ mod tests {
     #[test]
     fn incremental_insert_splices() {
         let fragments = figure_9();
-        let mut all = fragments.clone();
-        all.push(fragment("American", 11, 5));
-        let catalog = FragmentCatalog::from_fragments(&all);
-        let g0 = FragmentGraph::build(&catalog, &fragments, Some(1)).unwrap();
-        let mut g = FragmentGraph::build(&catalog, &[], Some(1)).unwrap();
+        let (mut catalog, g0) = build(&fragments);
+        let mut g = FragmentGraph::new(Some(1));
         for f in &fragments {
-            g.insert(&catalog, f);
+            g.insert(&catalog, catalog.frag(&f.id).unwrap());
         }
         // Same structure as bulk build.
         assert_eq!(g.node_count(), g0.node_count());
         assert_eq!(g.edge_count(), g0.edge_count());
         // Insert (American, 11): edge (10,12) splits into (10,11),(11,12).
-        g.insert(&catalog, &all[5]);
+        let eleven = catalog.intern(&fragment("American", 11, 5));
+        g.insert(&catalog, eleven);
         assert_eq!(g.edge_count(), 4);
-        let eleven = g.locate(frag_of(&catalog, "American", 11)).unwrap();
+        let eleven = g.locate(eleven).unwrap();
         assert_eq!(eleven.position, 2);
     }
 
     #[test]
     fn insert_new_group_keeps_key_order() {
         let fragments = figure_9();
-        let mut all = fragments.clone();
-        all.push(fragment("Cajun", 7, 4));
-        let catalog = FragmentCatalog::from_fragments(&all);
-        let mut g = FragmentGraph::build(&catalog, &fragments, Some(1)).unwrap();
-        g.insert(&catalog, &all[5]);
+        let (mut catalog, mut g) = build(&fragments);
+        let cajun = catalog.intern(&fragment("Cajun", 7, 4));
+        g.insert(&catalog, cajun);
         // Cajun ranks between American and Thai.
         assert_eq!(g.group_by_key(&[Value::str("American")]), Some(GroupId(0)));
         assert_eq!(g.group_by_key(&[Value::str("Cajun")]), Some(GroupId(1)));
         assert_eq!(g.group_by_key(&[Value::str("Thai")]), Some(GroupId(2)));
         // Every node still locates correctly after the shift.
-        for f in &all {
-            let frag = catalog.frag(&f.id).unwrap();
+        for frag in (0..catalog.len() as u32).map(Frag) {
             let node = g.locate(frag).unwrap();
             assert_eq!(g.frag_at(node), Some(frag));
         }
@@ -768,8 +661,8 @@ mod tests {
     #[test]
     fn all_equality_query_has_no_edges() {
         let fragments = vec![fragment("American", 1, 3), fragment("American", 2, 4)];
-        let catalog = FragmentCatalog::from_fragments(&fragments);
-        let g = FragmentGraph::build(&catalog, &fragments, None).unwrap();
+        let catalog = FragmentCatalog::from_fragments(&fragments, None).unwrap();
+        let g = FragmentGraph::build(&catalog);
         assert_eq!(g.node_count(), 2);
         assert_eq!(g.edge_count(), 0);
         let r = g.locate(catalog.frag(&fragments[0].id).unwrap()).unwrap();
@@ -786,23 +679,27 @@ mod tests {
 
     #[test]
     fn out_of_bounds_range_position_rejected() {
-        let fragments = figure_9();
-        let catalog = FragmentCatalog::from_fragments(&fragments);
-        let err = FragmentGraph::build(&catalog, &fragments, Some(7)).unwrap_err();
-        assert!(matches!(err, CoreError::Internal { .. }));
+        let err = FragmentCatalog::from_fragments(&figure_9(), Some(7)).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::IdentifierArity {
+                arity: 2,
+                expected: 8,
+                ..
+            }
+        ));
     }
 
     #[test]
     fn unsorted_input_sorts_groups() {
         let mut fragments = figure_9();
         fragments.swap(0, 3); // break range order within American
-        let catalog = FragmentCatalog::from_fragments(&fragments);
-        let g = FragmentGraph::build(&catalog, &fragments, Some(1)).unwrap();
+        let (catalog, g) = build(&fragments);
         let american = g.group_by_key(&[Value::str("American")]).unwrap();
         let budgets: Vec<&Value> = g
             .group_nodes(american)
             .iter()
-            .map(|&n| &catalog.id(n).values()[1])
+            .map(|&n| catalog.value_at(n, 1))
             .collect();
         assert_eq!(
             budgets,
@@ -825,14 +722,13 @@ mod tests {
                 fragments.push(fragment(&format!("C{c:02}"), b * 3, (b + 1) as u64));
             }
         }
-        let catalog = FragmentCatalog::from_fragments(&fragments);
-        let bulk = FragmentGraph::build(&catalog, &fragments, Some(1)).unwrap();
-        let mut inc = FragmentGraph::build(&catalog, &[], Some(1)).unwrap();
+        let (catalog, bulk) = build(&fragments);
+        let mut inc = FragmentGraph::new(Some(1));
         // Insert in an order that interleaves group creation.
         let mut shuffled = fragments.clone();
         shuffled.sort_by(|a, b| a.id.values()[1].cmp(&b.id.values()[1]));
         for f in &shuffled {
-            inc.insert(&catalog, f);
+            inc.insert(&catalog, catalog.frag(&f.id).unwrap());
         }
         assert_eq!(inc.node_count(), bulk.node_count());
         assert_eq!(inc.edge_count(), bulk.edge_count());

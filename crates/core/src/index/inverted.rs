@@ -37,7 +37,9 @@
 //! new offsets.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::ops::Range;
 
 use crate::error::CoreError;
@@ -101,28 +103,77 @@ pub(crate) fn check_counts<'a>(fragments: impl IntoIterator<Item = &'a Fragment>
 }
 
 /// The keyword interner: keyword string ⇄ dense [`Kw`] handle.
+///
+/// Each keyword is held once, in `words`. The word → handle direction
+/// is an open-addressing table of handles (linear probing, at most half
+/// full, 4 bytes a slot) whose every hit is verified against `words` —
+/// no map holding a second copy of every word. The table hashes with a
+/// per-interner random key (`RandomState`), as `HashMap` does.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordInterner {
     words: Vec<String>,
-    lookup: HashMap<String, Kw>,
+    /// Handles by hash slot; [`NO_KW`] marks an empty slot. Empty, or a
+    /// power of two at least twice `words.len()`.
+    slots: Vec<u32>,
+    hasher: RandomState,
 }
+
+/// An empty slot of the interner's table.
+const NO_KW: u32 = u32::MAX;
 
 impl KeywordInterner {
     /// Interns `word`, returning its stable handle.
     pub fn intern(&mut self, word: &str) -> Kw {
-        if let Some(&kw) = self.lookup.get(word) {
+        if let Some(kw) = self.kw(word) {
             return kw;
         }
-        let kw = Kw(u32::try_from(self.words.len()).expect("more than u32::MAX keywords"));
+        let kw = Kw(u32::try_from(self.words.len())
+            .ok()
+            .filter(|&k| k != NO_KW)
+            .expect("more than u32::MAX - 1 keywords"));
         self.words.push(word.to_string());
-        self.lookup.insert(word.to_string(), kw);
+        if 2 * self.words.len() > self.slots.len() {
+            self.rehash();
+        } else {
+            self.place(kw);
+        }
         kw
     }
 
-    /// The handle of `word`, if interned.
+    /// The handle of `word`, if interned: one hash and a probe run.
     #[inline]
     pub fn kw(&self, word: &str) -> Option<Kw> {
-        self.lookup.get(word).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(word) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                NO_KW => return None,
+                kw if self.words[kw as usize] == word => return Some(Kw(kw)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Puts `kw` in the first empty slot of its probe run.
+    fn place(&mut self, kw: Kw) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(&self.words[kw.index()]) as usize & mask;
+        while self.slots[slot] != NO_KW {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = kw.0;
+    }
+
+    /// Rebuilds the table from `words`, at the least power of two (16
+    /// or more) slots that keeps it at most half full.
+    fn rehash(&mut self) {
+        self.slots = vec![NO_KW; (2 * self.words.len()).next_power_of_two().max(16)];
+        for kw in 0..self.words.len() as u32 {
+            self.place(Kw(kw));
+        }
     }
 
     /// The keyword behind a handle.
@@ -141,21 +192,28 @@ impl KeywordInterner {
         self.words.is_empty()
     }
 
+    /// Heap bytes: the word column, the words and the slot table.
+    fn heap_bytes(&self) -> usize {
+        self.words.capacity() * size_of::<String>()
+            + self.words.iter().map(String::capacity).sum::<usize>()
+            + self.slots.capacity() * size_of::<u32>()
+    }
+
     /// The interned words in handle order — the arena-image dump view.
-    /// The word → handle map is derived state and not part of the image.
+    /// The slot table is derived state and not part of the image.
     pub(crate) fn image_words(&self) -> &[String] {
         &self.words
     }
 
-    /// Reassembles an interner from dumped words, re-deriving the
-    /// word→handle map in one O(n) pass — the arena-image load path.
+    /// Reassembles an interner from dumped words, re-deriving the slot
+    /// table in one O(n) pass — the arena-image load path.
     pub(crate) fn from_image_words(words: Vec<String>) -> Self {
-        let lookup = words
-            .iter()
-            .enumerate()
-            .map(|(i, w)| (w.clone(), Kw(i as u32)))
-            .collect();
-        KeywordInterner { words, lookup }
+        let mut interner = KeywordInterner {
+            words,
+            ..Self::default()
+        };
+        interner.rehash();
+        interner
     }
 }
 
@@ -227,6 +285,22 @@ impl InvertedFragmentIndex {
     ///
     /// Same as [`InvertedFragmentIndex::build`].
     pub fn build_refs(catalog: &FragmentCatalog, fragments: &[&Fragment]) -> Result<Self> {
+        let mut index = Self::place(catalog, fragments)?;
+        index.rebuild_tf_arena(catalog);
+        Ok(index)
+    }
+
+    /// Stage one of a bulk build, the half that reads the fragments:
+    /// interns every keyword and places every posting into the probe
+    /// arena. The TF arena stays empty until
+    /// [`InvertedFragmentIndex::rebuild_tf_arena`] derives it from the
+    /// probe arena and the catalog alone, so the caller may drop the
+    /// fragments in between.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`InvertedFragmentIndex::build`].
+    pub(crate) fn place(catalog: &FragmentCatalog, fragments: &[&Fragment]) -> Result<Self> {
         let mut interner = KeywordInterner::default();
         // Pass 1: intern keywords, count list lengths.
         let mut counts: Vec<u32> = Vec::new();
@@ -276,21 +350,20 @@ impl InvertedFragmentIndex {
                 slice.sort_unstable_by_key(|e| e.frag);
             }
         }
-        let mut index = InvertedFragmentIndex {
+        Ok(InvertedFragmentIndex {
             interner,
             lists,
             tf_arena: Vec::new(),
             probe_arena,
             fragment_count: fragments.len() as u64,
-        };
-        index.rebuild_tf_arena(catalog);
-        Ok(index)
+        })
     }
 
-    /// Recomputes the TF-sorted arena from the probe arena, sorting
-    /// every keyword's slice independently (in parallel). Bulk build
-    /// only — maintenance never re-sorts a list.
-    fn rebuild_tf_arena(&mut self, catalog: &FragmentCatalog) {
+    /// Stage two of a bulk build: derives the TF-sorted arena from the
+    /// probe arena, sorting every keyword's slice independently (in
+    /// parallel). It reads only the probe arena and the catalog, never
+    /// a fragment. Bulk build only — maintenance never re-sorts a list.
+    pub(crate) fn rebuild_tf_arena(&mut self, catalog: &FragmentCatalog) {
         self.tf_arena = self.probe_arena.clone();
         // Carve the arena into per-keyword slices and sort each:
         // descending TF, ties by ascending fragment identifier (a total
@@ -705,17 +778,12 @@ impl InvertedFragmentIndex {
         &self.probe_arena
     }
 
-    /// Heap bytes of the interner (its word column, the words, and the
-    /// word → handle map with its key copies; the map's table is
-    /// estimated from its capacity), the list table and the two
-    /// arenas — capacities, not lengths.
+    /// Heap bytes of the interner (its word column, the words and its
+    /// slot table), the list table and the two arenas — capacities, not
+    /// lengths.
     pub(crate) fn heap_bytes(&self) -> (usize, usize, usize, usize) {
-        let words = &self.interner.words;
-        let text: usize = words.iter().map(String::capacity).sum();
-        let lookup = self.interner.lookup.capacity() * (size_of::<(String, Kw)>() + 1);
-        let interner = words.capacity() * size_of::<String>() + 2 * text + lookup;
         (
-            interner,
+            self.interner.heap_bytes(),
             self.lists.capacity() * size_of::<ListRef>(),
             self.tf_arena.capacity() * size_of::<Posting>(),
             self.probe_arena.capacity() * size_of::<Posting>(),
@@ -959,9 +1027,38 @@ mod tests {
 
     fn build() -> (FragmentCatalog, InvertedFragmentIndex) {
         let fragments = figure_6_fragments();
-        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
         let index = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         (catalog, index)
+    }
+
+    #[test]
+    fn the_interner_holds_each_keyword_once() {
+        let words: Vec<String> = (0..1000).map(|i| format!("kw{i:06}")).collect();
+        let mut interner = KeywordInterner::default();
+        for (i, word) in words.iter().enumerate() {
+            assert_eq!(interner.intern(word), Kw(i as u32));
+        }
+        let loaded = KeywordInterner::from_image_words(words.clone());
+        for table in [&interner, &loaded] {
+            for (i, word) in words.iter().enumerate() {
+                assert_eq!(table.kw(word), Some(Kw(i as u32)));
+                assert_eq!(table.word(Kw(i as u32)), word);
+            }
+            assert_eq!(table.kw("kw001000"), None);
+            assert_eq!(table.kw(""), None);
+            // The word column, each word's text once, and 4 bytes a slot
+            // in a table at most half full.
+            let text: usize = words.iter().map(String::len).sum();
+            assert_eq!(table.slots.len(), 2048);
+            assert_eq!(
+                table.heap_bytes(),
+                table.words.capacity() * size_of::<String>() + text + 4 * 2048
+            );
+        }
+        // Re-interning a known word adds nothing.
+        assert_eq!(interner.intern("kw000500"), Kw(500));
+        assert_eq!(interner.len(), 1000);
     }
 
     #[test]
@@ -988,7 +1085,7 @@ mod tests {
         fragments[2]
             .keyword_occurrences
             .insert("burger".to_string(), wide);
-        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
         let err = InvertedFragmentIndex::build(&catalog, &fragments).unwrap_err();
         assert_eq!(
             err,
@@ -1029,7 +1126,7 @@ mod tests {
         // (American,10) has TF 2/4 here — the highest.
         assert_eq!(
             catalog.id(burger[0].frag),
-            &FragmentId::new(vec![Value::str("American"), Value::Int(10)])
+            FragmentId::new(vec![Value::str("American"), Value::Int(10)])
         );
         let tf = |p: &Posting| p.tf(catalog.total_keywords(p.frag));
         assert!(tf(&burger[0]) >= tf(&burger[1]));
@@ -1068,7 +1165,7 @@ mod tests {
     #[test]
     fn incremental_remove_and_add() {
         let fragments = figure_6_fragments();
-        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
         let mut idx = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         let target = catalog
             .frag(&FragmentId::new(vec![
@@ -1090,7 +1187,7 @@ mod tests {
     #[test]
     fn maintenance_converges_to_bulk_layout() {
         let fragments = figure_6_fragments();
-        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
         let bulk = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         let mut incremental = InvertedFragmentIndex::build(&catalog, &fragments).unwrap();
         let target = catalog
@@ -1141,9 +1238,7 @@ mod tests {
         // Where fragment `f` sits in the burger list, if it is there.
         let rank = |index: &FragmentIndex, f: &Fragment| {
             let burger = index.inverted.postings("burger").unwrap();
-            burger
-                .iter()
-                .position(|p| index.catalog.id(p.frag) == &f.id)
+            burger.iter().position(|p| index.catalog.id(p.frag) == f.id)
         };
         let probe = |idx: &InvertedFragmentIndex, word: &str| {
             let list = idx.lists[idx.interner.kw(word).unwrap().index()];
@@ -1261,7 +1356,7 @@ mod tests {
         // The catalog interned one order; the build slice iterates
         // another. Probe slices must still binary-search correctly.
         let fragments = figure_6_fragments();
-        let catalog = FragmentCatalog::from_fragments(&fragments);
+        let catalog = FragmentCatalog::from_fragments(&fragments, Some(1)).unwrap();
         let mut reordered = fragments.clone();
         reordered.reverse();
         let idx = InvertedFragmentIndex::build(&catalog, &reordered).unwrap();

@@ -8,6 +8,8 @@
 //! until it emits results.
 
 pub mod catalog;
+#[cfg(test)]
+mod catalog_tests;
 pub mod graph;
 pub mod inverted;
 #[cfg(test)]
@@ -39,17 +41,17 @@ pub struct FragmentIndex {
 
 impl FragmentIndex {
     /// Builds all parts from materialized fragments: interns handles,
-    /// then constructs the inverted index and the graph in parallel
-    /// (they share nothing but the read-only catalog).
+    /// places the probe postings, then derives the TF arena and the
+    /// graph in parallel (they share nothing but the read-only catalog).
     ///
     /// `range_position` is the index of the range-bound selection
     /// attribute within fragment identifiers (`None` when the application
-    /// query has only equality parameters).
+    /// query has only equality parameters). Identifiers must be unique.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::CoreError::Internal`] on malformed fragments
-    /// (identifier arity disagreement) and
+    /// Returns [`crate::CoreError::IdentifierArity`] when an identifier
+    /// holds no value at `range_position`, and
     /// [`crate::CoreError::OccurrenceOverflow`] when a keyword occurs
     /// more than `u32::MAX` times in one fragment.
     pub fn build(fragments: &[Fragment], range_position: Option<usize>) -> Result<Self> {
@@ -59,22 +61,36 @@ impl FragmentIndex {
 
     /// [`FragmentIndex::build`] over borrowed fragments — the zero-copy
     /// path the sharded partition uses (shard parts are reference runs
-    /// into one crawl output; nothing is cloned until interning).
+    /// into one crawl output; nothing is cloned until interning). It is
+    /// the bulk build's two stages back to back: `FragmentIndex::place`
+    /// (the catalog, the interner and the probe arena, read off the
+    /// fragments) and then `PlacedIndex::finish` (the TF arena and the
+    /// graph, from those alone).
     ///
     /// # Errors
     ///
     /// Same as [`FragmentIndex::build`].
     pub fn build_refs(fragments: &[&Fragment], range_position: Option<usize>) -> Result<Self> {
-        let catalog = FragmentCatalog::from_refs(fragments);
-        let (inverted, graph) = par::join(
-            || InvertedFragmentIndex::build_refs(&catalog, fragments),
-            || FragmentGraph::build_refs(&catalog, fragments, range_position),
-        );
-        Ok(FragmentIndex {
-            catalog,
-            inverted: inverted?,
-            graph: graph?,
-        })
+        Ok(Self::place(fragments, range_position)?.finish())
+    }
+
+    /// Stage one of a bulk build, the only stage that reads the
+    /// fragments: the catalog's columns, the keyword interner and the
+    /// placed probe arena. Stage two ([`PlacedIndex::finish`]) needs
+    /// none of the fragments, so a caller holding them in a batch of
+    /// its own frees the batch in between, and stage two's allocations
+    /// reuse the batch's memory instead of adding to it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`FragmentIndex::build`].
+    pub(crate) fn place(
+        fragments: &[&Fragment],
+        range_position: Option<usize>,
+    ) -> Result<PlacedIndex> {
+        let catalog = FragmentCatalog::from_refs(fragments, range_position)?;
+        let inverted = InvertedFragmentIndex::place(&catalog, fragments)?;
+        Ok(PlacedIndex { catalog, inverted })
     }
 
     /// Heap bytes this index holds, per structure.
@@ -116,7 +132,9 @@ impl FragmentIndex {
     /// # Errors
     ///
     /// [`crate::CoreError::OccurrenceOverflow`] when an added fragment
-    /// holds a keyword more than `u32::MAX` times. The check runs before
+    /// holds a keyword more than `u32::MAX` times, and
+    /// [`crate::CoreError::IdentifierArity`] when an added identifier
+    /// holds no value at the range position. The checks run before
     /// anything changes, so the index is left exactly as it was.
     pub fn apply(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
         let mut stats = RefreshStats::default();
@@ -124,6 +142,7 @@ impl FragmentIndex {
             return Ok(stats);
         }
         inverted::check_counts(&delta.adds)?;
+        self.catalog.check_arity(delta.adds.iter().map(|f| &f.id))?;
         // Last-wins dedup: a duplicated add must splice exactly one
         // posting per keyword, or df/IDF would drift from a rebuild.
         let mut adds: Vec<&Fragment> = Vec::with_capacity(delta.adds.len());
@@ -160,8 +179,8 @@ impl FragmentIndex {
             .collect();
         let stale = self.inverted.stale_postings(&stale_frags);
         for fragment in &adds {
-            self.catalog.intern(fragment);
-            self.graph.insert(&self.catalog, fragment);
+            let frag = self.catalog.intern(fragment);
+            self.graph.insert(&self.catalog, frag);
             stats.added += 1;
         }
         // One in-place posting splice for the whole delta.
@@ -195,12 +214,43 @@ impl FragmentIndex {
     }
 }
 
+/// A bulk build after its first stage ([`FragmentIndex::place`]): the
+/// catalog and the probe-placed inverted index, holding no borrow of
+/// the fragments they were built from.
+#[derive(Debug)]
+pub(crate) struct PlacedIndex {
+    catalog: FragmentCatalog,
+    inverted: InvertedFragmentIndex,
+}
+
+impl PlacedIndex {
+    /// Stage two of a bulk build: the TF arena (the probe arena's
+    /// postings, each list sorted by descending TF) and the graph, in
+    /// parallel, from the catalog and the probe arena alone.
+    pub(crate) fn finish(self) -> FragmentIndex {
+        let PlacedIndex {
+            catalog,
+            mut inverted,
+        } = self;
+        let ((), graph) = par::join(
+            || inverted.rebuild_tf_arena(&catalog),
+            || FragmentGraph::build(&catalog),
+        );
+        FragmentIndex {
+            catalog,
+            inverted,
+            graph,
+        }
+    }
+}
+
 /// Heap bytes one [`FragmentIndex`] holds, per structure: vector
 /// capacities (slack included) plus what their elements own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapBytes {
-    /// The catalog's identifiers: the id column, each identifier's
-    /// values and their string payloads.
+    /// The catalog's identifiers: the group keys (interned once per
+    /// group) with their key order, the per-handle key-index and range
+    /// value columns, and their string payloads.
     pub catalog_ids: usize,
     /// The catalog's handle-order column, 4 bytes a handle (0 until an
     /// image-loaded catalog first derives it).
@@ -210,7 +260,7 @@ pub struct HeapBytes {
     /// The fragment graph: group keys, node and weight runs, the rank
     /// permutation and the node-position column.
     pub graph: usize,
-    /// The keyword interner: words and the word → handle map.
+    /// The keyword interner: words and the word → handle slot table.
     pub interner: usize,
     /// The TF-sorted posting arena, 8 bytes a posting.
     pub tf_arena: usize,
@@ -288,7 +338,7 @@ mod tests {
         for p in burger {
             let node = index.graph.locate(p.frag).expect("posting node");
             assert_eq!(index.graph.frag_at(node), Some(p.frag));
-            assert!(index.catalog.frag(index.catalog.id(p.frag)) == Some(p.frag));
+            assert!(index.catalog.frag(&index.catalog.id(p.frag)) == Some(p.frag));
         }
     }
 
@@ -386,6 +436,37 @@ mod tests {
     }
 
     #[test]
+    fn an_identifier_without_a_range_value_fails_the_delta_untouched() {
+        let fragments = sample();
+        let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+        let image = |index: &FragmentIndex| {
+            let mut bytes = Vec::new();
+            crate::persist::write_image(&mut bytes, Some(1), &[index]).unwrap();
+            bytes
+        };
+        let before = image(&index);
+        let short = Fragment::new(
+            FragmentId::new(vec![Value::str("Lao")]),
+            [("larb".to_string(), 1)].into_iter().collect(),
+            1,
+        );
+        let delta = IndexDelta::new(
+            vec![fragments[0].id.clone()],
+            vec![fragment("Lao", 3, &[("larb", 1)]), short],
+        );
+        assert!(matches!(
+            index.apply(&delta),
+            Err(crate::CoreError::IdentifierArity {
+                arity: 1,
+                expected: 2,
+                ..
+            })
+        ));
+        assert!(image(&index) == before);
+        assert_eq!(index.catalog.len(), 4);
+    }
+
+    #[test]
     fn removing_tombstoned_id_is_cheap_noop() {
         let fragments = sample();
         let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
@@ -414,11 +495,11 @@ mod tests {
             assert_eq!(
                 index.inverted.postings(word).map(|p| p
                     .iter()
-                    .map(|x| (index.catalog.id(x.frag).clone(), x.occurrences))
+                    .map(|x| (index.catalog.id(x.frag), x.occurrences))
                     .collect::<Vec<_>>()),
                 rebuilt.inverted.postings(word).map(|p| p
                     .iter()
-                    .map(|x| (rebuilt.catalog.id(x.frag).clone(), x.occurrences))
+                    .map(|x| (rebuilt.catalog.id(x.frag), x.occurrences))
                     .collect::<Vec<_>>()),
                 "{word}"
             );

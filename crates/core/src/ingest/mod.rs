@@ -207,6 +207,49 @@ mod tests {
             .unwrap();
         assert_eq!(from_image.shard_sizes(), crawled.shard_sizes());
         assert_eq!(from_image.search(&req), want);
+        for engine in [&from_fragments, &from_batches, &from_image] {
+            assert!(
+                image_of(engine) == image,
+                "every source writes the same image"
+            );
+        }
+    }
+
+    fn image_of(engine: &ShardedEngine) -> Vec<u8> {
+        let mut image = Vec::new();
+        engine.write_image(&mut image).unwrap();
+        image
+    }
+
+    /// The three bulk sources share one build: `Fragments` (both build
+    /// stages back to back per shard), `Batches` (each batch dropped
+    /// between the stages) and `Image` (decoded into the same columns)
+    /// write byte-identical images of one corpus, at the environment's
+    /// shard width.
+    #[test]
+    fn every_bulk_source_writes_the_same_image_bytes() {
+        let (app, _) = fooddb_parts();
+        let fragments = crate::sharded::tests::plateau_fragments(24, 16, 100);
+        let shards = crate::sharded::env_shards().unwrap_or(1).max(2);
+        let from_fragments = ShardedEngine::builder(app.clone())
+            .shards(shards)
+            .source(IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
+        let image = image_of(&from_fragments);
+        let from_batches = ShardedEngine::builder(app.clone())
+            .source(IngestSource::Batches(Box::new(
+                from_fragments.dump_shards().into_iter(),
+            )))
+            .build()
+            .unwrap();
+        assert_eq!(from_batches.shard_count(), shards);
+        assert!(image_of(&from_batches) == image, "Batches");
+        let from_image = ShardedEngine::builder(app)
+            .source(IngestSource::Image(&image))
+            .build()
+            .unwrap();
+        assert!(image_of(&from_image) == image, "Image");
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //!
 //! * The **catalog** assigns each fragment a `u32` [`index::Frag`]
 //!   handle (and each keyword a [`index::Kw`]) once, at build or
-//!   maintenance time. Handles index columnar arrays directly.
+//!   maintenance time. Handles index columnar arrays directly, and the
+//!   identifiers are columns too: a group-key index per handle (each
+//!   key interned once) and one range-value column.
 //! * The **inverted index** stores all posting lists in two contiguous
 //!   arenas — TF-sorted for the seeding cursor, fragment-sorted for the
 //!   O(log L) occurrence probe — instead of nested

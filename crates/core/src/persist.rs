@@ -29,9 +29,15 @@
 //! fixed-width little-endian array, so a shard loads by bulk-reading
 //! bytes back into columns instead of re-running `build` — no BTreeMap
 //! materialization, no per-posting interning, no TF re-sorts, no graph
-//! grouping. Only the word→handle hash map and the `node_pos` column
-//! are re-derived at load, each a single O(n) pass; the catalog's
-//! identifier-ordered handle column waits for the first delta.
+//! grouping. Only the interner's word → handle slot table and the
+//! `node_pos` column are re-derived at load, each a single O(n) pass;
+//! the catalog's identifier-ordered handle column waits for the first
+//! delta. The catalog section stores whole identifiers, one per handle,
+//! as it always has; the loader decodes each straight into the
+//! catalog's columns (its group key interned once per group, its range
+//! value appended to the range column), and the writer reads them back
+//! off the columns, so the bytes are the same as when the catalog held
+//! one `Vec<Value>` a handle.
 //! The graph is dumped normalized to key-rank order, so the loaded
 //! permutation is the identity (exactly a bulk build's state) and two
 //! engines holding the same live nodes dump the same image regardless
@@ -53,7 +59,7 @@
 //!
 //! | tag | section | payload |
 //! |---|---|---|
-//! | `0x10` | catalog | count; identifiers (value codec); total-keyword u64 column; record-count u64 column |
+//! | `0x10` | catalog | count; identifiers (per handle: arity, then values by the value codec); total-keyword u64 column; record-count u64 column |
 //! | `0x11` | words | count; blob length; word-length u32 column; UTF-8 blob |
 //! | `0x12` | lists | fragment count; list count; start u32 column; len u32 column — the refs must tile both arenas in handle order (each start = the sum of the lengths before it, the last list ending at the posting count) |
 //! | `0x13` | tf arena | posting count; frag u32 column; occurrence u32 column |
@@ -224,12 +230,14 @@ pub(crate) fn read_image(bytes: &[u8]) -> io::Result<(Option<usize>, Vec<Fragmen
 fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<()> {
     let mut payload = Vec::new();
 
-    // Catalog: identifiers (value codec), then the two u64 columns.
-    let (ids, totals, records) = index.catalog.image_parts();
-    write_u64(&mut payload, ids.len() as u64)?;
-    for id in ids {
-        write_u64(&mut payload, id.values().len() as u64)?;
-        for v in id.values() {
+    // Catalog: identifiers (value codec), each read off the catalog's
+    // columns as a view, then the two u64 columns.
+    let catalog = &index.catalog;
+    let (totals, records) = catalog.image_columns();
+    write_u64(&mut payload, catalog.len() as u64)?;
+    for frag in (0..catalog.len() as u32).map(Frag) {
+        write_u64(&mut payload, catalog.arity(frag) as u64)?;
+        for v in catalog.values(frag) {
             write_value(&mut payload, v)?;
         }
     }
@@ -310,23 +318,28 @@ fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<(
 fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<FragmentIndex> {
     // Catalog.
     let mut p = read_section(r, SEC_CATALOG)?;
+    // Identifiers decode straight into the catalog's columns through
+    // one reused value buffer.
     let count = take_u64(&mut p, "catalog count")? as usize;
-    let mut ids = Vec::with_capacity(count.min(1 << 20));
+    let mut catalog = FragmentCatalog::for_image(range_position, count.min(1 << 20));
+    let mut values = Vec::new();
     for _ in 0..count {
         let arity = take_u64(&mut p, "identifier arity")?;
         if arity > 64 {
             return Err(invalid("identifier arity out of bounds"));
         }
-        let mut values = Vec::with_capacity(arity as usize);
+        values.clear();
         for _ in 0..arity {
             values.push(read_value(&mut p)?);
         }
-        ids.push(FragmentId::new(values));
+        if !catalog.push_image_id(&values) {
+            return Err(invalid("identifier holds no value at the range position"));
+        }
     }
     let totals = take_u64_col(&mut p, count, "total-keyword column")?;
     let records = take_u64_col(&mut p, count, "record-count column")?;
     ensure_consumed(p, "catalog section")?;
-    let catalog = FragmentCatalog::from_image_parts(ids, totals, records);
+    catalog.set_image_columns(totals, records);
 
     // Interner words.
     let mut p = read_section(r, SEC_WORDS)?;
@@ -910,7 +923,14 @@ mod tests {
             loaded.inverted.image_lists().collect::<Vec<_>>(),
             index.inverted.image_lists().collect::<Vec<_>>()
         );
-        assert_eq!(loaded.catalog.image_parts(), index.catalog.image_parts());
+        assert_eq!(loaded.catalog.len(), index.catalog.len());
+        for frag in (0..index.catalog.len() as u32).map(Frag) {
+            assert_eq!(loaded.catalog.id(frag), index.catalog.id(frag));
+        }
+        assert_eq!(
+            loaded.catalog.image_columns(),
+            index.catalog.image_columns()
+        );
         assert_eq!(loaded.graph.node_count(), index.graph.node_count());
         assert_eq!(loaded.graph.edge_count(), index.graph.edge_count());
         for ((ka, fa, wa), (kb, fb, wb)) in

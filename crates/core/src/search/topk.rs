@@ -636,10 +636,10 @@ fn to_hit(
     for (i, sel) in selections.iter().enumerate() {
         match (&sel.binding, range_pos) {
             (SelectionBinding::RangeParams { low, high }, Some(pos)) if pos == i => {
-                let lo_id = index.catalog.id(group_nodes[candidate.lo as usize]);
-                let hi_id = index.catalog.id(group_nodes[candidate.hi as usize]);
-                pairs[len] = (low, &lo_id.values()[pos]);
-                pairs[len + 1] = (high, &hi_id.values()[pos]);
+                let lo = group_nodes[candidate.lo as usize];
+                let hi = group_nodes[candidate.hi as usize];
+                pairs[len] = (low, index.catalog.value_at(lo, pos));
+                pairs[len + 1] = (high, index.catalog.value_at(hi, pos));
                 len += 2;
             }
             (SelectionBinding::EqParam(p), _) => {
@@ -663,7 +663,7 @@ fn to_hit(
         size: candidate.total_keywords,
         fragment_ids: group_nodes[candidate.lo as usize..=candidate.hi as usize]
             .iter()
-            .map(|&frag| index.catalog.id(frag).clone())
+            .map(|&frag| index.catalog.id(frag))
             .collect(),
     })
 }

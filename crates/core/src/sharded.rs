@@ -70,7 +70,6 @@ use crate::engine::{validate_query, DashConfig};
 use crate::error::CoreError;
 use crate::fragment::Fragment;
 use crate::index::graph::group_key;
-use crate::index::inverted::check_counts;
 use crate::index::{FragmentIndex, GroupId, HeapBytes};
 use crate::par;
 use crate::persist;
@@ -313,19 +312,23 @@ impl ShardedEngine {
     ///
     /// # Panics
     ///
-    /// If an added fragment holds a keyword more than `u32::MAX` times
-    /// ([`CoreError::OccurrenceOverflow`]).
-    /// The check runs before any shard changes;
-    /// [`ShardedEngine::apply_changes`] returns the error instead, and
-    /// the wire codec refuses such a delta where it decodes it.
+    /// If an identifier does not have the application's arity
+    /// ([`CoreError::IdentifierArity`]) or an added fragment holds a
+    /// keyword more than `u32::MAX` times
+    /// ([`CoreError::OccurrenceOverflow`]): [`IndexDelta::check`] runs
+    /// before any shard changes. [`ShardedEngine::apply_changes`]
+    /// returns the error instead, and callers facing a socket run
+    /// [`IndexDelta::check`] first (the serving tier's
+    /// `try_publish_with_epoch` does).
     pub fn apply_delta(&mut self, delta: IndexDelta) -> RefreshStats {
         self.apply_checked(delta).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ShardedEngine::apply_delta`], with a count a posting cannot
-    /// hold returned as an error before any shard changes.
+    /// [`ShardedEngine::apply_delta`], with a delta that does not fit
+    /// the application ([`IndexDelta::check`]) returned as an error
+    /// before any shard changes.
     fn apply_checked(&mut self, delta: IndexDelta) -> Result<RefreshStats> {
-        check_counts(&delta.adds)?;
+        delta.check(&self.app)?;
         let range_position = self.app.query.range_selection_index();
         let mut per_shard: Vec<IndexDelta> = (0..self.shards.len())
             .map(|_| IndexDelta::default())
@@ -341,7 +344,7 @@ impl ShardedEngine {
         let mut stats = RefreshStats::default();
         for (shard, sub) in self.shards.iter_mut().zip(&per_shard) {
             if !sub.is_empty() {
-                stats.merge(shard.index.apply(sub).expect("counts checked above"));
+                stats.merge(shard.index.apply(sub).expect("delta checked above"));
             }
         }
         self.refresh_offsets();
@@ -504,7 +507,7 @@ impl ShardedEngine {
                 for (_, frags) in index.graph.iter_groups() {
                     for &frag in frags {
                         fragments.push(Fragment::new(
-                            index.catalog.id(frag).clone(),
+                            index.catalog.id(frag),
                             terms.remove(&frag).unwrap_or_default(),
                             index.catalog.record_count(frag),
                         ));
@@ -569,10 +572,12 @@ impl ShardedEngine {
     /// Builds a sharded engine from per-shard fragment batches consumed
     /// **one at a time** — the bounded-memory engine half of
     /// [`IngestSource::Batches`](crate::ingest::IngestSource) for
-    /// generated corpora: each batch is indexed and dropped before the
-    /// next is pulled from the iterator, so peak memory holds one
-    /// shard's fragments plus the built indexes, never the whole
-    /// corpus. The partition is taken exactly as given (batches must be
+    /// generated corpora: each batch is dropped halfway through its
+    /// build, after `FragmentIndex::place` and before
+    /// `PlacedIndex::finish`, and before the next is pulled from the
+    /// iterator, so peak memory
+    /// holds one shard's fragments plus the stage-one columns and the
+    /// indexes already built, never the whole corpus. The partition is taken exactly as given (batches must be
     /// contiguous, disjoint runs of group-key order) — the path that
     /// rebuilds an engine from its own [`ShardedEngine::dump_shards`]
     /// without re-partitioning.
@@ -588,7 +593,14 @@ impl ShardedEngine {
         let range_position = app.query.range_selection_index();
         let mut indexes = Vec::new();
         for batch in batches {
-            indexes.push(FragmentIndex::build(&batch, range_position)?);
+            let placed = {
+                let refs: Vec<&Fragment> = batch.iter().collect();
+                FragmentIndex::place(&refs, range_position)?
+            };
+            // The batch is dead once stage one has read it: freed here,
+            // its memory holds stage two's TF arena and graph.
+            drop(batch);
+            indexes.push(placed.finish());
         }
         Self::assemble(app, indexes, range_position, crawl_stats)
     }
@@ -898,6 +910,61 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_delta_of_another_arity_fails_before_any_shard_changes() {
+        use crate::fragment::FragmentId;
+        let (app, db) = fooddb_parts();
+        let mut engine = built(&app, &db, 2).unwrap();
+        let image = |engine: &ShardedEngine| {
+            let mut bytes = Vec::new();
+            engine.write_image(&mut bytes).unwrap();
+            bytes
+        };
+        let before = image(&engine);
+        let larb = |values: Vec<Value>| {
+            Fragment::new(
+                FragmentId::new(values),
+                [("larb".to_string(), 2u64)].into_iter().collect(),
+                1,
+            )
+        };
+        let fits = larb(vec![Value::str("Lao"), Value::Int(3)]);
+        let thai = FragmentId::new(vec![Value::str("Thai"), Value::Int(10)]);
+        // A removal and an add that fit, then an add with no range value
+        // (it used to panic in the graph after the catalog had interned).
+        let short = IndexDelta::new(
+            vec![thai.clone()],
+            vec![fits.clone(), larb(vec![Value::str("Lao")])],
+        );
+        let expected = CoreError::IdentifierArity {
+            id: "(Lao)".to_string(),
+            arity: 1,
+            expected: 2,
+        };
+        assert_eq!(short.check(engine.app()).unwrap_err(), expected);
+        assert_eq!(engine.apply_checked(short).unwrap_err(), expected);
+        assert!(image(&engine) == before, "no shard changed");
+        // One value too many, in a removal, is refused the same way.
+        let mut long = thai.values().to_vec();
+        long.push(Value::Int(1));
+        let err = engine
+            .apply_checked(IndexDelta::removing(vec![FragmentId::new(long)]))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::IdentifierArity {
+                arity: 3,
+                expected: 2,
+                ..
+            }
+        ));
+        assert!(image(&engine) == before, "no shard changed");
+        // The engine still applies a delta that fits.
+        engine.apply_delta(IndexDelta::adding(vec![fits]));
+        let req = SearchRequest::new(&["larb"]).k(3).min_size(1);
+        assert_eq!(engine.search(&req).len(), 1);
+    }
+
+    #[test]
     fn arena_image_roundtrips_engine() {
         let (app, db) = fooddb_parts();
         let mut engine = built(&app, &db, 2).unwrap();
@@ -1078,11 +1145,12 @@ pub(crate) mod tests {
     }
 
     /// The compact layout, pinned in bytes at the environment's shard
-    /// width (`DASH_SHARDS`, else 1): 8 bytes a posting in each arena
-    /// and 4 bytes a handle for the catalog's handle-order column —
-    /// capacities, so slack would show — after a bulk build, after an
-    /// image load (where the column is derived only on first use) and
-    /// after a delta.
+    /// width (`DASH_SHARDS`, else 1): 8 bytes a posting in each arena,
+    /// 4 bytes a handle for the catalog's handle-order column, and for
+    /// the identifiers a 4-byte key index plus one range `Value` a
+    /// handle, with every group key held once — capacities, so slack
+    /// would show — after a bulk build, after an image load (where the
+    /// order column is derived only on first use) and after a delta.
     #[test]
     fn heap_bytes_pin_the_compact_layout() {
         use crate::index::Posting;
@@ -1108,6 +1176,16 @@ pub(crate) mod tests {
                     heap.handle_order,
                     order_per_handle * index.catalog.len(),
                     "{context}: shard {s}"
+                );
+                // Each group key is one `Str` value ("G000", 4 bytes):
+                // a key vector, its value, its string and a key-order
+                // entry, within the key columns' doubling slack.
+                let groups = index.graph.group_count();
+                let keys = heap.catalog_ids - (4 + size_of::<Value>()) * index.catalog.len();
+                let per_group = size_of::<Vec<Value>>() + size_of::<Value>() + 4 + 4;
+                assert!(
+                    (groups * per_group..=2 * groups * per_group).contains(&keys),
+                    "{context}: shard {s}: {keys} key bytes for {groups} groups"
                 );
             }
         };

@@ -49,8 +49,10 @@ use dash_webapp::WebApplication;
 
 use crate::crawl::reference;
 use crate::engine::DashEngine;
+use crate::error::CoreError;
 use crate::fragment::{Fragment, FragmentId};
 use crate::index::graph::group_key;
+use crate::index::inverted::check_counts;
 use crate::Result;
 
 /// A batched, atomic mutation of a fragment index: which identifiers'
@@ -97,6 +99,29 @@ impl IndexDelta {
     /// Whether the delta mutates nothing.
     pub fn is_empty(&self) -> bool {
         self.removes.is_empty() && self.adds.is_empty()
+    }
+
+    /// Checks that the delta fits `app`, the check both engines run
+    /// before any index changes: every identifier, removed or added,
+    /// holds one value per selection attribute (paper Definition 2),
+    /// and every occurrence count fits a posting.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::IdentifierArity`] for the first identifier of
+    /// another arity, then [`CoreError::OccurrenceOverflow`] for the
+    /// first count above `u32::MAX`.
+    pub fn check(&self, app: &WebApplication) -> Result<()> {
+        let expected = app.query.selections.len();
+        let ids = self.removes.iter().chain(self.adds.iter().map(|f| &f.id));
+        if let Some(id) = ids.into_iter().find(|id| id.values().len() != expected) {
+            return Err(CoreError::IdentifierArity {
+                id: id.to_string(),
+                arity: id.values().len(),
+                expected,
+            });
+        }
+        check_counts(&self.adds)
     }
 
     /// The equality-group keys this delta touches — every remove's and
@@ -293,10 +318,10 @@ impl DashEngine {
     ///
     /// # Panics
     ///
-    /// If an added fragment holds a keyword more than `u32::MAX` times
-    /// ([`CoreError::OccurrenceOverflow`](crate::CoreError::OccurrenceOverflow));
-    /// the index is checked before it changes.
-    /// [`DashEngine::apply_changes`] returns the error instead.
+    /// If an identifier does not have the application's arity or an
+    /// added fragment holds a keyword more than `u32::MAX` times
+    /// ([`IndexDelta::check`]); the delta is checked before the index
+    /// changes. [`DashEngine::apply_changes`] returns the error instead.
     pub fn apply_delta(&mut self, delta: &IndexDelta) -> RefreshStats {
         self.apply_checked(delta).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -320,9 +345,11 @@ impl DashEngine {
         self.apply_checked(&delta)
     }
 
+    /// [`IndexDelta::check`], then
     /// [`FragmentIndex::apply`](crate::index::FragmentIndex::apply),
     /// then the engine's fragment count.
     fn apply_checked(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
+        delta.check(self.app())?;
         let stats = self.index_mut().apply(delta)?;
         let count = self.index().graph.node_count();
         self.set_fragment_count(count);

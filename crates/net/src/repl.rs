@@ -836,7 +836,11 @@ fn sync_once(mut stream: TcpStream, inner: &ReplicaInner) -> io::Result<()> {
             .read()
             .clone()
             .expect("server present after bootstrap");
-        server.publish(delta);
+        // A delta that does not fit the application is refused before
+        // the mirror changes; the connection drops with the error.
+        server
+            .try_publish_with_epoch(delta)
+            .map_err(|e| invalid(&format!("refused delta frame at epoch {epoch}: {e}")))?;
         inner.epoch.store(epoch, Ordering::SeqCst);
         inner.deltas_applied.fetch_add(1, Ordering::SeqCst);
         crate::obs::global_counter!("dash_repl_deltas_applied_total").inc();
@@ -913,6 +917,78 @@ mod tests {
         assert_eq!(wire::read_delta(&mut rest).unwrap(), event.delta);
         assert_eq!(wire::read_signature(&mut rest).unwrap(), event.signature);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn a_delta_frame_of_another_arity_is_refused_and_the_mirror_left_intact() {
+        use dash_core::{Fragment, FragmentId};
+        use dash_relation::Value;
+        let app = dash_webapp::fooddb::search_application().unwrap();
+        let engine = ShardedEngine::builder(app.clone()).build().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let replica = Replica::connect(
+            listener.local_addr().unwrap(),
+            app,
+            ReplicaConfig {
+                retry: Duration::from_millis(20),
+                ..ReplicaConfig::default()
+            },
+        );
+        let stop = AtomicBool::new(false);
+        let deadline = || Some(Instant::now() + Duration::from_secs(10));
+        let larb = |values: Vec<Value>| {
+            Fragment::new(
+                FragmentId::new(values),
+                [("larb".to_string(), 2u64)].into_iter().collect(),
+                1,
+            )
+        };
+        let delta_frame = |epoch: u64, fragment: Fragment| {
+            delta_payload(&PublishEvent {
+                epoch,
+                delta: IndexDelta::adding(vec![fragment]),
+                signature: Default::default(),
+            })
+        };
+
+        // First connection: bootstrap at epoch 0, then a delta whose
+        // identifier has no range value. The replica must drop the
+        // connection without applying it.
+        let (mut stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let (tag, hello) = read_frame_until(&mut stream, &stop, deadline())
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            (tag, read_hello_payload(&hello).unwrap()),
+            (FRAME_HELLO, (false, 0))
+        );
+        write_frame(&mut stream, FRAME_SNAPSHOT, &snapshot_payload(0, &engine)).unwrap();
+        let short = delta_frame(1, larb(vec![Value::str("Lao")]));
+        write_frame(&mut stream, FRAME_DELTA, &short).unwrap();
+        assert!(read_frame_until(&mut stream, &stop, deadline()).is_err());
+        assert_eq!(replica.epoch(), 0);
+        assert_eq!(replica.deltas_applied(), 0);
+
+        // The reconnect resumes at epoch 0, and a delta that fits
+        // applies on the untouched mirror.
+        let (mut stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let (_, hello) = read_frame_until(&mut stream, &stop, deadline())
+            .unwrap()
+            .unwrap();
+        assert_eq!(read_hello_payload(&hello).unwrap(), (true, 0));
+        write_frame(&mut stream, FRAME_RESUME, &0u64.to_le_bytes()).unwrap();
+        let fits = delta_frame(1, larb(vec![Value::str("Lao"), Value::Int(3)]));
+        write_frame(&mut stream, FRAME_DELTA, &fits).unwrap();
+        assert!(replica.wait_epoch(1, Duration::from_secs(10)));
+        assert_eq!(replica.deltas_applied(), 1);
+        let hits = replica.search(&SearchRequest::new(&["larb"]).k(5).min_size(1));
+        assert_eq!(hits.len(), 1);
     }
 
     #[test]

@@ -270,14 +270,7 @@ impl Backend {
     fn update(&self, body: UpdateBody) -> Result<UpdateAck, Response> {
         match self {
             Backend::Primary { server, db } => match body {
-                UpdateBody::Publish(delta) => {
-                    let (stats, epoch) = server.publish_with_epoch(delta);
-                    Ok(UpdateAck {
-                        removed: stats.removed,
-                        added: stats.added,
-                        epoch,
-                    })
-                }
+                UpdateBody::Publish(delta) => publish_to(server, delta),
                 UpdateBody::Changes(changes) => apply_changes_to(server, db, changes),
             },
             Backend::Replica { replica, upstream } => {
@@ -292,14 +285,7 @@ impl Backend {
                         return Err(Response::error(503, "promoted node has no state"));
                     };
                     return match body {
-                        UpdateBody::Publish(delta) => {
-                            let (stats, epoch) = server.publish_with_epoch(delta);
-                            Ok(UpdateAck {
-                                removed: stats.removed,
-                                added: stats.added,
-                                epoch,
-                            })
-                        }
+                        UpdateBody::Publish(delta) => publish_to(&server, delta),
                         UpdateBody::Changes(_) => Err(Response::error(
                             503,
                             "promoted from a replica: base-table changes need the \
@@ -392,6 +378,20 @@ impl Backend {
         }
         out.push('}');
         out
+    }
+}
+
+/// Publishes a prebuilt delta. A delta that does not fit the
+/// application — an identifier of another arity, a count a posting
+/// cannot hold — is answered `400` before either engine changes.
+fn publish_to(server: &DashServer, delta: IndexDelta) -> Result<UpdateAck, Response> {
+    match server.try_publish_with_epoch(delta) {
+        Ok((stats, epoch)) => Ok(UpdateAck {
+            removed: stats.removed,
+            added: stats.added,
+            epoch,
+        }),
+        Err(e) => Err(Response::error(400, &format!("publish refused: {e}"))),
     }
 }
 

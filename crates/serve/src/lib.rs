@@ -608,9 +608,33 @@ impl DashServer {
     /// empty). Under concurrent publishers this is the only reliable
     /// way to learn "my" epoch — a separate [`DashServer::epoch`] read
     /// can already observe a later publication.
+    ///
+    /// # Panics
+    ///
+    /// If the delta does not fit the application ([`IndexDelta::check`]);
+    /// nothing is applied. [`DashServer::try_publish_with_epoch`]
+    /// returns the error instead.
     pub fn publish_with_epoch(&self, delta: IndexDelta) -> (RefreshStats, u64) {
+        self.try_publish_with_epoch(delta)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DashServer::publish_with_epoch`] for a delta from outside the
+    /// process (an update request, a replication frame): it is checked
+    /// against the application before either engine changes.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexDelta::check`]'s: an identifier of another arity, or a
+    /// count a posting cannot hold. Nothing is published.
+    pub fn try_publish_with_epoch(&self, delta: IndexDelta) -> Result<(RefreshStats, u64)> {
         let mut writer = self.shared.writer.lock();
-        self.publish_locked(&mut writer, delta)
+        let shadow = writer
+            .shadow
+            .as_ref()
+            .expect("shadow present outside publish");
+        delta.check(shadow.app())?;
+        Ok(self.publish_locked(&mut writer, delta))
     }
 
     /// Builds one delta for a batch of record changes — inserts and

@@ -468,7 +468,7 @@ fn catalog_roundtrips_every_fragment() {
     assert_eq!(catalog.len(), fragments.len());
     for f in &fragments {
         let frag = catalog.frag(&f.id).expect("interned");
-        assert_eq!(catalog.id(frag), &f.id, "id → handle → id roundtrip");
+        assert_eq!(catalog.id(frag), f.id, "id → handle → id roundtrip");
         assert_eq!(catalog.total_keywords(frag), f.total_keywords);
         assert_eq!(catalog.record_count(frag), f.record_count);
     }

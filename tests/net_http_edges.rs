@@ -183,6 +183,68 @@ fn trailing_garbage_after_an_update_body_is_rejected_without_applying() {
     );
 }
 
+#[test]
+fn a_publish_of_another_arity_is_answered_400_without_applying() {
+    let (server, net) = serve(NetConfig::default());
+    let epoch_before = server.snapshot().epoch;
+    let mut image_before = Vec::new();
+    server
+        .snapshot()
+        .engine
+        .write_image(&mut image_before)
+        .unwrap();
+    // A removal that fits, then an add whose identifier stops before
+    // the range value: nothing of the batch may land.
+    let short = Fragment::new(
+        FragmentId::new(vec![Value::str("Lao")]),
+        [("larbword".to_string(), 2u64)].into_iter().collect(),
+        1,
+    );
+    let delta = IndexDelta::new(
+        vec![FragmentId::new(vec![Value::str("Thai"), Value::Int(10)])],
+        vec![fragment("Lao", "larbword", 2), short],
+    );
+    let body = encode_update(&UpdateBody::Publish(delta));
+    let head = format!(
+        "POST /update HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    let mut request = head.into_bytes();
+    request.extend_from_slice(&body);
+    let reply = raw_exchange(&net, &request);
+    assert!(
+        reply.starts_with("HTTP/1.1 400 "),
+        "wanted a 400, got: {reply:?}"
+    );
+    assert!(
+        reply.contains("(Lao)"),
+        "the error names the identifier: {reply:?}"
+    );
+    assert_eq!(server.snapshot().epoch, epoch_before);
+    let mut image_after = Vec::new();
+    server
+        .snapshot()
+        .engine
+        .write_image(&mut image_after)
+        .unwrap();
+    assert!(
+        image_after == image_before,
+        "a refused publish changes no byte"
+    );
+    // The server still publishes a delta that fits, through both sides.
+    let mut client = NetClient::connect(net.addr()).unwrap();
+    let ack = client
+        .publish(&IndexDelta::adding(vec![fragment("Lao", "larbword", 2)]))
+        .unwrap();
+    assert_eq!((ack.added, ack.epoch), (1, epoch_before + 1));
+    assert_eq!(
+        server
+            .search(&SearchRequest::new(&["larbword"]).k(3).min_size(1))
+            .len(),
+        1
+    );
+}
+
 // ---------------------------------------------------------------------
 // Keep-alive under publication, cache precision
 // ---------------------------------------------------------------------

@@ -233,8 +233,8 @@ proptest! {
         let fragments = reference::fragments(&app, &db).unwrap();
         let range = app.query.range_selection_index();
 
-        let catalog = FragmentCatalog::from_fragments(&fragments);
-        let bulk = FragmentGraph::build(&catalog, &fragments, range).unwrap();
+        let catalog = FragmentCatalog::from_fragments(&fragments, range).unwrap();
+        let bulk = FragmentGraph::build(&catalog);
         // Shuffle deterministically by seed and insert incrementally.
         let mut shuffled = fragments.clone();
         let n = shuffled.len();
@@ -242,9 +242,9 @@ proptest! {
             let j = ((seed as usize).wrapping_mul(31).wrapping_add(i * 17)) % n;
             shuffled.swap(i, j);
         }
-        let mut incremental = FragmentGraph::build(&catalog, &[], range).unwrap();
+        let mut incremental = FragmentGraph::new(range);
         for f in &shuffled {
-            incremental.insert(&catalog, f);
+            incremental.insert(&catalog, catalog.frag(&f.id).unwrap());
         }
         prop_assert_eq!(bulk.node_count(), incremental.node_count());
         prop_assert_eq!(bulk.edge_count(), incremental.edge_count());
