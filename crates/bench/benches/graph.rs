@@ -26,7 +26,7 @@ fn bench_graph(c: &mut Criterion) {
         .collect();
 
     c.bench_function("graph/bulk-build", |b| {
-        b.iter(|| FragmentGraph::build(&catalog))
+        b.iter(|| FragmentGraph::build(&catalog, &[]))
     });
 
     c.bench_function("graph/catalog-intern", |b| {
@@ -47,7 +47,7 @@ fn bench_graph(c: &mut Criterion) {
     });
 
     c.bench_function("graph/locate+neighbors", |b| {
-        let graph = FragmentGraph::build(&catalog);
+        let graph = FragmentGraph::build(&catalog, &[]);
         let mut i = 0usize;
         b.iter(|| {
             let frag = frags[i % frags.len()];

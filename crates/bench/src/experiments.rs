@@ -92,12 +92,12 @@ pub fn table4(scale: Scale, cluster: &ClusterConfig) -> Vec<Table4Row> {
                 app.query.range_selection_index(),
             )
             .expect("crawl output interns");
-            let graph = FragmentGraph::build(&catalog);
+            let graph = FragmentGraph::build(&catalog, &[]);
             Table4Row {
                 query: query.name(),
                 build_secs: graph.build_secs(),
                 fragments: graph.node_count(),
-                avg_keywords: graph.avg_keywords(),
+                avg_keywords: graph.avg_keywords(&catalog),
                 edges: graph.edge_count(),
             }
         })

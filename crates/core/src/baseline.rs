@@ -16,6 +16,7 @@ use dash_webapp::{ParamValues, SelectionBinding, WebApplication};
 
 use crate::crawl::reference;
 use crate::fragment::Fragment;
+use crate::index::catalog::key_parts;
 use crate::search::{SearchHit, SearchRequest};
 use crate::Result;
 
@@ -80,11 +81,8 @@ impl NaiveEngine {
         // Group fragments by equality prefix.
         let mut groups: HashMap<Vec<Value>, Vec<&Fragment>> = HashMap::new();
         for f in fragments {
-            let key = match range_pos {
-                Some(pos) => f.id.without(pos),
-                None => f.id.values().to_vec(),
-            };
-            groups.entry(key).or_default().push(f);
+            let (head, tail) = key_parts(f.id.values(), range_pos);
+            groups.entry([head, tail].concat()).or_default().push(f);
         }
         let mut group_list: Vec<(Vec<Value>, Vec<&Fragment>)> = groups.into_iter().collect();
         group_list.sort_by(|a, b| a.0.cmp(&b.0));
@@ -193,11 +191,8 @@ pub fn page_count(app: &WebApplication, fragments: &[Fragment]) -> usize {
     let range_pos = app.query.range_selection_index();
     let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
     for f in fragments {
-        let key = match range_pos {
-            Some(pos) => f.id.without(pos),
-            None => f.id.values().to_vec(),
-        };
-        *groups.entry(key).or_default() += 1;
+        let (head, tail) = key_parts(f.id.values(), range_pos);
+        *groups.entry([head, tail].concat()).or_default() += 1;
     }
     groups
         .values()

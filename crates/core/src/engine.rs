@@ -29,7 +29,6 @@ pub struct DashEngine {
     app: WebApplication,
     index: FragmentIndex,
     crawl_stats: WorkflowStats,
-    fragment_count: usize,
 }
 
 impl DashEngine {
@@ -62,7 +61,6 @@ impl DashEngine {
         let index = FragmentIndex::build(fragments, app.query.range_selection_index())?;
         Ok(DashEngine {
             app,
-            fragment_count: fragments.len(),
             index,
             crawl_stats,
         })
@@ -112,12 +110,7 @@ impl DashEngine {
 
     /// Number of indexed fragments.
     pub fn fragment_count(&self) -> usize {
-        self.fragment_count
-    }
-
-    /// Re-synchronizes the count after incremental maintenance.
-    pub(crate) fn set_fragment_count(&mut self, count: usize) {
-        self.fragment_count = count;
+        self.index.fragment_count()
     }
 }
 

@@ -11,9 +11,11 @@
 //! (weights, node positions), which is what makes the fragment graph's
 //! `locate` O(1) and keeps the index layout shard- and mmap-friendly.
 //!
-//! The identifiers themselves are columns too: a group-key index per
-//! handle into keys interned once per equality group, plus one range
-//! value column (see [`FragmentCatalog`]).
+//! The identifiers themselves are columns too: a group handle per
+//! fragment into keys interned once per equality group, plus one range
+//! value column (see [`FragmentCatalog`]). The catalog is the one owner
+//! of every fragment fact — identifier, group key, key order, weight —
+//! and the graph and the inverted lists hold only handles into it.
 
 use std::cmp::Ordering;
 use std::sync::OnceLock;
@@ -30,6 +32,23 @@ use crate::Result;
 pub struct Frag(pub u32);
 
 impl Frag {
+    /// The handle as a column index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A dense equality-group handle: the index of the group's key in the
+/// catalog, in first-seen order. It is stable for the catalog's
+/// lifetime — a group that maintenance empties keeps its handle, its
+/// key and its rank — and it indexes the graph's range-sorted runs
+/// directly. Its position in key order is its *rank*
+/// ([`FragmentCatalog::group_rank`]), the top-k heap's tie-break.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct GroupId(pub u32);
+
+impl GroupId {
     /// The handle as a column index.
     #[inline]
     pub fn index(self) -> usize {
@@ -66,8 +85,8 @@ impl Kw {
 /// value:
 ///
 /// * `keys` interns each group key once (a shard holds thousands of
-///   groups, not hundreds of thousands of fragments), and `key_of`
-///   gives every handle a 4-byte index into it;
+///   groups, not hundreds of thousands of fragments), and `group_of`
+///   gives every handle its 4-byte [`GroupId`], the key's index;
 /// * `range` is one `Value` column, absent when the application has no
 ///   range attribute.
 ///
@@ -88,16 +107,19 @@ pub struct FragmentCatalog {
     /// Position of the range value within identifiers (`None`: every
     /// value is part of the group key).
     range_position: Option<usize>,
-    /// Every group key ever interned, once each, in first-seen order.
+    /// Every group key ever interned, once each, in first-seen order:
+    /// `keys[g]` is the key of [`GroupId`] `g`.
     keys: Vec<Vec<Value>>,
-    /// The indices of `keys`, sorted by key: interning a key bisects it
-    /// (an append when keys arrive in ascending order, as a bulk build
-    /// of identifier-sorted input with the range value last delivers
-    /// them; a new key out of order is an O(groups) insert, as a new
-    /// group is in the graph's rank permutation).
+    /// Every group, sorted by key: a group's rank is its position here.
+    /// Interning a key bisects it — an append when keys arrive in
+    /// ascending order, as a bulk build of identifier-sorted input with
+    /// the range value last delivers them; a new key out of order is an
+    /// O(groups) insert that also moves every later key up one rank.
     key_order: Vec<u32>,
-    /// Per handle: its group key's index in `keys`.
-    key_of: Vec<u32>,
+    /// Per group: its rank, the inverse of `key_order`.
+    key_rank: Vec<u32>,
+    /// Per handle: its group.
+    group_of: Vec<u32>,
     /// Per handle: its range value (empty without a range position).
     range: Vec<Value>,
     /// Every handle, in ascending identifier order ([`cmp_ids`] order):
@@ -136,7 +158,8 @@ impl FragmentCatalog {
             range_position,
             keys: Vec::new(),
             key_order: Vec::new(),
-            key_of: Vec::with_capacity(count),
+            key_rank: Vec::new(),
+            group_of: Vec::with_capacity(count),
             range: Vec::with_capacity(if range_position.is_some() { count } else { 0 }),
             order,
             total_keywords: Vec::with_capacity(columns),
@@ -232,8 +255,7 @@ impl FragmentCatalog {
                 match order.binary_search_by(|&h| self.cmp_to_id(h, id)) {
                     Ok(found) => {
                         let frag = order[found];
-                        self.total_keywords[frag.index()] = fragment.total_keywords;
-                        self.record_counts[frag.index()] = fragment.record_count;
+                        self.refresh(frag, fragment);
                         return frag;
                     }
                     Err(at) => at,
@@ -251,43 +273,54 @@ impl FragmentCatalog {
         frag
     }
 
+    /// Refreshes an interned handle's per-handle columns from a
+    /// recomputation of its fragment (same identifier).
+    pub(crate) fn refresh(&mut self, frag: Frag, fragment: &Fragment) {
+        self.total_keywords[frag.index()] = fragment.total_keywords;
+        self.record_counts[frag.index()] = fragment.record_count;
+    }
+
     /// Appends one identifier at the next handle: its range value, and
     /// its group key interned (allocated only the first time the key is
     /// seen). The caller fills the per-handle `u64` columns.
     fn push(&mut self, values: &[Value]) -> Frag {
         let frag = Frag(u32::try_from(self.len()).expect("more than u32::MAX fragments"));
-        let (head, tail) = match self.range_position {
-            Some(pos) => {
-                self.range.push(values[pos].clone());
-                (&values[..pos], &values[pos + 1..])
-            }
-            None => (values, &[][..]),
-        };
-        let key = self.intern_key(head, tail);
-        self.key_of.push(key);
+        if let Some(pos) = self.range_position {
+            self.range.push(values[pos].clone());
+        }
+        let (head, tail) = key_parts(values, self.range_position);
+        let group = self.intern_key(head, tail);
+        self.group_of.push(group);
         frag
     }
 
-    /// The index of the group key `head ++ tail`, interning it if new:
-    /// one comparison against the highest key when keys arrive in
+    /// The rank of the group key `head ++ tail`, or the rank it would
+    /// take: one comparison against the highest key when keys arrive in
     /// order, a bisection of `key_order` otherwise.
+    fn rank_of_key(&self, head: &[Value], tail: &[Value]) -> std::result::Result<usize, usize> {
+        let cmp = |&g: &u32| self.keys[g as usize].iter().cmp(head.iter().chain(tail));
+        match self.key_order.last().map(cmp) {
+            None => Err(0),
+            Some(Ordering::Equal) => Ok(self.key_order.len() - 1),
+            Some(Ordering::Less) => Err(self.key_order.len()),
+            Some(Ordering::Greater) => self.key_order.binary_search_by(cmp),
+        }
+    }
+
+    /// The group of the key `head ++ tail`, interning the key if new.
     fn intern_key(&mut self, head: &[Value], tail: &[Value]) -> u32 {
-        let cmp = |k: u32| self.keys[k as usize].iter().cmp(head.iter().chain(tail));
-        let at = match self.key_order.last() {
-            None => 0,
-            Some(&last) => match cmp(last) {
-                Ordering::Equal => return last,
-                Ordering::Less => self.key_order.len(),
-                Ordering::Greater => match self.key_order.binary_search_by(|&k| cmp(k)) {
-                    Ok(found) => return self.key_order[found],
-                    Err(at) => at,
-                },
-            },
+        let at = match self.rank_of_key(head, tail) {
+            Ok(rank) => return self.key_order[rank],
+            Err(at) => at,
         };
-        let key = u32::try_from(self.keys.len()).expect("more than u32::MAX group keys");
+        let group = u32::try_from(self.keys.len()).expect("more than u32::MAX group keys");
         self.keys.push(head.iter().chain(tail).cloned().collect());
-        self.key_order.insert(at, key);
-        key
+        self.key_order.insert(at, group);
+        self.key_rank.push(at as u32);
+        for &later in &self.key_order[at + 1..] {
+            self.key_rank[later as usize] += 1;
+        }
+        group
     }
 
     /// The handle of an identifier, if interned — a bisection of the
@@ -336,18 +369,44 @@ impl FragmentCatalog {
     /// range value.
     #[inline]
     pub fn key(&self, frag: Frag) -> &[Value] {
-        &self.keys[self.key_of[frag.index()] as usize]
+        self.group_key(self.group(frag))
     }
 
-    /// The handle's group-key index: equal indices, equal keys.
+    /// The handle's equality group: equal groups, equal keys.
     #[inline]
-    pub(crate) fn key_index(&self, frag: Frag) -> u32 {
-        self.key_of[frag.index()]
+    pub fn group(&self, frag: Frag) -> GroupId {
+        GroupId(self.group_of[frag.index()])
     }
 
-    /// Every interned group-key index, in key order.
-    pub(crate) fn key_order(&self) -> &[u32] {
-        &self.key_order
+    /// A group's key.
+    #[inline]
+    pub fn group_key(&self, group: GroupId) -> &[Value] {
+        &self.keys[group.index()]
+    }
+
+    /// A group's rank: its key's position in key order.
+    #[inline]
+    pub fn group_rank(&self, group: GroupId) -> u32 {
+        self.key_rank[group.index()]
+    }
+
+    /// The group at a rank ([`FragmentCatalog::group_rank`]'s inverse).
+    #[inline]
+    pub fn group_at_rank(&self, rank: u32) -> GroupId {
+        GroupId(self.key_order[rank as usize])
+    }
+
+    /// The group holding a key, if it was ever interned — a bisection
+    /// of the key order.
+    pub fn group_by_key(&self, key: &[Value]) -> Option<GroupId> {
+        let rank = self.rank_of_key(key, &[]).ok()?;
+        Some(self.group_at_rank(rank as u32))
+    }
+
+    /// Number of group keys interned, groups that maintenance emptied
+    /// included: every rank below it names a group.
+    pub fn key_count(&self) -> usize {
+        self.keys.len()
     }
 
     /// The number of values in a handle's identifier.
@@ -374,12 +433,12 @@ impl FragmentCatalog {
 
     /// Number of interned handles (tombstones included).
     pub fn len(&self) -> usize {
-        self.key_of.len()
+        self.group_of.len()
     }
 
     /// Whether nothing was ever interned.
     pub fn is_empty(&self) -> bool {
-        self.key_of.is_empty()
+        self.group_of.is_empty()
     }
 
     /// Compares two handles by their *identifiers* — the order every
@@ -391,7 +450,7 @@ impl FragmentCatalog {
         let (key_a, key_b) = (self.key(a), self.key(b));
         match self.range_position {
             // One key: the identifiers differ at most in the range value.
-            Some(_) if self.key_of[a.index()] == self.key_of[b.index()] => {
+            Some(_) if self.group_of[a.index()] == self.group_of[b.index()] => {
                 self.range[a.index()].cmp(&self.range[b.index()])
             }
             // Lexicographic over `head ++ [range] ++ tail` on both sides,
@@ -420,15 +479,16 @@ impl FragmentCatalog {
     }
 
     /// Heap bytes behind the identifiers (the group keys with their
-    /// values and strings, the key order, the per-handle key-index and
-    /// range columns with the range strings), the handle-order column
-    /// (0 until derived) and the two per-handle columns — capacities,
-    /// not lengths.
+    /// values and strings, the key order and its inverse, the
+    /// per-handle group and range columns with the range strings), the
+    /// handle-order column (0 until derived) and the two per-handle
+    /// columns — capacities, not lengths.
     pub(crate) fn heap_bytes(&self) -> (usize, usize, usize) {
         let keys = self.keys.capacity() * size_of::<Vec<Value>>()
             + self.keys.iter().map(values_heap_bytes).sum::<usize>()
-            + self.key_order.capacity() * size_of::<u32>();
-        let ids = keys + self.key_of.capacity() * size_of::<u32>() + values_heap_bytes(&self.range);
+            + (self.key_order.capacity() + self.key_rank.capacity()) * size_of::<u32>();
+        let ids =
+            keys + self.group_of.capacity() * size_of::<u32>() + values_heap_bytes(&self.range);
         let order = self
             .order
             .get()
@@ -440,8 +500,8 @@ impl FragmentCatalog {
 
     /// The two per-handle `u64` columns in handle order — with
     /// [`FragmentCatalog::values`] per handle, the arena-image dump
-    /// view (`persist`). The key order and the handle-order column are
-    /// derived state and not part of the image.
+    /// view (`persist`). The key order, its inverse and the
+    /// handle-order column are derived state and not part of the image.
     pub(crate) fn image_columns(&self) -> (&[u64], &[u64]) {
         (&self.total_keywords, &self.record_counts)
     }
@@ -472,6 +532,21 @@ impl FragmentCatalog {
         debug_assert_eq!(record_counts.len(), self.len());
         self.total_keywords = total_keywords;
         self.record_counts = record_counts;
+    }
+}
+
+/// The equality-group key of an identifier's values: every value but
+/// the one at the range position, as the runs before and after it (the
+/// whole identifier, when there is no range position or the identifier
+/// stops before it). This one derivation defines group membership
+/// everywhere — the catalog's interning, the sharded engine's routing
+/// and partition, and the serving layer's invalidation signatures —
+/// so shard rank offsets match global group ranks and no stale cached
+/// page survives a delta.
+pub fn key_parts(values: &[Value], range_position: Option<usize>) -> (&[Value], &[Value]) {
+    match range_position {
+        Some(pos) if pos < values.len() => (&values[..pos], &values[pos + 1..]),
+        _ => (values, &[]),
     }
 }
 
@@ -553,6 +628,15 @@ mod tests {
         }
         assert_eq!(catalog.order(), &[Frag(1), Frag(3), Frag(0), Frag(2)]);
         assert_eq!(catalog.frag(&fragment("Korean", 1, 1).id), None);
+        // Groups are numbered in first-seen order and ranked in key
+        // order: Thai is group 0 at rank 1.
+        let ranks = |catalog: &FragmentCatalog| -> Vec<u32> {
+            (0..catalog.key_count() as u32)
+                .map(|g| catalog.group_rank(GroupId(g)))
+                .collect()
+        };
+        assert_eq!(ranks(&catalog), [1, 0, 2]);
+        assert_eq!(catalog.group(Frag(3)), GroupId(1));
         // A duplicate refreshes its columns in place.
         assert_eq!(catalog.intern(&fragment("Udon", 1, 9)), Frag(2));
         assert_eq!(catalog.total_keywords(Frag(2)), 9);
@@ -602,7 +686,7 @@ mod tests {
             catalog.keys,
             vec![vec![Value::str("American")], vec![Value::str("Thai")]]
         );
-        assert_eq!(catalog.key_of, vec![0, 0, 1]);
+        assert_eq!(catalog.group_of, vec![0, 0, 1]);
         assert_eq!(catalog.key(Frag(1)), &[Value::str("American")]);
         assert_eq!(catalog.value_at(Frag(2), 0), &Value::str("Thai"));
         assert_eq!(catalog.value_at(Frag(2), 1), &Value::Int(10));

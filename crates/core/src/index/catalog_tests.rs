@@ -8,7 +8,9 @@
 //! * `cmp_ids` equals [`FragmentId`]'s `Ord` on every pair of handles;
 //! * `frag(id)` is exact: it finds every interned identifier, live or
 //!   tombstoned, and nothing else — identifiers of other arities
-//!   included, shorter or longer.
+//!   included, shorter or longer;
+//! * group ranks order the group keys, `group_at_rank` inverts
+//!   `group_rank`, and `group_by_key` finds every group's key.
 //!
 //! Identifiers mix `Str`, `Null`, `Int`, `Decimal` and `Date` values
 //! from small domains (so keys repeat and ranges collide across
@@ -23,7 +25,7 @@ use dash_relation::{Date, Value};
 use proptest::prelude::*;
 
 use crate::fragment::{Fragment, FragmentId};
-use crate::index::{Frag, FragmentIndex};
+use crate::index::{Frag, FragmentIndex, GroupId};
 use crate::persist;
 use crate::update::IndexDelta;
 
@@ -84,6 +86,16 @@ fn assert_columns_match(
     for id in absent.iter().filter(|id| !interned.contains(*id)) {
         assert_eq!(catalog.frag(id), None, "{id}");
     }
+    let groups: Vec<GroupId> = (0..catalog.key_count() as u32)
+        .map(|rank| catalog.group_at_rank(rank))
+        .collect();
+    for (rank, &group) in groups.iter().enumerate() {
+        assert_eq!(catalog.group_rank(group) as usize, rank);
+        assert_eq!(catalog.group_by_key(catalog.group_key(group)), Some(group));
+    }
+    assert!(groups
+        .windows(2)
+        .all(|w| catalog.group_key(w[0]) < catalog.group_key(w[1])));
     // The image decodes straight back into the same columns.
     let range = catalog.range_position();
     let mut image = Vec::new();

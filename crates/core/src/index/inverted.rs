@@ -257,7 +257,6 @@ pub struct InvertedFragmentIndex {
     lists: Vec<ListRef>,
     tf_arena: Vec<Posting>,
     probe_arena: Vec<Posting>,
-    fragment_count: u64,
 }
 
 impl InvertedFragmentIndex {
@@ -355,7 +354,6 @@ impl InvertedFragmentIndex {
             lists,
             tf_arena: Vec::new(),
             probe_arena,
-            fragment_count: fragments.len() as u64,
         })
     }
 
@@ -468,11 +466,6 @@ impl InvertedFragmentIndex {
         }
     }
 
-    /// Number of indexed fragments.
-    pub fn fragment_count(&self) -> u64 {
-        self.fragment_count
-    }
-
     /// Number of distinct keywords with a non-empty list.
     pub fn keyword_count(&self) -> usize {
         self.lists.iter().filter(|l| l.len > 0).count()
@@ -560,10 +553,10 @@ impl InvertedFragmentIndex {
     ///    its TF slices, and a delta that grows or shrinks a list
     ///    shifts the arena's tail once, with `memmove`.
     ///
-    /// Every fragment of `adds` must be interned in `catalog`, appear
-    /// once, have its previous postings (if any) listed in `stale` and
-    /// have passed [`check_counts`] (`FragmentIndex::apply` checks
-    /// before it changes anything). Returns the number of stale
+    /// Every fragment of `adds` comes with the handle `catalog` interned
+    /// it under, appears once, has its previous postings (if any) listed
+    /// in `stale` and has passed [`check_counts`]
+    /// (`FragmentIndex::apply` checks before it changes anything). Returns the number of stale
     /// postings that were removed outright (not superseded by a
     /// re-add). A delta that matches nothing (no stale postings, no
     /// keywords added) leaves the arenas untouched.
@@ -572,15 +565,14 @@ impl InvertedFragmentIndex {
         catalog: &FragmentCatalog,
         old_totals: &[(Frag, u64)],
         stale: &[(Kw, Posting)],
-        adds: &[&Fragment],
+        adds: &[(Frag, &Fragment)],
     ) -> usize {
         let mut edits: BTreeMap<Kw, ListEdit> = BTreeMap::new();
         for &(kw, posting) in stale {
             edits.entry(kw).or_default().stale.push(posting);
         }
         let mut readded: HashSet<Frag> = HashSet::with_capacity(adds.len());
-        for fragment in adds {
-            let frag = catalog.frag(&fragment.id).expect("fragment interned");
+        for &(frag, fragment) in adds {
             readded.insert(frag);
             for (word, &occurrences) in &fragment.keyword_occurrences {
                 let kw = self.interner.intern(word);
@@ -747,16 +739,6 @@ impl InvertedFragmentIndex {
         terms
     }
 
-    /// Sets the stored fragment count. The inverted lists cannot tell
-    /// a keyword-less live fragment from an absent one, so the count is
-    /// owned by whoever owns liveness: [`InvertedFragmentIndex::build`]
-    /// sets it from its input, and after a delta the caller
-    /// ([`FragmentIndex::apply`](crate::index::FragmentIndex::apply))
-    /// sets it from the graph's node count.
-    pub fn set_fragment_count(&mut self, count: u64) {
-        self.fragment_count = count;
-    }
-
     /// Total postings across every inverted list.
     pub fn posting_count(&self) -> usize {
         self.tf_arena.len()
@@ -807,7 +789,6 @@ impl InvertedFragmentIndex {
         lists: Vec<(u32, u32)>,
         tf_arena: Vec<Posting>,
         probe_arena: Vec<Posting>,
-        fragment_count: u64,
     ) -> Self {
         InvertedFragmentIndex {
             interner,
@@ -817,7 +798,6 @@ impl InvertedFragmentIndex {
                 .collect(),
             tf_arena,
             probe_arena,
-            fragment_count,
         }
     }
 }
@@ -1115,7 +1095,6 @@ mod tests {
         assert!((idx.idf("burger") - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(idx.df("coffee"), 1);
         assert_eq!(idx.df("fries"), 1);
-        assert_eq!(idx.fragment_count(), 4);
         assert_eq!(idx.posting_count(), 12);
     }
 
@@ -1178,7 +1157,10 @@ mod tests {
         assert_eq!(idx.df("burger"), 2);
         assert_eq!(idx.postings("queen"), None);
         assert_eq!(remove(&mut idx, &catalog, target), 0); // nothing left to match
-        assert_eq!(idx.apply_delta(&catalog, &[], &[], &[&fragments[1]]), 0);
+        assert_eq!(
+            idx.apply_delta(&catalog, &[], &[], &[(target, &fragments[1])]),
+            0
+        );
         assert_eq!(idx.df("burger"), 3);
         let kw = idx.kw("burger").unwrap();
         assert_eq!(idx.occurrences(kw, target), 2);
@@ -1197,7 +1179,7 @@ mod tests {
             ]))
             .unwrap();
         remove(&mut incremental, &catalog, target);
-        incremental.apply_delta(&catalog, &[], &[], &[&fragments[1]]);
+        incremental.apply_delta(&catalog, &[], &[], &[(target, &fragments[1])]);
         for word in ["burger", "coffee", "queen", "thai", "fries"] {
             assert_eq!(bulk.postings(word), incremental.postings(word), "{word}");
         }

@@ -2,7 +2,8 @@
 //! fragment graph (Sections V–VI of the paper).
 //!
 //! The [`FragmentCatalog`] interns every crawled fragment identifier
-//! into a dense [`catalog::Frag`] handle; the
+//! into a dense [`catalog::Frag`] handle and owns every fragment fact
+//! (identifier, group key, key order, weight); the
 //! [`InvertedFragmentIndex`] and [`FragmentGraph`] are handle-native
 //! and columnar, so search never touches a `Vec<Value>` identifier
 //! until it emits results.
@@ -17,8 +18,8 @@ mod splice_tests;
 #[cfg(test)]
 mod walk_tests;
 
-pub use catalog::{Frag, FragmentCatalog, Kw};
-pub use graph::{FragmentGraph, GroupId, NodeRef};
+pub use catalog::{Frag, FragmentCatalog, GroupId, Kw};
+pub use graph::{FragmentGraph, NodeRef};
 pub use inverted::{InvertedFragmentIndex, KeywordInterner, Posting};
 
 use std::collections::HashSet;
@@ -109,7 +110,9 @@ impl FragmentIndex {
         }
     }
 
-    /// Number of indexed fragments.
+    /// Number of indexed fragments: the graph's live nodes (the graph
+    /// owns liveness; the inverted lists cannot tell a keyword-less
+    /// live fragment from a removed one).
     pub fn fragment_count(&self) -> usize {
         self.graph.node_count()
     }
@@ -166,11 +169,13 @@ impl FragmentIndex {
                 }
             }
         }
-        // A re-added fragment's current postings are stale too. Their
-        // totals are snapshotted BEFORE interning: the catalog refresh
-        // overwrites the `total_keywords` the TF slices — sorted by the
-        // TFs derived from them — were laid out with.
-        stale_frags.extend(adds.iter().filter_map(|f| self.catalog.frag(&f.id)));
+        // One lookup per add: a known identifier is a re-add, whose
+        // current postings are stale too. Their totals are snapshotted
+        // BEFORE the refresh: it overwrites the `total_keywords` the TF
+        // slices — sorted by the TFs derived from them — were laid out
+        // with.
+        let known: Vec<Option<Frag>> = adds.iter().map(|f| self.catalog.frag(&f.id)).collect();
+        stale_frags.extend(known.iter().flatten());
         stale_frags.sort_unstable();
         stale_frags.dedup();
         let old_totals: Vec<(Frag, u64)> = stale_frags
@@ -178,16 +183,22 @@ impl FragmentIndex {
             .map(|&frag| (frag, self.catalog.total_keywords(frag)))
             .collect();
         let stale = self.inverted.stale_postings(&stale_frags);
-        for fragment in &adds {
-            let frag = self.catalog.intern(fragment);
+        let mut added = Vec::with_capacity(adds.len());
+        for (fragment, known) in adds.into_iter().zip(known) {
+            let frag = match known {
+                Some(frag) => {
+                    self.catalog.refresh(frag, fragment);
+                    frag
+                }
+                None => self.catalog.intern(fragment),
+            };
             self.graph.insert(&self.catalog, frag);
-            stats.added += 1;
+            added.push((frag, fragment));
         }
+        stats.added = added.len();
         // One in-place posting splice for the whole delta.
         self.inverted
-            .apply_delta(&self.catalog, &old_totals, &stale, &adds);
-        self.inverted
-            .set_fragment_count(self.graph.node_count() as u64);
+            .apply_delta(&self.catalog, &old_totals, &stale, &added);
         Ok(stats)
     }
 
@@ -234,7 +245,7 @@ impl PlacedIndex {
         } = self;
         let ((), graph) = par::join(
             || inverted.rebuild_tf_arena(&catalog),
-            || FragmentGraph::build(&catalog),
+            || FragmentGraph::build(&catalog, &[]),
         );
         FragmentIndex {
             catalog,
@@ -249,16 +260,16 @@ impl PlacedIndex {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HeapBytes {
     /// The catalog's identifiers: the group keys (interned once per
-    /// group) with their key order, the per-handle key-index and range
-    /// value columns, and their string payloads.
+    /// group) with their key order and its inverse, the per-handle
+    /// group and range value columns, and their string payloads.
     pub catalog_ids: usize,
     /// The catalog's handle-order column, 4 bytes a handle (0 until an
     /// image-loaded catalog first derives it).
     pub handle_order: usize,
     /// The catalog's `total_keywords` and `record_counts` columns.
     pub columns: usize,
-    /// The fragment graph: group keys, node and weight runs, the rank
-    /// permutation and the node-position column.
+    /// The fragment graph: the run table, the node runs (4 bytes a
+    /// node) and the node-position column (8 bytes a handle).
     pub graph: usize,
     /// The keyword interner: words and the word → handle slot table.
     pub interner: usize,
@@ -283,6 +294,12 @@ impl HeapBytes {
             ("probe_arena", self.probe_arena),
             ("lists", self.lists),
         ]
+    }
+
+    /// The inverted fragment index's share: the interner, the list
+    /// table and both arenas.
+    pub fn inverted(&self) -> usize {
+        self.interner + self.lists + self.tf_arena + self.probe_arena
     }
 
     /// The sum over every structure.

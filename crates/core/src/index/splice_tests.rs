@@ -91,7 +91,6 @@ fn assert_matches_rebuild(index: &FragmentIndex, truth: &BTreeMap<FragmentId, Fr
     // so slices compare directly.
     let live: Vec<Fragment> = truth.values().cloned().collect();
     let rebuilt = InvertedFragmentIndex::build(&index.catalog, &live).unwrap();
-    assert_eq!(inverted.fragment_count(), rebuilt.fragment_count());
     assert_eq!(index.fragment_count(), live.len());
     assert_eq!(inverted.keyword_count(), rebuilt.keyword_count());
     for word in VOCAB {

@@ -52,7 +52,7 @@ fn assert_walk_matches(
     let handles = index.catalog.len() as u32;
     let groups: Vec<Vec<Frag>> = index
         .graph
-        .iter_groups()
+        .iter_groups(&index.catalog)
         .map(|(_, frags)| frags.to_vec())
         .collect();
     let mut sets: Vec<Vec<Frag>> = vec![Vec::new(), (0..handles).map(Frag).collect()];
@@ -118,7 +118,7 @@ fn a_tombstoned_fragment_contributes_nothing() {
     ];
     let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
     let american = index
-        .graph
+        .catalog
         .group_by_key(&[dash_relation::Value::str(GROUPS[0])])
         .expect("group exists");
     let before = index.graph.group_nodes(american).to_vec();

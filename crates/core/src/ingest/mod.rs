@@ -38,7 +38,7 @@ pub enum IngestSource<'a> {
     /// Already-derived fragments; the builder partitions them into the
     /// configured number of shards.
     Fragments(&'a [Fragment]),
-    /// A `DASHIMG3` arena image ([`ShardedEngine::write_image`] is
+    /// A `DASHIMG4` arena image ([`ShardedEngine::write_image`] is
     /// the dump half) — the zero-parse bulk-read load path.
     Image(&'a [u8]),
     /// Per-shard fragment batches consumed one at a time — the

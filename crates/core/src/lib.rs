@@ -30,16 +30,19 @@
 //! * The **catalog** assigns each fragment a `u32` [`index::Frag`]
 //!   handle (and each keyword a [`index::Kw`]) once, at build or
 //!   maintenance time. Handles index columnar arrays directly, and the
-//!   identifiers are columns too: a group-key index per handle (each
-//!   key interned once) and one range-value column.
+//!   identifiers are columns too: a group handle per fragment (each
+//!   key interned once, ranked in key order) and one range-value
+//!   column. The catalog owns every fragment fact: identifiers, group
+//!   keys, key order and the node weights.
 //! * The **inverted index** stores all posting lists in two contiguous
 //!   arenas — TF-sorted for the seeding cursor, fragment-sorted for the
 //!   O(log L) occurrence probe — instead of nested
 //!   `HashMap<String, HashMap<FragmentId, u64>>` maps.
-//! * The **graph** stores each equality group as its own contiguous
-//!   node/weight column, addressed through a key-rank permutation —
-//!   locating a posting's node is an O(1) lookup, and incremental
-//!   maintenance splices one group's column, never a global one.
+//! * The **graph** stores only liveness and range order: each
+//!   equality group's live handles as one contiguous range-sorted run,
+//!   indexed by the catalog's group handle — locating a posting's node
+//!   is an O(1) lookup, and incremental maintenance splices one
+//!   group's run, never a global one.
 //! * **Top-k candidates** are six plain integers/floats (`Copy`), with
 //!   per-candidate keyword occurrences in a pooled scratch — the heap
 //!   loop performs zero `Vec<Value>` clones. Identifiers are resolved
@@ -69,7 +72,7 @@
 //! Every way a `ShardedEngine` comes to exist goes through
 //! [`ingest::EngineBuilder`] — `ShardedEngine::builder(app)` plus an
 //! [`ingest::IngestSource`] (crawl-and-build, in-memory fragments,
-//! `DASHIMG3` arena images, or streamed batches). Unpartitioned
+//! `DASHIMG4` arena images, or streamed batches). Unpartitioned
 //! sources are split by one partitioner into contiguous key-rank runs,
 //! each indexed by [`FragmentIndex::build_refs`].
 //!

@@ -17,31 +17,35 @@
 //! `u32::MAX`, since no posting can hold it). A
 //! value is a tag byte — `0`=Null, `1`=Int (i64), `2`=Decimal (cents
 //! i64), `3`=Str (u64 length + UTF-8, ≤ 2^24 bytes), `4`=Date (u16 year,
-//! u8 month, u8 day) — then its payload. The image's identifier and
-//! group-key columns use the value codec; [`wire`](crate::wire) ships a
-//! delta's added fragments as records.
+//! u8 month, u8 day) — then its payload. The image's identifier column
+//! uses the value codec; [`wire`](crate::wire) ships a delta's added
+//! fragments as records.
 //!
-//! # Arena images (`DASHIMG3`)
+//! # Arena images (`DASHIMG4`)
 //!
-//! The dump format *is* the arenas' in-memory layout: every column of
-//! [`FragmentCatalog`], [`InvertedFragmentIndex`] (both posting arenas
-//! plus the shared list-ref table) and [`FragmentGraph`] is written as a
-//! fixed-width little-endian array, so a shard loads by bulk-reading
-//! bytes back into columns instead of re-running `build` — no BTreeMap
-//! materialization, no per-posting interning, no TF re-sorts, no graph
-//! grouping. Only the interner's word → handle slot table and the
-//! `node_pos` column are re-derived at load, each a single O(n) pass;
+//! The image stores every fact once. The dump format *is* the
+//! arenas' in-memory layout: the columns of [`FragmentCatalog`] and of
+//! [`InvertedFragmentIndex`] (both posting arenas plus the shared
+//! list-ref table) are written as fixed-width little-endian arrays, so
+//! a shard loads by bulk-reading bytes back into columns instead of
+//! re-running `build` — no BTreeMap materialization, no per-posting
+//! interning, no TF re-sorts. The catalog section stores whole
+//! identifiers, one per handle; the loader decodes each straight into
+//! the catalog's columns (its group key interned once per group, its
+//! range value appended to the range column), and the writer reads
+//! them back off the columns.
+//!
+//! The [`FragmentGraph`] is a function of the catalog and of which
+//! handles are live, so its section is only the handles that are *not*
+//! live (fragments maintenance removed; empty for an engine that never
+//! removed one), sorted. The loader rebuilds the graph from the catalog
+//! minus those handles ([`FragmentGraph::build`], the bulk build's own
+//! path), and the interner's word → handle slot table in one O(n) pass;
 //! the catalog's identifier-ordered handle column waits for the first
-//! delta. The catalog section stores whole identifiers, one per handle,
-//! as it always has; the loader decodes each straight into the
-//! catalog's columns (its group key interned once per group, its range
-//! value appended to the range column), and the writer reads them back
-//! off the columns, so the bytes are the same as when the catalog held
-//! one `Vec<Value>` a handle.
-//! The graph is dumped normalized to key-rank order, so the loaded
-//! permutation is the identity (exactly a bulk build's state) and two
-//! engines holding the same live nodes dump the same image regardless
-//! of maintenance history.
+//! delta. Group keys, their order and the node weights live in the
+//! catalog alone, so no two copies of a fact can disagree in an image
+//! that loads, and two engines holding the same handles and live set
+//! dump the same image regardless of maintenance history.
 //!
 //! Everything after the magic is framed in checksummed *sections*:
 //!
@@ -61,14 +65,17 @@
 //! |---|---|---|
 //! | `0x10` | catalog | count; identifiers (per handle: arity, then values by the value codec); total-keyword u64 column; record-count u64 column |
 //! | `0x11` | words | count; blob length; word-length u32 column; UTF-8 blob |
-//! | `0x12` | lists | fragment count; list count; start u32 column; len u32 column — the refs must tile both arenas in handle order (each start = the sum of the lengths before it, the last list ending at the posting count) |
+//! | `0x12` | lists | list count; start u32 column; len u32 column — the refs must tile both arenas in handle order (each start = the sum of the lengths before it, the last list ending at the posting count) |
 //! | `0x13` | tf arena | posting count; frag u32 column; occurrence u32 column |
-//! | `0x14` | probe arena | posting count; frag u32 column; occurrence u32 column |
-//! | `0x15` | graph | group count; node total; per group (key values, run length); frag u32 column; weight u64 column |
+//! | `0x14` | probe arena | posting count; frag u32 column; occurrence u32 column — no posting may name a dead handle |
+//! | `0x15` | graph | dead count; dead-handle u32 column, strictly ascending, each below the catalog count |
 //!
 //! TF is not in the image: like the engine, the loader derives it from
 //! the occurrence column and the catalog's totals when it needs it.
-//! `DASHIMG2`, which stored it, is refused as an unsupported version.
+//! Neither is the live fragment count, which is the catalog count minus
+//! the dead handles. Older versions are refused as unsupported:
+//! `DASHIMG2` stored TF, and `DASHIMG3` stored the fragment count and
+//! each group's key, node run and weights beside the catalog's.
 //!
 //! A torn or bit-flipped file fails its section checksum (or a
 //! structural length check) before any engine state is touched — the
@@ -88,7 +95,7 @@ use crate::index::{
     Posting,
 };
 
-const IMAGE_MAGIC: &[u8; 8] = b"DASHIMG3";
+const IMAGE_MAGIC: &[u8; 8] = b"DASHIMG4";
 
 /// The shared record codec: a length-prefixed fragment list.
 pub(crate) fn write_fragment_list<W: Write>(
@@ -265,7 +272,6 @@ fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<(
     payload.clear();
 
     // The shared list-ref table, as (start, len) columns.
-    write_u64(&mut payload, index.inverted.fragment_count())?;
     write_u64(&mut payload, index.inverted.image_lists().len() as u64)?;
     for (start, _) in index.inverted.image_lists() {
         payload.extend_from_slice(&start.to_le_bytes());
@@ -284,31 +290,14 @@ fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<(
     write_section(w, SEC_PROBE, &payload)?;
     payload.clear();
 
-    // Graph: per-group keys and run lengths, then the node and weight
-    // columns, all in key-rank order.
-    let node_total: u64 = index
-        .graph
-        .image_groups()
-        .map(|(_, f, _)| f.len() as u64)
-        .sum();
-    write_u64(&mut payload, index.graph.image_groups().len() as u64)?;
-    write_u64(&mut payload, node_total)?;
-    for (key, frags, _) in index.graph.image_groups() {
-        write_u64(&mut payload, key.len() as u64)?;
-        for v in key {
-            write_value(&mut payload, v)?;
-        }
-        write_u64(&mut payload, frags.len() as u64)?;
-    }
-    for (_, frags, _) in index.graph.image_groups() {
-        for f in frags {
-            payload.extend_from_slice(&f.0.to_le_bytes());
-        }
-    }
-    for (_, _, weights) in index.graph.image_groups() {
-        for weight in weights {
-            payload.extend_from_slice(&weight.to_le_bytes());
-        }
+    // Graph: the handles without a live node, ascending.
+    let dead: Vec<Frag> = (0..catalog.len() as u32)
+        .map(Frag)
+        .filter(|&frag| index.graph.locate(frag).is_none())
+        .collect();
+    write_u64(&mut payload, dead.len() as u64)?;
+    for frag in dead {
+        payload.extend_from_slice(&frag.0.to_le_bytes());
     }
     write_section(w, SEC_GRAPH, &payload)?;
     Ok(())
@@ -366,7 +355,6 @@ fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<
 
     // List refs.
     let mut p = read_section(r, SEC_LISTS)?;
-    let fragment_count = take_u64(&mut p, "fragment count")?;
     let list_count = take_u64(&mut p, "list count")? as usize;
     if list_count != interner.len() {
         return Err(invalid("list count does not match interned word count"));
@@ -405,49 +393,33 @@ fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<
     {
         return Err(invalid("posting frag handle out of catalog bounds"));
     }
+
+    // Graph: the dead handles, strictly ascending (sorted, no
+    // duplicates) and inside the catalog; a removed fragment holds no
+    // posting.
+    let mut p = read_section(r, SEC_GRAPH)?;
+    let dead_count = take_u64(&mut p, "dead count")? as usize;
+    let dead: Vec<Frag> = take_u32_col(&mut p, dead_count, "dead-handle column")?
+        .into_iter()
+        .map(Frag)
+        .collect();
+    ensure_consumed(p, "graph section")?;
+    if !dead.is_sorted_by(|a, b| a < b) {
+        return Err(invalid("dead handles are not strictly ascending"));
+    }
+    if dead.last().is_some_and(|f| f.0 >= frag_bound) {
+        return Err(invalid("dead handle out of catalog bounds"));
+    }
+    let graph = FragmentGraph::build(&catalog, &dead);
+    if !dead.is_empty() && probe_arena.iter().any(|p| graph.locate(p.frag).is_none()) {
+        return Err(invalid("a posting names a dead handle"));
+    }
     let inverted = InvertedFragmentIndex::from_image_parts(
         interner,
         starts.into_iter().zip(lens).collect(),
         tf_arena,
         probe_arena,
-        fragment_count,
     );
-
-    // Graph.
-    let mut p = read_section(r, SEC_GRAPH)?;
-    let group_count = take_u64(&mut p, "group count")? as usize;
-    let node_total = take_u64(&mut p, "graph node total")? as usize;
-    let mut metas: Vec<(Vec<Value>, usize)> = Vec::with_capacity(group_count.min(1 << 20));
-    for _ in 0..group_count {
-        let arity = take_u64(&mut p, "group-key arity")?;
-        if arity > 64 {
-            return Err(invalid("group-key arity out of bounds"));
-        }
-        let mut key = Vec::with_capacity(arity as usize);
-        for _ in 0..arity {
-            key.push(read_value(&mut p)?);
-        }
-        let len = take_u64(&mut p, "group run length")? as usize;
-        metas.push((key, len));
-    }
-    let frags_col = take_u32_col(&mut p, node_total, "graph node column")?;
-    let weights_col = take_u64_col(&mut p, node_total, "graph weight column")?;
-    ensure_consumed(p, "graph section")?;
-    if metas.iter().map(|(_, len)| *len as u64).sum::<u64>() != node_total as u64 {
-        return Err(invalid("group run lengths do not cover the node column"));
-    }
-    if frags_col.iter().any(|&f| f >= frag_bound) {
-        return Err(invalid("graph node handle out of catalog bounds"));
-    }
-    let mut groups = Vec::with_capacity(metas.len());
-    let mut at = 0usize;
-    for (key, len) in metas {
-        let frags: Vec<Frag> = frags_col[at..at + len].iter().map(|&f| Frag(f)).collect();
-        let weights = weights_col[at..at + len].to_vec();
-        at += len;
-        groups.push((key, frags, weights));
-    }
-    let graph = FragmentGraph::from_image_groups(range_position, groups, catalog.len());
 
     Ok(FragmentIndex {
         catalog,
@@ -827,21 +799,23 @@ mod tests {
     }
 
     #[test]
-    fn a_dashimg2_image_is_an_unsupported_version() {
-        // `DASHIMG2` stored TF and 8-byte counts; its sections do not
-        // parse as this format's, so the magic refuses it up front.
+    fn dashimg2_and_dashimg3_images_are_unsupported_versions() {
+        // `DASHIMG2` stored TF and 8-byte counts, `DASHIMG3` the
+        // fragment count and every group's key, node run and weights
+        // beside the catalog's own; their sections do not parse as this
+        // format's, so the magic refuses them up front.
         let index = FragmentIndex::build(&fooddb_fragments(), Some(1)).unwrap();
         let mut image = Vec::new();
         write_image(&mut image, Some(1), &[&index]).unwrap();
-        assert_eq!(&image[..8], b"DASHIMG3");
-        image[..8].copy_from_slice(b"DASHIMG2");
-        let err = read_image(&image).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(
-            err.to_string()
-                .contains("unsupported arena image version '2' (this build reads '3')"),
-            "{err}"
-        );
+        assert_eq!(&image[..8], b"DASHIMG4");
+        for version in ['2', '3'] {
+            image[7] = version as u8;
+            let err = read_image(&image).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let expected =
+                format!("unsupported arena image version '{version}' (this build reads '4')");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
     }
 
     #[test]
@@ -933,13 +907,10 @@ mod tests {
         );
         assert_eq!(loaded.graph.node_count(), index.graph.node_count());
         assert_eq!(loaded.graph.edge_count(), index.graph.edge_count());
-        for ((ka, fa, wa), (kb, fb, wb)) in
-            loaded.graph.image_groups().zip(index.graph.image_groups())
-        {
-            assert_eq!(ka, kb);
-            assert_eq!(fa, fb);
-            assert_eq!(wa, wb);
-        }
+        assert!(loaded
+            .graph
+            .iter_groups(&loaded.catalog)
+            .eq(index.graph.iter_groups(&index.catalog)));
         // Re-dumping the loaded index reproduces the exact bytes.
         let mut again = Vec::new();
         write_image(&mut again, Some(1), &[&shards[0]]).unwrap();
@@ -969,43 +940,51 @@ mod tests {
         assert!(read_image(&padded).is_err());
     }
 
+    /// `image` with the payload of its first section tagged `tag`
+    /// rewritten by `edit`, re-framed and re-checksummed: a hostile
+    /// payload inside a well-formed frame (a buggy or hostile writer,
+    /// not a torn transfer).
+    fn with_section(image: &[u8], tag: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut at = 8usize;
+        loop {
+            let found = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(image[at + 8..at + 16].try_into().unwrap()) as usize;
+            if found == tag {
+                let mut payload = image[at + 16..at + 16 + len].to_vec();
+                edit(&mut payload);
+                let mut out = image[..at].to_vec();
+                write_section(&mut out, tag, &payload).unwrap();
+                out.extend_from_slice(&image[at + 16 + len + 8..]);
+                return out;
+            }
+            at += 16 + len + 8;
+        }
+    }
+
     #[test]
     fn non_contiguous_list_refs_rejected() {
         // A lists section whose checksum is VALID but whose refs do not
-        // tile the arenas in handle order (a buggy or hostile writer,
-        // not a torn transfer): in-place maintenance would slide the
-        // wrong postings, so the loader must refuse it.
+        // tile the arenas in handle order: in-place maintenance would
+        // slide the wrong postings, so the loader must refuse it.
         let fragments = fooddb_fragments();
         let index = FragmentIndex::build(&fragments, Some(1)).unwrap();
         let mut image = Vec::new();
         write_image(&mut image, Some(1), &[&index]).unwrap();
-        // Walk the section frames to the lists payload.
-        let mut at = 8usize;
-        let payload = loop {
-            let tag = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
-            let len = u64::from_le_bytes(image[at + 8..at + 16].try_into().unwrap()) as usize;
-            if tag == SEC_LISTS {
-                break at + 16..at + 16 + len;
-            }
-            at += 16 + len + 8;
-        };
         let table: Vec<(u32, u32)> = index.inverted.image_lists().collect();
         let lists = table.len();
         assert!(lists >= 3 && table.iter().all(|&(_, len)| len > 0));
-        // Re-checksummed copies with some u32 cells of the start / len
-        // columns (which follow the two u64 counts) overwritten.
-        let start_of = |i: usize| payload.start + 16 + 4 * i;
-        let len_of = |i: usize| payload.start + 16 + 4 * (lists + i);
+        // Copies with some u32 cells of the start / len columns (which
+        // follow the u64 list count) overwritten.
+        let start_of = |i: usize| 8 + 4 * i;
+        let len_of = |i: usize| 8 + 4 * (lists + i);
         let patched = |cells: &[(usize, u32)]| {
-            let mut bad = image.clone();
-            for &(at, value) in cells {
-                bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            }
-            let sum = checksum64(&bad[payload.clone()]);
-            bad[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
-            bad
+            with_section(&image, SEC_LISTS, |payload| {
+                for &(at, value) in cells {
+                    payload[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                }
+            })
         };
-        assert!(read_image(&patched(&[])).is_ok());
+        assert!(patched(&[]) == image);
         let cases: [(&str, Vec<(usize, u32)>); 4] = [
             ("overlap", vec![(start_of(1), table[1].0 - 1)]),
             ("gap", vec![(start_of(1), table[1].0 + 1)]),
@@ -1022,6 +1001,58 @@ mod tests {
             let err = read_image(&patched(&cells)).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
             assert!(err.to_string().contains("list refs"), "{what}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_hostile_dead_handle_column_is_invalid_data() {
+        // Two removals leave dead handles 1 and 3. A graph section that
+        // checksums but names a handle outside the catalog, out of
+        // order, twice, or one that still holds postings must be
+        // refused as `InvalidData`, never panic and never load.
+        let fragments = fooddb_fragments();
+        let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+        assert!(index.remove_fragment(&fragments[1].id));
+        assert!(index.remove_fragment(&fragments[3].id));
+        let mut image = Vec::new();
+        write_image(&mut image, Some(1), &[&index]).unwrap();
+        let with_dead = |count: u64, dead: &[u32]| {
+            with_section(&image, SEC_GRAPH, |payload| {
+                payload.clear();
+                payload.extend_from_slice(&count.to_le_bytes());
+                for frag in dead {
+                    payload.extend_from_slice(&frag.to_le_bytes());
+                }
+            })
+        };
+        assert!(with_dead(2, &[1, 3]) == image);
+        let (_, shards) = read_image(&image).unwrap();
+        assert_eq!(shards[0].fragment_count(), fragments.len() - 2);
+        let bound = fragments.len() as u32;
+        let cases: [(&str, Vec<u8>, &str); 6] = [
+            (
+                "out of bounds",
+                with_dead(2, &[1, bound]),
+                "out of catalog bounds",
+            ),
+            (
+                "far out of bounds",
+                with_dead(1, &[u32::MAX]),
+                "out of catalog bounds",
+            ),
+            ("unsorted", with_dead(2, &[3, 1]), "strictly ascending"),
+            ("duplicated", with_dead(2, &[1, 1]), "strictly ascending"),
+            (
+                "holds postings",
+                with_dead(2, &[0, 3]),
+                "names a dead handle",
+            ),
+            ("short column", with_dead(3, &[1, 3]), "truncated"),
+        ];
+        for (what, bad, message) in cases {
+            let err = read_image(&bad).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains(message), "{what}: {err}");
         }
     }
 }

@@ -64,8 +64,7 @@ use std::collections::BinaryHeap;
 use dash_relation::Value;
 use dash_webapp::{SelectionBinding, WebApplication};
 
-use crate::index::catalog::{Frag, Kw};
-use crate::index::graph::GroupId;
+use crate::index::catalog::{Frag, GroupId, Kw};
 use crate::index::inverted::Posting;
 use crate::index::FragmentIndex;
 use crate::search::{SearchHit, SearchRequest};
@@ -402,7 +401,7 @@ pub(crate) fn top_k_in(
             let score = score_of(&row[..width], total_keywords, idf);
             queue.push(Candidate {
                 score,
-                rank: group_offset + node.group.0,
+                rank: group_offset + index.catalog.group_rank(node.group),
                 lo: node.position,
                 hi: node.position,
                 occ_offset,
@@ -435,10 +434,11 @@ pub(crate) fn top_k_in(
         pops += 1;
 
         // The group's shard is the last whose offset does not exceed its
-        // rank (an empty shard shares its successor's offset).
+        // rank (a shard holding no group key shares its successor's
+        // offset).
         let s = shards.partition_point(|&(_, offset)| offset <= candidate.rank) - 1;
         let (index, group_offset) = shards[s];
-        let group = GroupId(candidate.rank - group_offset);
+        let group = index.catalog.group_at_rank(candidate.rank - group_offset);
         let group_nodes = index.graph.group_nodes(group);
         // Dead singleton (absorbed by an earlier expansion), or content
         // overlap with an already-returned page?
@@ -632,7 +632,7 @@ fn to_hit(
     // Equality selections read from the group key (which is the fragment
     // identifier minus the range position); the range selection reads its
     // bounds from the interval's end fragments.
-    let mut group_iter = index.graph.group_key(group).iter();
+    let mut group_iter = index.catalog.group_key(group).iter();
     for (i, sel) in selections.iter().enumerate() {
         match (&sel.binding, range_pos) {
             (SelectionBinding::RangeParams { low, high }, Some(pos)) if pos == i => {

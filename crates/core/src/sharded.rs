@@ -51,7 +51,7 @@
 //! sub-delta into its own arenas in place — work proportional to the
 //! sub-delta, not to the shard ([`FragmentIndex::apply`]) — then the
 //! engine refreshes the *global* coordinates incrementally:
-//! group-rank offsets are re-prefix-summed over per-shard group counts
+//! group-rank offsets are re-prefix-summed over per-shard key counts
 //! (O(shards)), and global IDF is always computed per request.
 //! Post-update searches are therefore byte-identical to a
 //! [`DashEngine`] freshly rebuilt over the mutated fragment set —
@@ -69,7 +69,7 @@ use crate::crawl;
 use crate::engine::{validate_query, DashConfig};
 use crate::error::CoreError;
 use crate::fragment::Fragment;
-use crate::index::graph::group_key;
+use crate::index::catalog::key_parts;
 use crate::index::{FragmentIndex, GroupId, HeapBytes};
 use crate::par;
 use crate::persist;
@@ -91,7 +91,7 @@ fn parse_shards(raw: &str) -> Option<usize> {
 
 /// One shard: a self-contained fragment index over a contiguous run of
 /// equality groups, plus the rank offset translating its local group
-/// ids back to global ranks.
+/// ranks to global ranks.
 #[derive(Debug, Clone)]
 struct Shard {
     index: FragmentIndex,
@@ -120,7 +120,6 @@ pub struct ShardedEngine {
     /// Reusable search scratch, one per concurrent `search_many` call.
     scratch: Mutex<Vec<SearchScratch>>,
     crawl_stats: WorkflowStats,
-    fragment_count: usize,
 }
 
 impl ShardedEngine {
@@ -174,8 +173,11 @@ impl ShardedEngine {
     }
 
     /// Wires built per-shard indexes into an engine: global group-rank
-    /// offsets and the static routing table. An empty index list (e.g.
-    /// an empty batch iterator) is clamped to one empty shard, mirroring
+    /// offsets and the static routing table, both read off the shard
+    /// catalogs' key order (a loaded image's catalogs keep the keys of
+    /// groups maintenance emptied, so the table is the one the dumped
+    /// engine was built with). An empty index list (e.g. an empty batch
+    /// iterator) is clamped to one empty shard, mirroring
     /// `shards.max(1)` on the build path — a zero-shard engine could
     /// answer nothing.
     ///
@@ -195,13 +197,13 @@ impl ShardedEngine {
         let mut shards = Vec::with_capacity(indexes.len());
         let mut route_bounds = Vec::new();
         let mut group_offset = 0u32;
-        let mut fragment_count = 0usize;
         let mut prev_max: Option<Vec<Value>> = None;
         for (s, index) in indexes.into_iter().enumerate() {
-            let groups = index.graph.group_count() as u32;
-            if groups > 0 {
-                let lowest = index.graph.group_key(GroupId(0)).to_vec();
-                let highest = index.graph.group_key(GroupId(groups - 1)).to_vec();
+            let catalog = &index.catalog;
+            let keys = catalog.key_count() as u32;
+            if keys > 0 {
+                let lowest = catalog.group_key(catalog.group_at_rank(0)).to_vec();
+                let highest = catalog.group_key(catalog.group_at_rank(keys - 1)).to_vec();
                 if prev_max.as_ref().is_some_and(|p| *p >= lowest) {
                     return Err(CoreError::Internal {
                         detail: format!(
@@ -212,12 +214,11 @@ impl ShardedEngine {
                 prev_max = Some(highest);
                 route_bounds.push((lowest, s));
             }
-            fragment_count += index.graph.node_count();
             shards.push(Shard {
                 index,
                 group_offset,
             });
-            group_offset += groups;
+            group_offset += keys;
         }
         Ok(ShardedEngine {
             app,
@@ -225,7 +226,6 @@ impl ShardedEngine {
             route_bounds,
             scratch: Mutex::new(Vec::new()),
             crawl_stats,
-            fragment_count,
         })
     }
 
@@ -303,8 +303,8 @@ impl ShardedEngine {
 
     /// Applies a prebuilt delta: every entry is routed to the shard
     /// owning its equality group, each affected shard applies its
-    /// sub-delta in turn, and the global group-rank offsets + fragment
-    /// count are refreshed incrementally — a delta-proportional in-place
+    /// sub-delta in turn, and the global group-rank offsets are
+    /// refreshed incrementally — a delta-proportional in-place
     /// splice per affected shard ([`FragmentIndex::apply`]) plus an
     /// O(shards) prefix sum, never a rebuild or a re-sort. Post-update
     /// searches are byte-identical to a [`DashEngine`](crate::DashEngine)
@@ -334,11 +334,11 @@ impl ShardedEngine {
             .map(|_| IndexDelta::default())
             .collect();
         for id in delta.removes {
-            let shard = self.route(&group_key(&id, range_position));
+            let shard = self.route(key_parts(id.values(), range_position));
             per_shard[shard].removes.push(id);
         }
         for fragment in delta.adds {
-            let shard = self.route(&group_key(&fragment.id, range_position));
+            let shard = self.route(key_parts(fragment.id.values(), range_position));
             per_shard[shard].adds.push(fragment);
         }
         let mut stats = RefreshStats::default();
@@ -388,7 +388,6 @@ impl ShardedEngine {
             route_bounds: self.route_bounds.clone(),
             scratch: Mutex::new(Vec::new()),
             crawl_stats: self.crawl_stats.clone(),
-            fragment_count: self.fragment_count,
         }
     }
 
@@ -417,7 +416,7 @@ impl ShardedEngine {
                         continue;
                     };
                     if seen.insert(node.group) {
-                        groups.insert(index.graph.group_key(node.group).to_vec());
+                        groups.insert(index.catalog.group_key(node.group).to_vec());
                     }
                 }
             }
@@ -444,10 +443,10 @@ impl ShardedEngine {
         let mut signature = delta.signature(self.app.query.range_selection_index());
         let mut touched = vec![Vec::new(); self.shards.len()];
         for key in &signature.groups {
-            let shard = self.route(key);
-            let graph = &self.shards[shard].index.graph;
-            if let Some(group) = graph.group_by_key(key) {
-                touched[shard].extend_from_slice(graph.group_nodes(group));
+            let shard = self.route((key, &[]));
+            let index = &self.shards[shard].index;
+            if let Some(group) = index.catalog.group_by_key(key) {
+                touched[shard].extend_from_slice(index.graph.group_nodes(group));
             }
         }
         for (shard, mut frags) in self.shards.iter().zip(touched) {
@@ -462,31 +461,29 @@ impl ShardedEngine {
         signature
     }
 
-    /// The shard owning an equality-group key under the static routing
-    /// table: the last shard whose lower bound does not exceed the key
-    /// (the first routed shard also catches keys below every bound).
-    fn route(&self, key: &[Value]) -> usize {
+    /// The shard owning an equality-group key, given as
+    /// [`key_parts`] splits it, under the static routing table: the
+    /// last shard whose lower bound does not exceed the key (the first
+    /// routed shard also catches keys below every bound).
+    fn route(&self, (head, tail): (&[Value], &[Value])) -> usize {
         if self.route_bounds.is_empty() {
             return 0;
         }
         let at = self
             .route_bounds
-            .partition_point(|(bound, _)| bound.as_slice() <= key);
+            .partition_point(|(bound, _)| bound.iter().cmp(head.iter().chain(tail)).is_le());
         self.route_bounds[at.max(1) - 1].1
     }
 
-    /// Re-derives every shard's global group-rank offset and the total
-    /// fragment count after maintenance — a prefix sum over per-shard
-    /// group counts, O(shards).
+    /// Re-derives every shard's global group-rank offset after
+    /// maintenance — a prefix sum over per-shard key counts (a group
+    /// keeps its rank when maintenance empties it), O(shards).
     fn refresh_offsets(&mut self) {
         let mut group_offset = 0u32;
-        let mut fragment_count = 0usize;
         for shard in &mut self.shards {
             shard.group_offset = group_offset;
-            group_offset += shard.index.graph.group_count() as u32;
-            fragment_count += shard.index.graph.node_count();
+            group_offset += shard.index.catalog.key_count() as u32;
         }
-        self.fragment_count = fragment_count;
     }
 
     /// Dumps every shard's live fragments, per shard, in group-rank +
@@ -504,7 +501,7 @@ impl ShardedEngine {
                 // once — O(postings), not O(fragments × keywords).
                 let mut terms = index.inverted.all_fragment_terms();
                 let mut fragments = Vec::with_capacity(index.graph.node_count());
-                for (_, frags) in index.graph.iter_groups() {
+                for (_, frags) in index.graph.iter_groups(&index.catalog) {
                     for &frag in frags {
                         fragments.push(Fragment::new(
                             index.catalog.id(frag),
@@ -632,7 +629,9 @@ impl ShardedEngine {
 
     /// Number of indexed fragments across all shards.
     pub fn fragment_count(&self) -> usize {
-        self.fragment_count
+        self.shard_indexes()
+            .map(FragmentIndex::fragment_count)
+            .sum()
     }
 
     /// Per-shard fragment counts (the partition balance).
@@ -669,10 +668,10 @@ fn partition(
     let mut groups: std::collections::BTreeMap<Vec<Value>, Vec<usize>> =
         std::collections::BTreeMap::new();
     for (i, f) in fragments.iter().enumerate() {
-        // The graph's own key derivation — partition order must stay in
-        // lockstep with `FragmentGraph`'s grouping.
-        let key = group_key(&f.id, range_position);
-        groups.entry(key).or_default().push(i);
+        // The catalog's own key derivation — partition order must stay
+        // in lockstep with the shard catalogs' grouping.
+        let (head, tail) = key_parts(f.id.values(), range_position);
+        groups.entry([head, tail].concat()).or_default().push(i);
     }
     let total = fragments.len().max(1);
     let mut parts: Vec<Part<'_>> = (0..shards)
@@ -756,7 +755,10 @@ pub(crate) mod tests {
             .map(|p| {
                 p.fragments
                     .iter()
-                    .map(|f| group_key(&f.id, rp))
+                    .map(|f| {
+                        let (head, tail) = key_parts(f.id.values(), rp);
+                        [head, tail].concat()
+                    })
                     .collect::<std::collections::BTreeSet<_>>()
                     .len()
             })
@@ -808,14 +810,15 @@ pub(crate) mod tests {
         let (app, db) = fooddb_parts();
         // 2 groups (American, Thai) over 2 shards: American → 0, Thai → 1.
         let engine = built(&app, &db, 2).unwrap();
-        assert_eq!(engine.route(&[Value::str("American")]), 0);
-        assert_eq!(engine.route(&[Value::str("Thai")]), 1);
+        let route = |cuisine: &str| engine.route((&[Value::str(cuisine)], &[]));
+        assert_eq!(route("American"), 0);
+        assert_eq!(route("Thai"), 1);
         // Keys outside the built ranges route to the nearest run:
         // below-all to the first routed shard, between/above to the
         // last bound not exceeding them.
-        assert_eq!(engine.route(&[Value::str("Aaa")]), 0);
-        assert_eq!(engine.route(&[Value::str("Mexican")]), 0);
-        assert_eq!(engine.route(&[Value::str("Zulu")]), 1);
+        assert_eq!(route("Aaa"), 0);
+        assert_eq!(route("Mexican"), 0);
+        assert_eq!(route("Zulu"), 1);
     }
 
     #[test]
@@ -1146,11 +1149,14 @@ pub(crate) mod tests {
 
     /// The compact layout, pinned in bytes at the environment's shard
     /// width (`DASH_SHARDS`, else 1): 8 bytes a posting in each arena,
-    /// 4 bytes a handle for the catalog's handle-order column, and for
-    /// the identifiers a 4-byte key index plus one range `Value` a
-    /// handle, with every group key held once — capacities, so slack
-    /// would show — after a bulk build, after an image load (where the
-    /// order column is derived only on first use) and after a delta.
+    /// 4 bytes a handle for the catalog's handle-order column, for the
+    /// identifiers a 4-byte group handle plus one range `Value` a
+    /// handle, with every group key held once, and for the graph 4
+    /// bytes a node in its runs plus 8 bytes a handle of `node_pos`
+    /// and one run header a group — no value and no weight. Capacities,
+    /// so slack would show, after a bulk build, after an image load
+    /// (where the order column is derived only on first use) and after
+    /// a delta.
     #[test]
     fn heap_bytes_pin_the_compact_layout() {
         use crate::index::Posting;
@@ -1178,14 +1184,21 @@ pub(crate) mod tests {
                     "{context}: shard {s}"
                 );
                 // Each group key is one `Str` value ("G000", 4 bytes):
-                // a key vector, its value, its string and a key-order
-                // entry, within the key columns' doubling slack.
-                let groups = index.graph.group_count();
+                // a key vector, its value, its string, a key-order and a
+                // key-rank entry, within the key columns' doubling slack.
+                let groups = index.catalog.key_count();
                 let keys = heap.catalog_ids - (4 + size_of::<Value>()) * index.catalog.len();
-                let per_group = size_of::<Vec<Value>>() + size_of::<Value>() + 4 + 4;
+                let per_group = size_of::<Vec<Value>>() + size_of::<Value>() + 4 + 4 + 4;
                 assert!(
                     (groups * per_group..=2 * groups * per_group).contains(&keys),
                     "{context}: shard {s}: {keys} key bytes for {groups} groups"
+                );
+                assert_eq!(
+                    heap.graph,
+                    4 * index.graph.node_count()
+                        + 8 * index.catalog.len()
+                        + size_of::<Vec<crate::index::Frag>>() * groups,
+                    "{context}: shard {s}"
                 );
             }
         };
@@ -1209,5 +1222,82 @@ pub(crate) mod tests {
         // moves postings, growing no arena.
         loaded.apply_delta(IndexDelta::adding(fragments.clone()));
         pinned(&loaded, 4, "upserted");
+    }
+
+    #[test]
+    fn an_image_of_a_maintained_engine_reloads_exactly() {
+        // Deltas that empty a group, create a group between two others
+        // (its key interned out of order) and re-add a removed
+        // fragment: the reloaded engine answers the same, locates every
+        // handle the same and re-dumps the same bytes, at 1 and 4
+        // shards.
+        use crate::fragment::FragmentId;
+        use crate::ingest::IngestSource;
+        let app = fooddb::search_application().unwrap();
+        let fragments = plateau_fragments(12, 6, 20);
+        let id =
+            |group: &str, budget: i64| FragmentId::new(vec![Value::str(group), Value::Int(budget)]);
+        let fragment = |group: &str, budget: i64, plateau: u64| {
+            Fragment::new(
+                id(group, budget),
+                [("plateau".to_string(), plateau), ("late".to_string(), 1)]
+                    .into_iter()
+                    .collect(),
+                1,
+            )
+        };
+        let readded = fragments[7 * 6 + 2].clone();
+        let deltas = [
+            IndexDelta::removing((0..6).map(|b| id("G003", b)).collect()),
+            IndexDelta::new(
+                vec![readded.id.clone()],
+                vec![fragment("G005a", 4, 3), fragment("G005a", 1, 2)],
+            ),
+            IndexDelta::adding(vec![readded, fragment("G010", 9, 5)]),
+        ];
+        let requests = [
+            SearchRequest::new(&["plateau"]).k(40).min_size(1),
+            SearchRequest::new(&["plateau", "filler"])
+                .k(10)
+                .min_size(50),
+            SearchRequest::new(&["late"]).k(5).min_size(10),
+        ];
+        for shards in [1, 4] {
+            let mut engine = ShardedEngine::builder(app.clone())
+                .shards(shards)
+                .source(IngestSource::Fragments(&fragments))
+                .build()
+                .unwrap();
+            for delta in &deltas {
+                engine.apply_delta(delta.clone());
+            }
+            assert_eq!(engine.fragment_count(), fragments.len() - 6 + 3);
+            let mut image = Vec::new();
+            engine.write_image(&mut image).unwrap();
+            let loaded = ShardedEngine::builder(app.clone())
+                .source(IngestSource::Image(&image))
+                .build()
+                .unwrap();
+            assert_eq!(loaded.fragment_count(), engine.fragment_count());
+            assert_eq!(loaded.route_bounds, engine.route_bounds);
+            for request in &requests {
+                let hits = engine.search(request);
+                assert!(!hits.is_empty(), "shards={shards}");
+                assert_eq!(loaded.search(request), hits, "shards={shards}");
+            }
+            for (a, b) in engine.shard_indexes().zip(loaded.shard_indexes()) {
+                assert_eq!(a.catalog.len(), b.catalog.len());
+                for frag in (0..a.catalog.len() as u32).map(crate::index::Frag) {
+                    assert_eq!(
+                        a.graph.locate(frag),
+                        b.graph.locate(frag),
+                        "shards={shards}"
+                    );
+                }
+            }
+            let mut again = Vec::new();
+            loaded.write_image(&mut again).unwrap();
+            assert!(again == image, "shards={shards}: re-dump differs");
+        }
     }
 }

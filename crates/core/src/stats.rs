@@ -23,7 +23,9 @@ pub struct IndexStats {
     pub avg_keywords: f64,
     /// Longest inverted list (the hottest keyword's fragment frequency).
     pub max_df: usize,
-    /// Approximate serialized size of the inverted fragment index, bytes.
+    /// Heap bytes of the inverted fragment index: the keyword
+    /// interner, the list table and both posting arenas
+    /// ([`HeapBytes::inverted`](crate::index::HeapBytes::inverted)).
     pub inverted_bytes: usize,
 }
 
@@ -33,17 +35,15 @@ impl IndexStats {
         let ranked = index.inverted.keywords_by_df();
         let postings: usize = ranked.iter().map(|(_, df)| df).sum();
         let max_df = ranked.first().map(|(_, df)| *df).unwrap_or(0);
-        // Per posting: 24 B in the TF arena + 16 B in the probe arena.
-        let inverted_bytes: usize = ranked.iter().map(|(kw, df)| kw.len() + 4 + df * 40).sum();
         IndexStats {
             fragments: index.graph.node_count(),
             keywords: ranked.len(),
             postings,
             edges: index.graph.edge_count(),
             groups: index.graph.group_count(),
-            avg_keywords: index.graph.avg_keywords(),
+            avg_keywords: index.graph.avg_keywords(&index.catalog),
             max_df,
-            inverted_bytes,
+            inverted_bytes: index.heap_bytes().inverted(),
         }
     }
 }
@@ -53,7 +53,7 @@ impl fmt::Display for IndexStats {
         write!(
             f,
             "{} fragments ({} groups, {} edges), {} keywords, {} postings \
-             (max df {}), avg {:.1} keywords/fragment, ≈{} B inverted index",
+             (max df {}), avg {:.1} keywords/fragment, {} B inverted index",
             self.fragments,
             self.groups,
             self.edges,
@@ -94,7 +94,15 @@ mod tests {
         assert_eq!(stats.max_df, 3);
         assert!(stats.keywords > 20);
         assert!(stats.postings >= stats.keywords);
-        assert!(stats.inverted_bytes > 0);
+        // The inverted index's heap bytes, as `FragmentIndex::heap_bytes`
+        // walks them: 8 bytes a posting in each arena, plus the
+        // interner and the list table.
+        let heap = engine.index().heap_bytes();
+        assert_eq!(
+            stats.inverted_bytes,
+            heap.interner + heap.lists + heap.tf_arena + heap.probe_arena
+        );
+        assert!(stats.inverted_bytes >= 16 * stats.postings);
         let text = stats.to_string();
         assert!(text.contains("5 fragments"));
     }

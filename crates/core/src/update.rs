@@ -51,7 +51,7 @@ use crate::crawl::reference;
 use crate::engine::DashEngine;
 use crate::error::CoreError;
 use crate::fragment::{Fragment, FragmentId};
-use crate::index::graph::group_key;
+use crate::index::catalog::key_parts;
 use crate::index::inverted::check_counts;
 use crate::Result;
 
@@ -125,14 +125,17 @@ impl IndexDelta {
     }
 
     /// The equality-group keys this delta touches — every remove's and
-    /// every add's identifier reduced by [`group_key`]. This is the
+    /// every add's identifier reduced by [`key_parts`]. This is the
     /// group half of a [`DeltaSignature`]: the groups whose vocabulary
     /// the engine folds into the keyword half.
     pub fn touched_groups(&self, range_position: Option<usize>) -> BTreeSet<Vec<Value>> {
         self.removes
             .iter()
             .chain(self.adds.iter().map(|f| &f.id))
-            .map(|id| group_key(id, range_position))
+            .map(|id| {
+                let (head, tail) = key_parts(id.values(), range_position);
+                [head, tail].concat()
+            })
             .collect()
     }
 
@@ -346,14 +349,10 @@ impl DashEngine {
     }
 
     /// [`IndexDelta::check`], then
-    /// [`FragmentIndex::apply`](crate::index::FragmentIndex::apply),
-    /// then the engine's fragment count.
+    /// [`FragmentIndex::apply`](crate::index::FragmentIndex::apply).
     fn apply_checked(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
         delta.check(self.app())?;
-        let stats = self.index_mut().apply(delta)?;
-        let count = self.index().graph.node_count();
-        self.set_fragment_count(count);
-        Ok(stats)
+        self.index_mut().apply(delta)
     }
 }
 

@@ -234,7 +234,7 @@ proptest! {
         let range = app.query.range_selection_index();
 
         let catalog = FragmentCatalog::from_fragments(&fragments, range).unwrap();
-        let bulk = FragmentGraph::build(&catalog);
+        let bulk = FragmentGraph::build(&catalog, &[]);
         // Shuffle deterministically by seed and insert incrementally.
         let mut shuffled = fragments.clone();
         let n = shuffled.len();

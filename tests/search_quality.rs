@@ -96,7 +96,7 @@ fn size_threshold_contract() {
         for hit in engine.search(&SearchRequest::new(&["burger"]).k(5).min_size(s)) {
             if hit.size < s {
                 let group_key = hit.fragment_ids[0].without(range_pos);
-                let group = engine.index().graph.group_by_key(&group_key).unwrap();
+                let group = engine.index().catalog.group_by_key(&group_key).unwrap();
                 let group_len = engine.index().graph.group_nodes(group).len();
                 assert_eq!(
                     hit.fragment_ids.len(),
