@@ -15,6 +15,7 @@
 //! | `scale/full-rebuild` | partition + 4-shard index build from in-memory fragments (`IngestSource::Fragments`) — what a bootstrap costs without the image |
 //! | `scale/delta-signature` | the same delta's invalidation signature (`delta_signature`: the touched group's vocabulary walk), taken before it is applied |
 //! | `scale/delta-apply` | one group-local delta through `apply_delta` |
+//! | `scale/publish` | what a serving publish does to its two engines: the next such delta prepared once (`prepare`), then applied to the engine and to its fork (`apply_prepared` twice); the median of five |
 //!
 //! The arena-load vs full-rebuild gap is the replica-bootstrap win
 //! (the SNAPSHOT frame ships the image; CI gates `arena-load <
@@ -28,6 +29,10 @@
 //! the owning shard plus the postings inside the touched group's
 //! handle span — so that walk must stay the same order as the apply it
 //! precedes as lists grow (gated `delta-signature < delta-apply × 4`).
+//! A publish walks the lists once and splices twice, so it must cost
+//! less than two delta-applies, each of which walks once and splices
+//! once (gated `publish < delta-apply × 2`; a walk per side, or a
+//! signature walk of its own, reads nearer 3×).
 //! Corpus size defaults to 1M fragments (20k in
 //! `DASH_BENCH_FAST` smoke runs) and is capped by
 //! `DASH_SCALE_FRAGMENTS` — CI's `scale` job runs ~100k.
@@ -181,6 +186,32 @@ fn bench_scale(c: &mut Criterion) {
         rebuild_ns / 1e6,
         rebuild_ns / delta_ns.max(1.0)
     );
+
+    // Publish: the serving tier keeps a fork in lockstep and applies
+    // every delta to both sides, preparing it once. Five rounds of the
+    // same churn, each with its own counts, against the same group.
+    let mut twin = engine.fork();
+    let publish_ns: Vec<f64> = (0..5u64)
+        .map(|round| {
+            let upserts: Vec<_> = (1..=churn as i64)
+                .map(|quantity| {
+                    let mut fragment = corpus.fragment(0, quantity);
+                    if let Some(count) = fragment.keyword_occurrences.values_mut().next() {
+                        *count += 2 + round;
+                    }
+                    fragment
+                })
+                .collect();
+            let delta = IndexDelta::adding(upserts);
+            let begin = Instant::now();
+            let prepared = engine.prepare(&delta).expect("the churn fits");
+            let stats = engine.apply_prepared(&prepared);
+            assert_eq!(twin.apply_prepared(&prepared), stats);
+            begin.elapsed().as_nanos() as f64
+        })
+        .collect();
+    drop(twin);
+    c.record_measurement("scale/publish", &publish_ns, churn as f64);
 }
 
 /// `n` single/double-keyword requests whose vocabulary ranks are drawn

@@ -403,6 +403,15 @@ impl FragmentCatalog {
         Some(self.group_at_rank(rank as u32))
     }
 
+    /// The group an identifier belongs to, if its key was ever
+    /// interned (the identifier itself need not be) — a bisection of
+    /// the key order.
+    pub(crate) fn group_of_id(&self, id: &FragmentId) -> Option<GroupId> {
+        let (head, tail) = key_parts(id.values(), self.range_position);
+        let rank = self.rank_of_key(head, tail).ok()?;
+        Some(self.group_at_rank(rank as u32))
+    }
+
     /// Number of group keys interned, groups that maintenance emptied
     /// included: every rank below it names a group.
     pub fn key_count(&self) -> usize {

@@ -250,6 +250,42 @@ struct Move {
     len: usize,
 }
 
+/// What one vocabulary walk ([`InvertedFragmentIndex::walk`]) finds.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Walk {
+    /// The keywords any walked handle holds, ascending.
+    pub(crate) held: Vec<Kw>,
+    /// The stale handles' live postings, by keyword, then by handle.
+    pub(crate) stale: Vec<(Kw, Posting)>,
+}
+
+/// The positions in `entries` (a frag-sorted probe run) of the postings
+/// whose handle is in `wanted` (sorted), ascending: a merge of the two
+/// runs in which whichever side is behind gallops ahead by
+/// `partition_point`, so a sparse side costs a binary search a step.
+fn intersect<'a>(
+    entries: &'a [Posting],
+    mut wanted: &'a [Frag],
+) -> impl Iterator<Item = usize> + 'a {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        while let (Some(entry), Some(&frag)) = (entries.get(at), wanted.first()) {
+            match entry.frag.cmp(&frag) {
+                Ordering::Equal => {
+                    wanted = &wanted[1..];
+                    at += 1;
+                    return Some(at - 1);
+                }
+                Ordering::Less => at += entries[at..].partition_point(|e| e.frag < frag),
+                Ordering::Greater => {
+                    wanted = &wanted[wanted.partition_point(|&f| f < entry.frag)..];
+                }
+            }
+        }
+        None
+    })
+}
+
 /// The inverted half of the fragment index.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedFragmentIndex {
@@ -485,49 +521,19 @@ impl InvertedFragmentIndex {
         out
     }
 
-    /// The live postings of `frags` — `(keyword, posting)` pairs in
-    /// keyword order — the *locate* half of a splice.
-    /// `frags` must be sorted and duplicate-free. Each frag-sorted
-    /// probe slice is intersected with `frags` by binary-searching the
-    /// longer of the two for every entry of the shorter:
-    /// O(lists · |frags| · log L) for the usual small delta, and never
-    /// more than O(postings · log |frags|) for a delta that replaces
-    /// much of the shard.
-    pub(crate) fn stale_postings(&self, frags: &[Frag]) -> Vec<(Kw, Posting)> {
-        let mut stale = Vec::new();
-        if frags.is_empty() {
-            return stale;
-        }
-        for (i, &list) in self.lists.iter().enumerate() {
-            let slice = &self.probe_arena[list.range()];
-            let mut found = |entry: &Posting| stale.push((Kw(i as u32), *entry));
-            if frags.len() <= slice.len() {
-                for frag in frags {
-                    if let Ok(at) = slice.binary_search_by(|e| e.frag.cmp(frag)) {
-                        found(&slice[at]);
-                    }
-                }
-            } else {
-                for entry in slice {
-                    if frags.binary_search(&entry.frag).is_ok() {
-                        found(entry);
-                    }
-                }
-            }
-        }
-        stale
-    }
-
     /// Applies one batched mutation — every posting splice of an
-    /// [`IndexDelta`](crate::update::IndexDelta) — **in place**, in
-    /// time proportional to what the delta touches rather than to the
-    /// shard:
+    /// [`IndexDelta`](crate::update::IndexDelta) — **in place**. It
+    /// reads no list it does not edit: locating and splicing cost what
+    /// the delta touches, plus one O(lists) pass over the offset table
+    /// and the `memmove` of the arena between the edits. (Finding the
+    /// stale postings is the walk's job, done once before the delta and
+    /// O(lists · log L).)
     ///
     /// 1. The *touched* lists are those holding a `stale` posting
-    ///    (collected by [`InvertedFragmentIndex::stale_postings`] for
-    ///    every removed or re-added fragment) plus those receiving a
-    ///    posting of `adds`. No other list changes: a posting's TF
-    ///    depends only on its own fragment's `total_keywords`.
+    ///    (found by [`InvertedFragmentIndex::walk`] for every removed
+    ///    or re-added fragment) plus those receiving a posting of
+    ///    `adds`. No other list changes: a posting's TF depends only on
+    ///    its own fragment's `total_keywords`.
     /// 2. In each touched list, in each arena, the stale postings are
     ///    located by binary search (by handle in the probe slice, by
     ///    `tf_order` in the TF slice) and each fresh posting is given
@@ -555,11 +561,11 @@ impl InvertedFragmentIndex {
     ///
     /// Every fragment of `adds` comes with the handle `catalog` interned
     /// it under, appears once, has its previous postings (if any) listed
-    /// in `stale` and has passed [`check_counts`]
-    /// (`FragmentIndex::apply` checks before it changes anything). Returns the number of stale
-    /// postings that were removed outright (not superseded by a
-    /// re-add). A delta that matches nothing (no stale postings, no
-    /// keywords added) leaves the arenas untouched.
+    /// in `stale` and has passed [`check_counts`] (the delta is checked
+    /// before it is prepared). Returns the number of stale postings
+    /// that were removed outright (not superseded by a re-add). A delta
+    /// that matches nothing (no stale postings, no keywords added)
+    /// leaves the arenas untouched.
     pub(crate) fn apply_delta(
         &mut self,
         catalog: &FragmentCatalog,
@@ -674,51 +680,47 @@ impl InvertedFragmentIndex {
         terms
     }
 
-    /// The keywords held by **any** of `frags` (sorted ascending), in
-    /// handle order — the union of
-    /// [`InvertedFragmentIndex::fragment_terms`] over the set, without
-    /// the occurrence counts. This is the vocabulary walk behind
-    /// [`ShardedEngine::delta_signature`](crate::sharded::ShardedEngine::delta_signature):
-    /// every inverted list is visited once, its frag-sorted probe slice
-    /// is sought to the first handle ≥ the lowest wanted one, and the
-    /// two sorted runs are merge-intersected from there, whichever side
-    /// is behind galloping ahead by `partition_point`, until the first
-    /// match (the list's keyword is held) or either run ends. A bulk
-    /// build interns in identifier order, so an equality group's
-    /// handles are contiguous: a list with nothing in the span costs
-    /// one binary search, and the whole walk is
-    /// O(lists · log L + postings inside the spans) however many
-    /// fragments are asked for.
-    pub fn keywords_of(&self, frags: &[Frag]) -> Vec<Kw> {
-        let mut held = Vec::new();
+    /// The one read a delta makes of the inverted lists, shared by its
+    /// invalidation signature and its splice: the keywords held by
+    /// **any** of `frags` (the touched groups' handles) and the live
+    /// postings of `stale` (the removed or re-added handles, a subset
+    /// of `frags`). Both sets sorted and duplicate-free.
+    ///
+    /// Every inverted list is visited once. Its frag-sorted probe
+    /// slice is sought to the first handle ≥ the lowest of `frags` and
+    /// merge-intersected with `frags` from there, whichever run is
+    /// behind galloping ahead by `partition_point`, up to the first
+    /// match: the list's keyword is held. No stale posting lies before
+    /// that match, since `stale ⊆ frags`, so the stale postings are the
+    /// same intersection with `stale` continued from it. A bulk build
+    /// interns in identifier order, so an equality group's handles are
+    /// contiguous: a list with nothing in the span costs one binary
+    /// search, and the walk is O(lists · log L + postings inside the
+    /// spans) however many fragments are asked for.
+    pub(crate) fn walk(&self, frags: &[Frag], stale: &[Frag]) -> Walk {
+        debug_assert!(stale.iter().all(|f| frags.binary_search(f).is_ok()));
+        let mut walk = Walk::default();
         let Some(&lowest) = frags.first() else {
-            return held;
+            return walk;
         };
         for (i, &list) in self.lists.iter().enumerate() {
+            let kw = Kw(i as u32);
             let slice = &self.probe_arena[list.range()];
-            let mut entries = &slice[slice.partition_point(|e| e.frag < lowest)..];
-            let mut wanted = frags;
-            while let (Some(entry), Some(&frag)) = (entries.first(), wanted.first()) {
-                match entry.frag.cmp(&frag) {
-                    Ordering::Equal => {
-                        held.push(Kw(i as u32));
-                        break;
-                    }
-                    Ordering::Less => {
-                        entries = &entries[entries.partition_point(|e| e.frag < frag)..];
-                    }
-                    Ordering::Greater => {
-                        wanted = &wanted[wanted.partition_point(|&f| f < entry.frag)..];
-                    }
-                }
-            }
+            let entries = &slice[slice.partition_point(|e| e.frag < lowest)..];
+            let Some(first) = intersect(entries, frags).next() else {
+                continue;
+            };
+            walk.held.push(kw);
+            let held = &entries[first..];
+            walk.stale
+                .extend(intersect(held, stale).map(|at| (kw, held[at])));
         }
-        held
+        walk
     }
 
     /// The live keywords of **one** fragment, with occurrence counts —
     /// one binary search per inverted list, O(keywords · log L). The
-    /// per-fragment oracle of [`InvertedFragmentIndex::keywords_of`]
+    /// per-fragment oracle of `InvertedFragmentIndex::walk`
     /// (for whole-index dumps use
     /// [`InvertedFragmentIndex::all_fragment_terms`], which amortizes
     /// the arena walk across every fragment at once).
@@ -1137,7 +1139,7 @@ mod tests {
     /// apply (the catalog is already current in these tests — the
     /// fragments come back unchanged, so no total moves).
     fn remove(idx: &mut InvertedFragmentIndex, catalog: &FragmentCatalog, frag: Frag) -> usize {
-        let stale = idx.stale_postings(&[frag]);
+        let stale = idx.walk(&[frag], &[frag]).stale;
         idx.apply_delta(catalog, &[], &stale, &[])
     }
 

@@ -120,15 +120,12 @@ impl FragmentIndex {
     /// Applies one [`IndexDelta`] atomically: every structure sees the
     /// whole batch — removals first, then (re)insertions — before any
     /// search can observe the index again (`&mut self` guarantees
-    /// exclusivity). The work is proportional to the delta, not to the
-    /// index: the graph splices touch only the affected groups' columns
-    /// and the inverted arenas are spliced in place, editing only the
-    /// lists that lose or gain a posting
-    /// (`InvertedFragmentIndex::apply_delta`). A delta may carry
-    /// several recomputations of the same identifier (e.g. two record
-    /// deltas concatenated); the **last** add for an identifier wins,
-    /// so applying a concatenation equals applying the parts in order.
-    /// This is the single mutation path both engines use;
+    /// exclusivity). A delta may carry several recomputations of the
+    /// same identifier (e.g. two record deltas concatenated); the
+    /// **last** add for an identifier wins, so applying a concatenation
+    /// equals applying the parts in order. It is the checks, then
+    /// `FragmentIndex::prepare` and `FragmentIndex::apply_prepared`,
+    /// the two halves every engine's write path runs;
     /// [`FragmentIndex::remove_fragment`] and
     /// [`FragmentIndex::add_fragment`] are one-element deltas.
     ///
@@ -140,51 +137,111 @@ impl FragmentIndex {
     /// holds no value at the range position. The checks run before
     /// anything changes, so the index is left exactly as it was.
     pub fn apply(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
-        let mut stats = RefreshStats::default();
-        if delta.removes.is_empty() && delta.adds.is_empty() {
-            return Ok(stats);
+        if delta.is_empty() {
+            return Ok(RefreshStats::default());
         }
         inverted::check_counts(&delta.adds)?;
         self.catalog.check_arity(delta.adds.iter().map(|f| &f.id))?;
+        let removes: Vec<&FragmentId> = delta.removes.iter().collect();
+        let adds: Vec<&Fragment> = delta.adds.iter().collect();
+        let prepared = self.prepare(&removes, &adds);
+        Ok(self.apply_prepared(&prepared))
+    }
+
+    /// The read half of a delta, against the index as it stands before
+    /// it: the last-wins dedup of `adds`, each add's handle if its
+    /// identifier is known, the live handles `removes` takes out, the
+    /// pre-delta totals of every handle whose postings go stale and
+    /// — from **one** [`InvertedFragmentIndex::walk`] — their postings
+    /// and the touched groups' vocabulary. The walk costs
+    /// O(lists · log L) plus the postings inside the touched groups'
+    /// handle spans; everything else follows the delta. `adds` must
+    /// have passed the checks of [`FragmentIndex::apply`].
+    pub(crate) fn prepare<'d>(
+        &self,
+        removes: &[&FragmentId],
+        adds: &[&'d Fragment],
+    ) -> PreparedIndexDelta<'d> {
         // Last-wins dedup: a duplicated add must splice exactly one
         // posting per keyword, or df/IDF would drift from a rebuild.
-        let mut adds: Vec<&Fragment> = Vec::with_capacity(delta.adds.len());
-        let mut seen: HashSet<&FragmentId> = HashSet::with_capacity(delta.adds.len());
-        for fragment in delta.adds.iter().rev() {
+        let mut seen: HashSet<&FragmentId> = HashSet::with_capacity(adds.len());
+        let mut last: Vec<&Fragment> = Vec::with_capacity(adds.len());
+        for &fragment in adds.iter().rev() {
             if seen.insert(&fragment.id) {
-                adds.push(fragment);
+                last.push(fragment);
             }
         }
-        adds.reverse();
-        // Graph first (it owns liveness): splice out removed nodes —
-        // each touches only its own group column. Only frags with a
-        // live node can hold postings, so a removal of tombstones never
-        // reaches the inverted lists.
-        let mut stale_frags = Vec::with_capacity(delta.removes.len() + adds.len());
-        for id in &delta.removes {
-            if let Some(frag) = self.catalog.frag(id) {
-                if self.graph.remove(frag) {
-                    stale_frags.push(frag);
-                    stats.removed += 1;
-                }
-            }
-        }
-        // One lookup per add: a known identifier is a re-add, whose
-        // current postings are stale too. Their totals are snapshotted
-        // BEFORE the refresh: it overwrites the `total_keywords` the TF
-        // slices — sorted by the TFs derived from them — were laid out
-        // with.
-        let known: Vec<Option<Frag>> = adds.iter().map(|f| self.catalog.frag(&f.id)).collect();
-        stale_frags.extend(known.iter().flatten());
-        stale_frags.sort_unstable();
-        stale_frags.dedup();
-        let old_totals: Vec<(Frag, u64)> = stale_frags
+        let adds: Vec<(Option<Frag>, &Fragment)> = last
+            .into_iter()
+            .rev()
+            .map(|fragment| (self.catalog.frag(&fragment.id), fragment))
+            .collect();
+        // Only handles with a live node hold postings (the graph owns
+        // liveness), so a tombstone is neither removed nor stale.
+        let live = |frag: &Frag| self.graph.locate(*frag).is_some();
+        let known: Vec<Option<Frag>> = removes.iter().map(|id| self.catalog.frag(id)).collect();
+        let mut removed: Vec<Frag> = known.iter().flatten().copied().filter(live).collect();
+        removed.sort_unstable();
+        removed.dedup();
+        // A re-add's current postings are stale too.
+        let mut stale: Vec<Frag> = adds
+            .iter()
+            .filter_map(|&(frag, _)| frag)
+            .filter(live)
+            .collect();
+        stale.extend_from_slice(&removed);
+        stale.sort_unstable();
+        stale.dedup();
+        // Snapshotted before the apply refreshes them: the TF slices
+        // are sorted by the TFs these totals give.
+        let old_totals = stale
             .iter()
             .map(|&frag| (frag, self.catalog.total_keywords(frag)))
             .collect();
-        let stale = self.inverted.stale_postings(&stale_frags);
-        let mut added = Vec::with_capacity(adds.len());
-        for (fragment, known) in adds.into_iter().zip(known) {
+        // A known handle names its group; only a new identifier's key
+        // is looked up.
+        let group = |id: &FragmentId, frag: Option<Frag>| match frag {
+            Some(frag) => Some(self.catalog.group(frag)),
+            None => self.catalog.group_of_id(id),
+        };
+        let mut groups: Vec<GroupId> = removes
+            .iter()
+            .zip(known)
+            .filter_map(|(id, frag)| group(id, frag))
+            .chain(adds.iter().filter_map(|&(frag, f)| group(&f.id, frag)))
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        let mut frags: Vec<Frag> = groups
+            .into_iter()
+            .flat_map(|group| self.graph.group_nodes(group))
+            .copied()
+            .collect();
+        // Group runs are range-sorted; the walk wants handles.
+        frags.sort_unstable();
+        let walk = self.inverted.walk(&frags, &stale);
+        PreparedIndexDelta {
+            removed,
+            adds,
+            old_totals,
+            stale: walk.stale,
+            held: walk.held,
+        }
+    }
+
+    /// The write half of a delta: the graph splices (each touches only
+    /// its own group's run), the catalog refreshes and interns, and one
+    /// in-place posting splice
+    /// ([`InvertedFragmentIndex::apply_delta`]) — no list is read that
+    /// is not edited. `prepared` must come from
+    /// [`FragmentIndex::prepare`] on this index in its current state,
+    /// or on an identical one.
+    pub(crate) fn apply_prepared(&mut self, prepared: &PreparedIndexDelta<'_>) -> RefreshStats {
+        for &frag in &prepared.removed {
+            self.graph.remove(frag);
+        }
+        let mut added = Vec::with_capacity(prepared.adds.len());
+        for &(known, fragment) in &prepared.adds {
             let frag = match known {
                 Some(frag) => {
                     self.catalog.refresh(frag, fragment);
@@ -195,11 +252,12 @@ impl FragmentIndex {
             self.graph.insert(&self.catalog, frag);
             added.push((frag, fragment));
         }
-        stats.added = added.len();
-        // One in-place posting splice for the whole delta.
         self.inverted
-            .apply_delta(&self.catalog, &old_totals, &stale, &added);
-        Ok(stats)
+            .apply_delta(&self.catalog, &prepared.old_totals, &prepared.stale, &added);
+        RefreshStats {
+            removed: prepared.removed.len(),
+            added: added.len(),
+        }
     }
 
     /// Removes one fragment from every structure (incremental
@@ -223,6 +281,25 @@ impl FragmentIndex {
         self.apply(&IndexDelta::adding(vec![fragment.clone()]))
             .map(|_| ())
     }
+}
+
+/// One index's share of a delta, read off the index before the delta
+/// ([`FragmentIndex::prepare`]) and spliced in by
+/// [`FragmentIndex::apply_prepared`] — into that index, or into an
+/// identical twin.
+#[derive(Debug)]
+pub(crate) struct PreparedIndexDelta<'d> {
+    /// The live handles the delta removes, ascending.
+    removed: Vec<Frag>,
+    /// The adds after last-wins dedup, in delta order, each with the
+    /// handle its identifier already has.
+    adds: Vec<(Option<Frag>, &'d Fragment)>,
+    /// Every stale handle's pre-delta `total_keywords`, by handle.
+    old_totals: Vec<(Frag, u64)>,
+    /// The stale handles' live postings, by keyword.
+    stale: Vec<(Kw, Posting)>,
+    /// The touched groups' pre-delta vocabulary, ascending.
+    pub(crate) held: Vec<Kw>,
 }
 
 /// A bulk build after its first stage ([`FragmentIndex::place`]): the

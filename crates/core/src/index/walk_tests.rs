@@ -1,13 +1,15 @@
-//! Property test of the vocabulary walk
-//! ([`InvertedFragmentIndex::keywords_of`]): for any set of fragment
-//! handles it must return exactly the union of
-//! [`InvertedFragmentIndex::fragment_terms`] over the set, in handle
-//! order — on a fresh bulk build (where a group's handles are
-//! contiguous) and after **every** delta of a random history (where
-//! fragments interned after the build scatter a group's handles and
-//! tombstones leave holes). `ShardedEngine::delta_signature` feeds it
-//! whole equality groups; the sets below also cover what it never
-//! sends.
+//! Property test of the vocabulary walk (`InvertedFragmentIndex::walk`),
+//! the one read a delta makes of the inverted lists: for any set of
+//! fragment handles and any stale subset of it, the held keywords must
+//! be exactly the union of `InvertedFragmentIndex::fragment_terms` over
+//! the set, and the stale postings exactly the stale handles' terms, by
+//! keyword then handle — on a fresh bulk build (where a
+//! group's handles are contiguous) and after **every** delta of a
+//! random history (where fragments interned after the build scatter a
+//! group's handles, re-adds reuse handles and tombstones leave holes).
+//! `FragmentIndex::prepare` feeds it whole equality groups and the
+//! removed or re-added handles among them; the sets below also cover
+//! what it never sends.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,24 +17,43 @@ use proptest::prelude::*;
 
 use super::splice_tests::{delta_strategy, fragment_strategy, id, GROUPS, INITIAL_VOCAB};
 use crate::fragment::{Fragment, FragmentId};
-use crate::index::{Frag, FragmentIndex, Kw};
+use crate::index::inverted::Walk;
+use crate::index::{Frag, FragmentIndex, Kw, Posting};
 use crate::update::IndexDelta;
 
-/// The definition the walk must meet: every keyword
-/// `fragment_terms` reports for any of `frags`, as handles, ascending.
-fn union_of_terms(index: &FragmentIndex, frags: &[Frag]) -> Vec<Kw> {
+/// The definition the walk must meet: every keyword `fragment_terms`
+/// reports for any of `frags`, as handles, ascending; and every term of
+/// every `stale` handle as a posting, by keyword, then by handle.
+fn oracle(index: &FragmentIndex, frags: &[Frag], stale: &[Frag]) -> Walk {
+    let terms = |frag: Frag| {
+        index
+            .inverted
+            .fragment_terms(frag)
+            .into_iter()
+            .map(move |(word, n)| {
+                let kw = index.inverted.kw(word).expect("a held keyword is live");
+                let occurrences = u32::try_from(n).expect("counts fit a posting");
+                (kw, Posting { frag, occurrences })
+            })
+    };
     let held: BTreeSet<Kw> = frags
         .iter()
-        .flat_map(|&frag| index.inverted.fragment_terms(frag))
-        .map(|(word, _)| index.inverted.kw(word).expect("a held keyword is live"))
+        .flat_map(|&frag| terms(frag))
+        .map(|(kw, _)| kw)
         .collect();
-    held.into_iter().collect()
+    let mut postings: Vec<(Kw, Posting)> = stale.iter().flat_map(|&frag| terms(frag)).collect();
+    postings.sort_by_key(|&(kw, posting)| (kw, posting.frag));
+    Walk {
+        held: held.into_iter().collect(),
+        stale: postings,
+    }
 }
 
 /// Checks the walk on the empty set, every single handle (tombstones
 /// included), every whole group, every pair of neighbouring groups,
 /// the whole catalog and the random `picks` (handle numbers, reduced
-/// modulo the catalog's size).
+/// modulo the catalog's size) — each against the stale subsets none,
+/// all, every other handle, and the set's members among the picks.
 fn assert_walk_matches(
     index: &FragmentIndex,
     truth: &BTreeMap<FragmentId, Fragment>,
@@ -59,21 +80,35 @@ fn assert_walk_matches(
     sets.extend((0..handles).map(|h| vec![Frag(h)]));
     sets.extend(groups.windows(2).map(|pair| pair.concat()));
     sets.extend(groups);
-    if handles > 0 {
-        sets.extend(
-            picks
-                .iter()
-                .map(|pick| pick.iter().map(|&h| Frag(h % handles)).collect()),
-        );
-    }
+    let picked: Vec<Vec<Frag>> = match handles {
+        0 => Vec::new(),
+        _ => picks
+            .iter()
+            .map(|pick| pick.iter().map(|&h| Frag(h % handles)).collect())
+            .collect(),
+    };
+    let any_picked: BTreeSet<Frag> = picked.iter().flatten().copied().collect();
+    sets.extend(picked);
     for mut frags in sets {
         frags.sort_unstable();
         frags.dedup();
-        assert_eq!(
-            index.inverted.keywords_of(&frags),
-            union_of_terms(index, &frags),
-            "{frags:?}"
-        );
+        let stales = [
+            Vec::new(),
+            frags.clone(),
+            frags.iter().copied().step_by(2).collect(),
+            frags
+                .iter()
+                .copied()
+                .filter(|f| any_picked.contains(f))
+                .collect(),
+        ];
+        for stale in stales {
+            assert_eq!(
+                index.inverted.walk(&frags, &stale),
+                oracle(index, &frags, &stale),
+                "{frags:?} stale {stale:?}"
+            );
+        }
     }
 }
 
@@ -123,7 +158,7 @@ fn a_tombstoned_fragment_contributes_nothing() {
         .expect("group exists");
     let before = index.graph.group_nodes(american).to_vec();
     let words = |index: &FragmentIndex, frags: &[Frag]| -> Vec<String> {
-        let kws = index.inverted.keywords_of(frags);
+        let kws = index.inverted.walk(frags, &[]).held;
         kws.iter()
             .map(|&kw| index.inverted.word(kw).to_string())
             .collect()
@@ -131,12 +166,38 @@ fn a_tombstoned_fragment_contributes_nothing() {
     assert_eq!(words(&index, &before), ["burger", "queen", "fries"]);
     // Tombstone (American, 1): its handle stays interned, but the walk
     // over the same handles no longer sees "queen" — and the handle
-    // alone holds nothing.
+    // alone holds nothing, stale or not.
     index
         .apply(&IndexDelta::removing(vec![id((0, 1))]))
         .unwrap();
     let tombstone = index.catalog.frag(&id((0, 1))).expect("handle kept");
-    assert!(index.inverted.keywords_of(&[tombstone]).is_empty());
+    assert_eq!(
+        index.inverted.walk(&[tombstone], &[tombstone]),
+        Walk::default()
+    );
     assert_eq!(words(&index, &before), ["burger", "fries"]);
-    assert!(index.inverted.keywords_of(&[]).is_empty());
+    assert_eq!(index.inverted.walk(&[], &[]), Walk::default());
+    // A new fragment in the group takes the next handle, past Thai's:
+    // the group's run is no longer contiguous. Re-adding the tombstone
+    // reuses its handle; walking the whole group with the two
+    // re-added handles stale finds exactly their postings.
+    index
+        .apply(&IndexDelta::adding(vec![
+            fragment((0, 3), &["burger", "shake"]),
+            fragment((0, 1), &["queen"]),
+        ]))
+        .unwrap();
+    let mut group = index.graph.group_nodes(american).to_vec();
+    group.sort_unstable();
+    let thai = index.catalog.frag(&id((1, 1))).unwrap();
+    assert!(
+        group[0] < thai && thai < group[2],
+        "{group:?} around {thai:?}"
+    );
+    let mut stale = vec![tombstone, index.catalog.frag(&id((0, 3))).unwrap()];
+    stale.sort_unstable();
+    let walk = index.inverted.walk(&group, &stale);
+    assert_eq!(walk, oracle(&index, &group, &stale));
+    assert_eq!(walk.held.len(), 4, "burger, queen, fries, shake");
+    assert_eq!(walk.stale.len(), 3, "queen; burger and shake");
 }

@@ -149,7 +149,7 @@ pub use ingest::{EngineBuilder, IngestSource};
 pub use multi::MultiDash;
 pub use scope::CrawlScope;
 pub use search::{SearchHit, SearchRequest};
-pub use sharded::{env_shards, ShardedEngine};
+pub use sharded::{env_shards, PreparedDelta, ShardedEngine};
 pub use stats::IndexStats;
 pub use update::{DeltaSignature, IndexDelta, RecordChange, RefreshStats};
 

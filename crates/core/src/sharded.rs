@@ -47,16 +47,29 @@
 //! is a static key-range table fixed at construction
 //! (`ShardedEngine::route_bounds` stores each shard's lowest group
 //! key), so a shard's key range never changes and the partition stays
-//! contiguous in key order forever. Each affected shard splices its
-//! sub-delta into its own arenas in place — work proportional to the
-//! sub-delta, not to the shard ([`FragmentIndex::apply`]) — then the
-//! engine refreshes the *global* coordinates incrementally:
+//! contiguous in key order forever. A delta is applied in two halves.
+//! [`ShardedEngine::prepare`] does every read against the pre-delta
+//! engine: one walk of each touched shard's inverted lists,
+//! O(lists · log L), finds both the stale postings and the touched
+//! groups' vocabulary (the invalidation signature).
+//! [`ShardedEngine::apply_prepared`] then only writes: each affected
+//! shard splices its sub-delta into its own arenas in place, work
+//! proportional to the sub-delta plus one O(lists) offset-table pass,
+//! and the engine refreshes the *global* coordinates incrementally:
 //! group-rank offsets are re-prefix-summed over per-shard key counts
 //! (O(shards)), and global IDF is always computed per request.
 //! Post-update searches are therefore byte-identical to a
 //! [`DashEngine`] freshly rebuilt over the mutated fragment set —
 //! proven by `tests/sharded_maintenance.rs` (golden + property tests,
 //! shard counts {1, 2, 4, 8}).
+//!
+//! A serving front-end keeps two engines in lockstep (the live one and
+//! its [`ShardedEngine::fork`]) and applies every delta to both. It
+//! prepares the delta once and applies the [`PreparedDelta`] to each
+//! side, so each publication walks the lists once, not once per side.
+//! An engine's *generation* counts its applies and a fork inherits it;
+//! a prepared delta records the generation it was read at and applies
+//! only there, so it cannot land on a state it was not read from.
 //!
 //! [`DashEngine`]: crate::engine::DashEngine
 
@@ -68,9 +81,9 @@ use parking_lot::Mutex;
 use crate::crawl;
 use crate::engine::{validate_query, DashConfig};
 use crate::error::CoreError;
-use crate::fragment::Fragment;
+use crate::fragment::{Fragment, FragmentId};
 use crate::index::catalog::key_parts;
-use crate::index::{FragmentIndex, GroupId, HeapBytes};
+use crate::index::{FragmentIndex, GroupId, HeapBytes, PreparedIndexDelta};
 use crate::par;
 use crate::persist;
 use crate::search::{request_idf, top_k_in, SearchHit, SearchRequest, SearchScratch, ShardView};
@@ -120,6 +133,26 @@ pub struct ShardedEngine {
     /// Reusable search scratch, one per concurrent `search_many` call.
     scratch: Mutex<Vec<SearchScratch>>,
     crawl_stats: WorkflowStats,
+    /// Applies since construction, carried over by
+    /// [`ShardedEngine::fork`]: the state a [`PreparedDelta`] fits.
+    generation: u64,
+}
+
+/// A delta read against one engine state by [`ShardedEngine::prepare`]:
+/// each touched shard's share, and the delta's invalidation signature.
+/// It borrows the delta's fragments and applies
+/// ([`ShardedEngine::apply_prepared`]) to the engine it was prepared
+/// on, or to that engine's lockstep fork, exactly once each.
+#[derive(Debug)]
+pub struct PreparedDelta<'d> {
+    /// The generation of the engine it was prepared on.
+    generation: u64,
+    /// Each touched shard's index and share, by shard.
+    shards: Vec<(usize, PreparedIndexDelta<'d>)>,
+    /// The delta's invalidation signature against the pre-delta engine
+    /// (see [`ShardedEngine::delta_signature`]). Applying does not read
+    /// it.
+    pub signature: DeltaSignature,
 }
 
 impl ShardedEngine {
@@ -226,6 +259,7 @@ impl ShardedEngine {
             route_bounds,
             scratch: Mutex::new(Vec::new()),
             crawl_stats,
+            generation: 0,
         })
     }
 
@@ -301,14 +335,10 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Applies a prebuilt delta: every entry is routed to the shard
-    /// owning its equality group, each affected shard applies its
-    /// sub-delta in turn, and the global group-rank offsets are
-    /// refreshed incrementally — a delta-proportional in-place
-    /// splice per affected shard ([`FragmentIndex::apply`]) plus an
-    /// O(shards) prefix sum, never a rebuild or a re-sort. Post-update
-    /// searches are byte-identical to a [`DashEngine`](crate::DashEngine)
-    /// freshly built over the mutated fragment set.
+    /// Applies a prebuilt delta: [`ShardedEngine::prepare`], then
+    /// [`ShardedEngine::apply_prepared`]. Post-update searches are
+    /// byte-identical to a [`DashEngine`](crate::DashEngine) freshly
+    /// built over the mutated fragment set.
     ///
     /// # Panics
     ///
@@ -316,39 +346,97 @@ impl ShardedEngine {
     /// ([`CoreError::IdentifierArity`]) or an added fragment holds a
     /// keyword more than `u32::MAX` times
     /// ([`CoreError::OccurrenceOverflow`]): [`IndexDelta::check`] runs
-    /// before any shard changes. [`ShardedEngine::apply_changes`]
-    /// returns the error instead, and callers facing a socket run
-    /// [`IndexDelta::check`] first (the serving tier's
-    /// `try_publish_with_epoch` does).
+    /// before any shard changes. [`ShardedEngine::apply_changes`] and
+    /// [`ShardedEngine::prepare`] return the error instead.
     pub fn apply_delta(&mut self, delta: IndexDelta) -> RefreshStats {
-        self.apply_checked(delta).unwrap_or_else(|e| panic!("{e}"))
+        self.apply_checked(&delta).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`ShardedEngine::apply_delta`], with a delta that does not fit
     /// the application ([`IndexDelta::check`]) returned as an error
     /// before any shard changes.
-    fn apply_checked(&mut self, delta: IndexDelta) -> Result<RefreshStats> {
+    fn apply_checked(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
+        let prepared = self.prepare(delta)?;
+        Ok(self.apply_prepared(&prepared))
+    }
+
+    /// The read half of a delta, against the engine as it stands:
+    /// [`IndexDelta::check`], the routing of every entry to the shard
+    /// owning its equality group, and per touched shard
+    /// (`FragmentIndex::prepare`) the stale handles, their pre-delta
+    /// totals and — from **one** walk of the shard's inverted lists,
+    /// O(lists · log L) — their postings and the touched groups'
+    /// vocabulary, which completes the delta's
+    /// [`PreparedDelta::signature`]. Nothing changes;
+    /// [`ShardedEngine::apply_prepared`] does the writes.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexDelta::check`]'s: an identifier of another arity, or a
+    /// count a posting cannot hold.
+    pub fn prepare<'d>(&self, delta: &'d IndexDelta) -> Result<PreparedDelta<'d>> {
         delta.check(&self.app)?;
         let range_position = self.app.query.range_selection_index();
-        let mut per_shard: Vec<IndexDelta> = (0..self.shards.len())
-            .map(|_| IndexDelta::default())
-            .collect();
-        for id in delta.removes {
-            let shard = self.route(key_parts(id.values(), range_position));
-            per_shard[shard].removes.push(id);
+        let mut signature = delta.signature(range_position);
+        let mut routed: Vec<(Vec<&FragmentId>, Vec<&Fragment>)> =
+            vec![(Vec::new(), Vec::new()); self.shards.len()];
+        for id in &delta.removes {
+            routed[self.route(key_parts(id.values(), range_position))]
+                .0
+                .push(id);
         }
-        for fragment in delta.adds {
-            let shard = self.route(key_parts(fragment.id.values(), range_position));
-            per_shard[shard].adds.push(fragment);
+        for fragment in &delta.adds {
+            routed[self.route(key_parts(fragment.id.values(), range_position))]
+                .1
+                .push(fragment);
         }
-        let mut stats = RefreshStats::default();
-        for (shard, sub) in self.shards.iter_mut().zip(&per_shard) {
-            if !sub.is_empty() {
-                stats.merge(shard.index.apply(sub).expect("delta checked above"));
+        let mut shards = Vec::new();
+        for (s, (removes, adds)) in routed.iter().enumerate() {
+            if removes.is_empty() && adds.is_empty() {
+                continue;
             }
+            let index = &self.shards[s].index;
+            let share = index.prepare(removes, adds);
+            signature.keywords.extend(
+                share
+                    .held
+                    .iter()
+                    .map(|&kw| index.inverted.word(kw).to_string()),
+            );
+            shards.push((s, share));
+        }
+        Ok(PreparedDelta {
+            generation: self.generation,
+            shards,
+            signature,
+        })
+    }
+
+    /// The write half of a delta: each touched shard splices its share
+    /// in place (`FragmentIndex::apply_prepared`: graph, catalog and
+    /// posting splices, proportional to the share, plus one O(lists)
+    /// offset-table pass), then the global group-rank offsets are
+    /// re-derived, O(shards). No inverted list is read that is not
+    /// edited, so applying one prepared delta to an engine and to its
+    /// lockstep fork walks the lists once in all.
+    ///
+    /// # Panics
+    ///
+    /// Before anything changes, when the engine is not at the
+    /// generation `prepared` was read at: it was prepared on another
+    /// engine state, or was already applied here.
+    pub fn apply_prepared(&mut self, prepared: &PreparedDelta<'_>) -> RefreshStats {
+        assert_eq!(
+            self.generation, prepared.generation,
+            "a prepared delta applies only to the engine state it was prepared on"
+        );
+        let mut stats = RefreshStats::default();
+        for (s, share) in &prepared.shards {
+            stats.merge(self.shards[*s].index.apply_prepared(share));
         }
         self.refresh_offsets();
-        Ok(stats)
+        self.generation += 1;
+        stats
     }
 
     /// Applies a batch of record changes — inserts and deletes alike,
@@ -369,7 +457,7 @@ impl ShardedEngine {
         changes: &[RecordChange],
     ) -> Result<RefreshStats> {
         let delta = bulk_delta(&self.app, db, changes)?;
-        self.apply_checked(delta)
+        self.apply_checked(&delta)
     }
 
     /// A deep, independent copy of this engine: every shard's index is
@@ -380,7 +468,8 @@ impl ShardedEngine {
     /// snapshot-swapping front-end forks once at startup and thereafter
     /// keeps two sides in lockstep by applying every delta to each, so
     /// publication is an `Arc` pointer swap and searches never wait on
-    /// maintenance.
+    /// maintenance. The fork keeps the engine's generation, so a delta
+    /// prepared on either side applies to both.
     pub fn fork(&self) -> ShardedEngine {
         ShardedEngine {
             app: self.app.clone(),
@@ -388,6 +477,7 @@ impl ShardedEngine {
             route_bounds: self.route_bounds.clone(),
             scratch: Mutex::new(Vec::new()),
             crawl_stats: self.crawl_stats.clone(),
+            generation: self.generation,
         }
     }
 
@@ -429,36 +519,23 @@ impl ShardedEngine {
     /// delta's adds carry, and the touched groups' **pre-delta
     /// vocabulary** — every keyword any fragment of a touched group
     /// holds right now (the removed fragments' live terms are a subset:
-    /// they live in a touched group). Each touched key is routed to its
-    /// shard and resolved to the group's fragment handles; each shard's
-    /// handles are gathered into one sorted run and its inverted lists
-    /// walked once
-    /// ([`InvertedFragmentIndex::keywords_of`](crate::index::InvertedFragmentIndex::keywords_of)),
-    /// so a bulk delta costs one pass per shard, not one per group. A
-    /// group that does not exist yet contributes nothing — its adds'
-    /// keywords are already in. Compute this *before*
-    /// [`ShardedEngine::apply_delta`]; afterwards the removed terms are
-    /// gone.
+    /// they live in a touched group). It is
+    /// [`ShardedEngine::prepare`]'s [`PreparedDelta::signature`]: each
+    /// touched shard's group handles are gathered into one sorted run
+    /// and its inverted lists walked once, so a bulk delta costs one
+    /// pass per shard, not one per group. A group that does not exist
+    /// yet contributes nothing — its adds' keywords are already in.
+    /// Compute this *before* the delta applies; afterwards the removed
+    /// terms are gone.
+    ///
+    /// # Panics
+    ///
+    /// Where [`ShardedEngine::apply_delta`] does: on a delta that does
+    /// not fit the application.
     pub fn delta_signature(&self, delta: &IndexDelta) -> DeltaSignature {
-        let mut signature = delta.signature(self.app.query.range_selection_index());
-        let mut touched = vec![Vec::new(); self.shards.len()];
-        for key in &signature.groups {
-            let shard = self.route((key, &[]));
-            let index = &self.shards[shard].index;
-            if let Some(group) = index.catalog.group_by_key(key) {
-                touched[shard].extend_from_slice(index.graph.group_nodes(group));
-            }
-        }
-        for (shard, mut frags) in self.shards.iter().zip(touched) {
-            // Group columns are range-sorted; the walk wants handles.
-            frags.sort_unstable();
-            let inverted = &shard.index.inverted;
-            let held = inverted.keywords_of(&frags);
-            signature
-                .keywords
-                .extend(held.into_iter().map(|kw| inverted.word(kw).to_string()));
-        }
-        signature
+        self.prepare(delta)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .signature
     }
 
     /// The shard owning an equality-group key, given as
@@ -944,13 +1021,13 @@ pub(crate) mod tests {
             expected: 2,
         };
         assert_eq!(short.check(engine.app()).unwrap_err(), expected);
-        assert_eq!(engine.apply_checked(short).unwrap_err(), expected);
+        assert_eq!(engine.apply_checked(&short).unwrap_err(), expected);
         assert!(image(&engine) == before, "no shard changed");
         // One value too many, in a removal, is refused the same way.
         let mut long = thai.values().to_vec();
         long.push(Value::Int(1));
         let err = engine
-            .apply_checked(IndexDelta::removing(vec![FragmentId::new(long)]))
+            .apply_checked(&IndexDelta::removing(vec![FragmentId::new(long)]))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1036,6 +1113,51 @@ pub(crate) mod tests {
             let unknown = IndexDelta::removing(vec![id("Nordic", 7)]);
             assert!(engine.delta_signature(&unknown).keywords.is_empty());
         }
+    }
+
+    #[test]
+    fn a_prepared_delta_applies_once_and_only_to_the_state_it_was_read_from() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (app, db) = fooddb_parts();
+        let image = |engine: &ShardedEngine| {
+            let mut bytes = Vec::new();
+            engine.write_image(&mut bytes).unwrap();
+            bytes
+        };
+        let zebra = |budget: i64, count: u64| {
+            Fragment::new(
+                crate::fragment::FragmentId::new(vec![Value::str("Zulu"), Value::Int(budget)]),
+                [("zebra".to_string(), count)].into_iter().collect(),
+                1,
+            )
+        };
+        let mut engine = built(&app, &db, 2).unwrap();
+        let mut twin = engine.fork();
+        let mut behind = engine.fork();
+        let first = IndexDelta::adding(vec![zebra(30, 2)]);
+        let prepared = engine.prepare(&first).unwrap();
+        let stats = engine.apply_prepared(&prepared);
+        // The lockstep fork takes the same preparation, to the same bytes.
+        assert_eq!(twin.apply_prepared(&prepared), stats);
+        assert!(image(&twin) == image(&engine));
+        let refused = |target: &mut ShardedEngine, prepared: &PreparedDelta<'_>| {
+            let before = image(target);
+            let outcome = catch_unwind(AssertUnwindSafe(|| target.apply_prepared(prepared)));
+            assert!(outcome.is_err(), "a misapplied preparation panics");
+            assert!(image(target) == before, "and leaves the engine untouched");
+        };
+        // Applied twice: the engine has moved past the state it read.
+        refused(&mut engine, &prepared);
+        // Prepared one apply ahead of a fork left behind, and on a
+        // fresh build of the same fragments, at another generation.
+        let second = IndexDelta::new(vec![zebra(30, 2).id], vec![zebra(31, 5)]);
+        let ahead = engine.prepare(&second).unwrap();
+        refused(&mut behind, &ahead);
+        refused(&mut built(&app, &db, 2).unwrap(), &ahead);
+        // Where it was prepared, it still applies.
+        assert_eq!(engine.apply_prepared(&ahead).removed, 1);
+        assert_eq!(twin.apply_prepared(&ahead).added, 1);
+        assert!(image(&twin) == image(&engine));
     }
 
     #[test]

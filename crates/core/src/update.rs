@@ -20,16 +20,22 @@
 //! 2. **build** — [`bulk_delta`] recomputes the affected fragments
 //!    from the current database in one scoped re-crawl and packages
 //!    them as an [`IndexDelta`];
-//! 3. **apply** — [`FragmentIndex::apply`] splices the delta into
-//!    every structure atomically, in time proportional to the delta: the
-//!    per-group graph splices touch only the affected groups' columns,
-//!    and the posting arenas are spliced **in place** — only the
-//!    inverted lists that lose or gain a posting are edited (stale
-//!    postings found by binary search, fresh ones inserted at their
-//!    rank in the bulk sort's total order), the postings in between
-//!    slide to their new offsets with `memmove`, and no list is ever
-//!    re-sorted (see `InvertedFragmentIndex::apply_delta`). The
-//!    result is the exact layout a from-scratch build produces.
+//! 3. **prepare** — one walk of the inverted lists against the
+//!    pre-delta index, O(lists · log L), finds the stale postings of
+//!    every removed or replaced fragment (and, for the serving tier,
+//!    the touched groups' vocabulary);
+//! 4. **apply** — the write half splices the delta into every
+//!    structure atomically ([`FragmentIndex::apply`] runs both
+//!    halves), in time proportional to the delta
+//!    plus one O(lists) pass over the offset table: the per-group
+//!    graph splices touch only the affected groups' runs, and the
+//!    posting arenas are spliced **in place** — only the inverted
+//!    lists that lose or gain a posting are edited (stale postings
+//!    located by binary search, fresh ones inserted at their rank in
+//!    the bulk sort's total order), the postings in between slide to
+//!    their new offsets with `memmove`, and no list is ever re-sorted
+//!    (see `InvertedFragmentIndex::apply_delta`). The result is the
+//!    exact layout a from-scratch build produces.
 //!
 //! Each engine has one record-change method, `apply_changes`, plus
 //! `apply_delta` for a prebuilt delta.

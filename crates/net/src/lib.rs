@@ -138,8 +138,9 @@
 //! | `dash_serve_searches_total`, `dash_serve_batches_total`, … | counter | serving stack (see `dash-serve`) |
 //! | `dash_serve_{search,swap,drain}_ns`, `dash_serve_batch_size` | histogram | serving stage latencies / batch shape |
 //! | `dash_serve_batch_wait_ns` | histogram | per miss: enqueue → start of the batch serving it (~0 for a lone request, which leads its own batch) |
-//! | `dash_serve_publish_signature_ns` | histogram | inside `swap`: the delta signature (touched groups' vocabulary walk) |
-//! | `dash_serve_publish_apply_ns` | histogram | inside `swap`: the shadow engine's delta apply |
+//! | `dash_serve_publish_signature_ns` | histogram | inside `swap`: the delta's preparation against the shadow, the one walk of the touched shards' lists that yields the signature (touched groups' vocabulary) and the stale postings |
+//! | `dash_serve_publish_apply_ns` | histogram | inside `swap`: the shadow engine's apply of the prepared delta |
+//! | `dash_serve_publish_replay_ns` | histogram | inside `drain`: the retired side's apply of the same prepared delta (no sample when the drain forks instead) |
 //! | `dash_serve_publish_invalidate_ns` | histogram | inside `swap`: the signature sweep of both cache instances (results and rendered responses) |
 //! | `dash_serve_signature_keywords` | gauge | keywords in the last published signature |
 //! | `dash_index_heap_{catalog_ids,handle_order,columns,graph,interner,tf_arena,probe_arena,lists}_bytes` | gauge | the live engine's heap bytes per structure, summed over its shards and refreshed at scrape (`ShardedEngine::heap_bytes`: capacities, 8 bytes a posting in each arena, 4 a handle in the handle-order column); the shadow engine holds as much again |

@@ -13,8 +13,10 @@
 //!   `Arc` snapshot handle; readers grab the current snapshot and
 //!   search it lock-free, writers apply each [`IndexDelta`] to a
 //!   shadow copy ([`ShardedEngine::fork`]) and publish with one atomic
-//!   pointer swap. Searches never block on maintenance and can never
-//!   observe a half-applied delta.
+//!   pointer swap, then replay it on the retired side. The delta is
+//!   prepared once ([`ShardedEngine::prepare`]) and that one preparation
+//!   is applied to both sides. Searches never block on maintenance and
+//!   can never observe a half-applied delta.
 //! * **Micro-batching** ([`batch`]) — caller-led (flat combining): a
 //!   caller that finds no batch in flight serves the queue itself in
 //!   one [`ShardedEngine::search_many`] call (up to
@@ -59,6 +61,7 @@
 //!
 //! [`DashEngine::search`]: dash_core::DashEngine::search
 //! [`ShardedEngine::fork`]: dash_core::ShardedEngine::fork
+//! [`ShardedEngine::prepare`]: dash_core::ShardedEngine::prepare
 //! [`ShardedEngine::search_many`]: dash_core::ShardedEngine::search_many
 //! [`IndexDelta`]: dash_core::IndexDelta
 //! [`DeltaSignature`]: dash_core::DeltaSignature
@@ -355,14 +358,16 @@ pub(crate) struct ServerShared {
     /// Requests per served micro-batch (the achieved batching factor's
     /// distribution, not just its mean).
     pub(crate) batch_size: Arc<Histogram>,
-    /// Publish critical path: signature + shadow apply + cache
+    /// Publish critical path: prepare + shadow apply + cache
     /// invalidation + atomic snapshot swap. The three spans below
     /// attribute it; the remainder is the swap itself.
     swap_ns: Arc<Histogram>,
-    /// [`ShardedEngine::delta_signature`] against the pre-delta shadow
-    /// (the touched groups' vocabulary walk).
+    /// [`ShardedEngine::prepare`] against the pre-delta shadow: the
+    /// one walk of the touched shards' lists that yields both the
+    /// signature (the touched groups' vocabulary) and the stale
+    /// postings both sides' applies splice out.
     publish_signature_ns: Arc<Histogram>,
-    /// The shadow's [`ShardedEngine::apply_delta`].
+    /// The shadow's [`ShardedEngine::apply_prepared`].
     publish_apply_ns: Arc<Histogram>,
     /// The signature sweep of both cache instances.
     publish_invalidate_ns: Arc<Histogram>,
@@ -373,6 +378,10 @@ pub(crate) struct ServerShared {
     /// Publish→drain grace: waiting out the retired snapshot's readers
     /// (or forking on bailout) plus the lockstep replay.
     drain_ns: Arc<Histogram>,
+    /// The lockstep replay alone, inside `drain_ns`: the retired side's
+    /// [`ShardedEngine::apply_prepared`] of the delta prepared on the
+    /// shadow (no sample when the drain gave up and forked).
+    publish_replay_ns: Arc<Histogram>,
     /// Replication taps fed on every publication (closed and lagging
     /// ones pruned).
     taps: Mutex<Vec<SyncSender<PublishEvent>>>,
@@ -489,6 +498,7 @@ impl DashServer {
             publish_invalidate_ns: registry.histogram("dash_serve_publish_invalidate_ns"),
             signature_keywords: registry.gauge("dash_serve_signature_keywords"),
             drain_ns: registry.histogram("dash_serve_drain_ns"),
+            publish_replay_ns: registry.histogram("dash_serve_publish_replay_ns"),
             registry,
             taps: Mutex::new(Vec::new()),
             delta_log: Mutex::new(DeltaLog::new(serve.delta_log)),
@@ -629,12 +639,7 @@ impl DashServer {
     /// count a posting cannot hold. Nothing is published.
     pub fn try_publish_with_epoch(&self, delta: IndexDelta) -> Result<(RefreshStats, u64)> {
         let mut writer = self.shared.writer.lock();
-        let shadow = writer
-            .shadow
-            .as_ref()
-            .expect("shadow present outside publish");
-        delta.check(shadow.app())?;
-        Ok(self.publish_locked(&mut writer, delta))
+        self.publish_locked(&mut writer, delta)
     }
 
     /// Builds one delta for a batch of record changes — inserts and
@@ -656,7 +661,8 @@ impl DashServer {
     ///
     /// # Errors
     ///
-    /// Propagates relational errors.
+    /// Propagates relational errors, and [`IndexDelta::check`]'s for
+    /// the delta the changes produce. Nothing is published.
     pub fn apply_changes_with_epoch(
         &self,
         db: &Database,
@@ -670,7 +676,7 @@ impl DashServer {
                 .expect("shadow present outside publish");
             bulk_delta(shadow.app(), db, changes)?
         };
-        Ok(self.publish_locked(&mut writer, delta))
+        self.publish_locked(&mut writer, delta)
     }
 
     /// The publish protocol, under the writer lock. Returns the stats
@@ -678,28 +684,53 @@ impl DashServer {
     /// an empty delta) — callers answering concurrent updaters must
     /// report *this* epoch, not a later re-read that may already be
     /// someone else's publication.
-    fn publish_locked(&self, writer: &mut WriterSide, delta: IndexDelta) -> (RefreshStats, u64) {
+    ///
+    /// The delta is prepared once, on the pre-delta shadow, and the
+    /// one [`PreparedDelta`](dash_core::PreparedDelta) is applied to
+    /// both sides: to the shadow before the swap and to the retired
+    /// side after the drain, which is the shadow's lockstep twin.
+    ///
+    /// # Errors
+    ///
+    /// [`IndexDelta::check`]'s, before either side changes.
+    fn publish_locked(
+        &self,
+        writer: &mut WriterSide,
+        delta: IndexDelta,
+    ) -> Result<(RefreshStats, u64)> {
         if delta.is_empty() {
-            return (RefreshStats::default(), writer.epoch);
+            return Ok((RefreshStats::default(), writer.epoch));
         }
         let swap_span = SpanGuard::start(&self.shared.swap_ns);
+        // Prepared against the *pre-delta* shadow: the signature's
+        // vocabulary includes the terms the delta removes, which are
+        // gone after application.
+        let signature_span = SpanGuard::start(&self.shared.publish_signature_ns);
+        let prepared = match writer
+            .shadow
+            .as_ref()
+            .expect("shadow present outside publish")
+            .prepare(&delta)
+        {
+            Ok(prepared) => prepared,
+            Err(e) => {
+                // A refused delta is no publication.
+                signature_span.cancel();
+                swap_span.cancel();
+                return Err(e);
+            }
+        };
+        drop(signature_span);
+        self.shared
+            .signature_keywords
+            .set(prepared.signature.keywords.len() as u64);
         let mut shadow = writer
             .shadow
             .take()
             .expect("shadow present outside publish");
-        // The signature must see the *pre-delta* index: the touched
-        // groups' vocabulary includes the terms the delta removes,
-        // which are gone after application.
-        let signature = {
-            let _span = SpanGuard::start(&self.shared.publish_signature_ns);
-            shadow.delta_signature(&delta)
-        };
-        self.shared
-            .signature_keywords
-            .set(signature.keywords.len() as u64);
         let stats = {
             let _span = SpanGuard::start(&self.shared.publish_apply_ns);
-            shadow.apply_delta(delta.clone())
+            shadow.apply_prepared(&prepared)
         };
         writer.epoch += 1;
         // Invalidate both instances before the swap: from this instant
@@ -707,8 +738,12 @@ impl DashServer {
         // no stale entry can slip in behind the sweep.
         {
             let _span = SpanGuard::start(&self.shared.publish_invalidate_ns);
-            self.shared.cache.invalidate(&signature, writer.epoch);
-            self.shared.rendered.invalidate(&signature, writer.epoch);
+            self.shared
+                .cache
+                .invalidate(&prepared.signature, writer.epoch);
+            self.shared
+                .rendered
+                .invalidate(&prepared.signature, writer.epoch);
         }
         let next = Arc::new(EngineSnapshot {
             engine: shadow,
@@ -717,44 +752,38 @@ impl DashServer {
         let retired = self.shared.handle.swap(Arc::clone(&next));
         drop(swap_span);
         // Grace period: wait out the retired snapshot's readers and
-        // replay the delta so the next publication starts in lockstep.
-        // The wait is bounded: a caller may legitimately hold a
-        // `DashServer::snapshot` forever, and the writer must not
+        // replay the prepared delta so the next publication starts in
+        // lockstep. The wait is bounded: a caller may legitimately hold
+        // a `DashServer::snapshot` forever, and the writer must not
         // livelock on it — if the retired side does not drain, abandon
         // it to its holders and fork the freshly published engine as
         // the next shadow instead (an O(index) memcpy, the same cost
         // as server startup).
-        // Decide up front whether the publication event is needed — by
-        // a registered replication tap or by the delta log. Taps
-        // register under the writer lock — which this publication
-        // holds — so the answer cannot change mid-publish. Without
-        // either the delta is *moved* into the retired-side replay, so
-        // a non-replicated log-disabled deployment never pays a clone.
-        let event_delta = {
-            let log_enabled = self.shared.delta_log.lock().capacity > 0;
-            let taps = self.shared.taps.lock();
-            (log_enabled || !taps.is_empty()).then(|| delta.clone())
-        };
         let drain_span = SpanGuard::start(&self.shared.drain_ns);
         match try_drain(retired, DRAIN_ATTEMPTS) {
             Some(mut retired) => {
-                retired.engine.apply_delta(delta);
+                let _span = SpanGuard::start(&self.shared.publish_replay_ns);
+                retired.engine.apply_prepared(&prepared);
                 writer.shadow = Some(retired.engine);
             }
             None => writer.shadow = Some(next.engine.fork()),
         }
         drop(drain_span);
         self.shared.published.inc();
+        let signature = prepared.signature;
         // Record the publication in the delta log and feed the
         // replication taps (still under the writer lock, so every tap
-        // sees publications in epoch order with no gaps). Sends never
-        // block: a tap whose consumer has fallen `feed_depth`
-        // publications behind is evicted on the spot — its channel
-        // closes and the consumer re-syncs through
+        // sees publications in epoch order with no gaps). Taps register
+        // under the writer lock too, so the set cannot change
+        // mid-publish, and with neither a tap nor a log the event is
+        // never built. Sends never block: a tap whose consumer has
+        // fallen `feed_depth` publications behind is evicted on the
+        // spot — its channel closes and the consumer re-syncs through
         // [`DashServer::replication_feed_from`] — so a stuck replica
         // costs the publisher a bounded channel, never unbounded
         // memory.
-        if let Some(delta) = event_delta {
+        let log_enabled = self.shared.delta_log.lock().capacity > 0;
+        if log_enabled || !self.shared.taps.lock().is_empty() {
             let event = PublishEvent {
                 epoch: writer.epoch,
                 delta,
@@ -776,7 +805,7 @@ impl DashServer {
                 self.shared.feed_evictions.add(evicted);
             }
         }
-        (stats, writer.epoch)
+        Ok((stats, writer.epoch))
     }
 
     /// Registers a replication tap: atomically returns the current
@@ -986,6 +1015,15 @@ mod tests {
         assert!(text.contains("dash_serve_cache_hits 1"), "{text}");
         assert!(
             text.contains("dash_serve_search_ns{quantile=\"0.99\"}"),
+            "{text}"
+        );
+        // The publish replayed on the retired side, inside its drain.
+        let replay = registry.histogram("dash_serve_publish_replay_ns");
+        let drain = registry.histogram("dash_serve_drain_ns");
+        assert_eq!((replay.count(), drain.count()), (1, 1));
+        assert!(replay.sum() <= drain.sum());
+        assert!(
+            text.contains("dash_serve_publish_replay_ns_count 1"),
             "{text}"
         );
         let heap = server.snapshot().engine.heap_bytes();

@@ -163,6 +163,7 @@ fn the_metrics_exposition_is_valid_and_covers_every_layer() {
         "dash_serve_publish_signature_ns",
         "dash_serve_publish_apply_ns",
         "dash_serve_publish_invalidate_ns",
+        "dash_serve_publish_replay_ns",
         "dash_serve_signature_keywords",
         "dash_shard_search_ns",
     ] {

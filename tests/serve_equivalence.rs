@@ -350,6 +350,93 @@ fn precise_invalidation_spares_unrelated_entries() {
     }
 }
 
+#[test]
+fn both_sides_stay_in_lockstep_with_an_independently_maintained_engine() {
+    // A publish prepares its delta once, on the shadow, and applies that
+    // one preparation to the shadow and, after the drain, to the
+    // retired side. The live side alternates between the two engines,
+    // so comparing the live image after every publish with an engine
+    // maintained on its own by `apply_delta` checks the prepared
+    // replay on each side in turn.
+    let fragments = crawled_fragments();
+    let app = fooddb::search_application().unwrap();
+    let id =
+        |cuisine: &str, budget: i64| FragmentId::new(vec![Value::str(cuisine), Value::Int(budget)]);
+    let recount = |fragment: &Fragment, extra: &[(&str, u64)]| {
+        let mut occurrences = fragment.keyword_occurrences.clone();
+        for count in occurrences.values_mut() {
+            *count += 1;
+        }
+        occurrences.extend(extra.iter().map(|&(word, n)| (word.to_string(), n)));
+        Fragment::new(fragment.id.clone(), occurrences, fragment.record_count)
+    };
+    let (first, second, third) = (
+        &fragments[0],
+        &fragments[1],
+        &fragments[fragments.len() - 1],
+    );
+    let publishes = [
+        (
+            "upserts",
+            IndexDelta::adding(vec![recount(first, &[]), recount(third, &[])]),
+        ),
+        ("removal", IndexDelta::removing(vec![second.id.clone()])),
+        (
+            "new group",
+            IndexDelta::adding(vec![Fragment::new(
+                id("Nordic", 7),
+                [("herring".to_string(), 2u64)].into_iter().collect(),
+                1,
+            )]),
+        ),
+        (
+            "new keyword",
+            IndexDelta::adding(vec![recount(third, &[("zanzibar", 3)])]),
+        ),
+        (
+            "removal before re-add",
+            IndexDelta::removing(vec![first.id.clone()]),
+        ),
+        ("re-add", IndexDelta::adding(vec![first.clone()])),
+        (
+            "remove and re-add in one",
+            IndexDelta::new(vec![third.id.clone()], vec![recount(third, &[])]),
+        ),
+    ];
+    let image = |engine: &ShardedEngine| {
+        let mut bytes = Vec::new();
+        engine.write_image(&mut bytes).unwrap();
+        bytes
+    };
+    for shards in [1, 4, dash::core::env_shards().unwrap_or(1)] {
+        let server = server_over(&fragments, shards);
+        let mut independent = ShardedEngine::builder(app.clone())
+            .shards(shards)
+            .source(IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
+        assert!(image(&server.snapshot().engine) == image(&independent));
+        for (n, (step, delta)) in publishes.iter().enumerate() {
+            let served = server.publish(delta.clone());
+            assert_eq!(
+                served,
+                independent.apply_delta(delta.clone()),
+                "shards={shards}: {step}"
+            );
+            assert!(
+                image(&server.snapshot().engine) == image(&independent),
+                "shards={shards}: {step}: the live side differs"
+            );
+            // Every publish replayed on the retired side: none fell back
+            // to forking the live one.
+            let replays = server.registry().histogram("dash_serve_publish_replay_ns");
+            assert_eq!(replays.count(), n as u64 + 1, "shards={shards}: {step}");
+        }
+        let hits = server.search(&SearchRequest::new(&["herring"]).k(3).min_size(1));
+        assert_eq!(hits.len(), 1, "shards={shards}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property tests: random interleavings of search / publish / search.
 // ---------------------------------------------------------------------
