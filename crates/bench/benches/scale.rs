@@ -3,8 +3,11 @@
 //! (`dash_bench::scale`). Every row is a `record_measurement` — a
 //! million-fragment build is seconds, not something an `iter()` loop
 //! can sample. `scale/search` records one sample per request (1 000,
-//! or 200 in fast mode) and carries its `p99_ns`; every other row is a
-//! single-shot wall time (`samples: 1`). `peak_rss_bytes` is the
+//! or 200 in fast mode) and carries its `p99_ns`; the three
+//! maintenance rows are the median of five rounds of the same churn,
+//! each with counts of its own (`samples: 5`), so their ratio gates
+//! divide a median by a median; the build and load rows are
+//! single-shot wall times (`samples: 1`). `peak_rss_bytes` is the
 //! process high-water mark when the row landed:
 //!
 //! | Row | Measures |
@@ -13,8 +16,8 @@
 //! | `scale/search` | top-k latency over Zipf-skewed keyword traffic, p50 and p99 |
 //! | `scale/arena-load` | the builder's `IngestSource::Image` — the zero-parse bulk-read path |
 //! | `scale/full-rebuild` | partition + 4-shard index build from in-memory fragments (`IngestSource::Fragments`) — what a bootstrap costs without the image |
-//! | `scale/delta-signature` | the same delta's invalidation signature (`delta_signature`: the touched group's vocabulary walk), taken before it is applied |
-//! | `scale/delta-apply` | one group-local delta through `apply_delta` |
+//! | `scale/delta-signature` | a ten-fragment group-local delta's invalidation signature (`delta_signature`: the touched group's vocabulary walk), taken before it is applied; the median of five |
+//! | `scale/delta-apply` | that delta through `apply_delta`; the median of five |
 //! | `scale/publish` | what a serving publish does to its two engines: the next such delta prepared once (`prepare`), then applied to the engine and to its fork (`apply_prepared` twice); the median of five |
 //!
 //! The arena-load vs full-rebuild gap is the replica-bootstrap win
@@ -149,60 +152,53 @@ fn bench_scale(c: &mut Criterion) {
     // Delta apply: churn ten fragments of one equality group — the
     // O(affected-group) write path — against `scale/full-rebuild`, the
     // price of the same logical change without incremental
-    // maintenance.
+    // maintenance. Each maintenance row is the median of five rounds,
+    // each round with counts of its own, so no round re-applies what is
+    // already there and the gates divide medians by medians.
     let churn = 10.min(corpus.fragments / corpus.groups).max(1);
-    let upserts: Vec<_> = (1..=churn as i64)
-        .map(|quantity| {
-            let mut fragment = corpus.fragment(0, quantity);
-            if let Some(count) = fragment.keyword_occurrences.values_mut().next() {
-                *count += 1;
-            }
-            fragment
-        })
-        .collect();
-    let removes = upserts.iter().map(|f| f.id.clone()).collect();
-    let delta = IndexDelta::new(removes, upserts);
+    let upserts = |bump: u64| -> Vec<_> {
+        (1..=churn as i64)
+            .map(|quantity| {
+                let mut fragment = corpus.fragment(0, quantity);
+                if let Some(count) = fragment.keyword_occurrences.values_mut().next() {
+                    *count += bump;
+                }
+                fragment
+            })
+            .collect()
+    };
     // What a publish does first: the signature against the pre-delta
-    // index (the touched group's vocabulary walk).
-    let begin = Instant::now();
-    let signature = criterion::black_box(engine.delta_signature(&delta));
-    let signature_ns = begin.elapsed().as_nanos() as f64;
-    assert_eq!(signature.groups.len(), 1);
+    // index (the touched group's vocabulary walk), then the apply.
+    let mut signature_ns = Vec::new();
+    let mut delta_ns = Vec::new();
+    let mut signature_keywords = 0;
+    for bump in 1..=5 {
+        let upserts = upserts(bump);
+        let removes = upserts.iter().map(|f| f.id.clone()).collect();
+        let delta = IndexDelta::new(removes, upserts);
+        let begin = Instant::now();
+        let signature = criterion::black_box(engine.delta_signature(&delta));
+        signature_ns.push(begin.elapsed().as_nanos() as f64);
+        assert_eq!(signature.groups.len(), 1);
+        signature_keywords = signature.keywords.len();
+        let begin = Instant::now();
+        let stats = engine.apply_delta(delta);
+        delta_ns.push(begin.elapsed().as_nanos() as f64);
+        assert_eq!(stats.added, churn);
+    }
     c.record_measurement(
         "scale/delta-signature",
-        &[signature_ns],
-        signature.keywords.len() as f64,
+        &signature_ns,
+        signature_keywords as f64,
     );
-    let begin = Instant::now();
-    let stats = engine.apply_delta(delta);
-    let delta_ns = begin.elapsed().as_nanos() as f64;
-    assert_eq!(stats.added, churn);
-    c.record_measurement("scale/delta-apply", &[delta_ns], churn as f64);
-    println!(
-        "maintenance: signature {:.2}ms ({} keywords) + delta {:.2}ms vs full rebuild {:.1}ms ({:.0}x)",
-        signature_ns / 1e6,
-        signature.keywords.len(),
-        delta_ns / 1e6,
-        rebuild_ns / 1e6,
-        rebuild_ns / delta_ns.max(1.0)
-    );
+    c.record_measurement("scale/delta-apply", &delta_ns, churn as f64);
 
     // Publish: the serving tier keeps a fork in lockstep and applies
-    // every delta to both sides, preparing it once. Five rounds of the
-    // same churn, each with its own counts, against the same group.
+    // every delta to both sides, preparing it once.
     let mut twin = engine.fork();
-    let publish_ns: Vec<f64> = (0..5u64)
-        .map(|round| {
-            let upserts: Vec<_> = (1..=churn as i64)
-                .map(|quantity| {
-                    let mut fragment = corpus.fragment(0, quantity);
-                    if let Some(count) = fragment.keyword_occurrences.values_mut().next() {
-                        *count += 2 + round;
-                    }
-                    fragment
-                })
-                .collect();
-            let delta = IndexDelta::adding(upserts);
+    let publish_ns: Vec<f64> = (6..=10)
+        .map(|bump| {
+            let delta = IndexDelta::adding(upserts(bump));
             let begin = Instant::now();
             let prepared = engine.prepare(&delta).expect("the churn fits");
             let stats = engine.apply_prepared(&prepared);

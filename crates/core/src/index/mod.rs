@@ -125,9 +125,7 @@ impl FragmentIndex {
     /// **last** add for an identifier wins, so applying a concatenation
     /// equals applying the parts in order. It is the checks, then
     /// `FragmentIndex::prepare` and `FragmentIndex::apply_prepared`,
-    /// the two halves every engine's write path runs;
-    /// [`FragmentIndex::remove_fragment`] and
-    /// [`FragmentIndex::add_fragment`] are one-element deltas.
+    /// the two halves every engine's write path runs.
     ///
     /// # Errors
     ///
@@ -258,28 +256,6 @@ impl FragmentIndex {
             removed: prepared.removed.len(),
             added: added.len(),
         }
-    }
-
-    /// Removes one fragment from every structure (incremental
-    /// maintenance). Returns whether anything was removed. The handle
-    /// stays interned (a tombstone), so re-adding the same identifier
-    /// later re-uses it.
-    pub fn remove_fragment(&mut self, id: &FragmentId) -> bool {
-        let stats = self
-            .apply(&IndexDelta::removing(vec![id.clone()]))
-            .expect("a removal adds no counts");
-        stats.removed > 0
-    }
-
-    /// Splices one freshly derived fragment into every structure
-    /// (incremental maintenance).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FragmentIndex::apply`].
-    pub fn add_fragment(&mut self, fragment: &Fragment) -> Result<()> {
-        self.apply(&IndexDelta::adding(vec![fragment.clone()]))
-            .map(|_| ())
     }
 }
 
@@ -443,7 +419,9 @@ mod tests {
         // Re-adding a live fragment (no remove first) must replace its
         // node and postings, not splice duplicates.
         let updated = fragment("American", 10, &[("burger", 5), ("queen", 1)]);
-        index.add_fragment(&updated).unwrap();
+        index
+            .apply(&IndexDelta::adding(vec![updated.clone()]))
+            .unwrap();
         assert_eq!(index.fragment_count(), 4);
         let frag = index.catalog.frag(&updated.id).unwrap();
         let node = index.graph.locate(frag).unwrap();
@@ -460,7 +438,13 @@ mod tests {
         let kw = index.inverted.kw("burger").unwrap();
         assert_eq!(index.inverted.occurrences(kw, frag), 5);
         // And it can still be removed cleanly afterwards.
-        assert!(index.remove_fragment(&updated.id));
+        assert_eq!(
+            index
+                .apply(&IndexDelta::removing(vec![updated.id.clone()]))
+                .unwrap()
+                .removed,
+            1
+        );
         assert_eq!(index.fragment_count(), 3);
     }
 
@@ -565,11 +549,23 @@ mod tests {
         let fragments = sample();
         let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
         let id = fragments[0].id.clone();
-        assert!(index.remove_fragment(&id));
+        assert_eq!(
+            index
+                .apply(&IndexDelta::removing(vec![id.clone()]))
+                .unwrap()
+                .removed,
+            1
+        );
         let postings_before = index.inverted.posting_count();
         // Second removal: the id still resolves (tombstoned handle) but
         // nothing matches — arenas must be untouched.
-        assert!(!index.remove_fragment(&id));
+        assert_eq!(
+            index
+                .apply(&IndexDelta::removing(vec![id.clone()]))
+                .unwrap()
+                .removed,
+            0
+        );
         assert_eq!(index.inverted.posting_count(), postings_before);
         assert_eq!(index.fragment_count(), 3);
     }
@@ -579,10 +575,24 @@ mod tests {
         let fragments = sample();
         let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
         let id = fragments[1].id.clone();
-        assert!(index.remove_fragment(&id));
-        assert!(!index.remove_fragment(&id));
+        assert_eq!(
+            index
+                .apply(&IndexDelta::removing(vec![id.clone()]))
+                .unwrap()
+                .removed,
+            1
+        );
+        assert_eq!(
+            index
+                .apply(&IndexDelta::removing(vec![id.clone()]))
+                .unwrap()
+                .removed,
+            0
+        );
         assert_eq!(index.fragment_count(), 3);
-        index.add_fragment(&fragments[1]).unwrap();
+        index
+            .apply(&IndexDelta::adding(vec![fragments[1].clone()]))
+            .unwrap();
         assert_eq!(index.fragment_count(), 4);
         let rebuilt = FragmentIndex::build(&fragments, Some(1)).unwrap();
         for word in ["burger", "coffee", "queen", "thai"] {

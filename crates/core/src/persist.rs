@@ -693,6 +693,7 @@ mod tests {
     use crate::ingest::IngestSource;
     use crate::search::SearchRequest;
     use crate::sharded::ShardedEngine;
+    use crate::update::IndexDelta;
     use dash_webapp::fooddb;
 
     fn fooddb_fragments() -> Vec<Fragment> {
@@ -1012,8 +1013,20 @@ mod tests {
         // refused as `InvalidData`, never panic and never load.
         let fragments = fooddb_fragments();
         let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
-        assert!(index.remove_fragment(&fragments[1].id));
-        assert!(index.remove_fragment(&fragments[3].id));
+        assert_eq!(
+            index
+                .apply(&IndexDelta::removing(vec![fragments[1].id.clone()]))
+                .unwrap()
+                .removed,
+            1
+        );
+        assert_eq!(
+            index
+                .apply(&IndexDelta::removing(vec![fragments[3].id.clone()]))
+                .unwrap()
+                .removed,
+            1
+        );
         let mut image = Vec::new();
         write_image(&mut image, Some(1), &[&index]).unwrap();
         let with_dead = |count: u64, dead: &[u32]| {

@@ -1,17 +1,38 @@
 //! Long-running incremental-maintenance scenarios: interleaved inserts
 //! and deletes must keep the engine equal to a from-scratch rebuild (the
-//! paper's first future-work item, exercised hard).
+//! paper's first future-work item, exercised hard). The incremental
+//! `DashEngine` is the engine under test; its searches are checked
+//! against the seed's Algorithm 1 (`tests/common/oracle.rs`) over a
+//! fresh crawl, and its fragment and edge counts against a rebuilt
+//! engine's.
 
-use dash::core::{DashConfig, DashEngine, RecordChange, SearchRequest};
-use dash::relation::{Database, Record, Value};
+use dash::core::crawl::reference;
+use dash::core::{DashConfig, DashEngine, RecordChange, SearchHit, SearchRequest};
+use dash::relation::{Database, Record};
 use dash::webapp::fooddb;
+
+mod common {
+    pub mod battery;
+    pub mod oracle;
+    pub mod records;
+    pub mod scenarios;
+}
+use common::battery::battery;
+use common::oracle::Oracle;
+use common::scenarios::{
+    budget_move, interleaved_inserts_and_deletes, repeated_reinsertion, Maintained,
+};
 
 fn rebuild(db: &Database) -> DashEngine {
     let app = fooddb::search_application().unwrap();
     DashEngine::build(&app, db, &DashConfig::default()).unwrap()
 }
 
-fn assert_equivalent(incremental: &DashEngine, rebuilt: &DashEngine, context: &str) {
+/// The incremental engine against a rebuild of `db`: the same fragment
+/// and edge counts, and the reference's answer to every request of the
+/// battery.
+fn assert_equivalent(incremental: &DashEngine, db: &Database, context: &str) {
+    let rebuilt = rebuild(db);
     assert_eq!(
         incremental.fragment_count(),
         rebuilt.fragment_count(),
@@ -22,180 +43,42 @@ fn assert_equivalent(incremental: &DashEngine, rebuilt: &DashEngine, context: &s
         rebuilt.index().graph.edge_count(),
         "{context}: edge counts"
     );
-    for kw in ["burger", "fries", "coffee", "thai", "taco", "pho", "nice"] {
-        for s in [1u64, 20, 60] {
-            let req = SearchRequest::new(&[kw]).k(6).min_size(s);
-            assert_eq!(
-                incremental.search(&req),
-                rebuilt.search(&req),
-                "{context}: search {kw}/{s}"
-            );
-        }
+    let app = fooddb::search_application().unwrap();
+    let oracle = Oracle::new(&app, &reference::fragments(&app, db).unwrap());
+    let requests = battery();
+    let served: Vec<_> = requests.iter().map(|r| incremental.search(r)).collect();
+    oracle.assert_answers(&requests, &served, context);
+}
+
+impl Maintained for DashEngine {
+    fn apply_record(&mut self, db: &Database, relation: &str, record: &Record) {
+        self.apply_changes(db, &[RecordChange::new(relation, record.clone())])
+            .unwrap();
     }
-}
 
-/// Applies one record change (insert or delete; `db` already reflects
-/// it) as a one-change batch.
-fn apply_change(engine: &mut DashEngine, db: &Database, relation: &str, record: &Record) {
-    engine
-        .apply_changes(db, &[RecordChange::new(relation, record.clone())])
-        .unwrap();
-}
+    fn top_k(&self, request: &SearchRequest) -> Vec<SearchHit> {
+        self.search(request)
+    }
 
-fn restaurant(rid: i64, name: &str, cuisine: &str, budget: i64) -> Record {
-    Record::new(vec![
-        Value::Int(rid),
-        Value::str(name),
-        Value::str(cuisine),
-        Value::Int(budget),
-        Value::str("4.0"),
-    ])
-}
-
-fn comment(cid: i64, rid: i64, uid: i64, text: &str) -> Record {
-    Record::new(vec![
-        Value::Int(cid),
-        Value::Int(rid),
-        Value::Int(uid),
-        Value::str(text),
-        Value::str("02/12"),
-    ])
+    fn check(&self, db: &Database, step: &str) {
+        assert_equivalent(self, db, step);
+    }
 }
 
 #[test]
 fn interleaved_insert_delete_sequence() {
     let mut db = fooddb::database();
-    let mut engine = rebuild(&db);
-
-    // 1. Insert a chain of Mexican restaurants spanning budgets 5..9 —
-    //    grows a brand-new equality group with edges.
-    for (i, budget) in (5..10).enumerate() {
-        let r = restaurant(100 + i as i64, "Taco Tower", "Mexican", budget);
-        db.table_mut("restaurant")
-            .unwrap()
-            .insert(r.clone())
-            .unwrap();
-        apply_change(&mut engine, &db, "restaurant", &r);
-    }
-    assert_equivalent(&engine, &rebuild(&db), "after mexican chain");
-    let hits = engine.search(&SearchRequest::new(&["taco"]).k(1).min_size(100));
-    assert_eq!(hits.len(), 1);
-    // All five fragments merge under a big threshold.
-    assert_eq!(hits[0].fragment_ids.len(), 5);
-
-    // 2. Insert comments on one of them (fragment content change).
-    let c = comment(301, 102, 132, "Great taco pho fusion");
-    db.table_mut("comment").unwrap().insert(c.clone()).unwrap();
-    apply_change(&mut engine, &db, "comment", &c);
-    assert_equivalent(&engine, &rebuild(&db), "after comment insert");
-
-    // 3. Delete the middle of the Mexican chain — the edge must re-splice.
-    let victim = db
-        .table("restaurant")
-        .unwrap()
-        .iter()
-        .find(|r| r.get(0) == Some(&Value::Int(102)))
-        .cloned()
-        .unwrap();
-    db.table_mut("comment")
-        .unwrap()
-        .delete_where(|r| r.get(1) == Some(&Value::Int(102)));
-    apply_change(&mut engine, &db, "comment", &c);
-    db.table_mut("restaurant")
-        .unwrap()
-        .delete_where(|r| r.get(0) == Some(&Value::Int(102)));
-    apply_change(&mut engine, &db, "restaurant", &victim);
-    assert_equivalent(&engine, &rebuild(&db), "after middle delete");
-
-    // 4. Delete an entire cuisine (Thai) — groups disappear.
-    for rid in [5i64, 6] {
-        let comments: Vec<Record> = db
-            .table("comment")
-            .unwrap()
-            .iter()
-            .filter(|r| r.get(1) == Some(&Value::Int(rid)))
-            .cloned()
-            .collect();
-        for c in comments {
-            db.table_mut("comment")
-                .unwrap()
-                .delete_where(|r| r.get(0) == c.get(0));
-            apply_change(&mut engine, &db, "comment", &c);
-        }
-        let r = db
-            .table("restaurant")
-            .unwrap()
-            .iter()
-            .find(|r| r.get(0) == Some(&Value::Int(rid)))
-            .cloned()
-            .unwrap();
-        db.table_mut("restaurant")
-            .unwrap()
-            .delete_where(|rec| rec.get(0) == Some(&Value::Int(rid)));
-        apply_change(&mut engine, &db, "restaurant", &r);
-    }
-    assert_equivalent(&engine, &rebuild(&db), "after thai removal");
-    assert!(engine
-        .search(&SearchRequest::new(&["thai"]).k(3).min_size(1))
-        .is_empty());
+    interleaved_inserts_and_deletes(&mut rebuild(&db), &mut db);
 }
 
 #[test]
 fn update_via_delete_then_insert() {
-    // A budget change moves a restaurant between fragments.
     let mut db = fooddb::database();
-    let mut engine = rebuild(&db);
-    let old = db
-        .table("restaurant")
-        .unwrap()
-        .iter()
-        .find(|r| r.get(0) == Some(&Value::Int(1)))
-        .cloned()
-        .unwrap();
-    // Burger Queen's budget rises from 10 to 11.
-    db.table_mut("restaurant")
-        .unwrap()
-        .delete_where(|r| r.get(0) == Some(&Value::Int(1)));
-    apply_change(&mut engine, &db, "restaurant", &old);
-    let new = restaurant(1, "Burger Queen", "American", 11);
-    db.table_mut("restaurant")
-        .unwrap()
-        .insert(new.clone())
-        .unwrap();
-    apply_change(&mut engine, &db, "restaurant", &new);
-
-    assert_equivalent(&engine, &rebuild(&db), "after budget move");
-    // The burger page now reports the new budget interval.
-    let hits = engine.search(&SearchRequest::new(&["experts"]).k(1).min_size(1));
-    assert_eq!(hits.len(), 1);
-    assert!(hits[0].url.contains("l=11&u=11"), "got {}", hits[0].url);
+    budget_move(&mut rebuild(&db), &mut db);
 }
 
 #[test]
 fn repeated_reinsertion_is_stable() {
     let mut db = fooddb::database();
-    let mut engine = rebuild(&db);
-    let r = restaurant(200, "Pho Palace", "Vietnamese", 9);
-    for round in 0..3 {
-        db.table_mut("restaurant")
-            .unwrap()
-            .insert(r.clone())
-            .unwrap();
-        apply_change(&mut engine, &db, "restaurant", &r);
-        assert_eq!(
-            engine
-                .search(&SearchRequest::new(&["pho"]).k(5).min_size(1))
-                .len(),
-            1,
-            "round {round}"
-        );
-        db.table_mut("restaurant")
-            .unwrap()
-            .delete_where(|rec| rec.get(0) == Some(&Value::Int(200)));
-        apply_change(&mut engine, &db, "restaurant", &r);
-        assert!(engine
-            .search(&SearchRequest::new(&["pho"]).k(5).min_size(1))
-            .is_empty());
-    }
-    assert_equivalent(&engine, &rebuild(&db), "after churn");
+    repeated_reinsertion(&mut rebuild(&db), &mut db);
 }

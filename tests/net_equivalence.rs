@@ -1,7 +1,8 @@
 //! The net test tier: the socket layer must be **invisible** in the
 //! results. A hit list served over HTTP — parsed from the JSON body a
-//! real TCP connection carried — is byte-identical to a fresh
-//! `DashEngine::search` over the server's current fragments, whether
+//! real TCP connection carried — is byte-identical to the seed's
+//! Algorithm 1 (`tests/common/oracle.rs`) over the server's current
+//! fragments, whether
 //! it came from the primary or from a replica that joined the
 //! replication stream mid-history, across cache hits, concurrent
 //! clients and concurrent delta publications, at shard counts {1, 4}.
@@ -20,113 +21,62 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dash::core::crawl::reference;
-use dash::mapreduce::WorkflowStats;
 use dash::net::NetChange;
 use dash::prelude::*;
 use dash::webapp::fooddb;
 
+mod common {
+    pub mod battery;
+    pub mod cluster;
+    pub mod fooddb;
+    pub mod oracle;
+    pub mod twins;
+}
+use common::battery::battery;
+use common::cluster::{dump, primary};
+use common::fooddb::{app, crawled_fragments};
+use common::oracle::Oracle;
+use common::twins::twins;
+
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 const SYNC_TIMEOUT: Duration = Duration::from_secs(20);
 
-fn app() -> WebApplication {
-    fooddb::search_application().unwrap()
-}
-
-fn fresh_single(fragments: &[Fragment]) -> DashEngine {
-    DashEngine::from_fragments(app(), fragments, WorkflowStats::new()).unwrap()
-}
-
-fn crawled_fragments() -> Vec<Fragment> {
-    let db = fooddb::database();
-    reference::fragments(&app(), &db).unwrap()
-}
-
-/// A primary serving stack on ephemeral ports: the `DashServer`, its
-/// HTTP front-end and its replication hub.
-fn primary(fragments: &[Fragment], shards: usize) -> (Arc<DashServer>, NetServer, ReplicationHub) {
-    let server = Arc::new(
-        DashServer::from_fragments(app(), fragments, ServeConfig::default().shards(shards))
-            .unwrap(),
-    );
-    let net = NetServer::serve_primary(
-        Arc::clone(&server),
-        fooddb::database(),
-        TcpListener::bind("127.0.0.1:0").unwrap(),
-        NetConfig::default(),
-    )
-    .unwrap();
-    let hub = ReplicationHub::start(
-        Arc::clone(&server),
-        TcpListener::bind("127.0.0.1:0").unwrap(),
-    )
-    .unwrap();
-    (server, net, hub)
-}
-
-/// The request battery every comparison runs (the serve tier's, minus
-/// nothing — socket serving must pass the identical bar).
-fn battery() -> Vec<SearchRequest> {
-    let mut requests = Vec::new();
-    for kw in ["burger", "fries", "coffee", "thai", "taco", "nice"] {
-        for s in [1u64, 20, 60] {
-            requests.push(SearchRequest::new(&[kw]).k(6).min_size(s));
-        }
-    }
-    requests.push(SearchRequest::new(&["burger", "taco"]).k(8).min_size(10));
-    requests.push(SearchRequest::new(&["zzzmissing"]).k(3).min_size(1));
-    requests
-}
-
 /// Serves the battery through a socket twice (the repeat hits the
-/// result cache) and requires byte-identity with the fresh engine.
-fn assert_socket_equivalent(client: &mut NetClient, fresh: &DashEngine, context: &str) {
+/// result cache) and requires byte-identity with the reference.
+fn assert_socket_equivalent(client: &mut NetClient, oracle: &Oracle, context: &str) {
     let requests = battery();
     for pass in ["miss", "cached"] {
-        for request in &requests {
-            let expected = fresh.search(request);
-            let served = client.search(request).unwrap();
-            assert_eq!(
-                served, expected,
-                "{context}: pass={pass} keywords={:?} k={} s={}",
-                request.keywords, request.k, request.min_size
-            );
-        }
+        let served: Vec<_> = requests.iter().map(|r| client.search(r).unwrap()).collect();
+        oracle.assert_answers(&requests, &served, &format!("{context}: pass={pass}"));
     }
 }
 
 #[test]
 fn http_served_results_match_fresh_engine_for_all_shard_counts() {
-    let fragments = crawled_fragments();
-    let fresh = fresh_single(&fragments);
+    let mut fragments = crawled_fragments();
+    fragments.extend(twins());
+    let oracle = Oracle::new(&app(), &fragments);
     for shards in SHARD_COUNTS {
-        let (_server, net, _hub) = primary(&fragments, shards);
+        let (_server, net, _hub) = primary(&fragments, ServeConfig::default().shards(shards));
         let mut client = NetClient::connect(net.addr()).unwrap();
-        assert_socket_equivalent(&mut client, &fresh, &format!("shards={shards}"));
+        assert_socket_equivalent(&mut client, &oracle, &format!("shards={shards}"));
     }
 }
 
 #[test]
 fn concurrent_socket_clients_get_identical_answers() {
     let fragments = crawled_fragments();
-    let fresh = fresh_single(&fragments);
-    let (_server, net, _hub) = primary(&fragments, 4);
+    let oracle = Oracle::new(&app(), &fragments);
+    let (_server, net, _hub) = primary(&fragments, ServeConfig::default().shards(4));
     let requests = battery();
-    let expected: Vec<_> = requests.iter().map(|r| fresh.search(r)).collect();
     std::thread::scope(|scope| {
         for t in 0..4 {
-            let requests = &requests;
-            let expected = &expected;
+            let (requests, oracle) = (&requests, &oracle);
             let addr = net.addr();
             scope.spawn(move || {
                 let mut client = NetClient::connect(addr).unwrap();
-                for (request, expected) in requests.iter().zip(expected) {
-                    assert_eq!(
-                        &client.search(request).unwrap(),
-                        expected,
-                        "concurrent socket client {t} keywords={:?}",
-                        request.keywords
-                    );
-                }
+                let served: Vec<_> = requests.iter().map(|r| client.search(r).unwrap()).collect();
+                oracle.assert_answers(requests, &served, &format!("concurrent socket client {t}"));
             });
         }
     });
@@ -136,7 +86,7 @@ fn concurrent_socket_clients_get_identical_answers() {
 fn http_updates_route_through_the_bulk_delta_path() {
     for shards in SHARD_COUNTS {
         let fragments = crawled_fragments();
-        let (server, net, _hub) = primary(&fragments, shards);
+        let (server, net, _hub) = primary(&fragments, ServeConfig::default().shards(shards));
         let mut client = NetClient::connect(net.addr()).unwrap();
 
         // Insert a new restaurant over the wire.
@@ -157,7 +107,7 @@ fn http_updates_route_through_the_bulk_delta_path() {
             .unwrap()
             .insert(record.clone())
             .unwrap();
-        let truth = DashEngine::build(&app(), &db, &DashConfig::default()).unwrap();
+        let truth = Oracle::new(&app(), &reference::fragments(&app(), &db).unwrap());
         let sushi = SearchRequest::new(&["sushi"]).k(3).min_size(1);
         assert_eq!(client.search(&sushi).unwrap(), truth.search(&sushi));
         assert_socket_equivalent(&mut client, &truth, &format!("shards={shards} post-insert"));
@@ -166,7 +116,7 @@ fn http_updates_route_through_the_bulk_delta_path() {
         let ack = client.delete("restaurant", record).unwrap();
         assert!(ack.removed >= 1);
         assert_eq!(ack.epoch, 2);
-        let truth = fresh_single(&fragments);
+        let truth = Oracle::new(&app(), &fragments);
         assert!(client.search(&sushi).unwrap().is_empty());
         assert_socket_equivalent(&mut client, &truth, &format!("shards={shards} post-delete"));
         assert_eq!(server.epoch(), 2);
@@ -207,7 +157,7 @@ fn failed_update_batches_leave_the_database_untouched() {
     // means the engine never saw them, and a half-applied db would
     // diverge from the engine forever.
     let fragments = crawled_fragments();
-    let (server, net, _hub) = primary(&fragments, 2);
+    let (server, net, _hub) = primary(&fragments, ServeConfig::default().shards(2));
     let mut client = NetClient::connect(net.addr()).unwrap();
     let good = Record::new(vec![
         Value::Int(90),
@@ -229,7 +179,7 @@ fn failed_update_batches_leave_the_database_untouched() {
     assert!(ack.added >= 1);
     let mut db = fooddb::database();
     db.table_mut("restaurant").unwrap().insert(good).unwrap();
-    let truth = DashEngine::build(&app(), &db, &DashConfig::default()).unwrap();
+    let truth = Oracle::new(&app(), &reference::fragments(&app(), &db).unwrap());
     let ghost = SearchRequest::new(&["ghost"]).k(3).min_size(1);
     assert_eq!(client.search(&ghost).unwrap(), truth.search(&ghost));
 }
@@ -240,7 +190,7 @@ fn dropping_one_replica_leaves_the_others_registered() {
     // (accepted sockets all share the hub's local address; identity is
     // the peer address).
     let fragments = crawled_fragments();
-    let (server, _net, hub) = primary(&fragments, 1);
+    let (server, _net, hub) = primary(&fragments, ServeConfig::default().shards(1));
     let a = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -276,11 +226,11 @@ fn replica_bootstrapped_from_arena_image_alone_serves_identical_bytes() {
     // engine with `IngestSource::Image`, no parse-and-rebuild. This test keeps
     // the delta stream silent after the join, so every served byte is
     // evidence about the image path alone: one bootstrap, zero applied
-    // deltas, and the battery byte-identical to a fresh engine over
+    // deltas, and the battery byte-identical to the reference over
     // the primary's current fragments.
     let base = crawled_fragments();
     for shards in SHARD_COUNTS {
-        let (server, _net, hub) = primary(&base, shards);
+        let (server, _net, hub) = primary(&base, ServeConfig::default().shards(shards));
         // Drift the primary BEFORE the replica exists, so the image
         // carries post-delta state a stale crawl could not fake.
         server.publish(IndexDelta::adding(vec![Fragment::new(
@@ -305,14 +255,7 @@ fn replica_bootstrapped_from_arena_image_alone_serves_identical_bytes() {
         )
         .unwrap();
         let mut replica_client = NetClient::connect(replica_net.addr()).unwrap();
-        let current: Vec<Fragment> = server
-            .snapshot()
-            .engine
-            .dump_shards()
-            .into_iter()
-            .flatten()
-            .collect();
-        let truth = fresh_single(&current);
+        let truth = Oracle::new(&app(), &dump(&server));
         assert_socket_equivalent(
             &mut replica_client,
             &truth,
@@ -331,7 +274,7 @@ fn replica_bootstrapped_from_arena_image_alone_serves_identical_bytes() {
 fn replica_joining_mid_stream_serves_identical_bytes() {
     let base = crawled_fragments();
     for shards in SHARD_COUNTS {
-        let (server, net, hub) = primary(&base, shards);
+        let (server, net, hub) = primary(&base, ServeConfig::default().shards(shards));
         let mut client = NetClient::connect(net.addr()).unwrap();
 
         let fragment = |cuisine: &str, word: &str, n: u64| {
@@ -374,35 +317,30 @@ fn replica_joining_mid_stream_serves_identical_bytes() {
         assert_eq!(replica.bootstraps(), 1, "joined once, no re-sync needed");
         assert_eq!(replica.deltas_applied(), 2);
 
-        // Ground truth: a fresh single engine over the primary's
-        // current fragments.
-        let current: Vec<Fragment> = server
-            .snapshot()
-            .engine
-            .dump_shards()
-            .into_iter()
-            .flatten()
-            .collect();
-        let truth = fresh_single(&current);
+        // Ground truth: the reference over the primary's current
+        // fragments.
+        let truth = Oracle::new(&app(), &dump(&server));
         let mut requests = battery();
         requests.push(SearchRequest::new(&["herring"]).k(2).min_size(1));
         requests.push(SearchRequest::new(&["txakoli"]).k(2).min_size(1));
+        let from_primary: Vec<_> = requests.iter().map(|r| client.search(r).unwrap()).collect();
+        let from_replica: Vec<_> = requests
+            .iter()
+            .map(|r| replica_client.search(r).unwrap())
+            .collect();
+        truth.assert_answers(
+            &requests,
+            &from_primary,
+            &format!("shards={shards} primary"),
+        );
+        truth.assert_answers(
+            &requests,
+            &from_replica,
+            &format!("shards={shards} replica"),
+        );
+        // Byte-identical on the wire, not just value-equal after
+        // parsing: primary and replica emit the same JSON bytes.
         for request in &requests {
-            let expected = truth.search(request);
-            let from_primary = client.search(&request.clone()).unwrap();
-            let from_replica = replica_client.search(request).unwrap();
-            assert_eq!(
-                from_primary, expected,
-                "shards={shards} primary {:?}",
-                request.keywords
-            );
-            assert_eq!(
-                from_replica, expected,
-                "shards={shards} replica {:?}",
-                request.keywords
-            );
-            // Byte-identical on the wire, not just value-equal after
-            // parsing: primary and replica emit the same JSON bytes.
             assert_eq!(
                 client.search_json(request).unwrap(),
                 replica_client.search_json(request).unwrap(),
@@ -416,7 +354,7 @@ fn replica_joining_mid_stream_serves_identical_bytes() {
 #[test]
 fn replica_survives_primary_socket_kill_and_resyncs_on_reconnect() {
     let base = crawled_fragments();
-    let (server, _net, hub) = primary(&base, 2);
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2));
     let fragment = |cuisine: &str, word: &str| {
         Fragment::new(
             FragmentId::new(vec![Value::str(cuisine), Value::Int(7)]),
@@ -466,14 +404,7 @@ fn replica_survives_primary_socket_kill_and_resyncs_on_reconnect() {
     assert!(replica.wait_epoch(2, SYNC_TIMEOUT), "re-sync reaches e2");
     assert_eq!(replica.bootstraps(), 1, "no second snapshot needed");
     assert!(replica.catchups() >= 1, "reconnect resumed from the log");
-    let current: Vec<Fragment> = server
-        .snapshot()
-        .engine
-        .dump_shards()
-        .into_iter()
-        .flatten()
-        .collect();
-    let truth = fresh_single(&current);
+    let truth = Oracle::new(&app(), &dump(&server));
     for request in [&herring, &larb] {
         assert_eq!(replica.search(request), truth.search(request));
     }
@@ -483,10 +414,10 @@ fn replica_survives_primary_socket_kill_and_resyncs_on_reconnect() {
 fn socket_searches_stay_exact_across_concurrent_publications() {
     // Searches hammer the socket while the primary publishes a delta
     // history; after the churn quiesces, the served state must be
-    // byte-identical to a fresh engine over the final fragments —
+    // byte-identical to the reference over the final fragments —
     // cached entries included (a stale survivor would differ).
     let base = crawled_fragments();
-    let (server, net, _hub) = primary(&base, 4);
+    let (server, net, _hub) = primary(&base, ServeConfig::default().shards(4));
     let stop = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|scope| {
         let server = &server;
@@ -524,14 +455,7 @@ fn socket_searches_stay_exact_across_concurrent_publications() {
             });
         }
     });
-    let current: Vec<Fragment> = server
-        .snapshot()
-        .engine
-        .dump_shards()
-        .into_iter()
-        .flatten()
-        .collect();
-    let truth = fresh_single(&current);
+    let truth = Oracle::new(&app(), &dump(&server));
     let mut client = NetClient::connect(net.addr()).unwrap();
     assert_socket_equivalent(&mut client, &truth, "post-churn");
 }
@@ -539,7 +463,7 @@ fn socket_searches_stay_exact_across_concurrent_publications() {
 #[test]
 fn stats_report_the_serving_counters() {
     let fragments = crawled_fragments();
-    let (_server, net, _hub) = primary(&fragments, 1);
+    let (_server, net, _hub) = primary(&fragments, ServeConfig::default().shards(1));
     let mut client = NetClient::connect(net.addr()).unwrap();
     let request = SearchRequest::new(&["burger"]).k(2).min_size(20);
     client.search(&request).unwrap();

@@ -4,8 +4,9 @@
 //! cluster to (a) never expose a half-applied state, (b) repair
 //! itself through the cheapest path available (delta-log catch-up
 //! before re-snapshot), and (c) keep every served hit list
-//! **byte-identical** to a fresh `DashEngine::search` over the same
-//! fragments once the dust settles.
+//! **byte-identical** to the seed's Algorithm 1
+//! (`tests/common/oracle.rs`) over the same fragments once the dust
+//! settles.
 //!
 //! The fault injection hooks live on the primary's replication hub
 //! ([`ReplicationHub::faults`]): one-shot mid-frame kills (torn
@@ -26,27 +27,22 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dash::core::crawl::reference;
-use dash::mapreduce::WorkflowStats;
 use dash::net::json::hits_to_json;
 use dash::net::{Router, RouterConfig, UpdateBody};
 use dash::prelude::*;
-use dash::webapp::fooddb;
+
+mod common {
+    pub mod battery;
+    pub mod cluster;
+    pub mod fooddb;
+    pub mod oracle;
+}
+use common::battery::battery;
+use common::cluster::{dump, primary};
+use common::fooddb::{app, crawled_fragments};
+use common::oracle::Oracle;
 
 const SYNC_TIMEOUT: Duration = Duration::from_secs(20);
-
-fn app() -> WebApplication {
-    fooddb::search_application().unwrap()
-}
-
-fn fresh_single(fragments: &[Fragment]) -> DashEngine {
-    DashEngine::from_fragments(app(), fragments, WorkflowStats::new()).unwrap()
-}
-
-fn crawled_fragments() -> Vec<Fragment> {
-    let db = fooddb::database();
-    reference::fragments(&app(), &db).unwrap()
-}
 
 fn fragment(cuisine: &str, word: &str, n: u64) -> Fragment {
     Fragment::new(
@@ -56,65 +52,20 @@ fn fragment(cuisine: &str, word: &str, n: u64) -> Fragment {
     )
 }
 
-/// A primary serving stack on ephemeral ports with a custom serve
-/// config: the `DashServer`, its HTTP front-end and replication hub.
-fn primary_with(
-    fragments: &[Fragment],
-    serve: ServeConfig,
-) -> (Arc<DashServer>, NetServer, ReplicationHub) {
-    let server = Arc::new(DashServer::from_fragments(app(), fragments, serve).unwrap());
-    let net = NetServer::serve_primary(
-        Arc::clone(&server),
-        fooddb::database(),
-        TcpListener::bind("127.0.0.1:0").unwrap(),
-        NetConfig::default(),
-    )
-    .unwrap();
-    let hub = ReplicationHub::start(
-        Arc::clone(&server),
-        TcpListener::bind("127.0.0.1:0").unwrap(),
-    )
-    .unwrap();
-    (server, net, hub)
-}
-
-fn primary(fragments: &[Fragment]) -> (Arc<DashServer>, NetServer, ReplicationHub) {
-    primary_with(fragments, ServeConfig::default().shards(2))
-}
-
-/// Dumps a server's current fragments (the ground-truth input for a
-/// fresh reference engine).
-fn dump(server: &DashServer) -> Vec<Fragment> {
-    server
-        .snapshot()
-        .engine
-        .dump_shards()
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Every served node must answer the battery byte-identically to a
-/// fresh single engine over `truth_fragments`.
+/// Every served node must answer the battery, and the failover
+/// scenarios' own `herring` and `larb` fragments, byte-identically to
+/// the reference over `truth_fragments`.
 fn assert_exact(
     truth_fragments: &[Fragment],
     serve: impl Fn(&SearchRequest) -> Vec<SearchHit>,
     context: &str,
 ) {
-    let truth = fresh_single(truth_fragments);
-    let mut requests: Vec<SearchRequest> = ["burger", "coffee", "herring", "larb", "zzzmissing"]
-        .iter()
-        .map(|kw| SearchRequest::new(&[*kw]).k(6).min_size(1))
-        .collect();
-    requests.push(SearchRequest::new(&["burger", "taco"]).k(8).min_size(10));
-    for request in &requests {
-        assert_eq!(
-            serve(request),
-            truth.search(request),
-            "{context}: keywords={:?}",
-            request.keywords
-        );
+    let mut requests = battery();
+    for kw in ["herring", "larb"] {
+        requests.push(SearchRequest::new(&[kw]).k(6).min_size(1));
     }
+    let served: Vec<_> = requests.iter().map(&serve).collect();
+    Oracle::new(&app(), truth_fragments).assert_answers(&requests, &served, context);
 }
 
 // ---------------------------------------------------------------------
@@ -124,7 +75,7 @@ fn assert_exact(
 #[test]
 fn reconnect_within_the_delta_log_window_tails_instead_of_resnapshotting() {
     let base = crawled_fragments();
-    let (server, _net, hub) = primary(&base);
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2));
     let replica = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -159,7 +110,7 @@ fn reconnect_within_the_delta_log_window_tails_instead_of_resnapshotting() {
 fn falling_off_the_log_tail_forces_a_full_rebootstrap() {
     let base = crawled_fragments();
     // A log of depth 2 cannot cover a 5-delta outage.
-    let (server, _net, hub) = primary_with(&base, ServeConfig::default().shards(2).delta_log(2));
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2).delta_log(2));
     let replica = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -192,7 +143,7 @@ fn falling_off_the_log_tail_forces_a_full_rebootstrap() {
 #[test]
 fn torn_snapshot_frame_never_exposes_half_state() {
     let base = crawled_fragments();
-    let (server, _net, hub) = primary(&base);
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2));
     server.publish(IndexDelta::adding(vec![fragment("Nordic", "herring", 3)]));
 
     // The first bootstrap attempt dies halfway through the SNAPSHOT
@@ -216,7 +167,7 @@ fn torn_snapshot_frame_never_exposes_half_state() {
 #[test]
 fn torn_delta_frame_is_invisible_until_the_retry_replays_it() {
     let base = crawled_fragments();
-    let (server, _net, hub) = primary(&base);
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2));
     // Generous retry so the torn window is observable.
     let replica = Arc::new(Replica::connect(
         hub.addr(),
@@ -249,7 +200,7 @@ fn torn_delta_frame_is_invisible_until_the_retry_replays_it() {
 #[test]
 fn dropped_delta_frames_are_detected_as_gaps_and_repaired() {
     let base = crawled_fragments();
-    let (server, _net, hub) = primary(&base);
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2));
     let replica = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -278,7 +229,7 @@ fn dropped_delta_frames_are_detected_as_gaps_and_repaired() {
 #[test]
 fn a_forwarding_replica_accepts_writes_and_reads_them_back() {
     let base = crawled_fragments();
-    let (server, net, hub) = primary(&base);
+    let (server, net, hub) = primary(&base, ServeConfig::default().shards(2));
     let replica = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -340,7 +291,7 @@ fn a_forwarding_replica_accepts_writes_and_reads_them_back() {
 #[test]
 fn router_spreads_reads_and_retries_past_a_dead_node() {
     let base = crawled_fragments();
-    let (server, net, hub) = primary(&base);
+    let (server, net, hub) = primary(&base, ServeConfig::default().shards(2));
     let mut replica_nets = Vec::new();
     let mut replicas = Vec::new();
     for _ in 0..2 {
@@ -368,7 +319,7 @@ fn router_spreads_reads_and_retries_past_a_dead_node() {
     // Reads round-robin over all three nodes — and every answer is the
     // same bytes (the equivalence tier's guarantee makes spreading
     // safe). Compare the raw wire JSON against the reference encoder.
-    let truth = fresh_single(&dump(&server));
+    let truth = Oracle::new(&app(), &dump(&server));
     let burger = SearchRequest::new(&["burger"]).k(6).min_size(1);
     for _ in 0..6 {
         assert_eq!(
@@ -397,7 +348,7 @@ fn router_spreads_reads_and_retries_past_a_dead_node() {
 #[test]
 fn promotion_continues_the_epoch_sequence_and_reseeds_the_cluster() {
     let base = crawled_fragments();
-    let (server, net, hub) = primary(&base);
+    let (server, net, hub) = primary(&base, ServeConfig::default().shards(2));
     let a = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -453,8 +404,8 @@ fn promotion_continues_the_epoch_sequence_and_reseeds_the_cluster() {
     assert_eq!(ack.epoch, 3, "epoch numbering survives the failover");
     assert!(b.wait_epoch(3, SYNC_TIMEOUT), "B follows the new primary");
 
-    // Exactness held across the promotion: both nodes serve bytes a
-    // fresh engine over the promoted state produces.
+    // Exactness held across the promotion: both nodes serve the bytes
+    // the reference over the promoted state produces.
     let truth_fragments = dump(&promoted);
     assert_exact(&truth_fragments, |r| promoted.search(r), "promoted node");
     assert_exact(
@@ -471,7 +422,7 @@ fn promotion_continues_the_epoch_sequence_and_reseeds_the_cluster() {
 #[test]
 fn chaos_primary_kill_under_load_fails_over_without_losing_exactness() {
     let base = crawled_fragments();
-    let (server, net, hub) = primary(&base);
+    let (server, net, hub) = primary(&base, ServeConfig::default().shards(2));
     let a = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -601,10 +552,10 @@ fn chaos_primary_kill_under_load_fails_over_without_losing_exactness() {
     assert!(b.wait_epoch(promoted.epoch(), SYNC_TIMEOUT));
     assert!(b.catchups() >= 1, "B resumed via the promoted node's log");
 
-    // The exactness bar survived the chaos: router-served bytes are a
-    // fresh engine's bytes over the promoted node's final fragments.
+    // The exactness bar survived the chaos: router-served bytes are the
+    // reference's bytes over the promoted node's final fragments.
     let truth_fragments = dump(&promoted);
-    let truth = fresh_single(&truth_fragments);
+    let truth = Oracle::new(&app(), &truth_fragments);
     for kw in ["burger", "coffee", "herring", "zzzmissing"] {
         let request = SearchRequest::new(&[kw]).k(6).min_size(1);
         assert_eq!(

@@ -12,8 +12,9 @@
 //! * the slow-query log captures an injected slow request and blames
 //!   the right stage (`handle`, where the injected sleep ran);
 //! * instrumentation never changes a result byte: searches through a
-//!   recording server equal a fresh engine's, in-process and over
-//!   HTTP, with the registry enabled and disabled.
+//!   recording server equal the seed reference's
+//!   (`tests/common/oracle.rs`), in-process and over HTTP, with the
+//!   registry enabled and disabled.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -21,11 +22,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dash::core::crawl::reference;
 use dash::obs::hist::{bucket_index, bucket_lower_bound};
 use dash::obs::{expo, Histogram};
 use dash::prelude::*;
 use dash::webapp::fooddb;
 use proptest::prelude::*;
+
+mod common {
+    pub mod battery;
+    pub mod oracle;
+    pub mod twins;
+}
+use common::battery::battery;
+use common::oracle::Oracle;
+use common::twins::twins;
 
 fn serve(config: NetConfig) -> (Arc<DashServer>, NetServer) {
     let db = fooddb::database();
@@ -272,34 +283,23 @@ fn the_slow_log_captures_an_injected_stall_and_blames_handle() {
 fn instrumentation_never_changes_a_result_byte() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let mut fragments = reference::fragments(&app, &db).unwrap();
+    fragments.extend(twins());
+    let oracle = Oracle::new(&app, &fragments);
     let (server, net) = serve(NetConfig::default());
+    server.publish(IndexDelta::adding(twins()));
     let mut client = NetClient::connect(net.addr()).unwrap();
-    let requests = [
-        SearchRequest::new(&["burger"]).k(3).min_size(20),
-        SearchRequest::new(&["burger", "fries"]).k(5).min_size(1),
-        SearchRequest::new(&["thai"]).k(2).min_size(10),
-    ];
+    let requests = battery();
     assert!(server.registry().is_enabled());
-    for request in &requests {
-        let want = engine.search(request);
-        assert_eq!(server.search(request), want, "in-process, recording");
-        assert_eq!(
-            client.search(request).unwrap(),
-            want,
-            "over HTTP, recording"
-        );
-    }
+    let in_process: Vec<_> = requests.iter().map(|r| server.search(r)).collect();
+    oracle.assert_answers(&requests, &in_process, "in-process, recording");
+    let over_http: Vec<_> = requests.iter().map(|r| client.search(r).unwrap()).collect();
+    oracle.assert_answers(&requests, &over_http, "over HTTP, recording");
     // Spans recorded something, and the disabled fast path answers
     // identically.
     assert!(server.registry().counter("dash_serve_searches_total").get() >= 3);
     server.registry().set_enabled(false);
-    for request in &requests {
-        assert_eq!(
-            server.search(request),
-            engine.search(request),
-            "disabled registry"
-        );
-    }
+    let disabled: Vec<_> = requests.iter().map(|r| server.search(r)).collect();
+    oracle.assert_answers(&requests, &disabled, "disabled registry");
     server.registry().set_enabled(true);
 }

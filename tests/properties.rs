@@ -10,6 +10,11 @@ use dash::mapreduce::ClusterConfig;
 use dash::relation::{Column, ColumnType, Database, ForeignKey, Record, Schema, Table, Value};
 use dash::webapp::{fooddb, QueryString, WebApplication};
 
+mod common {
+    pub mod oracle;
+}
+use common::oracle::Oracle;
+
 const CUISINES: [&str; 3] = ["American", "Thai", "Sushi"];
 const WORDS: [&str; 8] = [
     "burger", "fries", "noodle", "spicy", "fresh", "crispy", "sweet", "salty",
@@ -189,7 +194,8 @@ proptest! {
     }
 
     /// Incremental insert maintenance converges to the same index as a
-    /// from-scratch rebuild.
+    /// from-scratch rebuild: the same fragment and edge counts, and the
+    /// reference's answers over a fresh crawl.
     #[test]
     fn incremental_insert_equals_rebuild(
         rows in prop::collection::vec(restaurant_strategy(), 1..10),
@@ -215,10 +221,14 @@ proptest! {
             engine.index().graph.edge_count(),
             rebuilt.index().graph.edge_count()
         );
-        for word in WORDS {
-            let req = SearchRequest::new(&[word]).k(4).min_size(10);
-            prop_assert_eq!(engine.search(&req), rebuilt.search(&req), "keyword {}", word);
-        }
+        let requests: Vec<SearchRequest> = WORDS
+            .iter()
+            .chain(&["zzzmissing"])
+            .map(|word| SearchRequest::new(&[*word]).k(4).min_size(10))
+            .collect();
+        let served: Vec<_> = requests.iter().map(|r| engine.search(r)).collect();
+        Oracle::new(&app, &reference::fragments(&app, &db).unwrap())
+            .assert_answers(&requests, &served, "after the insert");
     }
 
     /// The fragment graph is insertion-order independent.

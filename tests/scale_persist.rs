@@ -4,8 +4,9 @@
 //!
 //! Lossless means byte-identical `SearchHit` lists — an engine loaded
 //! from an image answers every request exactly like the engine that
-//! dumped it *and* like a fresh single-shard build over the same
-//! fragments, at shard counts {1, 4}; re-dumping the loaded engine
+//! dumped it *and* like the seed's Algorithm 1
+//! (`tests/common/oracle.rs`) over the same fragments, at shard counts
+//! {1, 4}; re-dumping the loaded engine
 //! reproduces the image byte for byte. Tamper-evident means any
 //! single-bit flip and any truncation of the image is rejected with an
 //! error — never loaded, never a panic.
@@ -20,12 +21,20 @@
 use proptest::prelude::*;
 
 use dash::core::crawl::reference;
-use dash::core::{DashEngine, IngestSource, SearchRequest, ShardedEngine};
-use dash::mapreduce::WorkflowStats;
+use dash::core::{IngestSource, SearchRequest, ShardedEngine};
 use dash::relation::Database;
 use dash::webapp::WebApplication;
 use dash_bench::scale::ScaleCorpus;
 use dash_tpch::{generate, Scale, TpchConfig};
+
+mod common {
+    pub mod battery;
+    pub mod oracle;
+    pub mod ranking;
+}
+use common::battery::battery;
+use common::oracle::Oracle;
+use common::ranking::keywords_by_df;
 
 /// The application shape `ScaleCorpus` fragments mimic: TPC-H Q2
 /// (equality group = custkey, range = quantity), with the micro
@@ -54,29 +63,6 @@ fn corpus(fragments: usize, groups: usize, seed: u64) -> ScaleCorpus {
     }
 }
 
-/// Hot, warm and cold single terms, pairs, and a guaranteed miss, over
-/// a spread of `k`/`s` settings.
-fn battery() -> Vec<SearchRequest> {
-    let mut requests = Vec::new();
-    for kw in ["kw000000", "kw000001", "kw000017", "kw000123", "kw000299"] {
-        for s in [1u64, 8, 40] {
-            requests.push(SearchRequest::new(&[kw]).k(7).min_size(s));
-        }
-    }
-    requests.push(
-        SearchRequest::new(&["kw000000", "kw000004"])
-            .k(12)
-            .min_size(1),
-    );
-    requests.push(
-        SearchRequest::new(&["kw000002", "kw000099"])
-            .k(3)
-            .min_size(5),
-    );
-    requests.push(SearchRequest::new(&["zzzmissing"]).k(5).min_size(1));
-    requests
-}
-
 fn sharded_from_batches(
     app: &WebApplication,
     corpus: &ScaleCorpus,
@@ -91,15 +77,15 @@ fn sharded_from_batches(
 }
 
 /// Dumps `original` as an image and loads it back: both engines must
-/// answer every request exactly like `fresh`, and the loaded engine
-/// must re-dump to the same bytes. Returns whether any request hit.
+/// answer every request exactly like `oracle`, and the loaded engine
+/// must re-dump to the same bytes.
 fn assert_lossless(
     app: &WebApplication,
     original: &ShardedEngine,
-    fresh: &DashEngine,
+    oracle: &Oracle,
     requests: &[SearchRequest],
     context: &str,
-) -> bool {
+) {
     let mut image = Vec::new();
     original.write_image(&mut image).expect("image dumps");
     let loaded = ShardedEngine::builder(app.clone())
@@ -108,29 +94,15 @@ fn assert_lossless(
         .expect("image loads");
     assert_eq!(loaded.fragment_count(), original.fragment_count());
     assert_eq!(loaded.shard_sizes(), original.shard_sizes());
-    let mut any_hits = false;
-    for request in requests {
-        let expected = fresh.search(request);
-        any_hits |= !expected.is_empty();
-        assert_eq!(
-            original.search(request),
-            expected,
-            "{context} dumped engine {:?}",
-            request.keywords
-        );
-        assert_eq!(
-            loaded.search(request),
-            expected,
-            "{context} loaded engine {:?}",
-            request.keywords
-        );
+    for (label, engine) in [("dumped", original), ("loaded", &loaded)] {
+        let served: Vec<_> = requests.iter().map(|r| engine.search(r)).collect();
+        oracle.assert_answers(requests, &served, &format!("{context} {label} engine"));
     }
     // The image is a fixed point: re-dumping the loaded engine
     // reproduces it byte for byte.
     let mut redump = Vec::new();
     loaded.write_image(&mut redump).expect("re-dump");
     assert_eq!(redump, image, "{context} image must be byte-stable");
-    any_hits
 }
 
 #[test]
@@ -138,60 +110,53 @@ fn golden_roundtrip_is_byte_identical_and_restable() {
     let (app, db) = q2_parts();
     let corpus = corpus(400, 8, 0xD1CE);
     let fragments: Vec<_> = corpus.shard_batches(1).flatten().collect();
-    let fresh =
-        DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).expect("fresh");
+    let oracle = Oracle::new(&app, &fragments);
     let requests = battery();
-    let mut any_hits = false;
     for shards in [1usize, 4] {
         let original = sharded_from_batches(&app, &corpus, shards);
         assert_eq!(original.fragment_count(), corpus.fragments);
-        any_hits |= assert_lossless(
+        assert_lossless(
             &app,
             &original,
-            &fresh,
+            &oracle,
             &requests,
             &format!("synthetic shards={shards}"),
         );
     }
-    assert!(any_hits, "battery must exercise non-empty results");
 
     // The real crawl, probed at its hottest, median and coldest words
-    // across size thresholds, plus its two hottest words together.
+    // across size thresholds, plus its two hottest words together and
+    // a miss.
     let crawl = reference::fragments(&app, &db).expect("crawl");
     assert!(!crawl.is_empty());
-    let fresh =
-        DashEngine::from_fragments(app.clone(), &crawl, WorkflowStats::new()).expect("fresh");
-    let ranked = fresh.index().inverted.keywords_by_df();
+    let oracle = Oracle::new(&app, &crawl);
+    let ranked = keywords_by_df(&crawl);
     let mut requests = Vec::new();
     for idx in [0, ranked.len() / 2, ranked.len() - 1] {
         for s in [1u64, 100, 1000] {
-            requests.push(SearchRequest::new(&[ranked[idx].0]).k(10).min_size(s));
+            requests.push(SearchRequest::new(&[&ranked[idx].0]).k(10).min_size(s));
         }
     }
     requests.push(
-        SearchRequest::new(&[ranked[0].0, ranked[1].0])
+        SearchRequest::new(&[&ranked[0].0, &ranked[1].0])
             .k(10)
             .min_size(1),
     );
-    let mut any_hits = false;
+    requests.push(SearchRequest::new(&["zzzmissing"]).k(10).min_size(1));
     for shards in [1usize, 4] {
         let original = ShardedEngine::builder(app.clone())
             .shards(shards)
             .source(IngestSource::Fragments(&crawl))
             .build()
             .expect("crawl builds");
-        any_hits |= assert_lossless(
+        assert_lossless(
             &app,
             &original,
-            &fresh,
+            &oracle,
             &requests,
             &format!("crawl shards={shards}"),
         );
     }
-    assert!(
-        any_hits,
-        "the crawl battery must exercise non-empty results"
-    );
 }
 
 #[test]
@@ -246,8 +211,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For random corpus shapes, seeds and queries, an engine loaded
-    /// from an arena image returns byte-identical hit lists to a fresh
-    /// single-shard build over the same fragments, at shards {1, 4}.
+    /// from an arena image returns byte-identical hit lists to the
+    /// reference over the same fragments, at shards {1, 4}.
     #[test]
     fn arena_roundtrip_matches_fresh_build_on_random_corpora(
         fragments in 30usize..220,
@@ -263,9 +228,7 @@ proptest! {
         let keywords: Vec<&str> = words.iter().map(String::as_str).collect();
         let request = SearchRequest::new(&keywords).k(k).min_size(s);
         let flat: Vec<_> = corpus.shard_batches(1).flatten().collect();
-        let fresh =
-            DashEngine::from_fragments(app.clone(), &flat, WorkflowStats::new()).unwrap();
-        let expected = fresh.search(&request);
+        let expected = Oracle::new(&app, &flat).search(&request);
         for shards in [1usize, 4] {
             let original = sharded_from_batches(&app, &corpus, shards);
             let mut image = Vec::new();

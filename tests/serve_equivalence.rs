@@ -2,15 +2,15 @@
 //! engines — snapshot swapping, micro-batching, result caching —
 //! must be **invisible** in the results. A served hit list, whether it
 //! came from the cache, from whatever micro-batch the request landed
-//! in, or from either side of a snapshot swap, is byte-identical to a
-//! fresh `DashEngine::search` over the server's current fragment set,
-//! at shard counts {1, 4}.
+//! in, or from either side of a snapshot swap, is byte-identical to the
+//! seed's Algorithm 1 (`tests/common/oracle.rs`) over the server's
+//! current fragment set, at shard counts {1, 4}.
 //!
 //! The evidence:
 //!
 //! * golden serving — the fooddb running example behind a server:
 //!   sequential, repeated (cache-hitting), client-batched and
-//!   concurrent traffic against a freshly built single engine;
+//!   concurrent traffic against the reference;
 //! * golden publications — fooddb mutation sequences published through
 //!   the server (one-change and multi-change batches), with every
 //!   request battery re-verified after every publication (a stale
@@ -38,79 +38,52 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 
 use dash::core::crawl::reference;
-use dash::mapreduce::WorkflowStats;
 use dash::prelude::*;
-use dash::webapp::fooddb;
+
+mod common {
+    pub mod battery;
+    pub mod fooddb;
+    pub mod gen;
+    pub mod oracle;
+    pub mod records;
+}
+use common::battery::battery;
+use common::fooddb::{app, crawled_fragments};
+use common::gen::{fragment_strategy, materialize, GenFragment, EQ_KEYS, VOCAB};
+use common::oracle::Oracle;
+use common::records::{comment, restaurant};
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
-fn fresh_single(fragments: &[Fragment]) -> DashEngine {
-    let app = fooddb::search_application().unwrap();
-    DashEngine::from_fragments(app, fragments, WorkflowStats::new()).unwrap()
-}
-
 fn server_over(fragments: &[Fragment], shards: usize) -> DashServer {
-    let app = fooddb::search_application().unwrap();
-    DashServer::from_fragments(app, fragments, ServeConfig::default().shards(shards)).unwrap()
-}
-
-fn crawled_fragments() -> Vec<Fragment> {
-    let db = fooddb::database();
-    let app = fooddb::search_application().unwrap();
-    reference::fragments(&app, &db).unwrap()
-}
-
-/// The request battery every comparison runs: hot/cold keywords, size
-/// thresholds from no-expansion to whole-group, multi-keyword, missing.
-fn battery() -> Vec<SearchRequest> {
-    let mut requests = Vec::new();
-    for kw in ["burger", "fries", "coffee", "thai", "taco", "nice"] {
-        for s in [1u64, 20, 60] {
-            requests.push(SearchRequest::new(&[kw]).k(6).min_size(s));
-        }
-    }
-    requests.push(SearchRequest::new(&["burger", "taco"]).k(8).min_size(10));
-    requests.push(SearchRequest::new(&["zzzmissing"]).k(3).min_size(1));
-    requests
+    DashServer::from_fragments(app(), fragments, ServeConfig::default().shards(shards)).unwrap()
 }
 
 /// Serves the battery every way the front-end can — one by one (twice:
 /// the repeat answers from the cache), client-batched, and from
-/// concurrent threads — and requires byte-identity with the fresh
-/// single engine each time.
-fn assert_served_equivalent(server: &DashServer, fresh: &DashEngine, context: &str) {
+/// concurrent threads — and requires byte-identity with the reference
+/// each time.
+fn assert_served_equivalent(server: &DashServer, oracle: &Oracle, context: &str) {
     let requests = battery();
-    let expected: Vec<_> = requests.iter().map(|r| fresh.search(r)).collect();
     for pass in ["miss", "cached"] {
-        for (request, expected) in requests.iter().zip(&expected) {
-            assert_eq!(
-                &server.search(request),
-                expected,
-                "{context}: pass={pass} keywords={:?} k={} s={}",
-                request.keywords,
-                request.k,
-                request.min_size
-            );
-        }
+        let served: Vec<_> = requests.iter().map(|r| server.search(r)).collect();
+        oracle.assert_answers(&requests, &served, &format!("{context}: pass={pass}"));
     }
-    assert_eq!(
-        server.search_many(&requests),
-        expected,
-        "{context}: client-batched"
+    oracle.assert_answers(
+        &requests,
+        &server.search_many(&requests),
+        &format!("{context}: client-batched"),
     );
     std::thread::scope(|scope| {
         for t in 0..4 {
             let requests = &requests;
-            let expected = &expected;
             scope.spawn(move || {
-                for (request, expected) in requests.iter().zip(expected) {
-                    assert_eq!(
-                        &server.search(request),
-                        expected,
-                        "{context}: concurrent client {t} keywords={:?}",
-                        request.keywords
-                    );
-                }
+                let served: Vec<_> = requests.iter().map(|r| server.search(r)).collect();
+                oracle.assert_answers(
+                    requests,
+                    &served,
+                    &format!("{context}: concurrent client {t}"),
+                );
             });
         }
     });
@@ -119,10 +92,10 @@ fn assert_served_equivalent(server: &DashServer, fresh: &DashEngine, context: &s
 #[test]
 fn served_results_match_fresh_engine_for_all_shard_counts() {
     let fragments = crawled_fragments();
-    let fresh = fresh_single(&fragments);
+    let oracle = Oracle::new(&app(), &fragments);
     for shards in SHARD_COUNTS {
         let server = server_over(&fragments, shards);
-        assert_served_equivalent(&server, &fresh, &format!("shards={shards}"));
+        assert_served_equivalent(&server, &oracle, &format!("shards={shards}"));
         let stats = server.stats();
         assert!(stats.cache.hits > 0, "repeat passes must hit the cache");
         assert!(stats.batches > 0, "misses must flow through the batcher");
@@ -136,12 +109,11 @@ fn served_results_match_fresh_engine_at_env_shards() {
     // serving stack at genuinely different widths, on top of the
     // explicit SHARD_COUNTS coverage above.
     let fragments = crawled_fragments();
-    let fresh = fresh_single(&fragments);
-    let app = fooddb::search_application().unwrap();
-    let server = DashServer::from_fragments(app, &fragments, ServeConfig::default()).unwrap();
+    let server = DashServer::from_fragments(app(), &fragments, ServeConfig::default()).unwrap();
     let width = server.snapshot().engine.shard_count();
     assert_eq!(width, dash::core::env_shards().unwrap_or(1));
-    assert_served_equivalent(&server, &fresh, &format!("env shards={width}"));
+    let oracle = Oracle::new(&app(), &fragments);
+    assert_served_equivalent(&server, &oracle, &format!("env shards={width}"));
 }
 
 #[test]
@@ -152,8 +124,8 @@ fn serving_stays_exact_across_delta_publications() {
     // (cache-warming double pass included) re-verified after every
     // single publication, at every shard count.
     for shards in SHARD_COUNTS {
-        let mut db = fooddb::database();
-        let app = fooddb::search_application().unwrap();
+        let mut db = dash::webapp::fooddb::database();
+        let app = app();
         let server = DashServer::build(
             &app,
             &db,
@@ -163,15 +135,6 @@ fn serving_stays_exact_across_delta_publications() {
         .unwrap();
         let context = |step: &str| format!("shards={shards}: {step}");
 
-        let restaurant = |rid: i64, name: &str, cuisine: &str, budget: i64| {
-            Record::new(vec![
-                Value::Int(rid),
-                Value::str(name),
-                Value::str(cuisine),
-                Value::Int(budget),
-                Value::str("4.0"),
-            ])
-        };
         let mut epoch = 0;
         for (i, budget) in (5..8).enumerate() {
             let r = restaurant(100 + i as i64, "Taco Tower", "Mexican", budget);
@@ -184,17 +147,11 @@ fn serving_stays_exact_across_delta_publications() {
                 .unwrap();
             epoch += 1;
             assert_eq!(server.epoch(), epoch);
-            let fresh = fresh_single(&reference::fragments(&app, &db).unwrap());
-            assert_served_equivalent(&server, &fresh, &context("after taco insert"));
+            let oracle = Oracle::new(&app, &reference::fragments(&app, &db).unwrap());
+            assert_served_equivalent(&server, &oracle, &context("after taco insert"));
         }
 
-        let comment = Record::new(vec![
-            Value::Int(301),
-            Value::Int(101),
-            Value::Int(132),
-            Value::str("Great taco pho fusion"),
-            Value::str("02/12"),
-        ]);
+        let comment = comment(301, 101, 132, "Great taco pho fusion");
         db.table_mut("comment")
             .unwrap()
             .insert(comment.clone())
@@ -202,8 +159,8 @@ fn serving_stays_exact_across_delta_publications() {
         server
             .apply_changes(&db, &[RecordChange::new("comment", comment.clone())])
             .unwrap();
-        let fresh = fresh_single(&reference::fragments(&app, &db).unwrap());
-        assert_served_equivalent(&server, &fresh, &context("after comment insert"));
+        let oracle = Oracle::new(&app, &reference::fragments(&app, &db).unwrap());
+        assert_served_equivalent(&server, &oracle, &context("after comment insert"));
 
         db.table_mut("comment")
             .unwrap()
@@ -227,8 +184,8 @@ fn serving_stays_exact_across_delta_publications() {
                 ],
             )
             .unwrap();
-        let fresh = fresh_single(&reference::fragments(&app, &db).unwrap());
-        assert_served_equivalent(&server, &fresh, &context("after bulk delete"));
+        let oracle = Oracle::new(&app, &reference::fragments(&app, &db).unwrap());
+        assert_served_equivalent(&server, &oracle, &context("after bulk delete"));
     }
 }
 
@@ -259,9 +216,8 @@ fn concurrent_misses_stay_exact_across_publications() {
         ])]),
     ];
     for shards in SHARD_COUNTS {
-        let app = fooddb::search_application().unwrap();
         let server = DashServer::from_fragments(
-            app,
+            app(),
             &fragments,
             ServeConfig::default().shards(shards).cache_capacity(0),
         )
@@ -269,21 +225,21 @@ fn concurrent_misses_stay_exact_across_publications() {
         let mut truth = fragments.clone();
         let mut issued = 0u64;
         for round in 0..=deltas.len() {
-            let fresh = fresh_single(&truth);
-            let expected: Vec<_> = requests.iter().map(|r| fresh.search(r)).collect();
+            let oracle = Oracle::new(&app(), &truth);
             std::thread::scope(|scope| {
                 for t in 0..8 {
-                    let (server, requests, expected) = (&server, &requests, &expected);
+                    let (server, requests, oracle) = (&server, &requests, &oracle);
                     scope.spawn(move || {
+                        let mut served = vec![Vec::new(); requests.len()];
                         for i in 0..requests.len() {
                             let at = (i + t * 3) % requests.len();
-                            assert_eq!(
-                                server.search(&requests[at]),
-                                expected[at],
-                                "shards={shards} round={round} thread={t} keywords={:?}",
-                                requests[at].keywords
-                            );
+                            served[at] = server.search(&requests[at]);
                         }
+                        oracle.assert_answers(
+                            requests,
+                            &served,
+                            &format!("shards={shards} round={round} thread={t}"),
+                        );
                     });
                 }
             });
@@ -344,9 +300,9 @@ fn precise_invalidation_spares_unrelated_entries() {
         [("herring".to_string(), 2u64)].into_iter().collect(),
         1,
     ));
-    let fresh = fresh_single(&truth);
+    let oracle = Oracle::new(&app(), &truth);
     for request in [&thai, &coffee] {
-        assert_eq!(&server.search(request), &fresh.search(request));
+        assert_eq!(server.search(request), oracle.search(request));
     }
 }
 
@@ -359,7 +315,7 @@ fn both_sides_stay_in_lockstep_with_an_independently_maintained_engine() {
     // maintained on its own by `apply_delta` checks the prepared
     // replay on each side in turn.
     let fragments = crawled_fragments();
-    let app = fooddb::search_application().unwrap();
+    let app = app();
     let id =
         |cuisine: &str, budget: i64| FragmentId::new(vec![Value::str(cuisine), Value::Int(budget)]);
     let recount = |fragment: &Fragment, extra: &[(&str, u64)]| {
@@ -441,33 +397,6 @@ fn both_sides_stay_in_lockstep_with_an_independently_maintained_engine() {
 // Property tests: random interleavings of search / publish / search.
 // ---------------------------------------------------------------------
 
-const EQ_KEYS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
-const VOCAB: [&str; 8] = [
-    "burger", "fries", "noodle", "spicy", "fresh", "crispy", "sweet", "salty",
-];
-
-/// One generated fragment row (the `sharded_maintenance` generator).
-#[derive(Debug, Clone)]
-struct GenFragment {
-    eq: usize,
-    range: i64,
-    words: Vec<(usize, u64)>,
-}
-
-impl GenFragment {
-    fn id(&self) -> FragmentId {
-        FragmentId::new(vec![Value::str(EQ_KEYS[self.eq]), Value::Int(self.range)])
-    }
-
-    fn materialize(&self) -> Fragment {
-        let mut occ: BTreeMap<String, u64> = BTreeMap::new();
-        for &(w, n) in &self.words {
-            *occ.entry(VOCAB[w].to_string()).or_insert(0) += n;
-        }
-        Fragment::new(self.id(), occ, 1)
-    }
-}
-
 /// One step of an interleaving: a search (cache-warming, repeated) or
 /// a delta publication.
 #[derive(Debug, Clone)]
@@ -480,15 +409,6 @@ enum Step {
     Upsert(GenFragment),
     /// Publish a removal of this (eq, range) coordinate.
     Remove(usize, i64),
-}
-
-fn fragment_strategy() -> impl Strategy<Value = GenFragment> {
-    (
-        0..EQ_KEYS.len(),
-        0i64..12,
-        prop::collection::vec((0usize..VOCAB.len(), 1u64..5), 1..4),
-    )
-        .prop_map(|(eq, range, words)| GenFragment { eq, range, words })
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -505,42 +425,29 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             prop::sample::select(vec![1u64, 3, 10, 50]),
         )
             .prop_map(|(q, k, s)| Step::Search(q, k, s)),
-        fragment_strategy().prop_map(Step::Upsert),
+        fragment_strategy(0..12, 1..4).prop_map(Step::Upsert),
         (0..EQ_KEYS.len(), 0i64..12).prop_map(|(eq, range)| Step::Remove(eq, range)),
     ]
-}
-
-/// First occurrence of an identifier wins, like a crawl's output.
-fn materialize(rows: &[GenFragment]) -> Vec<Fragment> {
-    let mut seen = std::collections::HashSet::new();
-    let mut fragments = Vec::new();
-    for row in rows {
-        if seen.insert(row.id()) {
-            fragments.push(row.materialize());
-        }
-    }
-    fragments
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The tier's core contract, interleaved: searches before and
-    /// after every publication are byte-identical to a fresh engine
+    /// after every publication are byte-identical to the reference
     /// over the then-current truth — so a page cached before a delta
     /// is never served stale after it, and precise invalidation never
     /// over-trusts a surviving entry.
     #[test]
     fn interleaved_search_publish_search_never_serves_stale(
-        rows in prop::collection::vec(fragment_strategy(), 1..25),
+        rows in prop::collection::vec(fragment_strategy(0..12, 1..4), 1..25),
         steps in prop::collection::vec(step_strategy(), 1..15),
         shards in prop::sample::select(vec![1usize, 4]),
     ) {
-        let app = fooddb::search_application().unwrap();
         let initial = materialize(&rows);
         let mut truth: Vec<Fragment> = initial.clone();
         let server = DashServer::from_fragments(
-            app.clone(),
+            app(),
             &initial,
             ServeConfig::default().shards(shards),
         )
@@ -550,13 +457,7 @@ proptest! {
                 Step::Search(query, k, s) => {
                     let keywords: Vec<&str> = query.iter().map(|&w| VOCAB[w]).collect();
                     let request = SearchRequest::new(&keywords).k(*k).min_size(*s);
-                    let fresh = DashEngine::from_fragments(
-                        app.clone(),
-                        &truth,
-                        WorkflowStats::new(),
-                    )
-                    .unwrap();
-                    let expected = fresh.search(&request);
+                    let expected = Oracle::new(&app(), &truth).search(&request);
                     // Twice: miss (or earlier-cached) and guaranteed-cached.
                     prop_assert_eq!(
                         server.search(&request),
@@ -585,13 +486,12 @@ proptest! {
             }
         }
         // Final sweep: every vocabulary word, against the final truth.
-        let fresh =
-            DashEngine::from_fragments(app, &truth, WorkflowStats::new()).unwrap();
+        let oracle = Oracle::new(&app(), &truth);
         for word in VOCAB {
             let request = SearchRequest::new(&[word]).k(5).min_size(3);
             prop_assert_eq!(
                 server.search(&request),
-                fresh.search(&request),
+                oracle.search(&request),
                 "final sweep shards={} word={}",
                 shards, word
             );
@@ -605,7 +505,7 @@ proptest! {
 fn delta_strategy() -> impl Strategy<Value = (Vec<(usize, i64)>, Vec<GenFragment>)> {
     (
         prop::collection::vec((0..EQ_KEYS.len(), 0i64..12), 0..3),
-        prop::collection::vec(fragment_strategy(), 0..4),
+        prop::collection::vec(fragment_strategy(0..12, 1..4), 0..4),
     )
 }
 
@@ -627,7 +527,7 @@ proptest! {
 
     #[test]
     fn keyword_signature_kills_exactly_what_recorded_groups_would(
-        rows in prop::collection::vec(fragment_strategy(), 1..25),
+        rows in prop::collection::vec(fragment_strategy(0..12, 1..4), 1..25),
         queries in prop::collection::vec(
             (prop::collection::vec(0usize..VOCAB.len(), 1..3), 1usize..6),
             1..8,
@@ -635,7 +535,6 @@ proptest! {
         deltas in prop::collection::vec(delta_strategy(), 1..10),
         shards in prop::sample::select(vec![1usize, 4]),
     ) {
-        let app = fooddb::search_application().unwrap();
         // The initial corpus leaves the last two equality keys out, so
         // some deltas add into groups that do not exist yet.
         let rows: Vec<GenFragment> = rows
@@ -648,7 +547,7 @@ proptest! {
             .collect();
         let initial: Vec<Fragment> = truth.values().cloned().collect();
         let server = DashServer::from_fragments(
-            app,
+            app(),
             &initial,
             ServeConfig::default().shards(shards),
         )
@@ -741,9 +640,9 @@ proptest! {
         }
         // What survived all of it is still exact.
         let live: Vec<Fragment> = truth.values().cloned().collect();
-        let fresh = fresh_single(&live);
+        let oracle = Oracle::new(&app(), &live);
         for request in &requests {
-            prop_assert_eq!(server.search(request), fresh.search(request));
+            prop_assert_eq!(server.search(request), oracle.search(request));
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The sharded-equivalence test tier: `ShardedEngine` must return
-//! **byte-identical** `SearchHit` lists to `DashEngine` over the same
-//! fragments, for every shard count — the correctness contract the
-//! whole shard layer rests on (exact tie-breaking, score-equal hits and
-//! per-shard lazy seeding are all places a sharded ranker can silently
-//! diverge).
+//! **byte-identical** `SearchHit` lists to the seed's Algorithm 1
+//! (`tests/common/oracle.rs`) over the same fragments, for every shard
+//! count — the correctness contract the whole shard layer rests on
+//! (exact tie-breaking, score-equal hits and per-shard lazy seeding
+//! are all places a sharded ranker can silently diverge).
 //!
 //! Three layers of evidence:
 //!
@@ -16,19 +16,21 @@
 //!   the suite under `DASH_SHARDS=1` and `DASH_SHARDS=4`), that count
 //!   joins every comparison.
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 
 use dash::core::crawl::reference;
-use dash::core::{
-    env_shards, DashConfig, DashEngine, Fragment, FragmentId, IngestSource, SearchRequest,
-    ShardedEngine,
-};
-use dash::mapreduce::WorkflowStats;
-use dash::relation::Value;
+use dash::core::{env_shards, DashConfig, Fragment, IngestSource, SearchRequest, ShardedEngine};
 use dash::webapp::{fooddb, WebApplication};
 use dash_tpch::{generate, Scale, TpchConfig};
+
+mod common {
+    pub mod gen;
+    pub mod oracle;
+    pub mod ranking;
+}
+use common::gen::{fragment_strategy, materialize, VOCAB};
+use common::oracle::Oracle;
+use common::ranking::keywords_by_df;
 
 /// The shard counts every comparison runs: 1–8 plus the environment's
 /// `DASH_SHARDS`, if any.
@@ -48,36 +50,28 @@ fn assert_equivalent(
     requests: &[SearchRequest],
     context: &str,
 ) {
-    let single = DashEngine::from_fragments(app.clone(), fragments, WorkflowStats::new())
-        .expect("single engine builds");
+    let oracle = Oracle::new(app, fragments);
+    let mut expected = Vec::new();
     for shards in shard_counts() {
         let sharded = ShardedEngine::builder(app.clone())
             .shards(shards)
             .source(IngestSource::Fragments(fragments))
             .build()
             .expect("sharded engine builds");
-        for request in requests {
-            assert_eq!(
-                sharded.search(request),
-                single.search(request),
-                "{context}: shards={shards} keywords={:?} k={} s={}",
-                request.keywords,
-                request.k,
-                request.min_size
-            );
+        let served: Vec<_> = requests.iter().map(|r| sharded.search(r)).collect();
+        // The reference checks the first shard count; every other
+        // count must answer what it answered.
+        if expected.is_empty() {
+            oracle.assert_answers(requests, &served, &format!("{context}: shards={shards}"));
+            expected = served.clone();
         }
-        // The batched path must agree with itself and with the single
-        // engine, request for request.
-        let batch = sharded.search_many(requests);
-        let single_batch = single.search_many(requests);
-        for ((request, sharded_hits), single_hits) in requests.iter().zip(&batch).zip(&single_batch)
-        {
-            assert_eq!(
-                sharded_hits, single_hits,
-                "{context} (batched): shards={shards} keywords={:?}",
-                request.keywords
-            );
-        }
+        assert_eq!(served, expected, "{context}: shards={shards}");
+        // The batched path must agree too, request for request.
+        assert_eq!(
+            sharded.search_many(requests),
+            served,
+            "{context} (batched): shards={shards}"
+        );
     }
 }
 
@@ -109,12 +103,11 @@ fn golden_tpch_q2_all_shard_counts() {
 
     // Keyword temperatures straight from the data: hottest, middling,
     // rarest — plus a multi-keyword mix and a miss.
-    let single = DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).unwrap();
-    let ranked = single.index().inverted.keywords_by_df();
+    let ranked = keywords_by_df(&fragments);
     assert!(ranked.len() >= 3, "Q2 corpus has keywords");
-    let hot = ranked[0].0.to_string();
-    let warm = ranked[ranked.len() / 2].0.to_string();
-    let cold = ranked[ranked.len() - 1].0.to_string();
+    let hot = ranked[0].0.clone();
+    let warm = ranked[ranked.len() / 2].0.clone();
+    let cold = ranked[ranked.len() - 1].0.clone();
     let requests = vec![
         SearchRequest::new(&[&hot]).k(10).min_size(100),
         SearchRequest::new(&[&hot]).k(10).min_size(1000),
@@ -135,7 +128,7 @@ fn golden_tie_plateaus_across_shard_boundaries() {
     // plateau spans shard boundaries, so the cross-shard tie-break on
     // global group ranks decides every emission.
     let app = fooddb::search_application().unwrap();
-    let requests: Vec<SearchRequest> = [1, 10, 40]
+    let mut requests: Vec<SearchRequest> = [1, 10, 40]
         .into_iter()
         .flat_map(|k| {
             [1, 50]
@@ -143,6 +136,7 @@ fn golden_tie_plateaus_across_shard_boundaries() {
                 .map(move |s| SearchRequest::new(&["plateau"]).k(k).min_size(s))
         })
         .collect();
+    requests.push(SearchRequest::new(&["zzzmissing"]).k(1).min_size(1));
     for (label, tied) in [("flat", usize::MAX), ("half", 128)] {
         let fragments = dash_bench::plateau_corpus(16, 16, tied);
         assert_equivalent(&app, &fragments, &requests, label);
@@ -151,10 +145,10 @@ fn golden_tie_plateaus_across_shard_boundaries() {
 
 #[test]
 fn sharded_engine_crawl_build_matches_single() {
-    // End-to-end parity: both engines crawl the database themselves.
+    // End-to-end parity: the engine crawls the database itself.
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let single = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let fragments = reference::fragments(&app, &db).unwrap();
     let sharded = ShardedEngine::builder(app.clone())
         .shards(3)
         .source(IngestSource::Crawl {
@@ -163,58 +157,28 @@ fn sharded_engine_crawl_build_matches_single() {
         })
         .build()
         .unwrap();
-    assert_eq!(sharded.fragment_count(), single.fragment_count());
+    assert_eq!(sharded.fragment_count(), fragments.len());
     assert!(sharded.crawl_stats().sim_total_secs() > 0.0);
     let req = SearchRequest::new(&["burger"]).k(2).min_size(20);
-    assert_eq!(sharded.search(&req), single.search(&req));
+    assert_eq!(
+        sharded.search(&req),
+        Oracle::new(&app, &fragments).search(&req)
+    );
 }
 
 // ---------------------------------------------------------------------
 // Property tests: random datasets, keywords and shard counts.
 // ---------------------------------------------------------------------
 
-const EQ_KEYS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
-const VOCAB: [&str; 10] = [
-    "burger", "fries", "noodle", "spicy", "fresh", "crispy", "sweet", "salty", "ghost", "phantom",
-];
+/// Query-only words: no row holds them, covering the unknown-keyword
+/// path. A query draws `VOCAB` and these by one index.
+const UNKNOWN: [&str; 2] = ["ghost", "phantom"];
 
-/// One generated fragment: an equality key, a range value, and keyword
-/// occurrences drawn from the first 8 vocabulary words ("ghost" and
-/// "phantom" only ever appear in *queries*, covering the
-/// unknown-keyword path).
-#[derive(Debug, Clone)]
-struct GenFragment {
-    eq: usize,
-    range: i64,
-    words: Vec<(usize, u64)>,
-}
-
-fn fragment_strategy() -> impl Strategy<Value = GenFragment> {
-    (
-        0..EQ_KEYS.len(),
-        0i64..15,
-        prop::collection::vec((0usize..8, 1u64..5), 0..4),
-    )
-        .prop_map(|(eq, range, words)| GenFragment { eq, range, words })
-}
-
-/// Materializes generated rows into unique fragments (first occurrence
-/// of an identifier wins, like a crawl's distinct output).
-fn materialize(rows: &[GenFragment]) -> Vec<Fragment> {
-    let mut seen = std::collections::HashSet::new();
-    let mut fragments = Vec::new();
-    for row in rows {
-        let id = FragmentId::new(vec![Value::str(EQ_KEYS[row.eq]), Value::Int(row.range)]);
-        if !seen.insert(id.clone()) {
-            continue;
-        }
-        let mut occ: BTreeMap<String, u64> = BTreeMap::new();
-        for &(w, n) in &row.words {
-            *occ.entry(VOCAB[w].to_string()).or_insert(0) += n;
-        }
-        fragments.push(Fragment::new(id, occ, 1));
-    }
-    fragments
+fn query_word(w: usize) -> &'static str {
+    VOCAB
+        .get(w)
+        .copied()
+        .unwrap_or_else(|| UNKNOWN[w - VOCAB.len()])
 }
 
 proptest! {
@@ -222,22 +186,20 @@ proptest! {
 
     /// The core contract: for random datasets, random keyword queries
     /// and shard counts {1, 2, 3, 8} (plus `DASH_SHARDS`), the sharded
-    /// hit lists are byte-identical to the single engine's.
+    /// hit lists are byte-identical to the reference's.
     #[test]
     fn sharded_matches_single_on_random_data(
-        rows in prop::collection::vec(fragment_strategy(), 1..45),
-        query in prop::collection::vec(0usize..VOCAB.len(), 1..4),
+        rows in prop::collection::vec(fragment_strategy(0..15, 0..4), 1..45),
+        query in prop::collection::vec(0usize..VOCAB.len() + UNKNOWN.len(), 1..4),
         k in 1usize..12,
         s in prop::sample::select(vec![1u64, 3, 10, 50]),
         shards in prop::sample::select(vec![1usize, 2, 3, 8]),
     ) {
         let app = fooddb::search_application().unwrap();
         let fragments = materialize(&rows);
-        let keywords: Vec<&str> = query.iter().map(|&w| VOCAB[w]).collect();
+        let keywords: Vec<&str> = query.iter().map(|&w| query_word(w)).collect();
         let request = SearchRequest::new(&keywords).k(k).min_size(s);
-
-        let single =
-            DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).unwrap();
+        let expected = Oracle::new(&app, &fragments).search(&request);
         let mut counts = vec![shards];
         if let Some(n) = env_shards() {
             counts.push(n);
@@ -248,7 +210,7 @@ proptest! {
                     .unwrap();
             prop_assert_eq!(
                 sharded.search(&request),
-                single.search(&request),
+                expected.clone(),
                 "shards={} fragments={} keywords={:?} k={} s={}",
                 shards,
                 fragments.len(),
@@ -260,12 +222,12 @@ proptest! {
     }
 
     /// Batched search over random request mixes agrees with sequential
-    /// single-request search on both engines.
+    /// single-request search and with the reference.
     #[test]
     fn search_many_matches_search_on_random_batches(
-        rows in prop::collection::vec(fragment_strategy(), 5..40),
+        rows in prop::collection::vec(fragment_strategy(0..15, 0..4), 5..40),
         queries in prop::collection::vec(
-            (prop::collection::vec(0usize..VOCAB.len(), 1..3), 1usize..8),
+            (prop::collection::vec(0usize..VOCAB.len() + UNKNOWN.len(), 1..3), 1usize..8),
             1..5
         ),
         shards in prop::sample::select(vec![1usize, 2, 3, 8]),
@@ -275,19 +237,18 @@ proptest! {
         let requests: Vec<SearchRequest> = queries
             .iter()
             .map(|(words, k)| {
-                let keywords: Vec<&str> = words.iter().map(|&w| VOCAB[w]).collect();
+                let keywords: Vec<&str> = words.iter().map(|&w| query_word(w)).collect();
                 SearchRequest::new(&keywords).k(*k).min_size(10)
             })
             .collect();
-        let single =
-            DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).unwrap();
+        let oracle = Oracle::new(&app, &fragments);
         let sharded =
             ShardedEngine::builder(app).shards(shards).source(IngestSource::Fragments(&fragments)).build().unwrap();
         let batch = sharded.search_many(&requests);
         prop_assert_eq!(batch.len(), requests.len());
         for (request, hits) in requests.iter().zip(&batch) {
             prop_assert_eq!(hits, &sharded.search(request));
-            prop_assert_eq!(hits, &single.search(request));
+            prop_assert_eq!(hits, &oracle.search(request));
         }
     }
 }

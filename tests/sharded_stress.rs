@@ -1,41 +1,47 @@
 //! Concurrency stress: many threads issuing mixed `search` /
 //! `search_many` traffic against one shared `ShardedEngine`. The engine
 //! must stay consistent under contention on its `parking_lot` scratch
-//! pool — every thread must observe exactly the
-//! single-engine results on every call, with no panics.
+//! pool — every thread must observe exactly the seed reference's
+//! results (`tests/common/oracle.rs`) on every call, with no panics.
 
 use std::sync::Arc;
 use std::thread;
 
 use dash::core::crawl::reference;
-use dash::core::{DashEngine, IngestSource, SearchRequest, ShardedEngine};
-use dash::mapreduce::WorkflowStats;
-use dash::webapp::fooddb;
+use dash::core::{IngestSource, SearchRequest, ShardedEngine};
 use dash_tpch::{generate, Scale, TpchConfig};
 
-fn q2_engine_pair(shards: usize) -> (DashEngine, ShardedEngine, Vec<String>) {
+mod common {
+    pub mod fooddb;
+    pub mod oracle;
+    pub mod ranking;
+    pub mod twins;
+}
+use common::fooddb::{app, crawled_fragments};
+use common::oracle::Oracle;
+use common::ranking::keywords_by_df;
+use common::twins::twins;
+
+fn q2_engine_pair(shards: usize) -> (Oracle, ShardedEngine, Vec<String>) {
     let mut config = TpchConfig::new(Scale::Custom(1));
     config.base_customers = 50;
     config.base_parts = 60;
     let db = generate(&config);
     let app = dash_tpch::q2_application(&db).expect("Q2 analyzes");
     let fragments = reference::fragments(&app, &db).expect("crawl");
-    let single = DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).unwrap();
+    let oracle = Oracle::new(&app, &fragments);
     let sharded = ShardedEngine::builder(app)
         .shards(shards)
         .source(IngestSource::Fragments(&fragments))
         .build()
         .unwrap();
-    let keywords: Vec<String> = single
-        .index()
-        .inverted
-        .keywords_by_df()
-        .iter()
+    let keywords: Vec<String> = keywords_by_df(&fragments)
+        .into_iter()
         .step_by(7)
         .take(8)
-        .map(|(w, _)| w.to_string())
+        .map(|(w, _)| w)
         .collect();
-    (single, sharded, keywords)
+    (oracle, sharded, keywords)
 }
 
 #[test]
@@ -43,8 +49,8 @@ fn mixed_concurrent_traffic_stays_consistent() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 25;
 
-    let (single, sharded, keywords) = q2_engine_pair(4);
-    let requests: Vec<SearchRequest> = keywords
+    let (oracle, sharded, keywords) = q2_engine_pair(4);
+    let mut requests: Vec<SearchRequest> = keywords
         .iter()
         .enumerate()
         .map(|(i, w)| {
@@ -53,8 +59,11 @@ fn mixed_concurrent_traffic_stays_consistent() {
                 .min_size([1u64, 50, 500][i % 3])
         })
         .collect();
-    // Ground truth computed once, single-threaded, on the single engine.
-    let expected: Vec<_> = requests.iter().map(|r| single.search(r)).collect();
+    requests.push(SearchRequest::new(&["zzzmissing"]).k(3).min_size(1));
+    // Ground truth computed once, single-threaded, and checked against
+    // the reference before the threads start.
+    let expected = sharded.search_many(&requests);
+    oracle.assert_answers(&requests, &expected, "single-threaded");
     let expected_batch = expected.clone();
 
     let sharded = Arc::new(sharded);
@@ -96,30 +105,35 @@ fn mixed_concurrent_traffic_stays_consistent() {
 
 #[test]
 fn concurrent_searches_share_scratch_pools() {
-    // Hammer one request shape from many threads: the per-shard pools
-    // hand scratches back and forth; results must never vary.
-    let db = fooddb::database();
-    let app = fooddb::search_application().unwrap();
-    let fragments = reference::fragments(&app, &db).unwrap();
-    let single = DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).unwrap();
+    // Hammer two request shapes from many threads — one that expands,
+    // one whose order a score tie across groups decides: the per-shard
+    // pools hand scratches back and forth; results must never vary.
+    let mut fragments = crawled_fragments();
+    fragments.extend(twins());
     let sharded = Arc::new(
-        ShardedEngine::builder(app)
+        ShardedEngine::builder(app())
             .shards(2)
             .source(IngestSource::Fragments(&fragments))
             .build()
             .unwrap(),
     );
-    let request = SearchRequest::new(&["burger"]).k(2).min_size(20);
-    let expected = single.search(&request);
+    let requests = [
+        SearchRequest::new(&["burger"]).k(2).min_size(20),
+        SearchRequest::new(&["twin"]).k(2).min_size(1),
+    ];
+    let oracle = Oracle::new(&app(), &fragments);
+    let expected: Vec<_> = requests.iter().map(|r| oracle.search(r)).collect();
 
     let handles: Vec<_> = (0..12)
         .map(|_| {
             let sharded = Arc::clone(&sharded);
-            let request = request.clone();
+            let requests = requests.clone();
             let expected = expected.clone();
             thread::spawn(move || {
                 for _ in 0..50 {
-                    assert_eq!(sharded.search(&request), expected);
+                    for (request, expected) in requests.iter().zip(&expected) {
+                        assert_eq!(&sharded.search(request), expected);
+                    }
                 }
             })
         })

@@ -2,11 +2,9 @@
 //! [`IndexDelta`], [`DeltaSignature`], [`RecordChange`] batches —
 //! survive encode→decode identically, and the encoding is canonical
 //! (encode∘decode∘encode is byte-stable). Fragments are drawn from the
-//! same (eq-key, range, word-bag) generator shape the
-//! `sharded_maintenance` tier uses, so the values exercised here are
-//! exactly the values the delta write path ships in production.
-
-use std::collections::BTreeMap;
+//! shared (eq-key, range, word-bag) generator (`tests/common/gen.rs`)
+//! the maintenance and serve tiers draw from, so the values exercised
+//! here are exactly the values the delta write path ships there.
 
 use proptest::prelude::*;
 
@@ -14,46 +12,15 @@ use dash::core::wire;
 use dash::prelude::*;
 use dash::relation::{Date, Decimal};
 
-const EQ_KEYS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
-const VOCAB: [&str; 8] = [
-    "burger", "fries", "noodle", "spicy", "fresh", "crispy", "sweet", "salty",
-];
-
-/// One generated fragment row (the `sharded_maintenance` shape).
-#[derive(Debug, Clone)]
-struct GenFragment {
-    eq: usize,
-    range: i64,
-    words: Vec<(usize, u64)>,
+mod common {
+    pub mod gen;
 }
-
-impl GenFragment {
-    fn id(&self) -> FragmentId {
-        FragmentId::new(vec![Value::str(EQ_KEYS[self.eq]), Value::Int(self.range)])
-    }
-
-    fn materialize(&self) -> Fragment {
-        let mut occ: BTreeMap<String, u64> = BTreeMap::new();
-        for &(w, n) in &self.words {
-            *occ.entry(VOCAB[w].to_string()).or_insert(0) += n;
-        }
-        Fragment::new(self.id(), occ, 1)
-    }
-}
-
-fn fragment_strategy() -> impl Strategy<Value = GenFragment> {
-    (
-        0..EQ_KEYS.len(),
-        0i64..12,
-        prop::collection::vec((0usize..VOCAB.len(), 1u64..5), 1..4),
-    )
-        .prop_map(|(eq, range, words)| GenFragment { eq, range, words })
-}
+use common::gen::{fragment_strategy, GenFragment, EQ_KEYS};
 
 fn delta_strategy() -> impl Strategy<Value = IndexDelta> {
     (
-        prop::collection::vec(fragment_strategy(), 0..5),
-        prop::collection::vec(fragment_strategy(), 0..5),
+        prop::collection::vec(fragment_strategy(0..12, 1..4), 0..5),
+        prop::collection::vec(fragment_strategy(0..12, 1..4), 0..5),
     )
         .prop_map(|(removes, adds)| {
             IndexDelta::new(
