@@ -16,9 +16,9 @@
 //! | `scale/search` | top-k latency over Zipf-skewed keyword traffic, p50 and p99 |
 //! | `scale/arena-load` | the builder's `IngestSource::Image` — the zero-parse bulk-read path |
 //! | `scale/full-rebuild` | partition + 4-shard index build from in-memory fragments (`IngestSource::Fragments`) — what a bootstrap costs without the image |
-//! | `scale/delta-signature` | a ten-fragment group-local delta's invalidation signature (`delta_signature`: the touched group's vocabulary walk), taken before it is applied; the median of five |
+//! | `scale/delta-signature` | a ten-fragment group-local delta's invalidation signature (`delta_signature`: the whole preparation — the touched group's stored vocabulary, the walk of its lists and the located edits), taken before it is applied; the median of five |
 //! | `scale/delta-apply` | that delta through `apply_delta`; the median of five |
-//! | `scale/publish` | what a serving publish does to its two engines: the next such delta prepared once (`prepare`), then applied to the engine and to its fork (`apply_prepared` twice); the median of five |
+//! | `scale/publish` | what a serving publish does to its two engines: the next such delta prepared once (`prepare`), then spliced into the engine and into its fork (`apply_prepared` twice); the median of five |
 //!
 //! The arena-load vs full-rebuild gap is the replica-bootstrap win
 //! (the SNAPSHOT frame ships the image; CI gates `arena-load <
@@ -27,15 +27,15 @@
 //! the delta is spliced into the shard's arenas in place, so its cost
 //! follows the ten fragments it carries, not the million it joins
 //! (CI's `scale` job gates `delta-apply × 20 < full-rebuild` at its
-//! 100k smoke). Every publish computes the delta's signature against
-//! the pre-delta index first — one binary search per inverted list of
-//! the owning shard plus the postings inside the touched group's
-//! handle span — so that walk must stay the same order as the apply it
-//! precedes as lists grow (gated `delta-signature < delta-apply × 4`).
-//! A publish walks the lists once and splices twice, so it must cost
-//! less than two delta-applies, each of which walks once and splices
-//! once (gated `publish < delta-apply × 2`; a walk per side, or a
-//! signature walk of its own, reads nearer 3×).
+//! 100k smoke). Every publish prepares the delta against the
+//! pre-delta index first — the touched group's stored vocabulary, one
+//! walk of exactly those lists and the located edits — so that
+//! preparation must stay the same order as the apply it precedes as
+//! the shard grows (gated `delta-signature < delta-apply × 4`). A
+//! publish prepares once and splices twice, so it must cost less than
+//! two delta-applies, each of which prepares once and splices once
+//! (gated `publish < delta-apply × 2`; a walk or a locate per side
+//! reads nearer 3×).
 //! Corpus size defaults to 1M fragments (20k in
 //! `DASH_BENCH_FAST` smoke runs) and is capped by
 //! `DASH_SCALE_FRAGMENTS` — CI's `scale` job runs ~100k.
@@ -162,6 +162,7 @@ fn bench_scale(c: &mut Criterion) {
                 let mut fragment = corpus.fragment(0, quantity);
                 if let Some(count) = fragment.keyword_occurrences.values_mut().next() {
                     *count += bump;
+                    fragment.total_keywords += bump;
                 }
                 fragment
             })

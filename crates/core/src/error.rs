@@ -27,6 +27,17 @@ pub enum CoreError {
         /// Its occurrence count in the fragment.
         occurrences: u64,
     },
+    /// A fragment's keyword occurrences sum past its `total_keywords`,
+    /// which would give it a TF above 1. Refused at build, at image
+    /// load and before a delta changes anything.
+    OccurrencesPastTotal {
+        /// The fragment's identifier, as displayed.
+        id: String,
+        /// The sum of its occurrence counts.
+        occurrences: u64,
+        /// Its `total_keywords`.
+        total_keywords: u64,
+    },
     /// A fragment identifier does not have the application's arity:
     /// one value per selection attribute (paper Definition 2). Refused
     /// at build and before a delta changes anything.
@@ -64,6 +75,15 @@ impl fmt::Display for CoreError {
                 "keyword '{keyword}' occurs {occurrences} times in one fragment; \
                  a posting counts at most {}",
                 u32::MAX
+            ),
+            CoreError::OccurrencesPastTotal {
+                id,
+                occurrences,
+                total_keywords,
+            } => write!(
+                f,
+                "fragment {id} holds {occurrences} keyword occurrences, \
+                 past its total of {total_keywords}"
             ),
             CoreError::IdentifierArity {
                 id,

@@ -474,7 +474,7 @@ impl FragmentCatalog {
 
     /// Compares a handle's identifier with `id`, lexicographically.
     #[inline]
-    fn cmp_to_id(&self, frag: Frag, id: &FragmentId) -> Ordering {
+    pub(crate) fn cmp_to_id(&self, frag: Frag, id: &FragmentId) -> Ordering {
         let (key, values) = (self.key(frag), id.values());
         match self.range_position {
             Some(pos) if values.len() > pos => key[..pos]

@@ -30,21 +30,22 @@
 //! keyword's slice independently (parallelized across lists). The
 //! lists sit in the arenas in handle order with no gaps — list `i`
 //! starts where list `i − 1` ends — which is what lets maintenance
-//! (`InvertedFragmentIndex::apply_delta`, behind
-//! [`FragmentIndex::apply`](crate::index::FragmentIndex::apply))
+//! (`InvertedFragmentIndex::locate`, then `InvertedFragmentIndex::splice`,
+//! behind [`FragmentIndex::apply`](crate::index::FragmentIndex::apply))
 //! splice a delta in place: only the lists the delta touches are
 //! edited, and the postings around the edits at most slide to their
 //! new offsets.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::ops::Range;
 
 use crate::error::CoreError;
-use crate::fragment::Fragment;
+use crate::fragment::{Fragment, FragmentId};
 use crate::index::catalog::{Frag, FragmentCatalog, Kw};
+use crate::index::Add;
 use crate::{par, Result};
 
 /// One entry of an inverted list, 8 bytes, in both arenas: the
@@ -86,18 +87,41 @@ fn narrow(keyword: &str, occurrences: u64) -> Result<u32> {
     })
 }
 
-/// Checks that every occurrence count of `fragments` fits a posting —
-/// the check a delta passes before any structure changes.
+/// Checks that every occurrence count of `fragments` fits a posting
+/// and that each fragment's counts sum to at most its
+/// `total_keywords` — the checks a delta passes before any structure
+/// changes.
 ///
 /// # Errors
 ///
 /// [`CoreError::OccurrenceOverflow`] for the first count above
-/// `u32::MAX`.
+/// `u32::MAX`, and [`CoreError::OccurrencesPastTotal`] for the first
+/// fragment whose counts sum past its total.
 pub(crate) fn check_counts<'a>(fragments: impl IntoIterator<Item = &'a Fragment>) -> Result<()> {
     for fragment in fragments {
+        let mut sum = 0u64;
         for (word, &occurrences) in &fragment.keyword_occurrences {
             narrow(word, occurrences)?;
+            sum = sum.saturating_add(occurrences);
         }
+        check_total(&fragment.id, sum, fragment.total_keywords)?;
+    }
+    Ok(())
+}
+
+/// Checks that a fragment's occurrences, summing to `occurrences`, do
+/// not pass its `total_keywords`: no TF may exceed 1.
+///
+/// # Errors
+///
+/// [`CoreError::OccurrencesPastTotal`] when they do.
+pub(crate) fn check_total(id: &FragmentId, occurrences: u64, total_keywords: u64) -> Result<()> {
+    if occurrences > total_keywords {
+        return Err(CoreError::OccurrencesPastTotal {
+            id: id.to_string(),
+            occurrences,
+            total_keywords,
+        });
     }
     Ok(())
 }
@@ -234,12 +258,51 @@ impl ListRef {
     }
 }
 
+/// A posting a delta brings, as [`InvertedFragmentIndex::locate`]
+/// keys it: the total its TF divides by (the fragment's new one) and,
+/// for an identifier not interned yet, the identifier its TF ties
+/// compare by.
+#[derive(Debug, Clone, Copy)]
+struct Arrival<'d> {
+    posting: Posting,
+    total_keywords: u64,
+    new_id: Option<&'d FragmentId>,
+}
+
 /// What one delta does to one inverted list: the postings leaving it
 /// and the postings entering it.
 #[derive(Debug, Default)]
-struct ListEdit {
+struct ListEdit<'d> {
     stale: Vec<Posting>,
-    fresh: Vec<Posting>,
+    fresh: Vec<Arrival<'d>>,
+}
+
+/// A delta's posting splice, located against the index before it by
+/// [`InvertedFragmentIndex::locate`] and written by
+/// [`InvertedFragmentIndex::splice`] — into that index, or into an
+/// identical twin, which then only moves postings.
+#[derive(Debug)]
+pub(crate) struct Splice<'d> {
+    /// The words the delta brings that the interner has not seen, in
+    /// the order the append-only `intern` gives them handles.
+    new_words: Vec<&'d str>,
+    /// Every touched list, ascending, with its length after the delta.
+    lists: Vec<(Kw, u32)>,
+    /// Each touched list's edit of the TF arena, in list order.
+    tf: Vec<ArenaEdit>,
+    /// Each touched list's edit of the probe arena, in list order.
+    probe: Vec<ArenaEdit>,
+}
+
+impl Splice<'_> {
+    /// Every arriving posting with its keyword, by keyword, then by
+    /// handle.
+    pub(crate) fn arrivals(&self) -> impl Iterator<Item = (Kw, Frag)> + '_ {
+        self.lists
+            .iter()
+            .zip(&self.probe)
+            .flat_map(|(&(kw, _), edit)| edit.fresh.iter().map(move |(_, p)| (kw, p.frag)))
+    }
 }
 
 /// One run of surviving postings and where it slides to.
@@ -250,20 +313,11 @@ struct Move {
     len: usize,
 }
 
-/// What one vocabulary walk ([`InvertedFragmentIndex::walk`]) finds.
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct Walk {
-    /// The keywords any walked handle holds, ascending.
-    pub(crate) held: Vec<Kw>,
-    /// The stale handles' live postings, by keyword, then by handle.
-    pub(crate) stale: Vec<(Kw, Posting)>,
-}
-
 /// The positions in `entries` (a frag-sorted probe run) of the postings
 /// whose handle is in `wanted` (sorted), ascending: a merge of the two
 /// runs in which whichever side is behind gallops ahead by
 /// `partition_point`, so a sparse side costs a binary search a step.
-fn intersect<'a>(
+pub(crate) fn intersect<'a>(
     entries: &'a [Posting],
     mut wanted: &'a [Frag],
 ) -> impl Iterator<Item = usize> + 'a {
@@ -521,19 +575,18 @@ impl InvertedFragmentIndex {
         out
     }
 
-    /// Applies one batched mutation — every posting splice of an
-    /// [`IndexDelta`](crate::update::IndexDelta) — **in place**. It
-    /// reads no list it does not edit: locating and splicing cost what
-    /// the delta touches, plus one O(lists) pass over the offset table
-    /// and the `memmove` of the arena between the edits. (Finding the
-    /// stale postings is the walk's job, done once before the delta and
-    /// O(lists · log L).)
+    /// Locates one batched mutation — every posting splice of an
+    /// [`IndexDelta`](crate::update::IndexDelta) — against the index as
+    /// it stands before the delta, changing nothing. It reads no list
+    /// it does not edit: O(log L) comparisons per posting, in the lists
+    /// the delta touches.
     ///
     /// 1. The *touched* lists are those holding a `stale` posting
-    ///    (found by [`InvertedFragmentIndex::walk`] for every removed
-    ///    or re-added fragment) plus those receiving a posting of
-    ///    `adds`. No other list changes: a posting's TF depends only on
-    ///    its own fragment's `total_keywords`.
+    ///    (found by `FragmentIndex::prepare`'s walk of the touched
+    ///    groups' vocabulary, for every removed or re-added fragment)
+    ///    plus those receiving a posting of `adds`. No other list
+    ///    changes: a posting's TF depends only on its own fragment's
+    ///    `total_keywords`.
     /// 2. In each touched list, in each arena, the stale postings are
     ///    located by binary search (by handle in the probe slice, by
     ///    `tf_order` in the TF slice) and each fresh posting is given
@@ -543,116 +596,147 @@ impl InvertedFragmentIndex {
     ///    exactly what a from-scratch sort of the same postings lays
     ///    out — exact by construction.
     ///
-    ///    The TF slices are sorted by the totals from *before* the
-    ///    delta, and `catalog` is already refreshed. So every entry
-    ///    already in a slice (stale or surviving) is keyed against
-    ///    `old_totals` — the pre-refresh `total_keywords` of every
-    ///    fragment whose postings go stale, sorted by handle — falling
-    ///    back to `catalog` for the fragments the delta leaves alone;
-    ///    only fresh postings are keyed against the refreshed catalog.
-    /// 3. Those positions cut each arena into runs of survivors; every
-    ///    run slides to its new offset inside the existing `Vec`
-    ///    (`relocate`) and the fresh postings are written into the
-    ///    holes. A run whose offset does not change is not touched at
-    ///    all: the common upsert (same keyword set, new TFs) moves only
-    ///    the postings between a fragment's old and new rank in each of
-    ///    its TF slices, and a delta that grows or shrinks a list
-    ///    shifts the arena's tail once, with `memmove`.
+    ///    `catalog` is the pre-delta one, so every entry already in a
+    ///    TF slice (stale or surviving) is keyed by the total it was
+    ///    sorted with, and a fresh posting by its fragment's new total.
+    ///    A fresh posting of an identifier not interned yet carries the
+    ///    handle `FragmentCatalog::intern` will give it, and its TF
+    ///    ties compare by its [`FragmentId`]; a word not interned yet
+    ///    takes the handle `KeywordInterner::intern` will give it.
     ///
-    /// Every fragment of `adds` comes with the handle `catalog` interned
-    /// it under, appears once, has its previous postings (if any) listed
-    /// in `stale` and has passed [`check_counts`] (the delta is checked
-    /// before it is prepared). Returns the number of stale postings
-    /// that were removed outright (not superseded by a re-add). A delta
-    /// that matches nothing (no stale postings, no keywords added)
-    /// leaves the arenas untouched.
-    pub(crate) fn apply_delta(
-        &mut self,
+    /// Every fragment of `adds` appears once, has its previous postings
+    /// (if any) listed in `stale` (by keyword, then handle) and has
+    /// passed [`check_counts`]. A delta that matches nothing (no stale
+    /// postings, no keywords added) locates an empty splice.
+    pub(crate) fn locate<'d>(
+        &self,
         catalog: &FragmentCatalog,
-        old_totals: &[(Frag, u64)],
         stale: &[(Kw, Posting)],
-        adds: &[(Frag, &Fragment)],
-    ) -> usize {
-        let mut edits: BTreeMap<Kw, ListEdit> = BTreeMap::new();
+        adds: &[Add<'d>],
+    ) -> Splice<'d> {
+        let mut edits: BTreeMap<Kw, ListEdit<'d>> = BTreeMap::new();
         for &(kw, posting) in stale {
             edits.entry(kw).or_default().stale.push(posting);
         }
-        let mut readded: HashSet<Frag> = HashSet::with_capacity(adds.len());
-        for &(frag, fragment) in adds {
-            readded.insert(frag);
+        let mut new_words: Vec<&'d str> = Vec::new();
+        let mut new_kws: HashMap<&'d str, Kw> = HashMap::new();
+        for add in adds {
+            let fragment: &'d Fragment = add.fragment;
             for (word, &occurrences) in &fragment.keyword_occurrences {
-                let kw = self.interner.intern(word);
-                if kw.index() == self.lists.len() {
-                    // A brand-new keyword: an empty list at the arena's
-                    // end keeps the layout contiguous.
-                    self.lists.push(ListRef {
-                        start: self.tf_arena.len() as u32,
-                        len: 0,
-                    });
-                }
-                edits.entry(kw).or_default().fresh.push(Posting {
-                    frag,
-                    occurrences: narrow(word, occurrences)
-                        .expect("counts checked before the delta applies"),
+                let kw = self.interner.kw(word).unwrap_or_else(|| {
+                    *new_kws.entry(word.as_str()).or_insert_with(|| {
+                        new_words.push(word);
+                        Kw(u32::try_from(self.interner.len() + new_words.len() - 1)
+                            .expect("more than u32::MAX keywords"))
+                    })
+                });
+                edits.entry(kw).or_default().fresh.push(Arrival {
+                    posting: Posting {
+                        frag: add.frag,
+                        occurrences: narrow(word, occurrences)
+                            .expect("counts checked before the delta is prepared"),
+                    },
+                    total_keywords: fragment.total_keywords,
+                    new_id: add.new.then_some(&fragment.id),
                 });
             }
         }
-        if edits.is_empty() {
-            return 0;
-        }
-        let removed = stale
-            .iter()
-            .filter(|(_, p)| !readded.contains(&p.frag))
-            .count();
 
         // Locate every stale and fresh posting in both arenas (handle
-        // order = arena order, as `BTreeMap` iterates). An entry already
-        // in a TF slice is keyed by the total it was sorted with.
-        let old_total = |frag: Frag| match old_totals.binary_search_by_key(&frag, |&(f, _)| f) {
-            Ok(at) => old_totals[at].1,
-            Err(_) => catalog.total_keywords(frag),
+        // order = arena order, as `BTreeMap` iterates). A new word's
+        // list is empty, at the arena's end.
+        let old_key = |p: &Posting| TfKey {
+            tf: p.tf(catalog.total_keywords(p.frag)),
+            frag: p.frag,
+            new_id: None,
         };
-        let old_key = |p: &Posting| (p.tf(old_total(p.frag)), p.frag);
-        let new_key = |p: &Posting| (p.tf(catalog.total_keywords(p.frag)), p.frag);
         let by_frag = |p: &Posting| p.frag;
-        let mut tf_edits = Vec::with_capacity(edits.len());
-        let mut probe_edits = Vec::with_capacity(edits.len());
+        let mut splice = Splice {
+            new_words,
+            lists: Vec::with_capacity(edits.len()),
+            tf: Vec::with_capacity(edits.len()),
+            probe: Vec::with_capacity(edits.len()),
+        };
         for (&kw, edit) in &edits {
-            let list = self.lists[kw.index()];
-            tf_edits.push(ArenaEdit::locate(
+            let list = self.lists.get(kw.index()).copied().unwrap_or(ListRef {
+                start: self.tf_arena.len() as u32,
+                len: 0,
+            });
+            splice.lists.push((
+                kw,
+                list.len - edit.stale.len() as u32 + edit.fresh.len() as u32,
+            ));
+            splice.tf.push(ArenaEdit::locate(
                 list.start as usize,
                 &self.tf_arena[list.range()],
-                edit,
+                &edit.stale,
+                edit.fresh.iter().map(|a| {
+                    let key = TfKey {
+                        tf: a.posting.tf(a.total_keywords),
+                        frag: a.posting.frag,
+                        new_id: a.new_id,
+                    };
+                    (key, a.posting)
+                }),
                 old_key,
-                new_key,
-                |&a, &b| tf_order(catalog, a, b),
+                |a, b| a.order(b, catalog),
             ));
-            probe_edits.push(ArenaEdit::locate(
+            splice.probe.push(ArenaEdit::locate(
                 list.start as usize,
                 &self.probe_arena[list.range()],
-                edit,
-                by_frag,
+                &edit.stale,
+                edit.fresh.iter().map(|a| (a.posting.frag, a.posting)),
                 by_frag,
                 Frag::cmp,
             ));
         }
-        splice_arena(&mut self.tf_arena, &tf_edits);
-        splice_arena(&mut self.probe_arena, &probe_edits);
+        splice
+    }
+
+    /// Writes a [`Splice`] located on this index, or on an identical
+    /// twin, **in place**: it interns the delta's new words, slides
+    /// each arena's runs of survivors to their new offsets (`relocate`)
+    /// and writes the fresh postings into the holes, then re-derives
+    /// the offset table in one O(lists) pass. A run whose offset does
+    /// not change is not touched at all: the common upsert (same
+    /// keyword set, new TFs) moves only the postings between a
+    /// fragment's old and new rank in each of its TF slices, and a
+    /// delta that grows or shrinks a list shifts the arena's tail once,
+    /// with `memmove`.
+    pub(crate) fn splice(&mut self, splice: &Splice<'_>) {
+        for &word in &splice.new_words {
+            let kw = self.interner.intern(word);
+            debug_assert_eq!(
+                kw.index(),
+                self.lists.len(),
+                "a new word takes the handle it was located under"
+            );
+            // A brand-new keyword: an empty list at the arena's end
+            // keeps the layout contiguous.
+            self.lists.push(ListRef {
+                start: self.tf_arena.len() as u32,
+                len: 0,
+            });
+        }
+        if splice.lists.is_empty() {
+            return;
+        }
+        splice_arena(&mut self.tf_arena, &splice.tf);
+        splice_arena(&mut self.probe_arena, &splice.probe);
 
         // Re-derive the offset table: touched lists change length,
         // everything after them shifts.
-        let mut touched = edits.iter().peekable();
+        let mut touched = splice.lists.iter().peekable();
         let mut at = 0u32;
         for (i, list) in self.lists.iter_mut().enumerate() {
-            if let Some((_, edit)) = touched.next_if(|(kw, _)| kw.index() == i) {
-                list.len = list.len - edit.stale.len() as u32 + edit.fresh.len() as u32;
+            if let Some(&(_, len)) = touched.next_if(|(kw, _)| kw.index() == i) {
+                list.len = len;
             }
             list.start = at;
             at = at
                 .checked_add(list.len)
                 .expect("more than u32::MAX postings");
         }
-        removed
     }
 
     /// The keyword-occurrence maps of **every** live fragment,
@@ -680,47 +764,48 @@ impl InvertedFragmentIndex {
         terms
     }
 
-    /// The one read a delta makes of the inverted lists, shared by its
-    /// invalidation signature and its splice: the keywords held by
-    /// **any** of `frags` (the touched groups' handles) and the live
-    /// postings of `stale` (the removed or re-added handles, a subset
-    /// of `frags`). Both sets sorted and duplicate-free.
-    ///
-    /// Every inverted list is visited once. Its frag-sorted probe
-    /// slice is sought to the first handle ≥ the lowest of `frags` and
-    /// merge-intersected with `frags` from there, whichever run is
-    /// behind galloping ahead by `partition_point`, up to the first
-    /// match: the list's keyword is held. No stale posting lies before
-    /// that match, since `stale ⊆ frags`, so the stale postings are the
-    /// same intersection with `stale` continued from it. A bulk build
-    /// interns in identifier order, so an equality group's handles are
-    /// contiguous: a list with nothing in the span costs one binary
-    /// search, and the walk is O(lists · log L + postings inside the
-    /// spans) however many fragments are asked for.
-    pub(crate) fn walk(&self, frags: &[Frag], stale: &[Frag]) -> Walk {
+    /// The fragment-sorted probe slice of an interned keyword.
+    #[inline]
+    pub(crate) fn probe_postings(&self, kw: Kw) -> &[Posting] {
+        &self.probe_arena[self.lists[kw.index()].range()]
+    }
+
+    /// Number of inverted lists: one per interned keyword, emptied
+    /// ones included.
+    pub(crate) fn list_count(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// The whole-index walk, kept as the oracle of
+    /// `FragmentIndex::prepare`'s vocabulary walk: the keywords held by
+    /// **any** of `frags`, ascending, and the live postings of `stale`
+    /// (a subset of `frags`) by keyword, then by handle — found by
+    /// visiting every inverted list and intersecting its probe slice
+    /// with `frags`.
+    #[cfg(test)]
+    pub(crate) fn walk_every_list(
+        &self,
+        frags: &[Frag],
+        stale: &[Frag],
+    ) -> (Vec<Kw>, Vec<(Kw, Posting)>) {
         debug_assert!(stale.iter().all(|f| frags.binary_search(f).is_ok()));
-        let mut walk = Walk::default();
-        let Some(&lowest) = frags.first() else {
-            return walk;
-        };
-        for (i, &list) in self.lists.iter().enumerate() {
+        let (mut held, mut stale_postings) = (Vec::new(), Vec::new());
+        for i in 0..self.lists.len() {
             let kw = Kw(i as u32);
-            let slice = &self.probe_arena[list.range()];
-            let entries = &slice[slice.partition_point(|e| e.frag < lowest)..];
+            let entries = self.probe_postings(kw);
             let Some(first) = intersect(entries, frags).next() else {
                 continue;
             };
-            walk.held.push(kw);
-            let held = &entries[first..];
-            walk.stale
-                .extend(intersect(held, stale).map(|at| (kw, held[at])));
+            held.push(kw);
+            let rest = &entries[first..];
+            stale_postings.extend(intersect(rest, stale).map(|at| (kw, rest[at])));
         }
-        walk
+        (held, stale_postings)
     }
 
     /// The live keywords of **one** fragment, with occurrence counts —
     /// one binary search per inverted list, O(keywords · log L). The
-    /// per-fragment oracle of `InvertedFragmentIndex::walk`
+    /// per-fragment oracle of the touched groups' vocabulary
     /// (for whole-index dumps use
     /// [`InvertedFragmentIndex::all_fragment_terms`], which amortizes
     /// the arena walk across every fragment at once).
@@ -817,6 +902,34 @@ fn tf_order(catalog: &FragmentCatalog, (tf_a, a): (f64, Frag), (tf_b, b): (f64, 
         .then_with(|| catalog.cmp_ids(a, b))
 }
 
+/// A TF slice's sort key for a splice: the posting's TF, its handle
+/// and, for an identifier not interned yet (whose handle is only the
+/// one `intern` will give it), the identifier itself.
+#[derive(Debug, Clone, Copy)]
+struct TfKey<'d> {
+    tf: f64,
+    frag: Frag,
+    new_id: Option<&'d FragmentId>,
+}
+
+impl TfKey<'_> {
+    /// [`tf_order`], with an identifier not interned yet compared by
+    /// its [`FragmentId`] — the order it takes once interned, since the
+    /// catalog orders handles as their identifiers' `Ord`.
+    fn order(&self, other: &Self, catalog: &FragmentCatalog) -> Ordering {
+        other
+            .tf
+            .partial_cmp(&self.tf)
+            .expect("finite TF")
+            .then_with(|| match (self.new_id, other.new_id) {
+                (None, None) => catalog.cmp_ids(self.frag, other.frag),
+                (Some(a), Some(b)) => a.cmp(b),
+                (Some(a), None) => catalog.cmp_to_id(other.frag, a).reverse(),
+                (None, Some(b)) => catalog.cmp_to_id(self.frag, b),
+            })
+    }
+}
+
 /// The filler a growing arena's new tail holds until the splice
 /// overwrites it.
 const EMPTY: Posting = Posting {
@@ -827,27 +940,27 @@ const EMPTY: Posting = Posting {
 /// One touched list's edit of one arena, in arena coordinates: the
 /// positions of the postings leaving and, for each posting arriving,
 /// the position of the old posting it goes in front of. Both ascending.
+#[derive(Debug)]
 struct ArenaEdit {
     gone: Vec<usize>,
     fresh: Vec<(usize, Posting)>,
 }
 
 impl ArenaEdit {
-    /// Locates `edit.stale` (each must be present) and `edit.fresh` in
-    /// the sorted slice `old`, which begins at arena position `start` —
-    /// O(log L) comparisons per posting. `old_key` keys the postings
-    /// already in the slice (stale ones included) as the slice is
-    /// sorted, `new_key` the arriving ones, and `cmp` orders keys.
+    /// Locates `stale` (each must be present) and the keyed `fresh`
+    /// postings in the sorted slice `old`, which begins at arena
+    /// position `start` — O(log L) comparisons per posting. `old_key`
+    /// keys the postings already in the slice (stale ones included) as
+    /// the slice is sorted, and `cmp` orders keys.
     fn locate<K: Copy>(
         start: usize,
         old: &[Posting],
-        edit: &ListEdit,
+        stale: &[Posting],
+        fresh: impl Iterator<Item = (K, Posting)>,
         old_key: impl Fn(&Posting) -> K,
-        new_key: impl Fn(&Posting) -> K,
         cmp: impl Fn(&K, &K) -> Ordering,
     ) -> Self {
-        let mut gone: Vec<usize> = edit
-            .stale
+        let mut gone: Vec<usize> = stale
             .iter()
             .map(|s| {
                 let key = old_key(s);
@@ -856,7 +969,7 @@ impl ArenaEdit {
             })
             .collect();
         gone.sort_unstable();
-        let mut fresh: Vec<(K, Posting)> = edit.fresh.iter().map(|f| (new_key(f), *f)).collect();
+        let mut fresh: Vec<(K, Posting)> = fresh.collect();
         fresh.sort_unstable_by(|a, b| cmp(&a.0, &b.0));
         let fresh = fresh
             .into_iter()
@@ -1087,6 +1200,13 @@ mod tests {
             idx.occurrences(idx.kw("burger").unwrap(), frag),
             u64::from(u32::MAX)
         );
+        // Both counts fit; the raised one passes the fragment's stale
+        // total until the total follows it.
+        assert!(matches!(
+            check_counts(&fragments),
+            Err(CoreError::OccurrencesPastTotal { .. })
+        ));
+        fragments[2].total_keywords = fragments[2].keyword_occurrences.values().sum();
         assert!(check_counts(&fragments).is_ok());
     }
 
@@ -1135,12 +1255,29 @@ mod tests {
         assert_eq!(idx.kw("zzz"), None);
     }
 
-    /// The two-step splice protocol: locate the stale postings, then
-    /// apply (the catalog is already current in these tests — the
-    /// fragments come back unchanged, so no total moves).
+    /// The two-step splice protocol: locate the stale postings (here
+    /// with the whole-index walk), then splice them out.
     fn remove(idx: &mut InvertedFragmentIndex, catalog: &FragmentCatalog, frag: Frag) -> usize {
-        let stale = idx.walk(&[frag], &[frag]).stale;
-        idx.apply_delta(catalog, &[], &stale, &[])
+        let (_, stale) = idx.walk_every_list(&[frag], &[frag]);
+        let splice = idx.locate(catalog, &stale, &[]);
+        idx.splice(&splice);
+        stale.len()
+    }
+
+    /// Splices `fragment` back in under its (known) handle.
+    fn readd(
+        idx: &mut InvertedFragmentIndex,
+        catalog: &FragmentCatalog,
+        frag: Frag,
+        fragment: &Fragment,
+    ) {
+        let adds = [Add {
+            frag,
+            new: false,
+            fragment,
+        }];
+        let splice = idx.locate(catalog, &[], &adds);
+        idx.splice(&splice);
     }
 
     #[test]
@@ -1159,10 +1296,7 @@ mod tests {
         assert_eq!(idx.df("burger"), 2);
         assert_eq!(idx.postings("queen"), None);
         assert_eq!(remove(&mut idx, &catalog, target), 0); // nothing left to match
-        assert_eq!(
-            idx.apply_delta(&catalog, &[], &[], &[(target, &fragments[1])]),
-            0
-        );
+        readd(&mut idx, &catalog, target, &fragments[1]);
         assert_eq!(idx.df("burger"), 3);
         let kw = idx.kw("burger").unwrap();
         assert_eq!(idx.occurrences(kw, target), 2);
@@ -1181,7 +1315,7 @@ mod tests {
             ]))
             .unwrap();
         remove(&mut incremental, &catalog, target);
-        incremental.apply_delta(&catalog, &[], &[], &[(target, &fragments[1])]);
+        readd(&mut incremental, &catalog, target, &fragments[1]);
         for word in ["burger", "coffee", "queen", "thai", "fries"] {
             assert_eq!(bulk.postings(word), incremental.postings(word), "{word}");
         }

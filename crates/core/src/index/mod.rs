@@ -6,7 +6,9 @@
 //! (identifier, group key, key order, weight); the
 //! [`InvertedFragmentIndex`] and [`FragmentGraph`] are handle-native
 //! and columnar, so search never touches a `Vec<Value>` identifier
-//! until it emits results.
+//! until it emits results. Each equality group's vocabulary — the
+//! keywords its live fragments hold — is kept beside them, so a delta
+//! reads only the inverted lists of the groups it touches.
 
 pub mod catalog;
 #[cfg(test)]
@@ -22,9 +24,10 @@ pub use catalog::{Frag, FragmentCatalog, GroupId, Kw};
 pub use graph::{FragmentGraph, NodeRef};
 pub use inverted::{InvertedFragmentIndex, KeywordInterner, Posting};
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::fragment::{Fragment, FragmentId};
+use crate::index::inverted::{check_total, intersect, Splice};
 use crate::par;
 use crate::update::{IndexDelta, RefreshStats};
 use crate::Result;
@@ -38,6 +41,10 @@ pub struct FragmentIndex {
     pub inverted: InvertedFragmentIndex,
     /// Which fragments combine into db-pages (columnar groups).
     pub graph: FragmentGraph,
+    /// Per [`GroupId`]: the keywords any live fragment of the group
+    /// holds, ascending — derived from the probe arena at build and at
+    /// image load, rewritten for the touched groups by every delta.
+    vocabulary: Vec<Box<[Kw]>>,
 }
 
 impl FragmentIndex {
@@ -52,9 +59,11 @@ impl FragmentIndex {
     /// # Errors
     ///
     /// Returns [`crate::CoreError::IdentifierArity`] when an identifier
-    /// holds no value at `range_position`, and
+    /// holds no value at `range_position`,
     /// [`crate::CoreError::OccurrenceOverflow`] when a keyword occurs
-    /// more than `u32::MAX` times in one fragment.
+    /// more than `u32::MAX` times in one fragment, and
+    /// [`crate::CoreError::OccurrencesPastTotal`] when a fragment's
+    /// occurrences sum past its `total_keywords`.
     pub fn build(fragments: &[Fragment], range_position: Option<usize>) -> Result<Self> {
         let refs: Vec<&Fragment> = fragments.iter().collect();
         Self::build_refs(&refs, range_position)
@@ -72,7 +81,7 @@ impl FragmentIndex {
     ///
     /// Same as [`FragmentIndex::build`].
     pub fn build_refs(fragments: &[&Fragment], range_position: Option<usize>) -> Result<Self> {
-        Ok(Self::place(fragments, range_position)?.finish())
+        Self::place(fragments, range_position)?.finish()
     }
 
     /// Stage one of a bulk build, the only stage that reads the
@@ -107,7 +116,66 @@ impl FragmentIndex {
             lists,
             tf_arena,
             probe_arena,
+            vocab: self.vocabulary.capacity() * size_of::<Box<[Kw]>>()
+                + self
+                    .vocabulary
+                    .iter()
+                    .map(|run| size_of_val(&**run))
+                    .sum::<usize>(),
         }
+    }
+
+    /// Wires the three parts into an index and derives every group's
+    /// vocabulary from the probe arena — one pass over the postings,
+    /// the bulk build's last step and the image loader's. The same pass
+    /// sums each fragment's occurrences, which may not pass its
+    /// catalog `total_keywords`.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::CoreError::OccurrencesPastTotal`] for the first fragment
+    /// (by handle) whose occurrences sum past its total.
+    pub(crate) fn assemble(
+        catalog: FragmentCatalog,
+        inverted: InvertedFragmentIndex,
+        graph: FragmentGraph,
+    ) -> Result<Self> {
+        let mut runs: Vec<Vec<Kw>> = vec![Vec::new(); catalog.key_count()];
+        // Per group, the last keyword pushed: a dense column, so only a
+        // keyword new to its group touches the group's run.
+        let mut last = vec![Kw(u32::MAX); catalog.key_count()];
+        let mut sums = vec![0u64; catalog.len()];
+        for kw in (0..inverted.list_count() as u32).map(Kw) {
+            for posting in inverted.probe_postings(kw) {
+                let group = catalog.group(posting.frag).index();
+                if last[group] != kw {
+                    last[group] = kw;
+                    runs[group].push(kw);
+                }
+                let sum = &mut sums[posting.frag.index()];
+                *sum = sum.saturating_add(u64::from(posting.occurrences));
+            }
+        }
+        let totals = catalog.image_columns().0;
+        if let Some(at) = sums.iter().zip(totals).position(|(sum, total)| sum > total) {
+            let frag = Frag(at as u32);
+            check_total(&catalog.id(frag), sums[at], totals[at])?;
+        }
+        // Collected in place, the column would keep the wider runs'
+        // capacity.
+        let mut vocabulary: Vec<Box<[Kw]>> = runs.into_iter().map(Vec::into_boxed_slice).collect();
+        vocabulary.shrink_to_fit();
+        Ok(FragmentIndex {
+            catalog,
+            inverted,
+            graph,
+            vocabulary,
+        })
+    }
+
+    /// The keywords any live fragment of `group` holds, ascending.
+    pub fn group_vocabulary(&self, group: GroupId) -> &[Kw] {
+        &self.vocabulary[group.index()]
     }
 
     /// Number of indexed fragments: the graph's live nodes (the graph
@@ -130,7 +198,9 @@ impl FragmentIndex {
     /// # Errors
     ///
     /// [`crate::CoreError::OccurrenceOverflow`] when an added fragment
-    /// holds a keyword more than `u32::MAX` times, and
+    /// holds a keyword more than `u32::MAX` times,
+    /// [`crate::CoreError::OccurrencesPastTotal`] when its occurrences
+    /// sum past its `total_keywords`, and
     /// [`crate::CoreError::IdentifierArity`] when an added identifier
     /// holds no value at the range position. The checks run before
     /// anything changes, so the index is left exactly as it was.
@@ -147,14 +217,16 @@ impl FragmentIndex {
     }
 
     /// The read half of a delta, against the index as it stands before
-    /// it: the last-wins dedup of `adds`, each add's handle if its
-    /// identifier is known, the live handles `removes` takes out, the
-    /// pre-delta totals of every handle whose postings go stale and
-    /// — from **one** [`InvertedFragmentIndex::walk`] — their postings
-    /// and the touched groups' vocabulary. The walk costs
-    /// O(lists · log L) plus the postings inside the touched groups'
-    /// handle spans; everything else follows the delta. `adds` must
-    /// have passed the checks of [`FragmentIndex::apply`].
+    /// it: the last-wins dedup of `adds`, each add's handle (its
+    /// identifier's, or the one `FragmentCatalog::intern` will give a
+    /// new identifier), the live handles `removes` takes out, the
+    /// touched groups' vocabulary and — from **one** walk of exactly
+    /// the inverted lists that vocabulary names — the stale postings and
+    /// the keywords each touched group keeps. Then the posting splice is
+    /// located ([`InvertedFragmentIndex::locate`]). The walk visits
+    /// |V(touched groups)| lists and the postings of the touched groups
+    /// in them; nothing here grows with the shard beyond that. `adds`
+    /// must have passed the checks of [`FragmentIndex::apply`].
     pub(crate) fn prepare<'d>(
         &self,
         removes: &[&FragmentId],
@@ -169,10 +241,27 @@ impl FragmentIndex {
                 last.push(fragment);
             }
         }
-        let adds: Vec<(Option<Frag>, &Fragment)> = last
+        // New identifiers take the handles `intern` appends, in delta
+        // order.
+        let mut next = self.catalog.len() as u32;
+        let adds: Vec<Add<'d>> = last
             .into_iter()
             .rev()
-            .map(|fragment| (self.catalog.frag(&fragment.id), fragment))
+            .map(|fragment| match self.catalog.frag(&fragment.id) {
+                Some(frag) => Add {
+                    frag,
+                    new: false,
+                    fragment,
+                },
+                None => {
+                    next += 1;
+                    Add {
+                        frag: Frag(next - 1),
+                        new: true,
+                        fragment,
+                    }
+                }
+            })
             .collect();
         // Only handles with a live node hold postings (the graph owns
         // liveness), so a tombstone is neither removed nor stale.
@@ -184,18 +273,13 @@ impl FragmentIndex {
         // A re-add's current postings are stale too.
         let mut stale: Vec<Frag> = adds
             .iter()
-            .filter_map(|&(frag, _)| frag)
+            .filter(|add| !add.new)
+            .map(|add| add.frag)
             .filter(live)
             .collect();
         stale.extend_from_slice(&removed);
         stale.sort_unstable();
         stale.dedup();
-        // Snapshotted before the apply refreshes them: the TF slices
-        // are sorted by the TFs these totals give.
-        let old_totals = stale
-            .iter()
-            .map(|&frag| (frag, self.catalog.total_keywords(frag)))
-            .collect();
         // A known handle names its group; only a new identifier's key
         // is looked up.
         let group = |id: &FragmentId, frag: Option<Frag>| match frag {
@@ -206,75 +290,127 @@ impl FragmentIndex {
             .iter()
             .zip(known)
             .filter_map(|(id, frag)| group(id, frag))
-            .chain(adds.iter().filter_map(|&(frag, f)| group(&f.id, frag)))
+            .chain(
+                adds.iter()
+                    .filter_map(|add| group(&add.fragment.id, (!add.new).then_some(add.frag))),
+            )
             .collect();
         groups.sort_unstable();
         groups.dedup();
-        let mut frags: Vec<Frag> = groups
-            .into_iter()
-            .flat_map(|group| self.graph.group_nodes(group))
+        let mut held: Vec<Kw> = groups
+            .iter()
+            .flat_map(|&group| self.group_vocabulary(group))
             .copied()
             .collect();
-        // Group runs are range-sorted; the walk wants handles.
+        held.sort_unstable();
+        held.dedup();
+        let mut frags: Vec<Frag> = groups
+            .iter()
+            .flat_map(|&group| self.graph.group_nodes(group))
+            .copied()
+            .collect();
+        // Group runs are range-sorted; the intersections want handles.
         frags.sort_unstable();
-        let walk = self.inverted.walk(&frags, &stale);
+
+        // The walk: each held list's probe slice, intersected with the
+        // touched handles. A match is a stale posting, or keeps its
+        // keyword in its group's vocabulary.
+        let mut stale_postings: Vec<(Kw, Posting)> = Vec::new();
+        let mut kept: Vec<Vec<Kw>> = vec![Vec::new(); groups.len()];
+        for &kw in &held {
+            let entries = self.inverted.probe_postings(kw);
+            for at in intersect(entries, &frags) {
+                let posting = entries[at];
+                if stale.binary_search(&posting.frag).is_ok() {
+                    stale_postings.push((kw, posting));
+                    continue;
+                }
+                let at = groups
+                    .binary_search(&self.catalog.group(posting.frag))
+                    .expect("a touched handle's group is touched");
+                if kept[at].last() != Some(&kw) {
+                    kept[at].push(kw);
+                }
+            }
+        }
+        let splice = self.inverted.locate(&self.catalog, &stale_postings, &adds);
         PreparedIndexDelta {
             removed,
             adds,
-            old_totals,
-            stale: walk.stale,
-            held: walk.held,
+            splice,
+            kept: groups.into_iter().zip(kept).collect(),
+            held,
         }
     }
 
     /// The write half of a delta: the graph splices (each touches only
-    /// its own group's run), the catalog refreshes and interns, and one
-    /// in-place posting splice
-    /// ([`InvertedFragmentIndex::apply_delta`]) — no list is read that
-    /// is not edited. `prepared` must come from
+    /// its own group's run), the catalog refreshes and interns, the
+    /// located posting splice is written
+    /// ([`InvertedFragmentIndex::splice`]) and the touched groups'
+    /// vocabularies are rewritten: what each kept, plus the keywords
+    /// its adds bring. No list is read that is not edited, and nothing
+    /// is located twice. `prepared` must come from
     /// [`FragmentIndex::prepare`] on this index in its current state,
     /// or on an identical one.
     pub(crate) fn apply_prepared(&mut self, prepared: &PreparedIndexDelta<'_>) -> RefreshStats {
         for &frag in &prepared.removed {
             self.graph.remove(frag);
         }
-        let mut added = Vec::with_capacity(prepared.adds.len());
-        for &(known, fragment) in &prepared.adds {
-            let frag = match known {
-                Some(frag) => {
-                    self.catalog.refresh(frag, fragment);
-                    frag
-                }
-                None => self.catalog.intern(fragment),
-            };
-            self.graph.insert(&self.catalog, frag);
-            added.push((frag, fragment));
+        for add in &prepared.adds {
+            if add.new {
+                let frag = self.catalog.intern(add.fragment);
+                debug_assert_eq!(frag, add.frag, "a new identifier takes its prepared handle");
+            } else {
+                self.catalog.refresh(add.frag, add.fragment);
+            }
+            self.graph.insert(&self.catalog, add.frag);
         }
-        self.inverted
-            .apply_delta(&self.catalog, &prepared.old_totals, &prepared.stale, &added);
+        self.inverted.splice(&prepared.splice);
+        let mut runs: BTreeMap<GroupId, Vec<Kw>> = prepared.kept.iter().cloned().collect();
+        for (kw, frag) in prepared.splice.arrivals() {
+            runs.entry(self.catalog.group(frag)).or_default().push(kw);
+        }
+        self.vocabulary
+            .resize_with(self.catalog.key_count(), Box::default);
+        for (group, mut run) in runs {
+            run.sort_unstable();
+            run.dedup();
+            self.vocabulary[group.index()] = run.into_boxed_slice();
+        }
         RefreshStats {
             removed: prepared.removed.len(),
-            added: added.len(),
+            added: prepared.adds.len(),
         }
     }
 }
 
+/// One add of a delta after the last-wins dedup: the fragment and its
+/// handle — its identifier's, or, when `new`, the one the catalog's
+/// append-only `intern` will give it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Add<'d> {
+    pub(crate) frag: Frag,
+    pub(crate) new: bool,
+    pub(crate) fragment: &'d Fragment,
+}
+
 /// One index's share of a delta, read off the index before the delta
-/// ([`FragmentIndex::prepare`]) and spliced in by
+/// ([`FragmentIndex::prepare`]) and written by
 /// [`FragmentIndex::apply_prepared`] — into that index, or into an
 /// identical twin.
 #[derive(Debug)]
 pub(crate) struct PreparedIndexDelta<'d> {
     /// The live handles the delta removes, ascending.
     removed: Vec<Frag>,
-    /// The adds after last-wins dedup, in delta order, each with the
-    /// handle its identifier already has.
-    adds: Vec<(Option<Frag>, &'d Fragment)>,
-    /// Every stale handle's pre-delta `total_keywords`, by handle.
-    old_totals: Vec<(Frag, u64)>,
-    /// The stale handles' live postings, by keyword.
-    stale: Vec<(Kw, Posting)>,
-    /// The touched groups' pre-delta vocabulary, ascending.
+    /// The adds after last-wins dedup, in delta order.
+    adds: Vec<Add<'d>>,
+    /// The posting splice, located against the pre-delta index.
+    splice: Splice<'d>,
+    /// Each touched pre-delta group with the keywords its fragments
+    /// other than the stale ones hold, both ascending.
+    kept: Vec<(GroupId, Vec<Kw>)>,
+    /// The touched groups' pre-delta vocabulary, ascending: the
+    /// inverted lists the walk visited, one each.
     pub(crate) held: Vec<Kw>,
 }
 
@@ -290,8 +426,14 @@ pub(crate) struct PlacedIndex {
 impl PlacedIndex {
     /// Stage two of a bulk build: the TF arena (the probe arena's
     /// postings, each list sorted by descending TF) and the graph, in
-    /// parallel, from the catalog and the probe arena alone.
-    pub(crate) fn finish(self) -> FragmentIndex {
+    /// parallel, from the catalog and the probe arena alone; then the
+    /// groups' vocabulary ([`FragmentIndex::assemble`]).
+    ///
+    /// # Errors
+    ///
+    /// [`crate::CoreError::OccurrencesPastTotal`] for a fragment whose
+    /// occurrences sum past its `total_keywords`.
+    pub(crate) fn finish(self) -> Result<FragmentIndex> {
         let PlacedIndex {
             catalog,
             mut inverted,
@@ -300,11 +442,7 @@ impl PlacedIndex {
             || inverted.rebuild_tf_arena(&catalog),
             || FragmentGraph::build(&catalog, &[]),
         );
-        FragmentIndex {
-            catalog,
-            inverted,
-            graph,
-        }
+        FragmentIndex::assemble(catalog, inverted, graph)
     }
 }
 
@@ -332,11 +470,14 @@ pub struct HeapBytes {
     pub probe_arena: usize,
     /// The per-keyword list table shared by both arenas.
     pub lists: usize,
+    /// Every equality group's vocabulary: a boxed run per group, 4
+    /// bytes a keyword.
+    pub vocab: usize,
 }
 
 impl HeapBytes {
     /// Every structure by its gauge suffix, in declaration order.
-    pub fn parts(&self) -> [(&'static str, usize); 8] {
+    pub fn parts(&self) -> [(&'static str, usize); 9] {
         [
             ("catalog_ids", self.catalog_ids),
             ("handle_order", self.handle_order),
@@ -346,6 +487,7 @@ impl HeapBytes {
             ("tf_arena", self.tf_arena),
             ("probe_arena", self.probe_arena),
             ("lists", self.lists),
+            ("vocab", self.vocab),
         ]
     }
 
@@ -370,6 +512,7 @@ impl HeapBytes {
         self.tf_arena += other.tf_arena;
         self.probe_arena += other.probe_arena;
         self.lists += other.lists;
+        self.vocab += other.vocab;
     }
 }
 
@@ -511,6 +654,100 @@ mod tests {
             FragmentIndex::build(&overflowing, Some(1)),
             Err(crate::CoreError::OccurrenceOverflow { .. })
         ));
+    }
+
+    #[test]
+    fn occurrences_past_the_total_fail_the_delta_untouched() {
+        let fragments = sample();
+        let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+        let image = |index: &FragmentIndex| {
+            let mut bytes = Vec::new();
+            crate::persist::write_image(&mut bytes, Some(1), &[index]).unwrap();
+            bytes
+        };
+        let before = image(&index);
+        let mut lowered = fragment("Thai", 11, &[("curry", 2), ("thai", 1)]);
+        lowered.total_keywords = 2;
+        let delta = IndexDelta::new(
+            vec![fragments[0].id.clone()],
+            vec![fragment("American", 10, &[("burger", 5)]), lowered],
+        );
+        assert_eq!(
+            index.apply(&delta).unwrap_err(),
+            crate::CoreError::OccurrencesPastTotal {
+                id: "(Thai,11)".to_string(),
+                occurrences: 3,
+                total_keywords: 2,
+            }
+        );
+        assert_eq!(image(&index), before);
+        // A total above the sum (a fragment with uncounted words) fits.
+        let mut padded = fragment("Thai", 11, &[("curry", 2)]);
+        padded.total_keywords = 5;
+        index.apply(&IndexDelta::adding(vec![padded])).unwrap();
+    }
+
+    /// Whether two indexes hold the same arenas, list table and image.
+    fn assert_same_layout(a: &FragmentIndex, b: &FragmentIndex, context: &str) {
+        let image = |index: &FragmentIndex| {
+            let mut bytes = Vec::new();
+            crate::persist::write_image(&mut bytes, Some(1), &[index]).unwrap();
+            bytes
+        };
+        assert_eq!(
+            a.inverted.image_tf_arena(),
+            b.inverted.image_tf_arena(),
+            "{context}"
+        );
+        assert_eq!(
+            a.inverted.image_probe_arena(),
+            b.inverted.image_probe_arena(),
+            "{context}"
+        );
+        assert!(
+            a.inverted.image_lists().eq(b.inverted.image_lists()),
+            "{context}"
+        );
+        assert!(image(a) == image(b), "{context}: image bytes");
+    }
+
+    #[test]
+    fn a_twin_splicing_the_located_edits_equals_an_index_that_applied_alone() {
+        let fragments = sample();
+        let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+        let deltas = [
+            // TFs move, a new word, a new identifier in a known group
+            // (with a tie against a known one) and a new group.
+            IndexDelta::new(
+                vec![fragments[0].id.clone()],
+                vec![
+                    fragment("American", 10, &[("burger", 1), ("queen", 3), ("shake", 2)]),
+                    fragment("American", 11, &[("burger", 1), ("fries", 1)]),
+                    fragment("Korean", 4, &[("bibimbap", 2), ("burger", 2)]),
+                ],
+            ),
+            // A removal that empties a group.
+            IndexDelta::removing(vec![fragments[3].id.clone()]),
+            // A tombstone re-added twice (the last wins), beside a new
+            // identifier that sorts before every known one.
+            IndexDelta::adding(vec![
+                fragment("Thai", 10, &[("thai", 2)]),
+                fragment("Thai", 10, &[("curry", 1), ("thai", 1)]),
+                fragment("Abkhaz", 1, &[("curry", 1), ("burger", 1)]),
+            ]),
+        ];
+        for (step, delta) in deltas.iter().enumerate() {
+            let mut twin = index.clone();
+            let mut alone = index.clone();
+            let removes: Vec<&FragmentId> = delta.removes.iter().collect();
+            let adds: Vec<&Fragment> = delta.adds.iter().collect();
+            let prepared = index.prepare(&removes, &adds);
+            let stats = index.apply_prepared(&prepared);
+            assert_eq!(twin.apply_prepared(&prepared), stats);
+            assert_eq!(alone.apply(delta).unwrap(), stats);
+            assert_same_layout(&twin, &index, &format!("step {step}: twin"));
+            assert_same_layout(&alone, &index, &format!("step {step}: alone"));
+        }
     }
 
     #[test]

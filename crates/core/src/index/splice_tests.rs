@@ -1,5 +1,6 @@
 //! Property test of the in-place posting splice
-//! ([`InvertedFragmentIndex::apply_delta`]): after **every** delta of a
+//! (`InvertedFragmentIndex::locate`, then
+//! `InvertedFragmentIndex::splice`): after **every** delta of a
 //! random history the maintained arenas must equal, list for list and
 //! bit for bit, what a from-scratch build over the same fragments lays
 //! out — the exactness the splice claims by construction, checked

@@ -1,15 +1,15 @@
-//! Property test of the vocabulary walk (`InvertedFragmentIndex::walk`),
-//! the one read a delta makes of the inverted lists: for any set of
-//! fragment handles and any stale subset of it, the held keywords must
-//! be exactly the union of `InvertedFragmentIndex::fragment_terms` over
-//! the set, and the stale postings exactly the stale handles' terms, by
-//! keyword then handle — on a fresh bulk build (where a
-//! group's handles are contiguous) and after **every** delta of a
-//! random history (where fragments interned after the build scatter a
-//! group's handles, re-adds reuse handles and tombstones leave holes).
-//! `FragmentIndex::prepare` feeds it whole equality groups and the
-//! removed or re-added handles among them; the sets below also cover
-//! what it never sends.
+//! Property test of the whole-index walk
+//! (`InvertedFragmentIndex::walk_every_list`) and of the per-group
+//! vocabulary it is the oracle of: for any set of fragment handles and
+//! any stale subset of it, the held keywords must be exactly the union
+//! of `InvertedFragmentIndex::fragment_terms` over the set, and the
+//! stale postings exactly the stale handles' terms, by keyword then
+//! handle; and every group's stored vocabulary must be the walk's held
+//! keywords over the group's live handles — on a fresh bulk build
+//! (where a group's handles are contiguous) and after **every** delta
+//! of a random history (where fragments interned after the build
+//! scatter a group's handles, re-adds reuse handles and tombstones
+//! leave holes).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -17,9 +17,22 @@ use proptest::prelude::*;
 
 use super::splice_tests::{delta_strategy, fragment_strategy, id, GROUPS, INITIAL_VOCAB};
 use crate::fragment::{Fragment, FragmentId};
-use crate::index::inverted::Walk;
 use crate::index::{Frag, FragmentIndex, Kw, Posting};
 use crate::update::IndexDelta;
+
+/// What a walk finds: the keywords any walked handle holds, ascending,
+/// and the stale handles' live postings, by keyword, then by handle.
+#[derive(Debug, Default, PartialEq)]
+struct Walk {
+    held: Vec<Kw>,
+    stale: Vec<(Kw, Posting)>,
+}
+
+/// The whole-index walk over `frags` with `stale` among them.
+fn walk(index: &FragmentIndex, frags: &[Frag], stale: &[Frag]) -> Walk {
+    let (held, stale) = index.inverted.walk_every_list(frags, stale);
+    Walk { held, stale }
+}
 
 /// The definition the walk must meet: every keyword `fragment_terms`
 /// reports for any of `frags`, as handles, ascending; and every term of
@@ -71,6 +84,17 @@ fn assert_walk_matches(
         assert_eq!(terms, fragment.keyword_occurrences, "{id}");
     }
     let handles = index.catalog.len() as u32;
+    // Every group's stored vocabulary, emptied groups included, is
+    // what its live handles hold.
+    for group in (0..index.catalog.key_count() as u32).map(crate::index::GroupId) {
+        let mut frags = index.graph.group_nodes(group).to_vec();
+        frags.sort_unstable();
+        assert_eq!(
+            index.group_vocabulary(group),
+            oracle(index, &frags, &[]).held,
+            "{group:?}"
+        );
+    }
     let groups: Vec<Vec<Frag>> = index
         .graph
         .iter_groups(&index.catalog)
@@ -104,7 +128,7 @@ fn assert_walk_matches(
         ];
         for stale in stales {
             assert_eq!(
-                index.inverted.walk(&frags, &stale),
+                walk(index, &frags, &stale),
                 oracle(index, &frags, &stale),
                 "{frags:?} stale {stale:?}"
             );
@@ -158,7 +182,7 @@ fn a_tombstoned_fragment_contributes_nothing() {
         .expect("group exists");
     let before = index.graph.group_nodes(american).to_vec();
     let words = |index: &FragmentIndex, frags: &[Frag]| -> Vec<String> {
-        let kws = index.inverted.walk(frags, &[]).held;
+        let kws = walk(index, frags, &[]).held;
         kws.iter()
             .map(|&kw| index.inverted.word(kw).to_string())
             .collect()
@@ -171,12 +195,9 @@ fn a_tombstoned_fragment_contributes_nothing() {
         .apply(&IndexDelta::removing(vec![id((0, 1))]))
         .unwrap();
     let tombstone = index.catalog.frag(&id((0, 1))).expect("handle kept");
-    assert_eq!(
-        index.inverted.walk(&[tombstone], &[tombstone]),
-        Walk::default()
-    );
+    assert_eq!(walk(&index, &[tombstone], &[tombstone]), Walk::default());
     assert_eq!(words(&index, &before), ["burger", "fries"]);
-    assert_eq!(index.inverted.walk(&[], &[]), Walk::default());
+    assert_eq!(walk(&index, &[], &[]), Walk::default());
     // A new fragment in the group takes the next handle, past Thai's:
     // the group's run is no longer contiguous. Re-adding the tombstone
     // reuses its handle; walking the whole group with the two
@@ -196,8 +217,9 @@ fn a_tombstoned_fragment_contributes_nothing() {
     );
     let mut stale = vec![tombstone, index.catalog.frag(&id((0, 3))).unwrap()];
     stale.sort_unstable();
-    let walk = index.inverted.walk(&group, &stale);
-    assert_eq!(walk, oracle(&index, &group, &stale));
-    assert_eq!(walk.held.len(), 4, "burger, queen, fries, shake");
-    assert_eq!(walk.stale.len(), 3, "queen; burger and shake");
+    let found = walk(&index, &group, &stale);
+    assert_eq!(found, oracle(&index, &group, &stale));
+    assert_eq!(found.held.len(), 4, "burger, queen, fries, shake");
+    assert_eq!(found.stale.len(), 3, "queen; burger and shake");
+    assert_eq!(index.group_vocabulary(american), &found.held[..]);
 }

@@ -40,9 +40,11 @@
 //! live (fragments maintenance removed; empty for an engine that never
 //! removed one), sorted. The loader rebuilds the graph from the catalog
 //! minus those handles ([`FragmentGraph::build`], the bulk build's own
-//! path), and the interner's word → handle slot table in one O(n) pass;
-//! the catalog's identifier-ordered handle column waits for the first
-//! delta. Group keys, their order and the node weights live in the
+//! path), the interner's word → handle slot table in one O(n) pass,
+//! and each group's vocabulary in one pass over the probe arena, which
+//! also refuses a total-keyword column lowered under a fragment's
+//! occurrences; the catalog's identifier-ordered handle column waits
+//! for the first delta. Group keys, their order and the node weights live in the
 //! catalog alone, so no two copies of a fact can disagree in an image
 //! that loads, and two engines holding the same handles and live set
 //! dump the same image regardless of maintenance history.
@@ -94,6 +96,7 @@ use crate::index::{
     Frag, FragmentCatalog, FragmentGraph, FragmentIndex, InvertedFragmentIndex, KeywordInterner,
     Posting,
 };
+use crate::par;
 
 const IMAGE_MAGIC: &[u8; 8] = b"DASHIMG4";
 
@@ -218,9 +221,9 @@ pub(crate) fn read_image(bytes: &[u8]) -> io::Result<(Option<usize>, Vec<Fragmen
         p if p > 64 => return Err(invalid("range position out of bounds")),
         p => Some(p as usize),
     };
-    let mut shards = Vec::with_capacity(shard_count as usize);
+    let mut parts = Vec::with_capacity(shard_count as usize);
     for s in 0..shard_count {
-        shards.push(
+        parts.push(
             read_index_image(&mut r, range_position)
                 .map_err(|e| with_context(&format!("shard {s}"), e))?,
         );
@@ -228,6 +231,16 @@ pub(crate) fn read_image(bytes: &[u8]) -> io::Result<(Option<usize>, Vec<Fragmen
     if !r.is_empty() {
         return Err(invalid("trailing bytes after the last shard image"));
     }
+    // The groups' vocabulary is derived, not stored: one pass over each
+    // shard's probe arena, the shards in parallel. The same pass
+    // refuses a total-keyword column lowered under its occurrences.
+    let shards = par::map(parts, |(catalog, inverted, graph)| {
+        FragmentIndex::assemble(catalog, inverted, graph)
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(s, index)| index.map_err(|e| invalid(&format!("shard {s}: {e}"))))
+    .collect::<io::Result<Vec<_>>>()?;
     Ok((range_position, shards))
 }
 
@@ -303,8 +316,12 @@ fn write_index_image<W: Write>(w: &mut W, index: &FragmentIndex) -> io::Result<(
     Ok(())
 }
 
-/// Reads one shard's six sections back into a `FragmentIndex`.
-fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<FragmentIndex> {
+/// Reads one shard's six sections back into the parts of a
+/// `FragmentIndex`, checked.
+fn read_index_image(
+    r: &mut &[u8],
+    range_position: Option<usize>,
+) -> io::Result<(FragmentCatalog, InvertedFragmentIndex, FragmentGraph)> {
     // Catalog.
     let mut p = read_section(r, SEC_CATALOG)?;
     // Identifiers decode straight into the catalog's columns through
@@ -420,12 +437,7 @@ fn read_index_image(r: &mut &[u8], range_position: Option<usize>) -> io::Result<
         tf_arena,
         probe_arena,
     );
-
-    Ok(FragmentIndex {
-        catalog,
-        inverted,
-        graph,
-    })
+    Ok((catalog, inverted, graph))
 }
 
 /// One posting arena's section payload: the posting count, then the
@@ -712,6 +724,31 @@ mod tests {
             "the list reads exactly the bytes it wrote"
         );
         back
+    }
+
+    #[test]
+    fn a_lowered_total_column_fails_the_load() {
+        let fragments = vec![
+            Fragment::new(
+                FragmentId::new(vec![Value::str("A"), Value::Int(1)]),
+                [("burger".to_string(), 2), ("fries".to_string(), 1)].into(),
+                1,
+            ),
+            Fragment::new(
+                FragmentId::new(vec![Value::str("B"), Value::Int(1)]),
+                [("burger".to_string(), 1)].into(),
+                1,
+            ),
+        ];
+        let mut index = FragmentIndex::build(&fragments, Some(1)).unwrap();
+        let frag = index.catalog.frag(&fragments[0].id).unwrap();
+        let mut lowered = fragments[0].clone();
+        lowered.total_keywords = 2;
+        index.catalog.refresh(frag, &lowered);
+        let mut bytes = Vec::new();
+        write_image(&mut bytes, Some(1), &[&index]).unwrap();
+        let err = read_image(&bytes).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("past its total of 2"), "{err}");
     }
 
     #[test]

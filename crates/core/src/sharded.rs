@@ -49,12 +49,12 @@
 //! key), so a shard's key range never changes and the partition stays
 //! contiguous in key order forever. A delta is applied in two halves.
 //! [`ShardedEngine::prepare`] does every read against the pre-delta
-//! engine: one walk of each touched shard's inverted lists,
-//! O(lists · log L), finds both the stale postings and the touched
-//! groups' vocabulary (the invalidation signature).
-//! [`ShardedEngine::apply_prepared`] then only writes: each affected
-//! shard splices its sub-delta into its own arenas in place, work
-//! proportional to the sub-delta plus one O(lists) offset-table pass,
+//! engine: each touched group's stored vocabulary is the invalidation
+//! signature's keyword half, and one walk of exactly those inverted
+//! lists finds the stale postings; then every posting splice is
+//! located. [`ShardedEngine::apply_prepared`] then only writes: each
+//! affected shard splices its located sub-delta into its own arenas in
+//! place, moving postings plus one O(lists) offset-table pass,
 //! and the engine refreshes the *global* coordinates incrementally:
 //! group-rank offsets are re-prefix-summed over per-shard key counts
 //! (O(shards)), and global IDF is always computed per request.
@@ -66,7 +66,8 @@
 //! A serving front-end keeps two engines in lockstep (the live one and
 //! its [`ShardedEngine::fork`]) and applies every delta to both. It
 //! prepares the delta once and applies the [`PreparedDelta`] to each
-//! side, so each publication walks the lists once, not once per side.
+//! side, so each publication walks and locates once, not once per
+//! side: the second side costs one splice.
 //! An engine's *generation* counts its applies and a fork inherits it;
 //! a prepared delta records the generation it was read at and applies
 //! only there, so it cannot land on a state it was not read from.
@@ -153,6 +154,15 @@ pub struct PreparedDelta<'d> {
     /// (see [`ShardedEngine::delta_signature`]). Applying does not read
     /// it.
     pub signature: DeltaSignature,
+}
+
+impl PreparedDelta<'_> {
+    /// How many inverted lists preparing the delta visited: one per
+    /// keyword of the touched groups' vocabulary, in each touched
+    /// shard — what a publish costs to read, whatever the shard's size.
+    pub fn lists_walked(&self) -> usize {
+        self.shards.iter().map(|(_, share)| share.held.len()).sum()
+    }
 }
 
 impl ShardedEngine {
@@ -363,12 +373,12 @@ impl ShardedEngine {
     /// The read half of a delta, against the engine as it stands:
     /// [`IndexDelta::check`], the routing of every entry to the shard
     /// owning its equality group, and per touched shard
-    /// (`FragmentIndex::prepare`) the stale handles, their pre-delta
-    /// totals and — from **one** walk of the shard's inverted lists,
-    /// O(lists · log L) — their postings and the touched groups'
+    /// (`FragmentIndex::prepare`) the touched groups' stored
     /// vocabulary, which completes the delta's
-    /// [`PreparedDelta::signature`]. Nothing changes;
-    /// [`ShardedEngine::apply_prepared`] does the writes.
+    /// [`PreparedDelta::signature`], the stale postings from one walk
+    /// of exactly those inverted lists, and the located posting splice.
+    /// Nothing changes; [`ShardedEngine::apply_prepared`] does the
+    /// writes.
     ///
     /// # Errors
     ///
@@ -377,7 +387,6 @@ impl ShardedEngine {
     pub fn prepare<'d>(&self, delta: &'d IndexDelta) -> Result<PreparedDelta<'d>> {
         delta.check(&self.app)?;
         let range_position = self.app.query.range_selection_index();
-        let mut signature = delta.signature(range_position);
         let mut routed: Vec<(Vec<&FragmentId>, Vec<&Fragment>)> =
             vec![(Vec::new(), Vec::new()); self.shards.len()];
         for id in &delta.removes {
@@ -395,16 +404,23 @@ impl ShardedEngine {
             if removes.is_empty() && adds.is_empty() {
                 continue;
             }
-            let index = &self.shards[s].index;
-            let share = index.prepare(removes, adds);
-            signature.keywords.extend(
-                share
-                    .held
-                    .iter()
-                    .map(|&kw| index.inverted.word(kw).to_string()),
-            );
-            shards.push((s, share));
+            shards.push((s, self.shards[s].index.prepare(removes, adds)));
         }
+        // One bulk collect (a sort, then a sorted build) of the adds'
+        // keywords and every touched group's pre-delta vocabulary.
+        let held = shards.iter().flat_map(|(s, share)| {
+            let inverted = &self.shards[*s].index.inverted;
+            share.held.iter().map(|&kw| inverted.word(kw).to_string())
+        });
+        let signature = DeltaSignature {
+            groups: delta.touched_groups(range_position),
+            keywords: delta
+                .adds
+                .iter()
+                .flat_map(|f| f.keyword_occurrences.keys().cloned())
+                .chain(held)
+                .collect(),
+        };
         Ok(PreparedDelta {
             generation: self.generation,
             shards,
@@ -413,12 +429,12 @@ impl ShardedEngine {
     }
 
     /// The write half of a delta: each touched shard splices its share
-    /// in place (`FragmentIndex::apply_prepared`: graph, catalog and
-    /// posting splices, proportional to the share, plus one O(lists)
-    /// offset-table pass), then the global group-rank offsets are
-    /// re-derived, O(shards). No inverted list is read that is not
-    /// edited, so applying one prepared delta to an engine and to its
-    /// lockstep fork walks the lists once in all.
+    /// in place (`FragmentIndex::apply_prepared`: graph, catalog,
+    /// already-located posting splices and the touched groups'
+    /// vocabularies, plus one O(lists) offset-table pass), then the
+    /// global group-rank offsets are re-derived, O(shards). Nothing is
+    /// read or located here, so applying one prepared delta to an
+    /// engine and to its lockstep fork walks and locates once in all.
     ///
     /// # Panics
     ///
@@ -521,10 +537,10 @@ impl ShardedEngine {
     /// holds right now (the removed fragments' live terms are a subset:
     /// they live in a touched group). It is
     /// [`ShardedEngine::prepare`]'s [`PreparedDelta::signature`]: each
-    /// touched shard's group handles are gathered into one sorted run
-    /// and its inverted lists walked once, so a bulk delta costs one
-    /// pass per shard, not one per group. A group that does not exist
-    /// yet contributes nothing — its adds' keywords are already in.
+    /// touched group's vocabulary is kept by its shard's index, so the
+    /// keyword half is read, not searched for — no inverted list is
+    /// visited for it. A group that does not exist yet contributes
+    /// nothing — its adds' keywords are already in.
     /// Compute this *before* the delta applies; afterwards the removed
     /// terms are gone.
     ///
@@ -674,7 +690,7 @@ impl ShardedEngine {
             // The batch is dead once stage one has read it: freed here,
             // its memory holds stage two's TF arena and graph.
             drop(batch);
-            indexes.push(placed.finish());
+            indexes.push(placed.finish()?);
         }
         Self::assemble(app, indexes, range_position, crawl_stats)
     }
@@ -1038,6 +1054,19 @@ pub(crate) mod tests {
             }
         ));
         assert!(image(&engine) == before, "no shard changed");
+        // Occurrences summing past the fragment's total are refused
+        // by the same check, before any shard changes.
+        let mut past = larb(vec![Value::str("Lao"), Value::Int(4)]);
+        past.total_keywords = 1;
+        let past = IndexDelta::new(vec![thai.clone()], vec![fits.clone(), past]);
+        let expected = CoreError::OccurrencesPastTotal {
+            id: "(Lao,4)".to_string(),
+            occurrences: 2,
+            total_keywords: 1,
+        };
+        assert_eq!(past.check(engine.app()).unwrap_err(), expected);
+        assert_eq!(engine.apply_checked(&past).unwrap_err(), expected);
+        assert!(image(&engine) == before, "no shard changed");
         // The engine still applies a delta that fits.
         engine.apply_delta(IndexDelta::adding(vec![fits]));
         let req = SearchRequest::new(&["larb"]).k(3).min_size(1);
@@ -1320,6 +1349,16 @@ pub(crate) mod tests {
                     4 * index.graph.node_count()
                         + 8 * index.catalog.len()
                         + size_of::<Vec<crate::index::Frag>>() * groups,
+                    "{context}: shard {s}"
+                );
+                // The vocabulary: a boxed run per group, 4 bytes a
+                // keyword it holds.
+                let held: usize = (0..groups as u32)
+                    .map(|g| index.group_vocabulary(GroupId(g)).len())
+                    .sum();
+                assert_eq!(
+                    heap.vocab,
+                    size_of::<Box<[crate::index::Kw]>>() * groups + 4 * held,
                     "{context}: shard {s}"
                 );
             }

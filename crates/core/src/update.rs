@@ -110,13 +110,16 @@ impl IndexDelta {
     /// Checks that the delta fits `app`, the check both engines run
     /// before any index changes: every identifier, removed or added,
     /// holds one value per selection attribute (paper Definition 2),
-    /// and every occurrence count fits a posting.
+    /// every occurrence count fits a posting, and each added
+    /// fragment's counts sum to at most its `total_keywords`.
     ///
     /// # Errors
     ///
     /// [`CoreError::IdentifierArity`] for the first identifier of
     /// another arity, then [`CoreError::OccurrenceOverflow`] for the
-    /// first count above `u32::MAX`.
+    /// first count above `u32::MAX` or
+    /// [`CoreError::OccurrencesPastTotal`] for the first fragment whose
+    /// counts sum past its total.
     pub fn check(&self, app: &WebApplication) -> Result<()> {
         let expected = app.query.selections.len();
         let ids = self.removes.iter().chain(self.adds.iter().map(|f| &f.id));

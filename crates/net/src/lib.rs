@@ -144,6 +144,7 @@
 //! | `dash_serve_publish_invalidate_ns` | histogram | inside `swap`: the signature sweep of both cache instances (results and rendered responses) |
 //! | `dash_serve_signature_keywords` | gauge | keywords in the last published signature |
 //! | `dash_index_heap_{catalog_ids,handle_order,columns,graph,interner,tf_arena,probe_arena,lists}_bytes` | gauge | the live engine's heap bytes per structure, summed over its shards and refreshed at scrape (`ShardedEngine::heap_bytes`: capacities, 8 bytes a posting in each arena, 4 a handle in the handle-order column); the shadow engine holds as much again |
+//! | `dash_index_heap_vocab_bytes` | gauge | the live engine's per-group vocabularies (one boxed run of 4-byte keyword handles per equality group, read by every publish instead of walking the inverted lists), summed over its shards and refreshed at scrape; the shadow engine holds as much again |
 //! | `dash_shard_{search,search_many}_ns`, `dash_shard_candidates_total` | histogram/counter | sharded search: one heap loop per request, one call per batch, candidates popped |
 //! | `dash_shard_{seeds,probes,expansions}_total` | counter | sharded search work: fragments seeded into the heap, binary-search probes of the fragment-sorted arena, candidate expansions |
 //! | `dash_repl_{bootstraps,catchups,deltas_applied,forwarded,forward_retries}_total` | counter | replication + write forwarding |

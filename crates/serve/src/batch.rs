@@ -234,7 +234,8 @@ impl Drop for Turn<'_> {
     }
 }
 
-/// Answers one batch against one snapshot and feeds the result cache.
+/// Answers one batch against one snapshot. Caching is the caller's:
+/// each path caches the payload it produces.
 pub(crate) fn serve_batch(shared: &ServerShared, batch: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
     // Dedup identical requests: one engine computation per distinct
     // request, every duplicate answered from it (a thundering herd on
@@ -255,11 +256,6 @@ pub(crate) fn serve_batch(shared: &ServerShared, batch: &[SearchRequest]) -> Vec
     shared.batches.inc();
     shared.batched_requests.add(batch.len() as u64);
     shared.batch_size.record(batch.len() as u64);
-    if shared.cache.enabled() {
-        for (request, hits) in unique.iter().zip(&results) {
-            shared.cache.insert(request, hits.clone(), snapshot.epoch);
-        }
-    }
     if unique.len() == batch.len() {
         // No duplicates (a lone miss always): slot i is result i, so
         // hand the results over instead of cloning every hit list.

@@ -4,7 +4,9 @@
 //! instances of it:
 //!
 //! * the **result cache** — hit lists (`Vec<SearchHit>`), budgeted in
-//!   hits, fronting the engine for every in-process search;
+//!   hits, read and filled only by the paths that return hit lists
+//!   ([`DashServer::search`](crate::DashServer::search) and
+//!   [`DashServer::search_many`](crate::DashServer::search_many));
 //! * the **rendered cache** — the wire-tax attack. A cache-hit search
 //!   once cost ~112µs over the socket against ~4µs in-process: the
 //!   result cache removes the *search*, but the front-end still
@@ -13,7 +15,10 @@
 //!   of a `GET /search` response (`Arc<Vec<u8>>`, budgeted in bytes), so
 //!   a repeat of a hot request is a lookup and a single `write(2)`.
 //!   Serve never learns HTTP: the caller renders
-//!   ([`DashServer::search_rendered`](crate::DashServer::search_rendered)).
+//!   ([`DashServer::search_rendered`](crate::DashServer::search_rendered)),
+//!   and a rendered miss neither reads nor fills the result cache — its
+//!   repeats are answered from the bytes, so a hit list cached beside
+//!   them would only be swept.
 //!
 //! Both instances are swept by the same publication, under the writer
 //! lock, before the snapshot swap — so everything below holds for each.
@@ -208,8 +213,20 @@ impl<V: Clone> Cache<V> {
         self.capacity > 0
     }
 
-    /// Looks up a request, refreshing its recency on a hit.
+    /// Looks up a request, refreshing its recency on a hit; a miss
+    /// counts as a lookup that falls through to the engine.
     pub(crate) fn get(&self, request: &SearchRequest) -> Option<V> {
+        self.lookup(request, true)
+    }
+
+    /// [`Cache::get`] for a caller that falls through to another
+    /// lookup (which counts the miss) rather than to the engine: only
+    /// a hit is counted.
+    pub(crate) fn probe(&self, request: &SearchRequest) -> Option<V> {
+        self.lookup(request, false)
+    }
+
+    fn lookup(&self, request: &SearchRequest, count_miss: bool) -> Option<V> {
         if self.capacity == 0 {
             return None;
         }
@@ -227,7 +244,7 @@ impl<V: Clone> Cache<V> {
                 Some(value)
             }
             None => {
-                inner.stats.misses += 1;
+                inner.stats.misses += u64::from(count_miss);
                 None
             }
         }

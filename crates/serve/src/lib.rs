@@ -25,9 +25,12 @@
 //!   thread with no window and no hand-off; identical requests in a
 //!   batch are computed once.
 //! * **Precise caching** ([`cache`]) — one keyed LRU, generic over its
-//!   payload, with two instances: hit lists fronting the engine, and
-//!   the rendered response bytes a front-end hands back for a repeat
-//!   request ([`DashServer::search_rendered`]). Each publication sweeps
+//!   payload, with two instances, each filled and read only by the
+//!   path that produces its payload: hit lists by [`DashServer::search`]
+//!   and [`DashServer::search_many`], and the rendered response bytes
+//!   a front-end hands back for a repeat request by
+//!   [`DashServer::search_rendered`], which never touches the hit-list
+//!   instance. Each publication sweeps
 //!   both under the writer lock, entry-by-entry, using the published
 //!   delta's [`DeltaSignature`] (the keywords it adds plus the
 //!   pre-delta vocabulary of the equality groups it touches)
@@ -529,6 +532,19 @@ impl DashServer {
         if let Some(hits) = self.shared.cache.get(request) {
             return hits;
         }
+        // Read before searching, as `search_rendered` does: a
+        // publication landing in between makes the insert stale.
+        let epoch = self.epoch();
+        let hits = self.search_uncached(request);
+        if self.shared.cache.enabled() {
+            self.shared.cache.insert(request, hits.clone(), epoch);
+        }
+        hits
+    }
+
+    /// One request through the micro-batcher against the current
+    /// snapshot, with no cache read or filled.
+    fn search_uncached(&self, request: &SearchRequest) -> Vec<SearchHit> {
         let mut answers = self.serve_misses(vec![request.clone()]);
         answers.pop().expect("one answer per request")
     }
@@ -536,12 +552,14 @@ impl DashServer {
     /// The rendered response cached for `request`, if any — a front
     /// end's fast path (no search, no rendering). A hit counts as a
     /// served search and as a cache hit, so `/stats` reports every
-    /// search wherever its bytes came from.
+    /// search wherever its bytes came from. A miss is not counted: the
+    /// caller falls through to [`DashServer::search_rendered`], whose
+    /// own lookup counts it, so a request misses once.
     pub fn cached_rendered(&self, request: &SearchRequest) -> Option<Arc<Vec<u8>>> {
         if degenerate(request) {
             return None;
         }
-        let bytes = self.shared.rendered.get(request)?;
+        let bytes = self.shared.rendered.probe(request)?;
         self.shared.searches.inc();
         Some(bytes)
     }
@@ -549,7 +567,9 @@ impl DashServer {
     /// [`DashServer::search`] with the answer rendered by `render` and
     /// cached as bytes: a repeat of `request` is answered by
     /// [`DashServer::cached_rendered`] until a publication's signature
-    /// meets its keywords. The epoch is read *before* searching: if a
+    /// meets its keywords. A miss searches through the batcher without
+    /// reading or filling the hit-list instance: its repeats are
+    /// answered from the bytes. The epoch is read *before* searching: if a
     /// publication lands before the insert, the insert is rejected as
     /// stale — the race resolves to "don't cache", never to "cache
     /// stale bytes". It is the live snapshot's epoch, not the cache's:
@@ -564,11 +584,16 @@ impl DashServer {
         if degenerate(request) {
             return Arc::new(render(&[]));
         }
-        if let Some(bytes) = self.cached_rendered(request) {
+        self.shared.searches.inc();
+        if let Some(bytes) = self.shared.rendered.get(request) {
             return bytes;
         }
         let epoch = self.epoch();
-        let bytes = Arc::new(render(&self.search(request)));
+        let hits = {
+            let _span = SpanGuard::start(&self.shared.search_ns);
+            self.search_uncached(request)
+        };
+        let bytes = Arc::new(render(&hits));
         self.shared
             .rendered
             .insert(request, Arc::clone(&bytes), epoch);
@@ -596,7 +621,16 @@ impl DashServer {
             };
             results.push(hits);
         }
+        if misses.is_empty() {
+            return results;
+        }
+        let epoch = self.epoch();
         for (slot, hits) in slots.into_iter().zip(self.serve_misses(misses)) {
+            if self.shared.cache.enabled() {
+                self.shared
+                    .cache
+                    .insert(&requests[slot], hits.clone(), epoch);
+            }
             results[slot] = hits;
         }
         results
@@ -789,7 +823,7 @@ impl DashServer {
                 delta,
                 signature,
             };
-            self.shared.delta_log.lock().push(event.clone());
+            // Each tap gets a clone; the log takes the event itself.
             let mut taps = self.shared.taps.lock();
             let mut evicted = 0u64;
             taps.retain(|tap| match tap.try_send(event.clone()) {
@@ -804,6 +838,8 @@ impl DashServer {
             if evicted > 0 {
                 self.shared.feed_evictions.add(evicted);
             }
+            drop(taps);
+            self.shared.delta_log.lock().push(event);
         }
         Ok((stats, writer.epoch))
     }
@@ -889,6 +925,7 @@ impl DashServer {
         let rendered = self.shared.rendered.stats();
         let mut cache = self.shared.cache.stats();
         cache.hits += rendered.hits;
+        cache.misses += rendered.misses;
         ServeStats {
             cache,
             rendered,

@@ -49,6 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut fragment = reference::fragments(&app, &db)?.swap_remove(0);
     if let Some(count) = fragment.keyword_occurrences.values_mut().next() {
         *count += 1;
+        fragment.total_keywords += 1;
     }
     server.publish(IndexDelta::new(vec![fragment.id.clone()], vec![fragment]));
     let stats = server.stats();

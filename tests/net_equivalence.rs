@@ -472,6 +472,9 @@ fn stats_report_the_serving_counters() {
     assert_eq!(stats.get("role").and_then(|v| v.as_str()), Some("primary"));
     assert_eq!(stats.get("searches").and_then(|v| v.as_u64()), Some(2));
     assert_eq!(stats.get("cache_hits").and_then(|v| v.as_u64()), Some(1));
+    // One lookup missed: the rendered one. The miss is served without
+    // a second, hit-list lookup.
+    assert_eq!(stats.get("cache_misses").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(stats.get("epoch").and_then(|v| v.as_u64()), Some(0));
     assert!(stats.get("qps").and_then(|v| v.as_f64()).unwrap() > 0.0);
 }

@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 
 use dash::core::crawl::reference;
-use dash::core::{IngestSource, SearchRequest, ShardedEngine};
+use dash::core::{IndexDelta, IngestSource, SearchRequest, ShardedEngine};
 use dash::relation::Database;
 use dash::webapp::WebApplication;
 use dash_bench::scale::ScaleCorpus;
@@ -185,6 +185,47 @@ fn every_sampled_bit_flip_is_rejected() {
             );
         }
     }
+}
+
+/// A publish reads what it touches: preparing a one-group upsert on a
+/// Zipf corpus visits exactly the group's vocabulary lists — under a
+/// tenth of the shard's.
+#[test]
+fn a_one_group_upsert_walks_only_its_groups_vocabulary() {
+    let app = q2_app();
+    // `dashbench`'s shape: groups of 100 fragments over a 4 000-word
+    // vocabulary.
+    let corpus = ScaleCorpus {
+        vocab: 4_000,
+        ..ScaleCorpus::sized(20_000)
+    };
+    let engine = sharded_from_batches(&app, &corpus, 1);
+    let index = engine.shard_indexes().next().expect("one shard");
+    let group = corpus.groups / 2;
+    let adds: Vec<_> = (1..=4)
+        .map(|quantity| {
+            let mut fragment = corpus.fragment(group, quantity);
+            for count in fragment.keyword_occurrences.values_mut() {
+                *count += 1;
+            }
+            fragment.total_keywords = fragment.keyword_occurrences.values().sum();
+            fragment
+        })
+        .collect();
+    let frag = index.catalog.frag(&adds[0].id).expect("the group is built");
+    let vocabulary = index.group_vocabulary(index.catalog.group(frag)).len();
+    let delta = IndexDelta::adding(adds);
+    let walked = engine
+        .prepare(&delta)
+        .expect("the delta fits")
+        .lists_walked();
+    let lists = index.inverted.keyword_count();
+    println!("walked {walked} of {lists} lists");
+    assert_eq!(walked, vocabulary);
+    assert!(
+        10 * walked < lists,
+        "{walked} lists walked of the shard's {lists}"
+    );
 }
 
 #[test]

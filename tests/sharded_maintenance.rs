@@ -20,11 +20,16 @@
 //!   shard counts and compared against the reference over the final
 //!   fragment set;
 //! * round-trip composition — maintenance after an arena-image
-//!   dump/load (see `tests/scale_persist.rs` for the image itself).
+//!   dump/load (see `tests/scale_persist.rs` for the image itself);
+//! * the kept vocabulary — after every delta of a random sequence, at
+//!   every width, after a fork and after an image round trip, each
+//!   equality group's stored keywords equal those its live fragments
+//!   hold, derived from scratch.
 
 use proptest::prelude::*;
 
 use dash::core::crawl::reference;
+use dash::core::index::{GroupId, Kw};
 use dash::core::{
     DashConfig, Fragment, FragmentId, IndexDelta, IngestSource, RecordChange, SearchHit,
     SearchRequest, ShardedEngine,
@@ -432,6 +437,122 @@ proptest! {
                 "shards={} after {} fragments",
                 shards,
                 truth.len()
+            );
+        }
+    }
+
+    /// Every equality group's stored vocabulary is exactly the set of
+    /// keywords its live fragments hold, after each delta of a random
+    /// sequence — deltas that create and empty groups, bring words the
+    /// engine has never seen, repeat an add (last wins) and remove and
+    /// re-insert one key in one delta — at widths {1, 2, 4}, and again
+    /// in a fork and in an image-loaded engine, each taking one more
+    /// delta.
+    #[test]
+    fn group_vocabularies_equal_their_rederivation_after_every_delta(
+        rows in prop::collection::vec(fragment_strategy(0..12, 0..4), 0..24),
+        deltas in prop::collection::vec(vocabulary_delta_strategy(), 1..10),
+    ) {
+        let app = fooddb::search_application().unwrap();
+        // The last two keys start empty, so deltas create groups.
+        let initial: Vec<Fragment> = materialize(&rows)
+            .into_iter()
+            .filter(|f| EQ_KEYS[..4].iter().any(|&key| f.id.values()[0] == Value::str(key)))
+            .collect();
+        for shards in [1, 2, 4] {
+            let mut engine = ShardedEngine::builder(app.clone())
+                .shards(shards)
+                .source(IngestSource::Fragments(&initial))
+                .build()
+                .unwrap();
+            assert_vocabularies_rederive(&engine, &format!("shards={shards} built"));
+            for (step, delta) in deltas.iter().enumerate() {
+                engine.apply_delta(delta.clone());
+                assert_vocabularies_rederive(&engine, &format!("shards={shards} step {step}"));
+            }
+            let mut fork = engine.fork();
+            let mut image = Vec::new();
+            engine.write_image(&mut image).unwrap();
+            let mut loaded = ShardedEngine::builder(app.clone())
+                .source(IngestSource::Image(&image))
+                .build()
+                .unwrap();
+            assert_vocabularies_rederive(&loaded, &format!("shards={shards} loaded"));
+            for (label, other) in [("fork", &mut fork), ("loaded", &mut loaded)] {
+                other.apply_delta(deltas[0].clone());
+                assert_vocabularies_rederive(other, &format!("shards={shards} {label}"));
+            }
+        }
+    }
+}
+
+/// One delta of the vocabulary property: removes of arbitrary keys,
+/// adds that may carry a word outside [`VOCAB`] (so new to the engine),
+/// and a shape — plain, the first add repeated with other counts (last
+/// wins), or the first add's key also removed (delete + re-insert).
+fn vocabulary_delta_strategy() -> impl Strategy<Value = IndexDelta> {
+    (
+        prop::collection::vec((0..EQ_KEYS.len(), 0i64..12), 0..3),
+        prop::collection::vec(
+            (fragment_strategy(0..12, 0..4), prop::option::of(0u32..3)),
+            0..4,
+        ),
+        0usize..3,
+    )
+        .prop_map(|(removes, adds, shape)| {
+            let mut removes: Vec<FragmentId> = removes
+                .into_iter()
+                .map(|(eq, range)| {
+                    FragmentId::new(vec![Value::str(EQ_KEYS[eq]), Value::Int(range)])
+                })
+                .collect();
+            let mut adds: Vec<Fragment> = adds
+                .into_iter()
+                .map(|(row, novel)| {
+                    let mut occurrences = row.materialize().keyword_occurrences;
+                    if let Some(n) = novel {
+                        occurrences.insert(format!("novel{n}"), 1);
+                    }
+                    Fragment::new(row.id(), occurrences, 1)
+                })
+                .collect();
+            if let Some(first) = adds.first().cloned() {
+                match shape {
+                    1 => adds.push(Fragment::new(
+                        first.id.clone(),
+                        first
+                            .keyword_occurrences
+                            .keys()
+                            .map(|w| (w.clone(), 2))
+                            .collect(),
+                        1,
+                    )),
+                    2 => removes.push(first.id),
+                    _ => {}
+                }
+            }
+            IndexDelta::new(removes, adds)
+        })
+}
+
+/// Asserts that every group of every shard stores exactly the keywords
+/// its live fragments hold, read back one fragment at a time.
+fn assert_vocabularies_rederive(engine: &ShardedEngine, context: &str) {
+    for (s, index) in engine.shard_indexes().enumerate() {
+        for group in (0..index.catalog.key_count() as u32).map(GroupId) {
+            let mut derived: Vec<Kw> = index
+                .graph
+                .group_nodes(group)
+                .iter()
+                .flat_map(|&frag| index.inverted.fragment_terms(frag))
+                .map(|(word, _)| index.inverted.kw(word).expect("a held word has a list"))
+                .collect();
+            derived.sort_unstable();
+            derived.dedup();
+            assert_eq!(
+                index.group_vocabulary(group),
+                &derived[..],
+                "{context}: shard {s}, {group:?}"
             );
         }
     }
