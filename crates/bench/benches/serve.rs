@@ -4,7 +4,7 @@
 //! | Row | Measures |
 //! |---|---|
 //! | `serve/path/cache-hit` | a repeat request answered from the result cache |
-//! | `serve/path/uncached-batched-miss` | a lone request through a cacheless server: it leads its own micro-batch |
+//! | `serve/path/uncached-batched-miss` | a lone request through a cacheless server: one engine search on the caller's thread, counted and timed |
 //! | `serve/path/engine-direct` | the same search straight on the snapshot's engine |
 //!
 //! End-to-end serving under mixed search/update traffic is

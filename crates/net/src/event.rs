@@ -21,9 +21,10 @@
 //!   does a `400`/`413`, and keeps leading. Any other request
 //!   (a miss, `POST /update`, `/stats`, `/metrics`, …) first
 //!   **promotes** a parked follower to leader, then is answered start
-//!   to finish on the thread that read it; a miss goes through
-//!   [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
-//!   which caches the bytes for the next repeat. Pipelined requests
+//!   to finish on the thread that read it; a search that missed goes
+//!   through [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
+//!   which searches without a second lookup and caches the bytes for
+//!   the next repeat. Pipelined requests
 //!   already buffered are answered before the connection goes back to
 //!   `epoll`. The thread then rejoins the followers.
 //!
@@ -414,7 +415,8 @@ impl Conn {
 }
 
 /// A complete request that needs a thread: the connection it came on
-/// (owned), and its search parsed once, if it is a cacheable search.
+/// (owned), and its search parsed once, if it is a cacheable search
+/// (which then has already missed the rendered cache).
 #[derive(Debug)]
 struct Handoff {
     slot: usize,
@@ -800,15 +802,17 @@ impl Shared {
             let search = cacheable(&request)
                 .then(|| parse_search(&request).ok())
                 .flatten();
-            // The cached rendering carries keep-alive framing.
-            if !conn.read_closed {
-                let hit = search
-                    .as_ref()
-                    .and_then(|search| self.backend.server()?.cached_rendered(search));
-                if let Some(bytes) = hit {
-                    conn.start_writing(bytes, false, now);
-                    continue;
-                }
+            // Every cacheable search is looked up here, once: a miss is
+            // handed on and answered without a second lookup. A hit is
+            // the keep-alive rendering `respond` would write, so it is
+            // written in place, and a peer that already sent EOF is
+            // closed once it has been answered, as after any response.
+            let hit = search
+                .as_ref()
+                .and_then(|search| self.backend.server()?.cached_rendered(search));
+            if let Some(bytes) = hit {
+                conn.start_writing(bytes, false, now);
+                continue;
             }
             return Some(Handoff {
                 slot,
@@ -1027,10 +1031,12 @@ fn metrics_text(obs: &NetObs, backend: &Backend) -> String {
 }
 
 /// Answers one request on the calling thread. A cacheable search (its
-/// `search` parsed once, by the thread that read it) goes through
+/// `search` parsed once, and looked up in the rendered cache, by the
+/// thread that read it) goes through
 /// [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
-/// which renders the hits into keep-alive response bytes and caches
-/// them epoch-checked for the next repeat.
+/// which searches without looking up again, renders the hits into
+/// keep-alive response bytes and caches them epoch-checked for the
+/// next repeat.
 fn respond(
     request: &Request,
     search: Option<SearchRequest>,

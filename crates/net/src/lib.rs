@@ -4,8 +4,8 @@
 //! source paper's deployment story implies. Everything below this
 //! crate is a single process: `dash-core` proved the engine
 //! (sharded, incrementally maintained, byte-exact), `dash-serve`
-//! proved the serving semantics (snapshot swaps, micro-batching,
-//! precise cache invalidation). This crate puts both on the network
+//! proved the serving semantics (snapshot swaps, precise cache
+//! invalidation). This crate puts both on the network
 //! with `std::net` alone — the build environment has no registry
 //! access, so HTTP, JSON and the replication protocol are small
 //! hand-rolled implementations, each tested in isolation.
@@ -136,8 +136,7 @@
 //! | `dash_net_busy_followers` | gauge | pool threads answering a request (neither leading nor parked) |
 //! | `dash_net_response_cache_*`, `dash_net_cached_responses` | gauge | the backing server's rendered-cache counters (`hits`, `misses`, `insertions`, `rejected_stale`, `rejected_oversize`, `invalidated`, `evicted`), mirrored at scrape |
 //! | `dash_serve_searches_total`, `dash_serve_batches_total`, … | counter | serving stack (see `dash-serve`) |
-//! | `dash_serve_{search,swap,drain}_ns`, `dash_serve_batch_size` | histogram | serving stage latencies / batch shape |
-//! | `dash_serve_batch_wait_ns` | histogram | per miss: enqueue → start of the batch serving it (~0 for a lone request, which leads its own batch) |
+//! | `dash_serve_{search,swap,drain}_ns` | histogram | serving stage latencies |
 //! | `dash_serve_publish_signature_ns` | histogram | inside `swap`: the delta's preparation against the shadow, the one walk of the touched shards' lists that yields the signature (touched groups' vocabulary) and the stale postings |
 //! | `dash_serve_publish_apply_ns` | histogram | inside `swap`: the shadow engine's apply of the prepared delta |
 //! | `dash_serve_publish_replay_ns` | histogram | inside `drain`: the retired side's apply of the same prepared delta (no sample when the drain forks instead) |

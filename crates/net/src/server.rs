@@ -4,8 +4,8 @@
 //! mirroring one):
 //!
 //! * `GET /search?kw=…&kw=…&k=…&s=…` — top-k db-page search through
-//!   the full serving path (cache → caller-led micro-batch → snapshot,
-//!   a lone miss searched inline on the thread that read it); the
+//!   the full serving path (rendered cache → snapshot, a miss
+//!   searched on the thread that read it); the
 //!   response is the byte-stable JSON hit list of [`json::hits_to_json`].
 //! * `POST /update` — a binary [`UpdateBody`]: either a
 //!   [`RecordChange`] batch applied to the primary's database and
@@ -16,7 +16,7 @@
 //!   writes; one without answers `503`. A **promoted** replica serves
 //!   `Publish` bodies itself (it *is* the primary now).
 //! * `GET /stats` — serving counters: qps over uptime, cache hit
-//!   rate, snapshot epoch, batching factor — plus the node's `role`
+//!   rate, snapshot epoch, engine calls — plus the node's `role`
 //!   (`"primary"` / `"replica"`; a promoted replica reports
 //!   `"primary"`, which is how the routing front tier discovers the
 //!   new primary after a failover).

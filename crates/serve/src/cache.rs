@@ -14,9 +14,11 @@
 //!   on every request. This instance stores the **final socket bytes**
 //!   of a `GET /search` response (`Arc<Vec<u8>>`, budgeted in bytes), so
 //!   a repeat of a hot request is a lookup and a single `write(2)`.
-//!   Serve never learns HTTP: the caller renders
-//!   ([`DashServer::search_rendered`](crate::DashServer::search_rendered)),
-//!   and a rendered miss neither reads nor fills the result cache — its
+//!   Serve never learns HTTP: the caller looks the bytes up
+//!   ([`DashServer::cached_rendered`](crate::DashServer::cached_rendered))
+//!   and has a miss searched and rendered
+//!   ([`DashServer::search_rendered`](crate::DashServer::search_rendered));
+//!   a rendered miss neither reads nor fills the result cache — its
 //!   repeats are answered from the bytes, so a hit list cached beside
 //!   them would only be swept.
 //!
@@ -216,17 +218,6 @@ impl<V: Clone> Cache<V> {
     /// Looks up a request, refreshing its recency on a hit; a miss
     /// counts as a lookup that falls through to the engine.
     pub(crate) fn get(&self, request: &SearchRequest) -> Option<V> {
-        self.lookup(request, true)
-    }
-
-    /// [`Cache::get`] for a caller that falls through to another
-    /// lookup (which counts the miss) rather than to the engine: only
-    /// a hit is counted.
-    pub(crate) fn probe(&self, request: &SearchRequest) -> Option<V> {
-        self.lookup(request, false)
-    }
-
-    fn lookup(&self, request: &SearchRequest, count_miss: bool) -> Option<V> {
         if self.capacity == 0 {
             return None;
         }
@@ -244,7 +235,7 @@ impl<V: Clone> Cache<V> {
                 Some(value)
             }
             None => {
-                inner.stats.misses += u64::from(count_miss);
+                inner.stats.misses += 1;
                 None
             }
         }

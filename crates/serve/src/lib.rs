@@ -7,7 +7,7 @@
 //! the dependency graph — the servlet-side serving layer the core
 //! engines were built for.
 //!
-//! [`DashServer`] composes three mechanisms, each in its own module:
+//! [`DashServer`] composes two mechanisms, each in its own module:
 //!
 //! * **Epoch snapshots** ([`snapshot`]) — the engine lives behind an
 //!   `Arc` snapshot handle; readers grab the current snapshot and
@@ -17,31 +17,30 @@
 //!   prepared once ([`ShardedEngine::prepare`]) and that one preparation
 //!   is applied to both sides. Searches never block on maintenance and
 //!   can never observe a half-applied delta.
-//! * **Micro-batching** ([`batch`]) — caller-led (flat combining): a
-//!   caller that finds no batch in flight serves the queue itself in
-//!   one [`ShardedEngine::search_many`] call (up to
-//!   [`ServeConfig::max_batch`] requests), so batches form exactly when
-//!   requests overlap and a lone request is served inline on its own
-//!   thread with no window and no hand-off; identical requests in a
-//!   batch are computed once.
 //! * **Precise caching** ([`cache`]) — one keyed LRU, generic over its
 //!   payload, with two instances, each filled and read only by the
 //!   path that produces its payload: hit lists by [`DashServer::search`]
 //!   and [`DashServer::search_many`], and the rendered response bytes
 //!   a front-end hands back for a repeat request by
-//!   [`DashServer::search_rendered`], which never touches the hit-list
-//!   instance. Each publication sweeps
+//!   [`DashServer::cached_rendered`] and [`DashServer::search_rendered`],
+//!   which never touch the hit-list instance. Each publication sweeps
 //!   both under the writer lock, entry-by-entry, using the published
 //!   delta's [`DeltaSignature`] (the keywords it adds plus the
 //!   pre-delta vocabulary of the equality groups it touches)
 //!   intersected with each entry's request keywords — never a
 //!   wholesale flush, and no per-entry bookkeeping on the read path.
 //!
+//! Between the two there is nothing: a cache miss is answered on the
+//! caller's own thread by one call to the current snapshot's engine
+//! ([`ShardedEngine::search_many`], or `search` for one request), so
+//! concurrent misses run side by side on the engine's pooled scratch,
+//! and a search that panics fails only its own caller.
+//!
 //! The whole stack is **exact**: `tests/serve_equivalence.rs` proves
-//! that served hit lists — cached, batched, and across any
-//! interleaving of snapshot publications — are byte-identical to a
-//! fresh [`DashEngine::search`] over the same fragments, at shard
-//! counts 1 and 4.
+//! that served hit lists — cached, client-batched, concurrent, and
+//! across any interleaving of snapshot publications — are
+//! byte-identical to a fresh [`DashEngine::search`] over the same
+//! fragments, at shard counts 1 and 4.
 //!
 //! ## Quickstart
 //!
@@ -69,7 +68,6 @@
 //! [`IndexDelta`]: dash_core::IndexDelta
 //! [`DeltaSignature`]: dash_core::DeltaSignature
 
-pub mod batch;
 pub mod cache;
 pub mod snapshot;
 
@@ -100,7 +98,7 @@ const RENDERED_BYTES: usize = 4 << 20;
 
 /// How many scheduler yields a publication waits for the retired
 /// snapshot's readers before falling back to forking the new live
-/// engine. In-flight micro-batches hold snapshots for microseconds, so
+/// engine. In-flight searches hold snapshots for microseconds, so
 /// real drains finish in a handful of yields; the bound only matters
 /// when a caller retains a [`DashServer::snapshot`] long-term.
 const DRAIN_ATTEMPTS: usize = 4096;
@@ -117,15 +115,6 @@ pub struct ServeConfig {
     /// Shard count of the underlying engines. The default reads
     /// `DASH_SHARDS` (like the CI matrix) and falls back to 1.
     pub shards: usize,
-    /// Maximum requests per micro-batch — what one leading caller
-    /// serves per turn. There is no batch window: a batch is whatever
-    /// queued while the previous one ran, so a lone request is a batch
-    /// of one. Nor is there a queue bound to set: every caller blocks
-    /// until it is answered, so the queue never holds more than the
-    /// callers' outstanding requests (on the socket path the net
-    /// tier's fixed thread pool and `queue_depth` are the admission
-    /// bound).
-    pub max_batch: usize,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
     /// Admission budget on the *total* number of cached [`SearchHit`]s
@@ -154,7 +143,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: env_shards().unwrap_or(1),
-            max_batch: 16,
             cache_capacity: 1024,
             cache_hit_budget: 1 << 16,
             delta_log: 64,
@@ -207,10 +195,13 @@ pub struct ServeStats {
     /// Rendered-response cache counters (see
     /// [`DashServer::search_rendered`]).
     pub rendered: CacheStats,
-    /// Micro-batches served.
+    /// Engine calls made to answer cache misses: one per
+    /// [`DashServer::search`] that misses, per
+    /// [`DashServer::search_rendered`], and per
+    /// [`DashServer::search_many`] with any miss.
     pub batches: u64,
-    /// Requests answered through batches (≥ batches; the ratio is the
-    /// achieved batching factor).
+    /// Requests those engine calls answered (≥ batches; the ratio is
+    /// the mean requests per engine call).
     pub batched_requests: u64,
     /// Deltas published.
     pub published: u64,
@@ -333,14 +324,15 @@ impl DeltaLog {
     }
 }
 
-/// State shared between callers (and whichever of them leads a batch)
-/// and the writer.
+/// A serving front-end over a [`ShardedEngine`]: cached top-k search
+/// that never blocks on index maintenance, plus the writer-side
+/// publish path. See the [crate docs](crate) for the architecture.
 #[derive(Debug)]
-pub(crate) struct ServerShared {
-    pub(crate) handle: SnapshotHandle,
+pub struct DashServer {
+    handle: SnapshotHandle,
     /// Hit lists, budgeted in hits ([`ServeConfig::cache_capacity`],
     /// [`ServeConfig::cache_hit_budget`]).
-    pub(crate) cache: Cache<Vec<SearchHit>>,
+    cache: Cache<Vec<SearchHit>>,
     /// Rendered responses, budgeted in bytes (`RENDERED_ENTRIES`,
     /// `RENDERED_BYTES`).
     rendered: Cache<Arc<Vec<u8>>>,
@@ -350,17 +342,16 @@ pub(crate) struct ServerShared {
     /// endpoints can never disagree. Per-instance on purpose: tests
     /// run many servers per process and each keeps its own tallies.
     registry: Arc<Registry>,
-    pub(crate) batches: Arc<Counter>,
-    pub(crate) batched_requests: Arc<Counter>,
+    /// Engine calls and the requests they answered (see
+    /// [`ServeStats::batches`]).
+    batches: Arc<Counter>,
+    batched_requests: Arc<Counter>,
     published: Arc<Counter>,
     searches: Arc<Counter>,
     feed_evictions: Arc<Counter>,
-    /// End-to-end `DashServer::search` latency (cache lookup + batch
-    /// wait + engine time).
+    /// End-to-end `DashServer::search` latency (cache lookup + engine
+    /// time); the engine time alone for `DashServer::search_rendered`.
     search_ns: Arc<Histogram>,
-    /// Requests per served micro-batch (the achieved batching factor's
-    /// distribution, not just its mean).
-    pub(crate) batch_size: Arc<Histogram>,
     /// Publish critical path: prepare + shadow apply + cache
     /// invalidation + atomic snapshot swap. The three spans below
     /// attribute it; the remainder is the swap itself.
@@ -407,16 +398,6 @@ struct WriterSide {
     epoch: u64,
 }
 
-/// A serving front-end over a [`ShardedEngine`]: cached, micro-batched
-/// top-k search that never blocks on index maintenance, plus the
-/// writer-side publish path. See the [crate docs](crate) for the
-/// architecture.
-#[derive(Debug)]
-pub struct DashServer {
-    shared: ServerShared,
-    batcher: batch::Batcher,
-}
-
 impl DashServer {
     /// Crawls `db` and opens a server — the serving counterpart of the
     /// [`IngestSource::Crawl`] build.
@@ -456,7 +437,7 @@ impl DashServer {
     }
 
     /// Wraps a built engine: forks the shadow side, wires the snapshot
-    /// handle, cache and batcher.
+    /// handle and both cache instances.
     pub fn from_engine(engine: ShardedEngine, serve: ServeConfig) -> Self {
         Self::from_engine_at_epoch(engine, serve, 0)
     }
@@ -471,11 +452,7 @@ impl DashServer {
     pub fn from_engine_at_epoch(engine: ShardedEngine, serve: ServeConfig, epoch: u64) -> Self {
         let shadow = engine.fork();
         let registry = Arc::new(Registry::new());
-        let batcher = batch::Batcher::new(
-            serve.max_batch,
-            registry.histogram("dash_serve_batch_wait_ns"),
-        );
-        let shared = ServerShared {
+        DashServer {
             handle: SnapshotHandle::new(engine, epoch),
             cache: Cache::new(
                 serve.cache_capacity,
@@ -494,7 +471,6 @@ impl DashServer {
             searches: registry.counter("dash_serve_searches_total"),
             feed_evictions: registry.counter("dash_serve_feed_evictions_total"),
             search_ns: registry.histogram("dash_serve_search_ns"),
-            batch_size: registry.histogram("dash_serve_batch_size"),
             swap_ns: registry.histogram("dash_serve_swap_ns"),
             publish_signature_ns: registry.histogram("dash_serve_publish_signature_ns"),
             publish_apply_ns: registry.histogram("dash_serve_publish_apply_ns"),
@@ -507,75 +483,77 @@ impl DashServer {
             delta_log: Mutex::new(DeltaLog::new(serve.delta_log)),
             feed_depth: serve.feed_depth.max(1),
             started: Instant::now(),
-        };
-        DashServer { shared, batcher }
+        }
     }
 
-    /// Serves cache misses through the batcher: this thread leads the
-    /// batch itself unless one is already in flight.
-    fn serve_misses(&self, requests: Vec<SearchRequest>) -> Vec<Vec<SearchHit>> {
-        self.batcher
-            .submit(requests, |batch| batch::serve_batch(&self.shared, batch))
+    /// Answers `requests` with one call to the live snapshot's engine,
+    /// counted as one engine call in [`ServeStats`]. Returns the epoch
+    /// of the snapshot that answered: a cache insert checked against
+    /// it is rejected once a publication has landed since.
+    fn search_live(&self, requests: &[SearchRequest]) -> (Vec<Vec<SearchHit>>, u64) {
+        let snapshot = self.handle.snapshot();
+        self.batches.inc();
+        self.batched_requests.add(requests.len() as u64);
+        (snapshot.engine.search_many(requests), snapshot.epoch)
     }
 
-    /// Top-k db-page search through the full serving path: result
-    /// cache, then the micro-batcher against the current snapshot.
-    /// Byte-identical to [`DashEngine::search`](dash_core::DashEngine::search)
-    /// over the engine's current fragments — cached or not, whatever
-    /// batch it lands in, before or after any published delta.
+    /// [`DashServer::search_live`] for one request.
+    fn search_live_one(&self, request: &SearchRequest) -> (Vec<SearchHit>, u64) {
+        let (mut answers, epoch) = self.search_live(std::slice::from_ref(request));
+        (answers.pop().expect("one answer per request"), epoch)
+    }
+
+    /// Top-k db-page search through the full serving path: the result
+    /// cache, then one search on the current snapshot's engine, on
+    /// the caller's thread. Byte-identical to
+    /// [`DashEngine::search`](dash_core::DashEngine::search) over the
+    /// engine's current fragments — cached or not, before or after any
+    /// published delta.
     pub fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
         if degenerate(request) {
             return Vec::new();
         }
-        let _span = SpanGuard::start(&self.shared.search_ns);
-        self.shared.searches.inc();
-        if let Some(hits) = self.shared.cache.get(request) {
+        let _span = SpanGuard::start(&self.search_ns);
+        self.searches.inc();
+        if let Some(hits) = self.cache.get(request) {
             return hits;
         }
-        // Read before searching, as `search_rendered` does: a
-        // publication landing in between makes the insert stale.
-        let epoch = self.epoch();
-        let hits = self.search_uncached(request);
-        if self.shared.cache.enabled() {
-            self.shared.cache.insert(request, hits.clone(), epoch);
+        let (hits, epoch) = self.search_live_one(request);
+        if self.cache.enabled() {
+            self.cache.insert(request, hits.clone(), epoch);
         }
         hits
-    }
-
-    /// One request through the micro-batcher against the current
-    /// snapshot, with no cache read or filled.
-    fn search_uncached(&self, request: &SearchRequest) -> Vec<SearchHit> {
-        let mut answers = self.serve_misses(vec![request.clone()]);
-        answers.pop().expect("one answer per request")
     }
 
     /// The rendered response cached for `request`, if any — a front
     /// end's fast path (no search, no rendering). A hit counts as a
     /// served search and as a cache hit, so `/stats` reports every
-    /// search wherever its bytes came from. A miss is not counted: the
-    /// caller falls through to [`DashServer::search_rendered`], whose
-    /// own lookup counts it, so a request misses once.
+    /// search wherever its bytes came from; a miss counts as a cache
+    /// miss, and the caller answers it with
+    /// [`DashServer::search_rendered`], which does not look again.
     pub fn cached_rendered(&self, request: &SearchRequest) -> Option<Arc<Vec<u8>>> {
         if degenerate(request) {
             return None;
         }
-        let bytes = self.shared.rendered.probe(request)?;
-        self.shared.searches.inc();
+        let bytes = self.rendered.get(request)?;
+        self.searches.inc();
         Some(bytes)
     }
 
-    /// [`DashServer::search`] with the answer rendered by `render` and
-    /// cached as bytes: a repeat of `request` is answered by
-    /// [`DashServer::cached_rendered`] until a publication's signature
-    /// meets its keywords. A miss searches through the batcher without
-    /// reading or filling the hit-list instance: its repeats are
-    /// answered from the bytes. The epoch is read *before* searching: if a
-    /// publication lands before the insert, the insert is rejected as
-    /// stale — the race resolves to "don't cache", never to "cache
-    /// stale bytes". It is the live snapshot's epoch, not the cache's:
-    /// a publication advances the cache before it swaps the snapshot,
-    /// so the cache's epoch can run ahead of the state a search reads,
-    /// and the snapshot's cannot.
+    /// Answers a request that [`DashServer::cached_rendered`] just
+    /// missed: one search on the current snapshot's engine, rendered
+    /// by `render` and cached as bytes, so a repeat of `request` is
+    /// answered by [`DashServer::cached_rendered`] until a
+    /// publication's signature meets its keywords. It neither looks
+    /// the rendered instance up again nor reads or fills the hit-list
+    /// instance: the repeats are answered from the bytes. The insert
+    /// is checked against the epoch of the snapshot that was searched:
+    /// if a publication lands before the insert, the insert is
+    /// rejected as stale — the race resolves to "don't cache", never
+    /// to "cache stale bytes". It is the snapshot's epoch, not the
+    /// cache's: a publication advances the cache before it swaps the
+    /// snapshot, so the cache's epoch can run ahead of the state a
+    /// search reads, and the snapshot's cannot.
     pub fn search_rendered(
         &self,
         request: &SearchRequest,
@@ -584,26 +562,22 @@ impl DashServer {
         if degenerate(request) {
             return Arc::new(render(&[]));
         }
-        self.shared.searches.inc();
-        if let Some(bytes) = self.shared.rendered.get(request) {
-            return bytes;
-        }
-        let epoch = self.epoch();
-        let hits = {
-            let _span = SpanGuard::start(&self.shared.search_ns);
-            self.search_uncached(request)
+        self.searches.inc();
+        let (hits, epoch) = {
+            let _span = SpanGuard::start(&self.search_ns);
+            self.search_live_one(request)
         };
         let bytes = Arc::new(render(&hits));
-        self.shared
-            .rendered
-            .insert(request, Arc::clone(&bytes), epoch);
+        self.rendered.insert(request, Arc::clone(&bytes), epoch);
         bytes
     }
 
-    /// Batched client-side search: submits every cache-missing request
-    /// in one call, so one caller's burst shares micro-batches instead
-    /// of serializing. Results are position-aligned with `requests`,
-    /// each byte-identical to [`DashServer::search`].
+    /// Batched client-side search: every cache-missing request is
+    /// answered by one [`ShardedEngine::search_many`] call, which
+    /// reuses one scratch across the burst. Results are
+    /// position-aligned with `requests`, each byte-identical to
+    /// [`DashServer::search`] (a request repeated in the burst is
+    /// simply searched again).
     pub fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
         let mut results: Vec<Vec<SearchHit>> = Vec::with_capacity(requests.len());
         let mut slots: Vec<usize> = Vec::new();
@@ -612,8 +586,8 @@ impl DashServer {
             let hits = if degenerate(request) {
                 Vec::new()
             } else {
-                self.shared.searches.inc();
-                self.shared.cache.get(request).unwrap_or_else(|| {
+                self.searches.inc();
+                self.cache.get(request).unwrap_or_else(|| {
                     slots.push(results.len());
                     misses.push(request.clone());
                     Vec::new()
@@ -624,12 +598,10 @@ impl DashServer {
         if misses.is_empty() {
             return results;
         }
-        let epoch = self.epoch();
-        for (slot, hits) in slots.into_iter().zip(self.serve_misses(misses)) {
-            if self.shared.cache.enabled() {
-                self.shared
-                    .cache
-                    .insert(&requests[slot], hits.clone(), epoch);
+        let (answers, epoch) = self.search_live(&misses);
+        for (slot, hits) in slots.into_iter().zip(answers) {
+            if self.cache.enabled() {
+                self.cache.insert(&requests[slot], hits.clone(), epoch);
             }
             results[slot] = hits;
         }
@@ -672,7 +644,7 @@ impl DashServer {
     /// [`IndexDelta::check`]'s: an identifier of another arity, or a
     /// count a posting cannot hold. Nothing is published.
     pub fn try_publish_with_epoch(&self, delta: IndexDelta) -> Result<(RefreshStats, u64)> {
-        let mut writer = self.shared.writer.lock();
+        let mut writer = self.writer.lock();
         self.publish_locked(&mut writer, delta)
     }
 
@@ -702,7 +674,7 @@ impl DashServer {
         db: &Database,
         changes: &[RecordChange],
     ) -> Result<(RefreshStats, u64)> {
-        let mut writer = self.shared.writer.lock();
+        let mut writer = self.writer.lock();
         let delta = {
             let shadow = writer
                 .shadow
@@ -735,11 +707,11 @@ impl DashServer {
         if delta.is_empty() {
             return Ok((RefreshStats::default(), writer.epoch));
         }
-        let swap_span = SpanGuard::start(&self.shared.swap_ns);
+        let swap_span = SpanGuard::start(&self.swap_ns);
         // Prepared against the *pre-delta* shadow: the signature's
         // vocabulary includes the terms the delta removes, which are
         // gone after application.
-        let signature_span = SpanGuard::start(&self.shared.publish_signature_ns);
+        let signature_span = SpanGuard::start(&self.publish_signature_ns);
         let prepared = match writer
             .shadow
             .as_ref()
@@ -755,15 +727,14 @@ impl DashServer {
             }
         };
         drop(signature_span);
-        self.shared
-            .signature_keywords
+        self.signature_keywords
             .set(prepared.signature.keywords.len() as u64);
         let mut shadow = writer
             .shadow
             .take()
             .expect("shadow present outside publish");
         let stats = {
-            let _span = SpanGuard::start(&self.shared.publish_apply_ns);
+            let _span = SpanGuard::start(&self.publish_apply_ns);
             shadow.apply_prepared(&prepared)
         };
         writer.epoch += 1;
@@ -771,19 +742,15 @@ impl DashServer {
         // each rejects insertions computed against older snapshots, so
         // no stale entry can slip in behind the sweep.
         {
-            let _span = SpanGuard::start(&self.shared.publish_invalidate_ns);
-            self.shared
-                .cache
-                .invalidate(&prepared.signature, writer.epoch);
-            self.shared
-                .rendered
-                .invalidate(&prepared.signature, writer.epoch);
+            let _span = SpanGuard::start(&self.publish_invalidate_ns);
+            self.cache.invalidate(&prepared.signature, writer.epoch);
+            self.rendered.invalidate(&prepared.signature, writer.epoch);
         }
         let next = Arc::new(EngineSnapshot {
             engine: shadow,
             epoch: writer.epoch,
         });
-        let retired = self.shared.handle.swap(Arc::clone(&next));
+        let retired = self.handle.swap(Arc::clone(&next));
         drop(swap_span);
         // Grace period: wait out the retired snapshot's readers and
         // replay the prepared delta so the next publication starts in
@@ -793,17 +760,17 @@ impl DashServer {
         // it to its holders and fork the freshly published engine as
         // the next shadow instead (an O(index) memcpy, the same cost
         // as server startup).
-        let drain_span = SpanGuard::start(&self.shared.drain_ns);
+        let drain_span = SpanGuard::start(&self.drain_ns);
         match try_drain(retired, DRAIN_ATTEMPTS) {
             Some(mut retired) => {
-                let _span = SpanGuard::start(&self.shared.publish_replay_ns);
+                let _span = SpanGuard::start(&self.publish_replay_ns);
                 retired.engine.apply_prepared(&prepared);
                 writer.shadow = Some(retired.engine);
             }
             None => writer.shadow = Some(next.engine.fork()),
         }
         drop(drain_span);
-        self.shared.published.inc();
+        self.published.inc();
         let signature = prepared.signature;
         // Record the publication in the delta log and feed the
         // replication taps (still under the writer lock, so every tap
@@ -816,15 +783,15 @@ impl DashServer {
         // [`DashServer::replication_feed_from`] — so a stuck replica
         // costs the publisher a bounded channel, never unbounded
         // memory.
-        let log_enabled = self.shared.delta_log.lock().capacity > 0;
-        if log_enabled || !self.shared.taps.lock().is_empty() {
+        let log_enabled = self.delta_log.lock().capacity > 0;
+        if log_enabled || !self.taps.lock().is_empty() {
             let event = PublishEvent {
                 epoch: writer.epoch,
                 delta,
                 signature,
             };
             // Each tap gets a clone; the log takes the event itself.
-            let mut taps = self.shared.taps.lock();
+            let mut taps = self.taps.lock();
             let mut evicted = 0u64;
             taps.retain(|tap| match tap.try_send(event.clone()) {
                 Ok(()) => true,
@@ -836,10 +803,10 @@ impl DashServer {
                 Err(TrySendError::Disconnected(_)) => false,
             });
             if evicted > 0 {
-                self.shared.feed_evictions.add(evicted);
+                self.feed_evictions.add(evicted);
             }
             drop(taps);
-            self.shared.delta_log.lock().push(event);
+            self.delta_log.lock().push(event);
         }
         Ok((stats, writer.epoch))
     }
@@ -871,14 +838,14 @@ impl DashServer {
         // The writer lock pins the epoch: no publication can land
         // between consulting the log, grabbing the snapshot and
         // registering the tap.
-        let writer = self.shared.writer.lock();
-        let (tap, events) = mpsc::sync_channel(self.shared.feed_depth);
-        self.shared.taps.lock().push(tap);
+        let writer = self.writer.lock();
+        let (tap, events) = mpsc::sync_channel(self.feed_depth);
+        self.taps.lock().push(tap);
         if let Some(base) = from {
             let backlog = if base == writer.epoch {
                 Some(Vec::new())
             } else if base < writer.epoch {
-                self.shared.delta_log.lock().tail_after(base)
+                self.delta_log.lock().tail_after(base)
             } else {
                 None // a future epoch: the consumer is confused — re-snapshot
             };
@@ -891,7 +858,7 @@ impl DashServer {
             }
         }
         CatchUp::Snapshot(ReplicationFeed {
-            snapshot: self.shared.handle.snapshot(),
+            snapshot: self.handle.snapshot(),
             events,
         })
     }
@@ -899,52 +866,52 @@ impl DashServer {
     /// Time since the server was constructed (the denominator of the
     /// qps figure `/stats` reports).
     pub fn uptime(&self) -> Duration {
-        self.shared.started.elapsed()
+        self.started.elapsed()
     }
 
     /// The current live snapshot (engine + epoch). Useful for
-    /// inspection and for bypassing the cache/batcher in tests; the
+    /// inspection and for bypassing the caches in tests; the
     /// snapshot stays valid however long the caller keeps it.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
-        self.shared.handle.snapshot()
+        self.handle.snapshot()
     }
 
     /// The current publication epoch (0 = freshly built).
     pub fn epoch(&self) -> u64 {
-        self.shared.handle.snapshot().epoch
+        self.handle.snapshot().epoch
     }
 
     /// Number of indexed fragments in the live snapshot.
     pub fn fragment_count(&self) -> usize {
-        self.shared.handle.snapshot().engine.fragment_count()
+        self.handle.snapshot().engine.fragment_count()
     }
 
     /// A copy of the serving counters, read from the same registry
     /// handles `/metrics` renders — the two views cannot drift.
     pub fn stats(&self) -> ServeStats {
-        let rendered = self.shared.rendered.stats();
-        let mut cache = self.shared.cache.stats();
+        let rendered = self.rendered.stats();
+        let mut cache = self.cache.stats();
         cache.hits += rendered.hits;
         cache.misses += rendered.misses;
         ServeStats {
             cache,
             rendered,
-            batches: self.shared.batches.get(),
-            batched_requests: self.shared.batched_requests.get(),
-            published: self.shared.published.get(),
-            searches: self.shared.searches.get(),
-            feed_evictions: self.shared.feed_evictions.get(),
+            batches: self.batches.get(),
+            batched_requests: self.batched_requests.get(),
+            published: self.published.get(),
+            searches: self.searches.get(),
+            feed_evictions: self.feed_evictions.get(),
         }
     }
 
     /// Live result-cache entry count.
     pub fn cached_results(&self) -> usize {
-        self.shared.cache.len()
+        self.cache.len()
     }
 
     /// Live rendered-response cache entry count.
     pub fn cached_responses(&self) -> usize {
-        self.shared.rendered.len()
+        self.rendered.len()
     }
 
     /// This server's metrics registry. Per-instance, so two servers
@@ -952,7 +919,7 @@ impl DashServer {
     /// mix their numbers; disable recording for the span fast path
     /// via `registry().set_enabled(false)`.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.shared.registry
+        &self.registry
     }
 
     /// Mirrors the result cache's counters into this server's registry
@@ -963,12 +930,12 @@ impl DashServer {
     /// [`DashServer::metrics_text`] (and by the socket front-end's
     /// `/metrics`, which merges this registry into its own exposition).
     pub fn refresh_scrape_gauges(&self) {
-        let registry = &self.shared.registry;
+        let registry = &self.registry;
         self.stats().cache.mirror(registry, "dash_serve_cache");
         registry
             .gauge("dash_serve_cached_results")
-            .set(self.shared.cache.len() as u64);
-        let heap = self.shared.handle.snapshot().engine.heap_bytes();
+            .set(self.cache.len() as u64);
+        let heap = self.handle.snapshot().engine.heap_bytes();
         for (part, bytes) in heap.parts() {
             registry
                 .gauge(&format!("dash_index_heap_{part}_bytes"))
@@ -982,7 +949,7 @@ impl DashServer {
     /// cache's counters mirrored in at scrape time.
     pub fn metrics_text(&self) -> String {
         self.refresh_scrape_gauges();
-        render_merged(&[&self.shared.registry, Registry::global()])
+        render_merged(&[&self.registry, Registry::global()])
     }
 }
 
@@ -1352,7 +1319,7 @@ mod tests {
         let stats = server.stats().cache;
         assert_eq!((stats.hits, stats.rejected_stale), (1, 0));
         let first = server.search_rendered(&request, render);
-        let again = server.search_rendered(&request, render);
+        let again = server.cached_rendered(&request).expect("cached");
         assert!(Arc::ptr_eq(&first, &again), "the repeat is a rendered hit");
         let stats = server.stats().rendered;
         assert_eq!((stats.hits, stats.rejected_stale), (1, 0));
@@ -1434,18 +1401,29 @@ mod tests {
         let server = server(2);
         let warm = SearchRequest::new(&["burger"]).k(2).min_size(20);
         let warm_hits = server.search(&warm);
+        let thai = SearchRequest::new(&["thai"]).k(2).min_size(5);
         let requests = vec![
             warm.clone(),
-            SearchRequest::new(&["thai"]).k(2).min_size(5),
+            thai.clone(),
             SearchRequest::new(&[]).k(3),
             warm.clone(),
+            SearchRequest::new(&["fries"]).k(3).min_size(1),
+            thai,
         ];
         let results = server.search_many(&requests);
-        assert_eq!(results.len(), 4);
+        assert_eq!(results.len(), 6);
         assert_eq!(results[0], warm_hits);
         assert_eq!(results[3], warm_hits);
         assert!(results[2].is_empty());
-        assert_eq!(results[1], server.search(&requests[1]));
+        // The misses, the repeated one included, are answered by one
+        // engine call, each exactly as its own search answers it.
+        let stats = server.stats();
+        assert_eq!((stats.batches, stats.batched_requests), (2, 4));
+        for at in [1, 4, 5] {
+            assert!(!results[at].is_empty(), "request {at}");
+            let alone = server.snapshot().engine.search(&requests[at]);
+            assert_eq!(results[at], alone, "request {at}");
+        }
     }
 
     #[test]

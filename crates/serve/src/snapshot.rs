@@ -65,7 +65,7 @@ impl SnapshotHandle {
 /// Waits (bounded) for every reader of `snapshot` to drop its `Arc`,
 /// then returns the snapshot by value — the grace-period wait of the
 /// publish protocol. The serving path holds snapshots only for the
-/// duration of one micro-batched search, so the wait normally ends
+/// duration of one engine search, so the wait normally ends
 /// within a few yields; but [`SnapshotHandle::snapshot`] is public and
 /// its contract lets a caller keep a snapshot indefinitely, so after
 /// `attempts` yields the wait gives up and returns `None` (the caller

@@ -1,6 +1,7 @@
-//! Serving traffic: a [`DashServer`] answers searches through its
-//! result cache and micro-batcher while a delta publication swaps the
-//! engine snapshot underneath — searches never wait for maintenance.
+//! Serving traffic: a [`DashServer`] answers searches from its result
+//! cache, or with one search of the live engine snapshot, while a
+//! delta publication swaps that snapshot underneath — searches never
+//! wait for maintenance.
 //!
 //! ```text
 //! cargo run --release --example serve_traffic
@@ -54,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     server.publish(IndexDelta::new(vec![fragment.id.clone()], vec![fragment]));
     let stats = server.stats();
     println!(
-        "\nserve: epoch {}, {} searches, cache {}/{} hit, {} batches, {} delta(s) published, \
+        "\nserve: epoch {}, {} searches, cache {}/{} hit, {} engine calls, {} delta(s) published, \
          {} cache entries invalidated",
         server.epoch(),
         stats.searches,

@@ -24,7 +24,7 @@
 //! | [`tpch`] | `dash-tpch` | TPC-H-style dataset generator + the paper's Q1/Q2/Q3 |
 //! | [`obs`] | `dash-obs` | pure-std observability: lock-free latency histograms, counters/gauges, spans, the slow-query log, the Prometheus text exposition |
 //! | [`core`] | `dash-core` | fragments, crawling (stepwise & integrated), fragment index, top-k search, the engine-ingest layer (one builder front door) |
-//! | [`serve`] | `dash-serve` | snapshot-swapping serving front-end: result cache, micro-batching |
+//! | [`serve`] | `dash-serve` | snapshot-swapping serving front-end: result cache, rendered-response cache |
 //! | [`net`] | `dash-net` | socket serving: HTTP/1.1 front-end, primary→replica delta replication over TCP, socket client |
 //!
 //! ## Quickstart

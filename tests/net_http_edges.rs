@@ -16,7 +16,9 @@
 //!   entries whose keywords a delta touched;
 //! * hit lists past the chunk threshold stream back with
 //!   `Transfer-Encoding: chunked` and reassemble bit-exactly;
-//! * pipelined requests are answered in order on one connection;
+//! * pipelined requests are answered in order on one connection, and
+//!   cached repeats pipelined ahead of an EOF are answered from the
+//!   byte cache before it closes;
 //! * a thousand idle connections cost buffers, not threads, and the
 //!   connection cap sheds the overflow with a fast `503`;
 //! * the clock-driven edges: a head stalled mid-way is answered `408`,
@@ -314,6 +316,42 @@ fn repeated_searches_hit_the_byte_cache() {
     let stats = net.response_cache_stats();
     assert!(stats.hits >= 1, "repeat was a byte-cache hit: {stats:?}");
     assert!(net.cached_responses() >= 1);
+}
+
+#[test]
+fn pipelined_hits_ahead_of_eof_are_answered_from_the_byte_cache() {
+    // A peer pipelines repeats of a cached search, exactly one 16 KiB
+    // read chunk of them, then sends EOF: the read that fills the
+    // chunk goes on to find the EOF, so the repeats are parsed on a
+    // connection already closed for reading. Each is still answered
+    // with the cached bytes, in order, before the connection closes.
+    let (_server, net) = serve(NetConfig::default());
+    let search = "GET /search?kw=fries&k=4&s=1 HTTP/1.1\r\nHost: x\r\n\r\n";
+    let one = raw_exchange(&net, search.as_bytes());
+    assert!(one.starts_with("HTTP/1.1 200 ") && one.contains("\"url\""));
+    let chunk = 16 * 1024;
+    let mut repeats = chunk / search.len();
+    let mut pad = chunk - repeats * search.len();
+    if pad > 0 && pad < 10 {
+        repeats -= 1;
+        pad += search.len();
+    }
+    let padded = if pad == 0 {
+        search.to_string()
+    } else {
+        search.replace(
+            "Host: x\r\n",
+            &format!("Host: x\r\nX-Pad: {}\r\n", "p".repeat(pad - 9)),
+        )
+    };
+    let pipeline = padded.clone() + &search.repeat(repeats - 1);
+    assert_eq!(pipeline.len(), chunk);
+    let hits_before = net.response_cache_stats().hits;
+    let reply = raw_exchange(&net, pipeline.as_bytes());
+    assert!(reply == one.repeat(repeats), "{} bytes back", reply.len());
+    let stats = net.response_cache_stats();
+    assert_eq!(stats.hits - hits_before, repeats as u64, "{stats:?}");
+    assert_eq!((stats.misses, stats.insertions), (1, 1), "{stats:?}");
 }
 
 // ---------------------------------------------------------------------

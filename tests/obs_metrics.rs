@@ -170,7 +170,6 @@ fn the_metrics_exposition_is_valid_and_covers_every_layer() {
         "dash_serve_searches_total",
         "dash_serve_published_total",
         "dash_serve_search_ns",
-        "dash_serve_batch_wait_ns",
         "dash_serve_publish_signature_ns",
         "dash_serve_publish_apply_ns",
         "dash_serve_publish_invalidate_ns",
