@@ -110,14 +110,6 @@ impl ScaleCorpus {
         (0..self.vocab).map(word).collect()
     }
 
-    /// Fragments of one equality group (custkey `group + 1`), in
-    /// identifier order — quantities `1..=size(group)`. Pure: depends
-    /// only on the corpus shape and seed.
-    pub fn group_fragments(&self, group: usize) -> Vec<Fragment> {
-        let kw = Zipf::new(self.vocab, self.keyword_skew);
-        self.group_with(&kw, group)
-    }
-
     /// One specific fragment, regenerated from scratch — delta traffic
     /// uses this to rebuild (and then perturb) fragments it wants to
     /// upsert, without holding the corpus.

@@ -533,24 +533,9 @@ impl InvertedFragmentIndex {
             .map_or(0, |kw| self.lists[kw.index()].len as usize)
     }
 
-    /// Fragment frequency of an interned keyword.
-    #[inline]
-    pub fn df_kw(&self, kw: Kw) -> usize {
-        self.lists[kw.index()].len as usize
-    }
-
     /// `IDF_w = 1 / |L_w|` — Dash's fragment-based IDF approximation.
     pub fn idf(&self, word: &str) -> f64 {
         match self.df(word) {
-            0 => 0.0,
-            n => 1.0 / n as f64,
-        }
-    }
-
-    /// IDF of an interned keyword.
-    #[inline]
-    pub fn idf_kw(&self, kw: Kw) -> f64 {
-        match self.df_kw(kw) {
             0 => 0.0,
             n => 1.0 / n as f64,
         }

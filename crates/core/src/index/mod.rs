@@ -491,12 +491,6 @@ impl HeapBytes {
         ]
     }
 
-    /// The inverted fragment index's share: the interner, the list
-    /// table and both arenas.
-    pub fn inverted(&self) -> usize {
-        self.interner + self.lists + self.tf_arena + self.probe_arena
-    }
-
     /// The sum over every structure.
     pub fn total(&self) -> usize {
         self.parts().iter().map(|(_, bytes)| bytes).sum()

@@ -133,7 +133,6 @@ pub mod persist;
 pub mod scope;
 pub mod search;
 pub mod sharded;
-pub mod stats;
 pub mod update;
 pub mod wire;
 
@@ -150,7 +149,6 @@ pub use multi::MultiDash;
 pub use scope::CrawlScope;
 pub use search::{SearchHit, SearchRequest};
 pub use sharded::{env_shards, PreparedDelta, ShardedEngine};
-pub use stats::IndexStats;
 pub use update::{DeltaSignature, IndexDelta, RecordChange, RefreshStats};
 
 /// Result alias for this crate.

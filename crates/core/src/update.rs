@@ -345,8 +345,7 @@ impl DashEngine {
     ///
     /// # Errors
     ///
-    /// Propagates relational errors, and
-    /// [`CoreError::OccurrenceOverflow`](crate::CoreError::OccurrenceOverflow)
+    /// Propagates relational errors, and [`CoreError::OccurrenceOverflow`]
     /// (index untouched) for a count a posting cannot hold.
     pub fn apply_changes(
         &mut self,

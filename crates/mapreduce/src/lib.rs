@@ -18,19 +18,12 @@
 //! shuffle sort is **stable**, and split outputs concatenate in
 //! **split-index order** — so one key's values always arrive at their
 //! reducer in global input order, and a job's output is a pure,
-//! deterministic function of its input regardless of thread scheduling
-//! or injected faults.
+//! deterministic function of its input regardless of thread scheduling.
 //!
-//! Fault injection is first-class: [`run_job_with_faults`] executes
-//! under a [`FaultPlan`] that kills scheduled task attempts; the runner
-//! retries up to `max_attempts`, charges every attempt to the cost
-//! model, and aborts with [`JobAborted`] when a task exhausts its
-//! budget. `tests/faults.rs` holds the output byte-identical across
-//! surviving fault schedules and pins the abort.
 //! Edge cases are pinned by the runner's own tests: empty inputs plan
-//! zero map tasks (a fault plan targeting task 0 never fires), and
-//! [`JobSpec::reduce_tasks`]`(0)` declares a map-only job — shuffle
-//! and reduce are skipped and the map phase alone is metered.
+//! zero map tasks, and [`JobSpec::reduce_tasks`]`(0)` declares a
+//! map-only job — shuffle and reduce are skipped and the map phase alone
+//! is metered.
 //!
 //! ## Word count in six lines
 //!
@@ -61,14 +54,12 @@
 
 pub mod bytes;
 pub mod config;
-pub mod faults;
 pub mod runner;
 pub mod stats;
 pub mod workflow;
 
 pub use bytes::ByteSized;
 pub use config::ClusterConfig;
-pub use faults::{AttemptCounters, FaultPlan, JobAborted};
-pub use runner::{run_job, run_job_with_faults, JobResult, JobSpec};
+pub use runner::{run_job, JobResult, JobSpec};
 pub use stats::{JobStats, PhaseStats, WorkflowStats};
 pub use workflow::Workflow;

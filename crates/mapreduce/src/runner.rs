@@ -10,7 +10,6 @@ use parking_lot::Mutex;
 
 use crate::bytes::ByteSized;
 use crate::config::ClusterConfig;
-use crate::faults::{FaultPlan, JobAborted};
 use crate::stats::{JobStats, PhaseStats};
 
 /// Declarative description of one job: its name, an optional phase label
@@ -121,34 +120,6 @@ where
     M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
     R: Fn(&K, Vec<V>, &mut dyn FnMut(O)) + Sync,
 {
-    run_job_with_faults(cluster, spec, inputs, mapper, reducer, &FaultPlan::new())
-        .expect("no faults scheduled, job cannot abort")
-}
-
-/// [`run_job`] under a [`FaultPlan`]: scheduled task attempts fail and
-/// are retried (up to `plan.max_attempts`), every attempt is charged by
-/// the cost model, and the output is identical to a fault-free run —
-/// MapReduce's recovery guarantee.
-///
-/// # Errors
-///
-/// Returns [`JobAborted`] when some task fails `max_attempts` times.
-pub fn run_job_with_faults<I, K, V, O, M, R>(
-    cluster: &ClusterConfig,
-    spec: JobSpec<K, V>,
-    inputs: &[I],
-    mapper: M,
-    reducer: R,
-    plan: &FaultPlan,
-) -> Result<JobResult<O>, JobAborted>
-where
-    I: Sync + ByteSized,
-    K: Ord + Hash + Clone + Send + ByteSized,
-    V: Send + ByteSized,
-    O: Send + ByteSized,
-    M: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
-    R: Fn(&K, Vec<V>, &mut dyn FnMut(O)) + Sync,
-{
     let wall_start = Instant::now();
 
     // ---- plan splits (one per HDFS-style block) ----
@@ -157,25 +128,6 @@ where
     let reduce_tasks = spec
         .reduce_tasks
         .unwrap_or_else(|| cluster.total_reduce_slots());
-
-    // Resolve task attempts up front: the successful attempt actually
-    // executes; failed attempts are charged as wasted full-task work.
-    let map_attempts = attempts_for(map_tasks, plan.max_attempts, |t, a| {
-        plan.map_should_fail(t, a)
-    })
-    .map_err(|(task, attempts)| JobAborted {
-        phase: "map",
-        task,
-        attempts,
-    })?;
-    let reduce_attempts = attempts_for(reduce_tasks, plan.max_attempts, |t, a| {
-        plan.reduce_should_fail(t, a)
-    })
-    .map_err(|(task, attempts)| JobAborted {
-        phase: "reduce",
-        task,
-        attempts,
-    })?;
 
     // ---- map phase (real threads) ----
     let split_outputs: Vec<SplitOutput<K, V>> = {
@@ -329,13 +281,8 @@ where
         output.extend(part_out);
     }
 
-    // ---- cost model (failed attempts charged as full re-executions) ----
-    let charged_splits: Vec<(u64, u64, u64, u32)> = split_meters
-        .iter()
-        .zip(&map_attempts)
-        .map(|(&(r0, b0, o0), &a)| (r0, b0, o0, a))
-        .collect();
-    map_phase.sim_secs = simulate_map_attempts(cluster, &charged_splits);
+    // ---- cost model ----
+    map_phase.sim_secs = simulate_map(cluster, &split_meters);
     let shuffle_phase = PhaseStats {
         input_records: shuffle_records,
         input_bytes: shuffle_bytes,
@@ -343,15 +290,9 @@ where
         output_bytes: shuffle_bytes,
         sim_secs: simulate_shuffle(cluster, shuffle_bytes),
     };
-    let charged_partitions: Vec<(u64, u64, u32)> = partition_meters
-        .iter()
-        .zip(&reduce_attempts)
-        .map(|(&(r0, b0), &a)| (r0, b0, a))
-        .collect();
-    reduce_phase.sim_secs =
-        simulate_reduce_attempts(cluster, &charged_partitions, reduce_phase.output_bytes);
+    reduce_phase.sim_secs = simulate_reduce(cluster, &partition_meters, reduce_phase.output_bytes);
 
-    Ok(JobResult {
+    JobResult {
         output,
         stats: JobStats {
             name: spec.name,
@@ -363,32 +304,9 @@ where
             reduce: reduce_phase,
             startup_secs: cluster.job_startup_secs,
             combiner_saved_bytes,
-            map_task_attempts: map_attempts.iter().map(|&a| a as u64).sum(),
-            reduce_task_attempts: reduce_attempts.iter().map(|&a| a as u64).sum(),
             wall_secs: wall_start.elapsed().as_secs_f64(),
         },
-    })
-}
-
-/// Attempts needed per task under the fault plan, or `Err((task,
-/// attempts))` when a task exhausts `max_attempts`.
-fn attempts_for(
-    tasks: usize,
-    max_attempts: u32,
-    should_fail: impl Fn(usize, u32) -> bool,
-) -> Result<Vec<u32>, (usize, u32)> {
-    let mut out = Vec::with_capacity(tasks);
-    for t in 0..tasks {
-        let mut attempt = 0u32;
-        while should_fail(t, attempt) {
-            attempt += 1;
-            if attempt >= max_attempts {
-                return Err((t, attempt));
-            }
-        }
-        out.push(attempt + 1);
     }
-    Ok(out)
 }
 
 /// Packs inputs into contiguous splits of roughly `split_bytes` each
@@ -397,9 +315,8 @@ fn attempts_for(
 /// blocks", §VII-A).
 fn plan_splits<I: ByteSized>(cluster: &ClusterConfig, inputs: &[I]) -> Vec<(usize, usize)> {
     if inputs.is_empty() {
-        // No blocks, no map tasks: an empty job must not schedule a
-        // phantom split, or a FaultPlan targeting map task 0 could abort
-        // a job that has nothing to do.
+        // No blocks, no map tasks: an empty job schedules no phantom
+        // split.
         return Vec::new();
     }
     let effective_split =
@@ -454,36 +371,6 @@ where
         }
     }
     out
-}
-
-// Retries of one task run *sequentially* (the scheduler only reschedules
-// after detecting the failure), so a task with `a` attempts costs `a`
-// times its single-attempt cost — modeled by scaling its meters, which
-// the cost functions are linear in.
-fn simulate_map_attempts(cluster: &ClusterConfig, splits: &[(u64, u64, u64, u32)]) -> f64 {
-    let scaled: Vec<(u64, u64, u64)> = splits
-        .iter()
-        .map(|&(r, b, o, attempts)| {
-            let a = attempts as u64;
-            (r * a, b * a, o * a)
-        })
-        .collect();
-    simulate_map(cluster, &scaled)
-}
-
-fn simulate_reduce_attempts(
-    cluster: &ClusterConfig,
-    partitions: &[(u64, u64, u32)],
-    total_out_bytes: u64,
-) -> f64 {
-    let scaled: Vec<(u64, u64)> = partitions
-        .iter()
-        .map(|&(r, b, attempts)| {
-            let a = attempts as u64;
-            (r * a, b * a)
-        })
-        .collect();
-    simulate_reduce(cluster, &scaled, total_out_bytes)
 }
 
 fn simulate_map(cluster: &ClusterConfig, splits: &[(u64, u64, u64)]) -> f64 {
@@ -621,28 +508,40 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let docs: Vec<String> = (0..100)
-            .map(|i| format!("w{} w{} shared", i, i % 7))
+        // Small blocks give the job several splits, so the worker threads
+        // really interleave; the stable shuffle must still hand every
+        // reducer its values in input order.
+        let docs: Vec<(u64, String)> = (0..100)
+            .map(|i| (i, format!("w{} w{} shared", i, i % 7)))
             .collect();
-        let cluster = ClusterConfig::default();
-        let run = || {
+        let run = |real_threads| {
+            let cluster = ClusterConfig {
+                split_bytes: 256,
+                real_threads,
+                ..ClusterConfig::default()
+            };
             run_job(
                 &cluster,
                 JobSpec::new("det").reduce_tasks(4),
                 &docs,
-                |d: &String, emit| {
+                |(i, d): &(u64, String), emit| {
                     for w in d.split_whitespace() {
-                        emit(w.to_string(), 1u64);
+                        emit(w.to_string(), *i);
                     }
                 },
-                |w: &String, c: Vec<u64>, emit| emit((w.clone(), c.len() as u64)),
+                |w: &String, ids: Vec<u64>, emit| emit((w.clone(), ids)),
             )
         };
-        let a = run();
-        let b = run();
+        let a = run(1);
+        let b = run(4);
+        assert!(a.stats.map_tasks > 1);
+        assert!(a.output.iter().all(|(_, ids)| ids.is_sorted()));
         assert_eq!(a.output, b.output);
         assert_eq!(a.stats.map.output_bytes, b.stats.map.output_bytes);
-        assert!((a.stats.sim_total_secs() - b.stats.sim_total_secs()).abs() < 1e-12);
+        assert_eq!(
+            a.stats.sim_total_secs().to_bits(),
+            b.stats.sim_total_secs().to_bits()
+        );
     }
 
     #[test]
@@ -670,30 +569,7 @@ mod tests {
             |w: &String, _c: Vec<u64>, emit: &mut dyn FnMut(String)| emit(w.clone()),
         );
         assert_eq!(result.stats.map_tasks, 0);
-        assert_eq!(result.stats.map_task_attempts, 0);
         assert!(result.output.is_empty());
-    }
-
-    #[test]
-    fn empty_input_survives_fault_plan_on_task_zero() {
-        // An empty job schedules no map tasks, so a plan that would kill
-        // map task 0 on every attempt has nothing to kill.
-        let docs: Vec<String> = Vec::new();
-        let mut plan = FaultPlan::new();
-        for attempt in 0..plan.max_attempts {
-            plan = plan.fail_map(0, attempt);
-        }
-        let result = run_job_with_faults(
-            &ClusterConfig::default(),
-            JobSpec::new("empty-faulted"),
-            &docs,
-            |_d: &String, _emit: &mut dyn FnMut(String, u64)| {},
-            |w: &String, _c: Vec<u64>, emit: &mut dyn FnMut(String)| emit(w.clone()),
-            &plan,
-        )
-        .expect("empty job cannot hit a map fault");
-        assert!(result.output.is_empty());
-        assert_eq!(result.stats.map_tasks, 0);
     }
 
     #[test]
@@ -719,7 +595,6 @@ mod tests {
         assert_eq!(result.stats.shuffle.sim_secs, 0.0);
         assert_eq!(result.stats.reduce.input_records, 0);
         assert_eq!(result.stats.reduce.output_records, 0);
-        assert_eq!(result.stats.reduce_task_attempts, 0);
     }
 
     #[test]

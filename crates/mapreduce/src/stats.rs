@@ -41,11 +41,6 @@ pub struct JobStats {
     pub startup_secs: f64,
     /// Bytes saved by the combiner (0 when none installed).
     pub combiner_saved_bytes: u64,
-    /// Total map-task attempts (> `map_tasks` when faults were injected
-    /// and retried).
-    pub map_task_attempts: u64,
-    /// Total reduce-task attempts (> `reduce_tasks` under faults).
-    pub reduce_task_attempts: u64,
     /// Real wall-clock seconds the in-process execution took.
     pub wall_secs: f64,
 }
@@ -162,8 +157,6 @@ mod tests {
             reduce: PhaseStats::default(),
             startup_secs: 1.0,
             combiner_saved_bytes: 0,
-            map_task_attempts: 1,
-            reduce_task_attempts: 1,
             wall_secs: 0.01,
         }
     }

@@ -306,20 +306,6 @@ pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     out
 }
 
-/// Writes a response, honoring the request's keep-alive choice.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the stream.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    response: &Response,
-    keep_alive: bool,
-) -> io::Result<()> {
-    writer.write_all(&render_response(response, keep_alive))?;
-    writer.flush()
-}
-
 /// Reads the status line + headers + body of one HTTP *response* (the
 /// client half of the exchange). Returns the status code and body.
 /// Both framings are understood: `Content-Length` and

@@ -483,7 +483,7 @@ fn stream_to_replica(
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Serving configuration of the replica's local [`DashServer`]
-    /// (cache, batching — shard count is dictated by the primary's
+    /// (cache, delta log — shard count is dictated by the primary's
     /// dump and ignored here).
     pub serve: ServeConfig,
     /// Delay between reconnect attempts after a lost primary.

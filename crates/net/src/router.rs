@@ -396,12 +396,6 @@ impl Router {
         self.inner.write_failovers.load(Ordering::Relaxed)
     }
 
-    /// Runs one synchronous probe sweep (tests use this to skip the
-    /// probe period).
-    pub fn probe_now(&self) {
-        self.inner.probe_all();
-    }
-
     /// Blocks until some node reports itself primary (returning its
     /// address) or the timeout elapses.
     pub fn wait_primary(&self, timeout: Duration) -> Option<SocketAddr> {

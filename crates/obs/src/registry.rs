@@ -185,26 +185,6 @@ impl Registry {
         }
     }
 
-    /// Attaches an existing counter under a name — how a layer that
-    /// already owns its counters (the net front-end's `Counters`, a
-    /// replica's protocol tallies) exposes them without double
-    /// bookkeeping. Replaces any previous registration of the name.
-    pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
-        self.metrics
-            .lock()
-            .expect("obs registry poisoned")
-            .insert(name.to_string(), Metric::Counter(counter));
-    }
-
-    /// Attaches an existing gauge under a name (see
-    /// [`Registry::register_counter`]).
-    pub fn register_gauge(&self, name: &str, gauge: Arc<Gauge>) {
-        self.metrics
-            .lock()
-            .expect("obs registry poisoned")
-            .insert(name.to_string(), Metric::Gauge(gauge));
-    }
-
     /// The current metric set, sorted by name (a copy of the handles,
     /// not the values).
     pub fn collect(&self) -> BTreeMap<String, Metric> {

@@ -4,9 +4,8 @@
 //! instances of it:
 //!
 //! * the **result cache** — hit lists (`Vec<SearchHit>`), budgeted in
-//!   hits, read and filled only by the paths that return hit lists
-//!   ([`DashServer::search`](crate::DashServer::search) and
-//!   [`DashServer::search_many`](crate::DashServer::search_many));
+//!   hits, read and filled only by the path that returns hit lists
+//!   ([`DashServer::search`](crate::DashServer::search));
 //! * the **rendered cache** — the wire-tax attack. A cache-hit search
 //!   once cost ~112µs over the socket against ~4µs in-process: the
 //!   result cache removes the *search*, but the front-end still

@@ -19,9 +19,9 @@
 //!   can never observe a half-applied delta.
 //! * **Precise caching** ([`cache`]) — one keyed LRU, generic over its
 //!   payload, with two instances, each filled and read only by the
-//!   path that produces its payload: hit lists by [`DashServer::search`]
-//!   and [`DashServer::search_many`], and the rendered response bytes
-//!   a front-end hands back for a repeat request by
+//!   path that produces its payload: hit lists by [`DashServer::search`],
+//!   and the rendered response bytes a front-end hands back for a
+//!   repeat request by
 //!   [`DashServer::cached_rendered`] and [`DashServer::search_rendered`],
 //!   which never touch the hit-list instance. Each publication sweeps
 //!   both under the writer lock, entry-by-entry, using the published
@@ -31,14 +31,14 @@
 //!   wholesale flush, and no per-entry bookkeeping on the read path.
 //!
 //! Between the two there is nothing: a cache miss is answered on the
-//! caller's own thread by one call to the current snapshot's engine
-//! ([`ShardedEngine::search_many`], or `search` for one request), so
-//! concurrent misses run side by side on the engine's pooled scratch,
-//! and a search that panics fails only its own caller.
+//! caller's own thread by one [`ShardedEngine::search`] on the current
+//! snapshot's engine, so concurrent misses run side by side on the
+//! engine's pooled scratch, and a search that panics fails only its
+//! own caller.
 //!
 //! The whole stack is **exact**: `tests/serve_equivalence.rs` proves
-//! that served hit lists — cached, client-batched, concurrent, and
-//! across any interleaving of snapshot publications — are
+//! that served hit lists — cached, concurrent, and across any
+//! interleaving of snapshot publications — are
 //! byte-identical to a fresh [`DashEngine::search`] over the same
 //! fragments, at shard counts 1 and 4.
 //!
@@ -64,7 +64,7 @@
 //! [`DashEngine::search`]: dash_core::DashEngine::search
 //! [`ShardedEngine::fork`]: dash_core::ShardedEngine::fork
 //! [`ShardedEngine::prepare`]: dash_core::ShardedEngine::prepare
-//! [`ShardedEngine::search_many`]: dash_core::ShardedEngine::search_many
+//! [`ShardedEngine::search`]: dash_core::ShardedEngine::search
 //! [`IndexDelta`]: dash_core::IndexDelta
 //! [`DeltaSignature`]: dash_core::DeltaSignature
 
@@ -95,6 +95,13 @@ use snapshot::{try_drain, SnapshotHandle};
 const RENDERED_ENTRIES: usize = 512;
 /// Byte budget of the rendered-response cache instance.
 const RENDERED_BYTES: usize = 4 << 20;
+/// Admission budget of the hit-list cache instance on the *total*
+/// number of cached [`SearchHit`]s across all entries (a proxy for
+/// cached bytes): an oversize result set is refused admission outright,
+/// and an admissible one evicts LRU entries until it fits, so one huge
+/// result can never blow the memory bound the entry-count cap
+/// ([`ServeConfig::cache_capacity`]) alone leaves open.
+const CACHE_HIT_BUDGET: usize = 1 << 16;
 
 /// How many scheduler yields a publication waits for the retired
 /// snapshot's readers before falling back to forking the new live
@@ -117,13 +124,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Admission budget on the *total* number of cached [`SearchHit`]s
-    /// across all entries (a proxy for cached bytes): an oversize
-    /// result set is refused admission outright, and an admissible one
-    /// evicts LRU entries until it fits — so one huge result can never
-    /// blow the memory bound the entry-count cap alone left open.
-    /// 0 disables the budget (entry count is then the only bound).
-    pub cache_hit_budget: usize,
     /// Capacity (in publications) of the bounded delta log — the ring
     /// of recent [`PublishEvent`]s a briefly-disconnected replica
     /// tails from its last epoch instead of re-bootstrapping from a
@@ -144,7 +144,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: env_shards().unwrap_or(1),
             cache_capacity: 1024,
-            cache_hit_budget: 1 << 16,
             delta_log: 64,
             feed_depth: 1024,
         }
@@ -161,13 +160,6 @@ impl ServeConfig {
     /// Overrides the cache capacity (builder style; 0 disables).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Overrides the total cached-hit admission budget (builder style;
-    /// 0 disables the budget).
-    pub fn cache_hit_budget(mut self, budget: usize) -> Self {
-        self.cache_hit_budget = budget;
         self
     }
 
@@ -196,12 +188,12 @@ pub struct ServeStats {
     /// [`DashServer::search_rendered`]).
     pub rendered: CacheStats,
     /// Engine calls made to answer cache misses: one per
-    /// [`DashServer::search`] that misses, per
-    /// [`DashServer::search_rendered`], and per
-    /// [`DashServer::search_many`] with any miss.
+    /// [`DashServer::search`] that misses and per
+    /// [`DashServer::search_rendered`].
     pub batches: u64,
-    /// Requests those engine calls answered (≥ batches; the ratio is
-    /// the mean requests per engine call).
+    /// Requests those engine calls answered. Every engine call answers
+    /// one request, so this equals `batches`; `/stats` still reports
+    /// both.
     pub batched_requests: u64,
     /// Deltas published.
     pub published: u64,
@@ -331,7 +323,7 @@ impl DeltaLog {
 pub struct DashServer {
     handle: SnapshotHandle,
     /// Hit lists, budgeted in hits ([`ServeConfig::cache_capacity`],
-    /// [`ServeConfig::cache_hit_budget`]).
+    /// `CACHE_HIT_BUDGET`).
     cache: Cache<Vec<SearchHit>>,
     /// Rendered responses, budgeted in bytes (`RENDERED_ENTRIES`,
     /// `RENDERED_BYTES`).
@@ -454,12 +446,7 @@ impl DashServer {
         let registry = Arc::new(Registry::new());
         DashServer {
             handle: SnapshotHandle::new(engine, epoch),
-            cache: Cache::new(
-                serve.cache_capacity,
-                serve.cache_hit_budget,
-                Vec::len,
-                epoch,
-            ),
+            cache: Cache::new(serve.cache_capacity, CACHE_HIT_BUDGET, Vec::len, epoch),
             rendered: Cache::new(RENDERED_ENTRIES, RENDERED_BYTES, |bytes| bytes.len(), epoch),
             writer: Mutex::new(WriterSide {
                 shadow: Some(shadow),
@@ -486,21 +473,15 @@ impl DashServer {
         }
     }
 
-    /// Answers `requests` with one call to the live snapshot's engine,
+    /// Answers `request` with one search on the live snapshot's engine,
     /// counted as one engine call in [`ServeStats`]. Returns the epoch
     /// of the snapshot that answered: a cache insert checked against
     /// it is rejected once a publication has landed since.
-    fn search_live(&self, requests: &[SearchRequest]) -> (Vec<Vec<SearchHit>>, u64) {
+    fn search_live(&self, request: &SearchRequest) -> (Vec<SearchHit>, u64) {
         let snapshot = self.handle.snapshot();
         self.batches.inc();
-        self.batched_requests.add(requests.len() as u64);
-        (snapshot.engine.search_many(requests), snapshot.epoch)
-    }
-
-    /// [`DashServer::search_live`] for one request.
-    fn search_live_one(&self, request: &SearchRequest) -> (Vec<SearchHit>, u64) {
-        let (mut answers, epoch) = self.search_live(std::slice::from_ref(request));
-        (answers.pop().expect("one answer per request"), epoch)
+        self.batched_requests.inc();
+        (snapshot.engine.search(request), snapshot.epoch)
     }
 
     /// Top-k db-page search through the full serving path: the result
@@ -518,7 +499,7 @@ impl DashServer {
         if let Some(hits) = self.cache.get(request) {
             return hits;
         }
-        let (hits, epoch) = self.search_live_one(request);
+        let (hits, epoch) = self.search_live(request);
         if self.cache.enabled() {
             self.cache.insert(request, hits.clone(), epoch);
         }
@@ -565,47 +546,11 @@ impl DashServer {
         self.searches.inc();
         let (hits, epoch) = {
             let _span = SpanGuard::start(&self.search_ns);
-            self.search_live_one(request)
+            self.search_live(request)
         };
         let bytes = Arc::new(render(&hits));
         self.rendered.insert(request, Arc::clone(&bytes), epoch);
         bytes
-    }
-
-    /// Batched client-side search: every cache-missing request is
-    /// answered by one [`ShardedEngine::search_many`] call, which
-    /// reuses one scratch across the burst. Results are
-    /// position-aligned with `requests`, each byte-identical to
-    /// [`DashServer::search`] (a request repeated in the burst is
-    /// simply searched again).
-    pub fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
-        let mut results: Vec<Vec<SearchHit>> = Vec::with_capacity(requests.len());
-        let mut slots: Vec<usize> = Vec::new();
-        let mut misses: Vec<SearchRequest> = Vec::new();
-        for request in requests {
-            let hits = if degenerate(request) {
-                Vec::new()
-            } else {
-                self.searches.inc();
-                self.cache.get(request).unwrap_or_else(|| {
-                    slots.push(results.len());
-                    misses.push(request.clone());
-                    Vec::new()
-                })
-            };
-            results.push(hits);
-        }
-        if misses.is_empty() {
-            return results;
-        }
-        let (answers, epoch) = self.search_live(&misses);
-        for (slot, hits) in slots.into_iter().zip(answers) {
-            if self.cache.enabled() {
-                self.cache.insert(&requests[slot], hits.clone(), epoch);
-            }
-            results[slot] = hits;
-        }
-        results
     }
 
     /// Publishes a prebuilt delta: applies it to the shadow engine,
@@ -1394,36 +1339,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.searches, 2);
         assert!(server.uptime() > Duration::ZERO);
-    }
-
-    #[test]
-    fn search_many_mixes_cached_and_fresh() {
-        let server = server(2);
-        let warm = SearchRequest::new(&["burger"]).k(2).min_size(20);
-        let warm_hits = server.search(&warm);
-        let thai = SearchRequest::new(&["thai"]).k(2).min_size(5);
-        let requests = vec![
-            warm.clone(),
-            thai.clone(),
-            SearchRequest::new(&[]).k(3),
-            warm.clone(),
-            SearchRequest::new(&["fries"]).k(3).min_size(1),
-            thai,
-        ];
-        let results = server.search_many(&requests);
-        assert_eq!(results.len(), 6);
-        assert_eq!(results[0], warm_hits);
-        assert_eq!(results[3], warm_hits);
-        assert!(results[2].is_empty());
-        // The misses, the repeated one included, are answered by one
-        // engine call, each exactly as its own search answers it.
-        let stats = server.stats();
-        assert_eq!((stats.batches, stats.batched_requests), (2, 4));
-        for at in [1, 4, 5] {
-            assert!(!results[at].is_empty(), "request {at}");
-            let alone = server.snapshot().engine.search(&requests[at]);
-            assert_eq!(results[at], alone, "request {at}");
-        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The serve test tier: everything `dash-serve` adds on top of the
 //! engines — snapshot swapping and result caching — must be
 //! **invisible** in the results. A served hit list, whether it came
-//! from the cache, from a client-batched call, from a search racing
-//! others, or from either side of a snapshot swap, is byte-identical to the
-//! seed's Algorithm 1 (`tests/common/oracle.rs`) over the server's
-//! current fragment set, at shard counts {1, 4}.
+//! from the cache, from a search racing others, or from either side of
+//! a snapshot swap, is byte-identical to the seed's Algorithm 1
+//! (`tests/common/oracle.rs`) over the server's current fragment set,
+//! at shard counts {1, 4}.
 //!
 //! The evidence:
 //!
 //! * golden serving — the fooddb running example behind a server:
-//!   sequential, repeated (cache-hitting), client-batched and
-//!   concurrent traffic against the reference;
+//!   sequential, repeated (cache-hitting) and concurrent traffic
+//!   against the reference;
 //! * golden publications — fooddb mutation sequences published through
 //!   the server (one-change and multi-change batches), with every
 //!   request battery re-verified after every publication (a stale
@@ -60,20 +60,14 @@ fn server_over(fragments: &[Fragment], shards: usize) -> DashServer {
 }
 
 /// Serves the battery every way the front-end can — one by one (twice:
-/// the repeat answers from the cache), client-batched, and from
-/// concurrent threads — and requires byte-identity with the reference
-/// each time.
+/// the repeat answers from the cache) and from concurrent threads — and
+/// requires byte-identity with the reference each time.
 fn assert_served_equivalent(server: &DashServer, oracle: &Oracle, context: &str) {
     let requests = battery();
     for pass in ["miss", "cached"] {
         let served: Vec<_> = requests.iter().map(|r| server.search(r)).collect();
         oracle.assert_answers(&requests, &served, &format!("{context}: pass={pass}"));
     }
-    oracle.assert_answers(
-        &requests,
-        &server.search_many(&requests),
-        &format!("{context}: client-batched"),
-    );
     std::thread::scope(|scope| {
         for t in 0..4 {
             let requests = &requests;
