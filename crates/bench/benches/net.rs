@@ -21,8 +21,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::{select_keywords, KeywordTemperature};
 use dash_core::crawl::reference;
-use dash_core::{DashEngine, Fragment, FragmentId, IndexDelta, SearchRequest};
-use dash_mapreduce::WorkflowStats;
+use dash_core::{Fragment, FragmentId, FragmentIndex, IndexDelta, SearchRequest};
 use dash_net::{NetClient, NetConfig, NetServer};
 use dash_net::{Replica, ReplicaConfig, ReplicationHub};
 use dash_relation::Value;
@@ -72,8 +71,9 @@ fn bench_net(c: &mut Criterion) {
     let db = generate(&config);
     let app = dash_tpch::q2_application(&db).expect("Q2 analyzes");
     let fragments = reference::fragments(&app, &db).expect("crawl");
-    let single =
-        DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).expect("builds");
+    // The corpus's DF ranking, which picks the hot keyword.
+    let index =
+        FragmentIndex::build(&fragments, app.query.range_selection_index()).expect("builds");
 
     // One hot cache-hit search, repeated over one persistent
     // connection while idle herds are parked next to it.
@@ -88,9 +88,14 @@ fn bench_net(c: &mut Criterion) {
         NetConfig::default(),
     )
     .expect("net server starts");
-    let hot = select_keywords(&single, KeywordTemperature::Hot, 1, 7)
-        .pop()
-        .expect("a hot keyword");
+    let hot = select_keywords(
+        &index.inverted.keywords_by_df(),
+        KeywordTemperature::Hot,
+        1,
+        7,
+    )
+    .pop()
+    .expect("a hot keyword");
     let request = SearchRequest::new(&[hot.as_str()]).k(10).min_size(1000);
     let mut client = NetClient::connect(net.addr()).expect("client connects");
     client.search(&request).expect("warm both caches");

@@ -17,29 +17,24 @@
 //! * `half/…` — half the corpus ties, half varies (the realistic
 //!   "many reposts of the same boilerplate" shape).
 //!
-//! Singles and sharded engines both run: sharding cuts every plateau at
+//! The engine runs at 1, 2 and 4 shards: sharding cuts every plateau at
 //! the shard boundaries, and the one heap seeds from all shards' list
-//! heads, so an `sN` row must stay within noise of `single` (CI gates
-//! `half2048/s4/k10-s1` under 2× `single`).
+//! heads, so an `sN` row must stay within noise of `s1` (CI gates
+//! `half2048/s4/k10-s1` under 2× `s1`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::plateau_corpus;
-use dash_core::{DashEngine, Fragment, IngestSource, SearchRequest, ShardedEngine};
-use dash_mapreduce::WorkflowStats;
+use dash_core::{Fragment, IngestSource, SearchRequest, ShardedEngine};
 use dash_webapp::fooddb;
 
 fn bench_corpus(c: &mut Criterion, label: &str, fragments: &[Fragment]) {
     let app = fooddb::search_application().expect("analyzes");
-    let single = DashEngine::from_fragments(app.clone(), fragments, WorkflowStats::new())
-        .expect("single builds");
     // k small against a huge plateau: seeding cost dominates emission.
     let narrow = SearchRequest::new(&["plateau"]).k(10).min_size(1);
     // Expansion across each group's chain, still under full ties.
     let expanding = SearchRequest::new(&["plateau"]).k(10).min_size(50);
 
     let mut group = c.benchmark_group(&format!("plateau/{label}"));
-    group.bench_function("single/k10-s1", |b| b.iter(|| single.search(&narrow)));
-    group.bench_function("single/k10-s50", |b| b.iter(|| single.search(&expanding)));
     for shards in [1usize, 2, 4] {
         let engine = ShardedEngine::builder(app.clone())
             .shards(shards)

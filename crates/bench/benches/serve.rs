@@ -17,8 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::{select_keywords, KeywordTemperature};
 use dash_core::crawl::reference;
-use dash_core::{DashEngine, SearchRequest};
-use dash_mapreduce::WorkflowStats;
+use dash_core::{FragmentIndex, SearchRequest};
 use dash_serve::{DashServer, ServeConfig};
 use dash_tpch::{generate, Scale, TpchConfig};
 
@@ -31,14 +30,20 @@ fn bench_serve(c: &mut Criterion) {
     let db = generate(&config);
     let app = dash_tpch::q2_application(&db).expect("Q2 analyzes");
     let fragments = reference::fragments(&app, &db).expect("crawl");
-    let single =
-        DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).expect("builds");
+    // The corpus's DF ranking, which picks the hot keyword.
+    let index =
+        FragmentIndex::build(&fragments, app.query.range_selection_index()).expect("builds");
 
     let server = DashServer::from_fragments(app.clone(), &fragments, ServeConfig::default())
         .expect("server builds");
-    let hot = select_keywords(&single, KeywordTemperature::Hot, 1, 7)
-        .pop()
-        .expect("a hot keyword");
+    let hot = select_keywords(
+        &index.inverted.keywords_by_df(),
+        KeywordTemperature::Hot,
+        1,
+        7,
+    )
+    .pop()
+    .expect("a hot keyword");
     let request = SearchRequest::new(&[hot.as_str()]).k(10).min_size(1000);
     let mut group = c.benchmark_group("serve/path");
     server.search(&request); // warm the cache

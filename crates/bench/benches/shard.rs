@@ -1,22 +1,28 @@
-//! Criterion micro-benchmarks for the sharded engine: top-k latency,
-//! batched throughput and incremental-maintenance cost as a function of
-//! the shard count, against the single-engine baseline, on the TPC-H Q2
+//! Criterion micro-benchmarks for the engine: top-k latency, batched
+//! throughput and incremental-maintenance cost as a function of the
+//! shard count, with one shard (`s1`) as the baseline, on the TPC-H Q2
 //! micro workload and the paper's running example. A sharded search is
 //! one heap loop over the whole partition, so the `shards` axis
 //! measures what partitioning costs a read: it must stay within noise
-//! of the single engine (CI gates `tpch-q2/s4/search-hot` under 1.5×
-//! `single`).
+//! of one shard (CI gates `tpch-q2/s4/search-hot` under GATE× `s1`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dash_bench::{select_keywords, KeywordTemperature};
 use dash_core::crawl::reference;
-use dash_core::{DashConfig, DashEngine, IngestSource, RecordChange, SearchRequest, ShardedEngine};
-use dash_mapreduce::WorkflowStats;
+use dash_core::{Fragment, IngestSource, RecordChange, SearchRequest, ShardedEngine};
 use dash_relation::{Record, Value};
 use dash_tpch::{generate, Scale, TpchConfig};
-use dash_webapp::fooddb;
+use dash_webapp::{fooddb, WebApplication};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+fn sharded(app: &WebApplication, fragments: &[Fragment], shards: usize) -> ShardedEngine {
+    ShardedEngine::builder(app.clone())
+        .shards(shards)
+        .source(IngestSource::Fragments(fragments))
+        .build()
+        .expect("sharded builds")
+}
 
 fn bench_shard(c: &mut Criterion) {
     // TPC-H Q2 at micro scale, the Figure 11 workload.
@@ -26,14 +32,19 @@ fn bench_shard(c: &mut Criterion) {
     let db = generate(&config);
     let app = dash_tpch::q2_application(&db).expect("Q2 analyzes");
     let fragments = reference::fragments(&app, &db).expect("crawl");
-    let single =
-        DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).expect("builds");
+    let engines: Vec<ShardedEngine> = SHARD_COUNTS
+        .iter()
+        .map(|&shards| sharded(&app, &fragments, shards))
+        .collect();
+    // The one-shard engine's index ranks the corpus's keywords.
+    let index = engines[0].shard_indexes().next().expect("one shard");
+    let ranked = index.inverted.keywords_by_df();
 
     // A mixed 16-request batch across keyword temperatures, the
     // `search_many` workload.
     let mut batch: Vec<SearchRequest> = Vec::new();
     for temperature in KeywordTemperature::all() {
-        for (i, word) in select_keywords(&single, temperature, 6, 7)
+        for (i, word) in select_keywords(&ranked, temperature, 6, 7)
             .iter()
             .enumerate()
         {
@@ -45,22 +56,13 @@ fn bench_shard(c: &mut Criterion) {
         }
     }
     batch.truncate(16);
-    let hot = select_keywords(&single, KeywordTemperature::Hot, 1, 7)
+    let hot = select_keywords(&ranked, KeywordTemperature::Hot, 1, 7)
         .pop()
         .expect("a hot keyword");
     let hot_request = SearchRequest::new(&[hot.as_str()]).k(10).min_size(1000);
 
     let mut group = c.benchmark_group("shard/tpch-q2");
-    group.bench_function("single/search-hot", |b| {
-        b.iter(|| single.search(&hot_request))
-    });
-    group.bench_function("single/batch16", |b| b.iter(|| single.search_many(&batch)));
-    for shards in SHARD_COUNTS {
-        let engine = ShardedEngine::builder(app.clone())
-            .shards(shards)
-            .source(IngestSource::Fragments(&fragments))
-            .build()
-            .expect("sharded builds");
+    for (shards, engine) in SHARD_COUNTS.into_iter().zip(&engines) {
         group.bench_function(format!("s{shards}/search-hot"), |b| {
             b.iter(|| engine.search(&hot_request))
         });
@@ -74,19 +76,10 @@ fn bench_shard(c: &mut Criterion) {
     let db = fooddb::database();
     let app = fooddb::search_application().expect("analyzes");
     let fragments = reference::fragments(&app, &db).expect("crawl");
-    let single =
-        DashEngine::from_fragments(app.clone(), &fragments, WorkflowStats::new()).expect("builds");
     let request = SearchRequest::new(&["burger"]).k(2).min_size(20);
     let mut group = c.benchmark_group("shard/fooddb");
-    group.bench_function("single/burger-k2-s20", |b| {
-        b.iter(|| single.search(&request))
-    });
     for shards in [1usize, 2] {
-        let engine = ShardedEngine::builder(app.clone())
-            .shards(shards)
-            .source(IngestSource::Fragments(&fragments))
-            .build()
-            .expect("sharded builds");
+        let engine = sharded(&app, &fragments, shards);
         group.bench_function(format!("s{shards}/burger-k2-s20"), |b| {
             b.iter(|| engine.search(&request))
         });
@@ -94,7 +87,7 @@ fn bench_shard(c: &mut Criterion) {
     group.finish();
 
     // The maintenance axis: one record insert + delete cycle through
-    // the unified delta write path, single vs sharded — shard-local
+    // the unified delta write path at 1, 2 and 4 shards — shard-local
     // application means the sharded engines pay per-shard work plus an
     // O(shards) offset refresh, never a rebuild (`s4/full-rebuild`
     // prices what PR 2's build-once engine had to do instead).
@@ -117,21 +110,8 @@ fn bench_shard(c: &mut Criterion) {
     let change = [RecordChange::new("restaurant", record)];
 
     let mut group = c.benchmark_group("shard/maintenance");
-    {
-        let mut engine = DashEngine::build(&app, &db, &DashConfig::default()).expect("builds");
-        group.bench_function("single/insert-delete", |b| {
-            b.iter(|| {
-                engine.apply_changes(&db_with, &change).unwrap();
-                engine.apply_changes(&db, &change).unwrap();
-            })
-        });
-    }
     for shards in [1usize, 2, 4] {
-        let mut engine = ShardedEngine::builder(app.clone())
-            .shards(shards)
-            .source(IngestSource::Fragments(&fragments))
-            .build()
-            .expect("sharded builds");
+        let mut engine = sharded(&app, &fragments, shards);
         group.bench_function(format!("s{shards}/insert-delete"), |b| {
             b.iter(|| {
                 engine.apply_changes(&db_with, &change).unwrap();
@@ -141,13 +121,7 @@ fn bench_shard(c: &mut Criterion) {
     }
     // What an update cost before shard-local maintenance existed.
     group.bench_function("s4/full-rebuild", |b| {
-        b.iter(|| {
-            ShardedEngine::builder(app.clone())
-                .shards(4)
-                .source(IngestSource::Fragments(&fragments))
-                .build()
-                .expect("sharded builds")
-        })
+        b.iter(|| sharded(&app, &fragments, 4))
     });
     group.finish();
 
@@ -180,11 +154,7 @@ fn bench_shard(c: &mut Criterion) {
         .iter()
         .map(|r| RecordChange::new("restaurant", r.clone()))
         .collect();
-    let base = ShardedEngine::builder(app.clone())
-        .shards(4)
-        .source(IngestSource::Fragments(&fragments))
-        .build()
-        .expect("sharded builds");
+    let base = sharded(&app, &fragments, 4);
     let mut group = c.benchmark_group("shard/maintenance-bulk");
     group.bench_function("s4/bulk-8-inserts", |b| {
         b.iter_batched(

@@ -1,26 +1,38 @@
 //! Criterion micro-benchmarks for the top-k search algorithm (the
-//! Figure 11 measurement, in real wall-clock time).
+//! Figure 11 measurement, in real wall-clock time) on a one-shard
+//! engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dash_bench::{select_keywords, KeywordTemperature};
-use dash_core::{DashConfig, DashEngine, SearchRequest};
+use dash_core::{DashConfig, IngestSource, SearchRequest, ShardedEngine};
+use dash_relation::Database;
 use dash_tpch::{generate, Scale, TpchConfig};
-use dash_webapp::fooddb;
+use dash_webapp::{fooddb, WebApplication};
 
-fn engine_tpch_q2() -> DashEngine {
+fn engine(app: WebApplication, db: &Database) -> ShardedEngine {
+    let config = DashConfig::default();
+    ShardedEngine::builder(app)
+        .source(IngestSource::Crawl {
+            db,
+            config: &config,
+        })
+        .build()
+        .expect("engine builds")
+}
+
+fn engine_tpch_q2() -> ShardedEngine {
     let mut config = TpchConfig::new(Scale::Custom(1));
     config.base_customers = 100;
     config.base_parts = 130;
     let db = generate(&config);
     let app = dash_tpch::q2_application(&db).expect("Q2 analyzes");
-    DashEngine::build(&app, &db, &DashConfig::default()).expect("engine builds")
+    engine(app, &db)
 }
 
 fn bench_topk(c: &mut Criterion) {
     // Running example, Example 7's exact request.
     let db = fooddb::database();
-    let app = fooddb::search_application().expect("analyzes");
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).expect("builds");
+    let engine = engine(fooddb::search_application().expect("analyzes"), &db);
     c.bench_function("topk/fooddb/burger-k2-s20", |b| {
         let request = SearchRequest::new(&["burger"]).k(2).min_size(20);
         b.iter(|| engine.search(&request))
@@ -28,9 +40,11 @@ fn bench_topk(c: &mut Criterion) {
 
     // TPC-H Q2 at micro scale: the paper's keyword temperature classes.
     let engine = engine_tpch_q2();
+    let index = engine.shard_indexes().next().expect("one shard");
+    let ranked = index.inverted.keywords_by_df();
     let mut group = c.benchmark_group("topk/tpch-q2");
     for temperature in KeywordTemperature::all() {
-        let keywords = select_keywords(&engine, temperature, 10, 7);
+        let keywords = select_keywords(&ranked, temperature, 10, 7);
         if keywords.is_empty() {
             continue;
         }

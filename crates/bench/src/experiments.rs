@@ -3,9 +3,12 @@
 use std::time::Instant;
 
 use dash_core::baseline::{page_count, NaiveEngine};
-use dash_core::{CrawlAlgorithm, DashConfig, DashEngine, FragmentGraph, SearchRequest};
+use dash_core::{
+    CrawlAlgorithm, DashConfig, Fragment, FragmentGraph, IngestSource, SearchRequest, ShardedEngine,
+};
 use dash_mapreduce::ClusterConfig;
 use dash_tpch::Scale;
+use dash_webapp::WebApplication;
 
 use crate::datasets::{application_for, dataset, QueryId};
 use crate::keywords::{select_keywords, KeywordTemperature};
@@ -120,28 +123,33 @@ pub struct Fig11Cell {
     pub avg_hits: f64,
 }
 
-/// Builds the engine Figure 11 measures (Q2 on the given scale — the
-/// paper's configuration with `medium`).
-pub fn fig11_engine(scale: Scale, cluster: &ClusterConfig) -> DashEngine {
+/// Builds the one-shard engine Figure 11 measures (Q2 on the given
+/// scale — the paper's configuration with `medium`).
+pub fn fig11_engine(scale: Scale, cluster: &ClusterConfig) -> ShardedEngine {
     let db = dataset(scale);
     let app = application_for(QueryId::Q2, &db);
-    DashEngine::build(
-        &app,
-        &db,
-        &DashConfig {
-            cluster: cluster.clone(),
-            algorithm: CrawlAlgorithm::Integrated,
-            ..DashConfig::default()
-        },
-    )
-    .expect("engine builds on generated data")
+    let config = DashConfig {
+        cluster: cluster.clone(),
+        algorithm: CrawlAlgorithm::Integrated,
+        ..DashConfig::default()
+    };
+    ShardedEngine::builder(app)
+        .source(IngestSource::Crawl {
+            db: &db,
+            config: &config,
+        })
+        .build()
+        .expect("engine builds on generated data")
 }
 
-/// Runs the Figure 11 grid against a prebuilt engine.
-pub fn fig11(engine: &DashEngine) -> Vec<Fig11Cell> {
+/// Runs the Figure 11 grid against a prebuilt one-shard engine (its
+/// one index ranks the keywords).
+pub fn fig11(engine: &ShardedEngine) -> Vec<Fig11Cell> {
+    let index = engine.shard_indexes().next().expect("one shard");
+    let ranked = index.inverted.keywords_by_df();
     let mut cells = Vec::new();
     for temperature in KeywordTemperature::all() {
-        let keywords = select_keywords(engine, temperature, KEYWORDS_PER_CLASS, 0xF16);
+        let keywords = select_keywords(&ranked, temperature, KEYWORDS_PER_CLASS, 0xF16);
         for &s in &S_VALUES {
             for &k in &K_VALUES {
                 let mut total = std::time::Duration::ZERO;
@@ -185,21 +193,14 @@ pub fn ablation(scale: Scale, query: QueryId, max_pages: usize) -> Vec<AblationR
     let app = application_for(query, &db);
     let fragments =
         dash_core::crawl::reference::fragments(&app, &db).expect("reference crawl succeeds");
-    let engine = DashEngine::from_fragments(
-        app.clone(),
-        &fragments,
-        dash_mapreduce::WorkflowStats::new(),
-    )
-    .expect("engine builds");
+    let engine = one_shard(&app, &fragments);
     let naive =
         NaiveEngine::from_fragments(app.clone(), &fragments, max_pages).expect("baseline builds");
     let naive_stats = naive.stats();
 
     let fragment_postings: usize = engine
-        .index()
-        .inverted
-        .keywords_by_df()
-        .iter()
+        .shard_indexes()
+        .flat_map(|index| index.inverted.keywords_by_df())
         .map(|(_, df)| df)
         .sum();
     let truncated = if naive_stats.truncated {
@@ -230,6 +231,14 @@ pub fn ablation(scale: Scale, query: QueryId, max_pages: usize) -> Vec<AblationR
             naive_index: format!("{}{truncated}", naive_stats.total_keywords),
         },
     ]
+}
+
+/// A one-shard engine over already-derived fragments.
+fn one_shard(app: &WebApplication, fragments: &[Fragment]) -> ShardedEngine {
+    ShardedEngine::builder(app.clone())
+        .source(IngestSource::Fragments(fragments))
+        .build()
+        .expect("engine builds")
 }
 
 #[cfg(test)]
@@ -292,13 +301,7 @@ mod tests {
         let app = application_for(QueryId::Q1, &db);
         let fragments =
             dash_core::crawl::reference::fragments(&app, &db).expect("reference crawl succeeds");
-        let docs_frag = DashEngine::from_fragments(
-            app.clone(),
-            &fragments,
-            dash_mapreduce::WorkflowStats::new(),
-        )
-        .expect("engine builds")
-        .fragment_count();
+        let docs_frag = one_shard(&app, &fragments).fragment_count();
         let docs_naive = page_count(&app, &fragments);
         assert!(
             docs_naive > docs_frag,

@@ -4,7 +4,6 @@
 //! keywords, 30 warm keywords and 30 cold keywords are extracted from top
 //! 10%, middle 10% and bottom 10% of the keywords."
 
-use dash_core::DashEngine;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -39,16 +38,16 @@ impl KeywordTemperature {
     }
 }
 
-/// Samples `count` keywords of the requested temperature from the
-/// engine's fragment-frequency distribution, deterministically for a
-/// given seed.
+/// Samples `count` keywords of the requested temperature from a
+/// fragment-frequency ranking (hottest first, as
+/// `InvertedFragmentIndex::keywords_by_df` reports it over the whole
+/// corpus), deterministically for a given seed.
 pub fn select_keywords(
-    engine: &DashEngine,
+    ranked: &[(&str, usize)],
     temperature: KeywordTemperature,
     count: usize,
     seed: u64,
 ) -> Vec<String> {
-    let ranked = engine.index().inverted.keywords_by_df();
     if ranked.is_empty() {
         return Vec::new();
     }
@@ -76,19 +75,25 @@ pub fn select_keywords(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_core::DashConfig;
+    use dash_core::FragmentIndex;
     use dash_webapp::fooddb;
+
+    fn fooddb_index() -> FragmentIndex {
+        let db = fooddb::database();
+        let app = fooddb::search_application().unwrap();
+        let fragments = dash_core::crawl::reference::fragments(&app, &db).unwrap();
+        FragmentIndex::build(&fragments, app.query.range_selection_index()).unwrap()
+    }
 
     #[test]
     fn temperatures_order_by_df() {
-        let db = fooddb::database();
-        let app = fooddb::search_application().unwrap();
-        let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
-        let hot = select_keywords(&engine, KeywordTemperature::Hot, 5, 1);
-        let cold = select_keywords(&engine, KeywordTemperature::Cold, 5, 1);
+        let index = fooddb_index();
+        let ranked = index.inverted.keywords_by_df();
+        let hot = select_keywords(&ranked, KeywordTemperature::Hot, 5, 1);
+        let cold = select_keywords(&ranked, KeywordTemperature::Cold, 5, 1);
         assert!(!hot.is_empty());
         assert!(!cold.is_empty());
-        let df = |w: &str| engine.index().inverted.df(w);
+        let df = |w: &str| index.inverted.df(w);
         let max_cold = cold.iter().map(|w| df(w)).max().unwrap();
         let max_hot = hot.iter().map(|w| df(w)).max().unwrap();
         assert!(max_hot >= max_cold);
@@ -96,11 +101,10 @@ mod tests {
 
     #[test]
     fn deterministic_for_seed() {
-        let db = fooddb::database();
-        let app = fooddb::search_application().unwrap();
-        let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
-        let a = select_keywords(&engine, KeywordTemperature::Warm, 10, 7);
-        let b = select_keywords(&engine, KeywordTemperature::Warm, 10, 7);
+        let index = fooddb_index();
+        let ranked = index.inverted.keywords_by_df();
+        let a = select_keywords(&ranked, KeywordTemperature::Warm, 10, 7);
+        let b = select_keywords(&ranked, KeywordTemperature::Warm, 10, 7);
         assert_eq!(a, b);
     }
 }

@@ -1,15 +1,17 @@
-//! The [`DashEngine`] facade: build once (crawl + index), search many
-//! times — Figure 4 of the paper as one type.
+//! Engine construction options ([`DashConfig`]), query validation, and
+//! [`DashEngine`], the one-index oracle kept for the frozen end-to-end
+//! benchmark. Every engine the workspace builds is a
+//! [`ShardedEngine`](crate::ShardedEngine) (one shard by default).
 
 use dash_mapreduce::{ClusterConfig, WorkflowStats};
-use dash_relation::Database;
 use dash_webapp::WebApplication;
 
-use crate::crawl::{self, CrawlAlgorithm};
+use crate::crawl::CrawlAlgorithm;
 use crate::error::CoreError;
 use crate::fragment::Fragment;
 use crate::index::FragmentIndex;
 use crate::search::{request_idf, top_k, top_k_in, SearchHit, SearchRequest, SearchScratch};
+use crate::update::{IndexDelta, RefreshStats};
 use crate::Result;
 
 /// Engine construction options.
@@ -23,31 +25,22 @@ pub struct DashConfig {
     pub scope: crate::scope::CrawlScope,
 }
 
-/// A built Dash search engine for one web application over one database.
+/// One [`FragmentIndex`] searched by Algorithm 1 directly, with no
+/// shard, serving or socket code on its path.
+///
+/// It exists only for the frozen end-to-end benchmark (`benchmark/`),
+/// whose oracle calls exactly these four methods. Nothing in the
+/// workspace may use it — build a [`ShardedEngine`](crate::ShardedEngine)
+/// instead; CI fails on any other mention. ROADMAP item 12(e) deletes
+/// it.
 #[derive(Debug, Clone)]
 pub struct DashEngine {
     app: WebApplication,
     index: FragmentIndex,
-    crawl_stats: WorkflowStats,
 }
 
 impl DashEngine {
-    /// Analyzes nothing (the application is already analyzed), crawls the
-    /// database for fragments and builds the fragment index.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::UnsupportedQuery`] — the query has more than one
-    ///   range-bound selection attribute (outside the paper's page model).
-    /// * Crawl/index errors otherwise.
-    pub fn build(app: &WebApplication, db: &Database, config: &DashConfig) -> Result<Self> {
-        validate_query(app)?;
-        let crawl = crawl::run_scoped(app, db, &config.cluster, config.algorithm, &config.scope)?;
-        Self::from_fragments(app.clone(), &crawl.fragments, crawl.stats)
-    }
-
-    /// Builds an engine from already-derived fragments (used by the
-    /// multi-application layer and by tests that bypass MapReduce).
+    /// Builds an engine from already-derived fragments.
     ///
     /// # Errors
     ///
@@ -55,15 +48,11 @@ impl DashEngine {
     pub fn from_fragments(
         app: WebApplication,
         fragments: &[Fragment],
-        crawl_stats: WorkflowStats,
+        _crawl_stats: WorkflowStats,
     ) -> Result<Self> {
         validate_query(&app)?;
         let index = FragmentIndex::build(fragments, app.query.range_selection_index())?;
-        Ok(DashEngine {
-            app,
-            index,
-            crawl_stats,
-        })
+        Ok(DashEngine { app, index })
     }
 
     /// Top-k db-page search (Algorithm 1). Returns at most `request.k`
@@ -88,29 +77,21 @@ impl DashEngine {
             .collect()
     }
 
-    /// The analyzed application this engine serves.
-    pub fn app(&self) -> &WebApplication {
-        &self.app
+    /// Applies a prebuilt delta to the index: [`IndexDelta::check`],
+    /// then [`FragmentIndex::apply`].
+    ///
+    /// # Panics
+    ///
+    /// If an identifier does not have the application's arity or an
+    /// added fragment holds a keyword more than `u32::MAX` times; the
+    /// delta is checked before the index changes.
+    pub fn apply_delta(&mut self, delta: &IndexDelta) -> RefreshStats {
+        self.apply_checked(delta).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The fragment index (inverted fragment index + fragment graph).
-    pub fn index(&self) -> &FragmentIndex {
-        &self.index
-    }
-
-    /// Mutable index access (incremental maintenance).
-    pub fn index_mut(&mut self) -> &mut FragmentIndex {
-        &mut self.index
-    }
-
-    /// Statistics of the crawl/index workflow that built this engine.
-    pub fn crawl_stats(&self) -> &WorkflowStats {
-        &self.crawl_stats
-    }
-
-    /// Number of indexed fragments.
-    pub fn fragment_count(&self) -> usize {
-        self.index.fragment_count()
+    fn apply_checked(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
+        delta.check(&self.app)?;
+        self.index.apply(delta)
     }
 }
 
@@ -134,13 +115,23 @@ pub(crate) fn validate_query(app: &WebApplication) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::IngestSource;
+    use crate::sharded::ShardedEngine;
+    use dash_relation::Database;
     use dash_webapp::fooddb;
+
+    fn build(app: &WebApplication, db: &Database, config: &DashConfig) -> ShardedEngine {
+        ShardedEngine::builder(app.clone())
+            .source(IngestSource::Crawl { db, config })
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn build_and_search_running_example() {
         let db = fooddb::database();
         let app = fooddb::search_application().unwrap();
-        let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+        let engine = build(&app, &db, &DashConfig::default());
         assert_eq!(engine.fragment_count(), 5);
         assert!(engine.crawl_stats().sim_total_secs() > 0.0);
         let hits = engine.search(&SearchRequest::new(&["burger"]).k(2).min_size(20));
@@ -151,16 +142,12 @@ mod tests {
     fn stepwise_and_integrated_build_identical_indexes() {
         let db = fooddb::database();
         let app = fooddb::search_application().unwrap();
-        let sw = DashEngine::build(
-            &app,
-            &db,
-            &DashConfig {
-                algorithm: CrawlAlgorithm::Stepwise,
-                ..DashConfig::default()
-            },
-        )
-        .unwrap();
-        let int = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+        let stepwise = DashConfig {
+            algorithm: CrawlAlgorithm::Stepwise,
+            ..DashConfig::default()
+        };
+        let sw = build(&app, &db, &stepwise);
+        let int = build(&app, &db, &DashConfig::default());
         let req = SearchRequest::new(&["burger"]).k(5).min_size(20);
         assert_eq!(sw.search(&req), int.search(&req));
     }
@@ -171,7 +158,7 @@ mod tests {
         // the web application, produce pages containing the keywords.
         let db = fooddb::database();
         let app = fooddb::search_application().unwrap();
-        let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+        let engine = build(&app, &db, &DashConfig::default());
         for hit in engine.search(&SearchRequest::new(&["burger"]).k(2).min_size(20)) {
             let qs = dash_webapp::QueryString::parse(&hit.query_string).unwrap();
             let page = app.execute(&db, &qs).unwrap();

@@ -272,12 +272,6 @@ impl FragmentGraph {
             .sum()
     }
 
-    /// Number of equality groups holding a live node (the connected
-    /// components).
-    pub fn group_count(&self) -> usize {
-        self.runs.iter().filter(|run| !run.is_empty()).count()
-    }
-
     /// Average keywords per fragment — Table IV's third column, from
     /// the catalog's weights.
     pub fn avg_keywords(&self, catalog: &FragmentCatalog) -> f64 {
@@ -378,7 +372,7 @@ mod tests {
         assert_eq!(g.node_count(), 5);
         // American chain has 3 edges; Thai is isolated.
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.group_count(), 2);
+        assert_eq!(catalog.key_count(), 2);
         let american = catalog.group_by_key(&[Value::str("American")]).unwrap();
         let budgets: Vec<&Value> = g
             .group_nodes(american)
@@ -471,7 +465,8 @@ mod tests {
         // Removing the last of a group empties its run; the group keeps
         // its key and rank but no longer counts.
         assert!(g.remove(frag_of(&catalog, "Thai", 10)));
-        assert_eq!(g.group_count(), 1);
+        let american = catalog.group_by_key(&[Value::str("American")]).unwrap();
+        assert_eq!(g.group_nodes(american).len(), 3);
         let thai = catalog.group_by_key(&[Value::str("Thai")]).unwrap();
         assert!(g.group_nodes(thai).is_empty());
         assert_eq!(catalog.group_rank(thai), 1);
@@ -554,7 +549,9 @@ mod tests {
         }
         assert_eq!(inc.node_count(), bulk.node_count());
         assert_eq!(inc.edge_count(), bulk.edge_count());
-        assert_eq!(inc.group_count(), bulk.group_count());
+        for group in (0..catalog.key_count() as u32).map(|rank| catalog.group_at_rank(rank)) {
+            assert_eq!(inc.group_nodes(group), bulk.group_nodes(group));
+        }
         for f in &fragments {
             let frag = catalog.frag(&f.id).unwrap();
             assert_eq!(inc.locate(frag), bulk.locate(frag), "{}", f.id);
@@ -583,7 +580,10 @@ mod tests {
         let rebuilt = FragmentGraph::build(&catalog, &[thai, twelve]);
         assert_eq!(rebuilt.node_count(), g.node_count());
         assert_eq!(rebuilt.edge_count(), g.edge_count());
-        assert_eq!(rebuilt.group_count(), 2);
+        // Thai's key stays in the catalog with an empty run.
+        assert_eq!(catalog.key_count(), 3);
+        let thai_group = catalog.group_by_key(&[Value::str("Thai")]).unwrap();
+        assert!(rebuilt.group_nodes(thai_group).is_empty());
         for frag in (0..catalog.len() as u32).map(Frag) {
             assert_eq!(rebuilt.locate(frag), g.locate(frag), "{frag:?}");
         }

@@ -51,19 +51,19 @@
 //! Index construction parallelizes across equality groups and inverted
 //! lists (scoped threads).
 //!
-//! ## Sharded search: one heap over the partition
+//! ## The engine: one heap over the partition
 //!
-//! [`sharded::ShardedEngine`] partitions the equality groups into `N`
-//! contiguous runs of key-rank order (zero-copy: shard parts borrow
-//! the crawl output), builds each shard a self-contained
-//! [`FragmentIndex`], and serves search by running the heap loop once
-//! over the whole partition: one priority queue seeded from every
-//! shard's list cursors, ties broken on global group ranks. A group
-//! never spans two shards, so this is the single engine's loop over a
+//! [`ShardedEngine`] is the engine. It partitions the equality groups
+//! into `N` contiguous runs of key-rank order (one by default;
+//! zero-copy: shard parts borrow the crawl output), builds each shard a
+//! self-contained [`FragmentIndex`], and serves search by running the
+//! heap loop once over the whole partition: one priority queue seeded
+//! from every shard's list cursors, ties broken on global group ranks.
+//! A group never spans two shards, so this is the one-shard loop over a
 //! partitioned index, pop for pop. Results are **byte-identical** to
-//! [`DashEngine::search`] for any shard count — proven by the
-//! `sharded_equivalence` test tier — and both engines offer a batched
-//! `search_many` that reuses scratch across requests. `DASH_SHARDS`
+//! the seed's Algorithm 1 (`tests/common/oracle.rs`) for any shard
+//! count — proven by the `sharded_equivalence` test tier — and a
+//! batched `search_many` reuses scratch across requests. `DASH_SHARDS`
 //! selects the partition width in deployments (see
 //! [`sharded::env_shards`]).
 //!
@@ -78,22 +78,20 @@
 //!
 //! ## The unified delta write path
 //!
-//! Both engines mutate through one abstraction: an
+//! The engine mutates through one abstraction: an
 //! [`update::IndexDelta`] (stale identifiers out, fresh
 //! fragments in), built from a base-table change by [`update`] and
 //! applied atomically by [`FragmentIndex::apply`] — posting splices
 //! batched into one arena rewrite, graph splices confined to the
-//! affected groups' columns. [`DashEngine`] applies deltas to its one
-//! index; [`sharded::ShardedEngine`] routes each entry
+//! affected groups' columns. [`ShardedEngine`] routes each entry
 //! to the shard owning its equality group (a static key-range table)
 //! and applies the sub-deltas shard by shard, refreshing global group
 //! ranks and IDF incrementally — per-shard work only, no rebuild, with
-//! post-update searches byte-identical to a freshly built single
-//! engine (the `sharded_maintenance` test tier). The arena image
+//! post-update searches byte-identical to a freshly built engine (the
+//! `sharded_maintenance` test tier). The arena image
 //! ([`persist`]) round-trips a maintained partition without
 //! re-partitioning.
 //!
-//! [`engine::DashEngine`] packages the single-heap pipeline;
 //! [`multi::MultiDash`] federates one [`sharded::ShardedEngine`] per
 //! application (so multi-application scoping composes with sharding);
 //! [`baseline`]
@@ -105,13 +103,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use dash_core::{DashConfig, DashEngine, SearchRequest};
+//! use dash_core::{DashConfig, IngestSource, SearchRequest, ShardedEngine};
 //! use dash_webapp::fooddb;
 //!
 //! # fn main() -> Result<(), dash_core::CoreError> {
 //! let db = fooddb::database();
 //! let app = fooddb::search_application()?;
-//! let engine = DashEngine::build(&app, &db, &DashConfig::default())?;
+//! let config = DashConfig::default();
+//! let engine = ShardedEngine::builder(app)
+//!     .source(IngestSource::Crawl { db: &db, config: &config })
+//!     .build()?;
 //! // Example 7 of the paper: top-2 pages for "burger" with s = 20.
 //! let hits = engine.search(&SearchRequest::new(&["burger"]).k(2).min_size(20));
 //! assert_eq!(hits.len(), 2);

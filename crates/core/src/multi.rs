@@ -12,9 +12,8 @@
 //!
 //! Each application is served by a [`ShardedEngine`] partitioned into
 //! the same number of shards — multi-application scoping composes with
-//! sharding without the merge layer knowing, and at one shard each
-//! engine answers exactly as a single-index
-//! [`DashEngine`](crate::engine::DashEngine) would.
+//! sharding without the merge layer knowing: each engine answers
+//! exactly as it would at one shard.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -224,7 +223,7 @@ fn content_signature(f: &Fragment) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DashConfig, DashEngine};
+    use crate::engine::DashConfig;
     use dash_webapp::fooddb;
 
     /// A second application over fooddb with the same query shape but a
@@ -295,7 +294,7 @@ servlet Mirror at "www.mirror.example/Find" {
         // Multi-application scoping composes with sharding: the
         // federated results at 2 and 4 shards are byte-identical to the
         // one-shard federation, whose engines each answer exactly as a
-        // freshly built single-index DashEngine (the oracle).
+        // standalone one-shard engine built from its own crawl.
         let single = federation(1);
         let requests = vec![
             SearchRequest::new(&["burger"]).k(4).min_size(20),
@@ -304,15 +303,17 @@ servlet Mirror at "www.mirror.example/Find" {
         ];
         let db = fooddb::database();
         for engine in single.engines() {
-            let oracle = DashEngine::build(
-                engine.app(),
-                &db,
-                &DashConfig {
-                    algorithm: CrawlAlgorithm::Integrated,
-                    ..DashConfig::default()
-                },
-            )
-            .unwrap();
+            let config = DashConfig {
+                algorithm: CrawlAlgorithm::Integrated,
+                ..DashConfig::default()
+            };
+            let oracle = ShardedEngine::builder(engine.app().clone())
+                .source(IngestSource::Crawl {
+                    db: &db,
+                    config: &config,
+                })
+                .build()
+                .unwrap();
             assert_eq!(engine.fragment_count(), oracle.fragment_count());
             for request in &requests {
                 assert_eq!(

@@ -701,7 +701,6 @@ pub(crate) fn with_context(what: &str, e: io::Error) -> io::Error {
 mod tests {
     use super::*;
     use crate::crawl::reference;
-    use crate::engine::DashEngine;
     use crate::ingest::IngestSource;
     use crate::search::SearchRequest;
     use crate::sharded::ShardedEngine;
@@ -772,9 +771,10 @@ mod tests {
             .source(IngestSource::Image(&image))
             .build()
             .unwrap();
-        let single =
-            DashEngine::from_fragments(app, &fragments, dash_mapreduce::WorkflowStats::new())
-                .unwrap();
+        let single = ShardedEngine::builder(app)
+            .source(IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
         for kw in ["burger", "fries", "coffee"] {
             let req = SearchRequest::new(&[kw]).k(5).min_size(20);
             assert_eq!(loaded.search(&req), single.search(&req), "{kw}");

@@ -53,9 +53,9 @@
 //! shards, and expansion, absorption and overlap suppression never
 //! leave a group, so each candidate reads only its own shard.
 //! Candidates order by their *global* group rank (`offset + local
-//! rank`), so the tie-break is the single engine's, and the pop
-//! sequence — hence every hit, byte for byte — is the single engine's
-//! for any shard count.
+//! rank`), so the tie-break is the one-shard engine's, and the pop
+//! sequence — hence every hit, byte for byte — is the one-shard
+//! engine's for any shard count.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -227,7 +227,7 @@ pub(crate) fn request_idf(shards: &[ShardView<'_>], request: &SearchRequest) -> 
 /// hold at that point, and the pop sequence is the eager run's — for
 /// any seeding order and any valid bound.
 ///
-/// That makes the loop the single engine's for any partition. Every
+/// That makes the loop the one-shard engine's for any partition. Every
 /// list cursor walks one shard's TF-descending list, and `seed_one`
 /// draws the first strict maximum over all shards' list heads. The
 /// bound is the maximum over shards of each shard's per-keyword head

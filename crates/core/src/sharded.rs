@@ -10,8 +10,8 @@
 //! breaking ties on global group ranks
 //! (the heap loop in [`crate::search::topk`] takes the shards as
 //! `(index, group offset)` views). Results are **byte-identical** to
-//! [`DashEngine::search`](crate::engine::DashEngine::search) for any
-//! shard count.
+//! Algorithm 1 over one unpartitioned index (the seed's loop, kept as
+//! the test oracle in `tests/common/oracle.rs`) for any shard count.
 //!
 //! ## Why one heap is exact
 //!
@@ -31,7 +31,7 @@
 //!   score ties its pop sequence does not depend on the seeding
 //!   schedule (the lemma on [`crate::search::topk`]).
 //!
-//! So the pop sequence is the single engine's, pop for pop; a group's
+//! So the pop sequence is the one-shard engine's, pop for pop; a group's
 //! candidates evolve through the same operation sequence, so every
 //! score is the same `f64` bit pattern. `tests/sharded_equivalence.rs`
 //! enforces this (golden datasets, whole-corpus tie plateaus, property
@@ -58,8 +58,8 @@
 //! and the engine refreshes the *global* coordinates incrementally:
 //! group-rank offsets are re-prefix-summed over per-shard key counts
 //! (O(shards)), and global IDF is always computed per request.
-//! Post-update searches are therefore byte-identical to a
-//! [`DashEngine`] freshly rebuilt over the mutated fragment set —
+//! Post-update searches are therefore byte-identical to an engine
+//! freshly built over the mutated fragment set —
 //! proven by `tests/sharded_maintenance.rs` (golden + property tests,
 //! shard counts {1, 2, 4, 8}).
 //!
@@ -71,8 +71,6 @@
 //! An engine's *generation* counts its applies and a fork inherits it;
 //! a prepared delta records the generation it was read at and applies
 //! only there, so it cannot land on a state it was not read from.
-//!
-//! [`DashEngine`]: crate::engine::DashEngine
 
 use dash_mapreduce::WorkflowStats;
 use dash_relation::{Database, Value};
@@ -112,14 +110,12 @@ struct Shard {
     group_offset: u32,
 }
 
-/// A Dash engine whose handle space is partitioned into `N` shards and
-/// searched by one heap loop over the whole partition. Search results
-/// are byte-identical to a single-shard [`DashEngine`] over the same
-/// fragments, for any shard count ≥ 1 — including after any sequence
-/// of incremental updates ([`ShardedEngine::apply_changes`] /
-/// [`ShardedEngine::apply_delta`]).
-///
-/// [`DashEngine`]: crate::engine::DashEngine
+/// The Dash engine: its handle space is partitioned into `N` shards
+/// (one by default) and searched by one heap loop over the whole
+/// partition. Search results are byte-identical to the one-shard
+/// engine's over the same fragments, for any shard count ≥ 1 —
+/// including after any sequence of incremental updates
+/// ([`ShardedEngine::apply_changes`] / [`ShardedEngine::apply_delta`]).
 #[derive(Debug)]
 pub struct ShardedEngine {
     app: WebApplication,
@@ -167,10 +163,8 @@ impl PreparedDelta<'_> {
 
 impl ShardedEngine {
     /// Crawls the database and builds a sharded engine — the crawl
-    /// half of [`IngestSource::Crawl`](crate::ingest::IngestSource)
-    /// and the sharded counterpart of
-    /// [`DashEngine::build`](crate::DashEngine::build). `shards` is
-    /// clamped to at least 1.
+    /// half of [`IngestSource::Crawl`](crate::ingest::IngestSource).
+    /// `shards` is clamped to at least 1.
     pub(crate) fn crawl_build_impl(
         app: &WebApplication,
         db: &Database,
@@ -273,9 +267,9 @@ impl ShardedEngine {
         })
     }
 
-    /// Top-k db-page search — byte-identical to
-    /// [`DashEngine::search`](crate::DashEngine::search) over the same
-    /// fragments.
+    /// Top-k db-page search (Algorithm 1). Returns at most `request.k`
+    /// URL suggestions, most relevant first — the same for any shard
+    /// count.
     pub fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
         self.search_many(std::slice::from_ref(request))
             .pop()
@@ -347,8 +341,8 @@ impl ShardedEngine {
 
     /// Applies a prebuilt delta: [`ShardedEngine::prepare`], then
     /// [`ShardedEngine::apply_prepared`]. Post-update searches are
-    /// byte-identical to a [`DashEngine`](crate::DashEngine) freshly
-    /// built over the mutated fragment set.
+    /// byte-identical to an engine freshly built over the mutated
+    /// fragment set.
     ///
     /// # Panics
     ///
@@ -458,9 +452,7 @@ impl ShardedEngine {
     /// Applies a batch of record changes — inserts and deletes alike,
     /// one record or many — through one [`bulk_delta`] (shadow joins
     /// batched per relation, one scoped re-crawl), routed to the owning
-    /// shards only. The sharded counterpart of
-    /// [`DashEngine::apply_changes`](crate::DashEngine::apply_changes).
-    /// `db` must already reflect every change.
+    /// shards only. `db` must already reflect every change.
     ///
     /// # Errors
     ///
@@ -788,7 +780,6 @@ fn partition(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::engine::DashEngine;
     use dash_webapp::fooddb;
 
     fn fooddb_parts() -> (WebApplication, Database) {
@@ -810,8 +801,9 @@ pub(crate) mod tests {
     #[test]
     fn matches_single_engine_on_running_example() {
         let (app, db) = fooddb_parts();
-        let single = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
-        for shards in 1..=4 {
+        let single = built(&app, &db, 1).unwrap();
+        assert_eq!(single.shard_count(), 1);
+        for shards in 2..=4 {
             let sharded = built(&app, &db, shards).unwrap();
             assert_eq!(sharded.shard_count(), shards);
             assert_eq!(sharded.fragment_count(), single.fragment_count());
@@ -879,7 +871,7 @@ pub(crate) mod tests {
     #[test]
     fn more_shards_than_groups_still_works() {
         let (app, db) = fooddb_parts();
-        let single = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+        let single = built(&app, &db, 1).unwrap();
         // fooddb has 2 equality groups; ask for 8 shards (most empty).
         let sharded = built(&app, &db, 8).unwrap();
         let req = SearchRequest::new(&["burger"]).k(10).min_size(1);
@@ -998,9 +990,10 @@ pub(crate) mod tests {
             .collect();
         engine.apply_delta(IndexDelta::adding(fragments.clone()));
         assert_eq!(engine.shard_sizes(), vec![3, 0, 0]);
-        let single =
-            crate::engine::DashEngine::from_fragments(app, &fragments, WorkflowStats::new())
-                .unwrap();
+        let single = ShardedEngine::builder(app)
+            .source(crate::ingest::IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
         let req = SearchRequest::new(&["gumbo"]).k(5).min_size(1);
         assert_eq!(engine.search(&req), single.search(&req));
     }

@@ -5,7 +5,7 @@
 //!
 //! ## The delta write path
 //!
-//! Every mutation — single-engine or sharded — flows through one
+//! Every mutation — at any shard count — flows through one
 //! abstraction, the [`IndexDelta`]: the set of fragment identifiers
 //! whose index entries are stale (`removes`) plus the freshly derived
 //! fragments to splice in (`adds`). A batch of base-table record
@@ -37,14 +37,12 @@
 //!    (see `InvertedFragmentIndex::apply_delta`). The result is the
 //!    exact layout a from-scratch build produces.
 //!
-//! Each engine has one record-change method, `apply_changes`, plus
-//! `apply_delta` for a prebuilt delta.
-//! [`DashEngine`] applies a delta to its one index;
-//! [`ShardedEngine`](crate::sharded::ShardedEngine) routes each delta
-//! entry to the shard owning its equality group and applies each
-//! sub-delta to its shard — per-shard work only, with
-//! search results staying byte-identical to a freshly built single
-//! engine (see `crate::sharded`).
+//! The engine has one record-change method,
+//! [`ShardedEngine::apply_changes`](crate::sharded::ShardedEngine::apply_changes),
+//! plus `apply_delta` for a prebuilt delta: it routes each delta entry
+//! to the shard owning its equality group and applies each sub-delta to
+//! its shard — per-shard work only, with search results staying
+//! byte-identical to a freshly built engine (see `crate::sharded`).
 //!
 //! [`FragmentIndex::apply`]: crate::index::FragmentIndex::apply
 
@@ -54,7 +52,6 @@ use dash_relation::{Database, Record, Schema, Table, Value};
 use dash_webapp::WebApplication;
 
 use crate::crawl::reference;
-use crate::engine::DashEngine;
 use crate::error::CoreError;
 use crate::fragment::{Fragment, FragmentId};
 use crate::index::catalog::key_parts;
@@ -209,10 +206,12 @@ impl DeltaSignature {
 }
 
 /// One base-table record change — the unit of the maintenance path
-/// ([`bulk_delta`], [`DashEngine::apply_changes`]). The database handed
-/// alongside must already reflect the change (record inserted /
+/// ([`bulk_delta`], [`ShardedEngine::apply_changes`]). The database
+/// handed alongside must already reflect the change (record inserted /
 /// removed); a deleted record's foreign-key parents must still be in
 /// it.
+///
+/// [`ShardedEngine::apply_changes`]: crate::sharded::ShardedEngine::apply_changes
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordChange {
     /// The relation the record was inserted into or deleted from.
@@ -325,65 +324,42 @@ pub fn bulk_delta(
     Ok(IndexDelta::new(ids.into_iter().collect(), adds))
 }
 
-impl DashEngine {
-    /// Applies a prebuilt delta to the index.
-    ///
-    /// # Panics
-    ///
-    /// If an identifier does not have the application's arity or an
-    /// added fragment holds a keyword more than `u32::MAX` times
-    /// ([`IndexDelta::check`]); the delta is checked before the index
-    /// changes. [`DashEngine::apply_changes`] returns the error instead.
-    pub fn apply_delta(&mut self, delta: &IndexDelta) -> RefreshStats {
-        self.apply_checked(delta).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Applies a batch of record changes — inserts and deletes alike,
-    /// one record or many — through one [`bulk_delta`]: one shadow join
-    /// per touched relation plus one scoped re-crawl. `db` must already
-    /// reflect every change.
-    ///
-    /// # Errors
-    ///
-    /// Propagates relational errors, and [`CoreError::OccurrenceOverflow`]
-    /// (index untouched) for a count a posting cannot hold.
-    pub fn apply_changes(
-        &mut self,
-        db: &Database,
-        changes: &[RecordChange],
-    ) -> Result<RefreshStats> {
-        let delta = bulk_delta(self.app(), db, changes)?;
-        self.apply_checked(&delta)
-    }
-
-    /// [`IndexDelta::check`], then
-    /// [`FragmentIndex::apply`](crate::index::FragmentIndex::apply).
-    fn apply_checked(&mut self, delta: &IndexDelta) -> Result<RefreshStats> {
-        delta.check(self.app())?;
-        self.index_mut().apply(delta)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DashConfig, DashEngine};
+    use crate::engine::DashConfig;
+    use crate::ingest::IngestSource;
     use crate::search::SearchRequest;
+    use crate::sharded::ShardedEngine;
     use dash_relation::Value;
     use dash_webapp::fooddb;
 
-    fn rebuild(db: &Database) -> DashEngine {
+    fn rebuild(db: &Database) -> ShardedEngine {
         let app = fooddb::search_application().unwrap();
-        DashEngine::build(&app, db, &DashConfig::default()).unwrap()
+        let config = DashConfig::default();
+        ShardedEngine::builder(app)
+            .source(IngestSource::Crawl {
+                db,
+                config: &config,
+            })
+            .build()
+            .unwrap()
     }
 
-    fn assert_same_index(a: &DashEngine, b: &DashEngine) {
-        assert_eq!(
-            a.index().graph.node_count(),
-            b.index().graph.node_count(),
-            "node counts differ"
-        );
-        assert_eq!(a.index().graph.edge_count(), b.index().graph.edge_count());
+    /// Graph node and edge counts summed over the engine's shards.
+    fn graph_counts(engine: &ShardedEngine) -> (usize, usize) {
+        engine
+            .shard_indexes()
+            .fold((0, 0), |(nodes, edges), index| {
+                (
+                    nodes + index.graph.node_count(),
+                    edges + index.graph.edge_count(),
+                )
+            })
+    }
+
+    fn assert_same_index(a: &ShardedEngine, b: &ShardedEngine) {
+        assert_eq!(graph_counts(a), graph_counts(b), "graph counts differ");
         // Same search behavior on a battery of requests.
         for kw in ["burger", "fries", "coffee", "sushi", "thai"] {
             for s in [1, 20, 100] {
@@ -425,14 +401,12 @@ mod tests {
     fn insert_comment_grows_existing_fragment() {
         let mut db = fooddb::database();
         let mut engine = rebuild(&db);
-        let total_occurrences = |engine: &DashEngine| {
+        let total_occurrences = |engine: &ShardedEngine| {
             engine
-                .index()
-                .inverted
-                .postings("burger")
-                .map_or(0, |list| {
-                    list.iter().map(|p| u64::from(p.occurrences)).sum::<u64>()
-                })
+                .shard_indexes()
+                .filter_map(|index| index.inverted.postings("burger"))
+                .flat_map(|list| list.iter().map(|p| u64::from(p.occurrences)))
+                .sum::<u64>()
         };
         let before = total_occurrences(&engine);
         // Another burger comment for Burger Queen (rid=1, American,10).
@@ -605,7 +579,7 @@ mod tests {
             // deduplicates last-wins, so no caller-side hygiene needed.
             let delta = IndexDelta::new(removes, adds);
             assert!(!delta.is_empty());
-            engine.apply_delta(&delta);
+            engine.apply_delta(delta);
             engine
         };
         assert_same_index(&batched, &rebuild(&db));

@@ -107,8 +107,8 @@
 //! The acceptance bar is the same as every layer below:
 //! `tests/net_equivalence.rs` proves that hit lists served over HTTP —
 //! from the primary and from a replica that joined mid-stream, across
-//! concurrent publications — are **byte-identical** to a fresh
-//! [`DashEngine::search`] over the same fragments, and
+//! concurrent publications — are **byte-identical** to the seed's
+//! Algorithm 1 (`tests/common/oracle.rs`) over the same fragments, and
 //! `tests/net_failover.rs` holds that bar while the cluster is
 //! actively failing: torn transfers, epoch gaps, a killed primary
 //! under load, promotion and re-routing.
@@ -175,7 +175,6 @@
 //! # }
 //! ```
 //!
-//! [`DashEngine::search`]: dash_core::DashEngine::search
 //! [`RecordChange`]: dash_core::RecordChange
 //! [`IndexDelta`]: dash_core::IndexDelta
 //! [`DeltaSignature`]: dash_core::DeltaSignature

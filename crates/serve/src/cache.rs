@@ -179,9 +179,9 @@ impl<V> Inner<V> {
 #[derive(Debug)]
 pub(crate) struct Cache<V> {
     capacity: usize,
-    /// Admission budget on total entry weight (0 = unlimited): an
-    /// insert whose payload alone exceeds it is refused; an admissible
-    /// insert evicts LRU entries until the total fits.
+    /// Admission budget on total entry weight: an insert whose payload
+    /// alone exceeds it is refused; an admissible insert evicts LRU
+    /// entries until the total fits.
     budget: usize,
     /// A payload's weight against `budget` (hits, bytes).
     weight: fn(&V) -> usize,
@@ -192,7 +192,7 @@ impl<V: Clone> Cache<V> {
     /// A cache holding at most `capacity` payloads totalling at most
     /// `budget` weight, synchronized to published epoch `epoch`;
     /// capacity 0 disables caching entirely (every lookup misses,
-    /// every insert is dropped), budget 0 disables the weight bound.
+    /// every insert is dropped).
     pub(crate) fn new(capacity: usize, budget: usize, weight: fn(&V) -> usize, epoch: u64) -> Self {
         Cache {
             capacity,
@@ -256,7 +256,7 @@ impl<V: Clone> Cache<V> {
         // Admission control: a payload that alone blows the budget must
         // not be admitted — storing it would evict the whole rest of
         // the cache for one entry that still violates the bound.
-        if self.budget > 0 && weight > self.budget {
+        if weight > self.budget {
             inner.stats.rejected_oversize += 1;
             return;
         }
@@ -273,9 +273,7 @@ impl<V: Clone> Cache<V> {
         // count or total weight — is violated. The fresh entry is the
         // newest in recency order and fits the budget alone, so the
         // loop always terminates before reaching it.
-        while inner.map.len() > self.capacity
-            || (self.budget > 0 && inner.total_weight > self.budget)
-        {
+        while inner.map.len() > self.capacity || inner.total_weight > self.budget {
             let Some((tick, key)) = inner.order.pop_front() else {
                 break;
             };
@@ -339,6 +337,10 @@ mod tests {
         SearchRequest::new(words).k(3).min_size(10)
     }
 
+    /// A weight budget far above any payload these tests insert, for
+    /// the tests that exercise something else.
+    const ROOMY: usize = 1 << 16;
+
     /// A result cache (weight = hit count) at epoch 0.
     fn results(capacity: usize, budget: usize) -> Cache<Vec<SearchHit>> {
         Cache::new(capacity, budget, Vec::len, 0)
@@ -360,7 +362,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let cache = results(2, 0);
+        let cache = results(2, ROOMY);
         let (a, b, c) = (request(&["a"]), request(&["b"]), request(&["c"]));
         cache.insert(&a, Vec::new(), 0);
         cache.insert(&b, Vec::new(), 0);
@@ -375,7 +377,7 @@ mod tests {
 
     #[test]
     fn signature_invalidation_is_precise() {
-        let cache = results(8, 0);
+        let cache = results(8, ROOMY);
         let by_one = request(&["shared"]);
         let by_any = request(&["y", "held"]);
         let untouched = request(&["y"]);
@@ -391,7 +393,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_insertions_are_rejected() {
-        let cache = results(8, 0);
+        let cache = results(8, ROOMY);
         cache.invalidate(&DeltaSignature::default(), 3);
         let r = request(&["late"]);
         cache.insert(&r, Vec::new(), 2);
@@ -400,7 +402,7 @@ mod tests {
         cache.insert(&r, Vec::new(), 3);
         assert!(cache.get(&r).is_some());
         // A cache opened at a carried epoch accepts that epoch at once.
-        let carried: Cache<Vec<SearchHit>> = Cache::new(8, 0, Vec::len, 7);
+        let carried: Cache<Vec<SearchHit>> = Cache::new(8, ROOMY, Vec::len, 7);
         carried.insert(&r, Vec::new(), 7);
         assert!(carried.get(&r).is_some());
         assert_eq!(carried.stats().rejected_stale, 0);
@@ -409,8 +411,8 @@ mod tests {
     #[test]
     fn hit_heavy_traffic_does_not_grow_the_order_queue_unboundedly() {
         // Both payloads share the one recency queue implementation.
-        let hits = results(4, 0);
-        let bytes = rendered(4, 0);
+        let hits = results(4, ROOMY);
+        let bytes = rendered(4, ROOMY);
         let r = request(&["hot"]);
         hits.insert(&r, Vec::new(), 0);
         bytes.insert(&r, Arc::new(vec![1u8]), 0);
@@ -496,7 +498,7 @@ mod tests {
 
     #[test]
     fn hit_returns_the_inserted_bytes() {
-        let cache = rendered(8, 0);
+        let cache = rendered(8, ROOMY);
         let r = request(&["alpha"]);
         let bytes = Arc::new(b"HTTP/1.1 200 OK\r\n\r\n".to_vec());
         cache.insert(&r, Arc::clone(&bytes), 0);
@@ -510,7 +512,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_everything() {
-        let cache = results(0, 0);
+        let cache = results(0, ROOMY);
         let r = request(&["a"]);
         cache.insert(&r, Vec::new(), 0);
         assert!(cache.get(&r).is_none());
@@ -520,7 +522,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_the_rendered_cache() {
-        let cache = rendered(0, 0);
+        let cache = rendered(0, ROOMY);
         let r = request(&["a"]);
         cache.insert(&r, Arc::new(vec![1u8]), 0);
         assert!(cache.get(&r).is_none());

@@ -39,8 +39,8 @@
 //! The whole stack is **exact**: `tests/serve_equivalence.rs` proves
 //! that served hit lists — cached, concurrent, and across any
 //! interleaving of snapshot publications — are
-//! byte-identical to a fresh [`DashEngine::search`] over the same
-//! fragments, at shard counts 1 and 4.
+//! byte-identical to the seed's Algorithm 1 (`tests/common/oracle.rs`)
+//! over the same fragments, at shard counts 1 and 4.
 //!
 //! ## Quickstart
 //!
@@ -61,7 +61,6 @@
 //! # }
 //! ```
 //!
-//! [`DashEngine::search`]: dash_core::DashEngine::search
 //! [`ShardedEngine::fork`]: dash_core::ShardedEngine::fork
 //! [`ShardedEngine::prepare`]: dash_core::ShardedEngine::prepare
 //! [`ShardedEngine::search`]: dash_core::ShardedEngine::search
@@ -192,8 +191,8 @@ pub struct ServeStats {
     /// [`DashServer::search_rendered`].
     pub batches: u64,
     /// Requests those engine calls answered. Every engine call answers
-    /// one request, so this equals `batches`; `/stats` still reports
-    /// both.
+    /// one request, so this is `batches` again, read from the same
+    /// counter; `/stats` still reports both.
     pub batched_requests: u64,
     /// Deltas published.
     pub published: u64,
@@ -334,10 +333,9 @@ pub struct DashServer {
     /// endpoints can never disagree. Per-instance on purpose: tests
     /// run many servers per process and each keeps its own tallies.
     registry: Arc<Registry>,
-    /// Engine calls and the requests they answered (see
+    /// Engine calls, one per request they answer (see
     /// [`ServeStats::batches`]).
     batches: Arc<Counter>,
-    batched_requests: Arc<Counter>,
     published: Arc<Counter>,
     searches: Arc<Counter>,
     feed_evictions: Arc<Counter>,
@@ -453,7 +451,6 @@ impl DashServer {
                 epoch,
             }),
             batches: registry.counter("dash_serve_batches_total"),
-            batched_requests: registry.counter("dash_serve_batched_requests_total"),
             published: registry.counter("dash_serve_published_total"),
             searches: registry.counter("dash_serve_searches_total"),
             feed_evictions: registry.counter("dash_serve_feed_evictions_total"),
@@ -480,16 +477,14 @@ impl DashServer {
     fn search_live(&self, request: &SearchRequest) -> (Vec<SearchHit>, u64) {
         let snapshot = self.handle.snapshot();
         self.batches.inc();
-        self.batched_requests.inc();
         (snapshot.engine.search(request), snapshot.epoch)
     }
 
     /// Top-k db-page search through the full serving path: the result
     /// cache, then one search on the current snapshot's engine, on
     /// the caller's thread. Byte-identical to
-    /// [`DashEngine::search`](dash_core::DashEngine::search) over the
-    /// engine's current fragments — cached or not, before or after any
-    /// published delta.
+    /// [`ShardedEngine::search`] over the engine's current fragments —
+    /// cached or not, before or after any published delta.
     pub fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
         if degenerate(request) {
             return Vec::new();
@@ -838,11 +833,12 @@ impl DashServer {
         let mut cache = self.cache.stats();
         cache.hits += rendered.hits;
         cache.misses += rendered.misses;
+        let batches = self.batches.get();
         ServeStats {
             cache,
             rendered,
-            batches: self.batches.get(),
-            batched_requests: self.batched_requests.get(),
+            batches,
+            batched_requests: batches,
             published: self.published.get(),
             searches: self.searches.get(),
             feed_evictions: self.feed_evictions.get(),
@@ -901,7 +897,7 @@ impl DashServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dash_core::{DashEngine, FragmentId};
+    use dash_core::FragmentId;
     use dash_relation::Value;
     use dash_webapp::fooddb;
 
@@ -951,7 +947,6 @@ mod tests {
         for (name, got) in [
             ("dash_serve_searches_total", stats.searches),
             ("dash_serve_batches_total", stats.batches),
-            ("dash_serve_batched_requests_total", stats.batched_requests),
             ("dash_serve_published_total", stats.published),
             ("dash_serve_feed_evictions_total", stats.feed_evictions),
         ] {
@@ -1075,9 +1070,10 @@ mod tests {
         let db = fooddb::database();
         let mut fragments = dash_core::crawl::reference::fragments(&app, &db).unwrap();
         fragments.push(fragment);
-        let fresh =
-            DashEngine::from_fragments(app, &fragments, dash_mapreduce::WorkflowStats::new())
-                .unwrap();
+        let fresh = ShardedEngine::builder(app)
+            .source(IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
         let expected = fresh.search(&request);
         assert_ne!(expected, first, "the delta must actually change the result");
         assert_eq!(server.search(&request), expected);

@@ -67,10 +67,17 @@ fn post_execution_matches_get_execution() {
 
 #[test]
 fn dash_engine_searches_post_applications() {
-    use dash_core::{DashConfig, DashEngine, SearchRequest};
+    use dash_core::{DashConfig, IngestSource, SearchRequest, ShardedEngine};
     let db = fooddb::database();
     let app = WebApplication::from_servlet_source(POST_SERVLET, &db).unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let config = DashConfig::default();
+    let engine = ShardedEngine::builder(app)
+        .source(IngestSource::Crawl {
+            db: &db,
+            config: &config,
+        })
+        .build()
+        .unwrap();
     let hits = engine.search(&SearchRequest::new(&["burger"]).k(2).min_size(20));
     assert_eq!(hits.len(), 2);
     assert!(hits.iter().all(|h| h.url.contains("[POST ")));

@@ -10,7 +10,7 @@
 //! cargo run --release --example deep_web_tpch
 //! ```
 
-use dash::core::{CrawlAlgorithm, DashConfig, DashEngine, SearchRequest};
+use dash::core::{CrawlAlgorithm, DashConfig, IngestSource, SearchRequest, ShardedEngine};
 use dash::tpch::{generate, Scale, TpchConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,19 +27,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = dash::tpch::q2_application(&db)?;
     println!("analyzed application: {}\n", app.sql);
 
-    let engine = DashEngine::build(
-        &app,
-        &db,
-        &DashConfig {
-            algorithm: CrawlAlgorithm::Integrated,
-            ..DashConfig::default()
-        },
-    )?;
+    let crawl = DashConfig {
+        algorithm: CrawlAlgorithm::Integrated,
+        ..DashConfig::default()
+    };
+    let engine = ShardedEngine::builder(app)
+        .source(IngestSource::Crawl {
+            db: &db,
+            config: &crawl,
+        })
+        .build()?;
+    // The builder's default partition is one shard: one fragment index.
+    let index = engine.shard_indexes().next().expect("one shard");
     println!(
         "fragment index: {} fragments, {} keywords, {} graph edges",
         engine.fragment_count(),
-        engine.index().inverted.keyword_count(),
-        engine.index().graph.edge_count(),
+        index.inverted.keyword_count(),
+        index.graph.edge_count(),
     );
     println!(
         "crawl: {} MR jobs, {:.1} simulated s, {:.2} real s\n",
@@ -49,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // A hot keyword (appears in many fragments) and a cold one.
-    let ranked = engine.index().inverted.keywords_by_df();
+    let ranked = index.inverted.keywords_by_df();
     let hot = ranked
         .first()
         .map(|(w, _)| w.to_string())
@@ -65,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let elapsed = start.elapsed();
         println!(
             "{label} keyword {kw:?} (df={}): {} hits in {:.3} ms",
-            engine.index().inverted.df(kw),
+            index.inverted.df(kw),
             hits.len(),
             elapsed.as_secs_f64() * 1000.0
         );

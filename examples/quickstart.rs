@@ -18,7 +18,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("recovered query: {}\n", app.sql);
 
     // 2. Build Dash: database crawling + fragment indexing (MapReduce).
-    let engine = DashEngine::build(&app, &db, &DashConfig::default())?;
+    let config = DashConfig::default();
+    let engine = ShardedEngine::builder(app.clone())
+        .source(IngestSource::Crawl {
+            db: &db,
+            config: &config,
+        })
+        .build()?;
     println!(
         "crawled {} fragments in {} MapReduce jobs ({:.1} simulated s)\n",
         engine.fragment_count(),

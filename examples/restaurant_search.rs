@@ -23,7 +23,13 @@ fn show(hits: &[dash::core::SearchHit], title: &str) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = dash::webapp::fooddb::database();
     let app = dash::webapp::fooddb::search_application()?;
-    let mut engine = DashEngine::build(&app, &db, &DashConfig::default())?;
+    let config = DashConfig::default();
+    let mut engine = ShardedEngine::builder(app.clone())
+        .source(IngestSource::Crawl {
+            db: &db,
+            config: &config,
+        })
+        .build()?;
 
     // Different size thresholds steer page assembly (Section VI-B): tiny
     // s returns keyword-dense single fragments; larger s merges

@@ -1,13 +1,13 @@
 //! Sharded serving: partition the fragment handle space, answer
 //! concurrent keyword traffic, and prove the answers identical to the
-//! single-heap engine.
+//! one-shard engine.
 //!
 //! ```text
 //! cargo run --release --example sharded_search
 //! DASH_SHARDS=4 cargo run --release --example sharded_search
 //! ```
 //!
-//! The demo builds both engines over the paper's running example
+//! The demo builds both partitions over the paper's running example
 //! (fooddb + the `Search` servlet), serves a batch of requests through
 //! `search_many`, verifies byte-identical results shard count by shard
 //! count, applies a live database update through the unified delta
@@ -24,14 +24,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = dash::webapp::fooddb::search_application()?;
 
     let shards = env_shards().unwrap_or(2);
-    let single = DashEngine::build(&app, &db, &DashConfig::default())?;
-    let sharded = ShardedEngine::builder(app.clone())
-        .shards(shards)
-        .source(IngestSource::Crawl {
-            db: &db,
-            config: &DashConfig::default(),
-        })
-        .build()?;
+    let config = DashConfig::default();
+    let build = |db: &Database, shards: usize| {
+        ShardedEngine::builder(app.clone())
+            .shards(shards)
+            .source(IngestSource::Crawl {
+                db,
+                config: &config,
+            })
+            .build()
+    };
+    let single = build(&db, 1)?;
+    let sharded = build(&db, shards)?;
     println!(
         "engine: {} fragments in {} shards (sizes {:?})",
         sharded.fragment_count(),
@@ -51,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for hit in hits {
             println!("  {:.4}  {}", hit.score, hit.url);
         }
-        // The shard layer's contract: byte-identical to the single heap.
+        // The shard layer's contract: byte-identical to one shard.
         assert_eq!(hits, &single.search(request));
     }
 
@@ -69,12 +73,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         page.keywords().len(),
         page.keywords().iter().any(|w| w == "burger"),
     );
-    println!("sharded results verified identical to the single engine");
+    println!("sharded results verified identical to the one-shard engine");
 
     // Live maintenance through the unified delta write path: a new
     // restaurant arrives, the delta routes to the one shard owning its
     // equality group (no rebuild, no O(total) work), and the sharded
-    // engine keeps matching a from-scratch single-engine rebuild.
+    // engine keeps matching a from-scratch one-shard rebuild.
     let mut sharded = sharded;
     let mut db = db;
     let record = Record::new(vec![
@@ -93,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sharded.shard_sizes(),
     );
     let request = SearchRequest::new(&["wok"]).k(1).min_size(1);
-    let rebuilt = DashEngine::build(&app, &db, &DashConfig::default())?;
+    let rebuilt = build(&db, 1)?;
     let hits = sharded.search(&request);
     assert_eq!(hits, rebuilt.search(&request));
     println!(

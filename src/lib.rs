@@ -38,7 +38,10 @@
 //! let app = dash::webapp::fooddb::search_application()?;
 //!
 //! // Build the Dash engine (crawl the database, index fragments).
-//! let engine = DashEngine::build(&app, &db, &DashConfig::default())?;
+//! let config = DashConfig::default();
+//! let engine = ShardedEngine::builder(app.clone())
+//!     .source(IngestSource::Crawl { db: &db, config: &config })
+//!     .build()?;
 //!
 //! // Keyword search: top-2 db-pages containing "burger".
 //! let results = engine.search(&SearchRequest::new(&["burger"]).k(2).min_size(20));
@@ -64,8 +67,8 @@ pub use dash_webapp as webapp;
 /// The most commonly used types, re-exported for one-line imports.
 pub mod prelude {
     pub use dash_core::{
-        DashConfig, DashEngine, DeltaSignature, EngineBuilder, Fragment, FragmentId, FragmentIndex,
-        IndexDelta, IngestSource, MultiDash, RecordChange, SearchHit, SearchRequest, ShardedEngine,
+        DashConfig, DeltaSignature, EngineBuilder, Fragment, FragmentId, FragmentIndex, IndexDelta,
+        IngestSource, MultiDash, RecordChange, SearchHit, SearchRequest, ShardedEngine,
     };
     pub use dash_net::{
         BackoffConfig, NetClient, NetConfig, NetServer, Replica, ReplicaConfig, ReplicationHub,

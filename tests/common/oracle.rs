@@ -4,7 +4,7 @@
 //! keyed on `FragmentId`, allocating candidates — and seeding every
 //! relevant fragment up front, as the paper states it. It shares no
 //! code with `dash_core::search::topk::top_k_in`, the heap loop
-//! `DashEngine`, `ShardedEngine` and everything above them run, so a
+//! `ShardedEngine` and everything above it run, so a
 //! fault seeded into that loop shows up as a diff against it in every
 //! tier, where an engine built on the same loop would agree with it by
 //! construction (McKeeman, "Differential Testing for Software", 1998).

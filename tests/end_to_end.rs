@@ -1,10 +1,15 @@
 //! End-to-end integration: servlet source → analysis → crawl → index →
 //! top-k search → URL → re-executed db-page, across crates.
 
-use dash::core::{CrawlAlgorithm, DashConfig, DashEngine, SearchRequest};
+use dash::core::{CrawlAlgorithm, DashConfig, SearchRequest};
 use dash::relation::Value;
 use dash::tpch::{generate, Scale, TpchConfig};
 use dash::webapp::{fooddb, QueryString};
+
+mod common {
+    pub mod crawl;
+}
+use common::crawl::crawl_engine;
 
 /// Example 1 + Example 7 as one pipeline: the URLs Dash suggests
 /// regenerate pages that really contain the queried keyword.
@@ -12,7 +17,7 @@ use dash::webapp::{fooddb, QueryString};
 fn suggested_urls_materialize_relevant_pages() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let engine = crawl_engine(&app, &db, &DashConfig::default());
 
     for keyword in ["burger", "fries", "coffee", "thai", "experts"] {
         let hits = engine.search(&SearchRequest::new(&[keyword]).k(3).min_size(10));
@@ -36,7 +41,7 @@ fn suggested_urls_materialize_relevant_pages() {
 fn assembled_sizes_match_real_pages() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let engine = crawl_engine(&app, &db, &DashConfig::default());
     for hit in engine.search(&SearchRequest::new(&["burger"]).k(5).min_size(20)) {
         let qs = QueryString::parse(&hit.query_string).unwrap();
         let page = app.execute(&db, &qs).unwrap();
@@ -59,15 +64,11 @@ fn tpch_q1_pipeline_both_algorithms() {
     let app = dash::tpch::q1_application(&db).unwrap();
 
     for algorithm in [CrawlAlgorithm::Stepwise, CrawlAlgorithm::Integrated] {
-        let engine = DashEngine::build(
-            &app,
-            &db,
-            &DashConfig {
-                algorithm,
-                ..DashConfig::default()
-            },
-        )
-        .unwrap();
+        let config = DashConfig {
+            algorithm,
+            ..DashConfig::default()
+        };
+        let engine = crawl_engine(&app, &db, &config);
         assert!(engine.fragment_count() > 50);
         // Region names are hot keywords: every customer row carries one.
         let hits = engine.search(&SearchRequest::new(&["asia"]).k(5).min_size(100));
@@ -86,7 +87,7 @@ fn tpch_q1_pipeline_both_algorithms() {
 fn pages_never_cross_equality_groups() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let engine = crawl_engine(&app, &db, &DashConfig::default());
     let hits = engine.search(&SearchRequest::new(&["burger"]).k(10).min_size(10_000));
     for hit in hits {
         let cuisines: std::collections::HashSet<&Value> =
@@ -102,7 +103,7 @@ fn pages_never_cross_equality_groups() {
 fn unreachable_keywords_return_nothing() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let engine = crawl_engine(&app, &db, &DashConfig::default());
     // "Ben" (uid 120) never wrote a comment, so he appears in no db-page.
     assert!(engine
         .search(&SearchRequest::new(&["ben"]).k(5).min_size(1))

@@ -5,14 +5,16 @@
 use proptest::prelude::*;
 
 use dash::core::crawl::{integrated, reference, stepwise};
-use dash::core::{DashConfig, DashEngine, RecordChange, SearchRequest};
+use dash::core::{DashConfig, IngestSource, RecordChange, SearchRequest, ShardedEngine};
 use dash::mapreduce::ClusterConfig;
 use dash::relation::{Column, ColumnType, Database, ForeignKey, Record, Schema, Table, Value};
 use dash::webapp::{fooddb, QueryString, WebApplication};
 
 mod common {
+    pub mod crawl;
     pub mod oracle;
 }
+use common::crawl::crawl_engine;
 use common::oracle::Oracle;
 
 const CUISINES: [&str; 3] = ["American", "Thai", "Sushi"];
@@ -170,12 +172,10 @@ proptest! {
         let db = build_db(&rows);
         let app = app_for(&db);
         let fragments = reference::fragments(&app, &db).unwrap();
-        let engine = DashEngine::from_fragments(
-            app.clone(),
-            &fragments,
-            dash::mapreduce::WorkflowStats::new(),
-        )
-        .unwrap();
+        let engine = ShardedEngine::builder(app.clone())
+            .source(IngestSource::Fragments(&fragments))
+            .build()
+            .unwrap();
         let word = WORDS[keyword];
         let hits = engine.search(&SearchRequest::new(&[word]).k(k).min_size(s));
         prop_assert!(hits.len() <= k);
@@ -203,7 +203,7 @@ proptest! {
     ) {
         let mut db = build_db(&rows);
         let app = app_for(&db);
-        let mut engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+        let mut engine = crawl_engine(&app, &db, &DashConfig::default());
 
         let record = Record::new(vec![
             Value::Int(500),
@@ -215,12 +215,12 @@ proptest! {
         db.table_mut("restaurant").unwrap().insert(record.clone()).unwrap();
         engine.apply_changes(&db, &[RecordChange::new("restaurant", record)]).unwrap();
 
-        let rebuilt = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+        let rebuilt = crawl_engine(&app, &db, &DashConfig::default());
+        let edges = |engine: &ShardedEngine| {
+            engine.shard_indexes().map(|index| index.graph.edge_count()).sum::<usize>()
+        };
         prop_assert_eq!(engine.fragment_count(), rebuilt.fragment_count());
-        prop_assert_eq!(
-            engine.index().graph.edge_count(),
-            rebuilt.index().graph.edge_count()
-        );
+        prop_assert_eq!(edges(&engine), edges(&rebuilt));
         let requests: Vec<SearchRequest> = WORDS
             .iter()
             .chain(&["zzzmissing"])

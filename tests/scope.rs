@@ -3,11 +3,16 @@
 
 use dash::core::crawl::{self, reference, CrawlAlgorithm};
 use dash::core::scope::CrawlScope;
-use dash::core::{DashConfig, DashEngine, SearchRequest};
+use dash::core::{DashConfig, SearchRequest};
 use dash::mapreduce::ClusterConfig;
 use dash::relation::Value;
 use dash::tpch::{generate, Scale, TpchConfig};
 use dash::webapp::fooddb;
+
+mod common {
+    pub mod crawl;
+}
+use common::crawl::crawl_engine;
 
 #[test]
 fn scoped_engine_answers_in_scope_only() {
@@ -17,15 +22,11 @@ fn scoped_engine_answers_in_scope_only() {
     let scope = CrawlScope::all()
         .restrict_values(0, vec![Value::str("American")])
         .restrict_range(1, Some(Value::Int(9)), Some(Value::Int(12)));
-    let engine = DashEngine::build(
-        &app,
-        &db,
-        &DashConfig {
-            scope,
-            ..DashConfig::default()
-        },
-    )
-    .unwrap();
+    let config = DashConfig {
+        scope,
+        ..DashConfig::default()
+    };
+    let engine = crawl_engine(&app, &db, &config);
     // (American,9), (American,10), (American,12) survive; (American,18)
     // and (Thai,10) do not.
     assert_eq!(engine.fragment_count(), 3);

@@ -3,9 +3,14 @@
 //! quantified on the running example and TPC-H.
 
 use dash::core::baseline::NaiveEngine;
-use dash::core::{DashConfig, DashEngine, SearchRequest};
+use dash::core::{DashConfig, SearchRequest};
 use dash::tpch::{generate, Scale, TpchConfig};
 use dash::webapp::fooddb;
+
+mod common {
+    pub mod crawl;
+}
+use common::crawl::crawl_engine;
 
 /// Example 1's complaint, reproduced: for "burger" the naive engine
 /// returns P1-style and P2-style pages together even though the larger
@@ -14,7 +19,7 @@ use dash::webapp::fooddb;
 fn naive_returns_redundant_pages_dash_does_not() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let dash = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let dash = crawl_engine(&app, &db, &DashConfig::default());
     let naive = NaiveEngine::build(&app, &db, 100_000).unwrap();
 
     let request = SearchRequest::new(&["burger"]).k(10).min_size(1);
@@ -48,7 +53,7 @@ fn naive_returns_redundant_pages_dash_does_not() {
 fn engines_agree_on_top_content() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let dash = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let dash = crawl_engine(&app, &db, &DashConfig::default());
     let naive = NaiveEngine::build(&app, &db, 100_000).unwrap();
 
     // "coffee" exists only in (American, 9).
@@ -90,14 +95,15 @@ fn naive_page_space_explodes() {
 fn size_threshold_contract() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
-    let range_pos = engine.index().graph.range_position().unwrap();
+    let engine = crawl_engine(&app, &db, &DashConfig::default());
+    let index = engine.shard_indexes().next().unwrap(); // the one shard
+    let range_pos = index.graph.range_position().unwrap();
     for s in [1u64, 10, 25, 40, 1000] {
         for hit in engine.search(&SearchRequest::new(&["burger"]).k(5).min_size(s)) {
             if hit.size < s {
                 let group_key = hit.fragment_ids[0].without(range_pos);
-                let group = engine.index().catalog.group_by_key(&group_key).unwrap();
-                let group_len = engine.index().graph.group_nodes(group).len();
+                let group = index.catalog.group_by_key(&group_key).unwrap();
+                let group_len = index.graph.group_nodes(group).len();
                 assert_eq!(
                     hit.fragment_ids.len(),
                     group_len,
@@ -115,9 +121,10 @@ fn size_threshold_contract() {
 fn idf_prefers_rare_keywords() {
     let db = fooddb::database();
     let app = fooddb::search_application().unwrap();
-    let engine = DashEngine::build(&app, &db, &DashConfig::default()).unwrap();
+    let engine = crawl_engine(&app, &db, &DashConfig::default());
     // "fries" appears in 1 fragment, "burger" in 3.
-    assert!(engine.index().inverted.idf("fries") > engine.index().inverted.idf("burger"));
+    let inverted = &engine.shard_indexes().next().unwrap().inverted; // the one shard
+    assert!(inverted.idf("fries") > inverted.idf("burger"));
     let fries = engine.search(&SearchRequest::new(&["fries"]).k(1).min_size(1));
     assert_eq!(fries.len(), 1);
     assert!(fries[0].url.contains("l=12&u=12"));

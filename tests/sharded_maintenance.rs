@@ -11,10 +11,10 @@
 //! Three layers of evidence:
 //!
 //! * golden sequences — the fooddb mutation scenarios
-//!   (`tests/common/scenarios.rs`, which `tests/maintenance.rs` replays
-//!   on a `DashEngine`) replayed against sharded engines at shard
+//!   (`tests/common/scenarios.rs`) replayed against engines at shard
 //!   counts {1, 2, 4, 8}, with searches interleaved between mutations
-//!   and run concurrently from several threads;
+//!   and run concurrently from several threads, each step checked for
+//!   the rebuild's fragment and graph-edge counts as well;
 //! * property tests — random initial datasets and random
 //!   insert/replace/remove delta sequences, applied identically to all
 //!   shard counts and compared against the reference over the final
@@ -28,13 +28,12 @@
 
 use proptest::prelude::*;
 
-use dash::core::crawl::reference;
 use dash::core::index::{GroupId, Kw};
 use dash::core::{
-    DashConfig, Fragment, FragmentId, IndexDelta, IngestSource, RecordChange, SearchHit,
-    SearchRequest, ShardedEngine,
+    DashConfig, Fragment, FragmentId, IndexDelta, IngestSource, RecordChange, SearchRequest,
+    ShardedEngine,
 };
-use dash::relation::{Database, Record, Value};
+use dash::relation::{Database, Value};
 use dash::webapp::fooddb;
 
 mod common {
@@ -44,75 +43,15 @@ mod common {
     pub mod records;
     pub mod scenarios;
 }
-use common::battery::battery;
 use common::gen::{fragment_strategy, materialize, GenFragment, EQ_KEYS, VOCAB};
 use common::oracle::Oracle;
 use common::records::{comment, restaurant};
 use common::scenarios::{
-    budget_move, interleaved_inserts_and_deletes, repeated_reinsertion, Maintained,
+    apply_record, assert_equivalent, budget_move, interleaved_inserts_and_deletes, rebuild,
+    repeated_reinsertion,
 };
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The reference over a crawl of `db`, and that crawl's size.
-fn rebuild(db: &Database) -> (Oracle, usize) {
-    let app = fooddb::search_application().unwrap();
-    let fragments = reference::fragments(&app, db).unwrap();
-    (Oracle::new(&app, &fragments), fragments.len())
-}
-
-/// Sequential + batched + concurrent search comparison: the sharded
-/// engine must agree with the reference over the rebuilt fragments
-/// request for request, including while several client threads search
-/// one shared engine at once.
-fn assert_equivalent(
-    sharded: &ShardedEngine,
-    (oracle, fragments): &(Oracle, usize),
-    context: &str,
-) {
-    assert_eq!(
-        sharded.fragment_count(),
-        *fragments,
-        "{context}: fragment counts"
-    );
-    let requests = battery();
-    let served: Vec<_> = requests.iter().map(|r| sharded.search(r)).collect();
-    oracle.assert_answers(&requests, &served, context);
-    assert_eq!(sharded.search_many(&requests), served, "{context}: batched");
-    // Concurrent traffic on one shared engine: four client threads
-    // issue the whole battery at once.
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let (requests, served) = (&requests, &served);
-            scope.spawn(move || {
-                for (request, served) in requests.iter().zip(served) {
-                    assert_eq!(
-                        &sharded.search(request),
-                        served,
-                        "{context}: concurrent client {t} keywords={:?}",
-                        request.keywords
-                    );
-                }
-            });
-        }
-    });
-}
-
-impl Maintained for ShardedEngine {
-    fn apply_record(&mut self, db: &Database, relation: &str, record: &Record) {
-        self.apply_changes(db, &[RecordChange::new(relation, record.clone())])
-            .unwrap();
-    }
-
-    fn top_k(&self, request: &SearchRequest) -> Vec<SearchHit> {
-        self.search(request)
-    }
-
-    fn check(&self, db: &Database, step: &str) {
-        let context = format!("shards={}: {step}", self.shard_count());
-        assert_equivalent(self, &rebuild(db), &context);
-    }
-}
 
 fn crawl_engine(db: &Database, shards: usize) -> ShardedEngine {
     ShardedEngine::builder(fooddb::search_application().unwrap())
@@ -232,7 +171,7 @@ fn maintenance_composes_with_per_shard_roundtrip() {
         .unwrap()
         .insert(r.clone())
         .unwrap();
-    engine.apply_record(&db, "restaurant", &r);
+    apply_record(&mut engine, &db, "restaurant", &r);
 
     let mut image = Vec::new();
     engine.write_image(&mut image).unwrap();
@@ -247,8 +186,8 @@ fn maintenance_composes_with_per_shard_roundtrip() {
         .unwrap()
         .insert(r2.clone())
         .unwrap();
-    engine.apply_record(&db, "restaurant", &r2);
-    reloaded.apply_record(&db, "restaurant", &r2);
+    apply_record(&mut engine, &db, "restaurant", &r2);
+    apply_record(&mut reloaded, &db, "restaurant", &r2);
 
     let rebuilt = rebuild(&db);
     assert_equivalent(&engine, &rebuilt, "original after roundtrip-era mutations");
