@@ -180,7 +180,8 @@ fn bench_scale(c: &mut Criterion) {
         let begin = Instant::now();
         let signature = criterion::black_box(engine.delta_signature(&delta));
         signature_ns.push(begin.elapsed().as_nanos() as f64);
-        assert_eq!(signature.groups.len(), 1);
+        let range_position = engine.app().query.range_selection_index();
+        assert_eq!(delta.touched_groups(range_position).len(), 1);
         signature_keywords = signature.keywords.len();
         let begin = Instant::now();
         let stats = engine.apply_delta(delta);

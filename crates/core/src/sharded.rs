@@ -49,8 +49,8 @@
 //! key), so a shard's key range never changes and the partition stays
 //! contiguous in key order forever. A delta is applied in two halves.
 //! [`ShardedEngine::prepare`] does every read against the pre-delta
-//! engine: each touched group's stored vocabulary is the invalidation
-//! signature's keyword half, and one walk of exactly those inverted
+//! engine: each touched group's stored vocabulary joins the
+//! invalidation signature, and one walk of exactly those inverted
 //! lists finds the stale postings; then every posting splice is
 //! located. [`ShardedEngine::apply_prepared`] then only writes: each
 //! affected shard splices its located sub-delta into its own arenas in
@@ -407,7 +407,6 @@ impl ShardedEngine {
             share.held.iter().map(|&kw| inverted.word(kw).to_string())
         });
         let signature = DeltaSignature {
-            groups: delta.touched_groups(range_position),
             keywords: delta
                 .adds
                 .iter()
@@ -523,9 +522,8 @@ impl ShardedEngine {
     }
 
     /// The invalidation signature of `delta` against the engine's
-    /// *current* state: the touched equality groups, every keyword the
-    /// delta's adds carry, and the touched groups' **pre-delta
-    /// vocabulary** — every keyword any fragment of a touched group
+    /// *current* state: every keyword the delta's adds carry, and the
+    /// touched equality groups' **pre-delta vocabulary** — every keyword any fragment of a touched group
     /// holds right now (the removed fragments' live terms are a subset:
     /// they live in a touched group). It is
     /// [`ShardedEngine::prepare`]'s [`PreparedDelta::signature`]: each
@@ -1129,7 +1127,12 @@ pub(crate) mod tests {
                 .collect();
             assert!(expected.len() > 2, "the Thai group holds a vocabulary");
             assert_eq!(signature.keywords, expected, "shards={shards}");
-            assert_eq!(signature.groups, delta.touched_groups(Some(1)));
+            assert_eq!(
+                delta.touched_groups(Some(1)),
+                [vec![Value::str("Nordic")], vec![Value::str("Thai")]]
+                    .into_iter()
+                    .collect::<std::collections::BTreeSet<_>>()
+            );
             // A key that routes to a shard not holding it contributes
             // nothing.
             let unknown = IndexDelta::removing(vec![id("Nordic", 7)]);

@@ -131,9 +131,8 @@ impl IndexDelta {
     }
 
     /// The equality-group keys this delta touches — every remove's and
-    /// every add's identifier reduced by [`key_parts`]. This is the
-    /// group half of a [`DeltaSignature`]: the groups whose vocabulary
-    /// the engine folds into the keyword half.
+    /// every add's identifier reduced by [`key_parts`]: the groups whose
+    /// pre-delta vocabulary a [`DeltaSignature`] holds.
     pub fn touched_groups(&self, range_position: Option<usize>) -> BTreeSet<Vec<Value>> {
         self.removes
             .iter()
@@ -143,25 +142,6 @@ impl IndexDelta {
                 [head, tail].concat()
             })
             .collect()
-    }
-
-    /// The part of a [`DeltaSignature`] the delta knows by itself: the
-    /// touched group keys plus every keyword its fresh fragments carry.
-    /// What the touched groups hold *now* — including the terms a
-    /// removal is about to take out, which the delta cannot name
-    /// (removes carry only identifiers) — is in the index, so engines
-    /// widen the signature with the groups' pre-delta vocabulary before
-    /// applying (see
-    /// [`ShardedEngine::delta_signature`](crate::sharded::ShardedEngine::delta_signature)).
-    pub fn signature(&self, range_position: Option<usize>) -> DeltaSignature {
-        DeltaSignature {
-            groups: self.touched_groups(range_position),
-            keywords: self
-                .adds
-                .iter()
-                .flat_map(|f| f.keyword_occurrences.keys().cloned())
-                .collect(),
-        }
     }
 }
 
@@ -182,16 +162,10 @@ impl IndexDelta {
 /// without remembering anything per entry but the request itself.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaSignature {
-    /// Equality-group keys with at least one removed or (re)added
-    /// fragment — *what was touched*. Invalidation does not read it;
-    /// the engine derives the vocabulary below from it, and replicas
-    /// and logs carry it as the publication's record.
-    pub groups: BTreeSet<Vec<Value>>,
     /// Every keyword the delta's adds carry, plus every keyword held
-    /// before the delta by any fragment of a touched group (filled in
-    /// by the engine; a bare [`IndexDelta::signature`] has the adds'
-    /// half only). A cached result depends on the delta iff one of its
-    /// request keywords is in here.
+    /// before the delta by any fragment of a touched group
+    /// ([`IndexDelta::touched_groups`]). A cached result depends on the
+    /// delta iff one of its request keywords is in here.
     pub keywords: BTreeSet<String>,
 }
 
@@ -534,12 +508,20 @@ mod tests {
                 1,
             )],
         );
-        let sig = delta.signature(Some(1));
-        assert!(sig.groups.contains(&vec![Value::str("Thai")]));
-        assert!(sig.groups.contains(&vec![Value::str("American")]));
+        let groups = delta.touched_groups(Some(1));
+        assert!(groups.contains(&vec![Value::str("Thai")]));
+        assert!(groups.contains(&vec![Value::str("American")]));
+        // The adds' half of a signature: what the delta names by itself.
+        let sig = DeltaSignature {
+            keywords: delta
+                .adds
+                .iter()
+                .flat_map(|f| f.keyword_occurrences.keys().cloned())
+                .collect(),
+        };
         assert!(sig.keywords.contains("waffle"));
         // hits(): request keywords against the signature's, nothing
-        // else — a bare delta signature names the adds' keywords only.
+        // else.
         let kws = |words: &[&str]| words.iter().map(|w| w.to_string()).collect::<Vec<_>>();
         assert!(sig.hits(&kws(&["zzz", "waffle"])));
         assert!(!sig.hits(&kws(&["zzz"])));

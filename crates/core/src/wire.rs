@@ -1,31 +1,29 @@
 //! Wire (de)serialization of the maintenance vocabulary — the codec a
 //! distributed DASH deployment ships between nodes.
 //!
-//! PRs 3–4 funneled every mutation through one abstraction: an
-//! [`IndexDelta`] (stale identifiers out, fresh fragments in), its
-//! [`DeltaSignature`] (what the delta can perturb — the cache
-//! invalidation key), and the [`RecordChange`] batches the bulk write
-//! path turns into deltas. Those three types are exactly what a
-//! primary streams to its replicas and what an update client POSTs to
-//! a server, so they get a first-class binary codec here, sharing the
-//! length-prefixed record/value encoding of [`persist`](crate::persist)
-//! (the same `u64`/string/`Value` primitives the arena image's
-//! identifier columns use, so one codec covers every byte a node
-//! ships).
+//! Every mutation goes through one abstraction: an [`IndexDelta`]
+//! (stale identifiers out, fresh fragments in), built from the
+//! [`RecordChange`] batches the bulk write path takes. Those two types
+//! are exactly what a primary streams to its replicas and what an
+//! update client POSTs to a server, so they get a first-class binary
+//! codec here, sharing the length-prefixed record/value encoding of
+//! [`persist`](crate::persist) (the same `u64`/string/`Value`
+//! primitives the arena image's identifier columns use, so one codec
+//! covers every byte a node ships). A delta's invalidation signature
+//! never travels: each node derives it from its own pre-delta state.
 //!
 //! The format is self-contained and versioned by construction — every
 //! list is length-prefixed, every value tagged — and **canonical**:
 //! encoding is a pure function of the in-memory value, so
 //! encode→decode→encode produces identical bytes (the
 //! `wire_roundtrip` test tier proves decode∘encode is the identity
-//! over generated deltas, signatures and change batches).
+//! over generated deltas and change batches).
 //!
 //! Framing (length prefixes, epoch stamps, frame tags) is the
 //! transport's business — see `dash-net` — not this module's: these
 //! functions encode one value each, reading exactly the bytes they
 //! wrote.
 
-use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
 
 use dash_relation::Record;
@@ -35,7 +33,7 @@ use crate::persist::{
     invalid, read_fragment_list, read_str, read_u64, read_value, write_fragment_list, write_str,
     write_u64, write_value,
 };
-use crate::update::{DeltaSignature, IndexDelta, RecordChange};
+use crate::update::{IndexDelta, RecordChange};
 
 /// Serializes one [`IndexDelta`]: the remove list (identifiers) then
 /// the add list (fragments), both length-prefixed.
@@ -70,60 +68,6 @@ pub fn read_delta<R: Read>(mut reader: R) -> io::Result<IndexDelta> {
     }
     let adds = read_fragment_list(&mut reader)?;
     Ok(IndexDelta { removes, adds })
-}
-
-/// Serializes one [`DeltaSignature`]: the touched group keys then the
-/// touched keywords.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_signature<W: Write>(mut writer: W, signature: &DeltaSignature) -> io::Result<()> {
-    write_u64(&mut writer, signature.groups.len() as u64)?;
-    for group in &signature.groups {
-        write_u64(&mut writer, group.len() as u64)?;
-        for value in group {
-            write_value(&mut writer, value)?;
-        }
-    }
-    write_u64(&mut writer, signature.keywords.len() as u64)?;
-    for keyword in &signature.keywords {
-        write_str(&mut writer, keyword)?;
-    }
-    Ok(())
-}
-
-/// Deserializes one [`DeltaSignature`] written by [`write_signature`].
-///
-/// # Errors
-///
-/// Same classes as [`read_delta`].
-pub fn read_signature<R: Read>(mut reader: R) -> io::Result<DeltaSignature> {
-    let group_count = read_u64(&mut reader)?;
-    if group_count > (1 << 32) {
-        return Err(invalid("signature group count out of bounds"));
-    }
-    let mut groups = BTreeSet::new();
-    for _ in 0..group_count {
-        let arity = read_u64(&mut reader)?;
-        if arity > 64 {
-            return Err(invalid("signature group arity out of bounds"));
-        }
-        let mut key = Vec::with_capacity(arity as usize);
-        for _ in 0..arity {
-            key.push(read_value(&mut reader)?);
-        }
-        groups.insert(key);
-    }
-    let keyword_count = read_u64(&mut reader)?;
-    if keyword_count > (1 << 32) {
-        return Err(invalid("signature keyword count out of bounds"));
-    }
-    let mut keywords = BTreeSet::new();
-    for _ in 0..keyword_count {
-        keywords.insert(read_str(&mut reader)?);
-    }
-    Ok(DeltaSignature { groups, keywords })
 }
 
 /// Serializes one [`RecordChange`]: the relation name then the
@@ -212,13 +156,6 @@ pub fn encode_delta(delta: &IndexDelta) -> Vec<u8> {
     buf
 }
 
-/// Convenience: encodes a signature into a fresh byte buffer.
-pub fn encode_signature(signature: &DeltaSignature) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_signature(&mut buf, signature).expect("Vec<u8> writes are infallible");
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,13 +188,6 @@ mod tests {
         assert_eq!(read_delta(bytes.as_slice()).unwrap(), delta);
         // Canonical: re-encoding the decoded value is byte-identical.
         assert_eq!(encode_delta(&read_delta(bytes.as_slice()).unwrap()), bytes);
-    }
-
-    #[test]
-    fn signature_roundtrips() {
-        let signature = sample_delta().signature(Some(1));
-        let bytes = encode_signature(&signature);
-        assert_eq!(read_signature(bytes.as_slice()).unwrap(), signature);
     }
 
     #[test]

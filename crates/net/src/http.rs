@@ -7,11 +7,12 @@
 //! growing byte buffer — the front-end feeds it whatever segments
 //! have arrived), `Content-Length` bodies, persistent connections
 //! (`keep-alive` is the HTTP/1.1 default; `Connection: close`
-//! honored), percent-decoded query strings with repeated keys
-//! (`?kw=a&kw=b`), and chunked *response* bodies above
-//! [`CHUNK_THRESHOLD`] (large hit lists stream in [`CHUNK_SIZE`]
-//! pieces instead of one `Content-Length` slab). Not supported, by
-//! design: chunked request bodies, trailers with content, TLS.
+//! honored), and percent-decoded query strings with repeated keys
+//! (`?kw=a&kw=b`). Every response, however large, is framed by
+//! `Content-Length`: the server always holds the whole body before it
+//! writes. Not supported, by design: `Transfer-Encoding` (a request
+//! body is read by its `Content-Length`, a response carrying one is
+//! refused), TLS.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -20,13 +21,6 @@ use std::net::TcpStream;
 /// peer cannot make the server buffer unboundedly.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
-
-/// Response bodies larger than this are sent with
-/// `Transfer-Encoding: chunked` (the large-k hit-list path) instead of
-/// one `Content-Length` slab.
-pub const CHUNK_THRESHOLD: usize = 32 * 1024;
-/// Chunk size of a chunked response body.
-pub const CHUNK_SIZE: usize = 16 * 1024;
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -267,54 +261,36 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Serializes a response to the exact bytes the socket carries: a
-/// `Content-Length` head + body for small responses, chunked framing
-/// ([`CHUNK_SIZE`] pieces) for bodies past [`CHUNK_THRESHOLD`] — the
-/// large-k hit-list path. The pre-serialized response cache stores
-/// precisely this rendering, so a cache hit is one buffer, one write.
+/// `Content-Length` head, then the body. The pre-serialized response
+/// cache stores precisely this rendering, so a cache hit is one
+/// buffer, one write.
 pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
     let mut out = Vec::with_capacity(response.body.len() + 160);
-    if response.body.len() > CHUNK_THRESHOLD {
-        write!(
-            out,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-            response.status,
-            reason(response.status),
-            response.content_type,
-            connection,
-        )
-        .expect("Vec<u8> writes are infallible");
-        for chunk in response.body.chunks(CHUNK_SIZE) {
-            write!(out, "{:X}\r\n", chunk.len()).expect("Vec<u8> writes are infallible");
-            out.extend_from_slice(chunk);
-            out.extend_from_slice(b"\r\n");
-        }
-        out.extend_from_slice(b"0\r\n\r\n");
-    } else {
-        write!(
-            out,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
-            response.status,
-            reason(response.status),
-            response.content_type,
-            response.body.len(),
-            connection,
-        )
-        .expect("Vec<u8> writes are infallible");
-        out.extend_from_slice(&response.body);
-    }
+    write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+        response.status,
+        reason(response.status),
+        response.content_type,
+        response.body.len(),
+        connection,
+    )
+    .expect("Vec<u8> writes are infallible");
+    out.extend_from_slice(&response.body);
     out
 }
 
 /// Reads the status line + headers + body of one HTTP *response* (the
-/// client half of the exchange). Returns the status code and body.
-/// Both framings are understood: `Content-Length` and
-/// `Transfer-Encoding: chunked` (chunks are reassembled into one
-/// body).
+/// client half of the exchange). Returns the status code and body,
+/// framed by `Content-Length` (absent means empty).
 ///
 /// # Errors
 ///
-/// `InvalidData` on malformed framing; propagates I/O errors.
+/// `InvalidData` on malformed framing, including any
+/// `Transfer-Encoding` (this protocol never sends one, and reading its
+/// body as empty would misframe the connection); propagates I/O
+/// errors.
 pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Vec<u8>)> {
     let mut line = String::new();
     if read_line_bounded(reader, &mut line)? == 0 {
@@ -328,7 +304,6 @@ pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Vec<
         _ => return Err(invalid(&format!("malformed status line: {line:?}"))),
     };
     let mut content_length = 0usize;
-    let mut chunked = false;
     loop {
         let mut header = String::new();
         if read_line_bounded(reader, &mut header)? == 0 {
@@ -347,58 +322,14 @@ pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<(u16, Vec<
                 if content_length > MAX_BODY_BYTES {
                     return Err(invalid("response body too large"));
                 }
-            } else if name.eq_ignore_ascii_case("transfer-encoding")
-                && value.trim().eq_ignore_ascii_case("chunked")
-            {
-                chunked = true;
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Err(invalid("unsupported response transfer-encoding"));
             }
         }
-    }
-    if chunked {
-        return Ok((status, read_chunked_body(reader)?));
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok((status, body))
-}
-
-/// Reassembles a chunked response body: hex-size lines, chunk bytes,
-/// terminated by a zero chunk (trailers, if any, are read and
-/// discarded).
-fn read_chunked_body(reader: &mut BufReader<TcpStream>) -> io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        let mut line = String::new();
-        if read_line_bounded(reader, &mut line)? == 0 {
-            return Err(invalid("connection closed inside chunked body"));
-        }
-        let size_text = line.trim().split(';').next().unwrap_or("");
-        let size = usize::from_str_radix(size_text, 16)
-            .map_err(|_| invalid(&format!("bad chunk size: {size_text:?}")))?;
-        if size == 0 {
-            // Trailer section: lines until the blank one.
-            loop {
-                let mut trailer = String::new();
-                if read_line_bounded(reader, &mut trailer)? == 0 {
-                    return Err(invalid("connection closed inside chunk trailers"));
-                }
-                if trailer.trim_end().is_empty() {
-                    return Ok(body);
-                }
-            }
-        }
-        if body.len() + size > MAX_BODY_BYTES {
-            return Err(invalid("chunked body too large"));
-        }
-        let at = body.len();
-        body.resize(at + size, 0);
-        reader.read_exact(&mut body[at..])?;
-        let mut crlf = [0u8; 2];
-        reader.read_exact(&mut crlf)?;
-        if &crlf != b"\r\n" {
-            return Err(invalid("chunk data not terminated by CRLF"));
-        }
-    }
 }
 
 /// Splits a request target into its decoded path and query pairs.
@@ -580,26 +511,33 @@ mod tests {
     }
 
     #[test]
-    fn large_responses_render_chunked() {
-        let body = "x".repeat(CHUNK_THRESHOLD + CHUNK_SIZE + 5);
+    fn large_responses_render_with_content_length() {
+        let body = "x".repeat(50_000);
         let bytes = render_response(&Response::json(body.clone()), true);
         let text = String::from_utf8(bytes).unwrap();
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"));
-        assert!(!text.contains("Content-Length"));
-        assert!(text.ends_with("0\r\n\r\n"));
-        // Reassembling the chunks yields the body bit for bit.
-        let after_head = text.split_once("\r\n\r\n").unwrap().1;
-        let mut rebuilt = String::new();
-        let mut rest = after_head;
-        loop {
-            let (size, tail) = rest.split_once("\r\n").unwrap();
-            let size = usize::from_str_radix(size, 16).unwrap();
-            if size == 0 {
-                break;
-            }
-            rebuilt.push_str(&tail[..size]);
-            rest = &tail[size + 2..];
-        }
-        assert_eq!(rebuilt, body);
+        assert!(text.contains("Content-Length: 50000\r\n"));
+        assert!(!text.contains("Transfer-Encoding"));
+        assert_eq!(text.split_once("\r\n\r\n").unwrap().1, body);
+    }
+
+    #[test]
+    fn responses_read_back_by_length_and_transfer_encoding_is_refused() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(rx);
+        let body = "y".repeat(50_000);
+        tx.write_all(&render_response(&Response::json(body.clone()), true))
+            .unwrap();
+        assert_eq!(
+            read_response(&mut reader).unwrap(),
+            (200, body.into_bytes())
+        );
+        tx.write_all(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n0\r\n\r\n",
+        )
+        .unwrap();
+        let refused = read_response(&mut reader).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{refused}");
     }
 }

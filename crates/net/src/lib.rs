@@ -39,13 +39,15 @@
 //!   See *Front-end architecture* below.
 //! * **Primary→replica replication** ([`repl`]) — the primary's
 //!   [`ReplicationHub`] streams every published delta (epoch +
-//!   [`IndexDelta`] + [`DeltaSignature`]) to connected replicas over a
-//!   length-prefixed binary TCP stream. A joining [`Replica`] opens
+//!   [`IndexDelta`]) to connected replicas over a length-prefixed
+//!   binary TCP stream, each stream a cursor on the primary's delta
+//!   log of the last 64 publications. A joining [`Replica`] opens
 //!   with a HELLO carrying its last applied epoch: if that epoch is
-//!   still on the primary's bounded delta log it catches up from a
-//!   RESUME + backlog tail (no snapshot transfer); only a fresh or
-//!   hopelessly stale replica bootstraps from the arena image a
-//!   SNAPSHOT frame carries (no re-partitioning, no re-build). Epochs are cluster-wide: a replica
+//!   still on the log it catches up from a RESUME + backlog tail (no
+//!   snapshot transfer); only a fresh or hopelessly stale replica
+//!   bootstraps from the arena image a SNAPSHOT frame carries (no
+//!   re-partitioning, no re-build), and a stream that lags off the
+//!   log is cut and goes the same way. Epochs are cluster-wide: a replica
 //!   publishes each replicated delta at the *primary's* epoch number,
 //!   so [`Replica::promote`] turns it into a primary that continues
 //!   the same sequence — retargeted peers resume via the promoted
@@ -92,8 +94,8 @@
 //! thread and not a visit, so 10k open connections ride on a handful of
 //! threads, and a server with nothing to do blocks in `epoll_wait`. A
 //! request that arrives while every thread is busy waits in a bounded
-//! queue (full queue ⇒ immediate `503`, as does the connection cap);
-//! responses above ~32KB stream back chunked. Repeat `GET /search`
+//! queue (full queue ⇒ immediate `503`, as does the connection cap).
+//! Repeat `GET /search`
 //! requests short-circuit through a **pre-serialized response cache**:
 //! the exact rendered bytes, held by the backing `DashServer` as the
 //! second instance of its one cache ([`DashServer::cached_rendered`],
@@ -147,6 +149,7 @@
 //! | `dash_shard_{search,search_many}_ns`, `dash_shard_candidates_total` | histogram/counter | sharded search: one heap loop per request, one call per batch, candidates popped |
 //! | `dash_shard_{seeds,probes,expansions}_total` | counter | sharded search work: fragments seeded into the heap, binary-search probes of the fragment-sorted arena, candidate expansions |
 //! | `dash_repl_{bootstraps,catchups,deltas_applied,forwarded,forward_retries}_total` | counter | replication + write forwarding |
+//! | `dash_repl_lagging_streams_cut_total` | counter | replica streams the primary's hub cut because their next epoch had left the delta log (in the primary `DashServer`'s registry) |
 //! | `dash_repl_epoch`, `dash_repl_epoch_lag` | gauge | replica epoch; gap seen at the last delta frame |
 //! | `dash_router_{reads,read_retries,writes,write_failovers}_total` | counter | routing front tier |
 //!

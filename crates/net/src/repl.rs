@@ -1,10 +1,10 @@
 //! Primary→replica delta replication over TCP.
 //!
 //! The unit a distributed DASH deployment ships between nodes is
-//! exactly the unit PRs 3–4 built the write path around: one
-//! [`IndexDelta`] per publication, stamped with a monotonic epoch and
-//! its [`DeltaSignature`]. The protocol is four frame kinds on one
-//! length-prefixed binary stream (the `dash-core` wire codec):
+//! exactly the unit the write path is built around: one [`IndexDelta`]
+//! per publication, stamped with a monotonic epoch. The protocol is
+//! four frame kinds on one length-prefixed binary stream (the
+//! `dash-core` wire codec):
 //!
 //! * `HELLO` — sent by the replica, first thing after connecting: a
 //!   `has_state` flag plus the primary epoch of the state it already
@@ -20,17 +20,20 @@
 //!   image, so the replica's shard layout, and therefore its search
 //!   byte-stream, is the primary's.
 //! * `RESUME` — the cheap alternative: when the replica's reported
-//!   epoch still sits inside the primary's bounded delta log
-//!   ([`DashServer::replication_feed_from`]), the primary confirms the
-//!   base epoch and replays only the missed deltas. A briefly
-//!   disconnected replica catches up in a handful of delta frames
-//!   instead of re-shipping the whole index.
+//!   epoch still sits inside the primary's delta log (the last
+//!   [`DELTA_LOG`] publications, [`DashServer::events_after`]), the
+//!   primary confirms the base epoch and replays only the missed
+//!   deltas. A briefly disconnected replica catches up in a handful of
+//!   delta frames instead of re-shipping the whole index.
 //! * `DELTA` — one per publication after the bootstrap or resume:
-//!   epoch, delta, signature. The tap is registered under the
-//!   primary's writer lock, so the first live delta's epoch is always
-//!   contiguous with the snapshot epoch / resume backlog — no
-//!   publication is lost or duplicated however the join interleaves
-//!   with concurrent writers.
+//!   epoch, then delta. The streamer is a cursor on the same delta
+//!   log: it asks for the publications after the last epoch it sent,
+//!   so every delta is contiguous with the snapshot epoch or resume
+//!   base by epoch numbering alone — no publication is lost or
+//!   duplicated however the join interleaves with concurrent writers.
+//!   A stream that falls [`DELTA_LOG`] publications behind (its next
+//!   epoch has left the log) is cut; the replica reconnects and
+//!   resumes or re-snapshots as after any disconnect.
 //!
 //! The replica applies each delta through its *own* [`DashServer`]
 //! publish path (shadow apply → atomic snapshot swap → precise cache
@@ -58,7 +61,7 @@
 //! [`ShardedEngine::write_image`]: dash_core::ShardedEngine::write_image
 //! [`IngestSource::Image`]: dash_core::IngestSource::Image
 //! [`IndexDelta`]: dash_core::IndexDelta
-//! [`DeltaSignature`]: dash_core::DeltaSignature
+//! [`DELTA_LOG`]: dash_serve::DELTA_LOG
 
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -68,7 +71,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dash_core::{wire, IngestSource, SearchHit, SearchRequest, ShardedEngine};
-use dash_serve::{CatchUp, DashServer, PublishEvent, ServeConfig};
+use dash_serve::{DashServer, PublishEvent, ServeConfig};
 use dash_webapp::WebApplication;
 use parking_lot::{Mutex, RwLock};
 
@@ -84,9 +87,15 @@ const FRAME_RESUME: u8 = 4;
 /// kilobytes; even a million-fragment dump stays far below).
 const MAX_FRAME_BYTES: u64 = 1 << 32;
 
-/// How long a streamer waits on the publication channel between
+/// A HELLO's payload: the `has_state` flag and an epoch.
+const HELLO_BYTES: u64 = 9;
+
+/// Payload bytes a frame reader allocates ahead of their arrival.
+const READ_STEP: usize = 64 << 10;
+
+/// How long a streamer waits for the next publication between
 /// stop-flag checks.
-const TAP_POLL: Duration = Duration::from_millis(50);
+const STREAM_POLL: Duration = Duration::from_millis(50);
 
 /// How long the hub waits for a connecting replica's HELLO before
 /// dropping the connection (a replica that never speaks must not pin a
@@ -109,15 +118,20 @@ fn write_frame<W: Write>(writer: &mut W, tag: u8, payload: &[u8]) -> io::Result<
 /// but never tearing: a timeout mid-frame resumes exactly where the
 /// partial read stopped. Returns `None` when `stop` was raised.
 fn read_frame(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<(u8, Vec<u8>)>> {
-    read_frame_until(stream, stop, None)
+    read_frame_until(stream, stop, None, MAX_FRAME_BYTES)
 }
 
-/// [`read_frame`] with an optional absolute deadline: timeouts past it
-/// become errors instead of re-entering the poll loop.
+/// [`read_frame`] with an optional absolute deadline — timeouts past it
+/// become errors instead of re-entering the poll loop — and a payload
+/// bound: a longer declared length is refused before any payload byte
+/// is read. The payload buffer grows as its bytes arrive, never from
+/// the declared length, so a header alone cannot make the reader
+/// allocate.
 fn read_frame_until(
     stream: &mut TcpStream,
     stop: &AtomicBool,
     until: Option<Instant>,
+    max_len: u64,
 ) -> io::Result<Option<(u8, Vec<u8>)>> {
     let mut header = [0u8; 9];
     if !read_full(stream, &mut header, stop, until)? {
@@ -125,12 +139,17 @@ fn read_frame_until(
     }
     let tag = header[0];
     let len = u64::from_le_bytes(header[1..9].try_into().expect("8 bytes"));
-    if len > MAX_FRAME_BYTES {
+    if len > max_len {
         return Err(invalid("replication frame too large"));
     }
-    let mut payload = vec![0u8; len as usize];
-    if !read_full(stream, &mut payload, stop, until)? {
-        return Ok(None);
+    let len = usize::try_from(len).map_err(|_| invalid("replication frame too large"))?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let at = payload.len();
+        payload.resize(at + (len - at).min(READ_STEP), 0);
+        if !read_full(stream, &mut payload[at..], stop, until)? {
+            return Ok(None);
+        }
     }
     Ok(Some((tag, payload)))
 }
@@ -184,7 +203,6 @@ fn snapshot_payload(epoch: u64, engine: &ShardedEngine) -> Vec<u8> {
 fn delta_payload(event: &PublishEvent) -> Vec<u8> {
     let mut payload = event.epoch.to_le_bytes().to_vec();
     wire::write_delta(&mut payload, &event.delta).expect("Vec<u8> writes are infallible");
-    wire::write_signature(&mut payload, &event.signature).expect("Vec<u8> writes are infallible");
     payload
 }
 
@@ -194,8 +212,22 @@ fn hello_payload(has_state: bool, epoch: u64) -> Vec<u8> {
     payload
 }
 
+/// Reads the HELLO a connecting replica opens with. Any peer that
+/// connects to the hub gets this far, so the frame is bounded to a
+/// HELLO's 9 bytes and must arrive before [`HELLO_DEADLINE`].
+fn read_hello(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<(bool, u64)>> {
+    let deadline = Some(Instant::now() + HELLO_DEADLINE);
+    let Some((tag, payload)) = read_frame_until(stream, stop, deadline, HELLO_BYTES)? else {
+        return Ok(None);
+    };
+    if tag != FRAME_HELLO {
+        return Err(invalid("replication stream must start with a hello"));
+    }
+    read_hello_payload(&payload).map(Some)
+}
+
 fn read_hello_payload(payload: &[u8]) -> io::Result<(bool, u64)> {
-    if payload.len() != 9 {
+    if payload.len() as u64 != HELLO_BYTES {
         return Err(invalid("malformed hello payload"));
     }
     let epoch = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
@@ -230,8 +262,10 @@ pub struct ReplFaults {
     /// frame (a torn publication).
     pub kill_mid_delta: AtomicBool,
     /// Delay before each delta frame write, in milliseconds (a slow
-    /// link; drives the laggard-eviction path when the feed is
-    /// bounded).
+    /// link). A stream slowed [`DELTA_LOG`] publications behind the
+    /// primary is cut, and its replica resumes or re-snapshots.
+    ///
+    /// [`DELTA_LOG`]: dash_serve::DELTA_LOG
     pub delay_ms: AtomicU64,
 }
 
@@ -257,6 +291,20 @@ fn kill_mid_frame(stream: &mut TcpStream, tag: u8, payload: &[u8]) -> io::Result
     Err(invalid("fault injection: connection killed mid-frame"))
 }
 
+/// Writes one delta frame per event, in order, and returns the epoch
+/// of the last (`sent`, the epoch already sent, when there are none).
+fn send_deltas(
+    stream: &mut TcpStream,
+    sent: u64,
+    events: &[Arc<PublishEvent>],
+    faults: &ReplFaults,
+) -> io::Result<u64> {
+    for event in events {
+        send_delta(stream, event, faults)?;
+    }
+    Ok(events.last().map_or(sent, |event| event.epoch))
+}
+
 /// Writes one delta frame through the fault hooks.
 fn send_delta(stream: &mut TcpStream, event: &PublishEvent, faults: &ReplFaults) -> io::Result<()> {
     let delay = faults.delay_ms.load(Ordering::Relaxed);
@@ -279,12 +327,13 @@ fn send_delta(stream: &mut TcpStream, event: &PublishEvent, faults: &ReplFaults)
 
 /// The primary's replication listener: accepts replica connections,
 /// answers each HELLO with a snapshot or a delta-log resume, then
-/// streams every later publication. One streamer thread per replica; a
-/// slow or dead replica never delays the publish path — with a bounded
-/// feed ([`ServeConfig::feed_depth`]) a laggard is *evicted* and
-/// re-syncs through the delta log on reconnect.
-///
-/// [`ServeConfig::feed_depth`]: dash_serve::ServeConfig::feed_depth
+/// streams every later publication. One streamer thread per replica,
+/// each a cursor on the server's delta log
+/// ([`DashServer::events_after`]), so a slow or dead replica never
+/// delays the publish path and costs the primary no buffer of its own.
+/// A stream whose next epoch has left the log is cut — counted as
+/// `dash_repl_lagging_streams_cut_total` in the server's registry —
+/// and its replica resumes or re-snapshots on reconnect.
 #[derive(Debug)]
 pub struct ReplicationHub {
     addr: SocketAddr,
@@ -421,47 +470,48 @@ fn stream_to_replica(
     // the socket dies.
     let peer = stream.peer_addr().ok();
     let result = (|| {
-        stream.set_read_timeout(Some(TAP_POLL))?;
-        let hello = read_frame_until(&mut stream, stop, Some(Instant::now() + HELLO_DEADLINE))?;
-        let Some((tag, payload)) = hello else {
+        stream.set_read_timeout(Some(STREAM_POLL))?;
+        let Some((has_state, epoch)) = read_hello(&mut stream, stop)? else {
             return Ok(());
         };
-        if tag != FRAME_HELLO {
-            return Err(invalid("replication stream must start with a hello"));
-        }
-        let (has_state, epoch) = read_hello_payload(&payload)?;
-        // Registered atomically under the writer lock: every event the
-        // feed will deliver is contiguous with the snapshot epoch (or
-        // the resume backlog), gap-free.
-        let events = match server.replication_feed_from(has_state.then_some(epoch)) {
-            CatchUp::Tail(tail) => {
-                write_frame(&mut stream, FRAME_RESUME, &tail.base.to_le_bytes())?;
-                for event in &tail.backlog {
-                    send_delta(&mut stream, event, faults)?;
-                }
-                tail.events
+        let backlog = if has_state {
+            server.events_after(epoch, Duration::ZERO)
+        } else {
+            None
+        };
+        let mut sent = match backlog {
+            Some(backlog) => {
+                write_frame(&mut stream, FRAME_RESUME, &epoch.to_le_bytes())?;
+                send_deltas(&mut stream, epoch, &backlog, faults)?
             }
-            CatchUp::Snapshot(feed) => {
-                let payload = snapshot_payload(feed.snapshot.epoch, &feed.snapshot.engine);
+            None => {
+                let snapshot = server.snapshot();
+                let payload = snapshot_payload(snapshot.epoch, &snapshot.engine);
                 if faults.kill_mid_snapshot.swap(false, Ordering::SeqCst) {
                     return kill_mid_frame(&mut stream, FRAME_SNAPSHOT, &payload);
                 }
                 write_frame(&mut stream, FRAME_SNAPSHOT, &payload)?;
-                feed.events
+                snapshot.epoch
             }
         };
         loop {
+            let events = server.events_after(sent, STREAM_POLL);
+            // Checked after the wait: a stopped hub cuts no stream.
             if stop.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            match events.recv_timeout(TAP_POLL) {
-                Ok(event) => send_delta(&mut stream, &event, faults)?,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                // Disconnected covers both hub shutdown and laggard
-                // eviction — either way this streamer is done; closing
-                // the socket tells the replica to reconnect.
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
-            }
+            let Some(events) = events else {
+                // The next epoch has left the log: closing the socket
+                // sends the replica through its reconnect, which
+                // resumes or re-snapshots.
+                server
+                    .registry()
+                    .counter("dash_repl_lagging_streams_cut_total")
+                    .inc();
+                let _ = stream.shutdown(Shutdown::Both);
+                return Ok(());
+            };
+            sent = send_deltas(&mut stream, sent, &events, faults)?;
         }
     })();
     // Deregister exactly this connection's handle, whatever ended the
@@ -483,8 +533,8 @@ fn stream_to_replica(
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Serving configuration of the replica's local [`DashServer`]
-    /// (cache, delta log — shard count is dictated by the primary's
-    /// dump and ignored here).
+    /// (its cache; the shard count is dictated by the primary's image
+    /// and ignored here).
     pub serve: ServeConfig,
     /// Delay between reconnect attempts after a lost primary.
     pub retry: Duration,
@@ -808,20 +858,17 @@ fn sync_once(mut stream: TcpStream, inner: &ReplicaInner) -> io::Result<()> {
         if tag != FRAME_DELTA {
             return Err(invalid(&format!("unexpected frame tag {tag}")));
         }
-        let (epoch, rest) = read_epoch(&payload)?;
-        let mut rest = rest;
+        let (epoch, mut rest) = read_epoch(&payload)?;
         let delta = wire::read_delta(&mut rest)?;
+        if !rest.is_empty() {
+            return Err(invalid("trailing bytes after the delta frame's delta"));
+        }
         // Gap between this frame and the next epoch the replica
         // expects: 0 on an in-order stream (replayed frames saturate
         // to 0). A nonzero value is about to kill the connection.
         dash_obs::Registry::global()
             .gauge("dash_repl_epoch_lag")
             .set(epoch.saturating_sub(inner.epoch.load(Ordering::SeqCst) + 1));
-        // The signature rides along for protocol completeness (a
-        // non-DashServer consumer needs it to invalidate caches); the
-        // local publish path recomputes an identical one from the
-        // mirrored pre-delta state.
-        let _signature = wire::read_signature(&mut rest)?;
         let current = inner.epoch.load(Ordering::SeqCst);
         if epoch <= current {
             continue; // replayed frame from a reconnect race
@@ -905,17 +952,43 @@ mod tests {
     }
 
     #[test]
+    fn a_declared_length_allocates_nothing_before_its_bytes_arrive() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = AtomicBool::new(false);
+        let huge = (1u64 << 32).to_le_bytes();
+        // Any peer can send the hub a HELLO header declaring 4 GiB: it
+        // is refused on the header alone.
+        let mut tx = TcpStream::connect(addr).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        rx.set_read_timeout(Some(Duration::from_millis(10)))
+            .unwrap();
+        tx.write_all(&[FRAME_HELLO]).unwrap();
+        tx.write_all(&huge).unwrap();
+        let refused = read_hello(&mut rx, &stop).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData, "{refused}");
+        // A frame declaring as much is admitted, and still errors
+        // when the peer dies 30 bytes in.
+        let mut tx = TcpStream::connect(addr).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        tx.write_all(&[FRAME_SNAPSHOT]).unwrap();
+        tx.write_all(&huge).unwrap();
+        tx.write_all(&[7u8; 30]).unwrap();
+        drop(tx);
+        let torn = read_frame(&mut rx, &stop).unwrap_err();
+        assert_eq!(torn.kind(), io::ErrorKind::UnexpectedEof, "{torn}");
+    }
+
+    #[test]
     fn delta_payload_roundtrips_through_epoch_framing() {
         let event = PublishEvent {
             epoch: 42,
             delta: IndexDelta::default(),
-            signature: Default::default(),
         };
         let payload = delta_payload(&event);
         let (epoch, mut rest) = read_epoch(&payload).unwrap();
         assert_eq!(epoch, 42);
         assert_eq!(wire::read_delta(&mut rest).unwrap(), event.delta);
-        assert_eq!(wire::read_signature(&mut rest).unwrap(), event.signature);
         assert!(rest.is_empty());
     }
 
@@ -947,7 +1020,6 @@ mod tests {
             delta_payload(&PublishEvent {
                 epoch,
                 delta: IndexDelta::adding(vec![fragment]),
-                signature: Default::default(),
             })
         };
 
@@ -958,17 +1030,11 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_millis(20)))
             .unwrap();
-        let (tag, hello) = read_frame_until(&mut stream, &stop, deadline())
-            .unwrap()
-            .unwrap();
-        assert_eq!(
-            (tag, read_hello_payload(&hello).unwrap()),
-            (FRAME_HELLO, (false, 0))
-        );
+        assert_eq!(read_hello(&mut stream, &stop).unwrap(), Some((false, 0)));
         write_frame(&mut stream, FRAME_SNAPSHOT, &snapshot_payload(0, &engine)).unwrap();
         let short = delta_frame(1, larb(vec![Value::str("Lao")]));
         write_frame(&mut stream, FRAME_DELTA, &short).unwrap();
-        assert!(read_frame_until(&mut stream, &stop, deadline()).is_err());
+        assert!(read_frame_until(&mut stream, &stop, deadline(), MAX_FRAME_BYTES).is_err());
         assert_eq!(replica.epoch(), 0);
         assert_eq!(replica.deltas_applied(), 0);
 
@@ -978,10 +1044,7 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_millis(20)))
             .unwrap();
-        let (_, hello) = read_frame_until(&mut stream, &stop, deadline())
-            .unwrap()
-            .unwrap();
-        assert_eq!(read_hello_payload(&hello).unwrap(), (true, 0));
+        assert_eq!(read_hello(&mut stream, &stop).unwrap(), Some((true, 0)));
         write_frame(&mut stream, FRAME_RESUME, &0u64.to_le_bytes()).unwrap();
         let fits = delta_frame(1, larb(vec![Value::str("Lao"), Value::Int(3)]));
         write_frame(&mut stream, FRAME_DELTA, &fits).unwrap();
@@ -1017,6 +1080,7 @@ mod tests {
             &mut rx,
             &stop,
             Some(Instant::now() + Duration::from_millis(30)),
+            HELLO_BYTES,
         );
         assert!(matches!(result, Err(e) if e.kind() == io::ErrorKind::TimedOut));
         assert!(begin.elapsed() < Duration::from_secs(2));

@@ -356,7 +356,6 @@ mod tests {
     fn signature(words: &[&str]) -> DeltaSignature {
         DeltaSignature {
             keywords: words.iter().map(|w| w.to_string()).collect(),
-            ..DeltaSignature::default()
         }
     }
 

@@ -36,6 +36,12 @@
 //! engine's pooled scratch, and a search that panics fails only its
 //! own caller.
 //!
+//! Each publication also enters the **delta log**, the last
+//! [`DELTA_LOG`] [`PublishEvent`]s: [`DashServer::events_after`] hands
+//! a consumer the publications after its epoch, or tells it to
+//! bootstrap from [`DashServer::snapshot`] instead. A replica stream is
+//! a cursor on it.
+//!
 //! The whole stack is **exact**: `tests/serve_equivalence.rs` proves
 //! that served hit lists — cached, concurrent, and across any
 //! interleaving of snapshot publications — are
@@ -70,14 +76,14 @@
 pub mod cache;
 pub mod snapshot;
 
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use dash_core::update::bulk_delta;
 use dash_core::{
-    env_shards, DashConfig, DeltaSignature, Fragment, IndexDelta, IngestSource, RecordChange,
-    RefreshStats, Result, SearchHit, SearchRequest, ShardedEngine,
+    env_shards, DashConfig, Fragment, IndexDelta, IngestSource, RecordChange, RefreshStats, Result,
+    SearchHit, SearchRequest, ShardedEngine,
 };
 use dash_obs::{render_merged, Counter, Gauge, Histogram, Registry, SpanGuard};
 use dash_relation::Database;
@@ -109,6 +115,12 @@ const CACHE_HIT_BUDGET: usize = 1 << 16;
 /// when a caller retains a [`DashServer::snapshot`] long-term.
 const DRAIN_ATTEMPTS: usize = 4096;
 
+/// Publications the delta log keeps. It bounds both how far behind a
+/// reconnecting replica may be and still resume, and how far a live
+/// replica stream may lag before it is cut and must catch up the same
+/// way ([`DashServer::events_after`]).
+pub const DELTA_LOG: usize = 64;
+
 /// A request with no answer to compute (`k = 0` or no keywords): it is
 /// answered empty without touching a cache or a counter.
 fn degenerate(request: &SearchRequest) -> bool {
@@ -123,19 +135,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Result-cache capacity in entries; 0 disables caching.
     pub cache_capacity: usize,
-    /// Capacity (in publications) of the bounded delta log — the ring
-    /// of recent [`PublishEvent`]s a briefly-disconnected replica
-    /// tails from its last epoch instead of re-bootstrapping from a
-    /// full snapshot ([`DashServer::replication_feed_from`]). 0
-    /// disables the log (every reconnect re-snapshots).
-    pub delta_log: usize,
-    /// Bound (in publications) of each replication tap's channel. A
-    /// consumer that falls this far behind is **evicted** — its
-    /// channel closes and it must re-sync through
-    /// [`DashServer::replication_feed_from`] (delta tail or snapshot)
-    /// — instead of growing the primary's memory without limit. 0 is
-    /// clamped to 1: every tap is bounded.
-    pub feed_depth: usize,
 }
 
 impl Default for ServeConfig {
@@ -143,8 +142,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: env_shards().unwrap_or(1),
             cache_capacity: 1024,
-            delta_log: 64,
-            feed_depth: 1024,
         }
     }
 }
@@ -159,19 +156,6 @@ impl ServeConfig {
     /// Overrides the cache capacity (builder style; 0 disables).
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Overrides the delta-log capacity (builder style; 0 disables).
-    pub fn delta_log(mut self, capacity: usize) -> Self {
-        self.delta_log = capacity;
-        self
-    }
-
-    /// Overrides the replication-tap channel bound (builder style;
-    /// 0 is clamped to 1).
-    pub fn feed_depth(mut self, depth: usize) -> Self {
-        self.feed_depth = depth;
         self
     }
 }
@@ -199,119 +183,52 @@ pub struct ServeStats {
     /// Searches answered (cache hits and misses alike; degenerate
     /// requests short-circuited client-side are not counted).
     pub searches: u64,
-    /// Replication taps evicted for lagging more than
-    /// [`ServeConfig::feed_depth`] publications behind the publisher.
-    pub feed_evictions: u64,
 }
 
-/// One publication, as seen by a replication tap: the epoch the swap
-/// produced, the delta that was applied, and its invalidation
-/// signature — everything a replica needs to mirror the publish
-/// locally (apply the same delta, invalidate the same cache entries).
-#[derive(Debug, Clone, PartialEq)]
+/// One publication: the epoch the swap produced and the delta that was
+/// applied — everything a replica needs to mirror the publish locally
+/// (its own publish path derives the same invalidation signature from
+/// its mirrored pre-delta state).
+#[derive(Debug, PartialEq)]
 pub struct PublishEvent {
     /// The live snapshot's epoch after this publication.
     pub epoch: u64,
     /// The delta the publication applied.
     pub delta: IndexDelta,
-    /// The delta's invalidation signature against the pre-delta index.
-    pub signature: DeltaSignature,
 }
 
-/// A replication tap: the snapshot to bootstrap from plus the stream
-/// of every publication after it. Obtained atomically by
-/// [`DashServer::replication_feed`] — the first event's epoch is
-/// always `snapshot.epoch + 1`, with no publication lost or duplicated
-/// in between, which is what lets a replica dump/restore the snapshot
-/// and tail the delta stream without re-partitioning or re-crawling.
-#[derive(Debug)]
-pub struct ReplicationFeed {
-    /// The live snapshot at registration time.
-    pub snapshot: Arc<EngineSnapshot>,
-    /// Every publication with `epoch > snapshot.epoch`, in order. The
-    /// publisher never blocks on a tap; a consumer that falls
-    /// [`ServeConfig::feed_depth`] publications behind is evicted (the
-    /// channel closes mid-stream and the consumer must re-sync).
-    /// Dropping the receiver unregisters the tap at the next
-    /// publication.
-    pub events: Receiver<PublishEvent>,
-}
-
-/// A delta-tail resumption: everything a consumer that already holds
-/// the state of epoch `base` needs to catch back up without a
-/// snapshot. Obtained atomically by
-/// [`DashServer::replication_feed_from`]: `backlog` is the logged
-/// publications in `(base, registration epoch]` in order, and `events`
-/// carries every publication after registration — contiguous with the
-/// backlog, no gap and no overlap.
-#[derive(Debug)]
-pub struct DeltaTail {
-    /// The consumer's confirmed epoch (its state before the backlog).
-    pub base: u64,
-    /// The logged publications with `base < epoch ≤` the registration
-    /// epoch, in epoch order.
-    pub backlog: Vec<PublishEvent>,
-    /// Every publication after the registration epoch (same bounded
-    /// semantics as [`ReplicationFeed::events`]).
-    pub events: Receiver<PublishEvent>,
-}
-
-/// What [`DashServer::replication_feed_from`] hands a (re)joining
-/// consumer: a delta tail when the log still covers its epoch, a full
-/// snapshot feed otherwise.
-#[derive(Debug)]
-pub enum CatchUp {
-    /// The consumer's epoch fell off the delta log's tail (or it had
-    /// no state): bootstrap from the snapshot, then tail the events.
-    Snapshot(ReplicationFeed),
-    /// The log covers the consumer's epoch: apply the backlog, then
-    /// tail the events. No snapshot transfer needed.
-    Tail(DeltaTail),
-}
-
-/// The bounded ring of recent publications (the delta log): epochs are
-/// contiguous from front to back, older entries fall off as new ones
-/// push in.
+/// The delta log: the last [`DELTA_LOG`] publications, epochs
+/// contiguous from front to back, plus the live epoch, so that a
+/// consumer at any epoch learns what it is missing, or that it must
+/// bootstrap from a snapshot instead.
 #[derive(Debug)]
 struct DeltaLog {
-    events: std::collections::VecDeque<PublishEvent>,
-    capacity: usize,
+    /// The epoch of the last publication, or the one the server
+    /// opened at. Never behind the live snapshot's epoch: a
+    /// publication is logged before its snapshot is swapped in.
+    epoch: u64,
+    events: VecDeque<Arc<PublishEvent>>,
 }
 
 impl DeltaLog {
-    fn new(capacity: usize) -> Self {
-        DeltaLog {
-            events: std::collections::VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-        }
-    }
-
-    fn push(&mut self, event: PublishEvent) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
+    fn push(&mut self, event: Arc<PublishEvent>) {
+        if self.events.len() == DELTA_LOG {
             self.events.pop_front();
         }
+        self.epoch = event.epoch;
         self.events.push_back(event);
     }
 
-    /// The logged publications with epoch in `(from, back]`, oldest
-    /// first — `None` when the log no longer covers `from + 1`
-    /// (fallen off the tail, or logging disabled).
-    fn tail_after(&self, from: u64) -> Option<Vec<PublishEvent>> {
-        let first = self.events.front()?.epoch;
-        let last = self.events.back()?.epoch;
-        if from + 1 < first || from > last {
-            return None;
+    /// The logged publications after `epoch`, oldest first — `None`
+    /// when `epoch` is ahead of the log or `epoch + 1` is no longer in
+    /// it.
+    fn after(&self, epoch: u64) -> Option<Vec<Arc<PublishEvent>>> {
+        if epoch >= self.epoch {
+            return (epoch == self.epoch).then(Vec::new);
         }
-        Some(
-            self.events
-                .iter()
-                .filter(|e| e.epoch > from)
-                .cloned()
-                .collect(),
-        )
+        let first = self.events.front()?.epoch;
+        let skip = usize::try_from((epoch + 1).checked_sub(first)?).ok()?;
+        Some(self.events.iter().skip(skip).cloned().collect())
     }
 }
 
@@ -338,13 +255,13 @@ pub struct DashServer {
     batches: Arc<Counter>,
     published: Arc<Counter>,
     searches: Arc<Counter>,
-    feed_evictions: Arc<Counter>,
     /// End-to-end `DashServer::search` latency (cache lookup + engine
     /// time); the engine time alone for `DashServer::search_rendered`.
     search_ns: Arc<Histogram>,
     /// Publish critical path: prepare + shadow apply + cache
-    /// invalidation + atomic snapshot swap. The three spans below
-    /// attribute it; the remainder is the swap itself.
+    /// invalidation + delta-log append + atomic snapshot swap. The
+    /// three spans below attribute it; the remainder is the append and
+    /// the swap itself.
     swap_ns: Arc<Histogram>,
     /// [`ShardedEngine::prepare`] against the pre-delta shadow: the
     /// one walk of the touched shards' lists that yields both the
@@ -366,14 +283,11 @@ pub struct DashServer {
     /// [`ShardedEngine::apply_prepared`] of the delta prepared on the
     /// shadow (no sample when the drain gave up and forked).
     publish_replay_ns: Arc<Histogram>,
-    /// Replication taps fed on every publication (closed and lagging
-    /// ones pruned).
-    taps: Mutex<Vec<SyncSender<PublishEvent>>>,
-    /// The bounded ring of recent publications (see
-    /// [`ServeConfig::delta_log`]).
-    delta_log: Mutex<DeltaLog>,
-    /// Channel bound applied to each new tap (≥ 1).
-    feed_depth: usize,
+    /// The delta log, written under the writer lock. A std mutex, for
+    /// the condvar beside it.
+    log: std::sync::Mutex<DeltaLog>,
+    /// Wakes [`DashServer::events_after`] waiters on each publication.
+    logged: Condvar,
     /// Construction time, the zero point of [`DashServer::uptime`].
     started: Instant,
 }
@@ -453,7 +367,6 @@ impl DashServer {
             batches: registry.counter("dash_serve_batches_total"),
             published: registry.counter("dash_serve_published_total"),
             searches: registry.counter("dash_serve_searches_total"),
-            feed_evictions: registry.counter("dash_serve_feed_evictions_total"),
             search_ns: registry.histogram("dash_serve_search_ns"),
             swap_ns: registry.histogram("dash_serve_swap_ns"),
             publish_signature_ns: registry.histogram("dash_serve_publish_signature_ns"),
@@ -463,9 +376,11 @@ impl DashServer {
             drain_ns: registry.histogram("dash_serve_drain_ns"),
             publish_replay_ns: registry.histogram("dash_serve_publish_replay_ns"),
             registry,
-            taps: Mutex::new(Vec::new()),
-            delta_log: Mutex::new(DeltaLog::new(serve.delta_log)),
-            feed_depth: serve.feed_depth.max(1),
+            log: std::sync::Mutex::new(DeltaLog {
+                epoch,
+                events: VecDeque::with_capacity(DELTA_LOG),
+            }),
+            logged: Condvar::new(),
             started: Instant::now(),
         }
     }
@@ -648,6 +563,12 @@ impl DashServer {
             return Ok((RefreshStats::default(), writer.epoch));
         }
         let swap_span = SpanGuard::start(&self.swap_ns);
+        // The publication as the delta log will hold it, built first so
+        // that the delta is prepared from it, not copied into it.
+        let event = Arc::new(PublishEvent {
+            epoch: writer.epoch + 1,
+            delta,
+        });
         // Prepared against the *pre-delta* shadow: the signature's
         // vocabulary includes the terms the delta removes, which are
         // gone after application.
@@ -656,7 +577,7 @@ impl DashServer {
             .shadow
             .as_ref()
             .expect("shadow present outside publish")
-            .prepare(&delta)
+            .prepare(&event.delta)
         {
             Ok(prepared) => prepared,
             Err(e) => {
@@ -686,6 +607,11 @@ impl DashServer {
             self.cache.invalidate(&prepared.signature, writer.epoch);
             self.rendered.invalidate(&prepared.signature, writer.epoch);
         }
+        // Logged before the swap, so the log is never behind the live
+        // snapshot: a consumer that bootstraps from `snapshot()` always
+        // finds its epoch covered by `events_after`.
+        self.lock_log().push(Arc::clone(&event));
+        self.logged.notify_all();
         let next = Arc::new(EngineSnapshot {
             engine: shadow,
             epoch: writer.epoch,
@@ -711,96 +637,34 @@ impl DashServer {
         }
         drop(drain_span);
         self.published.inc();
-        let signature = prepared.signature;
-        // Record the publication in the delta log and feed the
-        // replication taps (still under the writer lock, so every tap
-        // sees publications in epoch order with no gaps). Taps register
-        // under the writer lock too, so the set cannot change
-        // mid-publish, and with neither a tap nor a log the event is
-        // never built. Sends never block: a tap whose consumer has
-        // fallen `feed_depth` publications behind is evicted on the
-        // spot — its channel closes and the consumer re-syncs through
-        // [`DashServer::replication_feed_from`] — so a stuck replica
-        // costs the publisher a bounded channel, never unbounded
-        // memory.
-        let log_enabled = self.delta_log.lock().capacity > 0;
-        if log_enabled || !self.taps.lock().is_empty() {
-            let event = PublishEvent {
-                epoch: writer.epoch,
-                delta,
-                signature,
-            };
-            // Each tap gets a clone; the log takes the event itself.
-            let mut taps = self.taps.lock();
-            let mut evicted = 0u64;
-            taps.retain(|tap| match tap.try_send(event.clone()) {
-                Ok(()) => true,
-                Err(TrySendError::Full(_)) => {
-                    evicted += 1;
-                    false
-                }
-                // Receiver dropped: the consumer unregistered.
-                Err(TrySendError::Disconnected(_)) => false,
-            });
-            if evicted > 0 {
-                self.feed_evictions.add(evicted);
-            }
-            drop(taps);
-            self.delta_log.lock().push(event);
-        }
         Ok((stats, writer.epoch))
     }
 
-    /// Registers a replication tap: atomically returns the current
-    /// live snapshot and a channel that will deliver **every**
-    /// publication after it ([`PublishEvent`]s with
-    /// `epoch > snapshot.epoch`, in order, no gaps). This is the
-    /// primary half of primary→replica replication: dump the snapshot
-    /// to the joining replica, then forward the events — the replica
-    /// provably reconstructs the primary's exact state at every epoch.
-    pub fn replication_feed(&self) -> ReplicationFeed {
-        match self.replication_feed_from(None) {
-            CatchUp::Snapshot(feed) => feed,
-            CatchUp::Tail(_) => unreachable!("no base epoch offered"),
-        }
+    /// The logged publications after `epoch`, oldest first: what a
+    /// consumer holding the state of `epoch` applies, in order, to
+    /// reach the live epoch. While there are none it waits up to `wait`
+    /// for the next publication, and returns an empty list if none
+    /// lands. A consumer at the live epoch — a server opened at a
+    /// carried epoch included — gets an empty list.
+    ///
+    /// `None` when `epoch + 1` has fallen off the log (more than
+    /// [`DELTA_LOG`] publications landed since) or `epoch` is ahead of
+    /// the live epoch: the consumer must bootstrap from
+    /// [`DashServer::snapshot`] instead. The log is never behind the
+    /// live snapshot, so `events_after(snapshot().epoch, _)` answers
+    /// `Some` until [`DELTA_LOG`] more publications have landed.
+    pub fn events_after(&self, epoch: u64, wait: Duration) -> Option<Vec<Arc<PublishEvent>>> {
+        let (log, _) = self
+            .logged
+            .wait_timeout_while(self.lock_log(), wait, |log| log.epoch == epoch)
+            .unwrap_or_else(PoisonError::into_inner);
+        log.after(epoch)
     }
 
-    /// Registers a replication tap for a consumer that may already
-    /// hold state: with `from = Some(epoch)` and a delta log that
-    /// still covers `epoch + 1 ..= current`, returns
-    /// [`CatchUp::Tail`] — the logged backlog plus the live stream,
-    /// contiguous and gap-free, so the consumer catches up **without a
-    /// snapshot transfer**. Falls back to [`CatchUp::Snapshot`] (the
-    /// [`DashServer::replication_feed`] semantics) when the consumer
-    /// has no state, claims a future epoch, or has fallen off the
-    /// log's tail.
-    pub fn replication_feed_from(&self, from: Option<u64>) -> CatchUp {
-        // The writer lock pins the epoch: no publication can land
-        // between consulting the log, grabbing the snapshot and
-        // registering the tap.
-        let writer = self.writer.lock();
-        let (tap, events) = mpsc::sync_channel(self.feed_depth);
-        self.taps.lock().push(tap);
-        if let Some(base) = from {
-            let backlog = if base == writer.epoch {
-                Some(Vec::new())
-            } else if base < writer.epoch {
-                self.delta_log.lock().tail_after(base)
-            } else {
-                None // a future epoch: the consumer is confused — re-snapshot
-            };
-            if let Some(backlog) = backlog {
-                return CatchUp::Tail(DeltaTail {
-                    base,
-                    backlog,
-                    events,
-                });
-            }
-        }
-        CatchUp::Snapshot(ReplicationFeed {
-            snapshot: self.handle.snapshot(),
-            events,
-        })
+    /// The delta log. Every update of it (one push) leaves it valid, so
+    /// a panic elsewhere while it was held does not make it unusable.
+    fn lock_log(&self) -> MutexGuard<'_, DeltaLog> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Time since the server was constructed (the denominator of the
@@ -841,7 +705,6 @@ impl DashServer {
             batched_requests: batches,
             published: self.published.get(),
             searches: self.searches.get(),
-            feed_evictions: self.feed_evictions.get(),
         }
     }
 
@@ -948,7 +811,6 @@ mod tests {
             ("dash_serve_searches_total", stats.searches),
             ("dash_serve_batches_total", stats.batches),
             ("dash_serve_published_total", stats.published),
-            ("dash_serve_feed_evictions_total", stats.feed_evictions),
         ] {
             assert_eq!(registry.counter(name).get(), got, "{name}");
         }
@@ -1079,40 +941,6 @@ mod tests {
         assert_eq!(server.search(&request), expected);
     }
 
-    #[test]
-    fn replication_feed_sees_every_later_publication_and_none_before() {
-        let server = server(2);
-        let fragment = |cuisine: &str, word: &str| {
-            Fragment::new(
-                FragmentId::new(vec![Value::str(cuisine), Value::Int(7)]),
-                [(word.to_string(), 2u64)].into_iter().collect(),
-                1,
-            )
-        };
-        // A publication before the tap is registered is bootstrap
-        // state, not an event.
-        server.publish(IndexDelta::adding(vec![fragment("Nordic", "herring")]));
-        let feed = server.replication_feed();
-        assert_eq!(feed.snapshot.epoch, 1);
-        assert!(feed.events.try_recv().is_err(), "no events before reg");
-        server.publish(IndexDelta::adding(vec![fragment("Basque", "txakoli")]));
-        server.publish(IndexDelta::removing(vec![FragmentId::new(vec![
-            Value::str("Nordic"),
-            Value::Int(7),
-        ])]));
-        let first = feed.events.recv().expect("first event");
-        let second = feed.events.recv().expect("second event");
-        assert_eq!((first.epoch, second.epoch), (2, 3));
-        assert_eq!(first.delta.adds[0].id.values()[0], Value::str("Basque"));
-        assert!(first.signature.keywords.contains("txakoli"));
-        assert!(second.delta.adds.is_empty());
-        // Dropping the receiver unregisters the tap at the next
-        // publication (no leak, no publish error).
-        drop(feed);
-        server.publish(IndexDelta::adding(vec![fragment("Lao", "larb")]));
-        assert_eq!(server.epoch(), 4);
-    }
-
     fn cuisine_fragment(cuisine: &str, word: &str) -> Fragment {
         Fragment::new(
             FragmentId::new(vec![Value::str(cuisine), Value::Int(7)]),
@@ -1121,117 +949,111 @@ mod tests {
         )
     }
 
-    #[test]
-    fn lagging_feed_is_evicted_instead_of_buffering_without_bound() {
-        let db = fooddb::database();
-        let app = fooddb::search_application().unwrap();
-        let server = DashServer::build(
-            &app,
-            &db,
-            &DashConfig::default(),
-            ServeConfig::default().shards(1).feed_depth(2),
-        )
-        .unwrap();
-        let feed = server.replication_feed();
-        // Publish past the tap bound without consuming: the third
-        // publication finds the channel full and evicts the tap —
-        // publishing itself never blocks.
-        for (at, word) in ["herring", "txakoli", "larb", "injera"].iter().enumerate() {
+    /// Publishes `count` one-fragment deltas, each into its own group.
+    fn publish_many(server: &DashServer, count: usize) {
+        for at in 0..count {
             server.publish(IndexDelta::adding(vec![cuisine_fragment(
                 &format!("C{at}"),
-                word,
+                "herring",
             )]));
         }
-        assert_eq!(server.epoch(), 4, "publishing continued past the laggard");
-        assert_eq!(server.stats().feed_evictions, 1);
-        // The laggard drains what was buffered, then sees the closed
-        // channel — its cue to re-sync via replication_feed_from.
-        assert_eq!(feed.events.recv().unwrap().epoch, 1);
-        assert_eq!(feed.events.recv().unwrap().epoch, 2);
-        assert!(feed.events.recv().is_err(), "evicted tap is closed");
+    }
+
+    /// The epochs [`DashServer::events_after`] answers with, without
+    /// waiting.
+    fn epochs_after(server: &DashServer, epoch: u64) -> Option<Vec<u64>> {
+        server
+            .events_after(epoch, Duration::ZERO)
+            .map(|events| events.iter().map(|e| e.epoch).collect())
+    }
+
+    #[test]
+    fn events_after_sees_every_later_publication_and_none_before() {
+        let server = server(2);
+        // A publication before the snapshot is bootstrap state, not an
+        // event: a consumer at the snapshot's epoch has nothing to
+        // apply.
+        server.publish(IndexDelta::adding(vec![cuisine_fragment(
+            "Nordic", "herring",
+        )]));
+        let snapshot = server.snapshot();
+        assert_eq!(snapshot.epoch, 1);
+        assert_eq!(epochs_after(&server, snapshot.epoch), Some(vec![]));
+        server.publish(IndexDelta::adding(vec![cuisine_fragment(
+            "Basque", "txakoli",
+        )]));
+        server.publish(IndexDelta::removing(vec![FragmentId::new(vec![
+            Value::str("Nordic"),
+            Value::Int(7),
+        ])]));
+        // Contiguous with the snapshot: exactly the two publications
+        // after it, in order, as they were published.
+        let events = server
+            .events_after(snapshot.epoch, Duration::ZERO)
+            .expect("epoch 2 is logged");
+        assert_eq!(events.iter().map(|e| e.epoch).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(events[0].delta.adds[0].id.values()[0], Value::str("Basque"));
+        assert!(events[1].delta.adds.is_empty());
+        // The live epoch has nothing pending; a future one is a
+        // confused consumer that must re-snapshot.
+        assert_eq!(epochs_after(&server, 3), Some(vec![]));
+        assert_eq!(epochs_after(&server, 4), None);
+    }
+
+    #[test]
+    fn lagging_feed_is_evicted_instead_of_buffering_without_bound() {
+        let server = server(1);
+        // A consumer at epoch 0 that reads nothing while one more than
+        // the log holds is published: publishing never waits for it,
+        // the log keeps only the last DELTA_LOG, and the consumer is
+        // told to re-snapshot.
+        publish_many(&server, DELTA_LOG + 1);
+        assert_eq!(server.epoch(), DELTA_LOG as u64 + 1);
+        assert_eq!(epochs_after(&server, 0), None);
+        let logged = epochs_after(&server, 1).expect("epoch 2 is logged");
+        assert_eq!(logged, (2..=DELTA_LOG as u64 + 1).collect::<Vec<_>>());
     }
 
     #[test]
     fn delta_tail_resumes_from_a_logged_epoch() {
-        let db = fooddb::database();
-        let app = fooddb::search_application().unwrap();
-        let server = DashServer::build(
-            &app,
-            &db,
-            &DashConfig::default(),
-            ServeConfig::default().shards(2).delta_log(8),
-        )
-        .unwrap();
-        for (at, word) in ["herring", "txakoli", "larb"].iter().enumerate() {
-            server.publish(IndexDelta::adding(vec![cuisine_fragment(
-                &format!("C{at}"),
-                word,
-            )]));
-        }
-        // A consumer at epoch 1 tails the log: backlog is exactly
-        // epochs 2 and 3, and later publications flow on the channel.
-        let CatchUp::Tail(tail) = server.replication_feed_from(Some(1)) else {
-            panic!("epoch 1 is on the log");
-        };
-        assert_eq!(tail.base, 1);
-        assert_eq!(
-            tail.backlog.iter().map(|e| e.epoch).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-        server.publish(IndexDelta::adding(vec![cuisine_fragment("C9", "mole")]));
-        assert_eq!(tail.events.recv().unwrap().epoch, 4);
-        // A consumer already current gets an empty backlog.
-        let CatchUp::Tail(tail) = server.replication_feed_from(Some(4)) else {
-            panic!("current epoch needs no backlog");
-        };
-        assert!(tail.backlog.is_empty());
-        // A consumer claiming a future epoch re-snapshots.
-        assert!(matches!(
-            server.replication_feed_from(Some(99)),
-            CatchUp::Snapshot(_)
-        ));
+        let server = server(2);
+        publish_many(&server, 3);
+        // A consumer at epoch 1 resumes from the log: exactly epochs 2
+        // and 3.
+        assert_eq!(epochs_after(&server, 1), Some(vec![2, 3]));
+        // A consumer at the live epoch waits for the next publication
+        // and is woken by it, well before its wait runs out.
+        let wait = Duration::from_secs(60);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let begin = Instant::now();
+                let events = server.events_after(3, wait).expect("epoch 3 is live");
+                (
+                    events.iter().map(|e| e.epoch).collect::<Vec<_>>(),
+                    begin.elapsed(),
+                )
+            });
+            server.publish(IndexDelta::adding(vec![cuisine_fragment("C9", "mole")]));
+            let (epochs, waited) = waiter.join().unwrap();
+            assert_eq!(epochs, [4]);
+            assert!(waited < wait, "woken by the publication, not the timeout");
+        });
+        // With no publication, the wait runs out empty.
+        let events = server.events_after(4, Duration::from_millis(20));
+        assert_eq!(events.map(|e| e.len()), Some(0));
     }
 
     #[test]
     fn fallen_off_the_log_tail_means_snapshot() {
-        let db = fooddb::database();
-        let app = fooddb::search_application().unwrap();
-        let server = DashServer::build(
-            &app,
-            &db,
-            &DashConfig::default(),
-            ServeConfig::default().shards(1).delta_log(2),
-        )
-        .unwrap();
-        for (at, word) in ["herring", "txakoli", "larb", "injera"].iter().enumerate() {
-            server.publish(IndexDelta::adding(vec![cuisine_fragment(
-                &format!("C{at}"),
-                word,
-            )]));
-        }
-        // The ring holds epochs {3, 4}: epoch 2 can still tail (its
-        // successor is logged), epoch 1 has fallen off.
-        assert!(matches!(
-            server.replication_feed_from(Some(2)),
-            CatchUp::Tail(_)
-        ));
-        assert!(matches!(
-            server.replication_feed_from(Some(1)),
-            CatchUp::Snapshot(_)
-        ));
-        // Disabled log: every stateful consumer re-snapshots.
-        let unlogged = DashServer::build(
-            &app,
-            &db,
-            &DashConfig::default(),
-            ServeConfig::default().shards(1).delta_log(0),
-        )
-        .unwrap();
-        unlogged.publish(IndexDelta::adding(vec![cuisine_fragment("C9", "mole")]));
-        assert!(matches!(
-            unlogged.replication_feed_from(Some(0)),
-            CatchUp::Snapshot(_)
-        ));
+        let server = server(1);
+        publish_many(&server, DELTA_LOG + 1);
+        // The log holds epochs 2..=65: epoch 1 can still resume (its
+        // successor is logged), epoch 0 has fallen off.
+        assert_eq!(
+            epochs_after(&server, 1).map(|epochs| epochs.len()),
+            Some(DELTA_LOG)
+        );
+        assert_eq!(epochs_after(&server, 0), None);
     }
 
     #[test]
@@ -1251,6 +1073,10 @@ mod tests {
             .unwrap();
         let server = DashServer::from_engine_at_epoch(engine, ServeConfig::default(), 7);
         assert_eq!(server.epoch(), 7);
+        // Its log is empty but speaks the carried epoch: a consumer at
+        // 7 is current, one behind it must re-snapshot.
+        assert_eq!(epochs_after(&server, 7), Some(vec![]));
+        assert_eq!(epochs_after(&server, 6), None);
         // Both cache instances open at the carried epoch: a result
         // computed against the epoch-7 snapshot is cached, not
         // rejected as stale.
@@ -1268,6 +1094,7 @@ mod tests {
             server.publish_with_epoch(IndexDelta::adding(vec![cuisine_fragment("C0", "herring")]));
         assert_eq!(epoch, 8);
         assert_eq!(server.snapshot().epoch, 8);
+        assert_eq!(epochs_after(&server, 7), Some(vec![8]));
     }
 
     /// A stand-in front-end rendering: one `url score` line per hit.

@@ -11,7 +11,8 @@
 //! The fault injection hooks live on the primary's replication hub
 //! ([`ReplicationHub::faults`]): one-shot mid-frame kills (torn
 //! SNAPSHOT / torn DELTA), silent delta drops (epoch gaps the replica
-//! must detect), and per-frame delays. The control-plane operations —
+//! must detect), and per-frame delays (a stream slowed off the delta
+//! log is cut). The control-plane operations —
 //! [`Replica::promote`], [`Replica::retarget`],
 //! [`Upstream::retarget`] — are what an operator (or the routing
 //! tier's supervisor) runs on a real failover; the chaos test at the
@@ -30,6 +31,7 @@ use std::time::{Duration, Instant};
 use dash::net::json::hits_to_json;
 use dash::net::{Router, RouterConfig, UpdateBody};
 use dash::prelude::*;
+use dash::serve::DELTA_LOG;
 
 mod common {
     pub mod battery;
@@ -87,30 +89,43 @@ fn reconnect_within_the_delta_log_window_tails_instead_of_resnapshotting() {
     // Cut the stream, then publish a burst the replica misses.
     hub.disconnect_all();
     assert!(replica.wait_connected(false, SYNC_TIMEOUT));
-    for round in 1..=5u64 {
-        server.publish(IndexDelta::adding(vec![fragment(
-            &format!("Wave{round}"),
-            "herring",
-            round,
-        )]));
-    }
-    assert_eq!(server.epoch(), 5);
+    assert_eq!(publish_waves(&server, 1, 5), 5);
 
     // The reconnect HELLO reports epoch 0, which is still inside the
-    // default delta log — all five missed deltas replay as a tail; no
-    // second SNAPSHOT frame is ever shipped.
+    // delta log — all five missed deltas replay as a tail; no second
+    // SNAPSHOT frame is ever shipped.
     assert!(replica.wait_epoch(5, SYNC_TIMEOUT));
     assert_eq!(replica.bootstraps(), 1, "no snapshot frame on reconnect");
     assert!(replica.catchups() >= 1, "the hub answered with RESUME");
     assert_eq!(replica.deltas_applied(), 5);
+    assert_eq!(lagging_cuts(&server), 0, "a disconnect is not a cut");
     assert_exact(&dump(&server), |r| replica.search(r), "after tail catch-up");
+}
+
+/// Publishes `count` one-fragment deltas into `Wave*` groups, the
+/// first numbered `from`; returns the last epoch.
+fn publish_waves(server: &DashServer, from: u64, count: u64) -> u64 {
+    let mut epoch = server.epoch();
+    for round in from..from + count {
+        let delta = IndexDelta::adding(vec![fragment(&format!("Wave{round}"), "herring", round)]);
+        epoch = server.publish_with_epoch(delta).1;
+    }
+    epoch
+}
+
+/// The primary's count of replica streams it cut for lagging off the
+/// delta log.
+fn lagging_cuts(server: &DashServer) -> u64 {
+    server
+        .registry()
+        .counter("dash_repl_lagging_streams_cut_total")
+        .get()
 }
 
 #[test]
 fn falling_off_the_log_tail_forces_a_full_rebootstrap() {
     let base = crawled_fragments();
-    // A log of depth 2 cannot cover a 5-delta outage.
-    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2).delta_log(2));
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2));
     let replica = Arc::new(Replica::connect(
         hub.addr(),
         app(),
@@ -118,22 +133,77 @@ fn falling_off_the_log_tail_forces_a_full_rebootstrap() {
     ));
     assert!(replica.wait_ready(SYNC_TIMEOUT));
 
-    hub.disconnect_all();
+    // Park the replica on a listener no hub answers yet: its reconnect
+    // HELLO (epoch 0) waits there through an outage one publication
+    // longer than the log.
+    let parked = TcpListener::bind("127.0.0.1:0").unwrap();
+    replica.retarget(parked.local_addr().unwrap());
     assert!(replica.wait_connected(false, SYNC_TIMEOUT));
-    for round in 1..=5u64 {
-        server.publish(IndexDelta::adding(vec![fragment(
-            &format!("Wave{round}"),
-            "herring",
-            round,
-        )]));
-    }
+    let last = publish_waves(&server, 1, DELTA_LOG as u64 + 1);
+    let _hub = ReplicationHub::start(Arc::clone(&server), parked).unwrap();
 
-    // Epoch 0 fell off the log (it only holds {4, 5} now): the hub
-    // must answer with a fresh snapshot, never a gapped tail.
-    assert!(replica.wait_epoch(5, SYNC_TIMEOUT));
+    // Epoch 0 fell off the log (it holds 2..=65 now): the hub must
+    // answer with a fresh snapshot, never a gapped tail.
+    assert!(replica.wait_epoch(last, SYNC_TIMEOUT));
     assert_eq!(replica.bootstraps(), 2, "off the log tail → re-snapshot");
     assert_eq!(replica.catchups(), 0);
     assert_exact(&dump(&server), |r| replica.search(r), "after re-bootstrap");
+}
+
+#[test]
+fn a_stream_lagging_off_the_delta_log_is_cut_and_the_replica_resnapshots() {
+    let base = crawled_fragments();
+    let (server, _net, hub) = primary(&base, ServeConfig::default().shards(2));
+    let replica = Arc::new(Replica::connect(
+        hub.addr(),
+        app(),
+        ReplicaConfig::default(),
+    ));
+    assert!(replica.wait_ready(SYNC_TIMEOUT));
+
+    // A second hub over the same primary on a slow link: each delta
+    // frame waits `delay` before it is written. The first hub goes, and
+    // its streamers with it, so the one stream that can lag is the
+    // slow hub's.
+    let slow = ReplicationHub::start(
+        Arc::clone(&server),
+        TcpListener::bind("127.0.0.1:0").unwrap(),
+    )
+    .unwrap();
+    let delay = Duration::from_secs(2);
+    slow.faults()
+        .delay_ms
+        .store(delay.as_millis() as u64, Ordering::SeqCst);
+    drop(hub);
+    assert!(replica.wait_connected(false, SYNC_TIMEOUT));
+
+    // One publication the replica missed: it resumes from epoch 0, and
+    // the streamer takes the backlog — epoch 1 alone — and sleeps
+    // before writing it. The replica has counted the RESUME by then,
+    // so every later publication lands behind the sleeping streamer.
+    publish_waves(&server, 1, 1);
+    replica.retarget(slow.addr());
+    let deadline = Instant::now() + SYNC_TIMEOUT;
+    while replica.catchups() == 0 {
+        assert!(Instant::now() < deadline, "the replica never resumed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let begin = Instant::now();
+    let last = publish_waves(&server, 2, DELTA_LOG as u64 + 1);
+    assert!(
+        begin.elapsed() < delay,
+        "the burst must land while the streamer sleeps"
+    );
+    slow.faults().delay_ms.store(0, Ordering::SeqCst);
+
+    // The streamer wakes holding epoch 1 while the log starts at 3: it
+    // cuts the stream, and the reconnect re-snapshots at the live
+    // epoch.
+    assert!(replica.wait_epoch(last, SYNC_TIMEOUT));
+    assert_eq!(lagging_cuts(&server), 1);
+    assert_eq!(replica.bootstraps(), 2, "cut off the log → re-snapshot");
+    assert_eq!(replica.catchups(), 1);
+    assert_exact(&dump(&server), |r| replica.search(r), "after the cut");
 }
 
 // ---------------------------------------------------------------------

@@ -14,8 +14,8 @@
 //! * idle keep-alive connections survive concurrent publications, and
 //!   the pre-serialized response cache invalidates precisely — only
 //!   entries whose keywords a delta touched;
-//! * hit lists past the chunk threshold stream back with
-//!   `Transfer-Encoding: chunked` and reassemble bit-exactly;
+//! * hit lists of hundreds of kilobytes come back framed by
+//!   `Content-Length` and reassemble bit-exactly;
 //! * pipelined requests are answered in order on one connection, and
 //!   cached repeats pipelined ahead of an EOF are answered from the
 //!   byte cache before it closes;
@@ -36,7 +36,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dash::net::http::CHUNK_THRESHOLD;
 use dash::net::server::{encode_update, UpdateBody};
 use dash::prelude::*;
 use dash::webapp::fooddb;
@@ -355,11 +354,11 @@ fn pipelined_hits_ahead_of_eof_are_answered_from_the_byte_cache() {
 }
 
 // ---------------------------------------------------------------------
-// Chunked streaming
+// Large responses
 // ---------------------------------------------------------------------
 
 /// A primary over 900 fragments sharing `bulkword` with long ids, so
-/// `kw=bulkword&k=900` answers past the chunk threshold.
+/// `kw=bulkword&k=900` answers with a body of over 64 KiB.
 fn bulk_server() -> (Arc<DashServer>, NetServer) {
     let long_tail = "x".repeat(90);
     let fragments: Vec<Fragment> = (0..900)
@@ -387,33 +386,33 @@ fn bulk_server() -> (Arc<DashServer>, NetServer) {
 }
 
 #[test]
-fn large_hit_lists_stream_back_chunked_and_reassemble_exactly() {
+fn large_hit_lists_come_back_length_framed_and_reassemble_exactly() {
     let (server, net) = bulk_server();
     let request = SearchRequest::new(&["bulkword"]).k(900).min_size(1);
     let expected = server.search(&request);
     let body = dash::net::json::hits_to_json(&expected);
     assert!(
-        body.len() > CHUNK_THRESHOLD,
-        "the probe response must exceed the chunk threshold ({} <= {CHUNK_THRESHOLD})",
+        body.len() > 64 << 10,
+        "the probe response must be large ({} bytes)",
         body.len()
     );
 
-    // Raw socket: the framing really is chunked on the wire.
+    // Raw socket: one `Content-Length` head carries the whole body.
     let reply = raw_exchange(
         &net,
         b"GET /search?kw=bulkword&k=900&s=1 HTTP/1.1\r\nConnection: close\r\n\r\n",
     );
     assert!(reply.starts_with("HTTP/1.1 200 "), "got: {:.120}", reply);
-    let head_end = reply.find("\r\n\r\n").unwrap();
+    let (head, sent) = reply.split_once("\r\n\r\n").unwrap();
+    let head = head.to_ascii_lowercase();
     assert!(
-        reply[..head_end]
-            .to_ascii_lowercase()
-            .contains("transfer-encoding: chunked"),
-        "large responses advertise chunked framing: {:.300}",
-        reply
+        head.contains(&format!("content-length: {}\r\n", body.len())),
+        "large responses are length-framed: {head}"
     );
+    assert!(!head.contains("transfer-encoding"), "{head}");
+    assert_eq!(sent, body);
 
-    // Client path: the chunked body reassembles to the exact hits.
+    // Client path: the body reassembles to the exact hits.
     let mut client = NetClient::connect(net.addr()).unwrap();
     assert_eq!(client.search(&request).unwrap(), expected);
 }
@@ -555,7 +554,7 @@ fn a_peer_stalled_mid_head_is_answered_408() {
 }
 
 #[test]
-fn a_peer_that_stops_draining_a_chunked_response_is_closed() {
+fn a_peer_that_stops_draining_a_large_response_is_closed() {
     // Takes the whole write-stall budget (10 s).
     let (server, net) = bulk_server();
     let request = SearchRequest::new(&["bulkword"]).k(900).min_size(1);

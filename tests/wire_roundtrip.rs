@@ -1,5 +1,5 @@
 //! The wire-codec test tier: arbitrary maintenance values —
-//! [`IndexDelta`], [`DeltaSignature`], [`RecordChange`] batches —
+//! [`IndexDelta`]s and [`RecordChange`] batches —
 //! survive encode→decode identically, and the encoding is canonical
 //! (encode∘decode∘encode is byte-stable). Fragments are drawn from the
 //! shared (eq-key, range, word-bag) generator (`tests/common/gen.rs`)
@@ -61,19 +61,6 @@ proptest! {
         prop_assert_eq!(&back, &delta);
         // Canonical: re-encoding is byte-identical.
         prop_assert_eq!(wire::encode_delta(&back), bytes);
-    }
-
-    #[test]
-    fn signatures_roundtrip_identically(delta in delta_strategy()) {
-        // Signatures derived at both range positions (the realistic
-        // shapes: no range column, range at slot 1).
-        for range_position in [None, Some(1)] {
-            let signature = delta.signature(range_position);
-            let bytes = wire::encode_signature(&signature);
-            let back = wire::read_signature(bytes.as_slice()).unwrap();
-            prop_assert_eq!(&back, &signature);
-            prop_assert_eq!(wire::encode_signature(&back), bytes);
-        }
     }
 
     #[test]
