@@ -4,7 +4,7 @@
 //! | Row | Measures |
 //! |---|---|
 //! | `serve/path/cache-hit` | a repeat request answered from the result cache |
-//! | `serve/path/uncached-batched-miss` | a lone request through a cacheless server: one engine search on the caller's thread, counted and timed |
+//! | `serve/path/uncached-miss` | a lone request through a cacheless server: one engine search on the caller's thread, counted and timed |
 //! | `serve/path/engine-direct` | the same search straight on the snapshot's engine |
 //!
 //! End-to-end serving under mixed search/update traffic is
@@ -51,9 +51,7 @@ fn bench_serve(c: &mut Criterion) {
     let uncached =
         DashServer::from_fragments(app, &fragments, ServeConfig::default().cache_capacity(0))
             .expect("server builds");
-    group.bench_function("uncached-batched-miss", |b| {
-        b.iter(|| uncached.search(&request))
-    });
+    group.bench_function("uncached-miss", |b| b.iter(|| uncached.search(&request)));
     group.bench_function("engine-direct", |b| {
         b.iter(|| uncached.snapshot().engine.search(&request))
     });

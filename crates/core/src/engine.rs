@@ -72,7 +72,9 @@ impl DashEngine {
             .iter()
             .map(|request| {
                 let idf = request_idf(&shards, request);
-                top_k_in(&self.app, &shards, request, &idf, &mut scratch)
+                let mut hits = Vec::new();
+                top_k_in(&self.app, &shards, request, &idf, &mut scratch, &mut hits);
+                hits
             })
             .collect()
     }

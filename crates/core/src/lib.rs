@@ -148,7 +148,7 @@ pub use index::{
 pub use ingest::{EngineBuilder, IngestSource};
 pub use multi::MultiDash;
 pub use scope::CrawlScope;
-pub use search::{SearchHit, SearchRequest};
+pub use search::{HitSink, HitView, SearchHit, SearchRequest};
 pub use sharded::{env_shards, PreparedDelta, ShardedEngine};
 pub use update::{DeltaSignature, IndexDelta, RecordChange, RefreshStats};
 

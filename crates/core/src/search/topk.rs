@@ -32,9 +32,12 @@
 //! * every buffer lives in a `SearchScratch`, so a pooled scratch
 //!   allocates nothing after its first search, and the handle sets
 //!   reset only the words the last search set;
-//! * an emitted hit's query string is written in one pass from
-//!   `(parameter, value)` pairs borrowed from the group key and the
-//!   catalog ([`WebApplication::render_query_string`]).
+//! * an emitted hit goes to the caller's [`HitSink`] as a borrowed
+//!   [`HitView`]: `(parameter, value)` pairs borrowed from the group
+//!   key and the catalog, the score, the size and the fragment run as
+//!   handles. The engine builds no URL, query string or identifier;
+//!   the sink writes what it needs from the view (a `Vec<SearchHit>`
+//!   builds owned hits, a front-end writes its response bytes).
 //!
 //! The scratch counts the work per search (pops, seeds, probes,
 //! expansions, compared neighbours, dead pops); the sharded engine
@@ -67,7 +70,7 @@ use dash_webapp::{SelectionBinding, WebApplication};
 use crate::index::catalog::{Frag, GroupId, Kw};
 use crate::index::inverted::Posting;
 use crate::index::FragmentIndex;
-use crate::search::{SearchHit, SearchRequest};
+use crate::search::{HitSink, HitView, SearchHit, SearchRequest};
 
 /// One shard of a searched partition: an index over a contiguous run of
 /// equality groups, and the global rank of its first group. A
@@ -192,7 +195,16 @@ pub fn top_k(
 ) -> Vec<SearchHit> {
     let shards = [(index, 0)];
     let idf = request_idf(&shards, request);
-    top_k_in(app, &shards, request, &idf, &mut SearchScratch::new())
+    let mut hits = Vec::new();
+    top_k_in(
+        app,
+        &shards,
+        request,
+        &idf,
+        &mut SearchScratch::new(),
+        &mut hits,
+    );
+    hits
 }
 
 /// Per-request-keyword `IDF_w = 1 / |L_w|` over a whole partition:
@@ -215,8 +227,9 @@ pub(crate) fn request_idf(shards: &[ShardView<'_>], request: &SearchRequest) -> 
 
 /// The heap loop over a partition: `shards` is every shard's view, in
 /// group-rank order, and `idf` is [`request_idf`] over the same views.
-/// With the one view `(index, 0)` this is exactly [`top_k`]. The pop
-/// count lands in `scratch.pops`.
+/// With the one view `(index, 0)` this is exactly [`top_k`]. Each hit
+/// goes to `sink`, in output order; the pop count lands in
+/// `scratch.pops`.
 ///
 /// **Schedule independence.** Seeding is lazy (threshold-algorithm
 /// style), but it seeds *through* score ties: it keeps drawing while
@@ -240,7 +253,8 @@ pub(crate) fn top_k_in(
     request: &SearchRequest,
     idf: &[f64],
     scratch: &mut SearchScratch,
-) -> Vec<SearchHit> {
+    sink: &mut dyn HitSink,
+) {
     scratch.pops = 0;
     scratch.seeds = 0;
     scratch.probes = 0;
@@ -248,7 +262,7 @@ pub(crate) fn top_k_in(
     scratch.compared = 0;
     scratch.dead_pops = 0;
     if request.k == 0 || request.keywords.is_empty() {
-        return Vec::new();
+        return;
     }
     let width = request.keywords.len();
     let SearchScratch {
@@ -411,12 +425,12 @@ pub(crate) fn top_k_in(
         }
     };
 
-    let mut output: Vec<SearchHit> = Vec::new();
     let (mut pops, mut seeds, mut expansions, mut compared, mut dead_pops) = (0, 0, 0, 0, 0);
     let mut bound = frontier_bound(heads);
 
     // Lines 4–9.
-    while output.len() < request.k {
+    // `emitted` holds one entry per hit the sink took.
+    while emitted.len() < request.k {
         // Top up the queue until its head *strictly* dominates every
         // unseeded fragment. Seeding through score ties (`<=`, not `<`)
         // is what makes the pop sequence independent of the seeding
@@ -460,9 +474,8 @@ pub(crate) fn top_k_in(
 
         if !expandable {
             // Line 6–7: emit.
-            if let Some(hit) = to_hit(app, index, group, &candidate, group_nodes) {
+            if emit(app, index, group, &candidate, group_nodes, sink) {
                 emitted.push((candidate.rank, candidate.lo, candidate.hi));
-                output.push(hit);
             }
             continue;
         }
@@ -530,7 +543,6 @@ pub(crate) fn top_k_in(
     scratch.expansions = expansions;
     scratch.compared = compared;
     scratch.dead_pops = dead_pops;
-    output
 }
 
 /// A set of partition fragment handles (each shard's handles offset by
@@ -603,19 +615,22 @@ const INLINE_PARAMS: usize = 8;
 static NO_VALUE: Value = Value::Null;
 
 /// Reverse-engineers a candidate of `group` (its id inside `index`)
-/// into a [`SearchHit`]: parameter values →
-/// query string → URL (Line 10 of Algorithm 1 / Example 7). This is the
-/// output boundary — the only place handles resolve back to identifiers.
-/// The `(parameter, value)` pairs borrow from the group key and the
-/// catalog, and the query string is written in one pass
-/// ([`WebApplication::render_query_string`]).
-fn to_hit(
+/// into its parameter values and hands them to `sink` as a
+/// [`HitView`], from which the sink writes the query string and the URL
+/// (Line 10 of Algorithm 1 / Example 7). This is the output boundary:
+/// the only place handles resolve back to identifiers, and only as far
+/// as the sink reads them. The `(parameter, value)` pairs borrow from
+/// the group key and the catalog. A candidate whose values do not bind
+/// every query-string field has no URL: it reaches no sink, and the
+/// result is false.
+fn emit(
     app: &WebApplication,
     index: &FragmentIndex,
     group: GroupId,
     candidate: &Candidate,
     group_nodes: &[Frag],
-) -> Option<SearchHit> {
+    sink: &mut dyn HitSink,
+) -> bool {
     let range_pos = index.graph.range_position();
     let selections = &app.query.selections;
     // A range selection binds two parameters, every other at most one.
@@ -643,29 +658,35 @@ fn to_hit(
                 len += 2;
             }
             (SelectionBinding::EqParam(p), _) => {
-                pairs[len] = (p, group_iter.next()?);
+                let Some(value) = group_iter.next() else {
+                    return false;
+                };
+                pairs[len] = (p, value);
                 len += 1;
             }
             (SelectionBinding::EqConst(_), _) => {
                 // Baked-in constant: part of the group key but not of the
                 // query string.
-                let _ = group_iter.next()?;
+                if group_iter.next().is_none() {
+                    return false;
+                }
             }
-            (SelectionBinding::RangeParams { .. }, _) => return None,
+            (SelectionBinding::RangeParams { .. }, _) => return false,
         }
     }
-    let query_string = app.render_query_string(&pairs[..len])?;
-    let url = app.render_suggestion(&query_string);
-    Some(SearchHit {
-        url,
-        query_string,
+    let params = &pairs[..len];
+    if !app.binds_every_field(params) {
+        return false;
+    }
+    sink.emit(&HitView {
+        app,
+        params,
+        catalog: &index.catalog,
+        frags: &group_nodes[candidate.lo as usize..=candidate.hi as usize],
         score: candidate.score,
         size: candidate.total_keywords,
-        fragment_ids: group_nodes[candidate.lo as usize..=candidate.hi as usize]
-            .iter()
-            .map(|&frag| index.catalog.id(frag))
-            .collect(),
-    })
+    });
+    true
 }
 
 #[cfg(test)]
@@ -811,7 +832,8 @@ mod tests {
                 for (k, s) in [(1, 1), (10, 1), (10, 50), (40, 50)] {
                     let request = SearchRequest::new(keywords).k(k).min_size(s);
                     let idf = request_idf(&shards, &request);
-                    let hits = top_k_in(&app, &shards, &request, &idf, &mut pooled);
+                    let mut hits = Vec::new();
+                    top_k_in(&app, &shards, &request, &idf, &mut pooled, &mut hits);
                     let case = format!("{label} {keywords:?} k={k} s={s}");
                     assert_eq!(hits, top_k(&app, index, &request), "{case}");
                     let width = keywords.len() as u64;

@@ -85,7 +85,9 @@ use crate::index::catalog::key_parts;
 use crate::index::{FragmentIndex, GroupId, HeapBytes, PreparedIndexDelta};
 use crate::par;
 use crate::persist;
-use crate::search::{request_idf, top_k_in, SearchHit, SearchRequest, SearchScratch, ShardView};
+use crate::search::{
+    request_idf, top_k_in, HitSink, SearchHit, SearchRequest, SearchScratch, ShardView,
+};
 use crate::update::{bulk_delta, DeltaSignature, IndexDelta, RecordChange, RefreshStats};
 use crate::Result;
 
@@ -271,9 +273,20 @@ impl ShardedEngine {
     /// URL suggestions, most relevant first — the same for any shard
     /// count.
     pub fn search(&self, request: &SearchRequest) -> Vec<SearchHit> {
-        self.search_many(std::slice::from_ref(request))
-            .pop()
-            .unwrap_or_default()
+        let mut hits = Vec::new();
+        self.search_into(request, &mut hits);
+        hits
+    }
+
+    /// [`ShardedEngine::search`] into any [`HitSink`]: each hit goes to
+    /// `sink` as a borrowed view, in output order, and the engine builds
+    /// no owned hit. A `Vec<SearchHit>` sink collects exactly what
+    /// [`ShardedEngine::search`] returns.
+    pub fn search_into(&self, request: &SearchRequest, sink: &mut dyn HitSink) {
+        self.search_each(
+            std::slice::from_ref(request),
+            std::slice::from_mut(&mut &mut *sink),
+        );
     }
 
     /// Batched top-k: answers every request with one heap loop over the
@@ -282,8 +295,16 @@ impl ShardedEngine {
     /// byte-identical to the corresponding [`ShardedEngine::search`]
     /// call.
     pub fn search_many(&self, requests: &[SearchRequest]) -> Vec<Vec<SearchHit>> {
+        let mut results = vec![Vec::new(); requests.len()];
+        self.search_each(requests, &mut results);
+        results
+    }
+
+    /// Answers `requests[i]` into `sinks[i]`, one heap loop each over
+    /// one pooled scratch.
+    fn search_each<S: HitSink>(&self, requests: &[SearchRequest], sinks: &mut [S]) {
         if requests.is_empty() {
-            return Vec::new();
+            return;
         }
         let _span = dash_obs::span!("dash_shard_search_many_ns");
         let shards = self.views();
@@ -291,24 +312,20 @@ impl ShardedEngine {
         // Per batch: candidates popped, fragments seeded, arena probes,
         // expansions.
         let mut work = [0u64; 4];
-        let results = requests
-            .iter()
-            .map(|request| {
-                let idf = request_idf(&shards, request);
-                let _span = dash_obs::span!("dash_shard_search_ns");
-                let hits = top_k_in(&self.app, &shards, request, &idf, &mut scratch);
-                let counts = [
-                    scratch.pops,
-                    scratch.seeds,
-                    scratch.probes,
-                    scratch.expansions,
-                ];
-                for (total, count) in work.iter_mut().zip(counts) {
-                    *total += count;
-                }
-                hits
-            })
-            .collect();
+        for (request, sink) in requests.iter().zip(sinks) {
+            let idf = request_idf(&shards, request);
+            let _span = dash_obs::span!("dash_shard_search_ns");
+            top_k_in(&self.app, &shards, request, &idf, &mut scratch, sink);
+            let counts = [
+                scratch.pops,
+                scratch.seeds,
+                scratch.probes,
+                scratch.expansions,
+            ];
+            for (total, count) in work.iter_mut().zip(counts) {
+                *total += count;
+            }
+        }
         self.scratch.lock().push(scratch);
         // Each pop is one candidate db-page the heap loop examined.
         if work[0] > 0 {
@@ -327,7 +344,6 @@ impl ShardedEngine {
                 counter.add(total);
             }
         }
-        results
     }
 
     /// Every shard as an `(index, group offset)` view, in rank order —
@@ -1236,7 +1252,14 @@ pub(crate) mod tests {
         let shards = engine.views();
         let idf = request_idf(&shards, request);
         let mut scratch = SearchScratch::new();
-        top_k_in(&engine.app, &shards, request, &idf, &mut scratch);
+        top_k_in(
+            &engine.app,
+            &shards,
+            request,
+            &idf,
+            &mut scratch,
+            &mut Vec::new(),
+        );
         scratch.pops
     }
 

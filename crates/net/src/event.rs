@@ -24,7 +24,11 @@
 //!   to finish on the thread that read it; a search that missed goes
 //!   through [`DashServer::search_rendered`](dash_serve::DashServer::search_rendered),
 //!   which searches without a second lookup and caches the bytes for
-//!   the next repeat. Pipelined requests
+//!   the next repeat ([`search_response`]: the engine emits each hit
+//!   into a JSON sink writing the thread's body buffer, and head and
+//!   body are then framed into one buffer of exact size, which the
+//!   socket writes and the cache keeps — no `SearchHit`, no body
+//!   `String` per request, no second copy). Pipelined requests
 //!   already buffered are answered before the connection goes back to
 //!   `epoll`. The thread then rejoins the followers.
 //!
@@ -60,6 +64,7 @@
 //! backlog in a hot loop. Dropping the server writes to the wake-up
 //! socket, which stays readable, so every thread sees the stop.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -69,8 +74,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dash_core::SearchRequest;
+use dash_core::{HitSink, HitView, SearchRequest};
 use dash_obs::{render_merged, Counter, Gauge, Registry, SlowEntry, TraceId};
+use dash_serve::DashServer;
 
 use crate::http::{self, ParseError, Request, Response};
 use crate::json;
@@ -1054,10 +1060,7 @@ fn respond(
         }
     }
     if let (Some(server), Some(search)) = (backend.server(), search) {
-        let bytes = server.search_rendered(&search, |hits| {
-            http::render_response(&Response::json(json::hits_to_json(hits)), true)
-        });
-        return (bytes, false);
+        return (search_response(&server, &search), false);
     }
     let response = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/metrics") => Response {
@@ -1072,4 +1075,42 @@ fn respond(
         Arc::new(http::render_response(&response, request.keep_alive)),
         !request.keep_alive,
     )
+}
+
+thread_local! {
+    /// Each pool thread's JSON body buffer: a miss renders into it, and
+    /// only the framed response leaves it, so after a thread's first
+    /// misses a body costs no allocation.
+    static BODY: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Answers a search the byte cache missed, as the socket bytes of its
+/// `200` response: [`DashServer::search_rendered`] runs the engine
+/// straight into a JSON sink ([`json::JsonHits`]), which writes each hit's JSON into
+/// the thread's body buffer as the engine emits it, then frames head
+/// and body into one buffer of exactly their size — the buffer the
+/// socket writes and the byte cache keeps. Its bytes are
+/// `render_response(&Response::json(hits_to_json(&hits)), true)`.
+pub fn search_response(server: &DashServer, search: &SearchRequest) -> Arc<Vec<u8>> {
+    BODY.with_borrow_mut(|body| {
+        body.clear();
+        server.search_rendered(search, JsonResponse(json::JsonHits::new(body)))
+    })
+}
+
+/// The [`HitSink`] of a search response: the JSON hit array, and on
+/// conversion the framed response.
+struct JsonResponse<'a>(json::JsonHits<'a>);
+
+impl HitSink for JsonResponse<'_> {
+    fn emit(&mut self, hit: &HitView<'_>) {
+        self.0.emit(hit);
+    }
+}
+
+impl From<JsonResponse<'_>> for Vec<u8> {
+    fn from(response: JsonResponse<'_>) -> Vec<u8> {
+        let body = response.0.finish();
+        http::render_parts(200, "application/json", body.as_bytes(), true)
+    }
 }

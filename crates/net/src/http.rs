@@ -265,19 +265,44 @@ fn reason(status: u16) -> &'static str {
 /// cache stores precisely this rendering, so a cache hit is one
 /// buffer, one write.
 pub fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut out = Vec::with_capacity(response.body.len() + 160);
-    write!(
-        out,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+    render_parts(
         response.status,
-        reason(response.status),
         response.content_type,
-        response.body.len(),
+        &response.body,
+        keep_alive,
+    )
+}
+
+/// Room for a response head: the longest status line, content type
+/// and length this server writes fit several times over.
+const HEAD_ROOM: usize = 256;
+
+/// [`render_response`] from its parts: the head is formatted on the
+/// stack, so the one allocation is the returned buffer, of exactly the
+/// response's size.
+pub(crate) fn render_parts(
+    status: u16,
+    content_type: &str,
+    body: &[u8],
+    keep_alive: bool,
+) -> Vec<u8> {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut head = [0u8; HEAD_ROOM];
+    let mut room = &mut head[..];
+    write!(
+        room,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+        status,
+        reason(status),
+        content_type,
+        body.len(),
         connection,
     )
-    .expect("Vec<u8> writes are infallible");
-    out.extend_from_slice(&response.body);
+    .expect("a response head fits HEAD_ROOM");
+    let head_len = HEAD_ROOM - room.len();
+    let mut out = Vec::with_capacity(head_len + body.len());
+    out.extend_from_slice(&head[..head_len]);
+    out.extend_from_slice(body);
     out
 }
 

@@ -14,11 +14,34 @@
 //! `{"i":…}` int, `{"c":…}` decimal cents, `{"s":…}` string,
 //! `{"d":[y,m,d]}` date) so every [`Value`] variant round-trips
 //! without type guessing.
+//!
+//! ## The writer
+//!
+//! One writer, `write_hit`, writes a hit object straight into the
+//! output string and allocates nothing of its own: fixed parts are
+//! `push_str`, integers go through the digit loop of
+//! [`write_i64`]/[`write_u64`], the score goes through
+//! `write!` (the same `Display`), and a string with nothing to escape
+//! is copied whole — only a string holding a quote, a backslash or a
+//! control character is escaped, run by run. Two front doors share it:
+//!
+//! * [`hits_to_json`] writes a `&[SearchHit]`;
+//! * [`JsonHits`] is a [`HitSink`]: the engine hands it each hit as a
+//!   borrowed [`HitView`]; it renders the hit's query string once into
+//!   a per-thread buffer, escapes it into the `query_string` field and
+//!   writes the URL around it through a JSON-escaping [`fmt::Write`]
+//!   adapter, so a socket miss renders without building a `SearchHit`.
+//!
+//! Both write the same bytes for the same hits; `tests/json_oracle.rs`
+//! holds them to a frozen copy of the `format!`-per-value renderer this
+//! writer replaced.
 
+use std::cell::RefCell;
+use std::fmt::{self, Write as _};
 use std::io;
 
-use dash_core::{FragmentId, SearchHit};
-use dash_relation::{Date, Decimal, Value};
+use dash_core::{FragmentId, HitSink, HitView, SearchHit};
+use dash_relation::{write_i64, write_u64, Date, Decimal, Value};
 
 use crate::http::invalid;
 
@@ -28,72 +51,216 @@ use crate::http::invalid;
 
 /// Encodes a hit list as a JSON array, fields in declaration order.
 pub fn hits_to_json(hits: &[SearchHit]) -> String {
-    let mut out = String::with_capacity(64 * hits.len() + 2);
-    out.push('[');
-    for (at, hit) in hits.iter().enumerate() {
-        if at > 0 {
+    // Room for each hit's fixed parts, its strings and ~48 bytes an
+    // id, so a typical list is written without growing the buffer.
+    let room: usize = hits
+        .iter()
+        .map(|hit| 128 + hit.url.len() + hit.query_string.len() + 48 * hit.fragment_ids.len())
+        .sum();
+    let mut out = String::with_capacity(room + 2);
+    let mut sink = JsonHits::new(&mut out);
+    for hit in hits {
+        sink.separate();
+        write_hit(
+            sink.out,
+            |out| write_json_str(out, &hit.url),
+            |out| write_json_str(out, &hit.query_string),
+            hit.score,
+            hit.size,
+            hit.fragment_ids.iter().map(|id| id.values().iter()),
+        );
+    }
+    sink.finish();
+    out
+}
+
+/// A [`HitSink`] writing each hit as a JSON object into a string: the
+/// array [`hits_to_json`] writes, straight from the engine's borrowed
+/// hits. [`JsonHits::new`] opens the array, and [`JsonHits::finish`]
+/// closes it.
+#[derive(Debug)]
+pub struct JsonHits<'a> {
+    out: &'a mut String,
+    hits: usize,
+}
+
+impl<'a> JsonHits<'a> {
+    /// Opens a JSON array at the end of `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        out.push('[');
+        JsonHits { out, hits: 0 }
+    }
+
+    /// Closes the array; returns the whole string.
+    pub fn finish(self) -> &'a str {
+        self.out.push(']');
+        self.out
+    }
+
+    /// Writes the separator before the next hit.
+    fn separate(&mut self) {
+        if self.hits > 0 {
+            self.out.push(',');
+        }
+        self.hits += 1;
+    }
+}
+
+thread_local! {
+    /// The query string of the hit a [`JsonHits`] is writing, rendered
+    /// once for both the URL and the `query_string` field.
+    static QUERY_STRING: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+impl HitSink for JsonHits<'_> {
+    fn emit(&mut self, hit: &HitView<'_>) {
+        self.separate();
+        QUERY_STRING.with_borrow_mut(|query_string| {
+            query_string.clear();
+            hit.write_query_string(query_string)
+                .expect("writing to a String cannot fail");
+            write_hit(
+                self.out,
+                |out| write_json_fmt(out, |escaped| hit.write_url(escaped, query_string)),
+                |out| write_json_str(out, query_string),
+                hit.score,
+                hit.size,
+                hit.fragment_ids(),
+            );
+        });
+    }
+}
+
+/// Writes one hit object: `url` and `query_string` write their string
+/// literals, and each item of `fragment_ids` is one identifier's
+/// values.
+fn write_hit<'v, V: Iterator<Item = &'v Value>>(
+    out: &mut String,
+    url: impl FnOnce(&mut String),
+    query_string: impl FnOnce(&mut String),
+    score: f64,
+    size: u64,
+    fragment_ids: impl Iterator<Item = V>,
+) {
+    out.push_str("{\"url\":");
+    url(out);
+    out.push_str(",\"query_string\":");
+    query_string(out);
+    out.push_str(",\"score\":");
+    write!(out, "{score}").expect("writing to a String cannot fail");
+    out.push_str(",\"size\":");
+    push_u64(out, size);
+    out.push_str(",\"fragment_ids\":[");
+    for (fat, values) in fragment_ids.enumerate() {
+        if fat > 0 {
             out.push(',');
         }
-        out.push_str("{\"url\":");
-        write_json_str(&mut out, &hit.url);
-        out.push_str(",\"query_string\":");
-        write_json_str(&mut out, &hit.query_string);
-        out.push_str(&format!(",\"score\":{}", hit.score));
-        out.push_str(&format!(",\"size\":{}", hit.size));
-        out.push_str(",\"fragment_ids\":[");
-        for (fat, id) in hit.fragment_ids.iter().enumerate() {
-            if fat > 0 {
+        out.push('[');
+        for (vat, value) in values.enumerate() {
+            if vat > 0 {
                 out.push(',');
             }
-            out.push('[');
-            for (vat, value) in id.values().iter().enumerate() {
-                if vat > 0 {
-                    out.push(',');
-                }
-                write_json_value(&mut out, value);
-            }
-            out.push(']');
+            write_json_value(out, value);
         }
-        out.push_str("]}");
+        out.push(']');
     }
-    out.push(']');
-    out
+    out.push_str("]}");
 }
 
 fn write_json_value(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push_str("null"),
-        Value::Int(i) => out.push_str(&format!("{{\"i\":{i}}}")),
-        Value::Decimal(d) => out.push_str(&format!("{{\"c\":{}}}", d.cents())),
+        Value::Int(i) => {
+            out.push_str("{\"i\":");
+            push_i64(out, *i);
+            out.push('}');
+        }
+        Value::Decimal(d) => {
+            out.push_str("{\"c\":");
+            push_i64(out, d.cents());
+            out.push('}');
+        }
         Value::Str(s) => {
             out.push_str("{\"s\":");
             write_json_str(out, s);
             out.push('}');
         }
-        Value::Date(d) => out.push_str(&format!(
-            "{{\"d\":[{},{},{}]}}",
-            d.year(),
-            d.month(),
-            d.day()
-        )),
+        Value::Date(d) => {
+            out.push_str("{\"d\":[");
+            push_u64(out, u64::from(d.year()));
+            out.push(',');
+            push_u64(out, u64::from(d.month()));
+            out.push(',');
+            push_u64(out, u64::from(d.day()));
+            out.push_str("]}");
+        }
     }
+}
+
+fn push_u64(out: &mut String, n: u64) {
+    write_u64(out, n).expect("writing to a String cannot fail");
+}
+
+fn push_i64(out: &mut String, n: i64) {
+    write_i64(out, n).expect("writing to a String cannot fail");
 }
 
 /// Writes a JSON string literal with full escaping.
 pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_escaped(out, s);
     out.push('"');
+}
+
+/// Writes a JSON string literal whose text `write` produces through a
+/// [`fmt::Write`] that escapes as it goes: no intermediate string.
+fn write_json_fmt(out: &mut String, write: impl FnOnce(&mut Escaping<'_>) -> fmt::Result) {
+    out.push('"');
+    write(&mut Escaping(out)).expect("writing to a String cannot fail");
+    out.push('"');
+}
+
+/// A [`fmt::Write`] that appends JSON-escaped text. Escaping is per
+/// character, so text escaped in pieces equals the text escaped whole.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        push_escaped(self.0, s);
+        Ok(())
+    }
+}
+
+/// Appends `s` escaped for a JSON string literal: `"` and `\\` and
+/// every control character below U+0020 (`\n`, `\r`, `\t` by name, the
+/// rest as `\u00xx`); everything else, non-ASCII included, as it is.
+/// Unescaped runs are copied whole. Every escaped character is ASCII,
+/// so scanning bytes never splits a UTF-8 sequence.
+fn push_escaped(out: &mut String, s: &str) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (at, &b) in bytes.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 // ---------------------------------------------------------------------

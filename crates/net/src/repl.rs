@@ -500,6 +500,11 @@ fn stream_to_replica(
             if stop.load(Ordering::Relaxed) {
                 return Ok(());
             }
+            // An idle wait is when a gone replica is found: a ready
+            // delta is sent without the probe.
+            if events.as_ref().is_some_and(Vec::is_empty) && !replica_alive(&stream)? {
+                return Ok(());
+            }
             let Some(events) = events else {
                 // The next epoch has left the log: closing the socket
                 // sends the replica through its reconnect, which
@@ -523,6 +528,25 @@ fn stream_to_replica(
             .retain(|p| p.peer_addr().ok().is_some_and(|a| Some(a) != peer));
     }
     result
+}
+
+/// Whether a replica's socket is still open, by a non-blocking peek.
+/// A replica sends nothing after its HELLO, so end of stream, a reset
+/// or any readable byte (a protocol error) all mean the stream is
+/// over; only "nothing to read yet" means it is alive. Without this a
+/// streamer whose replica has gone would hold its thread and its
+/// `peers` entry until the next publication's write failed.
+fn replica_alive(stream: &TcpStream) -> io::Result<bool> {
+    stream.set_nonblocking(true)?;
+    let peeked = stream.peek(&mut [0u8; 1]);
+    stream.set_nonblocking(false)?;
+    match peeked {
+        Err(e) => Ok(matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+        )),
+        Ok(_) => Ok(false),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1052,6 +1076,30 @@ mod tests {
         assert_eq!(replica.deltas_applied(), 1);
         let hits = replica.search(&SearchRequest::new(&["larb"]).k(5).min_size(1));
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn a_gone_replica_is_deregistered_without_a_publication() {
+        let app = dash_webapp::fooddb::search_application().unwrap();
+        let engine = ShardedEngine::builder(app).build().unwrap();
+        let server = Arc::new(DashServer::from_engine(engine, ServeConfig::default()));
+        let hub = ReplicationHub::start(server, TcpListener::bind("127.0.0.1:0").unwrap()).unwrap();
+        let mut replica = TcpStream::connect(hub.addr()).unwrap();
+        write_frame(&mut replica, FRAME_HELLO, &hello_payload(false, 0)).unwrap();
+        let stop = AtomicBool::new(false);
+        let (tag, _) = read_frame(&mut replica, &stop).unwrap().unwrap();
+        assert_eq!(tag, FRAME_SNAPSHOT);
+        assert_eq!(hub.replica_count(), 1);
+        // The replica goes; nothing is published after it.
+        drop(replica);
+        let gone = Instant::now();
+        while hub.replica_count() > 0 {
+            assert!(
+                gone.elapsed() < Duration::from_secs(1),
+                "a streamer outlived its replica by a second"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

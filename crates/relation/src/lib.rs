@@ -59,7 +59,7 @@ pub use ops::sort::{sort_by, SortKey, SortOrder};
 pub use record::Record;
 pub use schema::{Column, ColumnType, Schema, SchemaBuilder};
 pub use table::Table;
-pub use value::{Date, Decimal, Value};
+pub use value::{write_i64, write_u64, Date, Decimal, Value};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, RelationError>;

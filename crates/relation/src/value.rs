@@ -361,9 +361,57 @@ impl From<Date> for Value {
     }
 }
 
+/// Writes `n` in decimal, byte for byte as its `Display` does, without
+/// the formatting machinery: the output paths that write many small
+/// integers (query strings, JSON responses) call it per value.
+///
+/// # Errors
+///
+/// Only what `out` returns.
+pub fn write_u64<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
+
+/// [`write_u64`] for a signed integer (`i64::MIN` included).
+///
+/// # Errors
+///
+/// Only what `out` returns.
+pub fn write_i64<W: fmt::Write>(out: &mut W, n: i64) -> fmt::Result {
+    if n < 0 {
+        out.write_char('-')?;
+    }
+    write_u64(out, n.unsigned_abs())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integers_write_as_they_display() {
+        let mut out = String::new();
+        for n in [0, 1, 9, 10, 99, 100, -1, -10, 1 << 40, i64::MIN, i64::MAX] {
+            out.clear();
+            write_i64(&mut out, n).unwrap();
+            assert_eq!(out, n.to_string());
+        }
+        for n in [0, 7, 10, u64::MAX] {
+            out.clear();
+            write_u64(&mut out, n).unwrap();
+            assert_eq!(out, n.to_string());
+        }
+    }
 
     #[test]
     fn decimal_roundtrip_display_parse() {

@@ -64,6 +64,7 @@
 //! concurrent publication.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use dash_core::{DeltaSignature, SearchRequest};
 use dash_obs::Registry;
@@ -71,28 +72,17 @@ use parking_lot::Mutex;
 
 /// Cache identity of a search: the full request, field by field — two
 /// requests hit the same entry only when byte-identical answers are
-/// guaranteed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    keywords: Vec<String>,
-    k: usize,
-    min_size: u64,
-}
-
-impl From<&SearchRequest> for CacheKey {
-    fn from(request: &SearchRequest) -> Self {
-        CacheKey {
-            keywords: request.keywords.clone(),
-            k: request.k,
-            min_size: request.min_size,
-        }
-    }
-}
+/// guaranteed. One key is built per insert and shared by the map and
+/// the recency order; a lookup borrows the caller's request
+/// (`Arc<SearchRequest>: Borrow<SearchRequest>`) and builds none.
+type CacheKey = Arc<SearchRequest>;
 
 /// One cached payload. Its invalidation dependencies are the request
 /// keywords in its [`CacheKey`] (see module docs).
 #[derive(Debug)]
 struct Entry<V> {
+    /// The map's own key, so a hit can stamp the recency order with it.
+    key: CacheKey,
     value: V,
     /// Recency stamp; an entry is LRU-evictable when its stamp is the
     /// oldest live one.
@@ -158,20 +148,17 @@ impl<V> Inner<V> {
     /// Drops stale recency records once they outnumber live entries
     /// 2:1 — hits append to `order` but eviction only pops it while
     /// *over* capacity, so a hit-heavy steady state would otherwise
-    /// grow the queue without bound. Rebuilding from the map's
-    /// authoritative stamps is O(n log n), amortized over the ≥ n
-    /// touches it took to trigger.
+    /// grow the queue without bound. Keeping only the records that
+    /// carry their entry's authoritative stamp leaves one per entry,
+    /// still in stamp order, in place: O(n), amortized over the ≥ n
+    /// touches it took to trigger, and no allocation.
     fn compact(&mut self) {
         if self.order.len() <= 2 * self.map.len() + 16 {
             return;
         }
-        let mut live: Vec<(u64, CacheKey)> = self
-            .map
-            .iter()
-            .map(|(key, entry)| (entry.tick, key.clone()))
-            .collect();
-        live.sort_unstable_by_key(|(tick, _)| *tick);
-        self.order = live.into();
+        let map = &self.map;
+        self.order
+            .retain(|(tick, key)| map.get(key).is_some_and(|e| e.tick == *tick));
     }
 }
 
@@ -220,14 +207,14 @@ impl<V: Clone> Cache<V> {
         if self.capacity == 0 {
             return None;
         }
-        let key = CacheKey::from(request);
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key) {
+        match inner.map.get_mut(request) {
             Some(entry) => {
                 entry.tick = tick;
                 let value = entry.value.clone();
+                let key = Arc::clone(&entry.key);
                 inner.order.push_back((tick, key));
                 inner.stats.hits += 1;
                 inner.compact();
@@ -262,10 +249,15 @@ impl<V: Clone> Cache<V> {
         }
         inner.tick += 1;
         let tick = inner.tick;
-        let key = CacheKey::from(request);
-        inner.order.push_back((tick, key.clone()));
+        let key = CacheKey::new(request.clone());
+        inner.order.push_back((tick, Arc::clone(&key)));
         inner.total_weight += weight;
-        if let Some(replaced) = inner.map.insert(key, Entry { value, tick }) {
+        let entry = Entry {
+            key: Arc::clone(&key),
+            value,
+            tick,
+        };
+        if let Some(replaced) = inner.map.insert(key, entry) {
             inner.total_weight -= (self.weight)(&replaced.value);
         }
         inner.stats.insertions += 1;
@@ -331,7 +323,6 @@ impl<V: Clone> Cache<V> {
 mod tests {
     use super::*;
     use dash_core::SearchHit;
-    use std::sync::Arc;
 
     fn request(words: &[&str]) -> SearchRequest {
         SearchRequest::new(words).k(3).min_size(10)

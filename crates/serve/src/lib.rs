@@ -23,7 +23,10 @@
 //!   and the rendered response bytes a front-end hands back for a
 //!   repeat request by
 //!   [`DashServer::cached_rendered`] and [`DashServer::search_rendered`],
-//!   which never touch the hit-list instance. Each publication sweeps
+//!   which never touch the hit-list instance. A rendered miss runs the
+//!   engine straight into the front-end's [`HitSink`], so its bytes
+//!   are written from the engine's borrowed hits without a `SearchHit`
+//!   in between. Each publication sweeps
 //!   both under the writer lock, entry-by-entry, using the published
 //!   delta's [`DeltaSignature`] (the keywords it adds plus the
 //!   pre-delta vocabulary of the equality groups it touches)
@@ -70,6 +73,7 @@
 //! [`ShardedEngine::fork`]: dash_core::ShardedEngine::fork
 //! [`ShardedEngine::prepare`]: dash_core::ShardedEngine::prepare
 //! [`ShardedEngine::search`]: dash_core::ShardedEngine::search
+//! [`HitSink`]: dash_core::HitSink
 //! [`IndexDelta`]: dash_core::IndexDelta
 //! [`DeltaSignature`]: dash_core::DeltaSignature
 
@@ -82,8 +86,8 @@ use std::time::{Duration, Instant};
 
 use dash_core::update::bulk_delta;
 use dash_core::{
-    env_shards, DashConfig, Fragment, IndexDelta, IngestSource, RecordChange, RefreshStats, Result,
-    SearchHit, SearchRequest, ShardedEngine,
+    env_shards, DashConfig, Fragment, HitSink, IndexDelta, IngestSource, RecordChange,
+    RefreshStats, Result, SearchHit, SearchRequest, ShardedEngine,
 };
 use dash_obs::{render_merged, Counter, Gauge, Histogram, Registry, SpanGuard};
 use dash_relation::Database;
@@ -256,7 +260,8 @@ pub struct DashServer {
     published: Arc<Counter>,
     searches: Arc<Counter>,
     /// End-to-end `DashServer::search` latency (cache lookup + engine
-    /// time); the engine time alone for `DashServer::search_rendered`.
+    /// time); for `DashServer::search_rendered`, the engine time with
+    /// the sink's rendering of each hit inside it.
     search_ns: Arc<Histogram>,
     /// Publish critical path: prepare + shadow apply + cache
     /// invalidation + delta-log append + atomic snapshot swap. The
@@ -385,14 +390,16 @@ impl DashServer {
         }
     }
 
-    /// Answers `request` with one search on the live snapshot's engine,
-    /// counted as one engine call in [`ServeStats`]. Returns the epoch
-    /// of the snapshot that answered: a cache insert checked against
-    /// it is rejected once a publication has landed since.
-    fn search_live(&self, request: &SearchRequest) -> (Vec<SearchHit>, u64) {
+    /// Answers `request` into `sink` with one search on the live
+    /// snapshot's engine, counted as one engine call in
+    /// [`ServeStats`]. Returns the epoch of the snapshot that answered:
+    /// a cache insert checked against it is rejected once a publication
+    /// has landed since.
+    fn search_live(&self, request: &SearchRequest, sink: &mut dyn HitSink) -> u64 {
         let snapshot = self.handle.snapshot();
         self.batches.inc();
-        (snapshot.engine.search(request), snapshot.epoch)
+        snapshot.engine.search_into(request, sink);
+        snapshot.epoch
     }
 
     /// Top-k db-page search through the full serving path: the result
@@ -409,7 +416,8 @@ impl DashServer {
         if let Some(hits) = self.cache.get(request) {
             return hits;
         }
-        let (hits, epoch) = self.search_live(request);
+        let mut hits = Vec::new();
+        let epoch = self.search_live(request, &mut hits);
         if self.cache.enabled() {
             self.cache.insert(request, hits.clone(), epoch);
         }
@@ -432,8 +440,10 @@ impl DashServer {
     }
 
     /// Answers a request that [`DashServer::cached_rendered`] just
-    /// missed: one search on the current snapshot's engine, rendered
-    /// by `render` and cached as bytes, so a repeat of `request` is
+    /// missed: one search on the current snapshot's engine straight
+    /// into `sink` ([`ShardedEngine::search_into`]: the engine hands it
+    /// each hit as a borrowed view and builds no `SearchHit`), whose
+    /// conversion into bytes is the answer, cached so a repeat of `request` is
     /// answered by [`DashServer::cached_rendered`] until a
     /// publication's signature meets its keywords. It neither looks
     /// the rendered instance up again nor reads or fills the hit-list
@@ -445,20 +455,20 @@ impl DashServer {
     /// cache's: a publication advances the cache before it swaps the
     /// snapshot, so the cache's epoch can run ahead of the state a
     /// search reads, and the snapshot's cannot.
-    pub fn search_rendered(
+    pub fn search_rendered<S: HitSink + Into<Vec<u8>>>(
         &self,
         request: &SearchRequest,
-        render: impl FnOnce(&[SearchHit]) -> Vec<u8>,
+        mut sink: S,
     ) -> Arc<Vec<u8>> {
         if degenerate(request) {
-            return Arc::new(render(&[]));
+            return Arc::new(sink.into());
         }
         self.searches.inc();
-        let (hits, epoch) = {
+        let epoch = {
             let _span = SpanGuard::start(&self.search_ns);
-            self.search_live(request)
+            self.search_live(request, &mut sink)
         };
-        let bytes = Arc::new(render(&hits));
+        let bytes = Arc::new(sink.into());
         self.rendered.insert(request, Arc::clone(&bytes), epoch);
         bytes
     }
@@ -1085,7 +1095,7 @@ mod tests {
         server.search(&request);
         let stats = server.stats().cache;
         assert_eq!((stats.hits, stats.rejected_stale), (1, 0));
-        let first = server.search_rendered(&request, render);
+        let first = server.search_rendered(&request, lines());
         let again = server.cached_rendered(&request).expect("cached");
         assert!(Arc::ptr_eq(&first, &again), "the repeat is a rendered hit");
         let stats = server.stats().rendered;
@@ -1105,13 +1115,49 @@ mod tests {
             .into_bytes()
     }
 
+    /// [`render`] as a sink, written from the engine's borrowed hits;
+    /// `finish` runs when the sink is turned into bytes, after the
+    /// search.
+    struct Lines<F: FnOnce() = fn()> {
+        text: String,
+        finish: F,
+    }
+
+    fn lines() -> Lines {
+        lines_then(|| {})
+    }
+
+    fn lines_then<F: FnOnce()>(finish: F) -> Lines<F> {
+        Lines {
+            text: String::new(),
+            finish,
+        }
+    }
+
+    impl<F: FnOnce()> HitSink for Lines<F> {
+        fn emit(&mut self, hit: &dash_core::HitView<'_>) {
+            use std::fmt::Write as _;
+            let mut query_string = String::new();
+            hit.write_query_string(&mut query_string).unwrap();
+            hit.write_url(&mut self.text, &query_string).unwrap();
+            writeln!(self.text, " {}", hit.score).unwrap();
+        }
+    }
+
+    impl<F: FnOnce()> From<Lines<F>> for Vec<u8> {
+        fn from(lines: Lines<F>) -> Vec<u8> {
+            (lines.finish)();
+            lines.text.into_bytes()
+        }
+    }
+
     #[test]
     fn a_publish_kills_only_the_rendered_entries_it_touches() {
         let server = server(2);
         let touched = SearchRequest::new(&["burger"]).k(5).min_size(1);
         let untouched = SearchRequest::new(&["thai"]).k(5).min_size(1);
-        server.search_rendered(&touched, render);
-        server.search_rendered(&untouched, render);
+        server.search_rendered(&touched, lines());
+        server.search_rendered(&untouched, lines());
         assert_eq!(server.cached_responses(), 2);
         // The delta adds a "burger" posting: its signature carries the
         // keyword, so only the overlapping entry dies — inside
@@ -1127,7 +1173,7 @@ mod tests {
             "disjoint survives"
         );
         // The re-rendered answer is the new state's, byte for byte.
-        let fresh = server.search_rendered(&touched, render);
+        let fresh = server.search_rendered(&touched, lines());
         assert_eq!(*fresh, render(&server.snapshot().engine.search(&touched)));
     }
 
@@ -1137,18 +1183,20 @@ mod tests {
         let request = SearchRequest::new(&["late"]).k(3).min_size(1);
         // The publication lands after the search, while rendering —
         // between reading the epoch and inserting the bytes.
-        server.search_rendered(&request, |hits| {
-            server.publish(IndexDelta::adding(vec![cuisine_fragment(
-                "C0",
-                "elsewhere",
-            )]));
-            render(hits)
-        });
+        server.search_rendered(
+            &request,
+            lines_then(|| {
+                server.publish(IndexDelta::adding(vec![cuisine_fragment(
+                    "C0",
+                    "elsewhere",
+                )]));
+            }),
+        );
         let stats = server.stats().rendered;
         assert_eq!((stats.rejected_stale, stats.insertions), (1, 0));
         assert!(server.cached_rendered(&request).is_none());
         // The next render, wholly after the publication, is cached.
-        server.search_rendered(&request, render);
+        server.search_rendered(&request, lines());
         assert!(server.cached_rendered(&request).is_some());
     }
 

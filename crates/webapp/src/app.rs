@@ -1,6 +1,8 @@
 //! The [`WebApplication`] — the analyzed, executable model of a target web
 //! application `A` (Section III/IV of the paper).
 
+use std::fmt::{self, Write as _};
+
 use dash_relation::{ColumnType, Database, Value};
 
 use crate::analyzer::{analyze_servlet, AnalyzedApplication};
@@ -150,16 +152,48 @@ impl WebApplication {
     /// `p`, `render_query_string(p) == reverse_query_string(m).to_string()`.
     pub fn render_query_string(&self, params: &[(&str, &Value)]) -> Option<String> {
         let mut out = String::with_capacity(64);
-        for (i, (field, param)) in self.field_params.iter().enumerate() {
-            let (_, value) = params.iter().rev().find(|(p, _)| p == param)?;
-            if i > 0 {
-                out.push('&');
-            }
-            out.push_str(field);
-            out.push('=');
-            write_query_value(&mut out, value).expect("writing to a String cannot fail");
-        }
+        self.write_query_string(&mut out, params)?
+            .expect("writing to a String cannot fail");
         Some(out)
+    }
+
+    /// Whether every query-string field's parameter has a pair in
+    /// `params` — exactly when [`WebApplication::render_query_string`]
+    /// renders.
+    pub fn binds_every_field(&self, params: &[(&str, &Value)]) -> bool {
+        self.field_params
+            .iter()
+            .all(|(_, param)| params.iter().any(|(p, _)| p == param))
+    }
+
+    /// [`WebApplication::render_query_string`] written into `out`
+    /// instead of a fresh string. A field whose parameter has no pair
+    /// yields `None`, and then nothing has been written.
+    pub fn write_query_string<W: fmt::Write>(
+        &self,
+        out: &mut W,
+        params: &[(&str, &Value)],
+    ) -> Option<fmt::Result> {
+        if !self.binds_every_field(params) {
+            return None;
+        }
+        let write = |out: &mut W| {
+            for (i, (field, param)) in self.field_params.iter().enumerate() {
+                let (_, value) = params
+                    .iter()
+                    .rev()
+                    .find(|(p, _)| p == param)
+                    .expect("every field is bound");
+                if i > 0 {
+                    out.write_char('&')?;
+                }
+                out.write_str(field)?;
+                out.write_char('=')?;
+                write_query_value(out, value)?;
+            }
+            Ok(())
+        };
+        Some(write(out))
     }
 
     /// The URL suggestion for given parameter values. For GET this is
@@ -178,11 +212,33 @@ impl WebApplication {
     /// Formats a URL suggestion from an already-rendered query string,
     /// honoring the application's HTTP method.
     pub fn render_suggestion(&self, query_string: &str) -> String {
-        let base = self.base_uri.as_str();
-        match self.method {
-            crate::servlet::HttpMethod::Get => [base, "?", query_string].concat(),
-            crate::servlet::HttpMethod::Post => [base, " [POST ", query_string, "]"].concat(),
-        }
+        let mut out = String::with_capacity(self.base_uri.len() + query_string.len() + 8);
+        self.write_suggestion(&mut out, |out| out.write_str(query_string))
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// [`WebApplication::render_suggestion`] written into `out`, with
+    /// `query_string` writing the query string in its place — so a
+    /// caller that renders the query string on the fly never holds it
+    /// as a string.
+    ///
+    /// # Errors
+    ///
+    /// Only what `out` or `query_string` returns.
+    pub fn write_suggestion<W: fmt::Write>(
+        &self,
+        out: &mut W,
+        query_string: impl FnOnce(&mut W) -> fmt::Result,
+    ) -> fmt::Result {
+        let (open, close) = match self.method {
+            crate::servlet::HttpMethod::Get => ("?", ""),
+            crate::servlet::HttpMethod::Post => (" [POST ", "]"),
+        };
+        out.write_str(&self.base_uri)?;
+        out.write_str(open)?;
+        query_string(out)?;
+        out.write_str(close)
     }
 
     /// Executes the application for a query string — steps (a)+(b)+(c) of

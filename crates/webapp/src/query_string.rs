@@ -4,7 +4,7 @@
 
 use std::fmt::{self, Write as _};
 
-use dash_relation::{ColumnType, Date, Decimal, Value};
+use dash_relation::{write_i64, ColumnType, Date, Decimal, Value};
 
 use crate::error::WebAppError;
 
@@ -129,7 +129,7 @@ pub(crate) fn write_encoded<W: fmt::Write>(out: &mut W, raw: &str) -> fmt::Resul
 pub(crate) fn write_query_value<W: fmt::Write>(out: &mut W, value: &Value) -> fmt::Result {
     match value {
         Value::Null => Ok(()),
-        Value::Int(i) => write!(out, "{i}"),
+        Value::Int(i) => write_i64(out, *i),
         Value::Decimal(d) => write!(out, "{d}"),
         Value::Str(s) => write_encoded(out, s),
         Value::Date(d) => write!(out, "{d}"),

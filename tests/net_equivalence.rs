@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dash::core::crawl::reference;
+use dash::net::json::hits_from_json;
 use dash::net::NetChange;
 use dash::prelude::*;
 use dash::webapp::fooddb;
@@ -29,12 +30,14 @@ mod common {
     pub mod battery;
     pub mod cluster;
     pub mod fooddb;
+    pub mod json_oracle;
     pub mod oracle;
     pub mod twins;
 }
 use common::battery::battery;
 use common::cluster::{dump, primary};
 use common::fooddb::{app, crawled_fragments};
+use common::json_oracle::oracle_hits_to_json;
 use common::oracle::Oracle;
 use common::twins::twins;
 
@@ -42,11 +45,27 @@ const SHARD_COUNTS: [usize; 2] = [1, 4];
 const SYNC_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Serves the battery through a socket twice (the repeat hits the
-/// result cache) and requires byte-identity with the reference.
+/// result cache) and requires byte-identity with the reference: each
+/// response body is the frozen renderer's JSON of the oracle's hits,
+/// and decodes to those hits.
 fn assert_socket_equivalent(client: &mut NetClient, oracle: &Oracle, context: &str) {
     let requests = battery();
     for pass in ["miss", "cached"] {
-        let served: Vec<_> = requests.iter().map(|r| client.search(r).unwrap()).collect();
+        let bodies: Vec<_> = requests
+            .iter()
+            .map(|r| client.search_json(r).unwrap())
+            .collect();
+        for (request, body) in requests.iter().zip(&bodies) {
+            assert_eq!(
+                *body,
+                oracle_hits_to_json(&oracle.search(request)),
+                "{context}: pass={pass}: {request:?}"
+            );
+        }
+        let served: Vec<_> = bodies
+            .iter()
+            .map(|body| hits_from_json(body).unwrap())
+            .collect();
         oracle.assert_answers(&requests, &served, &format!("{context}: pass={pass}"));
     }
 }
